@@ -140,92 +140,95 @@ def fast_single_queue_run(
     scenario: Scenario, seed: int, horizon: int, replication: int
 ) -> controller.DppRunResult:
     """Vectorized equivalent of ``run_dpp`` for uncontrolled single queues."""
-    omega_path, arrivals = sample_path(
+    return _reflected_run(scenario, *sample_path(
         scenario.omega_chain, scenario.arrivals, seed, horizon, replication
-    )
+    ))
+
+
+def _reflected_run(
+    scenario: Scenario, omega_path: np.ndarray, arrival_index: np.ndarray
+) -> controller.DppRunResult:
+    horizon = omega_path.size
     tables = controller.compile_tables(scenario)
-    b_by_state = np.array([tab.b[0, 0] for tab in tables])
-    x_by_state = np.stack([tab.x[0] for tab in tables])
-    f_by_state = np.array([tab.f[0] for tab in tables])
-    services = b_by_state[omega_path]
-    q = single_queue_path(arrivals[0], services)
+    arrivals = scenario.arrivals[0].table[arrival_index]
+    q = single_queue_path(arrivals[0], tables.b[omega_path, 0, 0])
     return controller.DppRunResult(
         horizon=horizon,
         q_path=q[:, None],
         z_path=np.zeros((horizon + 1, 0)),
         omega_path=omega_path,
         action_path=np.zeros(horizon, dtype=np.int64),
-        x_path=x_by_state[omega_path],
-        f_path=f_by_state[omega_path],
+        x_path=tables.x[omega_path, 0],
+        f_path=tables.f[omega_path, 0],
         g_path=np.zeros((horizon, 0)),
         arrivals=arrivals,
     )
 
 
-def _dpp_rep(args: tuple[Scenario, controller.DppConfig, int, int, int]):
-    scenario, config, seed, horizon, rep = args
-    return controller.run_dpp(scenario, config, seed, horizon, replication=rep)
-
-
-def run_replications(
+def run_lanes(
     scenario: Scenario,
-    config: controller.DppConfig,
-    seed: int,
-    horizon: int,
-    n_reps: int,
-    workers: int = 1,
-) -> list[controller.DppRunResult]:
-    """Run replications on isolated substreams; results collected in order."""
-    jobs = [(scenario, config, seed, horizon, r) for r in range(n_reps)]
-    if workers <= 1 or n_reps == 1:
-        return [_dpp_rep(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_dpp_rep, jobs))
+    v_weights: Sequence[float],
+    replications: Sequence[int],
+    args: argparse.Namespace,
+    record: int = 0,
+    with_virtual: bool = False,
+) -> controller.DppBatchResult:
+    """Run (V, replication) lanes through the batched kernel.
 
-
-def _dpp_total_path(args: tuple[Scenario, controller.DppConfig, int, int, int]):
-    run = _dpp_rep(args)
-    total = run.q_path[: run.horizon].sum(axis=1)
-    return total, (run if args[4] == 0 else None)
-
-
-def collect_total_backlogs(
-    scenario: Scenario,
-    config: controller.DppConfig,
-    seed: int,
-    horizon: int,
-    n_reps: int,
-    workers: int = 1,
-) -> tuple[list[np.ndarray], controller.DppRunResult]:
-    """Total actual-backlog path per replication, plus replication 0 in full.
-
-    Keeps memory at one path per replication instead of one full run record.
+    With ``--workers N`` the lanes split into N contiguous blocks, one kernel
+    call per worker process; results come back in lane order.
     """
-    jobs = [(scenario, config, seed, horizon, r) for r in range(n_reps)]
-    if workers <= 1 or n_reps == 1:
-        results = [_dpp_total_path(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_dpp_total_path, jobs))
-    totals = [total for total, _ in results]
-    first_run = results[0][1]
-    assert first_run is not None
-    return totals, first_run
-
-
-def _verdict_for_runs(
-    runs_factory, n_reps: int, horizon: int, thresholds: VerdictThresholds
-) -> StabilityVerdict:
-    estimators = list(stability.ALL_ESTIMATORS)
-    if n_reps < thresholds.min_reps_mean_rate:
-        estimators.remove("mean_rate")
-    return estimate_verdict_streaming(
-        runs_factory,
-        n_reps=n_reps,
-        horizon=horizon,
-        thresholds=thresholds,
-        estimators=estimators,
+    bounds = np.linspace(0, len(v_weights), min(args.workers, len(v_weights)) + 1).astype(int)
+    jobs = [
+        (scenario, v_weights[lo:hi], replications[lo:hi], args.seed, args.horizon,
+         args.mode, record if lo == 0 else 0, with_virtual)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    if len(jobs) == 1:
+        return controller.run_dpp_batch(*jobs[0])
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        parts = list(pool.map(controller.run_dpp_batch, *zip(*jobs)))
+    return controller.DppBatchResult(
+        totals=np.concatenate([part.totals for part in parts]),
+        avg_cost=np.concatenate([part.avg_cost for part in parts]),
+        avg_g=np.concatenate([part.avg_g for part in parts]),
+        runs=parts[0].runs,
     )
+
+
+def ensemble_verdict(
+    scenario: Scenario, args: argparse.Namespace, record: bool
+) -> tuple[StabilityVerdict, controller.DppRunResult | None]:
+    """Stability verdict on the total actual backlog of every replication,
+    plus replication 0 in full when ``record``.
+
+    Each replication is sampled once.  Uncontrolled single queues keep the
+    compact samples and rebuild each path by the reflection identity on each
+    of the verdict's two passes.
+    """
+    if is_uncontrolled_single_queue(scenario):
+        sampled = [
+            sample_path(scenario.omega_chain, scenario.arrivals, args.seed, args.horizon, rep)
+            for rep in range(args.reps)
+        ]
+
+        def paths():
+            for sample in sampled:
+                yield _reflected_run(scenario, *sample).q_path[: args.horizon, 0]
+
+        trace_run = _reflected_run(scenario, *sampled[0]) if record else None
+    else:
+        reps = list(range(args.reps))
+        batch = run_lanes(scenario, [args.V] * args.reps, reps, args, record=int(record))
+        paths, trace_run = (lambda: iter(batch.totals)), (batch.runs[0] if record else None)
+    thresholds = VerdictThresholds()
+    estimators = list(stability.ALL_ESTIMATORS)
+    if args.reps < thresholds.min_reps_mean_rate:
+        estimators.remove("mean_rate")
+    verdict = estimate_verdict_streaming(
+        paths, args.reps, args.horizon, thresholds=thresholds, estimators=estimators
+    )
+    return verdict, trace_run
 
 
 # ---------------------------------------------------------------------------
@@ -276,28 +279,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_with_overrides(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    thresholds = VerdictThresholds()
-
     fast = is_uncontrolled_single_queue(scenario)
-    config = controller.DppConfig(v_weight=args.V, mode=args.mode)
-    if fast:
-        def one_run(rep: int) -> controller.DppRunResult:
-            return fast_single_queue_run(scenario, args.seed, args.horizon, rep)
-
-        trace_run = one_run(0)
-
-        def paths():
-            for rep in range(args.reps):
-                yield one_run(rep).q_path[: args.horizon].sum(axis=1)
-    else:
-        totals, trace_run = collect_total_backlogs(
-            scenario, config, args.seed, args.horizon, args.reps, args.workers
-        )
-
-        def paths():
-            return iter(totals)
-
-    verdict = _verdict_for_runs(paths, args.reps, args.horizon, thresholds)
+    verdict, trace_run = ensemble_verdict(scenario, args, record=True)
 
     write_csv(
         out / "trace.csv",
@@ -339,24 +322,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     scenario = _load_with_overrides(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    thresholds = VerdictThresholds()
-    fast = is_uncontrolled_single_queue(scenario)
-    config = controller.DppConfig(v_weight=args.V, mode=args.mode)
-
-    if fast:
-        def paths():
-            for rep in range(args.reps):
-                run = fast_single_queue_run(scenario, args.seed, args.horizon, rep)
-                yield run.q_path[: args.horizon].sum(axis=1)
-    else:
-        totals, _ = collect_total_backlogs(
-            scenario, config, args.seed, args.horizon, args.reps, args.workers
-        )
-
-        def paths():
-            return iter(totals)
-
-    verdict = _verdict_for_runs(paths, args.reps, args.horizon, thresholds)
+    verdict, _ = ensemble_verdict(scenario, args, record=False)
     write_csv(out / "curves.csv", ["M", "g", "h_mean", "h_p05", "h_p95"], curve_rows(verdict))
     items = [
         ("command", "stability"),
@@ -440,15 +406,19 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
     epsilon = drift.d_max / 4.0
 
     v_list = [float(v) for v in args.V_list.split(",")]
+    batch = run_lanes(
+        scenario,
+        [v for v in v_list for _ in range(args.reps)],
+        list(range(args.reps)) * len(v_list),
+        args,
+        with_virtual=True,
+    )
     rows = []
-    for v_param in v_list:
-        config = controller.DppConfig(v_weight=v_param, mode=args.mode)
-        runs = run_replications(
-            scenario, config, args.seed, args.horizon, args.reps, args.workers
-        )
-        avg_backlog = float(np.mean([r.avg_backlog_sum for r in runs]))
-        avg_cost = float(np.mean([r.avg_cost for r in runs]))
-        avg_g = np.mean([r.avg_g for r in runs], axis=0)
+    for i, v_param in enumerate(v_list):
+        lanes = slice(i * args.reps, (i + 1) * args.reps)
+        avg_backlog = float(np.mean(batch.totals[lanes].mean(axis=1)))
+        avg_cost = float(np.mean(batch.avg_cost[lanes]))
+        avg_g = np.mean(batch.avg_g[lanes], axis=0)
         bounds = capacity_mod.performance_bounds(scenario, v_param, epsilon, drift)
         rows.append(
             [v_param, avg_backlog, avg_cost]

@@ -21,21 +21,25 @@ from typing import Sequence
 import numpy as np
 
 from . import capacity
-from .network import Scenario, evaluate_action, network_step
+from .network import Scenario, evaluate_action
 from .processes import mixing_time, sample_path
 from .queues import CompositeState
-from .stability import TraceEnsemble, geometric_checkpoints
+from .stability import TraceEnsemble
 
 __all__ = [
     "DppConfig",
     "DriftConstants",
     "DppRunResult",
+    "DppBatchResult",
     "compile_tables",
     "dpp_score",
     "dpp_select_action",
     "run_dpp",
+    "run_dpp_batch",
     "drift_constants",
 ]
+
+_BLOCK_BYTES = 1 << 18  # per-block table gathers in run_dpp_batch
 
 
 @dataclass(frozen=True)
@@ -61,34 +65,45 @@ class DppConfig:
 
 
 @dataclass(frozen=True)
-class OmegaTables:
-    """Per-state action tables stacked for vectorized scoring."""
+class DppTables:
+    """Per-state action tables, indexed ``[omega, action]`` and padded to the
+    largest action count: padded entries are zero and carry ``pad = +inf``.
 
-    f: np.ndarray        # (n_actions,)
-    g: np.ndarray        # (n_actions, L)
-    net: np.ndarray      # (n_actions, K), y_offered - b_offered
-    y_table: np.ndarray  # (n_actions, K), exogenous table y only
-    y_offered: np.ndarray
-    b: np.ndarray        # (n_actions, K)
-    x: np.ndarray        # (n_actions, M)
+    Scores add ``pad`` to ``V f`` (never multiply it by V, so V = 0 cannot
+    turn it into NaN): a padded action scores +inf and is never chosen.
+    """
+
+    f: np.ndarray    # (S, A)
+    pad: np.ndarray  # (S, A): 0 on real actions, +inf on padding
+    g: np.ndarray    # (S, A, L)
+    net: np.ndarray  # (S, A, K): offered y (with routed offered b) minus offered b
+    b: np.ndarray    # (S, A, K): offered service
+    y: np.ndarray    # (S, A, K): table y, without routed transfers
+    x: np.ndarray    # (S, A, M)
 
 
-def compile_tables(scenario: Scenario) -> list[OmegaTables]:
-    tables = []
+def compile_tables(scenario: Scenario) -> DppTables:
+    n_s, n_a = scenario.omega_chain.n_states, max(map(len, scenario.actions))
+    k, n_l, m = scenario.n_queues, scenario.n_constraints, scenario.n_attributes
+    f, pad = np.zeros((n_s, n_a)), np.full((n_s, n_a), np.inf)
+    g, x = np.zeros((n_s, n_a, n_l)), np.zeros((n_s, n_a, m))
+    net, b, y = (np.zeros((n_s, n_a, k)) for _ in range(3))
     for w, acts in enumerate(scenario.actions):
-        rows = [evaluate_action(scenario, w, i) for i in range(len(acts))]
-        tables.append(
-            OmegaTables(
-                f=np.array([r[3] for r in rows]),
-                g=np.array([r[4] for r in rows]).reshape(len(acts), -1),
-                net=np.array([r[0] - r[1] for r in rows]),
-                y_table=np.array([scenario.actions[w][i].y for i in range(len(acts))]),
-                y_offered=np.array([r[0] for r in rows]),
-                b=np.array([r[1] for r in rows]),
-                x=np.array([r[2] for r in rows]).reshape(len(acts), -1),
-            )
-        )
-    return tables
+        for i, act in enumerate(acts):
+            y_offered, b[w, i], x[w, i], f[w, i], g[w, i] = evaluate_action(scenario, w, i)
+            net[w, i] = y_offered - b[w, i]
+            y[w, i] = act.y
+            pad[w, i] = 0.0
+    return DppTables(f=f, pad=pad, g=g, net=net, b=b, y=y, x=x)
+
+
+def _dot(tables: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``tables[i] @ vecs[i]`` for every lane ``i``.
+
+    ``np.matmul`` makes the same BLAS call per lane as ``table @ vec`` makes
+    for one state, so a lane and the single-state selection round alike.
+    """
+    return np.matmul(tables, vecs[..., None])[..., 0]
 
 
 def dpp_score(
@@ -112,15 +127,20 @@ def dpp_select_action(
     omega: int,
     state: CompositeState,
     config: DppConfig,
-    tables: Sequence[OmegaTables] | None = None,
+    tables: DppTables | None = None,
 ) -> int:
     """Exact argmin of the score over the state's action list.
 
     ``np.argmin`` returns the first minimizer, which is the lowest-index tie
     rule.
     """
-    tab = (tables or compile_tables(scenario))[omega]
-    scores = config.v_weight * tab.f + tab.g @ state.virtuals + tab.net @ state.queues
+    tab = tables or compile_tables(scenario)
+    scores = (
+        config.v_weight * tab.f[omega]
+        + tab.pad[omega]
+        + tab.g[omega] @ state.virtuals
+        + tab.net[omega] @ state.queues
+    )
     return int(np.argmin(scores))
 
 
@@ -163,6 +183,120 @@ class DppRunResult:
         return TraceEnsemble(backlog=total[None, :])
 
 
+@dataclass
+class DppBatchResult:
+    """Per-lane outputs of ``run_dpp_batch``; lane ``i`` runs
+    ``v_weights[i]`` on replication ``replications[i]``."""
+
+    totals: np.ndarray  # (lanes, horizon): slot-start sum of Q (+ sum of Z if asked)
+    avg_cost: np.ndarray  # (lanes,)
+    avg_g: np.ndarray  # (lanes, L)
+    runs: list[DppRunResult]  # full records of the first ``record`` lanes
+
+
+def run_dpp_batch(
+    scenario: Scenario,
+    v_weights: Sequence[float],
+    replications: Sequence[int],
+    seed: int,
+    horizon: int,
+    mode: str = "respect",
+    record: int = 0,
+    with_virtual: bool = False,
+) -> DppBatchResult:
+    """Run the closed loop for every lane at once, one step per slot.
+
+    A lane is one (V, replication) pair.  Each replication is sampled once,
+    compactly, and lanes that share it share its path.  Per lane, the
+    results equal a run of the slot recursion alone: scores, updates and
+    reductions follow the single-run order.  The first ``record`` lanes are
+    also returned in full; ``with_virtual`` adds the sum of Z to ``totals``,
+    whose row means are then ``DppRunResult.avg_backlog_sum``.
+    """
+    if horizon < 2:
+        raise ValueError("horizon must be >= 2")
+    v = np.asarray(v_weights, dtype=float)[:, None]
+    if not np.all(v >= 0):
+        raise ValueError("v_weight must be >= 0")
+    reps, lane_rep = np.unique(np.asarray(replications, dtype=np.int64), return_inverse=True)
+    n, k, n_l = v.shape[0], scenario.n_queues, scenario.n_constraints
+    tab = compile_tables(scenario)
+    n_a = tab.f.shape[1]
+    f_flat, g_flat, b_flat, y_flat, x_flat = (
+        a.reshape(tab.f.size, *a.shape[2:]) for a in (tab.f, tab.g, tab.b, tab.y, tab.x)
+    )
+    arrival_table = np.zeros((k, max(s.table.size for s in scenario.arrivals)))
+    for q_idx, spec in enumerate(scenario.arrivals):
+        arrival_table[q_idx, : spec.table.size] = spec.table
+    queue_ix = np.arange(k)
+
+    omega = np.empty((horizon, reps.size), dtype=np.min_scalar_type(tab.f.shape[0] - 1))
+    arrival_ix = np.empty(
+        (horizon, reps.size, k), dtype=np.min_scalar_type(arrival_table.shape[1] - 1)
+    )
+    for j, rep in enumerate(reps):
+        omega[:, j], idx = sample_path(
+            scenario.omega_chain, scenario.arrivals, seed, horizon, int(rep)
+        )
+        arrival_ix[:, j] = idx.T
+
+    clamped = mode == "clamped"
+    totals = np.empty((n, horizon))
+    actions = np.empty((horizon, n), dtype=np.min_scalar_type(n_a - 1))
+    q_rec, z_rec = np.zeros((record, horizon + 1, k)), np.zeros((record, horizon + 1, n_l))
+    block = max(1, _BLOCK_BYTES // (8 * n * n_a * (k + n_l + 2)))
+    # Slot-start backlogs of one block: q_buf[j] is the state at slot t0 + j.
+    q_buf, z_buf = np.zeros((block + 1, n, k)), np.zeros((block + 1, n, n_l))
+    a_buf = np.empty((block, n), dtype=np.intp)
+    for t0 in range(0, horizon, block):
+        # Gather one block of slots' tables at once; the slot loop then slices.
+        w = omega[t0 : t0 + block, lane_rep].astype(np.intp)
+        vf, g_w, net_w = v * tab.f[w] + tab.pad[w], tab.g[w], tab.net[w]
+        arrivals = arrival_table[queue_ix, arrival_ix[t0 : t0 + block, lane_rep]]
+        for j, base in enumerate(w * n_a):
+            q, z = q_buf[j], z_buf[j]
+            scores = vf[j] + _dot(g_w[j], z) + _dot(net_w[j], q)
+            sel = base + np.argmin(scores, axis=1, out=a_buf[j])
+            b_offered = b_flat.take(sel, axis=0)
+            if clamped:
+                moved, kept = b_offered, np.maximum(q - b_offered, 0.0)
+            else:
+                moved = np.minimum(b_offered, q)
+                kept = q - moved
+            y = y_flat.take(sel, axis=0)
+            for src, dst in scenario.routing:
+                y[:, dst] += moved[:, src]
+            np.add(kept + y, arrivals[j], out=q_buf[j + 1])
+            np.maximum(z + g_flat.take(sel, axis=0), 0.0, out=z_buf[j + 1])
+        t1 = t0 + w.shape[0]
+        actions[t0:t1] = a_buf[: t1 - t0]
+        totals[:, t0:t1] = q_buf[: t1 - t0].sum(axis=2).T
+        if with_virtual:
+            totals[:, t0:t1] += z_buf[: t1 - t0].sum(axis=2).T
+        q_rec[:, t0 + 1 : t1 + 1] = q_buf[1 : t1 - t0 + 1, :record].transpose(1, 0, 2)
+        z_rec[:, t0 + 1 : t1 + 1] = z_buf[1 : t1 - t0 + 1, :record].transpose(1, 0, 2)
+        q_buf[0], z_buf[0] = q_buf[t1 - t0], z_buf[t1 - t0]
+
+    result = DppBatchResult(totals, np.empty(n), np.empty((n, n_l)), runs=[])
+    for i in range(n):
+        r, sel = lane_rep[i], omega[:, lane_rep[i]] * np.intp(n_a) + actions[:, i]
+        result.avg_cost[i] = f_flat[sel].mean()
+        result.avg_g[i] = g_flat[sel].mean(axis=0)
+        if i < record:
+            result.runs.append(DppRunResult(
+                horizon=horizon,
+                q_path=q_rec[i],
+                z_path=z_rec[i],
+                omega_path=omega[:, r].copy(),
+                action_path=actions[:, i].astype(np.int64),
+                x_path=x_flat[sel],
+                f_path=f_flat[sel],
+                g_path=g_flat[sel],
+                arrivals=arrival_table[queue_ix[:, None], arrival_ix[:, r].T],
+            ))
+    return result
+
+
 def run_dpp(
     scenario: Scenario,
     config: DppConfig,
@@ -171,103 +305,10 @@ def run_dpp(
     replication: int = 0,
 ) -> DppRunResult:
     """Run the closed loop for one replication; deterministic per seed."""
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
-    k, n_l, m = scenario.n_queues, scenario.n_constraints, scenario.n_attributes
-    omega_path, arrivals = sample_path(
-        scenario.omega_chain, scenario.arrivals, seed, horizon, replication
+    batch = run_dpp_batch(
+        scenario, [config.v_weight], [replication], seed, horizon, config.mode, record=1
     )
-    tables = compile_tables(scenario)
-    routing = scenario.routing
-    clamped = config.mode == "clamped"
-
-    q = np.zeros(k)
-    z = np.zeros(n_l)
-    q_path = np.zeros((horizon + 1, k))
-    z_path = np.zeros((horizon + 1, n_l))
-    action_path = np.zeros(horizon, dtype=np.int64)
-    x_path = np.zeros((horizon, m))
-    f_path = np.zeros(horizon)
-    g_path = np.zeros((horizon, n_l))
-
-    for t in range(horizon):
-        w = int(omega_path[t])
-        tab = tables[w]
-        scores = config.v_weight * tab.f + tab.g @ z + tab.net @ q
-        a_idx = int(np.argmin(scores))
-        b_offered = tab.b[a_idx]
-        # Same semantics as network_step, inlined for the hot loop.
-        if clamped:
-            q = np.maximum(q - b_offered, 0.0) + tab.y_offered[a_idx] + arrivals[:, t]
-        else:
-            b_actual = np.minimum(b_offered, q)
-            y_actual = tab.y_table[a_idx].copy()
-            for src, dst in routing:
-                y_actual[dst] += b_actual[src]
-            q = (q - b_actual) + y_actual + arrivals[:, t]
-        z = np.maximum(z + tab.g[a_idx], 0.0)
-        action_path[t] = a_idx
-        x_path[t] = tab.x[a_idx]
-        f_path[t] = tab.f[a_idx]
-        g_path[t] = tab.g[a_idx]
-        q_path[t + 1] = q
-        z_path[t + 1] = z
-
-    return DppRunResult(
-        horizon=horizon,
-        q_path=q_path,
-        z_path=z_path,
-        omega_path=omega_path,
-        action_path=action_path,
-        x_path=x_path,
-        f_path=f_path,
-        g_path=g_path,
-        arrivals=arrivals,
-    )
-
-
-def replay_with_network_step(
-    scenario: Scenario, config: DppConfig, seed: int, horizon: int, replication: int = 0
-) -> DppRunResult:
-    """Reference loop built on ``network_step``; must match ``run_dpp`` exactly.
-
-    Kept for parity testing of the inlined hot loop.
-    """
-    k, n_l, m = scenario.n_queues, scenario.n_constraints, scenario.n_attributes
-    omega_path, arrivals = sample_path(
-        scenario.omega_chain, scenario.arrivals, seed, horizon, replication
-    )
-    tables = compile_tables(scenario)
-    state = CompositeState.zeros(k, n_l)
-    q_path = np.zeros((horizon + 1, k))
-    z_path = np.zeros((horizon + 1, n_l))
-    action_path = np.zeros(horizon, dtype=np.int64)
-    x_path = np.zeros((horizon, m))
-    f_path = np.zeros(horizon)
-    g_path = np.zeros((horizon, n_l))
-    for t in range(horizon):
-        w = int(omega_path[t])
-        a_idx = dpp_select_action(scenario, w, state, config, tables)
-        state, record = network_step(
-            scenario, state, w, a_idx, arrivals[:, t], mode=config.mode
-        )
-        action_path[t] = a_idx
-        x_path[t] = record.x
-        f_path[t] = record.f_value
-        g_path[t] = record.g_values
-        q_path[t + 1] = state.queues
-        z_path[t + 1] = state.virtuals
-    return DppRunResult(
-        horizon=horizon,
-        q_path=q_path,
-        z_path=z_path,
-        omega_path=omega_path,
-        action_path=action_path,
-        x_path=x_path,
-        f_path=f_path,
-        g_path=g_path,
-        arrivals=arrivals,
-    )
+    return batch.runs[0]
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 
 _MASK64 = (1 << 64) - 1
+_CHASE_BLOCK = 4096  # slots per index-chase block: bounds the list temporaries
 
 
 class ReducibleChainError(ValueError):
@@ -96,13 +97,13 @@ class FiniteMarkovChain:
         n = p.shape[0]
         if pi0.shape != (n,):
             raise ValueError("initial distribution length must match state count")
-        if np.any(p < 0) or np.any(p > 1):
-            raise ValueError("transition entries must lie in [0, 1]")
+        if not np.all((p >= 0) & (p <= 1)):
+            raise ValueError("transition entries must be finite and lie in [0, 1]")
         row_err = np.abs(p.sum(axis=1) - 1.0)
         if np.any(row_err > ROW_SUM_TOL):
             bad = int(np.argmax(row_err))
             raise ValueError(f"transition row {bad} sums to {p[bad].sum()!r}, not 1")
-        if np.any(pi0 < 0) or abs(pi0.sum() - 1.0) > ROW_SUM_TOL:
+        if not (np.all(pi0 >= 0) and abs(pi0.sum() - 1.0) <= ROW_SUM_TOL):
             raise ValueError("initial distribution must be a probability vector")
         if not self.labels:
             self.labels = tuple(f"s{i}" for i in range(n))
@@ -248,8 +249,8 @@ class ArrivalSpec:
 
     def analytic_mean(self) -> float | None:
         if self.kind == "bernoulli":
-            if not (0.0 <= self.p <= 1.0) or self.size < 0:
-                raise ValueError("bernoulli arrivals need p in [0,1] and size >= 0")
+            if not (0.0 <= self.p <= 1.0 and 0.0 <= self.size < math.inf):
+                raise ValueError("bernoulli arrivals need p in [0,1] and a finite size >= 0")
             return self.p * self.size
         if self.kind == "deterministic":
             if not self.values:
@@ -260,9 +261,9 @@ class ArrivalSpec:
         if self.kind == "iid_table":
             if len(self.values) != len(self.probs) or not self.values:
                 raise ValueError("iid_table needs matching non-empty values/probs")
-            if any(v < 0 for v in self.values):
-                raise ValueError("iid_table arrival values must be non-negative")
-            if any(p < 0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-12:
+            if not all(0.0 <= v < math.inf for v in self.values):
+                raise ValueError("iid_table arrival values must be finite and non-negative")
+            if not (all(p >= 0 for p in self.probs) and abs(sum(self.probs) - 1.0) <= 1e-12):
                 raise ValueError("iid_table probs must form a probability vector")
             return float(np.dot(self.values, self.probs))
         return None  # counterexample: mean is documentation only
@@ -277,36 +278,57 @@ class ArrivalSpec:
             return float(np.dot(np.square(self.values), self.probs))
         raise ValueError("counterexample arrivals have no table second moment")
 
-    def sample(self, rng: np.random.Generator, horizon: int) -> np.ndarray:
+    @property
+    def table(self) -> np.ndarray:
+        """Work values that ``sample_index`` indexes into."""
+        return np.array((0.0, self.size) if self.kind == "bernoulli" else self.values)
+
+    def sample_index(self, rng: np.random.Generator, horizon: int) -> np.ndarray:
+        """Per-slot indices into ``table``, in the smallest unsigned dtype."""
         if self.kind == "bernoulli":
-            return self.size * (rng.random(horizon) < self.p).astype(float)
+            return (rng.random(horizon) < self.p).view(np.uint8)
+        dtype = np.min_scalar_type(len(self.values) - 1)
         if self.kind == "deterministic":
-            reps = -(-horizon // len(self.values))
-            return np.tile(np.asarray(self.values, dtype=float), reps)[:horizon]
+            return (np.arange(horizon) % len(self.values)).astype(dtype)
         if self.kind == "iid_table":
-            idx = rng.choice(len(self.values), size=horizon, p=np.asarray(self.probs))
-            return np.asarray(self.values, dtype=float)[idx]
+            return rng.choice(len(self.values), size=horizon, p=self.probs).astype(dtype)
         raise ValueError(
             f"counterexample arrival {self.tag!r} prescribes backlogs, not arrivals; "
             "generate it with the stability counterexample tools"
         )
 
+    def sample(self, rng: np.random.Generator, horizon: int) -> np.ndarray:
+        return self.table[self.sample_index(rng, horizon)]
+
 
 def sample_omega_path(
     chain: FiniteMarkovChain, rng: np.random.Generator, horizon: int
 ) -> np.ndarray:
-    """Sample a state-index path of length ``horizon`` from the chain."""
+    """Sample a state-index path of length ``horizon`` from the chain.
+
+    One ``searchsorted`` per state gives every slot's successor of every
+    state; the path then chases those indices (an i.i.d. chain's path is
+    the first state's successor column).
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     u = rng.random(horizon)
-    init_cdf = np.cumsum(chain.initial)
-    cdf = np.cumsum(chain.transition, axis=1)
     top = chain.n_states - 1  # guard: u can tie the imperfectly-summed cdf top
-    path = np.empty(horizon, dtype=np.int64)
-    path[0] = min(int(np.searchsorted(init_cdf, u[0], side="right")), top)
-    for t in range(1, horizon):
-        idx = int(np.searchsorted(cdf[path[t - 1]], u[t], side="right"))
-        path[t] = idx if idx < top else top
+    cdf = np.cumsum(chain.transition, axis=1)
+    succ = np.empty((horizon, chain.n_states), dtype=np.min_scalar_type(top))
+    for s, row in enumerate(cdf):
+        succ[:, s] = np.minimum(np.searchsorted(row, u, side="right"), top)
+    state = min(int(np.searchsorted(np.cumsum(chain.initial), u[0], side="right")), top)
+    path = succ[:, 0].copy()
+    path[0] = state
+    if np.any(chain.transition != chain.transition[0]):
+        n_s = chain.n_states
+        for start in range(1, horizon, _CHASE_BLOCK):
+            flat, chased = succ[start : start + _CHASE_BLOCK].ravel().tolist(), []
+            for row in range(0, len(flat), n_s):
+                state = flat[row + state]
+                chased.append(state)
+            path[start : start + len(chased)] = chased
     return path
 
 
@@ -317,17 +339,19 @@ def sample_path(
     horizon: int,
     replication: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one replication's network-state path and arrival matrix.
+    """Draw one replication's network-state path and arrivals, compactly.
 
-    Deterministic in ``(chain, arrival_specs, seed, horizon, replication)``.
-    Returns ``(omega_path, arrivals)`` with ``arrivals[k, t]`` the work
-    arriving to queue ``k`` at slot ``t``.
+    Deterministic in ``(chain, arrival_specs, seed, horizon, replication)``:
+    the state path's uniforms are drawn first, then each queue's arrivals in
+    queue order.  Returns ``(omega_path, arrival_index)``; the work arriving
+    to queue ``k`` at slot ``t`` is
+    ``arrival_specs[k].table[arrival_index[k, t]]``.  Both arrays use the
+    smallest unsigned dtype that holds their values.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rng = make_rng(seed, replication)
     omega = sample_omega_path(chain, rng, horizon)
-    arrivals = np.empty((len(arrival_specs), horizon), dtype=float)
-    for k, spec in enumerate(arrival_specs):
-        arrivals[k] = spec.sample(rng, horizon)
-    return omega, arrivals
+    index = [spec.sample_index(rng, horizon) for spec in arrival_specs]
+    dtype = np.result_type(np.uint8, *index)
+    return omega, np.array(index, dtype=dtype).reshape(len(index), horizon)

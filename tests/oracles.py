@@ -4,7 +4,9 @@ Everything here deliberately avoids the implementation paths it checks:
 stationary distributions come from power iteration, mixing times from
 repeated dense powering, the capacity optimum from grid search over
 state-conditional action distributions, and controller decisions from an
-explicit exhaustive loop.
+explicit exhaustive loop.  The closed-loop reference replays one run slot by
+slot through ``network_step``, the library's one-slot transition, so that
+the batched kernel is checked against the plain recursion.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import math
 
 import numpy as np
 
-from qnetlab.network import Scenario, evaluate_action
+from qnetlab.controller import DppConfig, DppRunResult, compile_tables, dpp_select_action
+from qnetlab.network import Scenario, evaluate_action, network_step
+from qnetlab.processes import sample_path
+from qnetlab.queues import CompositeState
 
 GRID_GUARD = 20_000_000
 
@@ -127,3 +132,48 @@ def exhaustive_dpp_argmin(
             best_score = score
             best_index = i
     return best_index
+
+
+def replay_with_network_step(
+    scenario: Scenario, config: DppConfig, seed: int, horizon: int, replication: int = 0
+) -> DppRunResult:
+    """Closed-loop reference: one ``dpp_select_action`` and one
+    ``network_step`` per slot, on the replication's sampled path."""
+    k, n_l, m = scenario.n_queues, scenario.n_constraints, scenario.n_attributes
+    omega_path, arrival_index = sample_path(
+        scenario.omega_chain, scenario.arrivals, seed, horizon, replication
+    )
+    arrivals = np.array(
+        [spec.table[idx] for spec, idx in zip(scenario.arrivals, arrival_index)]
+    ).reshape(k, horizon)
+    tables = compile_tables(scenario)
+    state = CompositeState.zeros(k, n_l)
+    q_path = np.zeros((horizon + 1, k))
+    z_path = np.zeros((horizon + 1, n_l))
+    action_path = np.zeros(horizon, dtype=np.int64)
+    x_path = np.zeros((horizon, m))
+    f_path = np.zeros(horizon)
+    g_path = np.zeros((horizon, n_l))
+    for t in range(horizon):
+        w = int(omega_path[t])
+        a_idx = dpp_select_action(scenario, w, state, config, tables)
+        state, record = network_step(
+            scenario, state, w, a_idx, arrivals[:, t], mode=config.mode
+        )
+        action_path[t] = a_idx
+        x_path[t] = record.x
+        f_path[t] = record.f_value
+        g_path[t] = record.g_values
+        q_path[t + 1] = state.queues
+        z_path[t + 1] = state.virtuals
+    return DppRunResult(
+        horizon=horizon,
+        q_path=q_path,
+        z_path=z_path,
+        omega_path=omega_path,
+        action_path=action_path,
+        x_path=x_path,
+        f_path=f_path,
+        g_path=g_path,
+        arrivals=arrivals,
+    )

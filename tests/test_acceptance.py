@@ -12,7 +12,7 @@ import pytest
 from oracles import exhaustive_dpp_argmin, grid_fopt
 from qnetlab.capacity import performance_bounds, solve_fopt
 from qnetlab.cli import main
-from qnetlab.controller import DppConfig, compile_tables, dpp_select_action, drift_constants, run_dpp
+from qnetlab.controller import DppConfig, compile_tables, dpp_select_action, drift_constants, run_dpp_batch
 from qnetlab.network import load_scenario
 from qnetlab.processes import make_rng
 from qnetlab.queues import CompositeState
@@ -225,8 +225,9 @@ def test_criterion_09_controller_performance_suite():
     noise = 0.01  # Monte-Carlo slack for the monotonicity / approach checks
     failures = []
     costs = []
-    for v_param in v_list:
-        run = run_dpp(scenario, DppConfig(v_weight=v_param), seed=SEED + 6, horizon=horizon)
+    # One 3-lane kernel call: the three V values share replication 0's path.
+    batch = run_dpp_batch(scenario, v_list, [0] * len(v_list), SEED + 6, horizon, record=3)
+    for v_param, run in zip(v_list, batch.runs):
         costs.append(run.avg_cost)
         if not np.all(run.avg_g <= 0.01):
             failures.append(f"V={v_param}: time-avg g {run.avg_g} above 0.01")

@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_dpp_argmin
+from oracles import exhaustive_dpp_argmin, replay_with_network_step
 from qnetlab.controller import (
     DppConfig,
+    _dot,
     compile_tables,
     dpp_score,
     dpp_select_action,
     drift_constants,
-    replay_with_network_step,
     run_dpp,
+    run_dpp_batch,
 )
 from qnetlab.network import (
     Action,
@@ -155,6 +156,114 @@ def test_run_is_deterministic_per_seed(downlink2):
     assert not np.array_equal(a.q_path, c.q_path)
 
 
+@st.composite
+def fuzzed_scenarios(draw):
+    """Random valid scenarios: K <= 8 queues, L <= 3 constraints, routing,
+    Markov or i.i.d. chains, non-integer tables and all three arrival kinds."""
+    k = draw(st.integers(1, 8))
+    n_l = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 3))
+    n_s = draw(st.integers(1, 4))
+    # One-decimal values make scores that tie in exact arithmetic common, so
+    # that the rounding of the score sums decides between actions.
+    real = st.one_of(st.integers(-20, 20).map(lambda i: i / 10), st.floats(-2.0, 2.0))
+    work = st.one_of(st.integers(0, 30).map(lambda i: i / 10), st.floats(0.0, 3.0))
+
+    def vec(elements, size):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)))
+
+    def dist(size):
+        weights = vec(st.integers(0, 5), size) + np.eye(size)[draw(st.integers(0, size - 1))]
+        return weights / weights.sum()
+
+    if draw(st.booleans()):
+        chain = FiniteMarkovChain.iid(dist(n_s))
+    else:
+        chain = FiniteMarkovChain(np.array([dist(n_s) for _ in range(n_s)]), dist(n_s))
+    actions = [
+        [
+            Action(f"a{i}", y=vec(work, k), b=vec(work, k), x=vec(real, m))
+            for i in range(draw(st.integers(1, 4)))
+        ]
+        for _ in range(n_s)
+    ]
+    arrivals = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("bernoulli", "deterministic", "iid_table")))
+        if kind == "bernoulli":
+            p, size = draw(st.floats(0.0, 1.0)), draw(work)
+            arrivals.append(ArrivalSpec(kind=kind, rate=p * size, p=p, size=size))
+        else:
+            values = tuple(vec(work, draw(st.integers(1, 3))).tolist())
+            if kind == "deterministic":
+                arrivals.append(ArrivalSpec(kind=kind, rate=float(np.mean(values)), values=values))
+            else:
+                probs = tuple(dist(len(values)).tolist())
+                rate = float(np.dot(values, probs))
+                arrivals.append(ArrivalSpec(kind=kind, rate=rate, values=values, probs=probs))
+    pairs = [(s, d) for s in range(k) for d in range(k) if s != d]
+    routing = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) if pairs else []
+    return Scenario(
+        name="fuzz",
+        n_queues=k,
+        n_constraints=n_l,
+        n_attributes=m,
+        omega_chain=chain,
+        actions=actions,
+        cost=AffineFunction(draw(real), vec(real, m)),
+        constraints=[AffineFunction(draw(real), vec(real, m)) for _ in range(n_l)],
+        arrivals=arrivals,
+        routing=routing,
+    )
+
+
+@given(
+    scenario=fuzzed_scenarios(),
+    v_weights=st.lists(st.floats(0.0, 50.0, allow_subnormal=False), min_size=1, max_size=3),
+    n_reps=st.integers(1, 2),
+    mode=st.sampled_from(("respect", "clamped")),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_kernel_matches_network_step_replay(scenario, v_weights, n_reps, mode, seed):
+    horizon = 40
+    lanes_v = [v for v in v_weights for _ in range(n_reps)]
+    lanes_rep = list(range(n_reps)) * len(v_weights)
+    batch = run_dpp_batch(
+        scenario, lanes_v, lanes_rep, seed, horizon, mode, record=len(lanes_v), with_virtual=True
+    )
+    for i, (v, rep) in enumerate(zip(lanes_v, lanes_rep)):
+        ref = replay_with_network_step(scenario, DppConfig(v, mode=mode), seed, horizon, rep)
+        run = batch.runs[i]
+        for name in ("q_path", "z_path", "omega_path", "action_path", "x_path",
+                     "f_path", "g_path", "arrivals"):
+            assert np.array_equal(getattr(run, name), getattr(ref, name)), name
+        total = ref.q_path[:horizon].sum(axis=1) + ref.z_path[:horizon].sum(axis=1)
+        assert np.array_equal(batch.totals[i], total)
+        assert batch.totals[i].mean() == ref.avg_backlog_sum
+        assert batch.avg_cost[i] == ref.avg_cost
+        assert np.array_equal(batch.avg_g[i], ref.avg_g)
+
+
+@given(
+    n=st.integers(1, 5),
+    n_actions=st.integers(1, 13),
+    width=st.integers(0, 8),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=100)
+def test_lane_products_round_like_single_state_products(n, n_actions, width, seed):
+    # The kernel scores all lanes with one stacked product; each lane must
+    # round exactly as dpp_select_action's per-state product does, or lanes
+    # and the reference would break near-ties differently.
+    rng = make_rng(seed, 0)
+    tables = rng.integers(-20, 21, size=(n, n_actions, width)) / 10
+    vecs = rng.random((n, width)) * 10
+    stacked = _dot(tables, vecs)
+    for i in range(n):
+        assert np.array_equal(stacked[i], tables[i] @ vecs[i])
+
+
 def test_replications_use_independent_substreams(downlink2):
     a = run_dpp(downlink2, DppConfig(v_weight=2.0), seed=3, horizon=2000, replication=0)
     b = run_dpp(downlink2, DppConfig(v_weight=2.0), seed=3, horizon=2000, replication=1)
@@ -169,10 +278,8 @@ def test_constraints_hold_even_at_zero_weight(downlink2):
 
 
 def test_backlog_grows_at_most_linearly_in_v(downlink2):
-    backlogs = []
-    for v in (10.0, 100.0):
-        run = run_dpp(downlink2, DppConfig(v_weight=v), seed=29, horizon=60_000)
-        backlogs.append(run.avg_backlog_sum)
+    batch = run_dpp_batch(downlink2, [10.0, 100.0], [0, 0], 29, 60_000, with_virtual=True)
+    backlogs = batch.totals.mean(axis=1)
     assert backlogs[1] / backlogs[0] <= 15.0  # O(V): ratio ~10, generous cap
 
 

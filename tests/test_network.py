@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -283,6 +284,42 @@ def test_schema_rejects_bad_chain():
     data["omega_chain"]["transition"] = [[0.9, 0.2], [0.5, 0.5]]
     with pytest.raises(ScenarioError, match="omega_chain"):
         scenario_from_dict(data)
+
+
+def _load_with(tmp_path, edit) -> None:
+    """Write the bb1 fixture with one edit as JSON (NaN/Infinity literals
+    included, as Python's json module reads them) and load it."""
+    data = json.loads(fixture_path("bb1").read_text())
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    load_scenario(path)
+
+
+def test_load_rejects_infinite_bernoulli_size(tmp_path):
+    def edit(data):
+        data["arrivals"][0] = {"kind": "bernoulli", "p": 0.3, "size": math.inf, "rate": 0.3}
+
+    with pytest.raises(ScenarioError, match=r"arrivals\[0\]: .*finite size"):
+        _load_with(tmp_path, edit)
+
+
+def test_load_rejects_nan_iid_table_value(tmp_path):
+    def edit(data):
+        data["arrivals"][0] = {
+            "kind": "iid_table", "values": [0.0, math.nan], "probs": [0.5, 0.5], "rate": 0.3
+        }
+
+    with pytest.raises(ScenarioError, match=r"arrivals\[0\]: iid_table arrival values must be finite"):
+        _load_with(tmp_path, edit)
+
+
+def test_load_rejects_nan_transition_row(tmp_path):
+    def edit(data):
+        data["omega_chain"]["transition"][0] = [math.nan, math.nan]
+
+    with pytest.raises(ScenarioError, match=r"omega_chain: transition entries must be finite"):
+        _load_with(tmp_path, edit)
 
 
 def test_schema_roundtrip_through_loader(tmp_path):
