@@ -140,17 +140,17 @@ def fast_single_queue_run(
     scenario: Scenario, seed: int, horizon: int, replication: int
 ) -> controller.DppRunResult:
     """Vectorized equivalent of ``run_dpp`` for uncontrolled single queues."""
-    return _reflected_run(scenario, *sample_path(
+    tables = controller.compile_tables(scenario)
+    return _reflected_run(scenario, tables, *sample_path(
         scenario.omega_chain, scenario.arrivals, seed, horizon, replication
     ))
 
 
 def _reflected_run(
-    scenario: Scenario, omega_path: np.ndarray, arrival_index: np.ndarray
+    scenario: Scenario, tables: controller.DppTables, omega_path: np.ndarray, index: np.ndarray
 ) -> controller.DppRunResult:
     horizon = omega_path.size
-    tables = controller.compile_tables(scenario)
-    arrivals = scenario.arrivals[0].table[arrival_index]
+    arrivals = scenario.arrivals[0].table[index]
     q = single_queue_path(arrivals[0], tables.b[omega_path, 0, 0])
     return controller.DppRunResult(
         horizon=horizon,
@@ -171,7 +171,6 @@ def run_lanes(
     replications: Sequence[int],
     args: argparse.Namespace,
     record: int = 0,
-    with_virtual: bool = False,
 ) -> controller.DppBatchResult:
     """Run (V, replication) lanes through the batched kernel.
 
@@ -181,7 +180,7 @@ def run_lanes(
     bounds = np.linspace(0, len(v_weights), min(args.workers, len(v_weights)) + 1).astype(int)
     jobs = [
         (scenario, v_weights[lo:hi], replications[lo:hi], args.seed, args.horizon,
-         args.mode, record if lo == 0 else 0, with_virtual)
+         args.mode, min(max(record - lo, 0), hi - lo))
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
     if len(jobs) == 1:
@@ -190,9 +189,7 @@ def run_lanes(
         parts = list(pool.map(controller.run_dpp_batch, *zip(*jobs)))
     return controller.DppBatchResult(
         totals=np.concatenate([part.totals for part in parts]),
-        avg_cost=np.concatenate([part.avg_cost for part in parts]),
-        avg_g=np.concatenate([part.avg_g for part in parts]),
-        runs=parts[0].runs,
+        runs=[run for part in parts for run in part.runs],
     )
 
 
@@ -212,14 +209,15 @@ def ensemble_verdict(
             for rep in range(args.reps)
         ]
 
+        tables = controller.compile_tables(scenario)
+
         def paths():
             for sample in sampled:
-                yield _reflected_run(scenario, *sample).q_path[: args.horizon, 0]
+                yield _reflected_run(scenario, tables, *sample).q_path[: args.horizon, 0]
 
-        trace_run = _reflected_run(scenario, *sampled[0]) if record else None
+        trace_run = _reflected_run(scenario, tables, *sampled[0]) if record else None
     else:
-        reps = list(range(args.reps))
-        batch = run_lanes(scenario, [args.V] * args.reps, reps, args, record=int(record))
+        batch = run_lanes(scenario, [args.V] * args.reps, range(args.reps), args, int(record))
         paths, trace_run = (lambda: iter(batch.totals)), (batch.runs[0] if record else None)
     thresholds = VerdictThresholds()
     estimators = list(stability.ALL_ESTIMATORS)
@@ -406,19 +404,19 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
     epsilon = drift.d_max / 4.0
 
     v_list = [float(v) for v in args.V_list.split(",")]
-    batch = run_lanes(
+    runs = run_lanes(
         scenario,
         [v for v in v_list for _ in range(args.reps)],
         list(range(args.reps)) * len(v_list),
         args,
-        with_virtual=True,
-    )
+        record=len(v_list) * args.reps,
+    ).runs
     rows = []
     for i, v_param in enumerate(v_list):
-        lanes = slice(i * args.reps, (i + 1) * args.reps)
-        avg_backlog = float(np.mean(batch.totals[lanes].mean(axis=1)))
-        avg_cost = float(np.mean(batch.avg_cost[lanes]))
-        avg_g = np.mean(batch.avg_g[lanes], axis=0)
+        v_runs = runs[i * args.reps : (i + 1) * args.reps]
+        avg_backlog = float(np.mean([r.avg_backlog_sum for r in v_runs]))
+        avg_cost = float(np.mean([r.avg_cost for r in v_runs]))
+        avg_g = np.mean([r.avg_g for r in v_runs], axis=0)
         bounds = capacity_mod.performance_bounds(scenario, v_param, epsilon, drift)
         rows.append(
             [v_param, avg_backlog, avg_cost]
