@@ -171,6 +171,7 @@ def run_lanes(
     replications: Sequence[int],
     args: argparse.Namespace,
     record: int = 0,
+    with_virtual: bool = False,
 ) -> controller.DppBatchResult:
     """Run (V, replication) lanes through the batched kernel.
 
@@ -180,7 +181,7 @@ def run_lanes(
     bounds = np.linspace(0, len(v_weights), min(args.workers, len(v_weights)) + 1).astype(int)
     jobs = [
         (scenario, v_weights[lo:hi], replications[lo:hi], args.seed, args.horizon,
-         args.mode, min(max(record - lo, 0), hi - lo))
+         args.mode, record if lo == 0 else 0, with_virtual)
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
     if len(jobs) == 1:
@@ -189,7 +190,9 @@ def run_lanes(
         parts = list(pool.map(controller.run_dpp_batch, *zip(*jobs)))
     return controller.DppBatchResult(
         totals=np.concatenate([part.totals for part in parts]),
-        runs=[run for part in parts for run in part.runs],
+        avg_cost=np.concatenate([part.avg_cost for part in parts]),
+        avg_g=np.concatenate([part.avg_g for part in parts]),
+        runs=parts[0].runs,
     )
 
 
@@ -208,7 +211,6 @@ def ensemble_verdict(
             sample_path(scenario.omega_chain, scenario.arrivals, args.seed, args.horizon, rep)
             for rep in range(args.reps)
         ]
-
         tables = controller.compile_tables(scenario)
 
         def paths():
@@ -404,19 +406,19 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
     epsilon = drift.d_max / 4.0
 
     v_list = [float(v) for v in args.V_list.split(",")]
-    runs = run_lanes(
+    batch = run_lanes(
         scenario,
         [v for v in v_list for _ in range(args.reps)],
         list(range(args.reps)) * len(v_list),
         args,
-        record=len(v_list) * args.reps,
-    ).runs
+        with_virtual=True,
+    )
     rows = []
     for i, v_param in enumerate(v_list):
-        v_runs = runs[i * args.reps : (i + 1) * args.reps]
-        avg_backlog = float(np.mean([r.avg_backlog_sum for r in v_runs]))
-        avg_cost = float(np.mean([r.avg_cost for r in v_runs]))
-        avg_g = np.mean([r.avg_g for r in v_runs], axis=0)
+        lanes = slice(i * args.reps, (i + 1) * args.reps)
+        avg_backlog = float(np.mean(batch.totals[lanes].mean(axis=1)))
+        avg_cost = float(np.mean(batch.avg_cost[lanes]))
+        avg_g = np.mean(batch.avg_g[lanes], axis=0)
         bounds = capacity_mod.performance_bounds(scenario, v_param, epsilon, drift)
         rows.append(
             [v_param, avg_backlog, avg_cost]

@@ -185,10 +185,12 @@ class DppRunResult:
 
 @dataclass
 class DppBatchResult:
-    """Outputs of ``run_dpp_batch``; lane ``i`` runs ``v_weights[i]`` on
-    replication ``replications[i]``."""
+    """Per-lane outputs of ``run_dpp_batch``; lane ``i`` runs
+    ``v_weights[i]`` on replication ``replications[i]``."""
 
-    totals: np.ndarray  # (lanes, horizon): slot-start sum of Q per lane
+    totals: np.ndarray  # (lanes, horizon): slot-start sum of Q (+ sum of Z if asked)
+    avg_cost: np.ndarray  # (lanes,)
+    avg_g: np.ndarray  # (lanes, L)
     runs: list[DppRunResult]  # full records of the first ``record`` lanes
 
 
@@ -200,6 +202,7 @@ def run_dpp_batch(
     horizon: int,
     mode: str = "respect",
     record: int = 0,
+    with_virtual: bool = False,
 ) -> DppBatchResult:
     """Run the closed loop for every lane at once, one step per slot.
 
@@ -207,7 +210,8 @@ def run_dpp_batch(
     compactly, and lanes that share it share its path.  Per lane, the
     results equal a run of the slot recursion alone: scores, updates and
     reductions follow the single-run order.  The first ``record`` lanes are
-    also returned in full.
+    also returned in full; ``with_virtual`` adds the sum of Z to ``totals``,
+    whose row means are then ``DppRunResult.avg_backlog_sum``.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
@@ -238,7 +242,7 @@ def run_dpp_batch(
 
     clamped = mode == "clamped"
     totals = np.empty((n, horizon))
-    actions = np.empty((horizon, record), dtype=np.min_scalar_type(n_a - 1))
+    actions = np.empty((horizon, n), dtype=np.min_scalar_type(n_a - 1))
     q_rec, z_rec = np.zeros((record, horizon + 1, k)), np.zeros((record, horizon + 1, n_l))
     block = max(1, _BLOCK_BYTES // (8 * n * n_a * (k + n_l + 2)))
     # Slot-start backlogs of one block: q_buf[j] is the state at slot t0 + j.
@@ -264,28 +268,33 @@ def run_dpp_batch(
                 y[:, dst] += moved[:, src]
             np.add(kept + y, arrivals[j], out=q_buf[j + 1])
             np.maximum(z + g_flat.take(sel, axis=0), 0.0, out=z_buf[j + 1])
-        t1 = t0 + w.shape[0]
-        actions[t0:t1] = a_buf[: t1 - t0, :record]
-        totals[:, t0:t1] = q_buf[: t1 - t0].sum(axis=2).T
-        q_rec[:, t0 + 1 : t1 + 1] = q_buf[1 : t1 - t0 + 1, :record].transpose(1, 0, 2)
-        z_rec[:, t0 + 1 : t1 + 1] = z_buf[1 : t1 - t0 + 1, :record].transpose(1, 0, 2)
-        q_buf[0], z_buf[0] = q_buf[t1 - t0], z_buf[t1 - t0]
+        nb = w.shape[0]
+        actions[t0 : t0 + nb] = a_buf[:nb]
+        totals[:, t0 : t0 + nb] = q_buf[:nb].sum(axis=2).T
+        if with_virtual:
+            totals[:, t0 : t0 + nb] += z_buf[:nb].sum(axis=2).T
+        q_rec[:, t0 + 1 : t0 + nb + 1] = q_buf[1 : nb + 1, :record].transpose(1, 0, 2)
+        z_rec[:, t0 + 1 : t0 + nb + 1] = z_buf[1 : nb + 1, :record].transpose(1, 0, 2)
+        q_buf[0], z_buf[0] = q_buf[nb], z_buf[nb]
 
-    runs = []
-    for i, r in enumerate(lane_rep[:record]):
-        sel = omega[:, r] * np.intp(n_a) + actions[:, i]
-        runs.append(DppRunResult(
-            horizon=horizon,
-            q_path=q_rec[i],
-            z_path=z_rec[i],
-            omega_path=omega[:, r].copy(),
-            action_path=actions[:, i].astype(np.int64),
-            x_path=x_flat[sel],
-            f_path=f_flat[sel],
-            g_path=g_flat[sel],
-            arrivals=arrival_table[queue_ix[:, None], arrival_ix[:, r].T],
-        ))
-    return DppBatchResult(totals=totals, runs=runs)
+    result = DppBatchResult(totals, np.empty(n), np.empty((n, n_l)), runs=[])
+    for i in range(n):
+        r, sel = lane_rep[i], omega[:, lane_rep[i]] * np.intp(n_a) + actions[:, i]
+        result.avg_cost[i] = f_flat[sel].mean()
+        result.avg_g[i] = g_flat[sel].mean(axis=0)
+        if i < record:
+            result.runs.append(DppRunResult(
+                horizon=horizon,
+                q_path=q_rec[i],
+                z_path=z_rec[i],
+                omega_path=omega[:, r].copy(),
+                action_path=actions[:, i].astype(np.int64),
+                x_path=x_flat[sel],
+                f_path=f_flat[sel],
+                g_path=g_flat[sel],
+                arrivals=arrival_table[queue_ix[:, None], arrival_ix[:, r].T],
+            ))
+    return result
 
 
 def run_dpp(

@@ -229,17 +229,20 @@ def test_batched_kernel_matches_network_step_replay(scenario, v_weights, n_reps,
     horizon = 40
     lanes_v = [v for v in v_weights for _ in range(n_reps)]
     lanes_rep = list(range(n_reps)) * len(v_weights)
-    batch = run_dpp_batch(scenario, lanes_v, lanes_rep, seed, horizon, mode, record=len(lanes_v))
+    batch = run_dpp_batch(
+        scenario, lanes_v, lanes_rep, seed, horizon, mode, record=len(lanes_v), with_virtual=True
+    )
     for i, (v, rep) in enumerate(zip(lanes_v, lanes_rep)):
         ref = replay_with_network_step(scenario, DppConfig(v, mode=mode), seed, horizon, rep)
         run = batch.runs[i]
         for name in ("q_path", "z_path", "omega_path", "action_path", "x_path",
                      "f_path", "g_path", "arrivals"):
             assert np.array_equal(getattr(run, name), getattr(ref, name)), name
-        assert np.array_equal(batch.totals[i], ref.q_path[:horizon].sum(axis=1))
-        assert run.avg_backlog_sum == ref.avg_backlog_sum
-        assert run.avg_cost == ref.avg_cost
-        assert np.array_equal(run.avg_g, ref.avg_g)
+        total = ref.q_path[:horizon].sum(axis=1) + ref.z_path[:horizon].sum(axis=1)
+        assert np.array_equal(batch.totals[i], total)
+        assert batch.totals[i].mean() == ref.avg_backlog_sum
+        assert batch.avg_cost[i] == ref.avg_cost
+        assert np.array_equal(batch.avg_g[i], ref.avg_g)
 
 
 @given(
@@ -275,8 +278,8 @@ def test_constraints_hold_even_at_zero_weight(downlink2):
 
 
 def test_backlog_grows_at_most_linearly_in_v(downlink2):
-    batch = run_dpp_batch(downlink2, [10.0, 100.0], [0, 0], 29, 60_000, record=2)
-    backlogs = [run.avg_backlog_sum for run in batch.runs]
+    batch = run_dpp_batch(downlink2, [10.0, 100.0], [0, 0], 29, 60_000, with_virtual=True)
+    backlogs = batch.totals.mean(axis=1)
     assert backlogs[1] / backlogs[0] <= 15.0  # O(V): ratio ~10, generous cap
 
 
