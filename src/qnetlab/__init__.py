@@ -17,6 +17,7 @@ from .capacity import (
     solve_fopt,
 )
 from .controller import (
+    DppBatchResult,
     DppConfig,
     DppRunResult,
     DriftConstants,
@@ -24,6 +25,7 @@ from .controller import (
     dpp_select_action,
     drift_constants,
     run_dpp,
+    run_dpp_batch,
 )
 from .network import (
     Scenario,
