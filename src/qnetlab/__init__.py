@@ -21,7 +21,6 @@ from .controller import (
     DppConfig,
     DppRunResult,
     DriftConstants,
-    dpp_score,
     dpp_select_action,
     drift_constants,
     run_dpp,
@@ -63,7 +62,6 @@ from .stability import (
     TraceEnsemble,
     VerdictThresholds,
     bb1_closed_form,
-    bb1_ensemble,
     cex_mean_not_rate,
     cex_rate_not_mean,
     cex_strong_not_rate,

@@ -232,25 +232,20 @@ def solve_fopt(
     )
 
 
-def policy_constraint_violation(lp: PolicyLp, policy: OmegaOnlyPolicy) -> float:
-    """Worst inequality violation of a policy against the LP rows."""
-    x = np.concatenate([d for d in policy.distributions])
-    return float(np.max(lp.a_ub @ x - lp.b_ub, initial=0.0))
-
-
 def performance_bounds(
     scenario: Scenario,
     v_param: float,
     epsilon: float,
     drift: "DriftConstants",
-    approximation_slack: float = 0.0,
 ) -> PerformanceBounds:
     """Closed-form backlog and cost bounds for the penalty-weighted controller.
 
-    The backlog bound is ``(C + T B + (T-1) D + V (f_max - f_min)) / (d_max/4)``
-    and the cost bound is ``f_opt + c_0 epsilon + (C + B T_eps + D (T_eps-1))/V``
-    with ``c_0 = 4 f_max / d_max + 1``.  ``epsilon`` must lie in
-    ``(0, d_max/4]``; ``T_eps`` is the chain's mixing time at that gap.
+    The backlog bound is ``(T B + (T-1) D + V (f_max - f_min)) / (d_max/4)``
+    and the cost bound is ``f_opt + c_0 epsilon + (B T_eps + D (T_eps-1))/V``
+    with ``c_0 = 4 f_max / d_max + 1``; the approximation slack C of the
+    general bounds is 0 because the controller's argmin is exact.
+    ``epsilon`` must lie in ``(0, d_max/4]``; ``T_eps`` is the chain's
+    mixing time at that gap.
     """
     if drift.d_max <= 0:
         raise ValueError("bounds require a strictly interior rate vector (d_max > 0)")
@@ -260,16 +255,13 @@ def performance_bounds(
     c_0 = 4.0 * check.f_max / drift.d_max + 1.0
     t_eps = mixing_time(scenario.omega_chain, epsilon).T
     backlog_bound = (
-        approximation_slack
-        + drift.T * drift.B
-        + (drift.T - 1) * drift.D
-        + v_param * (check.f_max - check.f_min)
+        drift.T * drift.B + (drift.T - 1) * drift.D + v_param * (check.f_max - check.f_min)
     ) / (drift.d_max / 4.0)
     report = solve_fopt(scenario)
     if not report.feasible:
         raise ValueError("cost bound undefined: rate vector outside the capacity region")
     if v_param > 0:
-        overshoot = (approximation_slack + drift.B * t_eps + drift.D * (t_eps - 1)) / v_param
+        overshoot = (drift.B * t_eps + drift.D * (t_eps - 1)) / v_param
     else:
         overshoot = math.inf
     cost_bound = report.f_opt + c_0 * epsilon + overshoot

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import capacity as capacity_mod
 from . import controller, stability
-from .network import Scenario, ScenarioError, load_scenario
-from .processes import ArrivalSpec, FiniteMarkovChain, sample_path
+from .network import Scenario, ScenarioError, fixture_path, load_scenario
+from .processes import ArrivalSpec, FiniteMarkovChain
 from .stability import (
     BB1Params,
     StabilityVerdict,
@@ -29,7 +29,6 @@ from .stability import (
     bb1_closed_form,
     curve_rows,
     estimate_verdict_streaming,
-    single_queue_path,
     verdict_report_items,
 )
 
@@ -122,49 +121,6 @@ def override_mu(scenario: Scenario, mu: float) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def is_uncontrolled_single_queue(scenario: Scenario) -> bool:
-    """True when the scenario is a single queue with no decisions to make:
-    one action per state, no constraints, no routing, no transfers, and an
-    i.i.d. state chain.  Such runs use the vectorized path generator."""
-    if scenario.n_queues != 1 or scenario.n_constraints != 0 or scenario.routing:
-        return False
-    if any(len(acts) != 1 for acts in scenario.actions):
-        return False
-    if any(np.any(acts[0].y != 0.0) for acts in scenario.actions):
-        return False
-    p = scenario.omega_chain.transition
-    return bool(np.all(p == p[0]))
-
-
-def fast_single_queue_run(
-    scenario: Scenario, seed: int, horizon: int, replication: int
-) -> controller.DppRunResult:
-    """Vectorized equivalent of ``run_dpp`` for uncontrolled single queues."""
-    tables = controller.compile_tables(scenario)
-    return _reflected_run(scenario, tables, *sample_path(
-        scenario.omega_chain, scenario.arrivals, seed, horizon, replication
-    ))
-
-
-def _reflected_run(
-    scenario: Scenario, tables: controller.DppTables, omega_path: np.ndarray, index: np.ndarray
-) -> controller.DppRunResult:
-    horizon = omega_path.size
-    arrivals = scenario.arrivals[0].table[index]
-    q = single_queue_path(arrivals[0], tables.b[omega_path, 0, 0])
-    return controller.DppRunResult(
-        horizon=horizon,
-        q_path=q[:, None],
-        z_path=np.zeros((horizon + 1, 0)),
-        omega_path=omega_path,
-        action_path=np.zeros(horizon, dtype=np.int64),
-        x_path=tables.x[omega_path, 0],
-        f_path=tables.f[omega_path, 0],
-        g_path=np.zeros((horizon, 0)),
-        arrivals=arrivals,
-    )
-
-
 def run_lanes(
     scenario: Scenario,
     v_weights: Sequence[float],
@@ -200,35 +156,17 @@ def ensemble_verdict(
     scenario: Scenario, args: argparse.Namespace, record: bool
 ) -> tuple[StabilityVerdict, controller.DppRunResult | None]:
     """Stability verdict on the total actual backlog of every replication,
-    plus replication 0 in full when ``record``.
-
-    Each replication is sampled once.  Uncontrolled single queues keep the
-    compact samples and rebuild each path by the reflection identity on each
-    of the verdict's two passes.
-    """
-    if is_uncontrolled_single_queue(scenario):
-        sampled = [
-            sample_path(scenario.omega_chain, scenario.arrivals, args.seed, args.horizon, rep)
-            for rep in range(args.reps)
-        ]
-        tables = controller.compile_tables(scenario)
-
-        def paths():
-            for sample in sampled:
-                yield _reflected_run(scenario, tables, *sample).q_path[: args.horizon, 0]
-
-        trace_run = _reflected_run(scenario, tables, *sampled[0]) if record else None
-    else:
-        batch = run_lanes(scenario, [args.V] * args.reps, range(args.reps), args, int(record))
-        paths, trace_run = (lambda: iter(batch.totals)), (batch.runs[0] if record else None)
+    plus replication 0 in full when ``record``."""
+    batch = run_lanes(scenario, [args.V] * args.reps, range(args.reps), args, int(record))
     thresholds = VerdictThresholds()
     estimators = list(stability.ALL_ESTIMATORS)
     if args.reps < thresholds.min_reps_mean_rate:
         estimators.remove("mean_rate")
     verdict = estimate_verdict_streaming(
-        paths, args.reps, args.horizon, thresholds=thresholds, estimators=estimators
+        lambda: iter(batch.totals), args.reps, args.horizon,
+        thresholds=thresholds, estimators=estimators,
     )
-    return verdict, trace_run
+    return verdict, (batch.runs[0] if record else None)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +217,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_with_overrides(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fast = is_uncontrolled_single_queue(scenario)
+    fast = controller.is_uncontrolled_single_queue(scenario)
     verdict, trace_run = ensemble_verdict(scenario, args, record=True)
 
     write_csv(
@@ -545,10 +483,12 @@ def cmd_bb1(args: argparse.Namespace) -> int:
         ("W_bar", w_bar),
     ]
     if args.simulate:
-        ens = stability.bb1_ensemble(
-            args.lam, args.mu, horizon=args.horizon, n_reps=args.reps, seed=args.seed
+        bb1 = override_mu(load_scenario(fixture_path("bb1")), args.mu)
+        batch = controller.run_dpp_batch(
+            override_lambdas(bb1, [args.lam]), [0.0] * args.reps, range(args.reps),
+            args.seed, args.horizon,
         )
-        items.append(("measured_mean_backlog", float(ens.backlog.mean())))
+        items.append(("measured_mean_backlog", float(batch.totals.mean())))
     for key, value in items:
         _echo(f"{key}={_fmt(value)}")
     if args.out is not None:

@@ -7,10 +7,8 @@ virtual backlogs, the controller picks the action minimizing
                      + sum_k Q_k * (y_k(action) - b_k(action))
 
 over the finite action set of the current state.  The minimization is exact
-(action sets are enumerated); the approximation slack C exists only so that
-reported bounds stay comparable with analyses that allow inexact minimizers.
-Decisions ignore backlog feasibility on purpose; the network transition
-applies the clamp.
+(action sets are enumerated).  Decisions ignore backlog feasibility on
+purpose; the network transition applies the clamp.
 """
 
 from __future__ import annotations
@@ -21,10 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from . import capacity
-from .network import Scenario, evaluate_action
+from .network import MODES, Scenario, evaluate_action
 from .processes import mixing_time, sample_path
 from .queues import CompositeState
-from .stability import TraceEnsemble
+from .stability import TraceEnsemble, single_queue_path
 
 __all__ = [
     "DppConfig",
@@ -32,8 +30,8 @@ __all__ = [
     "DppRunResult",
     "DppBatchResult",
     "compile_tables",
-    "dpp_score",
     "dpp_select_action",
+    "is_uncontrolled_single_queue",
     "run_dpp",
     "run_dpp_batch",
     "drift_constants",
@@ -44,24 +42,23 @@ _BLOCK_BYTES = 1 << 18  # per-block table gathers in run_dpp_batch
 
 @dataclass(frozen=True)
 class DppConfig:
-    """Controller parameters.
-
-    ``v_weight`` trades cost against backlog; ``approximation_slack`` (C) is
-    carried as metadata only -- the implementation always returns the exact
-    argmin, which a finite action set always attains.  Ties break toward the
-    lowest action index so runs are reproducible.
+    """Controller parameters: ``v_weight`` trades cost against backlog,
+    ``mode`` is the network transition mode.  The argmin is exact and ties
+    break toward the lowest action index, so runs are reproducible.
     """
 
     v_weight: float
-    approximation_slack: float = 0.0
-    tie_break: str = "lowest-index"
     mode: str = "respect"
 
     def __post_init__(self) -> None:
-        if self.v_weight < 0 or self.approximation_slack < 0:
-            raise ValueError("v_weight and approximation_slack must be >= 0")
-        if self.tie_break != "lowest-index":
-            raise ValueError("only the lowest-index tie rule is implemented")
+        if self.v_weight < 0:
+            raise ValueError("v_weight must be >= 0")
+        _check_mode(self.mode)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -104,22 +101,6 @@ def _dot(tables: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     for one state, so a lane and the single-state selection round alike.
     """
     return np.matmul(tables, vecs[..., None])[..., 0]
-
-
-def dpp_score(
-    scenario: Scenario,
-    omega: int,
-    action_index: int,
-    state: CompositeState,
-    v_weight: float,
-) -> float:
-    """Penalty-plus-weighted-differential score of one action."""
-    y, b, _, f_value, g_values = evaluate_action(scenario, omega, action_index)
-    return (
-        v_weight * f_value
-        + float(np.dot(state.virtuals, g_values))
-        + float(np.dot(state.queues, y - b))
-    )
 
 
 def dpp_select_action(
@@ -194,6 +175,23 @@ class DppBatchResult:
     runs: list[DppRunResult]  # full records of the first ``record`` lanes
 
 
+def is_uncontrolled_single_queue(scenario: Scenario) -> bool:
+    """True when the scenario has no decisions to make and integer work: one
+    queue, no constraints, one action per state, and integer ``b``, ``y``
+    and arrival values.  ``run_dpp_batch`` then builds each backlog path by
+    the reflection identity, which equals the slot recursion exactly for
+    integer work."""
+    if scenario.n_queues != 1 or scenario.n_constraints != 0:
+        return False
+    if any(len(acts) != 1 for acts in scenario.actions):
+        return False
+    work = np.concatenate(
+        [v for acts in scenario.actions for v in (acts[0].b, acts[0].y)]
+        + [spec.table for spec in scenario.arrivals]
+    )
+    return bool(np.all(work == np.round(work)))
+
+
 def run_dpp_batch(
     scenario: Scenario,
     v_weights: Sequence[float],
@@ -211,10 +209,14 @@ def run_dpp_batch(
     results equal a run of the slot recursion alone: scores, updates and
     reductions follow the single-run order.  The first ``record`` lanes are
     also returned in full; ``with_virtual`` adds the sum of Z to ``totals``,
-    whose row means are then ``DppRunResult.avg_backlog_sum``.
+    whose row means are then ``DppRunResult.avg_backlog_sum``.  When
+    ``is_uncontrolled_single_queue`` holds, each replication's backlog path
+    comes from the reflection identity (``single_queue_path``) instead of
+    the slot loop, with ``y`` added to the arrivals.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
+    _check_mode(mode)
     v = np.asarray(v_weights, dtype=float)[:, None]
     if not np.all(v >= 0):
         raise ValueError("v_weight must be >= 0")
@@ -234,48 +236,52 @@ def run_dpp_batch(
     arrival_ix = np.empty(
         (horizon, reps.size, k), dtype=np.min_scalar_type(arrival_table.shape[1] - 1)
     )
-    for j, rep in enumerate(reps):
-        omega[:, j], idx = sample_path(
-            scenario.omega_chain, scenario.arrivals, seed, horizon, int(rep)
-        )
-        arrival_ix[:, j] = idx.T
-
-    clamped = mode == "clamped"
     totals = np.empty((n, horizon))
-    actions = np.empty((horizon, n), dtype=np.min_scalar_type(n_a - 1))
+    actions = np.zeros((horizon, n), dtype=np.min_scalar_type(n_a - 1))
     q_rec, z_rec = np.zeros((record, horizon + 1, k)), np.zeros((record, horizon + 1, n_l))
-    block = max(1, _BLOCK_BYTES // (8 * n * n_a * (k + n_l + 2)))
-    # Slot-start backlogs of one block: q_buf[j] is the state at slot t0 + j.
-    q_buf, z_buf = np.zeros((block + 1, n, k)), np.zeros((block + 1, n, n_l))
-    a_buf = np.empty((block, n), dtype=np.intp)
-    for t0 in range(0, horizon, block):
-        # Gather one block of slots' tables at once; the slot loop then slices.
-        w = omega[t0 : t0 + block, lane_rep].astype(np.intp)
-        vf, g_w, net_w = v * tab.f[w] + tab.pad[w], tab.g[w], tab.net[w]
-        arrivals = arrival_table[queue_ix, arrival_ix[t0 : t0 + block, lane_rep]]
-        for j, base in enumerate(w * n_a):
-            q, z = q_buf[j], z_buf[j]
-            scores = vf[j] + _dot(g_w[j], z) + _dot(net_w[j], q)
-            sel = base + np.argmin(scores, axis=1, out=a_buf[j])
-            b_offered = b_flat.take(sel, axis=0)
-            if clamped:
-                moved, kept = b_offered, np.maximum(q - b_offered, 0.0)
-            else:
-                moved = np.minimum(b_offered, q)
-                kept = q - moved
-            y = y_flat.take(sel, axis=0)
-            for src, dst in scenario.routing:
-                y[:, dst] += moved[:, src]
-            np.add(kept + y, arrivals[j], out=q_buf[j + 1])
-            np.maximum(z + g_flat.take(sel, axis=0), 0.0, out=z_buf[j + 1])
-        nb = w.shape[0]
-        actions[t0 : t0 + nb] = a_buf[:nb]
-        totals[:, t0 : t0 + nb] = q_buf[:nb].sum(axis=2).T
-        if with_virtual:
-            totals[:, t0 : t0 + nb] += z_buf[:nb].sum(axis=2).T
-        q_rec[:, t0 + 1 : t0 + nb + 1] = q_buf[1 : nb + 1, :record].transpose(1, 0, 2)
-        z_rec[:, t0 + 1 : t0 + nb + 1] = z_buf[1 : nb + 1, :record].transpose(1, 0, 2)
-        q_buf[0], z_buf[0] = q_buf[nb], z_buf[nb]
+    reflect = is_uncontrolled_single_queue(scenario)
+    for j, rep in enumerate(reps):
+        w, idx = sample_path(scenario.omega_chain, scenario.arrivals, seed, horizon, int(rep))
+        omega[:, j], arrival_ix[:, j] = w, idx.T
+        if reflect:
+            q = single_queue_path(tab.y[w, 0, 0] + arrival_table[0, idx[0]], tab.b[w, 0, 0])
+            totals[lane_rep == j] = q[:horizon]
+            q_rec[lane_rep[:record] == j, :, 0] = q
+
+    if not reflect:
+        clamped = mode == "clamped"
+        block = max(1, _BLOCK_BYTES // (8 * n * n_a * (k + n_l + 2)))
+        # Slot-start backlogs of one block: q_buf[j] is the state at slot t0 + j.
+        q_buf, z_buf = np.zeros((block + 1, n, k)), np.zeros((block + 1, n, n_l))
+        a_buf = np.empty((block, n), dtype=np.intp)
+        for t0 in range(0, horizon, block):
+            # Gather one block of slots' tables at once; the slot loop then slices.
+            w = omega[t0 : t0 + block, lane_rep].astype(np.intp)
+            vf, g_w, net_w = v * tab.f[w] + tab.pad[w], tab.g[w], tab.net[w]
+            arrivals = arrival_table[queue_ix, arrival_ix[t0 : t0 + block, lane_rep]]
+            for j, base in enumerate(w * n_a):
+                q, z = q_buf[j], z_buf[j]
+                scores = vf[j] + _dot(g_w[j], z) + _dot(net_w[j], q)
+                sel = base + np.argmin(scores, axis=1, out=a_buf[j])
+                b_offered = b_flat.take(sel, axis=0)
+                if clamped:
+                    moved, kept = b_offered, np.maximum(q - b_offered, 0.0)
+                else:
+                    moved = np.minimum(b_offered, q)
+                    kept = q - moved
+                y = y_flat.take(sel, axis=0)
+                for src, dst in scenario.routing:
+                    y[:, dst] += moved[:, src]
+                np.add(kept + y, arrivals[j], out=q_buf[j + 1])
+                np.maximum(z + g_flat.take(sel, axis=0), 0.0, out=z_buf[j + 1])
+            nb = w.shape[0]
+            actions[t0 : t0 + nb] = a_buf[:nb]
+            totals[:, t0 : t0 + nb] = q_buf[:nb].sum(axis=2).T
+            if with_virtual:
+                totals[:, t0 : t0 + nb] += z_buf[:nb].sum(axis=2).T
+            q_rec[:, t0 + 1 : t0 + nb + 1] = q_buf[1 : nb + 1, :record].transpose(1, 0, 2)
+            z_rec[:, t0 + 1 : t0 + nb + 1] = z_buf[1 : nb + 1, :record].transpose(1, 0, 2)
+            q_buf[0], z_buf[0] = q_buf[nb], z_buf[nb]
 
     result = DppBatchResult(totals, np.empty(n), np.empty((n, n_l)), runs=[])
     for i in range(n):

@@ -101,15 +101,19 @@ class Scenario:
                 loc = f"actions[{w}][{i}]"
                 if act.y.shape != (k,) or act.b.shape != (k,) or act.x.shape != (m,):
                     raise ScenarioError(loc, "table vector lengths do not match K/M")
+                for key in ("y", "b", "x"):
+                    if not np.all(np.isfinite(getattr(act, key))):
+                        raise ScenarioError(f"{loc}.{key}", "table entries must be finite")
                 if np.any(act.y < 0) or np.any(act.b < 0):
                     raise ScenarioError(loc, "offered y and b must be non-negative")
-        if self.cost.coeffs.shape != (m,):
-            raise ScenarioError("cost", "coefficient length must equal M")
         if len(self.constraints) != self.n_constraints:
             raise ScenarioError("constraints", "need one affine function per constraint")
-        for l, g in enumerate(self.constraints):
-            if g.coeffs.shape != (m,):
-                raise ScenarioError(f"constraints[{l}]", "coefficient length must equal M")
+        named = [(f"constraints[{l}]", g) for l, g in enumerate(self.constraints)]
+        for loc, fn in [("cost", self.cost), *named]:
+            if fn.coeffs.shape != (m,):
+                raise ScenarioError(loc, "coefficient length must equal M")
+            if not (math.isfinite(fn.c0) and np.all(np.isfinite(fn.coeffs))):
+                raise ScenarioError(loc, "constant and coefficients must be finite")
         if len(self.arrivals) != k:
             raise ScenarioError("arrivals", "need one arrival spec per queue")
         seen_pairs: set[tuple[int, int]] = set()
@@ -139,12 +143,10 @@ class ScenarioValidation:
     sigma2: float
     f_min: float
     f_max: float
-    ok: bool
 
 
 @dataclass(frozen=True)
 class StepRecord:
-    t: int
     omega_index: int
     action_index: int
     arrivals: np.ndarray
@@ -210,7 +212,7 @@ def validate(scenario: Scenario) -> ScenarioValidation:
             sigma2 = max(sigma2, spec.second_moment())
         except ValueError as exc:
             raise ScenarioError(f"arrivals[{k}]", str(exc)) from exc
-    return ScenarioValidation(sigma2=sigma2, f_min=f_min, f_max=f_max, ok=True)
+    return ScenarioValidation(sigma2=sigma2, f_min=f_min, f_max=f_max)
 
 
 def network_step(
@@ -259,7 +261,6 @@ def network_step(
         [virtual_queue_step(z, g) for z, g in zip(state.virtuals, g_values)]
     )
     record = StepRecord(
-        t=-1,
         omega_index=omega,
         action_index=action_index,
         arrivals=arrivals.copy(),
@@ -287,28 +288,43 @@ def fixture_path(name: str) -> Path:
         return Path(p)
 
 
-def _expect(obj: dict, key: str, where: str) -> Any:
+def _expect(obj: Any, key: str, where: str) -> Any:
+    if not isinstance(obj, dict):
+        raise ScenarioError(where, "expected an object")
     if key not in obj:
         raise ScenarioError(where, f"missing required key {key!r}")
     return obj[key]
 
 
+def _number(raw: Any, where: str) -> float:
+    """A JSON number as a float; booleans are not numbers here."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ScenarioError(where, "expected a number")
+    return float(raw)
+
+
+def _integer(raw: Any, where: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ScenarioError(where, "expected an integer")
+    return raw
+
+
 def _float_list(raw: Any, where: str) -> list[float]:
-    if not isinstance(raw, list) or not all(isinstance(v, (int, float)) for v in raw):
+    if not isinstance(raw, list):
         raise ScenarioError(where, "expected a list of numbers")
-    return [float(v) for v in raw]
+    return [_number(v, where) for v in raw]
 
 
 def _parse_arrival(raw: dict, where: str) -> ArrivalSpec:
     kind = _expect(raw, "kind", where)
-    rate = float(_expect(raw, "rate", where))
+    rate = _number(_expect(raw, "rate", where), f"{where}.rate")
     try:
         if kind == "bernoulli":
             return ArrivalSpec(
                 kind="bernoulli",
                 rate=rate,
-                p=float(_expect(raw, "p", where)),
-                size=float(raw.get("size", 1.0)),
+                p=_number(_expect(raw, "p", where), f"{where}.p"),
+                size=_number(raw.get("size", 1.0), f"{where}.size"),
             )
         if kind == "deterministic":
             return ArrivalSpec(
@@ -327,6 +343,8 @@ def _parse_arrival(raw: dict, where: str) -> ArrivalSpec:
             return ArrivalSpec(
                 kind="counterexample", rate=rate, tag=str(_expect(raw, "tag", where))
             )
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(where, str(exc)) from exc
     raise ScenarioError(where, f"unknown arrival kind {kind!r}")
@@ -334,9 +352,9 @@ def _parse_arrival(raw: dict, where: str) -> ArrivalSpec:
 
 def scenario_from_dict(data: dict, name_hint: str = "scenario") -> Scenario:
     dims = _expect(data, "dimensions", "dimensions")
-    k = int(_expect(dims, "K", "dimensions"))
-    n_constraints = int(_expect(dims, "L", "dimensions"))
-    m = int(_expect(dims, "M", "dimensions"))
+    k, n_constraints, m = (
+        _integer(_expect(dims, key, "dimensions"), f"dimensions.{key}") for key in "KLM"
+    )
     if k < 1 or n_constraints < 0 or m < 0:
         raise ScenarioError("dimensions", "need K >= 1, L >= 0, M >= 0")
 
@@ -356,21 +374,18 @@ def scenario_from_dict(data: dict, name_hint: str = "scenario") -> Scenario:
     actions: list[list[Action]] = []
     for w, acts_raw in enumerate(actions_raw):
         acts = []
+        if not isinstance(acts_raw, list):
+            raise ScenarioError(f"actions[{w}]", "expected a list of action objects")
         for i, raw in enumerate(acts_raw):
             where = f"actions[{w}][{i}]"
-            acts.append(
-                Action(
-                    name=str(raw.get("name", f"a{i}")),
-                    y=np.asarray(_float_list(_expect(raw, "y", where), where)),
-                    b=np.asarray(_float_list(_expect(raw, "b", where), where)),
-                    x=np.asarray(_float_list(_expect(raw, "x", where), where)),
-                )
-            )
+            y, b, x = (np.asarray(_float_list(_expect(raw, key, where), f"{where}.{key}"))
+                       for key in ("y", "b", "x"))
+            acts.append(Action(name=str(raw.get("name", f"a{i}")), y=y, b=b, x=x))
         actions.append(acts)
 
     cost_raw = _expect(data, "cost", "cost")
     cost = AffineFunction(
-        c0=float(_expect(cost_raw, "c0", "cost")),
+        c0=_number(_expect(cost_raw, "c0", "cost"), "cost.c0"),
         coeffs=np.asarray(_float_list(_expect(cost_raw, "c", "cost"), "cost")),
     )
     constraints = []
@@ -378,7 +393,7 @@ def scenario_from_dict(data: dict, name_hint: str = "scenario") -> Scenario:
         where = f"constraints[{l}]"
         constraints.append(
             AffineFunction(
-                c0=float(_expect(raw, "d0", where)),
+                c0=_number(_expect(raw, "d0", where), f"{where}.d0"),
                 coeffs=np.asarray(_float_list(_expect(raw, "d", where), where)),
             )
         )
@@ -387,7 +402,8 @@ def scenario_from_dict(data: dict, name_hint: str = "scenario") -> Scenario:
         for i, raw in enumerate(_expect(data, "arrivals", "arrivals"))
     ]
     routing = [
-        (int(_expect(raw, "src", f"routing[{j}]")), int(_expect(raw, "dst", f"routing[{j}]")))
+        tuple(_integer(_expect(raw, key, f"routing[{j}]"), f"routing[{j}].{key}")
+              for key in ("src", "dst"))
         for j, raw in enumerate(data.get("routing", []))
     ]
     return Scenario(

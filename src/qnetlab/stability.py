@@ -32,7 +32,6 @@ __all__ = [
     "InsufficientReplicationsError",
     "geometric_checkpoints",
     "single_queue_path",
-    "bb1_ensemble",
     "estimate_verdict",
     "estimate_verdict_streaming",
     "bb1_closed_form",
@@ -158,23 +157,6 @@ def single_queue_path(
     q[0] = q0
     q[1:] = np.maximum(q0 + s[1:], s[1:] + running_max)
     return q
-
-
-def bb1_ensemble(
-    lam: float, mu: float, horizon: int, n_reps: int, seed: int
-) -> TraceEnsemble:
-    """Bernoulli(lam) arrivals vs independent Bernoulli(mu) server, per slot."""
-    if not (0.0 <= lam <= 1.0 and 0.0 <= mu <= 1.0):
-        raise ValueError("lam and mu must lie in [0, 1]")
-    if horizon < 2 or n_reps < 1:
-        raise ValueError("need horizon >= 2 and n_reps >= 1")
-    backlog = np.empty((n_reps, horizon))
-    for r in range(n_reps):
-        rng = make_rng(seed, r)
-        a = (rng.random(horizon - 1) < lam).astype(float)
-        b = (rng.random(horizon - 1) < mu).astype(float)
-        backlog[r] = single_queue_path(a, b)
-    return TraceEnsemble(backlog=backlog)
 
 
 def _m_grid(mean_backlog: float, thresholds: VerdictThresholds) -> np.ndarray:

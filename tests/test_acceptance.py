@@ -18,7 +18,6 @@ from qnetlab.processes import make_rng
 from qnetlab.queues import CompositeState
 from qnetlab.stability import (
     TraceEnsemble,
-    bb1_ensemble,
     cex_mean_not_rate,
     cex_rate_not_mean,
     cex_strong_not_rate,

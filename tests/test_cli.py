@@ -189,28 +189,22 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert "omega_chain" in capsys.readouterr().err
 
 
+def test_nan_action_table_is_scenario_error(tmp_path, capsys):
+    # It used to simulate and report mean_backlog=nan with exit code 0.
+    data = json.loads(fixture_path("bb1").read_text())
+    data["actions"][1][0]["b"] = [float("nan")]
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(data))
+    rc = main(["simulate", str(bad), "--horizon", "1000", "--reps", "2",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "actions[1][0].b" in capsys.readouterr().err
+
+
 def test_zero_horizon_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", "bb1.json", "--horizon", "0", "--out", str(tmp_path / "o")])
     assert excinfo.value.code == 2
-
-
-def test_fast_single_queue_path_matches_controller_loop():
-    import numpy as np
-
-    from qnetlab.cli import fast_single_queue_run, is_uncontrolled_single_queue
-    from qnetlab.controller import DppConfig, run_dpp
-    from qnetlab.network import load_scenario
-
-    scenario = load_scenario("bb1.json")
-    assert is_uncontrolled_single_queue(scenario)
-    fast = fast_single_queue_run(scenario, seed=41, horizon=5000, replication=2)
-    slow = run_dpp(scenario, DppConfig(v_weight=1.0), seed=41, horizon=5000, replication=2)
-    assert np.array_equal(fast.q_path, slow.q_path)
-    assert np.array_equal(fast.omega_path, slow.omega_path)
-    assert np.array_equal(fast.f_path, slow.f_path)
-
-    assert not is_uncontrolled_single_queue(load_scenario("downlink2.json"))
 
 
 def test_parallel_workers_match_sequential(tmp_path):

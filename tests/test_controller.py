@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,9 @@ from qnetlab.controller import (
     DppConfig,
     _dot,
     compile_tables,
-    dpp_score,
     dpp_select_action,
     drift_constants,
+    is_uncontrolled_single_queue,
     run_dpp,
     run_dpp_batch,
 )
@@ -56,10 +58,10 @@ def two_action_scenario():
 
 
 def test_score_hand_enumeration():
-    s = two_action_scenario()
-    state = CompositeState(np.array([10.0]), np.zeros(0))
-    assert dpp_score(s, 0, 0, state, v_weight=1.0) == 10.0
-    assert dpp_score(s, 0, 1, state, v_weight=1.0) == -9.0
+    # Compiled tables give the scores V f + Q (y - b) = (10, -9) by hand.
+    tab = compile_tables(two_action_scenario())
+    scores = 1.0 * tab.f[0] + tab.pad[0] + tab.net[0] @ np.array([10.0])
+    assert list(scores) == [10.0, -9.0]
 
 
 def test_select_prefers_negative_differential():
@@ -72,7 +74,6 @@ def test_zero_weight_zero_queues_ties_to_lowest_index():
     s = two_action_scenario()
     state = CompositeState(np.zeros(1), np.zeros(0))
     # V=0 and empty queues: both scores are 0; lowest index wins.
-    assert dpp_score(s, 0, 0, state, 0.0) == dpp_score(s, 0, 1, state, 0.0) == 0.0
     assert dpp_select_action(s, 0, state, DppConfig(v_weight=0.0)) == 0
 
 
@@ -88,8 +89,7 @@ def test_virtual_queue_term_only():
     state = CompositeState(np.zeros(2), np.array([5.0]))
     # V=0, queues empty: scores are Z . g = 5 * (-0.45) for idle,
     # 5 * 0.55 for serving; idle wins.
-    assert dpp_score(s, on_off, 0, state, 0.0) == pytest.approx(-2.25)
-    assert dpp_score(s, on_off, 1, state, 0.0) == pytest.approx(2.75)
+    assert compile_tables(s).g[on_off] @ state.virtuals == pytest.approx([-2.25, 2.75])
     assert dpp_select_action(s, on_off, state, DppConfig(v_weight=0.0)) == 0
 
 
@@ -130,8 +130,14 @@ def test_selection_is_scale_covariant(scale_exp, q1, q2, z, v, w):
 def test_config_validation():
     with pytest.raises(ValueError):
         DppConfig(v_weight=-1.0)
-    with pytest.raises(ValueError):
-        DppConfig(v_weight=1.0, tie_break="random")
+
+
+def test_unknown_mode_is_rejected(downlink2):
+    # A misspelt mode used to run respect mode silently.
+    with pytest.raises(ValueError, match="mode"):
+        DppConfig(v_weight=1.0, mode="clmaped")
+    with pytest.raises(ValueError, match="mode"):
+        run_dpp_batch(downlink2, [1.0], [0], 1, 100, mode="clmaped")
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +146,7 @@ def test_config_validation():
 
 
 def test_run_matches_network_step_replay(downlink2):
+    assert not is_uncontrolled_single_queue(downlink2)  # the slot loop runs
     fast = run_dpp(downlink2, DppConfig(v_weight=5.0), seed=11, horizon=3000)
     slow = replay_with_network_step(downlink2, DppConfig(v_weight=5.0), seed=11, horizon=3000)
     assert np.array_equal(fast.q_path, slow.q_path)
@@ -226,7 +233,12 @@ def fuzzed_scenarios(draw):
 )
 @settings(max_examples=60, deadline=None)
 def test_batched_kernel_matches_network_step_replay(scenario, v_weights, n_reps, mode, seed):
-    horizon = 40
+    assert_batch_matches_replay(scenario, v_weights, n_reps, mode, seed, horizon=40)
+
+
+def assert_batch_matches_replay(scenario, v_weights, n_reps, mode, seed, horizon):
+    """Every lane of one recorded batch equals its ``network_step`` replay,
+    bit for bit."""
     lanes_v = [v for v in v_weights for _ in range(n_reps)]
     lanes_rep = list(range(n_reps)) * len(v_weights)
     batch = run_dpp_batch(
@@ -243,6 +255,32 @@ def test_batched_kernel_matches_network_step_replay(scenario, v_weights, n_reps,
         assert batch.totals[i].mean() == ref.avg_backlog_sum
         assert batch.avg_cost[i] == ref.avg_cost
         assert np.array_equal(batch.avg_g[i], ref.avg_g)
+
+
+def bb1_variants():
+    """The bb1 fixture, a Markov-modulated variant with a unit transfer into
+    the queue in the OFF state, and a variant with non-integer arrivals."""
+    bb1 = load_scenario("bb1.json")
+    off = bb1.actions[0][0]
+    markov = replace(
+        bb1,
+        omega_chain=FiniteMarkovChain(np.array([[0.5, 0.5], [0.1, 0.9]]), np.array([1.0, 0.0])),
+        actions=[[Action(off.name, y=np.array([1.0]), b=off.b, x=off.x)], bb1.actions[1]],
+    )
+    fractional = replace(
+        bb1, arrivals=[ArrivalSpec(kind="bernoulli", rate=0.21, p=0.3, size=0.7)]
+    )
+    return {"bb1": bb1, "markov-transfer": markov, "fractional": fractional}
+
+
+@pytest.mark.parametrize("mode", ["respect", "clamped"])
+@pytest.mark.parametrize("name", ["bb1", "markov-transfer", "fractional"])
+def test_reflection_specialisation_matches_network_step_replay(name, mode):
+    # Integer work with no decisions takes the reflection identity, anything
+    # else the slot loop; either way every lane equals the slot-by-slot replay.
+    scenario = bb1_variants()[name]
+    assert is_uncontrolled_single_queue(scenario) == (name != "fractional")
+    assert_batch_matches_replay(scenario, [0.0, 3.0], 2, mode, seed=41, horizon=2000)
 
 
 @given(
@@ -346,8 +384,6 @@ def test_drift_constants_iid_chain_has_unit_mixing():
 
 
 def test_drift_constants_reject_boundary(downlink2):
-    from dataclasses import replace
-
     boundary = replace(
         downlink2,
         arrivals=[

@@ -4,7 +4,8 @@ The pinned digests were recorded before the simulation kernel was replaced;
 any change to a sampled path, a controller decision, a reduction order or a
 report format shows up here as a digest mismatch.  ``simulate`` runs with one
 and with two workers, so the split of replications across processes is
-pinned too.
+pinned too.  The ``bb1 --simulate`` digest was recorded when that command
+moved onto the kernel's draw order.
 """
 
 from __future__ import annotations
@@ -43,9 +44,14 @@ CASES = {
     "counterexample-rate-not-mean": ["counterexample", "rate-not-mean", "--seed", "3"],
     "counterexample-mean-not-rate": ["counterexample", "mean-not-rate", "--seed", "3"],
     "counterexample-strong-not-rate": ["counterexample", "strong-not-rate", "--seed", "3"],
+    "bb1-simulate": ["bb1", "--lambda", "0.3", "--mu", "0.5", "--simulate",
+                     "--horizon", "2000", "--reps", "10", "--seed", "7"],
 }
 
 GOLDEN: dict[str, dict[str, str]] = {
+    "bb1-simulate": {
+        "bb1.txt": "004a2922f45ce48ad3bc97c309b02b2a69fbe132d05004725a574ffbbfd4b7d7",
+    },
     "capacity-bb1": {
         "capacity.txt": "a2aede82c0e950046e2c3cb2425ffa0cf168835a05540ca92132ffcb808fa4cd",
         "capacity_sweep.csv": "428423f8c13880ba1292fc6395d251fa0d93959f5f568fabe933f48ad2bddd4f",

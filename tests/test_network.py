@@ -212,8 +212,9 @@ def test_validate_downlink_fixture_second_moment():
 
 
 def test_validate_rejects_non_finite_tables():
-    s = make_scenario([action([0, 0], [np.inf, 0], [0.0])])
-    with pytest.raises(ScenarioError, match="non-finite"):
+    # Finite tables load, but the routed offer 1e308 + 1e308 overflows.
+    s = make_scenario([action([0, 1e308], [1e308, 0], [0.0])], routing=[(0, 1)])
+    with np.errstate(over="ignore"), pytest.raises(ScenarioError, match="non-finite"):
         validate(s)
 
 
@@ -320,6 +321,35 @@ def test_load_rejects_nan_transition_row(tmp_path):
 
     with pytest.raises(ScenarioError, match=r"omega_chain: transition entries must be finite"):
         _load_with(tmp_path, edit)
+
+
+def _load_with_value(tmp_path, path, value) -> None:
+    """Load the bb1 fixture with the field at ``path`` set to ``value``."""
+
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+
+    _load_with(tmp_path, edit)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("actions", 1, 0), 5, r"actions\[1\]\[0\]: expected an object"),
+        (("actions", 1, 0, "b"), [True], r"actions\[1\]\[0\]\.b: expected a number"),
+        (("dimensions", "K"), True, r"dimensions\.K: expected an integer"),
+        (("dimensions", "M"), 1.9, r"dimensions\.M: expected an integer"),
+        (("actions", 1, 0, "x"), [math.nan], r"actions\[1\]\[0\]\.x: table entries must be finite"),
+        (("cost", "c"), [math.nan], r"cost: constant and coefficients must be finite"),
+    ],
+    ids=["non-object-action", "boolean-entry", "boolean-dimension", "fractional-dimension",
+         "nan-action-entry", "nan-cost-coefficient"],
+)
+def test_load_rejects_malformed_field(tmp_path, path, value, message):
+    with pytest.raises(ScenarioError, match=message):
+        _load_with_value(tmp_path, path, value)
 
 
 def test_schema_roundtrip_through_loader(tmp_path):

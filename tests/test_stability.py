@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from qnetlab.cli import override_lambdas, override_mu
+from qnetlab.controller import run_dpp_batch
+from qnetlab.network import load_scenario
 from qnetlab.processes import make_rng
 from qnetlab.queues import queue_step
 from qnetlab.stability import (
@@ -9,7 +12,6 @@ from qnetlab.stability import (
     TraceEnsemble,
     VerdictThresholds,
     bb1_closed_form,
-    bb1_ensemble,
     cex_mean_not_rate,
     cex_rate_not_mean,
     cex_strong_not_rate,
@@ -21,6 +23,14 @@ from qnetlab.stability import (
 )
 
 SEED = 20240601
+
+
+def _bb1_ensemble(lam, mu, horizon, n_reps, seed):
+    """Bernoulli(lam) arrivals against a Bernoulli(mu) server: the bb1
+    fixture run through the batched kernel."""
+    scenario = override_lambdas(override_mu(load_scenario("bb1.json"), mu), [lam])
+    batch = run_dpp_batch(scenario, [0.0] * n_reps, range(n_reps), seed, horizon)
+    return TraceEnsemble(backlog=batch.totals)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +84,7 @@ def test_bb1_closed_form_requires_subcritical_load():
 
 
 def test_bb1_simulation_approaches_closed_form():
-    ens = bb1_ensemble(0.3, 0.5, horizon=200_000, n_reps=4, seed=SEED)
+    ens = _bb1_ensemble(0.3, 0.5, horizon=200_000, n_reps=4, seed=SEED)
     q_bar, _ = bb1_closed_form(BB1Params(0.3, 0.5))
     assert ens.backlog.mean() == pytest.approx(q_bar, rel=0.05)
 
@@ -91,7 +101,7 @@ def test_checkpoints_are_powers_of_two_plus_final():
 
 
 def test_verdict_on_stable_bb1():
-    ens = bb1_ensemble(0.3, 0.5, horizon=100_000, n_reps=100, seed=SEED)
+    ens = _bb1_ensemble(0.3, 0.5, horizon=100_000, n_reps=100, seed=SEED)
     verdict = estimate_verdict(ens)
     assert verdict.rate_stable
     assert verdict.mean_rate_stable
@@ -101,7 +111,7 @@ def test_verdict_on_stable_bb1():
 
 
 def test_verdict_on_overloaded_bb1():
-    ens = bb1_ensemble(0.6, 0.5, horizon=100_000, n_reps=100, seed=SEED)
+    ens = _bb1_ensemble(0.6, 0.5, horizon=100_000, n_reps=100, seed=SEED)
     verdict = estimate_verdict(ens)
     assert verdict.rate_slope == pytest.approx(0.10, abs=0.01)
     assert not verdict.rate_stable
@@ -111,14 +121,14 @@ def test_verdict_on_overloaded_bb1():
 
 
 def test_verdict_on_critical_bb1_rate_stable_but_not_strong():
-    ens = bb1_ensemble(0.5, 0.5, horizon=100_000, n_reps=100, seed=SEED)
+    ens = _bb1_ensemble(0.5, 0.5, horizon=100_000, n_reps=100, seed=SEED)
     verdict = estimate_verdict(ens)
     assert verdict.rate_stable
     assert not verdict.strongly_stable  # running mean still growing ~ sqrt(t)
 
 
 def test_streaming_and_in_memory_verdicts_agree():
-    ens = bb1_ensemble(0.4, 0.5, horizon=20_000, n_reps=8, seed=SEED)
+    ens = _bb1_ensemble(0.4, 0.5, horizon=20_000, n_reps=8, seed=SEED)
     a = estimate_verdict(ens, estimators=("rate", "steady_state", "strong"))
     b = estimate_verdict_streaming(
         lambda: iter(ens.backlog),
@@ -133,7 +143,7 @@ def test_streaming_and_in_memory_verdicts_agree():
 
 
 def test_mean_rate_estimator_needs_replications():
-    ens = bb1_ensemble(0.3, 0.5, horizon=2000, n_reps=5, seed=SEED)
+    ens = _bb1_ensemble(0.3, 0.5, horizon=2000, n_reps=5, seed=SEED)
     with pytest.raises(InsufficientReplicationsError):
         estimate_verdict(ens)
     verdict = estimate_verdict(ens, estimators=("rate", "steady_state", "strong"))
@@ -148,7 +158,7 @@ def test_verdict_rejects_short_horizons():
 
 
 def test_g_and_h_curves_are_well_formed():
-    ens = bb1_ensemble(0.45, 0.5, horizon=50_000, n_reps=16, seed=SEED)
+    ens = _bb1_ensemble(0.45, 0.5, horizon=50_000, n_reps=16, seed=SEED)
     verdict = estimate_verdict(ens, estimators=("rate", "steady_state", "strong"))
     g = verdict.g_curve
     assert np.all((0.0 <= g) & (g <= 1.0))
