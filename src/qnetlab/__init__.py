@@ -18,12 +18,10 @@ from .capacity import (
 )
 from .controller import (
     DppBatchResult,
-    DppConfig,
     DppRunResult,
     DriftConstants,
     dpp_select_action,
     drift_constants,
-    run_dpp,
     run_dpp_batch,
 )
 from .network import (

@@ -245,26 +245,23 @@ def performance_bounds(
     with ``c_0 = 4 f_max / d_max + 1``; the approximation slack C of the
     general bounds is 0 because the controller's argmin is exact.
     ``epsilon`` must lie in ``(0, d_max/4]``; ``T_eps`` is the chain's
-    mixing time at that gap.
+    mixing time at that gap.  Every other constant comes from ``drift``, so
+    a V-sweep solves no LP here.
     """
     if drift.d_max <= 0:
         raise ValueError("bounds require a strictly interior rate vector (d_max > 0)")
     if not (0.0 < epsilon <= drift.d_max / 4.0 + 1e-15):
         raise ValueError(f"epsilon must lie in (0, d_max/4] = (0, {drift.d_max / 4}]")
-    check = validate(scenario)
-    c_0 = 4.0 * check.f_max / drift.d_max + 1.0
+    c_0 = 4.0 * drift.f_max / drift.d_max + 1.0
     t_eps = mixing_time(scenario.omega_chain, epsilon).T
     backlog_bound = (
-        drift.T * drift.B + (drift.T - 1) * drift.D + v_param * (check.f_max - check.f_min)
+        drift.T * drift.B + (drift.T - 1) * drift.D + v_param * (drift.f_max - drift.f_min)
     ) / (drift.d_max / 4.0)
-    report = solve_fopt(scenario)
-    if not report.feasible:
-        raise ValueError("cost bound undefined: rate vector outside the capacity region")
     if v_param > 0:
         overshoot = (drift.B * t_eps + drift.D * (t_eps - 1)) / v_param
     else:
         overshoot = math.inf
-    cost_bound = report.f_opt + c_0 * epsilon + overshoot
+    cost_bound = drift.f_opt + c_0 * epsilon + overshoot
     return PerformanceBounds(
         c_0=c_0, T_eps=t_eps, backlog_bound=backlog_bound, cost_bound=cost_bound
     )

@@ -20,15 +20,17 @@ import numpy as np
 
 from . import capacity as capacity_mod
 from . import controller, stability
-from .network import Scenario, ScenarioError, fixture_path, load_scenario
+from .network import Scenario, ScenarioError, fixture_path, load_scenario, validate
 from .processes import ArrivalSpec, FiniteMarkovChain
+from .simplex import SimplexError
 from .stability import (
     BB1Params,
     StabilityVerdict,
+    TraceEnsemble,
     VerdictThresholds,
     bb1_closed_form,
     curve_rows,
-    estimate_verdict_streaming,
+    estimate_verdict,
     verdict_report_items,
 )
 
@@ -162,10 +164,7 @@ def ensemble_verdict(
     estimators = list(stability.ALL_ESTIMATORS)
     if args.reps < thresholds.min_reps_mean_rate:
         estimators.remove("mean_rate")
-    verdict = estimate_verdict_streaming(
-        lambda: iter(batch.totals), args.reps, args.horizon,
-        thresholds=thresholds, estimators=estimators,
-    )
+    verdict = estimate_verdict(TraceEnsemble(backlog=batch.totals), thresholds, estimators)
     return verdict, (batch.runs[0] if record else None)
 
 
@@ -213,25 +212,38 @@ def _load_with_overrides(args: argparse.Namespace) -> Scenario:
     return scenario
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def _verdict_run(
+    args: argparse.Namespace, record: bool
+) -> tuple[Scenario, StabilityVerdict, controller.DppRunResult | None, list[tuple[str, object]]]:
+    """The shared part of ``simulate`` and ``stability``: load and validate
+    the scenario, run the ensemble, write ``curves.csv``.  Returns the
+    verdict, replication 0 when ``record``, and the report's leading items."""
     scenario = _load_with_overrides(args)
+    validate(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fast = controller.is_uncontrolled_single_queue(scenario)
-    verdict, trace_run = ensemble_verdict(scenario, args, record=True)
+    verdict, run = ensemble_verdict(scenario, args, record)
+    write_csv(out / "curves.csv", ["M", "g", "h_mean", "h_p05", "h_p95"], curve_rows(verdict))
+    head: list[tuple[str, object]] = [
+        ("command", args.cmd),
+        ("scenario", scenario.name),
+        ("seed", args.seed),
+        ("horizon", args.horizon),
+        ("reps", args.reps),
+    ]
+    return scenario, verdict, run, head
 
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    scenario, verdict, trace_run, items = _verdict_run(args, record=True)
+    out = Path(args.out)
     write_csv(
         out / "trace.csv",
         trace_header(scenario),
         trace_rows(trace_run, args.trace_limit),
     )
-    write_csv(out / "curves.csv", ["M", "g", "h_mean", "h_p05", "h_p95"], curve_rows(verdict))
-    items: list[tuple[str, object]] = [
-        ("command", "simulate"),
-        ("scenario", scenario.name),
-        ("seed", args.seed),
-        ("horizon", args.horizon),
-        ("reps", args.reps),
+    fast = controller.is_uncontrolled_single_queue(scenario)
+    items += [
         ("mode", args.mode),
         ("V", args.V),
         ("controller", "fast-single-queue" if fast else "dpp"),
@@ -257,20 +269,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
-    scenario = _load_with_overrides(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    verdict, _ = ensemble_verdict(scenario, args, record=False)
-    write_csv(out / "curves.csv", ["M", "g", "h_mean", "h_p05", "h_p95"], curve_rows(verdict))
-    items = [
-        ("command", "stability"),
-        ("scenario", scenario.name),
-        ("seed", args.seed),
-        ("horizon", args.horizon),
-        ("reps", args.reps),
-    ]
-    items += verdict_report_items(verdict)
-    write_report(out / "report.txt", items)
+    _, verdict, _, items = _verdict_run(args, record=False)
+    write_report(Path(args.out) / "report.txt", items + verdict_report_items(verdict))
     for key, value in verdict_report_items(verdict):
         _echo(f"{key}={_fmt(value)}")
     return 0
@@ -586,7 +586,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, ArithmeticError, SimplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

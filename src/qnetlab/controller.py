@@ -19,46 +19,23 @@ from typing import Sequence
 import numpy as np
 
 from . import capacity
-from .network import MODES, Scenario, evaluate_action
+from .network import MODES, Scenario, evaluate_action, validate
 from .processes import mixing_time, sample_path
 from .queues import CompositeState
 from .stability import TraceEnsemble, single_queue_path
 
 __all__ = [
-    "DppConfig",
     "DriftConstants",
     "DppRunResult",
     "DppBatchResult",
     "compile_tables",
     "dpp_select_action",
     "is_uncontrolled_single_queue",
-    "run_dpp",
     "run_dpp_batch",
     "drift_constants",
 ]
 
 _BLOCK_BYTES = 1 << 18  # per-block table gathers in run_dpp_batch
-
-
-@dataclass(frozen=True)
-class DppConfig:
-    """Controller parameters: ``v_weight`` trades cost against backlog,
-    ``mode`` is the network transition mode.  The argmin is exact and ties
-    break toward the lowest action index, so runs are reproducible.
-    """
-
-    v_weight: float
-    mode: str = "respect"
-
-    def __post_init__(self) -> None:
-        if self.v_weight < 0:
-            raise ValueError("v_weight must be >= 0")
-        _check_mode(self.mode)
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -107,17 +84,17 @@ def dpp_select_action(
     scenario: Scenario,
     omega: int,
     state: CompositeState,
-    config: DppConfig,
+    v_weight: float,
     tables: DppTables | None = None,
 ) -> int:
     """Exact argmin of the score over the state's action list.
 
     ``np.argmin`` returns the first minimizer, which is the lowest-index tie
-    rule.
+    rule, so runs are reproducible.
     """
     tab = tables or compile_tables(scenario)
     scores = (
-        config.v_weight * tab.f[omega]
+        v_weight * tab.f[omega]
         + tab.pad[omega]
         + tab.g[omega] @ state.virtuals
         + tab.net[omega] @ state.queues
@@ -216,7 +193,8 @@ def run_dpp_batch(
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    _check_mode(mode)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     v = np.asarray(v_weights, dtype=float)[:, None]
     if not np.all(v >= 0):
         raise ValueError("v_weight must be >= 0")
@@ -303,20 +281,6 @@ def run_dpp_batch(
     return result
 
 
-def run_dpp(
-    scenario: Scenario,
-    config: DppConfig,
-    seed: int,
-    horizon: int,
-    replication: int = 0,
-) -> DppRunResult:
-    """Run the closed loop for one replication; deterministic per seed."""
-    batch = run_dpp_batch(
-        scenario, [config.v_weight], [replication], seed, horizon, config.mode, record=1
-    )
-    return batch.runs[0]
-
-
 @dataclass(frozen=True)
 class DriftConstants:
     """Diagnostic constants for the T-slot drift analysis.
@@ -324,25 +288,32 @@ class DriftConstants:
     ``B`` bounds half the worst-case second moments of service and of
     arrivals-plus-transfers (plus constraint values squared); ``D`` bounds the
     cross terms accumulated over a frame; ``T`` is the chain's mixing time at
-    total-variation gap ``d_max / 4``.  The runtime algorithm never uses these;
-    they only feed the reported bounds.
+    total-variation gap ``d_max / 4``.  ``f_opt`` is the LP optimum (NaN
+    outside the capacity region) and ``f_min``/``f_max`` the cost extremes
+    over all tables.  The runtime algorithm never uses these; they only feed
+    the reported bounds.
     """
 
     B: float
     D: float
     T: int
     d_max: float
+    f_opt: float
+    f_min: float
+    f_max: float
 
 
 def drift_constants(scenario: Scenario, delta: float | None = None) -> DriftConstants:
-    """Compute B, D from the tables and T from the chain's mixing time.
+    """Compute B, D from the tables, T from the chain's mixing time, and the
+    cost constants from one ``solve_fopt`` and one ``validate``.
 
     Second moments take the worst action per state and average over the
     stationary distribution; arrival moments are analytic.  The default
     frame gap is ``d_max / 4``, which requires a strictly interior
     arrival-rate vector; passing ``delta`` explicitly lifts that requirement.
     """
-    d_max = capacity.slater_dmax(scenario)
+    cap = capacity.solve_fopt(scenario)
+    d_max = cap.d_max
     if delta is None:
         if d_max <= 0:
             raise ValueError(
@@ -375,4 +346,8 @@ def drift_constants(scenario: Scenario, delta: float | None = None) -> DriftCons
             np.max(ayb2, axis=0).sum() + np.max(g**2, axis=0).sum()
         )
     t_mix = mixing_time(scenario.omega_chain, delta).T
-    return DriftConstants(B=float(b_total), D=float(d_total), T=t_mix, d_max=d_max)
+    check = validate(scenario)
+    return DriftConstants(
+        B=float(b_total), D=float(d_total), T=t_mix, d_max=d_max,
+        f_opt=cap.f_opt, f_min=check.f_min, f_max=check.f_max,
+    )

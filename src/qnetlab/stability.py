@@ -18,7 +18,7 @@ Bernoulli/Bernoulli/1 closed forms used as golden values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "geometric_checkpoints",
     "single_queue_path",
     "estimate_verdict",
-    "estimate_verdict_streaming",
     "bb1_closed_form",
     "cex_rate_not_mean",
     "cex_mean_not_rate",
@@ -42,8 +41,6 @@ __all__ = [
     "curve_rows",
     "markov_bound_violations",
 ]
-
-PathFactory = Callable[[], Iterator[np.ndarray]]
 
 ALL_ESTIMATORS = ("rate", "mean_rate", "steady_state", "strong")
 
@@ -71,8 +68,8 @@ class TraceEnsemble:
         self.backlog = np.asarray(self.backlog, dtype=float)
         if self.backlog.ndim != 2:
             raise ValueError("backlog must be a (n_reps, horizon) matrix")
-        if np.any(self.backlog < 0):
-            raise ValueError("backlogs must be non-negative")
+        if not np.min(self.backlog, initial=0.0) >= 0:  # NaN fails too
+            raise ValueError("backlogs must be non-negative numbers")
         if self.checkpoints.size == 0:
             self.checkpoints = geometric_checkpoints(self.horizon)
 
@@ -177,35 +174,18 @@ def estimate_verdict(
     The mean-rate estimator averages Q(t)/t across replications and needs at
     least ``thresholds.min_reps_mean_rate`` of them; requesting it with fewer
     raises ``InsufficientReplicationsError``.
-    """
-    return estimate_verdict_streaming(
-        lambda: iter(ensemble.backlog),
-        n_reps=ensemble.n_reps,
-        horizon=ensemble.horizon,
-        thresholds=thresholds,
-        estimators=estimators,
-        checkpoints=ensemble.checkpoints,
-    )
 
-
-def estimate_verdict_streaming(
-    make_paths: "PathFactory",
-    n_reps: int,
-    horizon: int,
-    thresholds: VerdictThresholds = VerdictThresholds(),
-    estimators: Sequence[str] | None = None,
-    checkpoints: np.ndarray | None = None,
-) -> StabilityVerdict:
-    """Two-pass verdict over lazily generated backlog paths.
-
-    ``make_paths()`` must return a fresh iterator over the same ``n_reps``
-    per-replication backlog arrays each time it is called (paths are consumed
-    once per pass, so ensembles never have to be materialized in full).
+    Two passes over ``ensemble.backlog``: slopes and means first, then the
+    tail curves on the M-grid those means fix.  Sums over replications are
+    taken in replication order, so a verdict does not depend on how the
+    ensemble was produced.
     """
     requested = tuple(estimators) if estimators is not None else ALL_ESTIMATORS
     unknown = set(requested) - set(ALL_ESTIMATORS)
     if unknown:
         raise ValueError(f"unknown estimators {sorted(unknown)}")
+    q, checkpoints = ensemble.backlog, ensemble.checkpoints
+    n_reps, horizon = q.shape
     if horizon < 1000:
         raise ValueError("verdicts need a horizon of at least 1e3 slots")
     if n_reps < 1:
@@ -215,56 +195,33 @@ def estimate_verdict_streaming(
             f"mean-rate estimation needs >= {thresholds.min_reps_mean_rate} "
             f"replications, got {n_reps}"
         )
-    if checkpoints is None:
-        checkpoints = geometric_checkpoints(horizon)
     t_final = int(checkpoints[-1])
     t_half = max(t_final // 2, 1)
 
     # Pass 1: slopes, overall mean, running means for the plateau test.
-    finals = np.empty(n_reps)
-    cp_slopes = np.empty((n_reps, checkpoints.size))
-    total_sum = 0.0
-    sum_to_half = 0.0  # over slots 0..t_half
-    sum_to_final = 0.0  # over slots 0..t_final
-    count = 0
-    for r, path in enumerate(make_paths()):
-        if r >= n_reps:
-            raise ValueError(f"path factory yielded more than {n_reps} paths")
-        q = np.asarray(path, dtype=float)
-        if q.shape != (horizon,):
-            raise ValueError("every path must have length `horizon`")
-        finals[r] = q[t_final] / t_final
-        cp_slopes[r] = q[checkpoints] / checkpoints
-        total_sum += float(q.sum())
-        sum_to_half += float(q[: t_half + 1].sum())
-        sum_to_final += float(q[: t_final + 1].sum())
-        count += 1
-    if count != n_reps:
-        raise ValueError(f"path factory yielded {count} paths, expected {n_reps}")
-
+    finals = q[:, t_final] / t_final
     rate_slope = float(np.median(finals))
-    slopes_at_checkpoints = np.median(cp_slopes, axis=0)
+    slopes_at_checkpoints = np.median(q[:, checkpoints] / checkpoints, axis=0)
     mean_rate_slope = float(np.mean(finals)) if "mean_rate" in requested else None
-    mean_backlog = total_sum / (n_reps * horizon)
+
+    def ordered_sum(row_sums: np.ndarray) -> float:
+        return float(np.cumsum(row_sums)[-1])
+
+    mean_backlog = ordered_sum(q.sum(axis=1)) / (n_reps * horizon)
     strong_metric = mean_backlog  # time average of the ensemble-mean backlog
-    running_half = sum_to_half / (n_reps * (t_half + 1))
-    running_full = sum_to_final / (n_reps * (t_final + 1))
+    running_half = ordered_sum(q[:, : t_half + 1].sum(axis=1)) / (n_reps * (t_half + 1))
+    running_full = ordered_sum(q[:, : t_final + 1].sum(axis=1)) / (n_reps * (t_final + 1))
     plateau = abs(running_full - running_half) <= thresholds.plateau_rel * max(
         running_half, 1e-12
     )
 
-    # Pass 2: tail-occupancy curves on the M-grid fixed by pass 1.
+    # Pass 2: per-path tail occupancy h(M) = fraction of slots with Q > M.
     m_grid = _m_grid(mean_backlog, thresholds)
-    exceed_total = np.zeros(m_grid.size)
     h_per_path = np.empty((n_reps, m_grid.size))
-    for r, path in enumerate(make_paths()):
-        if r >= n_reps:
-            raise ValueError(f"path factory yielded more than {n_reps} paths")
-        q = np.asarray(path, dtype=float)
-        rates = np.array([(q > m).mean() for m in m_grid])
-        h_per_path[r] = rates
-        exceed_total += rates
-    g_curve = exceed_total / n_reps
+    for r, row in enumerate(q):
+        above = horizon - np.searchsorted(np.sort(row), m_grid, side="right")
+        h_per_path[r] = above / horizon
+    g_curve = np.cumsum(h_per_path, axis=0)[-1] / n_reps
     h_mean = h_per_path.mean(axis=0)
     h_p05 = np.percentile(h_per_path, 5, axis=0)
     h_p95 = np.percentile(h_per_path, 95, axis=0)

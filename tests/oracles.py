@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from qnetlab.controller import DppConfig, DppRunResult, compile_tables, dpp_select_action
+from qnetlab.controller import DppRunResult, compile_tables, dpp_select_action
 from qnetlab.network import Scenario, evaluate_action, network_step
 from qnetlab.processes import sample_path
 from qnetlab.queues import CompositeState
@@ -135,7 +135,12 @@ def exhaustive_dpp_argmin(
 
 
 def replay_with_network_step(
-    scenario: Scenario, config: DppConfig, seed: int, horizon: int, replication: int = 0
+    scenario: Scenario,
+    v_weight: float,
+    seed: int,
+    horizon: int,
+    replication: int = 0,
+    mode: str = "respect",
 ) -> DppRunResult:
     """Closed-loop reference: one ``dpp_select_action`` and one
     ``network_step`` per slot, on the replication's sampled path."""
@@ -156,9 +161,9 @@ def replay_with_network_step(
     g_path = np.zeros((horizon, n_l))
     for t in range(horizon):
         w = int(omega_path[t])
-        a_idx = dpp_select_action(scenario, w, state, config, tables)
+        a_idx = dpp_select_action(scenario, w, state, v_weight, tables)
         state, record = network_step(
-            scenario, state, w, a_idx, arrivals[:, t], mode=config.mode
+            scenario, state, w, a_idx, arrivals[:, t], mode=mode
         )
         action_path[t] = a_idx
         x_path[t] = record.x

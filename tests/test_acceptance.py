@@ -12,7 +12,7 @@ import pytest
 from oracles import exhaustive_dpp_argmin, grid_fopt
 from qnetlab.capacity import performance_bounds, solve_fopt
 from qnetlab.cli import main
-from qnetlab.controller import DppConfig, compile_tables, dpp_select_action, drift_constants, run_dpp_batch
+from qnetlab.controller import compile_tables, dpp_select_action, drift_constants, run_dpp_batch
 from qnetlab.network import load_scenario
 from qnetlab.processes import make_rng
 from qnetlab.queues import CompositeState
@@ -22,7 +22,6 @@ from qnetlab.stability import (
     cex_rate_not_mean,
     cex_strong_not_rate,
     estimate_verdict,
-    estimate_verdict_streaming,
     markov_bound_violations,
     single_queue_path,
 )
@@ -59,24 +58,22 @@ def _record_markov_verdict(name: str, verdict) -> None:
     MARKOV_LEDGER.append((name, markov_bound_violations(verdict)))
 
 
-def _bb1_paths(lam: float, mu: float, horizon: int, n_reps: int, seed: int):
-    def factory():
-        for r in range(n_reps):
-            rng = make_rng(seed, r)
-            a = (rng.random(horizon - 1) < lam).astype(float)
-            b = (rng.random(horizon - 1) < mu).astype(float)
-            yield single_queue_path(a, b)[:horizon]
-
-    return factory
+def _bb1_paths(lam: float, mu: float, horizon: int, n_reps: int, seed: int) -> TraceEnsemble:
+    """B/B/1 backlog paths; replication r draws its arrivals, then its
+    services, from substream r."""
+    backlog = np.empty((n_reps, horizon))
+    for r in range(n_reps):
+        rng = make_rng(seed, r)
+        a = (rng.random(horizon - 1) < lam).astype(float)
+        b = (rng.random(horizon - 1) < mu).astype(float)
+        backlog[r] = single_queue_path(a, b)[:horizon]
+    return TraceEnsemble(backlog=backlog)
 
 
 def test_criterion_01_bb1_golden_backlog():
     horizon, n_reps = 1_000_000, 20
-    verdict = estimate_verdict_streaming(
-        _bb1_paths(0.3, 0.5, horizon, n_reps, SEED),
-        n_reps=n_reps,
-        horizon=horizon,
-        estimators=PER_PATH_ESTIMATORS,
+    verdict = estimate_verdict(
+        _bb1_paths(0.3, 0.5, horizon, n_reps, SEED), estimators=PER_PATH_ESTIMATORS
     )
     target = 0.3 * (1 - 0.3) / (0.5 - 0.3)  # 1.05
     failures = []
@@ -90,9 +87,7 @@ def test_criterion_01_bb1_golden_backlog():
 
 def test_criterion_02_overload_slope():
     horizon, n_reps = 1_000_000, 5
-    ens = TraceEnsemble(
-        backlog=np.stack(list(_bb1_paths(0.6, 0.5, horizon, n_reps, SEED + 1)()))
-    )
+    ens = _bb1_paths(0.6, 0.5, horizon, n_reps, SEED + 1)
     finals = ens.backlog[:, horizon - 1] / (horizon - 1)
     failures = [
         f"path {r}: Q(t)/t = {slope:.4f} outside 0.10 +/- 0.01"
@@ -106,9 +101,7 @@ def test_criterion_02_overload_slope():
 
 def test_criterion_03_boundary_rate_stable_not_strong():
     horizon, n_reps = 1_000_000, 4
-    ens = TraceEnsemble(
-        backlog=np.stack(list(_bb1_paths(0.5, 0.5, horizon, n_reps, SEED + 2)()))
-    )
+    ens = _bb1_paths(0.5, 0.5, horizon, n_reps, SEED + 2)
     verdict = estimate_verdict(ens, estimators=PER_PATH_ESTIMATORS)
     finals = ens.backlog[:, horizon - 1] / (horizon - 1)
     failures = []
@@ -192,7 +185,7 @@ def test_criterion_07_dpp_argmin_oracle_equivalence():
             z = np.zeros(1)
             v = 0.0
         state = CompositeState(q, z)
-        ours = dpp_select_action(scenario, w, state, DppConfig(v_weight=v), tables)
+        ours = dpp_select_action(scenario, w, state, v, tables)
         if ours != exhaustive_dpp_argmin(scenario, w, q, z, v):
             mismatches += 1
     failures = [f"{mismatches} / 10000 selections differ"] if mismatches else []

@@ -9,7 +9,7 @@ from qnetlab.capacity import (
     slater_dmax,
     solve_fopt,
 )
-from qnetlab.controller import DriftConstants
+from qnetlab.controller import DriftConstants, drift_constants
 from qnetlab.network import load_scenario
 from qnetlab.processes import make_rng
 
@@ -177,23 +177,40 @@ def test_fopt_matches_grid_oracle_with_lambda_override(downlink2):
 # ---------------------------------------------------------------------------
 
 
+# f_opt, f_min and f_max of bb1, as solve_fopt and validate give them.
+BB1_COSTS = dict(f_opt=0.5, f_min=0.0, f_max=1.0)
+
+
+def test_drift_constants_carry_the_cost_constants(bb1):
+    drift = drift_constants(bb1)
+    assert {name: getattr(drift, name) for name in BB1_COSTS} == BB1_COSTS
+    assert drift.d_max == slater_dmax(bb1)
+
+
 def test_c0_formula(bb1):
     # f_max = 1, d_max = 0.4 -> c_0 = 4 * 1 / 0.4 + 1 = 11.
-    drift = DriftConstants(B=1.0, D=1.0, T=1, d_max=0.4)
+    drift = DriftConstants(B=1.0, D=1.0, T=1, d_max=0.4, **BB1_COSTS)
     bounds = performance_bounds(bb1, v_param=10.0, epsilon=0.1, drift=drift)
     assert bounds.c_0 == pytest.approx(11.0)
 
 
 def test_backlog_bound_arithmetic(bb1):
-    drift = DriftConstants(B=2.0, D=3.0, T=1, d_max=0.4)
+    drift = DriftConstants(B=2.0, D=3.0, T=1, d_max=0.4, **BB1_COSTS)
     bounds = performance_bounds(bb1, v_param=10.0, epsilon=0.1, drift=drift)
     # (C + T B + (T-1) D + V (f_max - f_min)) / (d_max / 4) with C=0:
     assert bounds.backlog_bound == pytest.approx((2.0 + 10.0 * 1.0) / 0.1)
     assert bounds.T_eps == 1  # i.i.d. server chain mixes in one step
 
 
+def test_cost_bound_arithmetic(bb1):
+    drift = DriftConstants(B=2.0, D=3.0, T=1, d_max=0.4, **BB1_COSTS)
+    bounds = performance_bounds(bb1, v_param=10.0, epsilon=0.1, drift=drift)
+    # f_opt + c_0 epsilon + (B T_eps + D (T_eps - 1)) / V with c_0 = 11, T_eps = 1:
+    assert bounds.cost_bound == pytest.approx(0.5 + 11.0 * 0.1 + 2.0 / 10.0)
+
+
 def test_epsilon_range_is_enforced(bb1):
-    drift = DriftConstants(B=1.0, D=1.0, T=1, d_max=0.4)
+    drift = DriftConstants(B=1.0, D=1.0, T=1, d_max=0.4, **BB1_COSTS)
     with pytest.raises(ValueError, match="epsilon"):
         performance_bounds(bb1, v_param=1.0, epsilon=0.2, drift=drift)
     with pytest.raises(ValueError, match="epsilon"):
@@ -201,6 +218,6 @@ def test_epsilon_range_is_enforced(bb1):
 
 
 def test_bounds_require_interior_point(bb1):
-    drift = DriftConstants(B=1.0, D=1.0, T=1, d_max=0.0)
+    drift = DriftConstants(B=1.0, D=1.0, T=1, d_max=0.0, **BB1_COSTS)
     with pytest.raises(ValueError, match="interior"):
         performance_bounds(bb1, v_param=1.0, epsilon=0.01, drift=drift)

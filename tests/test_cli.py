@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from qnetlab import capacity, controller
 from qnetlab.cli import main
 from qnetlab.network import fixture_path
+from qnetlab.simplex import SimplexError
 
 
 def read_bytes(path: Path) -> bytes:
@@ -199,6 +201,65 @@ def test_nan_action_table_is_scenario_error(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "actions[1][0].b" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+def test_non_finite_cost_is_scenario_error(tmp_path, capsys, command):
+    # A cost of 1e308 * 10 overflows to inf.  simulate used to exit 0 and
+    # write f=inf into trace.csv, while sweep-v and capacity rejected the file.
+    data = json.loads(fixture_path("bb1").read_text())
+    data["cost"]["c"] = [1e308]
+    data["actions"][1][0]["x"] = [10.0]
+    bad = tmp_path / "inf.json"
+    bad.write_text(json.dumps(data))
+    rc = main([command, str(bad), "--horizon", "1000", "--reps", "2",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "actions[1][0]" in err and "non-finite cost value" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_arithmetic_error_is_reported_not_raised(tmp_path, capsys, monkeypatch):
+    # A chain that does not mix raised ArithmeticError out of sweep-v with a
+    # traceback and exit 1.
+    def no_mixing(*args, **kwargs):
+        raise ArithmeticError("chain did not mix")
+
+    monkeypatch.setattr(controller, "mixing_time", no_mixing)
+    rc = main(["sweep-v", "bb1.json", "--V", "1", "--horizon", "1000",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error: chain did not mix" in capsys.readouterr().err
+
+
+def test_simplex_error_is_reported_not_raised(tmp_path, capsys, monkeypatch):
+    def failing_lp(*args, **kwargs):
+        raise SimplexError("iteration limit reached")
+
+    monkeypatch.setattr(capacity, "solve_lp", failing_lp)
+    rc = main(["capacity", "bb1.json", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error: iteration limit reached" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("v_list", ["1", "1,10,100"])
+def test_sweep_v_solves_a_fixed_number_of_lps(tmp_path, monkeypatch, v_list):
+    # Two LPs (optimum and margin) for the interior check, two for the drift
+    # constants; the per-V bounds solve none.
+    calls = []
+    real_solve_lp = capacity.solve_lp
+
+    def counting_lp(*args, **kwargs):
+        calls.append(1)
+        return real_solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "solve_lp", counting_lp)
+    rc = main(["sweep-v", "downlink2.json", "--V", v_list, "--horizon", "1000",
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert len(calls) == 4
 
 
 def test_zero_horizon_is_usage_error(tmp_path):

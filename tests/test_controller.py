@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from oracles import exhaustive_dpp_argmin, replay_with_network_step
 from qnetlab.controller import (
-    DppConfig,
     _dot,
     compile_tables,
     dpp_select_action,
     drift_constants,
     is_uncontrolled_single_queue,
-    run_dpp,
     run_dpp_batch,
 )
 from qnetlab.network import (
@@ -67,20 +65,20 @@ def test_score_hand_enumeration():
 def test_select_prefers_negative_differential():
     s = two_action_scenario()
     state = CompositeState(np.array([10.0]), np.zeros(0))
-    assert dpp_select_action(s, 0, state, DppConfig(v_weight=1.0)) == 1
+    assert dpp_select_action(s, 0, state, 1.0) == 1
 
 
 def test_zero_weight_zero_queues_ties_to_lowest_index():
     s = two_action_scenario()
     state = CompositeState(np.zeros(1), np.zeros(0))
     # V=0 and empty queues: both scores are 0; lowest index wins.
-    assert dpp_select_action(s, 0, state, DppConfig(v_weight=0.0)) == 0
+    assert dpp_select_action(s, 0, state, 0.0) == 0
 
 
 def test_single_action_is_returned(downlink2):
     state = CompositeState(np.array([5.0, 1.0]), np.array([2.0]))
     off_off = downlink2.omega_chain.labels.index("OFF-OFF")
-    assert dpp_select_action(downlink2, off_off, state, DppConfig(v_weight=3.0)) == 0
+    assert dpp_select_action(downlink2, off_off, state, 3.0) == 0
 
 
 def test_virtual_queue_term_only():
@@ -90,7 +88,7 @@ def test_virtual_queue_term_only():
     # V=0, queues empty: scores are Z . g = 5 * (-0.45) for idle,
     # 5 * 0.55 for serving; idle wins.
     assert compile_tables(s).g[on_off] @ state.virtuals == pytest.approx([-2.25, 2.75])
-    assert dpp_select_action(s, on_off, state, DppConfig(v_weight=0.0)) == 0
+    assert dpp_select_action(s, on_off, state, 0.0) == 0
 
 
 def test_selection_matches_exhaustive_oracle_on_fuzzed_states(downlink2):
@@ -102,7 +100,7 @@ def test_selection_matches_exhaustive_oracle_on_fuzzed_states(downlink2):
         z = rng.random(1) * float(rng.choice([1.0, 100.0]))
         v = float(rng.random() * 100)
         state = CompositeState(q, z)
-        got = dpp_select_action(downlink2, w, state, DppConfig(v_weight=v), tables)
+        got = dpp_select_action(downlink2, w, state, v, tables)
         assert got == exhaustive_dpp_argmin(downlink2, w, q, z, v)
 
 
@@ -122,20 +120,20 @@ def test_selection_is_scale_covariant(scale_exp, q1, q2, z, v, w):
     scale = 2.0**scale_exp
     base = CompositeState(np.array([q1, q2]), np.array([z]))
     scaled = CompositeState(np.array([q1 * scale, q2 * scale]), np.array([z * scale]))
-    a = dpp_select_action(s, w, base, DppConfig(v_weight=v))
-    b = dpp_select_action(s, w, scaled, DppConfig(v_weight=v * scale))
+    a = dpp_select_action(s, w, base, v)
+    b = dpp_select_action(s, w, scaled, v * scale)
     assert a == b
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        DppConfig(v_weight=-1.0)
+def test_negative_weight_is_rejected(downlink2):
+    with pytest.raises(ValueError, match="v_weight"):
+        run_dpp_batch(downlink2, [-1.0], [0], 1, 100)
+    with pytest.raises(ValueError, match="v_weight"):
+        run_dpp_batch(downlink2, [1.0, -1.0], [0, 0], 1, 100)
 
 
 def test_unknown_mode_is_rejected(downlink2):
     # A misspelt mode used to run respect mode silently.
-    with pytest.raises(ValueError, match="mode"):
-        DppConfig(v_weight=1.0, mode="clmaped")
     with pytest.raises(ValueError, match="mode"):
         run_dpp_batch(downlink2, [1.0], [0], 1, 100, mode="clmaped")
 
@@ -145,10 +143,17 @@ def test_unknown_mode_is_rejected(downlink2):
 # ---------------------------------------------------------------------------
 
 
+def run_one(scenario, v_weight, seed, horizon, replication=0, mode="respect"):
+    """One recorded kernel lane: replication ``replication`` at weight ``v_weight``."""
+    return run_dpp_batch(
+        scenario, [v_weight], [replication], seed, horizon, mode, record=1
+    ).runs[0]
+
+
 def test_run_matches_network_step_replay(downlink2):
     assert not is_uncontrolled_single_queue(downlink2)  # the slot loop runs
-    fast = run_dpp(downlink2, DppConfig(v_weight=5.0), seed=11, horizon=3000)
-    slow = replay_with_network_step(downlink2, DppConfig(v_weight=5.0), seed=11, horizon=3000)
+    fast = run_one(downlink2, 5.0, seed=11, horizon=3000)
+    slow = replay_with_network_step(downlink2, 5.0, seed=11, horizon=3000)
     assert np.array_equal(fast.q_path, slow.q_path)
     assert np.array_equal(fast.z_path, slow.z_path)
     assert np.array_equal(fast.action_path, slow.action_path)
@@ -156,9 +161,9 @@ def test_run_matches_network_step_replay(downlink2):
 
 
 def test_run_is_deterministic_per_seed(downlink2):
-    a = run_dpp(downlink2, DppConfig(v_weight=2.0), seed=3, horizon=2000)
-    b = run_dpp(downlink2, DppConfig(v_weight=2.0), seed=3, horizon=2000)
-    c = run_dpp(downlink2, DppConfig(v_weight=2.0), seed=4, horizon=2000)
+    a = run_one(downlink2, 2.0, seed=3, horizon=2000)
+    b = run_one(downlink2, 2.0, seed=3, horizon=2000)
+    c = run_one(downlink2, 2.0, seed=4, horizon=2000)
     assert np.array_equal(a.q_path, b.q_path)
     assert not np.array_equal(a.q_path, c.q_path)
 
@@ -245,7 +250,7 @@ def assert_batch_matches_replay(scenario, v_weights, n_reps, mode, seed, horizon
         scenario, lanes_v, lanes_rep, seed, horizon, mode, record=len(lanes_v), with_virtual=True
     )
     for i, (v, rep) in enumerate(zip(lanes_v, lanes_rep)):
-        ref = replay_with_network_step(scenario, DppConfig(v, mode=mode), seed, horizon, rep)
+        ref = replay_with_network_step(scenario, v, seed, horizon, rep, mode)
         run = batch.runs[i]
         for name in ("q_path", "z_path", "omega_path", "action_path", "x_path",
                      "f_path", "g_path", "arrivals"):
@@ -303,13 +308,13 @@ def test_lane_products_round_like_single_state_products(n, n_actions, width, see
 
 
 def test_replications_use_independent_substreams(downlink2):
-    a = run_dpp(downlink2, DppConfig(v_weight=2.0), seed=3, horizon=2000, replication=0)
-    b = run_dpp(downlink2, DppConfig(v_weight=2.0), seed=3, horizon=2000, replication=1)
+    a = run_one(downlink2, 2.0, seed=3, horizon=2000, replication=0)
+    b = run_one(downlink2, 2.0, seed=3, horizon=2000, replication=1)
     assert not np.array_equal(a.omega_path, b.omega_path)
 
 
 def test_constraints_hold_even_at_zero_weight(downlink2):
-    run = run_dpp(downlink2, DppConfig(v_weight=0.0), seed=13, horizon=60_000)
+    run = run_one(downlink2, 0.0, seed=13, horizon=60_000)
     assert np.all(run.avg_g <= 0.01)
     assert np.all(run.q_slopes <= 0.01)
     assert np.all(run.z_slopes <= 0.01)
@@ -322,7 +327,7 @@ def test_backlog_grows_at_most_linearly_in_v(downlink2):
 
 
 def test_clamped_mode_runs(downlink2):
-    run = run_dpp(downlink2, DppConfig(v_weight=1.0, mode="clamped"), seed=5, horizon=5000)
+    run = run_one(downlink2, 1.0, seed=5, horizon=5000, mode="clamped")
     assert np.all(run.q_path >= 0)
 
 

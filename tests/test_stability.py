@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnetlab.cli import override_lambdas, override_mu
 from qnetlab.controller import run_dpp_batch
@@ -16,7 +20,6 @@ from qnetlab.stability import (
     cex_rate_not_mean,
     cex_strong_not_rate,
     estimate_verdict,
-    estimate_verdict_streaming,
     geometric_checkpoints,
     markov_bound_violations,
     single_queue_path,
@@ -127,19 +130,86 @@ def test_verdict_on_critical_bb1_rate_stable_but_not_strong():
     assert not verdict.strongly_stable  # running mean still growing ~ sqrt(t)
 
 
-def test_streaming_and_in_memory_verdicts_agree():
-    ens = _bb1_ensemble(0.4, 0.5, horizon=20_000, n_reps=8, seed=SEED)
-    a = estimate_verdict(ens, estimators=("rate", "steady_state", "strong"))
-    b = estimate_verdict_streaming(
-        lambda: iter(ens.backlog),
-        n_reps=ens.n_reps,
-        horizon=ens.horizon,
-        estimators=("rate", "steady_state", "strong"),
+def reference_verdict(backlog, checkpoints, thresholds):
+    """The verdict's estimates computed path by path, in two plain passes."""
+    n_reps, horizon = backlog.shape
+    t_final = int(checkpoints[-1])
+    t_half = max(t_final // 2, 1)
+    finals, cp_slopes = [], []
+    total = to_half = to_final = 0.0
+    for q in backlog:
+        finals.append(q[t_final] / t_final)
+        cp_slopes.append(q[checkpoints] / checkpoints)
+        total += float(q.sum())
+        to_half += float(q[: t_half + 1].sum())
+        to_final += float(q[: t_final + 1].sum())
+    mean = total / (n_reps * horizon)
+    m_max = max(thresholds.m_max_multiplier * mean, 1.0)
+    m_grid = (
+        np.geomspace(1.0, m_max, thresholds.m_grid_points) if m_max > 1.0 else np.array([1.0])
     )
-    assert a.rate_slope == b.rate_slope
-    assert a.strong_metric == b.strong_metric
-    assert np.array_equal(a.g_curve, b.g_curve)
-    assert np.array_equal(a.m_grid, b.m_grid)
+    h = np.array([[(q > m).mean() for m in m_grid] for q in backlog])
+    g = np.zeros(m_grid.size)
+    for row in h:
+        g += row
+    g /= n_reps
+    rate_slope = float(np.median(finals))
+    half = to_half / (n_reps * (t_half + 1))
+    full = to_final / (n_reps * (t_final + 1))
+    tol = thresholds.slope_tol
+    return {
+        "rate_slope": rate_slope,
+        "mean_rate_slope": float(np.mean(finals)),
+        "strong_metric": mean,
+        "m_grid": m_grid,
+        "g_curve": g,
+        "h_mean": h.mean(axis=0),
+        "h_p05": np.percentile(h, 5, axis=0),
+        "h_p95": np.percentile(h, 95, axis=0),
+        "rate_stable": rate_slope <= tol,
+        "mean_rate_stable": float(np.mean(finals)) <= tol,
+        "steady_state_stable": g[-1] <= thresholds.tail_tol and rate_slope <= tol,
+        "strongly_stable": abs(full - half) <= thresholds.plateau_rel * max(half, 1e-12),
+        "running_mean_half": half,
+        "running_mean_full": full,
+        "thresholds": thresholds,
+        "checkpoints": checkpoints,
+        "slopes_at_checkpoints": np.median(cp_slopes, axis=0),
+    }
+
+
+@given(
+    n_reps=st.integers(1, 5),
+    horizon=st.integers(1000, 2500),
+    scale=st.sampled_from([0.0, 1.0, 3.0, 40.0, 1e6]),
+    integer=st.booleans(),
+    n_checkpoints=st.integers(0, 6),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_verdict_matches_per_path_reference(n_reps, horizon, scale, integer, n_checkpoints, seed):
+    # Integer paths put values exactly on M-grid points (M = 1 always is one),
+    # where "Q > M" must not count them.  Explicit checkpoints that stop
+    # before the final slot are what cex_rate_not_mean passes.
+    rng = make_rng(seed, 0)
+    q = rng.random((n_reps, horizon)) * scale * rng.random((n_reps, 1))
+    if integer:
+        q = np.floor(q)
+    if n_checkpoints:
+        cps = np.unique(rng.integers(1, horizon, size=n_checkpoints))
+        ens = TraceEnsemble(backlog=q, checkpoints=cps)
+    else:
+        ens = TraceEnsemble(backlog=q)
+    thresholds = VerdictThresholds(min_reps_mean_rate=1)
+    verdict = estimate_verdict(ens, thresholds)
+    expected = reference_verdict(q, ens.checkpoints, thresholds)
+    assert set(expected) == {f.name for f in fields(verdict)}
+    for name, value in expected.items():
+        got = getattr(verdict, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(got, value), name
+        else:
+            assert got == value, name
 
 
 def test_mean_rate_estimator_needs_replications():
@@ -149,6 +219,14 @@ def test_mean_rate_estimator_needs_replications():
     verdict = estimate_verdict(ens, estimators=("rate", "steady_state", "strong"))
     assert verdict.mean_rate_slope is None
     assert verdict.mean_rate_stable is None
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+def test_ensemble_rejects_negative_or_nan_backlogs(bad):
+    backlog = np.zeros((2, 1000))
+    backlog[1, 7] = bad
+    with pytest.raises(ValueError, match="non-negative"):
+        TraceEnsemble(backlog=backlog)
 
 
 def test_verdict_rejects_short_horizons():
