@@ -5,18 +5,23 @@ any change to a sampled path, a controller decision, a reduction order or a
 report format shows up here as a digest mismatch.  ``simulate`` runs with one
 and with two workers, so the split of replications across processes is
 pinned too.  The ``bb1 --simulate`` digest was recorded when that command
-moved onto the kernel's draw order.
+moved onto the kernel's draw order.  The ``relay8`` cases run a routed
+8-queue Markov scenario (``tests/fixtures/relay8.json``, written by
+``perfbench/relay.py 301``) whose policy LPs take hundreds of simplex pivots,
+with sweep scales on both sides of its capacity boundary (near 1.67).
 """
 
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from qnetlab.cli import main
 
 BB1 = ["bb1.json", "--lambda", "0.3", "--mu", "0.5"]
+RELAY8 = str(Path(__file__).parent / "fixtures" / "relay8.json")
 CASES = {
     "simulate-downlink2-w1": ["simulate", "downlink2.json", "--horizon", "1000",
                               "--reps", "100", "--seed", "7", "--workers", "1"],
@@ -44,6 +49,10 @@ CASES = {
     "counterexample-rate-not-mean": ["counterexample", "rate-not-mean", "--seed", "3"],
     "counterexample-mean-not-rate": ["counterexample", "mean-not-rate", "--seed", "3"],
     "counterexample-strong-not-rate": ["counterexample", "strong-not-rate", "--seed", "3"],
+    "capacity-relay8": ["capacity", RELAY8, "--sweep-scale",
+                        "0.5,1,1.4,1.6,1.65,1.66,1.68,1.7,2,2.4"],
+    "sweep-v-relay8": ["sweep-v", RELAY8, "--V", "1,10", "--horizon", "2000",
+                       "--reps", "2", "--seed", "5"],
     "bb1-simulate": ["bb1", "--lambda", "0.3", "--mu", "0.5", "--simulate",
                      "--horizon", "2000", "--reps", "10", "--seed", "7"],
 }
@@ -59,6 +68,10 @@ GOLDEN: dict[str, dict[str, str]] = {
     "capacity-downlink2": {
         "capacity.txt": "43a853af8d5696cb09536736105c822335a6415482224be7d6a20d997492afa5",
         "capacity_sweep.csv": "ba17ebbab1dfcf1e2bd4749325b192026afa688d5a75db8e92a9d02bbf130bf9",
+    },
+    "capacity-relay8": {
+        "capacity.txt": "dcb4762eaed7ba2cffd2a5b233f0c1cb78b206c946f0bd4a37c1f4d4b70ab883",
+        "capacity_sweep.csv": "7fe11d63ec966bc308594754cec31487f875d28d5436adaa333fd3c8a1a2895a",
     },
     "counterexample-mean-not-rate": {
         "profile.csv": "25b0cb39e33874ea96b8f782427c3052c017446a8adf976fe79d84e61f745438",
@@ -116,6 +129,10 @@ GOLDEN: dict[str, dict[str, str]] = {
     "sweep-v-downlink2-w2": {
         "sweep.csv": "5dac4654a08c2d19f2bfbd19f413bf10b29a180350bf6172d8ceefe9468076a3",
         "sweep_report.txt": "501b41488183818b42e182ce053f7d88f0ef60dcbdf3f8d5669ce9b61cf42863",
+    },
+    "sweep-v-relay8": {
+        "sweep.csv": "d063d0885a41ba7d56a6e585dd6d97b297203eb996113b818b9c23abf1f49673",
+        "sweep_report.txt": "1d7ba76a390e1a7c378233bc20d3fe30cf760d131c310f36cbd06c577eff119c",
     },
 }
 
