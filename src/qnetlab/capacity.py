@@ -20,14 +20,14 @@ inequality can be pushed down to -d/2) is one extra LP variable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .network import Scenario, evaluate_action, validate
 from .processes import mixing_time
-from .simplex import LpResult, SimplexError, solve_lp
+from .simplex import SimplexError, solve_lp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .controller import DriftConstants
@@ -79,7 +79,11 @@ class PerformanceBounds:
 
 @dataclass
 class PolicyLp:
-    """LP data over flattened policy variables (plus margin slot bookkeeping)."""
+    """LP data over flattened policy variables for one arrival-rate vector.
+
+    Only the queue rows' right-hand side depends on the rates, so ``at``
+    moves the LP to another rate vector without rebuilding it.
+    """
 
     scenario: Scenario
     lambdas: np.ndarray
@@ -97,6 +101,17 @@ class PolicyLp:
     def n_vars(self) -> int:
         return len(self.var_index)
 
+    def at(self, lambdas: Sequence[float]) -> "PolicyLp":
+        """The same LP with the queue rows' right-hand side set to ``-lambdas``."""
+        lams = np.asarray(lambdas, dtype=float)
+        if lams.shape != (self.scenario.n_queues,):
+            raise ValueError("lambda vector length must equal K")
+        if np.any(lams < 0):
+            raise ValueError("arrival rates must be non-negative")
+        b_ub = self.b_ub.copy()
+        b_ub[self.scenario.n_constraints :] = -lams
+        return replace(self, lambdas=lams, b_ub=b_ub)
+
     def policy_from(self, x: np.ndarray) -> OmegaOnlyPolicy:
         dists = []
         pos = 0
@@ -107,16 +122,59 @@ class PolicyLp:
             pos += len(acts)
         return OmegaOnlyPolicy(distributions=tuple(dists))
 
+    def margin(self) -> float:
+        """Largest margin d with every inequality pushed to <= -d/2 (0 at or
+        outside the boundary)."""
+        c = np.zeros(self.n_vars + 1)
+        c[-1] = -1.0  # maximize d
+        a_ub = np.hstack([self.a_ub, np.full((self.a_ub.shape[0], 1), 0.5)])
+        a_eq = np.hstack([self.a_eq, np.zeros((self.a_eq.shape[0], 1))])
+        result = solve_lp(c, a_ub, self.b_ub, a_eq, self.b_eq)
+        if result.status == "infeasible":
+            return 0.0
+        if result.status == "unbounded":
+            raise SimplexError("margin LP unbounded; scenario tables are malformed")
+        return max(float(result.x[-1]), 0.0)
+
+    def solve(self) -> CapacityReport:
+        """Minimum-cost state-only policy, with feasibility and margin report."""
+        result = solve_lp(self.c, self.a_ub, self.b_ub, self.a_eq, self.b_eq)
+        if result.status == "unbounded":
+            raise SimplexError(
+                "policy LP reported unbounded; finite action tables cannot produce "
+                "an unbounded objective, so the scenario is malformed"
+            )
+        routing_flag = bool(self.scenario.routing)
+        if result.status == "infeasible":
+            return CapacityReport(
+                feasible=False,
+                f_opt=math.nan,
+                d_max=0.0,
+                policy=None,
+                binding_constraints=(),
+                routing_outer_bound=routing_flag,
+            )
+        x = result.x
+        slack = self.b_ub - self.a_ub @ x
+        binding = tuple(
+            name
+            for name, s, rhs in zip(self.row_names, slack, self.b_ub)
+            if s <= FEAS_TOL * (1.0 + abs(rhs))
+        )
+        return CapacityReport(
+            feasible=True,
+            f_opt=self.c0 + float(result.objective),
+            d_max=self.margin(),
+            policy=self.policy_from(x),
+            binding_constraints=binding,
+            routing_outer_bound=routing_flag,
+        )
+
 
 def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> PolicyLp:
     """Assemble the state-only-policy LP for a validated scenario."""
     validate(scenario)
     pi = scenario.stationary()
-    lams = scenario.lambdas if lambdas is None else np.asarray(lambdas, dtype=float)
-    if lams.shape != (scenario.n_queues,):
-        raise ValueError("lambda vector length must equal K")
-    if np.any(lams < 0):
-        raise ValueError("arrival rates must be non-negative")
 
     var_index: list[tuple[int, int]] = []
     for w, acts in enumerate(scenario.actions):
@@ -134,7 +192,7 @@ def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> Poli
     n_g = scenario.n_constraints
     k = scenario.n_queues
     a_ub = np.zeros((n_g + k, n))
-    b_ub = np.zeros(n_g + k)
+    b_ub = np.zeros(n_g + k)  # ``at`` sets the queue rows to -lambda
     row_names: list[str] = []
     for l, g in enumerate(scenario.constraints):
         a_ub[l] = g.coeffs @ x_cols
@@ -142,7 +200,6 @@ def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> Poli
         row_names.append(f"g[{l}]")
     for q in range(k):
         a_ub[n_g + q] = net_cols[q]
-        b_ub[n_g + q] = -lams[q]
         row_names.append(f"queue[{q}]")
 
     a_eq = np.zeros((scenario.omega_chain.n_states, n))
@@ -150,9 +207,9 @@ def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> Poli
         a_eq[w, j] = 1.0
     b_eq = np.ones(scenario.omega_chain.n_states)
 
-    return PolicyLp(
+    lp = PolicyLp(
         scenario=scenario,
-        lambdas=lams,
+        lambdas=np.zeros(k),
         pi=pi,
         var_index=var_index,
         c=scenario.cost.coeffs @ x_cols,
@@ -163,33 +220,13 @@ def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> Poli
         a_eq=a_eq,
         b_eq=b_eq,
     )
-
-
-def _solve(lp: PolicyLp) -> LpResult:
-    result = solve_lp(lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq)
-    if result.status == "unbounded":
-        raise SimplexError(
-            "policy LP reported unbounded; finite action tables cannot produce "
-            "an unbounded objective, so the scenario is malformed"
-        )
-    return result
+    return lp.at(scenario.lambdas if lambdas is None else lambdas)
 
 
 def slater_dmax(scenario: Scenario, lambdas: Sequence[float] | None = None) -> float:
     """Largest margin d with every inequality pushed to <= -d/2 (0 at/outside
     the boundary)."""
-    lp = build_lp(scenario, lambdas)
-    n = lp.n_vars
-    c = np.zeros(n + 1)
-    c[-1] = -1.0  # maximize d
-    a_ub = np.hstack([lp.a_ub, np.full((lp.a_ub.shape[0], 1), 0.5)])
-    a_eq = np.hstack([lp.a_eq, np.zeros((lp.a_eq.shape[0], 1))])
-    result = solve_lp(c, a_ub, lp.b_ub, a_eq, lp.b_eq)
-    if result.status == "infeasible":
-        return 0.0
-    if result.status == "unbounded":
-        raise SimplexError("margin LP unbounded; scenario tables are malformed")
-    return max(float(result.x[-1]), 0.0)
+    return build_lp(scenario, lambdas).margin()
 
 
 def lambda_in_capacity(scenario: Scenario, lambdas: Sequence[float]) -> bool:
@@ -203,33 +240,7 @@ def solve_fopt(
     scenario: Scenario, lambdas: Sequence[float] | None = None
 ) -> CapacityReport:
     """Minimum-cost state-only policy, with feasibility and margin report."""
-    lp = build_lp(scenario, lambdas)
-    result = _solve(lp)
-    routing_flag = bool(scenario.routing)
-    if result.status == "infeasible":
-        return CapacityReport(
-            feasible=False,
-            f_opt=math.nan,
-            d_max=0.0,
-            policy=None,
-            binding_constraints=(),
-            routing_outer_bound=routing_flag,
-        )
-    x = result.x
-    slack = lp.b_ub - lp.a_ub @ x
-    binding = tuple(
-        name
-        for name, s, rhs in zip(lp.row_names, slack, lp.b_ub)
-        if s <= FEAS_TOL * (1.0 + abs(rhs))
-    )
-    return CapacityReport(
-        feasible=True,
-        f_opt=lp.c0 + float(result.objective),
-        d_max=slater_dmax(scenario, lambdas),
-        policy=lp.policy_from(x),
-        binding_constraints=binding,
-        routing_outer_bound=routing_flag,
-    )
+    return build_lp(scenario, lambdas).solve()
 
 
 def performance_bounds(
@@ -245,15 +256,19 @@ def performance_bounds(
     with ``c_0 = 4 f_max / d_max + 1``; the approximation slack C of the
     general bounds is 0 because the controller's argmin is exact.
     ``epsilon`` must lie in ``(0, d_max/4]``; ``T_eps`` is the chain's
-    mixing time at that gap.  Every other constant comes from ``drift``, so
-    a V-sweep solves no LP here.
+    mixing time at that gap, which is ``drift.T`` when ``epsilon`` equals
+    ``drift.delta``.  Every other constant comes from ``drift``, so a V-sweep
+    solves no LP here.
     """
     if drift.d_max <= 0:
         raise ValueError("bounds require a strictly interior rate vector (d_max > 0)")
     if not (0.0 < epsilon <= drift.d_max / 4.0 + 1e-15):
         raise ValueError(f"epsilon must lie in (0, d_max/4] = (0, {drift.d_max / 4}]")
     c_0 = 4.0 * drift.f_max / drift.d_max + 1.0
-    t_eps = mixing_time(scenario.omega_chain, epsilon).T
+    if epsilon == drift.delta:
+        t_eps = drift.T
+    else:
+        t_eps = mixing_time(scenario.omega_chain, epsilon).T
     backlog_bound = (
         drift.T * drift.B + (drift.T - 1) * drift.D + v_param * (drift.f_max - drift.f_min)
     ) / (drift.d_max / 4.0)

@@ -286,7 +286,8 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    report = capacity_mod.solve_fopt(scenario, lams)
+    lp = capacity_mod.build_lp(scenario, lams)
+    report = lp.solve()
     items: list[tuple[str, object]] = [
         ("command", "capacity"),
         ("scenario", scenario.name),
@@ -309,11 +310,10 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 
     if args.sweep_scale:
         scales = [float(s) for s in args.sweep_scale.split(",")]
-        base = np.asarray(scenario.lambdas if lams is None else lams, dtype=float)
         rows = []
         for scale in scales:
-            lam_vec = scale * base
-            rep = capacity_mod.solve_fopt(scenario, lam_vec)
+            lam_vec = scale * lp.lambdas
+            rep = lp.at(lam_vec).solve()
             rows.append(
                 [scale, *[float(v) for v in lam_vec], rep.feasible, rep.f_opt, rep.d_max]
             )
@@ -340,7 +340,7 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    drift = controller.drift_constants(scenario)
+    drift = controller.drift_constants(scenario, report=cap)
     epsilon = drift.d_max / 4.0
 
     v_list = [float(v) for v in args.V_list.split(",")]

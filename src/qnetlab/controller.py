@@ -288,10 +288,10 @@ class DriftConstants:
     ``B`` bounds half the worst-case second moments of service and of
     arrivals-plus-transfers (plus constraint values squared); ``D`` bounds the
     cross terms accumulated over a frame; ``T`` is the chain's mixing time at
-    total-variation gap ``d_max / 4``.  ``f_opt`` is the LP optimum (NaN
-    outside the capacity region) and ``f_min``/``f_max`` the cost extremes
-    over all tables.  The runtime algorithm never uses these; they only feed
-    the reported bounds.
+    total-variation gap ``delta`` (``d_max / 4`` by default; NaN when not
+    known).  ``f_opt`` is the LP optimum (NaN outside the capacity region)
+    and ``f_min``/``f_max`` the cost extremes over all tables.  The runtime
+    algorithm never uses these; they only feed the reported bounds.
     """
 
     B: float
@@ -301,9 +301,14 @@ class DriftConstants:
     f_opt: float
     f_min: float
     f_max: float
+    delta: float = float("nan")
 
 
-def drift_constants(scenario: Scenario, delta: float | None = None) -> DriftConstants:
+def drift_constants(
+    scenario: Scenario,
+    delta: float | None = None,
+    report: capacity.CapacityReport | None = None,
+) -> DriftConstants:
     """Compute B, D from the tables, T from the chain's mixing time, and the
     cost constants from one ``solve_fopt`` and one ``validate``.
 
@@ -311,8 +316,10 @@ def drift_constants(scenario: Scenario, delta: float | None = None) -> DriftCons
     stationary distribution; arrival moments are analytic.  The default
     frame gap is ``d_max / 4``, which requires a strictly interior
     arrival-rate vector; passing ``delta`` explicitly lifts that requirement.
+    A caller that already holds ``solve_fopt(scenario)`` passes it as
+    ``report``, and no LP is solved here.
     """
-    cap = capacity.solve_fopt(scenario)
+    cap = capacity.solve_fopt(scenario) if report is None else report
     d_max = cap.d_max
     if delta is None:
         if d_max <= 0:
@@ -349,5 +356,5 @@ def drift_constants(scenario: Scenario, delta: float | None = None) -> DriftCons
     check = validate(scenario)
     return DriftConstants(
         B=float(b_total), D=float(d_total), T=t_mix, d_max=d_max,
-        f_opt=cap.f_opt, f_min=check.f_min, f_max=check.f_max,
+        f_opt=cap.f_opt, f_min=check.f_min, f_max=check.f_max, delta=delta,
     )

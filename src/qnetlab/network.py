@@ -189,24 +189,27 @@ def validate(scenario: Scenario) -> ScenarioValidation:
     sigma2 = 0.0
     f_min = math.inf
     f_max = -math.inf
-    for w in range(scenario.omega_chain.n_states):
-        for i in range(len(scenario.actions[w])):
-            y, b, x, f_value, g_values = evaluate_action(scenario, w, i)
-            for arr, what in ((y, "y"), (b, "b"), (x, "x"), (g_values, "g")):
-                if not np.all(np.isfinite(arr)):
-                    raise ScenarioError(
-                        f"actions[{w}][{i}]", f"non-finite {what} table entry"
-                    )
-            if not math.isfinite(f_value):
-                raise ScenarioError(f"actions[{w}][{i}]", "non-finite cost value")
-            sigma2 = max(
-                sigma2,
-                float(np.max(y**2, initial=0.0)),
-                float(np.max(b**2, initial=0.0)),
-                float(np.max(g_values**2, initial=0.0)),
-            )
-            f_min = min(f_min, f_value)
-            f_max = max(f_max, f_value)
+    # Tables whose products overflow give inf or NaN here, which the
+    # finiteness checks below report; numpy's warning would only precede them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in range(scenario.omega_chain.n_states):
+            for i in range(len(scenario.actions[w])):
+                y, b, x, f_value, g_values = evaluate_action(scenario, w, i)
+                for arr, what in ((y, "y"), (b, "b"), (x, "x"), (g_values, "g")):
+                    if not np.all(np.isfinite(arr)):
+                        raise ScenarioError(
+                            f"actions[{w}][{i}]", f"non-finite {what} table entry"
+                        )
+                if not math.isfinite(f_value):
+                    raise ScenarioError(f"actions[{w}][{i}]", "non-finite cost value")
+                sigma2 = max(
+                    sigma2,
+                    float(np.max(y**2, initial=0.0)),
+                    float(np.max(b**2, initial=0.0)),
+                    float(np.max(g_values**2, initial=0.0)),
+                )
+                f_min = min(f_min, f_value)
+                f_max = max(f_max, f_value)
     for k, spec in enumerate(scenario.arrivals):
         try:
             sigma2 = max(sigma2, spec.second_moment())

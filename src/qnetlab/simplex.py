@@ -7,9 +7,9 @@ Solves     minimize    c . x
 
 Desk-scale problems only: the tableau is dense and every pivot is O(m n).
 Bland's rule (always pick the lowest-index eligible entering and leaving
-variable) prevents cycling on degenerate vertices at the cost of speed, which
-is irrelevant at this size.  Feasibility and optimality are decided at an
-absolute tolerance of 1e-9.
+variable) prevents cycling on degenerate vertices at the cost of many pivots,
+which set a capacity sweep's run time, so each pivot is one array update.
+Feasibility and optimality are decided at an absolute tolerance of 1e-9.
 """
 
 from __future__ import annotations
@@ -35,33 +35,33 @@ class LpResult:
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
+    factors = tableau[:, col]
+    # Rows with a zero factor are left alone, so their signed zeros survive.
+    rows = factors.nonzero()[0]
+    rows = rows[rows != row]
+    tableau[rows] -= factors[rows, None] * pivot_row
 
 
 def _bland_entering(costs: np.ndarray, eligible: np.ndarray) -> int | None:
-    for j in np.flatnonzero(eligible):
-        if costs[j] < -TOL:
-            return int(j)
-    return None
+    hits = (eligible & (costs < -TOL)).nonzero()[0]
+    return int(hits[0]) if hits.size else None
 
 
 def _bland_leaving(tableau: np.ndarray, col: int, basis: list[int]) -> int | None:
-    m = tableau.shape[0] - 1
+    column = tableau[:-1, col]
+    rows = (column > TOL).nonzero()[0]
     best_row = None
     best_ratio = np.inf
-    for i in range(m):
-        a = tableau[i, col]
-        if a > TOL:
-            ratio = tableau[i, -1] / a
-            if ratio < best_ratio - TOL or (
-                abs(ratio - best_ratio) <= TOL
-                and (best_row is None or basis[i] < basis[best_row])
-            ):
-                best_ratio = ratio
-                best_row = i
+    # The tie tolerance makes the choice depend on visiting order: keep it.
+    for i, ratio in zip(rows.tolist(), (tableau[rows, -1] / column[rows]).tolist()):
+        if ratio < best_ratio - TOL or (
+            abs(ratio - best_ratio) <= TOL
+            and (best_row is None or basis[i] < basis[best_row])
+        ):
+            best_ratio = ratio
+            best_row = i
     return best_row
 
 

@@ -6,7 +6,9 @@ repeated dense powering, the capacity optimum from grid search over
 state-conditional action distributions, and controller decisions from an
 explicit exhaustive loop.  The closed-loop reference replays one run slot by
 slot through ``network_step``, the library's one-slot transition, so that
-the batched kernel is checked against the plain recursion.
+the batched kernel is checked against the plain recursion.  The simplex's
+pivot, entering and leaving rules are kept here as row-by-row loops, the
+reference its array versions must match bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from qnetlab.controller import DppRunResult, compile_tables, dpp_select_action
 from qnetlab.network import Scenario, evaluate_action, network_step
 from qnetlab.processes import sample_path
 from qnetlab.queues import CompositeState
+from qnetlab.simplex import TOL
 
 GRID_GUARD = 20_000_000
 
@@ -182,3 +185,34 @@ def replay_with_network_step(
         g_path=g_path,
         arrivals=arrivals,
     )
+
+
+def pivot_by_rows(tableau: np.ndarray, row: int, col: int) -> None:
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r] -= tableau[r, col] * tableau[row]
+
+
+def bland_entering_by_scan(costs: np.ndarray, eligible: np.ndarray) -> int | None:
+    for j in np.flatnonzero(eligible):
+        if costs[j] < -TOL:
+            return int(j)
+    return None
+
+
+def bland_leaving_by_scan(tableau: np.ndarray, col: int, basis: list[int]) -> int | None:
+    m = tableau.shape[0] - 1
+    best_row = None
+    best_ratio = np.inf
+    for i in range(m):
+        a = tableau[i, col]
+        if a > TOL:
+            ratio = tableau[i, -1] / a
+            if ratio < best_ratio - TOL or (
+                abs(ratio - best_ratio) <= TOL
+                and (best_row is None or basis[i] < basis[best_row])
+            ):
+                best_ratio = ratio
+                best_row = i
+    return best_row

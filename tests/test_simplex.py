@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import oracles
+from qnetlab import simplex
 from qnetlab.simplex import solve_lp
 
 
@@ -110,3 +114,79 @@ def test_random_lps_match_scipy(trial):
         assert ref.status == 2
     else:
         assert ref.status == 3
+
+
+# Small integer entries times a non-dyadic scale give degenerate vertices,
+# ratio ties, redundant rows, signed zeros and rounding in every pivot.
+@st.composite
+def random_lps(draw):
+    n = draw(st.integers(0, 6))
+    m_ub = draw(st.integers(0, 4))
+    m_eq = draw(st.integers(0, 3))
+    scale = draw(st.sampled_from([1.0, 0.1, 0.7, 1.3]))
+    entry = st.integers(-3, 3)
+
+    def matrix(rows, cols):
+        cells = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        return scale * np.array(cells, dtype=float).reshape(rows, cols)
+
+    c = matrix(1, n)[0]
+    a_ub, b_ub = matrix(m_ub, n), matrix(1, m_ub)[0]
+    a_eq, b_eq = matrix(m_eq, n), matrix(1, m_eq)[0]
+    if m_eq and draw(st.booleans()):
+        # Consistent equalities: the right-hand side of a non-negative point,
+        # with the first row repeated so that one row is redundant.
+        x0 = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), float)
+        a_eq = np.vstack([a_eq, a_eq[:1]])
+        b_eq = a_eq @ x0
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+def _solve_recording_pivots(lp):
+    pivots = []
+    pivot = simplex._pivot
+
+    def recording(tableau, row, col):
+        pivots.append((row, col))
+        pivot(tableau, row, col)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_pivot", recording)
+        return solve_lp(*lp), pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_lps())
+def test_array_pivots_match_row_loop_reference(lp):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_pivot", oracles.pivot_by_rows)
+        mp.setattr(simplex, "_bland_entering", oracles.bland_entering_by_scan)
+        mp.setattr(simplex, "_bland_leaving", oracles.bland_leaving_by_scan)
+        ref, ref_pivots = _solve_recording_pivots(lp)
+    ours, our_pivots = _solve_recording_pivots(lp)
+    assert ours.status == ref.status
+    assert our_pivots == ref_pivots
+    if ref.status == "optimal":
+        assert ours.x.tobytes() == ref.x.tobytes()
+        assert np.float64(ours.objective).tobytes() == np.float64(ref.objective).tobytes()
+    else:
+        assert ours.x is None and ours.objective is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(2, 6),
+    st.data(),
+)
+def test_array_pivot_matches_row_loop_bit_for_bit(m, n, data):
+    # Signed zeros included: a row with a zero factor must keep its -0.0.
+    cells = data.draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.0, 0.7, -1.3, 3.1]),
+                               min_size=m * n, max_size=m * n))
+    tableau = np.array(cells).reshape(m, n)
+    row, col = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))
+    tableau[row, col] = data.draw(st.sampled_from([1.0, -0.7, 3.1]))
+    ref = tableau.copy()
+    oracles.pivot_by_rows(ref, row, col)
+    simplex._pivot(tableau, row, col)
+    assert tableau.tobytes() == ref.tobytes()
