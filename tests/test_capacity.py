@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import grid_fopt
+from qnetlab import capacity
 from qnetlab.capacity import (
     build_lp,
     lambda_in_capacity,
@@ -73,6 +74,23 @@ def test_returned_policy_satisfies_lp_constraints(downlink2):
     lp = build_lp(downlink2)
     x = np.concatenate(report.policy.distributions)
     assert np.max(lp.a_ub @ x - lp.b_ub, initial=0.0) <= 1e-9
+
+
+def test_lp_moved_to_new_rates_equals_a_fresh_build(downlink2):
+    lp = build_lp(downlink2)
+    for lam in ([0.25, 0.1], [0.0, 0.0], [0.6, 0.6]):
+        moved, fresh = lp.at(lam), build_lp(downlink2, lam)
+        for name in ("lambdas", "c", "a_ub", "b_ub", "a_eq", "b_eq"):
+            assert getattr(moved, name).tobytes() == getattr(fresh, name).tobytes()
+        ours, ref = moved.solve(), solve_fopt(downlink2, lam)
+        assert repr((ours.feasible, ours.f_opt, ours.d_max, ours.binding_constraints)) == repr(
+            (ref.feasible, ref.f_opt, ref.d_max, ref.binding_constraints)
+        )
+    assert lp.b_ub.tobytes() == build_lp(downlink2).b_ub.tobytes()  # at() copies
+    with pytest.raises(ValueError, match="length"):
+        lp.at([0.1])
+    with pytest.raises(ValueError, match="non-negative"):
+        lp.at([0.1, -0.1])
 
 
 def test_bb1_dmax_hand_value(bb1):
@@ -185,6 +203,23 @@ def test_drift_constants_carry_the_cost_constants(bb1):
     drift = drift_constants(bb1)
     assert {name: getattr(drift, name) for name in BB1_COSTS} == BB1_COSTS
     assert drift.d_max == slater_dmax(bb1)
+
+
+def test_bounds_reuse_the_drift_mixing_time(downlink2, monkeypatch):
+    drift = drift_constants(downlink2)
+    t_other = capacity.mixing_time(downlink2.omega_chain, drift.delta / 2).T
+    calls = []
+    real_mixing_time = capacity.mixing_time
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_mixing_time(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "mixing_time", counting)
+    assert performance_bounds(downlink2, 10.0, drift.delta, drift).T_eps == drift.T
+    assert not calls
+    assert performance_bounds(downlink2, 10.0, drift.delta / 2, drift).T_eps == t_other
+    assert len(calls) == 1
 
 
 def test_c0_formula(bb1):
