@@ -174,11 +174,7 @@ def test_array_pivots_match_row_loop_reference(lp):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.integers(2, 6),
-    st.integers(2, 6),
-    st.data(),
-)
+@given(st.integers(2, 6), st.integers(2, 6), st.data())
 def test_array_pivot_matches_row_loop_bit_for_bit(m, n, data):
     # Signed zeros included: a row with a zero factor must keep its -0.0.
     cells = data.draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.0, 0.7, -1.3, 3.1]),
