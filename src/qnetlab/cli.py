@@ -389,14 +389,27 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cex_report(name: str, seed: int) -> tuple[list[tuple[str, object]], list, bool]:
-    """Regenerate a counter-example and check its documented signature."""
+def _cex_report(
+    name: str, seed: int, n_reps: int = 100_000
+) -> tuple[list[tuple[str, object]], list, bool]:
+    """Regenerate a counter-example and check its documented signature.
+
+    The random ensembles are reduced block by block (``stability.sum_blocks``).
+    Every backlog value is an integer below 2^53 (``t``, or 0) or ``4^t`` with
+    a column count below 2^17, so every partial column sum is an exact
+    float64: the sums, the means and the profile have the bits of the
+    full-matrix formulas in any block order.
+    """
     checks: list[tuple[str, object]] = [("command", "counterexample"), ("name", name)]
     if name == "rate-not-mean":
-        ens = stability.cex_rate_not_mean(seed, horizon=41, n_reps=100_000)
-        mean6 = float(ens.backlog[:, 6].mean() / 6.0)
-        frac_zero_at_40 = float((ens.backlog[:, 40] == 0.0).mean())
-        slope_final = float(np.median(ens.backlog[:, 40] / 40.0))
+        horizon = 41
+        sums = stability.sum_blocks(
+            stability.cex_rate_not_mean_blocks(seed, horizon, n_reps), keep=(40,)
+        )
+        final = sums.columns[40]
+        mean6 = float(sums.column_sums[6] / n_reps / 6.0)
+        frac_zero_at_40 = float((final == 0.0).mean())
+        slope_final = float(np.median(final / 40.0))
         ok = (
             abs(mean6 - (2.0**6) / 6.0) <= 0.1 * (2.0**6) / 6.0
             and frac_zero_at_40 >= 0.99
@@ -408,11 +421,14 @@ def _cex_report(name: str, seed: int) -> tuple[list[tuple[str, object]], list, b
             ("fraction_zero_at_t40", frac_zero_at_40),
             ("median_final_slope", slope_final),
         ]
-        profile = _mean_profile_rows(ens)
+        profile = _mean_profile_rows(sums.column_sums, n_reps, horizon)
     elif name == "mean-not-rate":
-        ens = stability.cex_mean_not_rate(seed, horizon=200, n_reps=100_000)
-        mean100 = float(ens.backlog[:, 100].mean())
-        spikes = float((ens.backlog[:, 100:200] > 0).any(axis=1).mean())
+        horizon = 200
+        sums = stability.sum_blocks(
+            stability.cex_mean_not_rate_blocks(seed, horizon, n_reps), window=slice(100, 200)
+        )
+        mean100 = float(sums.column_sums[100] / n_reps)
+        spikes = float((sums.window_max > 0).mean())
         expected_spikes = 1.0 - float(np.prod(1.0 - 1.0 / np.arange(100, 200)))
         ok = abs(mean100 - 1.0) <= 0.1 and abs(spikes - expected_spikes) <= 0.02
         checks += [
@@ -420,11 +436,10 @@ def _cex_report(name: str, seed: int) -> tuple[list[tuple[str, object]], list, b
             ("spike_fraction_window_100_200", spikes),
             ("expected_spike_fraction", expected_spikes),
         ]
-        profile = _mean_profile_rows(ens)
+        profile = _mean_profile_rows(sums.column_sums, n_reps, horizon)
     elif name == "strong-not-rate":
         horizon = 2**20 + 1
-        ens = stability.cex_strong_not_rate(horizon)
-        path = ens.backlog[0]
+        path = stability.cex_strong_not_rate(horizon).backlog[0]
         running = float(path.sum() / horizon)
         target = (2.0**21 - 1.0) / (2.0**20 + 1.0)
         spikes_exact = all(path[2**n] / 2**n == 1.0 for n in range(0, 21))
@@ -435,19 +450,28 @@ def _cex_report(name: str, seed: int) -> tuple[list[tuple[str, object]], list, b
             ("rate_slope_at_powers_of_two", 1.0),
             ("spikes_exact", spikes_exact),
         ]
-        profile = _mean_profile_rows(ens)
+        # One replication: the path is its own column sum; the profile
+        # overwrites it, so it comes last.
+        profile = _mean_profile_rows(path, 1, horizon)
     else:
         raise ValueError(f"unknown counterexample {name!r}")
     checks.append(("signature_ok", ok))
     return checks, profile, ok
 
 
-def _mean_profile_rows(ens: stability.TraceEnsemble) -> list[list[object]]:
-    mean_path = ens.backlog.mean(axis=0)
-    cum = np.cumsum(mean_path)
+def _mean_profile_rows(column_sums: np.ndarray, n_reps: int, horizon: int) -> list[list[object]]:
+    """Rows (t, E[Q(t)], running mean of E[Q]) at the geometric checkpoints.
+
+    Overwrites ``column_sums`` with the running sums, so the profile of a
+    long path costs no copy of it.
+    """
+    mean_path = np.divide(column_sums, n_reps, out=column_sums)
+    checkpoints = stability.geometric_checkpoints(horizon)
+    means = mean_path[checkpoints]
+    cum = np.cumsum(mean_path, out=mean_path)
     return [
-        [int(t), float(mean_path[t]), float(cum[t] / (t + 1))]
-        for t in ens.checkpoints
+        [int(t), float(m), float(cum[t] / (t + 1))]
+        for t, m in zip(checkpoints, means)
     ]
 
 

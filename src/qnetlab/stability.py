@@ -12,13 +12,16 @@ proxies: slopes are read at geometric checkpoint times, the tail curve g(M)
 is evaluated on a geometric M-grid, and strong stability uses a plateau test
 on the running average across the final doubling.  The module also ships the
 three classic pathological processes that separate the notions, plus the
-Bernoulli/Bernoulli/1 closed forms used as golden values.
+Bernoulli/Bernoulli/1 closed forms used as golden values.  The two random
+ones are drawn in row blocks of bounded size, and ``sum_blocks`` reduces
+them block by block, so a report never holds the (replications x horizon)
+matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .processes import make_rng
 
 __all__ = [
     "TraceEnsemble",
+    "BlockSums",
     "VerdictThresholds",
     "StabilityVerdict",
     "BB1Params",
@@ -35,8 +39,11 @@ __all__ = [
     "estimate_verdict",
     "bb1_closed_form",
     "cex_rate_not_mean",
+    "cex_rate_not_mean_blocks",
     "cex_mean_not_rate",
+    "cex_mean_not_rate_blocks",
     "cex_strong_not_rate",
+    "sum_blocks",
     "verdict_report_items",
     "curve_rows",
     "markov_bound_violations",
@@ -48,6 +55,12 @@ ALL_ESTIMATORS = ("rate", "mean_rate", "steady_state", "strong")
 # 2^(2t), and 2^80 is still exactly representable in float64.
 RATE_NOT_MEAN_MAX_SLOTS = 41
 
+# Float64 backlog per row block of the random counter-examples: 163 rows at
+# 200 slots.  Measured on mean-not-rate's 100,000 x 200 report, whole-process
+# peak RSS 39 / 40 / 42 / 45 / 54 MB at 256 KB / 512 KB / 1 / 2 / 4 MB, with
+# no faster time at the larger sizes.
+_CEX_BLOCK_BYTES = 1 << 18
+
 
 class InsufficientReplicationsError(ValueError):
     """Raised when an estimator needs more replications than the ensemble has."""
@@ -57,8 +70,9 @@ class InsufficientReplicationsError(ValueError):
 class TraceEnsemble:
     """Backlog sample paths: ``backlog[r, t]`` for slots ``t = 0..horizon-1``.
 
-    ``checkpoints`` are the geometric times (powers of two plus the final
-    slot) at which slope estimates are read.
+    ``checkpoints`` are the times at which slope estimates are read: strictly
+    increasing integers in ``[1, horizon - 1]``, by default the geometric
+    times (powers of two plus the final slot).
     """
 
     backlog: np.ndarray
@@ -70,8 +84,21 @@ class TraceEnsemble:
             raise ValueError("backlog must be a (n_reps, horizon) matrix")
         if not np.min(self.backlog, initial=0.0) >= 0:  # NaN fails too
             raise ValueError("backlogs must be non-negative numbers")
-        if self.checkpoints.size == 0:
+        raw = np.asarray(self.checkpoints)
+        if raw.ndim != 1:
+            raise ValueError("checkpoints must be a 1-d sequence of slot indices")
+        if raw.size == 0:
             self.checkpoints = geometric_checkpoints(self.horizon)
+            return
+        with np.errstate(invalid="ignore"):
+            cps = raw.astype(np.int64)
+        if not np.array_equal(cps, raw):
+            raise ValueError("checkpoints must be integer slot indices")
+        if not (cps[0] >= 1 and cps[-1] <= self.horizon - 1 and np.all(np.diff(cps) > 0)):
+            raise ValueError(
+                f"checkpoints must increase strictly within [1, {self.horizon - 1}]"
+            )
+        self.checkpoints = cps
 
     @property
     def n_reps(self) -> int:
@@ -276,12 +303,29 @@ def bb1_closed_form(params: BB1Params) -> tuple[float, float]:
     return q_bar, w_bar
 
 
+def _block_rows(horizon: int) -> int:
+    return max(1, _CEX_BLOCK_BYTES // (8 * horizon))
+
+
 def cex_rate_not_mean(seed: int, horizon: int, n_reps: int) -> TraceEnsemble:
     """Rate-stable but not mean-rate-stable: Q(t) = 4^t while t < T, else 0.
 
     T is geometric with Pr[T > t] = 2^-t, so E[Q(t)] = 2^t diverges while
     every individual path is eventually zero.  Horizon is capped so values
-    (up to 2^80) stay exactly representable.
+    (up to 2^80) stay exactly representable.  The backlog is the row-wise
+    concatenation of ``cex_rate_not_mean_blocks``.
+    """
+    blocks = list(cex_rate_not_mean_blocks(seed, horizon, n_reps))
+    return TraceEnsemble(backlog=np.concatenate(blocks))
+
+
+def cex_rate_not_mean_blocks(seed: int, horizon: int, n_reps: int) -> Iterator[np.ndarray]:
+    """``cex_rate_not_mean``'s backlog as consecutive row blocks.
+
+    All ``n_reps`` stopping times are drawn first, in replication order, from
+    one ``make_rng(seed, 0)`` stream; block ``b`` then holds the rows of
+    replications ``b * rows .. (b + 1) * rows - 1``.  Stacking the blocks
+    gives the full ensemble whatever the block size.
     """
     if not (2 <= horizon <= RATE_NOT_MEAN_MAX_SLOTS):
         raise ValueError(
@@ -294,25 +338,87 @@ def cex_rate_not_mean(seed: int, horizon: int, n_reps: int) -> TraceEnsemble:
     t_stop = rng.geometric(0.5, size=n_reps)  # support {1, 2, ...}
     t_idx = np.arange(horizon)
     values = np.exp2(2.0 * t_idx)
-    backlog = np.where(t_idx[None, :] < t_stop[:, None], values[None, :], 0.0)
-    return TraceEnsemble(backlog=backlog, checkpoints=geometric_checkpoints(horizon))
+    rows = _block_rows(horizon)
+    for r0 in range(0, n_reps, rows):
+        stop = t_stop[r0 : r0 + rows]
+        yield np.where(t_idx[None, :] < stop[:, None], values[None, :], 0.0)
 
 
 def cex_mean_not_rate(seed: int, horizon: int, n_reps: int) -> TraceEnsemble:
     """Mean-rate-stable but not rate-stable: independent slots with
-    Q(t) = t w.p. 1/t, else 0, so E[Q(t)] = 1 while spikes Q(t) = t recur."""
+    Q(t) = t w.p. 1/t, else 0, so E[Q(t)] = 1 while spikes Q(t) = t recur.
+    The backlog is the row-wise concatenation of ``cex_mean_not_rate_blocks``."""
+    blocks = list(cex_mean_not_rate_blocks(seed, horizon, n_reps))
+    return TraceEnsemble(backlog=np.concatenate(blocks))
+
+
+def cex_mean_not_rate_blocks(seed: int, horizon: int, n_reps: int) -> Iterator[np.ndarray]:
+    """``cex_mean_not_rate``'s backlog as consecutive row blocks.
+
+    One uniform per (replication, slot) comes from one ``make_rng(seed, 0)``
+    stream in row-major order: replication 0's ``horizon`` slots, then
+    replication 1's, and so on.  Each block draws its rows with
+    ``rng.random((rows, horizon))``, which continues that order, so stacking
+    the blocks gives the full ensemble whatever the block size.
+    """
     if horizon < 10:
         raise ValueError("horizon must be >= 10")
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     rng = make_rng(seed, 0)
     t_idx = np.arange(horizon, dtype=float)
-    u = rng.random((n_reps, horizon))
     with np.errstate(divide="ignore"):
         prob = np.where(t_idx > 0, 1.0 / np.maximum(t_idx, 1.0), 0.0)
-    backlog = np.where(u < prob[None, :], t_idx[None, :], 0.0)
-    backlog[:, 0] = 0.0
-    return TraceEnsemble(backlog=backlog)
+    rows = _block_rows(horizon)
+    for r0 in range(0, n_reps, rows):
+        u = rng.random((min(rows, n_reps - r0), horizon))
+        block = np.where(u < prob[None, :], t_idx[None, :], 0.0)
+        block[:, 0] = 0.0
+        yield block
+
+
+@dataclass
+class BlockSums:
+    """Reductions of an ensemble read in row blocks (see ``sum_blocks``)."""
+
+    n_reps: int
+    column_sums: np.ndarray           # sum over replications of backlog[:, t]
+    columns: dict[int, np.ndarray]    # kept whole columns, replication order
+    window_max: np.ndarray | None     # per-replication max over the window
+
+
+def sum_blocks(
+    blocks: Iterable[np.ndarray], keep: Sequence[int] = (), window: slice | None = None
+) -> BlockSums:
+    """Reduce (rows, horizon) backlog blocks without stacking them.
+
+    Keeps the whole columns listed in ``keep`` and, if ``window`` is given,
+    each replication's maximum over ``backlog[:, window]``.  Column sums are
+    taken block by block, so they equal the full-ensemble sums exactly when
+    every partial sum is an exact float64, as for the integer counter-example
+    backlogs (see ``cli``).
+    """
+    n_reps, column_sums = 0, None
+    kept: dict[int, list[np.ndarray]] = {c: [] for c in keep}
+    maxima: list[np.ndarray] = []
+    for block in blocks:
+        n_reps += block.shape[0]
+        if column_sums is None:
+            column_sums = block.sum(axis=0)
+        else:
+            column_sums += block.sum(axis=0)
+        for c, parts in kept.items():
+            parts.append(block[:, c].copy())
+        if window is not None:
+            maxima.append(block[:, window].max(axis=1))
+    if column_sums is None:
+        raise ValueError("sum_blocks needs at least one block")
+    return BlockSums(
+        n_reps=n_reps,
+        column_sums=column_sums,
+        columns={c: np.concatenate(parts) for c, parts in kept.items()},
+        window_max=np.concatenate(maxima) if window is not None else None,
+    )
 
 
 def cex_strong_not_rate(horizon: int) -> TraceEnsemble:

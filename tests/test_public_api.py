@@ -51,10 +51,11 @@ MODULES = {
     ],
     "simplex": ["LpResult", "SimplexError", "solve_lp"],
     "stability": [
-        "BB1Params", "InsufficientReplicationsError", "StabilityVerdict", "TraceEnsemble",
-        "VerdictThresholds", "bb1_closed_form", "cex_mean_not_rate", "cex_rate_not_mean",
+        "BB1Params", "BlockSums", "InsufficientReplicationsError", "StabilityVerdict",
+        "TraceEnsemble", "VerdictThresholds", "bb1_closed_form", "cex_mean_not_rate",
+        "cex_mean_not_rate_blocks", "cex_rate_not_mean", "cex_rate_not_mean_blocks",
         "cex_strong_not_rate", "curve_rows", "estimate_verdict", "geometric_checkpoints",
-        "markov_bound_violations", "single_queue_path", "verdict_report_items",
+        "markov_bound_violations", "single_queue_path", "sum_blocks", "verdict_report_items",
     ],
 }
 

@@ -229,6 +229,35 @@ def test_ensemble_rejects_negative_or_nan_backlogs(bad):
         TraceEnsemble(backlog=backlog)
 
 
+@pytest.mark.parametrize(
+    "checkpoints, match",
+    [
+        (np.array([0, 4, 99]), "within"),         # a slope at t = 0 divides by zero
+        (np.array([4, 100]), "within"),           # the last slot is horizon - 1
+        (np.array([4, 250]), "within"),
+        (np.array([8, 4, 99]), "increase"),
+        (np.array([4, 4, 99]), "increase"),
+        (np.array([2.5, 99.0]), "integer"),
+        (np.array([np.nan, 99.0]), "integer"),
+        (np.array([[1, 2], [4, 8]]), "1-d"),
+    ],
+    ids=["zero", "at-horizon", "beyond-horizon", "decreasing", "repeated", "fractional",
+         "nan", "two-d"],
+)
+def test_ensemble_rejects_bad_checkpoints(checkpoints, match):
+    with pytest.raises(ValueError, match=match):
+        TraceEnsemble(backlog=np.zeros((2, 100)), checkpoints=checkpoints)
+
+
+def test_ensemble_takes_checkpoints_as_a_list():
+    ens = TraceEnsemble(backlog=np.zeros((2, 100)), checkpoints=[1, 10, 99])
+    assert ens.checkpoints.dtype == np.int64
+    assert ens.checkpoints.tolist() == [1, 10, 99]
+    assert TraceEnsemble(backlog=np.zeros((2, 100)), checkpoints=[]).checkpoints.tolist() == (
+        geometric_checkpoints(100).tolist()
+    )
+
+
 def test_verdict_rejects_short_horizons():
     ens = TraceEnsemble(backlog=np.zeros((2, 100)))
     with pytest.raises(ValueError, match="horizon"):
