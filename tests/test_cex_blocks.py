@@ -178,6 +178,16 @@ def test_sum_blocks_keeps_columns_and_window_maxima():
 
 RSS_CEILING_MB = 120  # whole process; the full-matrix mean-not-rate took ~361 MB
 
+# A child's ru_maxrss starts at its parent's RSS, because fork copies the
+# parent's mappings, and pytest may have grown large.  So a small launcher
+# process starts the command and reports the figure.
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for ru_maxrss")
 @pytest.mark.parametrize("name", ["rate-not-mean", "mean-not-rate", "strong-not-rate"])
@@ -185,16 +195,15 @@ def test_counterexample_peak_rss_is_bounded(tmp_path, name):
     src = str(Path(qnetlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    with open(tmp_path / "stderr.txt", "w") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "qnetlab.cli", "counterexample", name,
-             "--out", str(tmp_path)],
-            env=env, stdout=subprocess.DEVNULL, stderr=err,
-        )
-        _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0, (tmp_path / "stderr.txt").read_text()
+    run = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "qnetlab.cli",
+         "counterexample", name, "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    code, max_rss = map(int, run.stdout.split())
+    assert code == 0, run.stderr
     # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
     scale = 1 if sys.platform == "darwin" else 1024
-    peak_mb = usage.ru_maxrss * scale / 2**20
+    peak_mb = max_rss * scale / 2**20
     assert peak_mb <= RSS_CEILING_MB, f"{name}: peak RSS {peak_mb:.1f} MB"
