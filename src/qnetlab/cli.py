@@ -395,9 +395,9 @@ def _cex_report(
     """Regenerate a counter-example and check its documented signature.
 
     The random ensembles are reduced block by block (``stability.sum_blocks``).
-    Every backlog value is an integer below 2^53 (``t``, or 0) or ``4^t`` with
-    a column count below 2^17, so every partial column sum is an exact
-    float64: the sums, the means and the profile have the bits of the
+    Every backlog value is ``t``, ``4^t`` or 0.  A partial column sum is then
+    an integer below 2^53, or ``4^t`` times a count below 2^17; both are exact
+    float64, so the sums, the means and the profile have the bits of the
     full-matrix formulas in any block order.
     """
     checks: list[tuple[str, object]] = [("command", "counterexample"), ("name", name)]
