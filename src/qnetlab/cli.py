@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -276,7 +277,25 @@ def cmd_stability(args: argparse.Namespace) -> int:
     return 0
 
 
+def parse_scales(raw: str) -> list[float]:
+    """``--sweep-scale``'s comma-separated list; every entry finite and >= 0."""
+    scales = []
+    for entry in raw.split(","):
+        try:
+            scale = float(entry)
+        except ValueError:
+            scale = math.nan
+        if not (math.isfinite(scale) and scale >= 0.0):
+            raise ValueError(
+                f"--sweep-scale entry {entry!r} is not a finite non-negative number"
+            )
+        scales.append(scale)
+    return scales
+
+
 def cmd_capacity(args: argparse.Namespace) -> int:
+    # Checked before anything is solved or written.
+    scales = parse_scales(args.sweep_scale) if args.sweep_scale else []
     scenario = load_scenario(args.scenario)
     if getattr(args, "mu", None) is not None:
         scenario = override_mu(scenario, args.mu)
@@ -308,15 +327,11 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     for key, value in items:
         _echo(f"{key}={_fmt(value)}")
 
-    if args.sweep_scale:
-        scales = [float(s) for s in args.sweep_scale.split(",")]
-        rows = []
-        for scale in scales:
-            lam_vec = scale * lp.lambdas
-            rep = lp.at(lam_vec).solve()
-            rows.append(
-                [scale, *[float(v) for v in lam_vec], rep.feasible, rep.f_opt, rep.d_max]
-            )
+    if scales:
+        rows = [
+            [scale, *[float(v) for v in scale * lp.lambdas], feasible, f_opt, d_max]
+            for scale, (feasible, f_opt, d_max) in zip(scales, lp.sweep(scales))
+        ]
         header = ["scale"] + [f"lambda_{k + 1}" for k in range(scenario.n_queues)] + [
             "feasible",
             "f_opt",

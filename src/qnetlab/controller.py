@@ -13,13 +13,14 @@ purpose; the network transition applies the clamp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import capacity
-from .network import MODES, Scenario, evaluate_action, validate
+from .network import MODES, Scenario, evaluate_action
 from .processes import mixing_time, sample_path
 from .queues import CompositeState
 from .stability import TraceEnsemble, single_queue_path
@@ -310,7 +311,7 @@ def drift_constants(
     report: capacity.CapacityReport | None = None,
 ) -> DriftConstants:
     """Compute B, D from the tables, T from the chain's mixing time, and the
-    cost constants from one ``solve_fopt`` and one ``validate``.
+    cost constants from one ``solve_fopt`` and the same pass over the actions.
 
     Second moments take the worst action per state and average over the
     stationary distribution; arrival moments are analytic.  The default
@@ -335,9 +336,16 @@ def drift_constants(
 
     b_total = 0.0
     d_total = 0.0
+    # Builtin min/max in validate's (omega, action) order: the same bits and
+    # signed zeros as its f_min and f_max.
+    f_min = math.inf
+    f_max = -math.inf
     for w in range(scenario.omega_chain.n_states):
         n_act = len(scenario.actions[w])
         rows = [evaluate_action(scenario, w, i) for i in range(n_act)]
+        for r in rows:
+            f_min = min(f_min, r[3])
+            f_max = max(f_max, r[3])
         y = np.array([r[0] for r in rows])  # (n_act, K)
         b = np.array([r[1] for r in rows])
         g = np.array([r[4] for r in rows]).reshape(n_act, -1)
@@ -353,8 +361,7 @@ def drift_constants(
             np.max(ayb2, axis=0).sum() + np.max(g**2, axis=0).sum()
         )
     t_mix = mixing_time(scenario.omega_chain, delta).T
-    check = validate(scenario)
     return DriftConstants(
         B=float(b_total), D=float(d_total), T=t_mix, d_max=d_max,
-        f_opt=cap.f_opt, f_min=check.f_min, f_max=check.f_max, delta=delta,
+        f_opt=cap.f_opt, f_min=f_min, f_max=f_max, delta=delta,
     )

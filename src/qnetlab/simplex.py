@@ -1,4 +1,5 @@
-"""Dense two-phase primal simplex with Bland's rule.
+"""Dense two-phase primal simplex with Bland's rule, and a dual-simplex warm
+start for sequences of right-hand sides.
 
 Solves     minimize    c . x
            subject to  A_ub x <= b_ub
@@ -8,19 +9,26 @@ Solves     minimize    c . x
 Desk-scale problems only: the tableau is dense and every pivot is O(m n).
 Bland's rule (always pick the lowest-index eligible entering and leaving
 variable) prevents cycling on degenerate vertices at the cost of many pivots,
-which set a capacity sweep's run time, so each pivot is one array update.
-Feasibility and optimality are decided at an absolute tolerance of 1e-9.
+so each pivot is one array update.  ``solve_lp_sequence`` solves one LP per
+right-hand side for fixed ``c``, ``A_ub`` and ``A_eq``: the reduced costs do
+not depend on the right-hand side, so the last optimal tableau stays dual
+feasible and a dual simplex re-optimises it in a few pivots where a cold
+solve takes hundreds.  Feasibility and optimality are decided at an absolute
+tolerance of 1e-9; phase 1 calls an LP infeasible when its artificials sum
+to more than 1e-7.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-__all__ = ["LpResult", "solve_lp", "SimplexError"]
+__all__ = ["LpResult", "solve_lp", "solve_lp_sequence", "SimplexError"]
 
 TOL = 1e-9
+PHASE1_TOL = 1e-7  # largest sum of artificials that still counts as feasible
 
 
 class SimplexError(RuntimeError):
@@ -80,14 +88,24 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], eligible: np.ndarray) ->
     raise SimplexError("pivot limit exceeded; tableau did not converge")
 
 
-def solve_lp(
-    c: np.ndarray,
-    a_ub: np.ndarray | None = None,
-    b_ub: np.ndarray | None = None,
-    a_eq: np.ndarray | None = None,
-    b_eq: np.ndarray | None = None,
-) -> LpResult:
-    """Two-phase simplex over non-negative variables."""
+@dataclass
+class _Optimum:
+    """An optimal phase-2 tableau and what a warm start needs to reuse it.
+
+    ``identity[i]`` is the column that was the unit vector e_i before any
+    pivot (row i's slack, or its artificial), so ``tableau[:m, identity]`` is
+    the basis inverse; ``signs`` are the row signs of the first right-hand
+    side's normalisation to rhs >= 0.
+    """
+
+    tableau: np.ndarray
+    basis: list[int]
+    signs: np.ndarray
+    identity: np.ndarray
+    eligible: np.ndarray  # structural and slack columns
+
+
+def _lp_arrays(c, a_ub, b_ub, a_eq, b_eq):
     c = np.asarray(c, dtype=float)
     n = c.size
     a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float)
@@ -104,7 +122,21 @@ def solve_lp(
         and np.all(np.isfinite(b_eq))
     ):
         raise ValueError("LP data must be finite")
+    return c, a_ub, b_ub, a_eq, b_eq
 
+
+def _solution(tableau: np.ndarray, basis: list[int], c: np.ndarray) -> LpResult:
+    x = np.zeros(c.size)
+    for i in range(len(basis)):
+        if basis[i] < c.size:
+            x[basis[i]] = tableau[i, -1]
+    np.clip(x, 0.0, None, out=x)
+    return LpResult(status="optimal", x=x, objective=float(np.dot(c, x)))
+
+
+def _two_phase(c, a_ub, b_ub, a_eq, b_eq) -> tuple[str, _Optimum | None]:
+    """Cold solve of checked data; the optimum comes back only if optimal."""
+    n = c.size
     m_ub, m_eq = b_ub.size, b_eq.size
     m = m_ub + m_eq
     n_slack = m_ub
@@ -114,10 +146,12 @@ def solve_lp(
     rhs = np.concatenate([b_ub, b_eq])
 
     # Normalize to rhs >= 0 (flips slack signs on negated rows).
+    signs = np.ones(m)
     for i in range(m):
         if rhs[i] < 0:
             rows[i] = -rows[i]
             rhs[i] = -rhs[i]
+            signs[i] = -1.0
 
     # Rows needing an artificial: equality rows, plus inequality rows whose
     # slack entered with coefficient -1 after negation.
@@ -137,6 +171,8 @@ def solve_lp(
             basis[i] = n + i
     for j, i in enumerate(needs_artificial):
         basis[i] = n + n_slack + j
+    # Before any pivot every row's basic column is its unit vector.
+    identity = np.array(basis, dtype=np.intp)
 
     # Phase 1: minimize the sum of artificials.
     tableau = np.vstack([full, np.zeros(n_total + 1)])
@@ -147,8 +183,8 @@ def solve_lp(
     status = _run_simplex(tableau, basis, eligible)
     if status == "unbounded":
         raise SimplexError("phase-1 objective cannot be unbounded")
-    if -tableau[-1, -1] > 1e-7:
-        return LpResult(status="infeasible", x=None, objective=None)
+    if -tableau[-1, -1] > PHASE1_TOL:
+        return "infeasible", None
 
     # Drive any residual artificial out of the basis (degenerate pivots).
     for i in range(m):
@@ -173,11 +209,137 @@ def solve_lp(
     eligible[: n + n_slack] = True
     status = _run_simplex(tableau, basis, eligible)
     if status == "unbounded":
-        return LpResult(status="unbounded", x=None, objective=None)
+        return "unbounded", None
+    return "optimal", _Optimum(tableau, basis, signs, identity, eligible)
 
-    x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i, -1]
-    np.clip(x, 0.0, None, out=x)
-    return LpResult(status="optimal", x=x, objective=float(np.dot(c, x)))
+
+def solve_lp(
+    c: np.ndarray,
+    a_ub: np.ndarray | None = None,
+    b_ub: np.ndarray | None = None,
+    a_eq: np.ndarray | None = None,
+    b_eq: np.ndarray | None = None,
+) -> LpResult:
+    """Two-phase simplex over non-negative variables."""
+    c, a_ub, b_ub, a_eq, b_eq = _lp_arrays(c, a_ub, b_ub, a_eq, b_eq)
+    status, opt = _two_phase(c, a_ub, b_ub, a_eq, b_eq)
+    if opt is None:
+        return LpResult(status=status, x=None, objective=None)
+    return _solution(opt.tableau, opt.basis, c)
+
+
+def _run_dual_simplex(
+    tableau: np.ndarray, basis: list[int], eligible: np.ndarray
+) -> int | None:
+    """Dual-simplex pivots with Bland-type rules from a dual-feasible tableau.
+
+    The leaving row is the one with the lowest basic index among rows whose
+    value is negative; the entering column is the eligible column of minimum
+    ratio among entries below -TOL, ties within TOL going to the lowest
+    column index.  Returns None once no row is negative, or the leaving row
+    that has no entering column: that row proves the right-hand side
+    infeasible.  Any negative value leaves, not only one below -TOL, because
+    phase 1 meets such a row exactly: a basic value left at -3e-10 and
+    clipped to 0 moved bb1's f_opt at scale 1e-9 by 3e-10.
+    """
+    max_iters = 50_000 + 100 * tableau.size
+    for _ in range(max_iters):
+        rows = (tableau[:-1, -1] < 0.0).nonzero()[0]
+        if not rows.size:
+            return None
+        row = min(rows.tolist(), key=basis.__getitem__)
+        entries = tableau[row, :-1]
+        cols = (eligible & (entries < -TOL)).nonzero()[0]
+        if not cols.size:
+            return row
+        ratios = tableau[-1, cols] / -entries[cols]
+        col = int(cols[(ratios <= ratios.min() + TOL).argmax()])
+        _pivot(tableau, row, col)
+        basis[row] = col
+    raise SimplexError("pivot limit exceeded; dual simplex did not converge")
+
+
+def _warm_solve(
+    best: _Optimum, b_ub: np.ndarray, b_eq: np.ndarray
+) -> tuple[str, _Optimum | None]:
+    """Re-optimise a copy of ``best`` for a new right-hand side.
+
+    Returns ("optimal", optimum), ("infeasible", None), or ("cold", None)
+    where only a cold solve can tell.
+    """
+    tableau = best.tableau.copy()
+    basis = list(best.basis)
+    m = len(basis)
+    inverse = tableau[:m, best.identity]
+    signed = best.signs * np.concatenate([b_ub, b_eq])
+    # B^-1 b' as elementwise products added in a fixed order, so the bits do
+    # not depend on the CPU kernel the way a BLAS matrix-vector product does.
+    values = np.zeros(m)
+    for i in signed.nonzero()[0]:
+        values += inverse[:, i] * signed[i]
+    tableau[:m, -1] = values
+    row = _run_dual_simplex(tableau, basis, best.eligible)
+    if row is not None:
+        # Minus this row of B^-1, divided by its largest entry (at least 1),
+        # is a dual point of every phase-1 LP of this right-hand side, so
+        # their optimum is at least the violation below.  Phase 1 rounds the
+        # same violation differently (downlink2 at scale 1.5 + 1e-6/3: 1e-7
+        # plus 1.1e-16 here, at most 1e-7 there), so only a violation above
+        # twice its threshold is decided here; a smaller one is solved cold.
+        scale = max(1.0, float(np.abs(tableau[row, best.identity]).max()))
+        if -tableau[row, -1] / scale > 2.0 * PHASE1_TOL:
+            return "infeasible", None
+        return "cold", None
+    # Ties within TOL in the ratio test can leave a reduced cost just below
+    # -TOL; primal pivots restore the cold solve's optimality test.
+    if _run_simplex(tableau, basis, best.eligible) == "unbounded":
+        return "cold", None
+    # An artificial can stay basic on a redundant row; away from zero it
+    # means the rows are now inconsistent, which phase 1 decides.
+    if any(
+        not best.eligible[j] and abs(tableau[i, -1]) > TOL for i, j in enumerate(basis)
+    ):
+        return "cold", None
+    return "optimal", _Optimum(tableau, basis, best.signs, best.identity, best.eligible)
+
+
+def solve_lp_sequence(
+    c: np.ndarray,
+    a_ub: np.ndarray | None,
+    a_eq: np.ndarray | None,
+    rhs: Iterable[tuple[np.ndarray | None, np.ndarray | None]],
+) -> list[LpResult]:
+    """``solve_lp(c, a_ub, b_ub, a_eq, b_eq)`` for each ``(b_ub, b_eq)`` in turn.
+
+    Right-hand sides are solved cold until one is optimal; each later one
+    starts from the last optimal tableau: its basic values become
+    ``B^-1 b'`` under the row signs of that tableau's own normalisation, and
+    dual-simplex pivots restore primal feasibility.  A right-hand side found
+    infeasible leaves the last optimal tableau in place.  Where the warm
+    path's evidence is marginal (an infeasibility certificate worth at most
+    twice the phase-1 threshold, or a basic artificial away from zero), that
+    point is solved cold, so the status is the one ``solve_lp`` gives.
+    Values can differ from the cold solve's in the last digits, and at a
+    degenerate optimum ``x`` can be another optimal vertex.
+    """
+    results: list[LpResult] = []
+    best: _Optimum | None = None
+    for b_ub, b_eq in rhs:
+        c, a_ub, b_ub, a_eq, b_eq = _lp_arrays(c, a_ub, b_ub, a_eq, b_eq)
+        if best is None:
+            status, best = _two_phase(c, a_ub, b_ub, a_eq, b_eq)
+            results.append(
+                LpResult(status=status, x=None, objective=None)
+                if best is None
+                else _solution(best.tableau, best.basis, c)
+            )
+            continue
+        status, warm = _warm_solve(best, b_ub, b_eq)
+        if status == "cold":
+            results.append(solve_lp(c, a_ub, b_ub, a_eq, b_eq))
+        elif warm is None:
+            results.append(LpResult(status=status, x=None, objective=None))
+        else:
+            best = warm
+            results.append(_solution(best.tableau, best.basis, c))
+    return results

@@ -1,8 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import grid_fopt
-from qnetlab import capacity
+from qnetlab import capacity, simplex
 from qnetlab.capacity import (
     build_lp,
     lambda_in_capacity,
@@ -10,9 +14,11 @@ from qnetlab.capacity import (
     slater_dmax,
     solve_fopt,
 )
+from qnetlab.cli import override_mu
 from qnetlab.controller import DriftConstants, drift_constants
 from qnetlab.network import load_scenario
 from qnetlab.processes import make_rng
+from test_golden import CASES, RELAY8
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +262,83 @@ def test_bounds_require_interior_point(bb1):
     drift = DriftConstants(B=1.0, D=1.0, T=1, d_max=0.0, **BB1_COSTS)
     with pytest.raises(ValueError, match="interior"):
         performance_bounds(bb1, v_param=1.0, epsilon=0.01, drift=drift)
+
+
+# ---------------------------------------------------------------------------
+# warm-started sweeps against cold solves
+# ---------------------------------------------------------------------------
+
+SWEEP_SCENARIOS = {
+    "relay8": lambda: load_scenario(RELAY8),
+    "downlink2": lambda: load_scenario("downlink2.json"),
+    "bb1-mu0.5": lambda: override_mu(load_scenario("bb1.json"), 0.5),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_case(name):
+    """The scenario's LP and the scale where its ray leaves the capacity
+    region, by bisection on cold feasibility."""
+    lp = build_lp(SWEEP_SCENARIOS[name]())
+    lo, hi = 0.0, 1.0
+    while lp.at(hi * lp.lambdas).solve().feasible:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if lp.at(mid * lp.lambdas).solve().feasible:
+            lo = mid
+        else:
+            hi = mid
+    return lp, lo
+
+
+@st.composite
+def scale_lists(draw, boundary):
+    near = st.floats(-1e-6, 1e-6).map(lambda d: boundary + d)
+    point = st.one_of(
+        st.just(0.0), st.just(boundary), near, st.floats(0.0, 1.5 * boundary)
+    )
+    scales = draw(st.lists(point, min_size=1, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(scales), max_size=3))
+    return draw(st.permutations(scales + repeats))
+
+
+def close(warm, cold):
+    return abs(warm - cold) <= 1e-12 * max(1.0, abs(cold))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_warm_sweep_matches_cold_solves(name, data):
+    lp, boundary = sweep_case(name)
+    scales = data.draw(scale_lists(boundary))
+    for scale, (feasible, f_opt, d_max) in zip(scales, lp.sweep(scales), strict=True):
+        cold = lp.at(scale * lp.lambdas).solve()
+        assert feasible == cold.feasible, scale
+        if feasible:
+            assert close(f_opt, cold.f_opt) and close(d_max, cold.d_max), scale
+        else:
+            assert np.isnan(f_opt) and d_max == 0.0
+
+
+def test_warm_sweep_takes_a_tenth_of_the_cold_pivots(monkeypatch):
+    # A silent fall-back to cold solves would take about as many pivots as
+    # the cold loop itself.
+    argv = CASES["capacity-relay8"]
+    scales = [float(s) for s in argv[argv.index("--sweep-scale") + 1].split(",")]
+    lp = build_lp(load_scenario(RELAY8))
+    pivots = []
+    pivot = simplex._pivot
+
+    def counting(tableau, row, col):
+        pivots.append(1)
+        pivot(tableau, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    for scale in scales:
+        lp.at(scale * lp.lambdas).solve()
+    cold = len(pivots)
+    pivots.clear()
+    lp.sweep(scales)
+    assert len(pivots) <= 0.10 * cold, (len(pivots), cold)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from qnetlab import capacity, controller
+from qnetlab import capacity, cli, controller, network
 from qnetlab.cli import main
 from qnetlab.network import fixture_path
 from qnetlab.simplex import SimplexError
@@ -75,6 +75,37 @@ def test_capacity_repeat_is_byte_identical(tmp_path):
         assert rc == 0
     assert read_bytes(out1 / "capacity.txt") == read_bytes(out2 / "capacity.txt")
     assert read_bytes(out1 / "capacity_sweep.csv") == read_bytes(out2 / "capacity_sweep.csv")
+
+
+@pytest.mark.parametrize("raw, entry", [
+    ("nan", "'nan'"), ("-1", "'-1'"), ("inf", "'inf'"), ("1,,2", "''"), ("abc", "'abc'"),
+    ("0.5,-0.1", "'-0.1'"),
+])
+def test_bad_sweep_scale_fails_before_any_output(tmp_path, capsys, raw, entry):
+    out = tmp_path / "cap"
+    rc = main(["capacity", "downlink2.json", "--sweep-scale", raw, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --sweep-scale entry {entry} ")
+    assert not out.exists()
+
+
+def test_sweep_v_validates_the_scenario_once(tmp_path, monkeypatch):
+    calls = []
+    real_validate = network.validate
+
+    def counting(scenario):
+        calls.append(scenario.name)
+        return real_validate(scenario)
+
+    # Every module binds its own name for the function.
+    for module in (network, capacity, controller, cli):
+        if getattr(module, "validate", None) is real_validate:
+            monkeypatch.setattr(module, "validate", counting)
+    rc = main(["sweep-v", "downlink2.json", "--V", "1,10", "--horizon", "500",
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_capacity_reports_infeasible_lambda(tmp_path, capsys):

@@ -49,7 +49,7 @@ MODULES = {
         "CompositeState", "SlotIO", "conservation_check", "lyapunov_value", "queue_step",
         "virtual_queue_step",
     ],
-    "simplex": ["LpResult", "SimplexError", "solve_lp"],
+    "simplex": ["LpResult", "SimplexError", "solve_lp", "solve_lp_sequence"],
     "stability": [
         "BB1Params", "BlockSums", "InsufficientReplicationsError", "StabilityVerdict",
         "TraceEnsemble", "VerdictThresholds", "bb1_closed_form", "cex_mean_not_rate",

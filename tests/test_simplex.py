@@ -186,3 +186,178 @@ def test_array_pivot_matches_row_loop_bit_for_bit(m, n, data):
     oracles.pivot_by_rows(ref, row, col)
     simplex._pivot(tableau, row, col)
     assert tableau.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# warm-started sequences of right-hand sides
+# ---------------------------------------------------------------------------
+
+
+def _assert_matches_cold(lp, rhs, results):
+    c, a_ub, _, a_eq, _ = lp
+    assert len(results) == len(rhs)
+    for (b_ub, b_eq), warm in zip(rhs, results):
+        cold = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+        assert warm.status == cold.status
+        if cold.status == "optimal":
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            # Phase 1 accepts violations up to its threshold.
+            assert np.all(a_ub @ warm.x <= b_ub + simplex.PHASE1_TOL)
+            assert a_eq @ warm.x == pytest.approx(b_eq, abs=simplex.PHASE1_TOL)
+        else:
+            assert warm.x is None and warm.objective is None
+
+
+def test_sequence_first_point_is_the_cold_solve():
+    c = np.array([3.0, 1.0, 2.0])
+    a_ub = np.array([[1.0, -1.0, 0.5]])
+    a_eq = np.array([[1.0, 1.0, 1.0]])
+    rhs = [(np.array([-0.2]), np.array([1.0])), (np.array([0.3]), np.array([1.0]))]
+    first = simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)[0]
+    cold = solve_lp(c, a_ub, rhs[0][0], a_eq, rhs[0][1])
+    assert first.x.tobytes() == cold.x.tobytes()
+    assert first.objective == cold.objective
+
+
+def test_sequence_on_degenerate_lp_terminates():
+    # Beale's cycling instance: every right-hand side below keeps the origin
+    # a degenerate vertex, so the dual ratio test meets ties and zero rows;
+    # the dual Bland rule must still terminate on the cold optimum.
+    c = np.array([-0.75, 150.0, -0.02, 6.0])
+    a_ub = np.array(
+        [
+            [0.25, -60.0, -0.04, 9.0],
+            [0.5, -90.0, -0.02, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]
+    )
+    a_eq = np.zeros((0, 4))
+    lp = (c, a_ub, None, a_eq, None)
+    rhs = [
+        (np.array(b, dtype=float), np.zeros(0))
+        for b in ([0, 0, 1], [0, 0, 2], [0, 0, 0], [0, -0.0, 0.5], [1, 0, 1], [0, 0, 1])
+    ]
+    results = simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)
+    _assert_matches_cold(lp, rhs, results)
+    assert results[0].objective == pytest.approx(-0.05)
+    assert results[-1].objective == pytest.approx(-0.05)
+
+
+def test_infeasible_point_restores_the_last_optimal_tableau(monkeypatch):
+    # x1 + x2 + x3 == 1, x <= b: (0.1, 0.3, 0.4) is infeasible between two
+    # feasible points.  Its dual pivot must be undone, so the point after it
+    # takes the pivots it takes right after the first point.
+    c = np.array([2.0, 3.0, 1.0])
+    a_ub = np.eye(3)
+    a_eq = np.ones((1, 3))
+    first, infeasible, last = (
+        (np.array(b), np.array([1.0]))
+        for b in ([0.5, 0.5, 0.5], [0.1, 0.3, 0.4], [0.4, 0.5, 0.2])
+    )
+    pivots = []
+    pivot = simplex._pivot
+
+    def recording(tableau, row, col):
+        pivots.append((row, col))
+        pivot(tableau, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+
+    def pivots_of_last(rhs):
+        # The sequence is deterministic: its prefix's pivots come first.
+        pivots.clear()
+        simplex.solve_lp_sequence(c, a_ub, a_eq, rhs[:-1])
+        n_prefix = len(pivots)
+        pivots.clear()
+        results = simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)
+        return results, pivots[n_prefix:]
+
+    assert pivots_of_last([first, infeasible])[1]  # the infeasible point pivots
+    with_gap, after_gap = pivots_of_last([first, infeasible, last])
+    without, after_first = pivots_of_last([first, last])
+    assert [r.status for r in with_gap] == ["optimal", "infeasible", "optimal"]
+    assert after_gap == after_first
+    assert with_gap[2].x.tobytes() == without[1].x.tobytes()
+    assert with_gap[2].x == pytest.approx([0.4, 0.4, 0.2])
+
+
+def test_sequence_solves_cold_until_one_is_optimal():
+    # -b1 <= x1 + x2 <= b2: empty at b = (-3, 2), so the next point is
+    # solved cold too and starts the warm chain.
+    c = np.array([1.0, 1.0])
+    a_ub = np.array([[-1.0, -1.0], [1.0, 1.0]])
+    a_eq = np.zeros((0, 2))
+    rhs = [(np.array(b, dtype=float), np.zeros(0)) for b in ([-3, 2], [-1, 2], [-2, 2])]
+    results = simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)
+    assert [r.status for r in results] == ["infeasible", "optimal", "optimal"]
+    assert [r.objective for r in results[1:]] == pytest.approx([1.0, 2.0])
+
+
+def test_marginal_infeasibility_is_decided_cold(monkeypatch):
+    # x <= b with x == 1: at b = 1 - 5e-8 the violation is under the phase-1
+    # threshold, so the cold solve calls it feasible and so must the sequence;
+    # at b = 1 - 1e-6 both call it infeasible, and only the first is re-solved.
+    c = np.array([1.0])
+    a_ub = np.array([[1.0]])
+    a_eq = np.array([[1.0]])
+    rhs = [(np.array([b]), np.array([1.0])) for b in (2.0, 1.0 - 5e-8, 1.0 - 1e-6, 1.0)]
+    cold_calls = []
+    cold_solve = simplex.solve_lp
+
+    def counting(*args):
+        cold_calls.append(args[2][0])
+        return cold_solve(*args)
+
+    monkeypatch.setattr(simplex, "solve_lp", counting)
+    results = simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)
+    monkeypatch.undo()
+    assert cold_calls == [1.0 - 5e-8]
+    _assert_matches_cold((c, a_ub, None, a_eq, None), rhs, results)
+    assert [r.status for r in results] == ["optimal", "optimal", "infeasible", "optimal"]
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_random_sequences_match_scipy(trial):
+    rng = np.random.default_rng(2000 + trial)
+    n = int(rng.integers(2, 7))
+    m_ub = int(rng.integers(1, 5))
+    m_eq = int(rng.integers(0, 3))
+    c = rng.normal(size=n)
+    a_ub = rng.normal(size=(m_ub, n))
+    a_eq = rng.normal(size=(m_eq, n))
+    rhs = [(rng.normal(size=m_ub) + 0.5, a_eq @ rng.random(n)) for _ in range(6)]
+    for (b_ub, b_eq), ours in zip(rhs, simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)):
+        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq if m_eq else None,
+                      b_eq=b_eq if m_eq else None, method="highs")
+        if ours.status == "optimal":
+            assert ref.status == 0
+            assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
+        elif ours.status == "infeasible":
+            assert ref.status == 2
+        else:
+            assert ref.status == 3
+
+
+@st.composite
+def lp_sequences(draw):
+    c, a_ub, b_ub, a_eq, b_eq = draw(random_lps())
+    scale = draw(st.sampled_from([1.0, 0.1, 0.7]))
+
+    def vector(size):
+        cells = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        return scale * np.array(cells, dtype=float)
+
+    # Later equality right-hand sides either repeat the first (consistent
+    # when it was) or are redrawn, which can make a redundant row inconsistent.
+    rhs = [(b_ub, b_eq)]
+    for _ in range(draw(st.integers(1, 5))):
+        rhs.append((vector(b_ub.size), b_eq if draw(st.booleans()) else vector(b_eq.size)))
+    return (c, a_ub, None, a_eq, None), rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_sequences())
+def test_sequences_match_cold_solves(case):
+    lp, rhs = case
+    c, a_ub, _, a_eq, _ = lp
+    _assert_matches_cold(lp, rhs, simplex.solve_lp_sequence(c, a_ub, a_eq, rhs))
