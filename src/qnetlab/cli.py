@@ -9,10 +9,8 @@ with the same inputs writes byte-identical outputs.  Reports are flat
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -36,6 +34,7 @@ from .stability import (
 )
 
 DEFAULT_SEED = 12345
+CSV_BLOCK_CELLS = 8192  # cells formatted per row block in write_csv: bounds its strings
 COUNTEREXAMPLES = ("rate-not-mean", "mean-not-rate", "strong-not-rate")
 
 
@@ -63,12 +62,28 @@ def write_report(path: Path, items: Iterable[tuple[str, object]]) -> None:
     path.write_text("".join(lines))
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+def _fmt_column(values: Sequence[object]) -> list[str]:
+    """``_fmt`` of every value; a numeric array is formatted through ``tolist``."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return list(map(repr, values.tolist()))
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    return [_fmt(v) for v in values]
+
+
+def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[object]]) -> None:
+    """Write equal-length columns as CSV rows, formatted a row block at a time.
+
+    A block holds about ``CSV_BLOCK_CELLS`` cells.  Cells are ``_fmt`` of
+    each value: numbers, booleans and ``n/a``, none of which needs quoting.
+    """
+    n_rows = len(columns[0]) if columns else 0
+    block = max(1, CSV_BLOCK_CELLS // max(1, len(columns)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, block):
+            cells = [_fmt_column(col[lo : lo + block]) for col in columns]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
 def _echo(*parts: object) -> None:
@@ -145,6 +160,9 @@ def run_lanes(
     ]
     if len(jobs) == 1:
         return controller.run_dpp_batch(*jobs[0])
+    # Imported here: a one-worker run, the common case, never pays for it.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         parts = list(pool.map(controller.run_dpp_batch, *zip(*jobs)))
     return controller.DppBatchResult(
@@ -185,17 +203,19 @@ def trace_header(scenario: Scenario) -> list[str]:
     return cols
 
 
-def trace_rows(run: controller.DppRunResult, limit: int) -> Iterable[list[object]]:
+def trace_columns(run: controller.DppRunResult, limit: int) -> list[np.ndarray]:
+    """The ``trace_header`` columns of the first ``limit`` slots of ``run``."""
     n = min(run.horizon, limit)
-    for t in range(n):
-        row: list[object] = [t]
-        row += [float(v) for v in run.q_path[t]]
-        row += [float(v) for v in run.z_path[t]]
-        row += [int(run.omega_path[t]), int(run.action_path[t])]
-        row += [float(v) for v in run.x_path[t]]
-        row += [float(run.f_path[t])]
-        row += [float(v) for v in run.g_path[t]]
-        yield row
+    return [
+        np.arange(n),
+        *run.q_path[:n].T,
+        *run.z_path[:n].T,
+        run.omega_path[:n],
+        run.action_path[:n],
+        *run.x_path[:n].T,
+        run.f_path[:n],
+        *run.g_path[:n].T,
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +244,9 @@ def _verdict_run(
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     verdict, run = ensemble_verdict(scenario, args, record)
-    write_csv(out / "curves.csv", ["M", "g", "h_mean", "h_p05", "h_p95"], curve_rows(verdict))
+    write_csv(
+        out / "curves.csv", ["M", "g", "h_mean", "h_p05", "h_p95"], list(zip(*curve_rows(verdict)))
+    )
     head: list[tuple[str, object]] = [
         ("command", args.cmd),
         ("scenario", scenario.name),
@@ -238,11 +260,7 @@ def _verdict_run(
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario, verdict, trace_run, items = _verdict_run(args, record=True)
     out = Path(args.out)
-    write_csv(
-        out / "trace.csv",
-        trace_header(scenario),
-        trace_rows(trace_run, args.trace_limit),
-    )
+    write_csv(out / "trace.csv", trace_header(scenario), trace_columns(trace_run, args.trace_limit))
     fast = controller.is_uncontrolled_single_queue(scenario)
     items += [
         ("mode", args.mode),
@@ -277,25 +295,23 @@ def cmd_stability(args: argparse.Namespace) -> int:
     return 0
 
 
-def parse_scales(raw: str) -> list[float]:
-    """``--sweep-scale``'s comma-separated list; every entry finite and >= 0."""
-    scales = []
+def parse_entries(raw: str, flag: str) -> list[float]:
+    """A comma-separated list for ``flag``; every entry finite and >= 0."""
+    values = []
     for entry in raw.split(","):
         try:
-            scale = float(entry)
+            value = float(entry)
         except ValueError:
-            scale = math.nan
-        if not (math.isfinite(scale) and scale >= 0.0):
-            raise ValueError(
-                f"--sweep-scale entry {entry!r} is not a finite non-negative number"
-            )
-        scales.append(scale)
-    return scales
+            value = math.nan
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{flag} entry {entry!r} is not a finite non-negative number")
+        values.append(value)
+    return values
 
 
 def cmd_capacity(args: argparse.Namespace) -> int:
     # Checked before anything is solved or written.
-    scales = parse_scales(args.sweep_scale) if args.sweep_scale else []
+    scales = parse_entries(args.sweep_scale, "--sweep-scale") if args.sweep_scale else []
     scenario = load_scenario(args.scenario)
     if getattr(args, "mu", None) is not None:
         scenario = override_mu(scenario, args.mu)
@@ -337,12 +353,13 @@ def cmd_capacity(args: argparse.Namespace) -> int:
             "f_opt",
             "d_max",
         ]
-        write_csv(out / "capacity_sweep.csv", header, rows)
+        write_csv(out / "capacity_sweep.csv", header, list(zip(*rows)))
         _echo(f"wrote {out / 'capacity_sweep.csv'}")
     return 0
 
 
 def cmd_sweep_v(args: argparse.Namespace) -> int:
+    v_list = parse_entries(args.V_list, "--V")  # checked before anything is written
     scenario = _load_with_overrides(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -358,7 +375,6 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
     drift = controller.drift_constants(scenario, report=cap)
     epsilon = drift.d_max / 4.0
 
-    v_list = [float(v) for v in args.V_list.split(",")]
     batch = run_lanes(
         scenario,
         [v for v in v_list for _ in range(args.reps)],
@@ -383,7 +399,7 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
         + [f"g_avg_{l + 1}" for l in range(scenario.n_constraints)]
         + ["backlog_bound", "cost_bound"]
     )
-    write_csv(out / "sweep.csv", header, rows)
+    write_csv(out / "sweep.csv", header, list(zip(*rows)))
     write_report(
         out / "sweep_report.txt",
         [
@@ -502,7 +518,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     checks, profile, ok = _cex_report(args.name, args.seed)
     write_report(out / "report.txt", checks)
-    write_csv(out / "profile.csv", ["t", "mean_backlog", "running_mean"], profile)
+    write_csv(out / "profile.csv", ["t", "mean_backlog", "running_mean"], list(zip(*profile)))
     for key, value in checks:
         _echo(f"{key}={_fmt(value)}")
     return 0 if ok else 1
@@ -542,6 +558,15 @@ def cmd_bb1(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _weight(raw: str) -> float:
+    """``--V`` of ``simulate`` and ``stability``: one finite weight >= 0."""
+    try:
+        (value,) = parse_entries(raw, "--V")
+    except ValueError:  # a bad entry, or more than one
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a finite non-negative number") from None
+    return value
+
+
 def _positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
@@ -569,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("scenario")
     p_sim.add_argument("--lambda", dest="lam", default=None)
     p_sim.add_argument("--mu", type=float, default=None)
-    p_sim.add_argument("--V", type=float, default=10.0)
+    p_sim.add_argument("--V", type=_weight, default=10.0)
     p_sim.add_argument("--trace-limit", type=_positive_int, default=10_000)
     _add_common(p_sim, reps_default=100)
     p_sim.set_defaults(func=cmd_simulate)
@@ -578,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab.add_argument("scenario")
     p_stab.add_argument("--lambda", dest="lam", default=None)
     p_stab.add_argument("--mu", type=float, default=None)
-    p_stab.add_argument("--V", type=float, default=10.0)
+    p_stab.add_argument("--V", type=_weight, default=10.0)
     _add_common(p_stab, reps_default=100)
     p_stab.set_defaults(func=cmd_stability)
 

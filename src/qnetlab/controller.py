@@ -21,7 +21,7 @@ import numpy as np
 
 from . import capacity
 from .network import MODES, Scenario, evaluate_action
-from .processes import mixing_time, sample_path
+from .processes import mixing_time, sample_paths
 from .queues import CompositeState
 from .stability import TraceEnsemble, single_queue_path
 
@@ -72,13 +72,14 @@ def compile_tables(scenario: Scenario) -> DppTables:
     return DppTables(f=f, pad=pad, g=g, net=net, b=b, y=y, x=x)
 
 
-def _dot(tables: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """``tables[i] @ vecs[i]`` for every lane ``i``.
+def _dot(tables: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``tables[i] @ cols[i]`` into ``out[i]`` for every lane ``i``; ``cols``
+    and ``out`` carry a trailing unit axis.
 
     ``np.matmul`` makes the same BLAS call per lane as ``table @ vec`` makes
     for one state, so a lane and the single-state selection round alike.
     """
-    return np.matmul(tables, vecs[..., None])[..., 0]
+    return np.matmul(tables, cols, out=out)
 
 
 def dpp_select_action(
@@ -197,62 +198,72 @@ def run_dpp_batch(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     v = np.asarray(v_weights, dtype=float)[:, None]
-    if not np.all(v >= 0):
-        raise ValueError("v_weight must be >= 0")
+    if not np.all(np.isfinite(v) & (v >= 0)):
+        raise ValueError("v_weight must be finite and >= 0")
     reps, lane_rep = np.unique(np.asarray(replications, dtype=np.int64), return_inverse=True)
     n, k, n_l = v.shape[0], scenario.n_queues, scenario.n_constraints
     tab = compile_tables(scenario)
     n_a = tab.f.shape[1]
-    f_flat, g_flat, b_flat, y_flat, x_flat = (
-        a.reshape(tab.f.size, *a.shape[2:]) for a in (tab.f, tab.g, tab.b, tab.y, tab.x)
+    f_flat, g_flat, x_flat = (
+        a.reshape(tab.f.size, *a.shape[2:]) for a in (tab.f, tab.g, tab.x)
     )
+    # One gather per slot fetches the chosen actions' b, y and g together.
+    byg_flat = np.concatenate([tab.b, tab.y, tab.g], axis=2).reshape(tab.f.size, 2 * k + n_l)
     arrival_table = np.zeros((k, max(s.table.size for s in scenario.arrivals)))
     for q_idx, spec in enumerate(scenario.arrivals):
         arrival_table[q_idx, : spec.table.size] = spec.table
     queue_ix = np.arange(k)
 
-    omega = np.empty((horizon, reps.size), dtype=np.min_scalar_type(tab.f.shape[0] - 1))
-    arrival_ix = np.empty(
-        (horizon, reps.size, k), dtype=np.min_scalar_type(arrival_table.shape[1] - 1)
-    )
+    omega, arrival_ix = sample_paths(scenario.omega_chain, scenario.arrivals, seed, horizon, reps)
     totals = np.empty((n, horizon))
     actions = np.zeros((horizon, n), dtype=np.min_scalar_type(n_a - 1))
     q_rec, z_rec = np.zeros((record, horizon + 1, k)), np.zeros((record, horizon + 1, n_l))
-    reflect = is_uncontrolled_single_queue(scenario)
-    for j, rep in enumerate(reps):
-        w, idx = sample_path(scenario.omega_chain, scenario.arrivals, seed, horizon, int(rep))
-        omega[:, j], arrival_ix[:, j] = w, idx.T
-        if reflect:
-            q = single_queue_path(tab.y[w, 0, 0] + arrival_table[0, idx[0]], tab.b[w, 0, 0])
+    if is_uncontrolled_single_queue(scenario):
+        for j in range(reps.size):
+            w = omega[:, j]
+            q = single_queue_path(tab.y[w, 0, 0] + arrival_table[0, arrival_ix[:, j, 0]],
+                                  tab.b[w, 0, 0])
             totals[lane_rep == j] = q[:horizon]
             q_rec[lane_rep[:record] == j, :, 0] = q
-
-    if not reflect:
-        clamped = mode == "clamped"
+    else:
         block = max(1, _BLOCK_BYTES // (8 * n * n_a * (k + n_l + 2)))
         # Slot-start backlogs of one block: q_buf[j] is the state at slot t0 + j.
+        # The column views' trailing unit axis is what the stacked products take.
         q_buf, z_buf = np.zeros((block + 1, n, k)), np.zeros((block + 1, n, n_l))
+        q_col, z_col = q_buf[..., None], z_buf[..., None]
         a_buf = np.empty((block, n), dtype=np.intp)
+        # Per-slot scratch, overwritten every slot.
+        gz_col, nq_col = np.empty((n, n_a, 1)), np.empty((n, n_a, 1))
+        gz, nq, scores = gz_col[..., 0], nq_col[..., 0], np.empty((n, n_a))
+        sel, byg = np.empty(n, dtype=np.intp), np.empty((n, 2 * k + n_l))
+        b_offered, y, g = byg[:, :k], byg[:, k : 2 * k], byg[:, 2 * k :]
+        kept = np.empty((n, k))
+        clamped = mode == "clamped"
+        moved = b_offered if clamped else np.empty((n, k))
+        routes = [(y[:, dst], moved[:, src]) for src, dst in scenario.routing]
         for t0 in range(0, horizon, block):
             # Gather one block of slots' tables at once; the slot loop then slices.
             w = omega[t0 : t0 + block, lane_rep].astype(np.intp)
             vf, g_w, net_w = v * tab.f[w] + tab.pad[w], tab.g[w], tab.net[w]
             arrivals = arrival_table[queue_ix, arrival_ix[t0 : t0 + block, lane_rep]]
-            for j, base in enumerate(w * n_a):
-                q, z = q_buf[j], z_buf[j]
-                scores = vf[j] + _dot(g_w[j], z) + _dot(net_w[j], q)
-                sel = base + np.argmin(scores, axis=1, out=a_buf[j])
-                b_offered = b_flat.take(sel, axis=0)
+            # Per-slot views, one tuple per slot; zip stops at the block's last slot.
+            slots = zip(w * n_a, vf, g_w, net_w, arrivals, a_buf, q_buf, q_buf[1:], q_col,
+                        z_buf, z_buf[1:], z_col)
+            for base, vf_j, g_j, net_j, arr_j, a_j, q, q_next, q_c, z, z_next, z_c in slots:
+                _dot(g_j, z_c, gz_col)
+                _dot(net_j, q_c, nq_col)
+                np.add(vf_j, gz, out=scores)
+                np.add(scores, nq, out=scores)
+                np.add(base, scores.argmin(axis=1, out=a_j), out=sel)
+                byg_flat.take(sel, axis=0, out=byg, mode="clip")
                 if clamped:
-                    moved, kept = b_offered, np.maximum(q - b_offered, 0.0)
+                    np.maximum(np.subtract(q, b_offered, out=kept), 0.0, out=kept)
                 else:
-                    moved = np.minimum(b_offered, q)
-                    kept = q - moved
-                y = y_flat.take(sel, axis=0)
-                for src, dst in scenario.routing:
-                    y[:, dst] += moved[:, src]
-                np.add(kept + y, arrivals[j], out=q_buf[j + 1])
-                np.maximum(z + g_flat.take(sel, axis=0), 0.0, out=z_buf[j + 1])
+                    np.subtract(q, np.minimum(b_offered, q, out=moved), out=kept)
+                for dst, src in routes:
+                    dst += src
+                np.add(np.add(kept, y, out=q_next), arr_j, out=q_next)
+                np.maximum(np.add(z, g, out=z_next), 0.0, out=z_next)
             nb = w.shape[0]
             actions[t0 : t0 + nb] = a_buf[:nb]
             totals[:, t0 : t0 + nb] = q_buf[:nb].sum(axis=2).T

@@ -28,13 +28,14 @@ __all__ = [
     "stationary_distribution",
     "mixing_time",
     "sample_path",
+    "sample_paths",
 ]
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 
 _MASK64 = (1 << 64) - 1
-_CHASE_BLOCK = 4096  # slots per index-chase block: bounds the list temporaries
+_SAMPLE_BLOCK_BYTES = 1 << 20  # per time block of sample_paths: its uniforms and maps
 
 
 class ReducibleChainError(ValueError):
@@ -301,35 +302,100 @@ class ArrivalSpec:
         return self.table[self.sample_index(rng, horizon)]
 
 
-def sample_omega_path(
-    chain: FiniteMarkovChain, rng: np.random.Generator, horizon: int
-) -> np.ndarray:
-    """Sample a state-index path of length ``horizon`` from the chain.
+def sample_paths(
+    chain: FiniteMarkovChain,
+    arrival_specs: Sequence[ArrivalSpec],
+    seed: int,
+    horizon: int,
+    replications: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw several replications' network-state paths and arrivals together.
 
-    One ``searchsorted`` per state gives every slot's successor of every
-    state; the path then chases those indices (an i.i.d. chain's path is
-    the first state's successor column).
+    Replication ``r`` draws from ``make_rng(seed, r)`` in a fixed order:
+    ``horizon`` uniforms for the state path, then each queue's arrivals in
+    queue order.  The uniform of slot 0 picks the initial state from
+    ``chain.initial``; the uniform of slot ``t >= 1`` picks the successor of
+    the state at ``t - 1`` from its transition row (the first state whose
+    cumulative probability exceeds it, capped at the last state).  Returns
+    ``(omega, arrival_index)`` of shapes ``(horizon, R)`` and
+    ``(horizon, R, K)``, column ``j`` for ``replications[j]``; the work
+    arriving to queue ``k`` at slot ``t`` is
+    ``arrival_specs[k].table[arrival_index[t, j, k]]``.  Both arrays use the
+    smallest unsigned dtype that holds their values.
+
+    All replications advance in lockstep, one time block at a time
+    (``_SAMPLE_BLOCK_BYTES`` bounds a block's temporaries; chunked draws
+    continue each stream exactly).  Within a block the per-slot successor
+    maps are composed over strides of about ``sqrt(block / 5)`` slots, so
+    Python steps through the stride starts only; the chase is integer
+    indexing, hence exact.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    u = rng.random(horizon)
-    top = chain.n_states - 1  # guard: u can tie the imperfectly-summed cdf top
+    rngs = [make_rng(seed, int(r)) for r in replications]
+    n_r, n_s, top = len(rngs), chain.n_states, chain.n_states - 1
+    omega = np.empty((horizon, n_r), dtype=np.min_scalar_type(top))
+    # A uniform's rank among the sorted distinct cdf values (one searchsorted)
+    # picks its successor of every state: succ[rank, s].  The top guard
+    # catches a uniform at or above a row's imperfectly-summed last value.
     cdf = np.cumsum(chain.transition, axis=1)
-    succ = np.empty((horizon, chain.n_states), dtype=np.min_scalar_type(top))
+    cuts = np.unique(cdf)
+    succ = np.zeros((cuts.size + 1, n_s), dtype=omega.dtype)
     for s, row in enumerate(cdf):
-        succ[:, s] = np.minimum(np.searchsorted(row, u, side="right"), top)
-    state = min(int(np.searchsorted(np.cumsum(chain.initial), u[0], side="right")), top)
-    path = succ[:, 0].copy()
-    path[0] = state
-    if np.any(chain.transition != chain.transition[0]):
-        n_s = chain.n_states
-        for start in range(1, horizon, _CHASE_BLOCK):
-            flat, chased = succ[start : start + _CHASE_BLOCK].ravel().tolist(), []
-            for row in range(0, len(flat), n_s):
-                state = flat[row + state]
-                chased.append(state)
-            path[start : start + len(chased)] = chased
-    return path
+        succ[1:, s] = np.minimum(np.searchsorted(row, cuts, side="right"), top)
+    markov = bool(np.any(chain.transition != chain.transition[0]))
+    block = max(1, _SAMPLE_BLOCK_BYTES // (max(n_r, 1) * (16 + n_s * omega.itemsize)))
+    for t0 in range(0, horizon, block):
+        nb = min(block, horizon - t0)
+        stride = max(1, math.isqrt(nb // 5)) if markov else nb
+        n_c = -(-nb // stride)  # strides in the block; the last is padded
+        u = np.zeros((n_r, n_c * stride))
+        for row, rng in zip(u, rngs):
+            rng.random(nb, out=row[:nb])
+        if t0 == 0:
+            first = np.searchsorted(np.cumsum(chain.initial), u[:, 0], side="right")
+            first = np.minimum(first, top)
+        if not markov:
+            omega[t0 : t0 + nb] = succ[:, 0].take(np.searchsorted(cuts, u.T, side="right"))
+            continue
+        # maps[i, c, r] is replication r's successor map at slot
+        # t0 + c*stride + i; slot 0's map sends every state to the initial one.
+        u = u.T.reshape(n_c, stride, n_r).swapaxes(0, 1)
+        maps = np.empty((stride, n_c, n_r, n_s), dtype=omega.dtype)
+        for i in range(stride):
+            succ.take(np.searchsorted(cuts, u[i], side="right"), axis=0, out=maps[i], mode="clip")
+        if t0 == 0:
+            maps[0, 0] = first[:, None]
+        flat = maps.reshape(stride, -1)
+        offset = np.arange(0, n_c * n_r * n_s, n_s).reshape(n_c, n_r)  # of map (c, r) in flat[i]
+        # comp[c, r, s]: the state after stride c from state s, composed map
+        # by map over every stride at once, as an offset into flat[i].
+        comp = maps[0] + offset[..., None]
+        for i in range(1, stride):
+            np.add(flat[i].take(comp), offset[..., None], out=comp)
+        # Step through the stride starts, with states as offsets r*S + state
+        # into one stride's maps.  Block 0's entry state is never read.
+        comp = (comp - offset[:, :1, None]).reshape(n_c, -1)
+        cur = offset[0] + (omega[t0 - 1] if t0 else 0)
+        entries = [cur]
+        for c in range(n_c - 1):
+            cur = comp[c].take(cur)
+            entries.append(cur)
+        # Chase every stride from its entry state, all strides at once.
+        cur = np.add(entries, offset - offset[0])
+        path = np.empty((n_c, stride, n_r), dtype=omega.dtype)
+        for i in range(stride):
+            path[:, i] = state = flat[i].take(cur)
+            np.add(state, offset, out=cur)
+        omega[t0 : t0 + nb] = path.reshape(-1, n_r)[:nb]
+    if not markov:
+        omega[0] = first
+    dtype = np.min_scalar_type(max([1, *(spec.table.size - 1 for spec in arrival_specs)]))
+    index = np.empty((horizon, n_r, len(arrival_specs)), dtype=dtype)
+    for j, rng in enumerate(rngs):
+        for k, spec in enumerate(arrival_specs):
+            index[:, j, k] = spec.sample_index(rng, horizon)
+    return omega, index
 
 
 def sample_path(
@@ -341,17 +407,10 @@ def sample_path(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one replication's network-state path and arrivals, compactly.
 
-    Deterministic in ``(chain, arrival_specs, seed, horizon, replication)``:
-    the state path's uniforms are drawn first, then each queue's arrivals in
-    queue order.  Returns ``(omega_path, arrival_index)``; the work arriving
-    to queue ``k`` at slot ``t`` is
-    ``arrival_specs[k].table[arrival_index[k, t]]``.  Both arrays use the
-    smallest unsigned dtype that holds their values.
+    The one-replication case of ``sample_paths``: returns
+    ``(omega_path, arrival_index)`` of shapes ``(horizon,)`` and
+    ``(K, horizon)``; the work arriving to queue ``k`` at slot ``t`` is
+    ``arrival_specs[k].table[arrival_index[k, t]]``.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    rng = make_rng(seed, replication)
-    omega = sample_omega_path(chain, rng, horizon)
-    index = [spec.sample_index(rng, horizon) for spec in arrival_specs]
-    dtype = np.result_type(np.uint8, *index)
-    return omega, np.array(index, dtype=dtype).reshape(len(index), horizon)
+    omega, index = sample_paths(chain, arrival_specs, seed, horizon, [replication])
+    return omega[:, 0], np.ascontiguousarray(index[:, 0].T)

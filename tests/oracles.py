@@ -5,22 +5,28 @@ stationary distributions come from power iteration, mixing times from
 repeated dense powering, the capacity optimum from grid search over
 state-conditional action distributions, and controller decisions from an
 explicit exhaustive loop.  The closed-loop reference replays one run slot by
-slot through ``network_step``, the library's one-slot transition, so that
-the batched kernel is checked against the plain recursion.  The simplex's
+slot through ``network_step``, the library's one-slot transition, on a path
+drawn by ``sample_path_by_chase``, the per-replication index chase that
+``processes.sample_paths`` must match bit for bit; so the batched kernel and
+the lockstep sampler are both checked against the plain recursion.  The simplex's
 pivot, entering and leaving rules are kept here as row-by-row loops, the
-reference its array versions must match bit for bit.
+reference its array versions must match bit for bit.  The row-at-a-time
+CSV writer (``csv`` module, ``cli._fmt`` per value) is the byte reference
+for ``cli.write_csv``'s column-wise formatting.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
 import numpy as np
 
+from qnetlab.cli import _fmt
 from qnetlab.controller import DppRunResult, compile_tables, dpp_select_action
 from qnetlab.network import Scenario, evaluate_action, network_step
-from qnetlab.processes import sample_path
+from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, make_rng
 from qnetlab.queues import CompositeState
 from qnetlab.simplex import TOL
 
@@ -137,6 +143,37 @@ def exhaustive_dpp_argmin(
     return best_index
 
 
+def sample_path_by_chase(
+    chain: FiniteMarkovChain,
+    arrival_specs: list[ArrivalSpec],
+    seed: int,
+    horizon: int,
+    replication: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One replication's state path and arrival indices, one slot at a time.
+
+    The same draws as ``sample_path``: ``horizon`` uniforms, then each
+    queue's arrivals.  One ``searchsorted`` per state gives every slot's
+    successor of every state, and a Python loop chases them.
+    """
+    rng = make_rng(seed, replication)
+    u = rng.random(horizon)
+    top = chain.n_states - 1
+    cdf = np.cumsum(chain.transition, axis=1)
+    succ = np.empty((horizon, chain.n_states), dtype=np.min_scalar_type(top))
+    for s, row in enumerate(cdf):
+        succ[:, s] = np.minimum(np.searchsorted(row, u, side="right"), top)
+    state = min(int(np.searchsorted(np.cumsum(chain.initial), u[0], side="right")), top)
+    path = np.empty(horizon, dtype=succ.dtype)
+    path[0] = state
+    for t in range(1, horizon):
+        state = int(succ[t, state])
+        path[t] = state
+    index = [spec.sample_index(rng, horizon) for spec in arrival_specs]
+    dtype = np.result_type(np.uint8, *index)
+    return path, np.array(index, dtype=dtype).reshape(len(index), horizon)
+
+
 def replay_with_network_step(
     scenario: Scenario,
     v_weight: float,
@@ -148,7 +185,7 @@ def replay_with_network_step(
     """Closed-loop reference: one ``dpp_select_action`` and one
     ``network_step`` per slot, on the replication's sampled path."""
     k, n_l, m = scenario.n_queues, scenario.n_constraints, scenario.n_attributes
-    omega_path, arrival_index = sample_path(
+    omega_path, arrival_index = sample_path_by_chase(
         scenario.omega_chain, scenario.arrivals, seed, horizon, replication
     )
     arrivals = np.array(
@@ -185,6 +222,28 @@ def replay_with_network_step(
         g_path=g_path,
         arrivals=arrivals,
     )
+
+
+def write_csv_by_rows(path, header, rows) -> None:
+    """CSV through the ``csv`` module, one row and one ``_fmt`` per value at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def trace_rows(run: DppRunResult, limit: int):
+    """The ``trace.csv`` rows of the first ``limit`` slots, one slot at a time."""
+    for t in range(min(run.horizon, limit)):
+        row: list[object] = [t]
+        row += [float(v) for v in run.q_path[t]]
+        row += [float(v) for v in run.z_path[t]]
+        row += [int(run.omega_path[t]), int(run.action_path[t])]
+        row += [float(v) for v in run.x_path[t]]
+        row += [float(run.f_path[t])]
+        row += [float(v) for v in run.g_path[t]]
+        yield row
 
 
 def pivot_by_rows(tableau: np.ndarray, row: int, col: int) -> None:

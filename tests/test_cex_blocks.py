@@ -5,7 +5,8 @@ The counter-example reports never hold the (replications x horizon) matrix:
 reduces each block as it is made.  These tests pin what byte identity with
 the full-matrix code rests on: the stacked blocks equal one one-shot draw,
 the blocked reductions equal the full-matrix formulas, and the commands stay
-small in memory.
+small in memory.  The memory guard also covers ``simulate``, whose sampler
+and CSV writer work in bounded blocks too.
 """
 
 from __future__ import annotations
@@ -189,15 +190,13 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for ru_maxrss")
-@pytest.mark.parametrize("name", ["rate-not-mean", "mean-not-rate", "strong-not-rate"])
-def test_counterexample_peak_rss_is_bounded(tmp_path, name):
+def peak_rss_mb(*cli_args: str) -> float:
+    """Whole-process peak RSS of one ``python -m qnetlab.cli`` command."""
     src = str(Path(qnetlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     run = subprocess.run(
-        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "qnetlab.cli",
-         "counterexample", name, "--out", str(tmp_path)],
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "qnetlab.cli", *cli_args],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
@@ -205,5 +204,22 @@ def test_counterexample_peak_rss_is_bounded(tmp_path, name):
     assert code == 0, run.stderr
     # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
     scale = 1 if sys.platform == "darwin" else 1024
-    peak_mb = max_rss * scale / 2**20
+    return max_rss * scale / 2**20
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for ru_maxrss")
+@pytest.mark.parametrize("name", ["rate-not-mean", "mean-not-rate", "strong-not-rate"])
+def test_counterexample_peak_rss_is_bounded(tmp_path, name):
+    peak_mb = peak_rss_mb("counterexample", name, "--out", str(tmp_path))
     assert peak_mb <= RSS_CEILING_MB, f"{name}: peak RSS {peak_mb:.1f} MB"
+
+
+SIMULATE_RSS_CEILING_MB = 80  # the benchmark's dpp-ensemble command peaks near 42 MB
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for ru_maxrss")
+def test_simulate_peak_rss_is_bounded(tmp_path):
+    # Guards the lockstep sampler's blocks and the CSV writer's row blocks.
+    peak_mb = peak_rss_mb("simulate", "downlink2.json", "--horizon", "3000", "--reps", "100",
+                          "--out", str(tmp_path))
+    assert peak_mb <= SIMULATE_RSS_CEILING_MB, f"simulate: peak RSS {peak_mb:.1f} MB"

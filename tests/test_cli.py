@@ -1,12 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qnetlab
+from oracles import trace_rows, write_csv_by_rows
 from qnetlab import capacity, cli, controller, network
 from qnetlab.cli import main
 from qnetlab.network import fixture_path
 from qnetlab.simplex import SimplexError
+
+RELAY8 = str(Path(__file__).parent / "fixtures" / "relay8.json")
 
 
 def read_bytes(path: Path) -> bytes:
@@ -324,3 +332,94 @@ def test_mu_flag_requires_bb1_shape(tmp_path, capsys):
     )
     assert rc == 2
     assert "two-state" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# weights
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("raw, entry", [
+    ("inf", "'inf'"), ("1,nan", "'nan'"), ("-1", "'-1'"), ("1,,2", "''"), ("1e400", "'1e400'"),
+])
+def test_bad_v_list_fails_before_any_output(tmp_path, capsys, raw, entry):
+    out = tmp_path / "sweep"
+    rc = main(["sweep-v", "downlink2.json", "--V", raw, "--horizon", "500", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: --V entry {entry} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+@pytest.mark.parametrize("raw", ["inf", "1e400", "nan", "-0.5", "1,2"])
+def test_bad_v_is_usage_error(tmp_path, capsys, command, raw):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "downlink2.json", "--V", raw, "--horizon", "500", "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert f"argument --V: {raw!r} is not a finite non-negative number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# CSV writer
+# ---------------------------------------------------------------------------
+
+
+TRACE_SCENARIOS = {
+    "bb1": ["bb1.json", "--lambda", "0.3", "--mu", "0.5"],  # no constraints: L = 0
+    "downlink2": ["downlink2.json", "--V", "3"],
+    "relay8": [RELAY8, "--mode", "clamped"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SCENARIOS))
+def test_trace_csv_matches_row_writer(tmp_path, monkeypatch, name):
+    args = ["simulate", *TRACE_SCENARIOS[name], "--horizon", "1200", "--reps", "2",
+            "--seed", "21", "--trace-limit", "1000", "--out", str(tmp_path)]
+    parsed = cli.build_parser().parse_args(args)
+    scenario = cli._load_with_overrides(parsed)
+    # Row blocks of 64: the 1000 traced slots end in a partial block.
+    monkeypatch.setattr(cli, "CSV_BLOCK_CELLS", 64 * len(cli.trace_header(scenario)))
+    assert main(args) == 0
+    run = controller.run_dpp_batch(scenario, [parsed.V], [0], 21, 1200, parsed.mode,
+                                   record=1).runs[0]
+    write_csv_by_rows(tmp_path / "rows.csv", cli.trace_header(scenario), trace_rows(run, 1000))
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_write_csv_matches_row_writer_on_edge_values(tmp_path, monkeypatch):
+    run = controller.run_dpp_batch(network.load_scenario(fixture_path("downlink2")), [2.0],
+                                   [0], 3, 50, record=1).runs[0]
+    run.q_path[:8, 0] = [-0.0, 5e-324, 1e16, 3.0, -2.0, 1e-300, 1.7976931348623157e308, 0.1]
+    run.f_path[:4] = [-0.0, 1e16, 7.0, 2.5e-8]
+    run.x_path[:3, 0] = [5e-324, 4.0, -1e16]
+    monkeypatch.setattr(cli, "CSV_BLOCK_CELLS", 3 * 9)  # 9 trace columns: blocks of 3 rows
+    header = cli.trace_header(network.load_scenario(fixture_path("downlink2")))
+    cli.write_csv(tmp_path / "cols.csv", header, cli.trace_columns(run, 20))
+    write_csv_by_rows(tmp_path / "rows.csv", header, trace_rows(run, 20))
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    # Python values, as the sweep and capacity rows hold them.
+    rows = [[0.5, True, None, 2, np.float64(-0.0), np.uint8(7)],
+            [1e16, False, float("nan"), -3, np.float64(5e-324), np.int64(-1)]]
+    cli.write_csv(tmp_path / "cols.csv", list("abcdef"), list(zip(*rows)))
+    write_csv_by_rows(tmp_path / "rows.csv", list("abcdef"), rows)
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# process start-up
+# ---------------------------------------------------------------------------
+
+
+def test_cli_import_leaves_the_worker_pool_unloaded():
+    # Only a multi-worker run imports the process pool (and multiprocessing).
+    src = str(Path(qnetlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, qnetlab.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -132,6 +132,13 @@ def test_negative_weight_is_rejected(downlink2):
         run_dpp_batch(downlink2, [1.0, -1.0], [0, 0], 1, 100)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_weight_is_rejected(downlink2, bad):
+    # V = inf would score inf * 0 = NaN on zero-cost actions.
+    with pytest.raises(ValueError, match="v_weight must be finite"):
+        run_dpp_batch(downlink2, [1.0, bad], [0, 1], 1, 100)
+
+
 def test_unknown_mode_is_rejected(downlink2):
     # A misspelt mode used to run respect mode silently.
     with pytest.raises(ValueError, match="mode"):
@@ -302,7 +309,7 @@ def test_lane_products_round_like_single_state_products(n, n_actions, width, see
     rng = make_rng(seed, 0)
     tables = rng.integers(-20, 21, size=(n, n_actions, width)) / 10
     vecs = rng.random((n, width)) * 10
-    stacked = _dot(tables, vecs)
+    stacked = _dot(tables, vecs[..., None], np.empty((n, n_actions, 1)))[..., 0]
     for i in range(n):
         assert np.array_equal(stacked[i], tables[i] @ vecs[i])
 

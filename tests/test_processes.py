@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import mixing_time_by_powering, stationary_by_power
+from oracles import mixing_time_by_powering, sample_path_by_chase, stationary_by_power
+from qnetlab import processes
 from qnetlab.processes import (
     ArrivalSpec,
     FiniteMarkovChain,
@@ -10,6 +13,7 @@ from qnetlab.processes import (
     make_rng,
     mixing_time,
     sample_path,
+    sample_paths,
     splitmix64,
     stationary_distribution,
     substream_seed,
@@ -152,6 +156,72 @@ def test_sample_path_rejects_zero_horizon():
     chain = two_state(0.3, 0.4)
     with pytest.raises(ValueError):
         sample_path(chain, [], seed=5, horizon=0)
+
+
+@st.composite
+def chains(draw):
+    """Chains of 1-16 states: i.i.d. or Markov rows of small integer weights
+    (so with zero-probability entries), or uniform rows ``1/S``, whose float
+    sum falls short of 1 for some S (0.1 x 10 sums to 0.9999999999999999)."""
+    n = draw(st.integers(1, 16))
+
+    def row():
+        if draw(st.booleans()):
+            return np.full(n, 1.0 / n)
+        weights = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), float)
+        weights[draw(st.integers(0, n - 1))] += 1.0
+        return weights / weights.sum()
+
+    initial = row()
+    if draw(st.booleans()):
+        return FiniteMarkovChain.iid(initial)
+    return FiniteMarkovChain(np.array([row() for _ in range(n)]), initial)
+
+
+ARRIVAL_SPECS = [
+    ArrivalSpec(kind="bernoulli", rate=0.3, p=0.3),
+    ArrivalSpec(kind="deterministic", rate=1.0, values=(0.0, 1.0, 2.0)),
+    ArrivalSpec(kind="iid_table", rate=0.75, values=(0.0, 1.0, 2.0), probs=(0.5, 0.25, 0.25)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    chain=chains(),
+    specs=st.lists(st.sampled_from(ARRIVAL_SPECS), max_size=3),
+    replications=st.lists(st.integers(0, 2**20), min_size=1, max_size=7, unique=True),
+    block=st.integers(1, 100),
+    data=st.data(),
+)
+def test_lockstep_sampler_matches_per_replication_chase(chain, specs, replications, block,
+                                                        data):
+    # Blocks of ``block`` slots; horizons from 1 to three blocks plus one
+    # cover partial last blocks, padded strides and block-boundary chases.
+    horizon = data.draw(st.integers(1, 3 * block + 1), label="horizon")
+    n_s = chain.n_states
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(processes, "_SAMPLE_BLOCK_BYTES", block * len(replications) * (16 + n_s))
+        omega, index = sample_paths(chain, specs, 77, horizon, replications)
+    assert omega.shape == (horizon, len(replications))
+    assert index.shape == (horizon, len(replications), len(specs))
+    for j, rep in enumerate(replications):
+        want_omega, want_index = sample_path_by_chase(chain, specs, 77, horizon, rep)
+        assert omega.dtype == want_omega.dtype and index.dtype == want_index.dtype
+        assert omega[:, j].tobytes() == want_omega.tobytes()
+        assert index[:, j].T.tobytes() == want_index.tobytes()
+
+
+def test_lockstep_sampler_with_default_blocks():
+    # One block of 5000 slots, chased in strides of 31; 0.1 summed ten times
+    # is 0.9999999999999999, and row 3 has zero-probability entries.
+    transition = np.full((10, 10), 0.1)
+    transition[3] = [0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
+    chain = FiniteMarkovChain(transition, np.full(10, 0.1))
+    assert np.cumsum(transition[0])[-1] < 1.0
+    omega, _ = sample_paths(chain, [], 5, 5000, [4, 1, 9])
+    for j, rep in enumerate([4, 1, 9]):
+        assert np.array_equal(omega[:, j], sample_path_by_chase(chain, [], 5, 5000, rep)[0])
+    assert np.array_equal(sample_path(chain, [], 5, 5000, 1)[0], omega[:, 1])
 
 
 def test_bernoulli_mean_clt_bound():

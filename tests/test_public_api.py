@@ -43,7 +43,8 @@ MODULES = {
     "processes": [
         "ArrivalSpec", "FiniteMarkovChain", "MixingReport", "PeriodicChainError",
         "ReducibleChainError", "StationaryDistribution", "make_rng", "mixing_time",
-        "sample_path", "splitmix64", "stationary_distribution", "substream_seed",
+        "sample_path", "sample_paths", "splitmix64", "stationary_distribution",
+        "substream_seed",
     ],
     "queues": [
         "CompositeState", "SlotIO", "conservation_check", "lyapunov_value", "queue_step",
