@@ -20,8 +20,7 @@ inequality can be pushed down to -d/2) is one extra LP variable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,20 +46,17 @@ __all__ = [
 FEAS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class OmegaOnlyPolicy:
     """Conditional action distributions, one probability vector per state."""
 
-    distributions: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        for w, dist in enumerate(self.distributions):
+    def __init__(self, distributions: tuple[np.ndarray, ...]) -> None:
+        self.distributions = distributions
+        for w, dist in enumerate(distributions):
             if np.any(dist < -FEAS_TOL) or abs(dist.sum() - 1.0) > 1e-6:
                 raise ValueError(f"policy row {w} is not a probability vector")
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(NamedTuple):
     feasible: bool
     f_opt: float
     d_max: float
@@ -69,16 +65,14 @@ class CapacityReport:
     routing_outer_bound: bool  # LP ignores backlog coupling when routing exists
 
 
-@dataclass(frozen=True)
-class PerformanceBounds:
+class PerformanceBounds(NamedTuple):
     c_0: float
     T_eps: int
     backlog_bound: float
     cost_bound: float
 
 
-@dataclass
-class PolicyLp:
+class PolicyLp(NamedTuple):
     """LP data over flattened policy variables for one arrival-rate vector.
 
     Only the queue rows' right-hand side depends on the rates, so ``at``
@@ -110,7 +104,7 @@ class PolicyLp:
             raise ValueError("arrival rates must be non-negative")
         b_ub = self.b_ub.copy()
         b_ub[self.scenario.n_constraints :] = -lams
-        return replace(self, lambdas=lams, b_ub=b_ub)
+        return self._replace(lambdas=lams, b_ub=b_ub)
 
     def policy_from(self, x: np.ndarray) -> OmegaOnlyPolicy:
         dists = []

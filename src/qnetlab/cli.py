@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -111,7 +110,7 @@ def override_lambdas(scenario: Scenario, lams: Sequence[float]) -> Scenario:
     arrivals = [
         ArrivalSpec(kind="bernoulli", rate=lam, p=lam, size=1.0) for lam in lams
     ]
-    return replace(scenario, arrivals=arrivals)
+    return scenario._replace(arrivals=arrivals)
 
 
 def override_mu(scenario: Scenario, mu: float) -> Scenario:
@@ -131,7 +130,7 @@ def override_mu(scenario: Scenario, mu: float) -> Scenario:
     new_chain = FiniteMarkovChain(
         transition=np.vstack([row, row]), initial=row.copy(), labels=chain.labels
     )
-    return replace(scenario, omega_chain=new_chain)
+    return scenario._replace(omega_chain=new_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +439,7 @@ def _cex_report(
         final = sums.columns[40]
         mean6 = float(sums.column_sums[6] / n_reps / 6.0)
         frac_zero_at_40 = float((final == 0.0).mean())
-        slope_final = float(np.median(final / 40.0))
+        slope_final = float(stability._median(final / 40.0))
         ok = (
             abs(mean6 - (2.0**6) / 6.0) <= 0.1 * (2.0**6) / 6.0
             and frac_zero_at_40 >= 0.99

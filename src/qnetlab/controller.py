@@ -14,8 +14,7 @@ purpose; the network transition applies the clamp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,8 +38,7 @@ __all__ = [
 _BLOCK_BYTES = 1 << 18  # per-block table gathers in run_dpp_batch
 
 
-@dataclass(frozen=True)
-class DppTables:
+class DppTables(NamedTuple):
     """Per-state action tables, indexed ``[omega, action]`` and padded to the
     largest action count: padded entries are zero and carry ``pad = +inf``.
 
@@ -104,27 +102,32 @@ def dpp_select_action(
     return int(np.argmin(scores))
 
 
-@dataclass
 class DppRunResult:
-    """Closed-loop run output: per-slot records plus achieved time averages."""
+    """Closed-loop run output: per-slot records plus achieved time averages
+    (``avg_cost``, ``avg_g``, ``avg_backlog_sum``, ``q_slopes``, ``z_slopes``,
+    derived from the records)."""
 
-    horizon: int
-    q_path: np.ndarray       # (horizon + 1, K); slot-start backlogs
-    z_path: np.ndarray       # (horizon + 1, L)
-    omega_path: np.ndarray   # (horizon,)
-    action_path: np.ndarray  # (horizon,)
-    x_path: np.ndarray       # (horizon, M)
-    f_path: np.ndarray       # (horizon,)
-    g_path: np.ndarray       # (horizon, L)
-    arrivals: np.ndarray     # (K, horizon)
-    avg_cost: float = field(init=False)
-    avg_g: np.ndarray = field(init=False)
-    avg_backlog_sum: float = field(init=False)
-    q_slopes: np.ndarray = field(init=False)
-    z_slopes: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        t = self.horizon
+    def __init__(
+        self,
+        horizon: int,
+        q_path: np.ndarray,       # (horizon + 1, K); slot-start backlogs
+        z_path: np.ndarray,       # (horizon + 1, L)
+        omega_path: np.ndarray,   # (horizon,)
+        action_path: np.ndarray,  # (horizon,)
+        x_path: np.ndarray,       # (horizon, M)
+        f_path: np.ndarray,       # (horizon,)
+        g_path: np.ndarray,       # (horizon, L)
+        arrivals: np.ndarray,     # (K, horizon)
+    ) -> None:
+        self.horizon = t = horizon
+        self.q_path = q_path
+        self.z_path = z_path
+        self.omega_path = omega_path
+        self.action_path = action_path
+        self.x_path = x_path
+        self.f_path = f_path
+        self.g_path = g_path
+        self.arrivals = arrivals
         self.avg_cost = float(self.f_path.mean())
         self.avg_g = self.g_path.mean(axis=0)
         self.avg_backlog_sum = float(
@@ -143,8 +146,7 @@ class DppRunResult:
         return TraceEnsemble(backlog=total[None, :])
 
 
-@dataclass
-class DppBatchResult:
+class DppBatchResult(NamedTuple):
     """Per-lane outputs of ``run_dpp_batch``; lane ``i`` runs
     ``v_weights[i]`` on replication ``replications[i]``."""
 
@@ -293,8 +295,7 @@ def run_dpp_batch(
     return result
 
 
-@dataclass(frozen=True)
-class DriftConstants:
+class DriftConstants(NamedTuple):
     """Diagnostic constants for the T-slot drift analysis.
 
     ``B`` bounds half the worst-case second moments of service and of

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,8 +54,7 @@ class ScenarioError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-@dataclass(frozen=True)
-class AffineFunction:
+class AffineFunction(NamedTuple):
     """``value(x) = c0 + coeffs . x``."""
 
     c0: float
@@ -67,8 +64,7 @@ class AffineFunction:
         return self.c0 + float(np.dot(self.coeffs, x))
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """One control action's offered quantities at one network state."""
 
     name: str
@@ -77,21 +73,31 @@ class Action:
     x: np.ndarray  # attribute vector
 
 
-@dataclass
 class Scenario:
-    name: str
-    n_queues: int
-    n_constraints: int
-    n_attributes: int
-    omega_chain: FiniteMarkovChain
-    actions: list[list[Action]]
-    cost: AffineFunction
-    constraints: list[AffineFunction]
-    arrivals: list[ArrivalSpec]
-    routing: list[tuple[int, int]] = field(default_factory=list)  # (src, dst)
-
-    def __post_init__(self) -> None:
-        k, m = self.n_queues, self.n_attributes
+    def __init__(
+        self,
+        name: str,
+        n_queues: int,
+        n_constraints: int,
+        n_attributes: int,
+        omega_chain: FiniteMarkovChain,
+        actions: list[list[Action]],
+        cost: AffineFunction,
+        constraints: list[AffineFunction],
+        arrivals: list[ArrivalSpec],
+        routing: list[tuple[int, int]] | None = None,  # (src, dst) pairs; None: no routing
+    ) -> None:
+        self.name = name
+        self.n_queues = n_queues
+        self.n_constraints = n_constraints
+        self.n_attributes = n_attributes
+        self.omega_chain = omega_chain
+        self.actions = actions
+        self.cost = cost
+        self.constraints = constraints
+        self.arrivals = arrivals
+        self.routing = [] if routing is None else routing
+        k, m = n_queues, n_attributes
         if len(self.actions) != self.omega_chain.n_states:
             raise ScenarioError("actions", "need one action list per omega state")
         for w, acts in enumerate(self.actions):
@@ -127,6 +133,11 @@ class Scenario:
                 raise ScenarioError(loc, f"duplicate routing pair ({src}, {dst})")
             seen_pairs.add((src, dst))
 
+    def _replace(self, **changes: Any) -> Scenario:
+        """A new scenario with some constructor arguments changed, validated
+        again; named like the ``_replace`` of the NamedTuple records."""
+        return Scenario(**{**vars(self), **changes})
+
     @property
     def lambdas(self) -> np.ndarray:
         return np.asarray([spec.rate for spec in self.arrivals], dtype=float)
@@ -138,15 +149,13 @@ class Scenario:
         return stationary_distribution(self.omega_chain).pi
 
 
-@dataclass(frozen=True)
-class ScenarioValidation:
+class ScenarioValidation(NamedTuple):
     sigma2: float
     f_min: float
     f_max: float
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     omega_index: int
     action_index: int
     arrivals: np.ndarray
@@ -286,9 +295,7 @@ def network_step(
 def fixture_path(name: str) -> Path:
     """Path of a shipped scenario fixture (``bb1`` or ``downlink2``)."""
     stem = name[:-5] if name.endswith(".json") else name
-    ref = resources.files("qnetlab").joinpath(f"fixtures/{stem}.json")
-    with resources.as_file(ref) as p:
-        return Path(p)
+    return Path(__file__).parent / "fixtures" / f"{stem}.json"
 
 
 def _expect(obj: Any, key: str, where: str) -> Any:

@@ -10,8 +10,7 @@ integers, so distinct replications always get distinct substream seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,13 +65,11 @@ def make_rng(master_seed: int, replication: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(substream_seed(master_seed, replication)))
 
 
-@dataclass(frozen=True)
-class StationaryDistribution:
+class StationaryDistribution(NamedTuple):
     pi: np.ndarray
 
 
-@dataclass(frozen=True)
-class MixingReport:
+class MixingReport(NamedTuple):
     """Least horizon T at which every start state is within ``delta`` of
     stationarity in total variation, with the max-TV decay curve up to T."""
 
@@ -81,18 +78,15 @@ class MixingReport:
     tv_curve: tuple[tuple[int, float], ...]
 
 
-@dataclass
 class FiniteMarkovChain:
     """Row-stochastic transition matrix plus an initial distribution."""
 
-    transition: np.ndarray
-    initial: np.ndarray
-    labels: tuple[str, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        self.transition = np.asarray(self.transition, dtype=float)
-        self.initial = np.asarray(self.initial, dtype=float)
-        p, pi0 = self.transition, self.initial
+    def __init__(
+        self, transition: np.ndarray, initial: np.ndarray, labels: tuple[str, ...] = ()
+    ) -> None:
+        self.transition = p = np.asarray(transition, dtype=float)
+        self.initial = pi0 = np.asarray(initial, dtype=float)
+        self.labels = labels
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("transition must be a square matrix")
         n = p.shape[0]
@@ -213,7 +207,6 @@ def mixing_time(
     raise ArithmeticError(f"chain did not mix to delta={delta} within {max_steps} steps")
 
 
-@dataclass(frozen=True)
 class ArrivalSpec:
     """Declarative arrival process for one queue.
 
@@ -229,15 +222,23 @@ class ArrivalSpec:
     mean of the generator.
     """
 
-    kind: str
-    rate: float
-    p: float = 0.0
-    size: float = 1.0
-    values: tuple[float, ...] = ()
-    probs: tuple[float, ...] = ()
-    tag: str = ""
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        kind: str,
+        rate: float,
+        p: float = 0.0,
+        size: float = 1.0,
+        values: tuple[float, ...] = (),
+        probs: tuple[float, ...] = (),
+        tag: str = "",
+    ) -> None:
+        self.kind = kind
+        self.rate = rate
+        self.p = p
+        self.size = size
+        self.values = values
+        self.probs = probs
+        self.tag = tag
         if self.kind not in ("bernoulli", "deterministic", "iid_table", "counterexample"):
             raise ValueError(f"unknown arrival kind {self.kind!r}")
         if self.rate < 0 or not math.isfinite(self.rate):
@@ -302,6 +303,16 @@ class ArrivalSpec:
         return self.table[self.sample_index(rng, horizon)]
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for NaN-free input, without the masked-array
+    check (and the import of numpy.ma) that numpy's version makes."""
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def sample_paths(
     chain: FiniteMarkovChain,
     arrival_specs: Sequence[ArrivalSpec],
@@ -339,7 +350,7 @@ def sample_paths(
     # picks its successor of every state: succ[rank, s].  The top guard
     # catches a uniform at or above a row's imperfectly-summed last value.
     cdf = np.cumsum(chain.transition, axis=1)
-    cuts = np.unique(cdf)
+    cuts = _sorted_unique(cdf)
     succ = np.zeros((cuts.size + 1, n_s), dtype=omega.dtype)
     for s, row in enumerate(cdf):
         succ[1:, s] = np.minimum(np.searchsorted(row, cuts, side="right"), top)

@@ -12,8 +12,7 @@ All functions here are pure value-to-value maps with no shared state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +31,7 @@ CONSERVATION_TOL_PER_SLOT = 1e-13
 CONSERVATION_TOL_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class SlotIO:
+class SlotIO(NamedTuple):
     """One slot of queue input/output accounting.
 
     ``actual_service`` is ``min(offered_service, backlog-at-slot-start)``;
@@ -47,16 +45,12 @@ class SlotIO:
     negative_part: float
 
 
-@dataclass
 class CompositeState:
     """Actual queue backlogs plus virtual-queue backlogs, as float vectors."""
 
-    queues: np.ndarray
-    virtuals: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.queues = np.asarray(self.queues, dtype=float)
-        self.virtuals = np.asarray(self.virtuals, dtype=float)
+    def __init__(self, queues: np.ndarray, virtuals: np.ndarray) -> None:
+        self.queues = np.asarray(queues, dtype=float)
+        self.virtuals = np.asarray(virtuals, dtype=float)
         if self.queues.ndim != 1 or self.virtuals.ndim != 1:
             raise ValueError("queues and virtuals must be 1-d vectors")
         if np.any(self.queues < 0) or np.any(self.virtuals < 0):

@@ -20,8 +20,7 @@ to more than 1e-7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,8 +34,7 @@ class SimplexError(RuntimeError):
     """Numerical failure inside the solver (not infeasibility/unboundedness)."""
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | None
@@ -88,8 +86,7 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], eligible: np.ndarray) ->
     raise SimplexError("pivot limit exceeded; tableau did not converge")
 
 
-@dataclass
-class _Optimum:
+class _Optimum(NamedTuple):
     """An optimal phase-2 tableau and what a warm start needs to reuse it.
 
     ``identity[i]`` is the column that was the unit vector e_i before any

@@ -412,14 +412,37 @@ def test_write_csv_matches_row_writer_on_edge_values(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_cli_import_leaves_the_worker_pool_unloaded():
+STARTUP_PROBE = """
+import contextlib, io, sys
+import qnetlab.cli
+watched = {"multiprocessing", "concurrent.futures", "dataclasses", "numpy.ma"}
+print(sorted(watched & set(sys.modules)))
+out, relay8 = sys.argv[1:]
+runs = [
+    ["simulate", "bb1.json", "--horizon", "1000", "--reps", "4"],
+    ["simulate", "downlink2.json", "--horizon", "1000", "--reps", "4"],
+    ["stability", "downlink2.json", "--horizon", "1000", "--reps", "4"],
+    ["sweep-v", relay8, "--V", "1,10", "--horizon", "300"],
+    ["capacity", relay8, "--sweep-scale", "0.5,1,1.5"],
+    ["counterexample", "rate-not-mean"],
+]
+for args in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = qnetlab.cli.main(args + ["--out", out])
+    assert code == 0, (args, code)
+print(sorted(watched & set(sys.modules)))
+"""
+
+
+def test_cli_import_leaves_the_worker_pool_unloaded(tmp_path):
     # Only a multi-worker run imports the process pool (and multiprocessing).
+    # Records are NamedTuples or plain classes, so nothing imports
+    # dataclasses, and no one-worker command loads numpy.ma, which
+    # np.median, np.percentile and a bare np.unique import on first use.
     src = str(Path(qnetlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, qnetlab.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
+    run = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path), RELAY8],
+                         env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.splitlines() == ["[]", "[]"]

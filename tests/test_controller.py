@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,13 +272,12 @@ def bb1_variants():
     the queue in the OFF state, and a variant with non-integer arrivals."""
     bb1 = load_scenario("bb1.json")
     off = bb1.actions[0][0]
-    markov = replace(
-        bb1,
+    markov = bb1._replace(
         omega_chain=FiniteMarkovChain(np.array([[0.5, 0.5], [0.1, 0.9]]), np.array([1.0, 0.0])),
         actions=[[Action(off.name, y=np.array([1.0]), b=off.b, x=off.x)], bb1.actions[1]],
     )
-    fractional = replace(
-        bb1, arrivals=[ArrivalSpec(kind="bernoulli", rate=0.21, p=0.3, size=0.7)]
+    fractional = bb1._replace(
+        arrivals=[ArrivalSpec(kind="bernoulli", rate=0.21, p=0.3, size=0.7)]
     )
     return {"bb1": bb1, "markov-transfer": markov, "fractional": fractional}
 
@@ -396,8 +393,7 @@ def test_drift_constants_iid_chain_has_unit_mixing():
 
 
 def test_drift_constants_reject_boundary(downlink2):
-    boundary = replace(
-        downlink2,
+    boundary = downlink2._replace(
         arrivals=[
             ArrivalSpec(kind="bernoulli", rate=0.5, p=0.5),
             ArrivalSpec(kind="bernoulli", rate=0.5, p=0.5),

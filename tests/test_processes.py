@@ -211,6 +211,15 @@ def test_lockstep_sampler_matches_per_replication_chase(chain, specs, replicatio
         assert index[:, j].T.tobytes() == want_index.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(chain=chains())
+def test_sorted_unique_of_cdf_rows_is_numpys_unique(chain):
+    # The rows have zero-probability entries (repeated cdf values) or a float
+    # sum short of 1; the sampler's cut values must be np.unique's, bit for bit.
+    cdf = np.cumsum(chain.transition, axis=1)
+    assert processes._sorted_unique(cdf).tobytes() == np.unique(cdf).tobytes()
+
+
 def test_lockstep_sampler_with_default_blocks():
     # One block of 5000 slots, chased in strides of 31; 0.1 summed ten times
     # is 0.9999999999999999, and row 3 has zero-probability entries.

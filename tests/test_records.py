@@ -1,0 +1,222 @@
+"""The record types: constructor parameters, validation errors and pickling.
+
+Immutable records without validation are ``typing.NamedTuple``s; records
+that validate or derive fields are plain classes with an explicit
+``__init__``.  These tests pin what callers rely on: the parameter order and
+defaults, the exact error of every validating constructor, and that every
+record survives a pickle round trip (``--workers 2`` sends them between
+processes).
+"""
+
+import inspect
+import pickle
+import re
+
+import numpy as np
+import pytest
+
+from qnetlab import capacity, controller, network, processes, queues, simplex, stability
+
+# Constructor parameters in order; "name=default" where there is a default.
+SIGNATURES = {
+    capacity.OmegaOnlyPolicy: "distributions",
+    capacity.CapacityReport:
+        "feasible f_opt d_max policy binding_constraints routing_outer_bound",
+    capacity.PerformanceBounds: "c_0 T_eps backlog_bound cost_bound",
+    capacity.PolicyLp:
+        "scenario lambdas pi var_index c c0 a_ub b_ub row_names a_eq b_eq",
+    controller.DppTables: "f pad g net b y x",
+    controller.DppRunResult:
+        "horizon q_path z_path omega_path action_path x_path f_path g_path arrivals",
+    controller.DppBatchResult: "totals avg_cost avg_g runs",
+    controller.DriftConstants: "B D T d_max f_opt f_min f_max delta=nan",
+    network.AffineFunction: "c0 coeffs",
+    network.Action: "name y b x",
+    network.Scenario: "name n_queues n_constraints n_attributes omega_chain actions cost "
+                      "constraints arrivals routing=None",
+    network.ScenarioValidation: "sigma2 f_min f_max",
+    network.StepRecord: "omega_index action_index arrivals y_offered b_offered y_actual "
+                        "b_actual x f_value g_values",
+    processes.StationaryDistribution: "pi",
+    processes.MixingReport: "delta T tv_curve",
+    processes.FiniteMarkovChain: "transition initial labels=()",
+    processes.ArrivalSpec: "kind rate p=0.0 size=1.0 values=() probs=() tag=",
+    queues.SlotIO: "arrival offered_service actual_service negative_part",
+    queues.CompositeState: "queues virtuals",
+    simplex.LpResult: "status x objective",
+    simplex._Optimum: "tableau basis signs identity eligible",
+    stability.TraceEnsemble: "backlog checkpoints=()",
+    stability.VerdictThresholds: "slope_tol=0.01 tail_tol=0.05 plateau_rel=0.1 "
+                                 "m_grid_points=16 m_max_multiplier=20.0 "
+                                 "min_reps_mean_rate=100",
+    stability.StabilityVerdict: "rate_slope mean_rate_slope strong_metric m_grid g_curve "
+                                "h_mean h_p05 h_p95 rate_stable mean_rate_stable "
+                                "steady_state_stable strongly_stable running_mean_half "
+                                "running_mean_full thresholds checkpoints "
+                                "slopes_at_checkpoints",
+    stability.BB1Params: "lam mu",
+    stability.BlockSums: "n_reps column_sums columns window_max",
+}
+
+
+def signature_text(cls) -> str:
+    params = inspect.signature(cls).parameters.values()
+    return " ".join(
+        p.name if p.default is inspect.Parameter.empty else f"{p.name}={p.default}"
+        for p in params
+    )
+
+
+@pytest.mark.parametrize("cls", list(SIGNATURES), ids=lambda c: c.__name__)
+def test_constructor_parameters_keep_order_and_defaults(cls):
+    assert signature_text(cls) == SIGNATURES[cls]
+
+
+def test_positional_and_keyword_construction_agree():
+    chain_args = (np.array([[0.5, 0.5], [0.2, 0.8]]), np.array([1.0, 0.0]), ("off", "on"))
+    by_pos = processes.FiniteMarkovChain(*chain_args)
+    by_kw = processes.FiniteMarkovChain(transition=chain_args[0], initial=chain_args[1],
+                                        labels=chain_args[2])
+    assert by_pos.labels == by_kw.labels == ("off", "on")
+    assert np.array_equal(by_pos.transition, by_kw.transition)
+    assert processes.FiniteMarkovChain(*chain_args[:2]).labels == ("s0", "s1")
+
+    spec = processes.ArrivalSpec("iid_table", 0.5, 0.0, 1.0, (0.0, 1.0), (0.5, 0.5), "t")
+    assert vars(spec) == vars(processes.ArrivalSpec(
+        kind="iid_table", rate=0.5, values=(0.0, 1.0), probs=(0.5, 0.5), tag="t"))
+    assert vars(processes.ArrivalSpec("bernoulli", 0.2, p=0.2)) == {
+        "kind": "bernoulli", "rate": 0.2, "p": 0.2, "size": 1.0, "values": (), "probs": (),
+        "tag": "",
+    }
+    assert vars(stability.BB1Params(0.3, 0.5)) == vars(stability.BB1Params(mu=0.5, lam=0.3))
+
+    state = queues.CompositeState([1, 2], virtuals=[0])
+    assert state.queues.dtype == float and state.virtuals.dtype == float
+
+    ens = stability.TraceEnsemble(np.ones((1, 9)), [1, 4])
+    assert ens.checkpoints.tolist() == [1, 4]
+    assert stability.TraceEnsemble(np.ones((1, 9))).checkpoints.tolist() == [1, 2, 4, 8]
+
+    assert stability.VerdictThresholds(0.5, plateau_rel=0.2) == stability.VerdictThresholds(
+        slope_tol=0.5, tail_tol=0.05, plateau_rel=0.2)
+    assert np.isnan(controller.DriftConstants(1.0, 2.0, 3, 0.1, 0.0, 0.0, 1.0).delta)
+
+
+def test_scenario_keeps_its_arguments_and_defaults_routing_to_a_new_list():
+    downlink2 = network.load_scenario("downlink2.json")
+    args = vars(downlink2).copy()
+    del args["routing"]
+    first, second = network.Scenario(**args), network.Scenario(*args.values())
+    assert first.routing == [] and second.routing == [] and first.routing is not second.routing
+    assert all(getattr(first, key) is value for key, value in args.items())
+
+
+def _pi_row(dist):
+    return capacity.OmegaOnlyPolicy(distributions=(np.asarray(dist, float),))
+
+
+def _scenario(**changes):
+    return network.load_scenario("downlink2.json")._replace(**changes)
+
+
+def _chain(transition, initial=(1.0, 0.0), labels=()):
+    return processes.FiniteMarkovChain(np.asarray(transition, float),
+                                       np.asarray(initial, float), labels)
+
+
+# (constructor call, error class, exact message) for each validating record.
+INVALID = [
+    (lambda: _pi_row([0.5, 0.4]), ValueError, "policy row 0 is not a probability vector"),
+    (lambda: stability.BB1Params(1.0, 0.5), ValueError, "need lam in [0, 1) and mu in (0, 1]"),
+    (lambda: queues.CompositeState(np.zeros((1, 1)), np.zeros(0)), ValueError,
+     "queues and virtuals must be 1-d vectors"),
+    (lambda: queues.CompositeState(np.zeros(1), -np.ones(1)), ValueError,
+     "backlogs must be non-negative"),
+    (lambda: stability.TraceEnsemble(np.zeros(5)), ValueError,
+     "backlog must be a (n_reps, horizon) matrix"),
+    (lambda: stability.TraceEnsemble(np.full((1, 5), np.nan)), ValueError,
+     "backlogs must be non-negative numbers"),
+    (lambda: stability.TraceEnsemble(np.zeros((1, 5)), [[1]]), ValueError,
+     "checkpoints must be a 1-d sequence of slot indices"),
+    (lambda: stability.TraceEnsemble(np.zeros((1, 5)), None), ValueError,
+     "checkpoints must be a 1-d sequence of slot indices"),
+    (lambda: stability.TraceEnsemble(np.zeros((1, 5)), [1.5]), ValueError,
+     "checkpoints must be integer slot indices"),
+    (lambda: stability.TraceEnsemble(np.zeros((1, 5)), [2, 2]), ValueError,
+     "checkpoints must increase strictly within [1, 4]"),
+    (lambda: _chain([[1.0, 0.0]]), ValueError, "transition must be a square matrix"),
+    (lambda: _chain([[1.0]], (1.0, 0.0)), ValueError,
+     "initial distribution length must match state count"),
+    (lambda: _chain([[1.5, -0.5], [0.5, 0.5]]), ValueError,
+     "transition entries must be finite and lie in [0, 1]"),
+    (lambda: _chain([[0.5, 0.4], [0.5, 0.5]]), ValueError,
+     "transition row 0 sums to np.float64(0.9), not 1"),
+    (lambda: _chain([[0.5, 0.5], [0.5, 0.5]], (0.5, 0.4)), ValueError,
+     "initial distribution must be a probability vector"),
+    (lambda: _chain([[0.5, 0.5], [0.5, 0.5]], labels=("a",)), ValueError,
+     "labels length must match state count"),
+    (lambda: processes.ArrivalSpec("poisson", 1.0), ValueError,
+     "unknown arrival kind 'poisson'"),
+    (lambda: processes.ArrivalSpec("bernoulli", -1.0), ValueError,
+     "declared rate must be a non-negative finite real"),
+    (lambda: processes.ArrivalSpec("bernoulli", 0.5, p=0.4), ValueError,
+     "declared rate 0.5 does not match analytic mean 0.4"),
+    (lambda: processes.ArrivalSpec("bernoulli", 0.5, p=1.5), ValueError,
+     "bernoulli arrivals need p in [0,1] and a finite size >= 0"),
+    (lambda: processes.ArrivalSpec("deterministic", 0.0), ValueError,
+     "deterministic arrivals need a non-empty sequence"),
+    (lambda: processes.ArrivalSpec("iid_table", 1.0, values=(1.0,), probs=(0.5,)), ValueError,
+     "iid_table probs must form a probability vector"),
+    (lambda: _scenario(actions=[]), network.ScenarioError,
+     "actions: need one action list per omega state"),
+    (lambda: _scenario(arrivals=[]), network.ScenarioError,
+     "arrivals: need one arrival spec per queue"),
+    (lambda: _scenario(constraints=[]), network.ScenarioError,
+     "constraints: need one affine function per constraint"),
+    (lambda: _scenario(routing=[(0, 0)]), network.ScenarioError,
+     "routing[0]: a queue cannot feed itself"),
+    (lambda: _scenario(routing=[(0, 1), (0, 1)]), network.ScenarioError,
+     "routing[1]: duplicate routing pair (0, 1)"),
+]
+
+
+@pytest.mark.parametrize("make, error, message", INVALID, ids=[m for _, _, m in INVALID])
+def test_validating_records_raise_the_documented_error(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        make()
+    assert type(info.value) is error
+
+
+def every_record():
+    """One instance of each public record type, made by the code that makes it."""
+    scenario = network.load_scenario("downlink2.json")
+    state = queues.CompositeState.zeros(scenario.n_queues, scenario.n_constraints)
+    _, step = network.network_step(scenario, state, 0, 0, np.zeros(scenario.n_queues))
+    lp = capacity.build_lp(scenario)
+    report = lp.solve()
+    drift = controller.drift_constants(scenario)
+    batch = controller.run_dpp_batch(scenario, [1.0, 2.0], [0, 1], 5, 1000, record=1)
+    ensemble = stability.TraceEnsemble(batch.totals)
+    return [
+        scenario, scenario.omega_chain, scenario.arrivals[0], scenario.actions[0][0],
+        scenario.cost, network.validate(scenario), step, state,
+        queues.queue_step(1.0, 0.0, 1.0)[1],
+        processes.stationary_distribution(scenario.omega_chain),
+        processes.mixing_time(scenario.omega_chain, 0.1), lp, report, report.policy,
+        capacity.performance_bounds(scenario, 1.0, drift.d_max / 4, drift), drift,
+        controller.compile_tables(scenario), batch, batch.runs[0], ensemble,
+        stability.estimate_verdict(ensemble, estimators=["rate"]), stability.VerdictThresholds(),
+        stability.BB1Params(0.3, 0.5),
+        stability.sum_blocks([np.ones((2, 3))], keep=(1,)),
+        simplex.solve_lp([1.0], None, None, [[1.0]], [1.0]),
+    ]
+
+
+def test_every_record_survives_a_pickle_round_trip():
+    records = every_record()
+    assert {type(r) for r in records} == set(SIGNATURES) - {simplex._Optimum}
+    for record in records:
+        data = pickle.dumps(record)
+        copy = pickle.loads(data)
+        assert type(copy) is type(record)
+        assert pickle.dumps(copy) == data

@@ -1,10 +1,9 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnetlab import stability
 from qnetlab.cli import override_lambdas, override_mu
 from qnetlab.controller import run_dpp_batch
 from qnetlab.network import load_scenario
@@ -13,6 +12,7 @@ from qnetlab.queues import queue_step
 from qnetlab.stability import (
     BB1Params,
     InsufficientReplicationsError,
+    StabilityVerdict,
     TraceEnsemble,
     VerdictThresholds,
     bb1_closed_form,
@@ -203,7 +203,7 @@ def test_verdict_matches_per_path_reference(n_reps, horizon, scale, integer, n_c
     thresholds = VerdictThresholds(min_reps_mean_rate=1)
     verdict = estimate_verdict(ens, thresholds)
     expected = reference_verdict(q, ens.checkpoints, thresholds)
-    assert set(expected) == {f.name for f in fields(verdict)}
+    assert set(expected) == set(StabilityVerdict._fields)
     for name, value in expected.items():
         got = getattr(verdict, name)
         if isinstance(value, np.ndarray):
@@ -368,3 +368,72 @@ def test_markov_bound_holds_on_counterexamples():
     ):
         verdict = estimate_verdict(ens, thresholds=thresholds)
         assert markov_bound_violations(verdict) == 0
+
+
+# ---------------------------------------------------------------------------
+# order statistics: numpy's bits without numpy.ma
+# ---------------------------------------------------------------------------
+
+# Ties, signed zeros, subnormals and values next to the overflow threshold.
+EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e308]
+
+
+def sample_matrix(data, shape):
+    """Entries drawn from a few edge values and arbitrary finite floats, so
+    that ties are common; a seeded generator fills the matrix quickly."""
+    pool = data.draw(st.lists(
+        st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=12,
+    ))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    return np.array(pool)[rng.integers(0, len(pool), size=shape)]
+
+
+def same_bits(ours, theirs) -> bool:
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    return ours.dtype == theirs.dtype and ours.shape == theirs.shape and (
+        ours.tobytes() == theirs.tobytes()
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 300), cols=st.integers(0, 4), data=st.data())
+def test_median_has_numpys_bits(n, cols, data):
+    # cols = 0: a 1-d array against np.median(axis=None); otherwise axis 0.
+    a = sample_matrix(data, (n,) if cols == 0 else (n, cols))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.median(a) if cols == 0 else np.median(a, axis=0)
+        got = stability._median(a)
+    assert same_bits(got, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # n = 20 j + 11 puts q = 5 and 95 exactly halfway between two ranks.
+    n=st.one_of(st.integers(1, 300), st.integers(0, 14).map(lambda j: 20 * j + 11)),
+    cols=st.integers(1, 4),
+    q=st.sampled_from([5, 95]),
+    kind=st.sampled_from(["edge", "fraction", "normal"]),
+    data=st.data(),
+)
+def test_percentile_has_numpys_bits(n, cols, q, kind, data):
+    # "fraction": tail fractions k / horizon, as estimate_verdict's h(M) rows.
+    if kind == "edge":
+        a = sample_matrix(data, (n, cols))
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        horizon = data.draw(st.integers(1, 10_000))
+        a = (rng.integers(0, horizon + 1, size=(n, cols)) / horizon if kind == "fraction"
+             else rng.standard_normal((n, cols)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.percentile(a, q, axis=0)
+        got = stability._percentile(a, q)
+    assert same_bits(got, expected)
+
+
+def test_percentile_places_signed_zeros_like_numpy():
+    # Which of the equal values 0.0 and -0.0 lands at a rank depends on the
+    # partition's kth list; with only the two interpolated ranks it is 0.0.
+    a = np.array([[-0.0], [0.0], [-0.0], [-0.0], [-1.0]])
+    assert same_bits(stability._percentile(a, 95), np.percentile(a, 95, axis=0))
