@@ -20,7 +20,6 @@ from .controller import (
     DppBatchResult,
     DppRunResult,
     DriftConstants,
-    dpp_select_action,
     drift_constants,
     run_dpp_batch,
 )
@@ -28,11 +27,8 @@ from .network import (
     Scenario,
     ScenarioError,
     ScenarioValidation,
-    StepRecord,
-    evaluate_action,
     fixture_path,
     load_scenario,
-    network_step,
     validate,
 )
 from .processes import (

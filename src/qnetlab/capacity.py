@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .network import Scenario, evaluate_action, validate
+from .network import Scenario, validate
 from .processes import mixing_time
 from .simplex import LpResult, SimplexError, solve_lp, solve_lp_sequence
 
@@ -214,36 +214,32 @@ def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> Poli
     """Assemble the state-only-policy LP for a validated scenario."""
     validate(scenario)
     pi = scenario.stationary()
+    tab = scenario.tables
 
-    var_index: list[tuple[int, int]] = []
-    for w, acts in enumerate(scenario.actions):
-        var_index.extend((w, i) for i in range(len(acts)))
+    # One variable per real action, in (omega, action) order.
+    w_of_var, a_of_var = np.nonzero(tab.real)
+    var_index = list(zip(w_of_var.tolist(), a_of_var.tolist()))
     n = len(var_index)
 
-    # Per-variable expected contributions, weighted by pi.
-    x_cols = np.zeros((scenario.n_attributes, n))
-    net_cols = np.zeros((scenario.n_queues, n))  # y_bar - b_bar coefficients
-    for j, (w, i) in enumerate(var_index):
-        y, b, x, _, _ = evaluate_action(scenario, w, i)
-        x_cols[:, j] = pi[w] * x
-        net_cols[:, j] = pi[w] * (y - b)
+    # Per-variable expected contributions, weighted by pi.  ``x_cols`` is
+    # copied to C order: ``coeffs @ x_cols`` on a transposed view would take
+    # another BLAS kernel, which can round differently.
+    pi_of_var = pi[w_of_var][:, None]
+    x_cols = np.ascontiguousarray((pi_of_var * tab.x[tab.real]).T)
+    net_cols = (pi_of_var * tab.net[tab.real]).T  # y_bar - b_bar coefficients
 
     n_g = scenario.n_constraints
     k = scenario.n_queues
     a_ub = np.zeros((n_g + k, n))
     b_ub = np.zeros(n_g + k)  # ``at`` sets the queue rows to -lambda
-    row_names: list[str] = []
     for l, g in enumerate(scenario.constraints):
         a_ub[l] = g.coeffs @ x_cols
         b_ub[l] = -g.c0
-        row_names.append(f"g[{l}]")
-    for q in range(k):
-        a_ub[n_g + q] = net_cols[q]
-        row_names.append(f"queue[{q}]")
+    a_ub[n_g:] = net_cols
+    row_names = [f"g[{l}]" for l in range(n_g)] + [f"queue[{q}]" for q in range(k)]
 
     a_eq = np.zeros((scenario.omega_chain.n_states, n))
-    for j, (w, _) in enumerate(var_index):
-        a_eq[w, j] = 1.0
+    a_eq[w_of_var, np.arange(n)] = 1.0
     b_eq = np.ones(scenario.omega_chain.n_states)
 
     lp = PolicyLp(

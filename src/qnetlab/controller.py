@@ -13,23 +13,19 @@ purpose; the network transition applies the clamp.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import capacity
-from .network import MODES, Scenario, evaluate_action
+from .network import MODES, Scenario
 from .processes import mixing_time, sample_paths
-from .queues import CompositeState
 from .stability import TraceEnsemble, single_queue_path
 
 __all__ = [
     "DriftConstants",
     "DppRunResult",
     "DppBatchResult",
-    "compile_tables",
-    "dpp_select_action",
     "is_uncontrolled_single_queue",
     "run_dpp_batch",
     "drift_constants",
@@ -38,68 +34,15 @@ __all__ = [
 _BLOCK_BYTES = 1 << 18  # per-block table gathers in run_dpp_batch
 
 
-class DppTables(NamedTuple):
-    """Per-state action tables, indexed ``[omega, action]`` and padded to the
-    largest action count: padded entries are zero and carry ``pad = +inf``.
-
-    Scores add ``pad`` to ``V f`` (never multiply it by V, so V = 0 cannot
-    turn it into NaN): a padded action scores +inf and is never chosen.
-    """
-
-    f: np.ndarray    # (S, A)
-    pad: np.ndarray  # (S, A): 0 on real actions, +inf on padding
-    g: np.ndarray    # (S, A, L)
-    net: np.ndarray  # (S, A, K): offered y (with routed offered b) minus offered b
-    b: np.ndarray    # (S, A, K): offered service
-    y: np.ndarray    # (S, A, K): table y, without routed transfers
-    x: np.ndarray    # (S, A, M)
-
-
-def compile_tables(scenario: Scenario) -> DppTables:
-    n_s, n_a = scenario.omega_chain.n_states, max(map(len, scenario.actions))
-    k, n_l, m = scenario.n_queues, scenario.n_constraints, scenario.n_attributes
-    f, pad = np.zeros((n_s, n_a)), np.full((n_s, n_a), np.inf)
-    g, x = np.zeros((n_s, n_a, n_l)), np.zeros((n_s, n_a, m))
-    net, b, y = (np.zeros((n_s, n_a, k)) for _ in range(3))
-    for w, acts in enumerate(scenario.actions):
-        for i, act in enumerate(acts):
-            y_offered, b[w, i], x[w, i], f[w, i], g[w, i] = evaluate_action(scenario, w, i)
-            net[w, i] = y_offered - b[w, i]
-            y[w, i] = act.y
-            pad[w, i] = 0.0
-    return DppTables(f=f, pad=pad, g=g, net=net, b=b, y=y, x=x)
-
-
 def _dot(tables: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``tables[i] @ cols[i]`` into ``out[i]`` for every lane ``i``; ``cols``
     and ``out`` carry a trailing unit axis.
 
     ``np.matmul`` makes the same BLAS call per lane as ``table @ vec`` makes
-    for one state, so a lane and the single-state selection round alike.
+    for one state, so a lane rounds like the per-state argmin that
+    ``tests/oracles.py`` keeps as the reference.
     """
     return np.matmul(tables, cols, out=out)
-
-
-def dpp_select_action(
-    scenario: Scenario,
-    omega: int,
-    state: CompositeState,
-    v_weight: float,
-    tables: DppTables | None = None,
-) -> int:
-    """Exact argmin of the score over the state's action list.
-
-    ``np.argmin`` returns the first minimizer, which is the lowest-index tie
-    rule, so runs are reproducible.
-    """
-    tab = tables or compile_tables(scenario)
-    scores = (
-        v_weight * tab.f[omega]
-        + tab.pad[omega]
-        + tab.g[omega] @ state.virtuals
-        + tab.net[omega] @ state.queues
-    )
-    return int(np.argmin(scores))
 
 
 class DppRunResult:
@@ -162,14 +105,10 @@ def is_uncontrolled_single_queue(scenario: Scenario) -> bool:
     and arrival values.  ``run_dpp_batch`` then builds each backlog path by
     the reflection identity, which equals the slot recursion exactly for
     integer work."""
-    if scenario.n_queues != 1 or scenario.n_constraints != 0:
+    tab = scenario.tables
+    if scenario.n_queues != 1 or scenario.n_constraints != 0 or tab.f.shape[1] != 1:
         return False
-    if any(len(acts) != 1 for acts in scenario.actions):
-        return False
-    work = np.concatenate(
-        [v for acts in scenario.actions for v in (acts[0].b, acts[0].y)]
-        + [spec.table for spec in scenario.arrivals]
-    )
+    work = np.concatenate([tab.b.ravel(), tab.y.ravel(), scenario.arrivals[0].table])
     return bool(np.all(work == np.round(work)))
 
 
@@ -204,7 +143,7 @@ def run_dpp_batch(
         raise ValueError("v_weight must be finite and >= 0")
     reps, lane_rep = np.unique(np.asarray(replications, dtype=np.int64), return_inverse=True)
     n, k, n_l = v.shape[0], scenario.n_queues, scenario.n_constraints
-    tab = compile_tables(scenario)
+    tab = scenario.tables
     n_a = tab.f.shape[1]
     f_flat, g_flat, x_flat = (
         a.reshape(tab.f.size, *a.shape[2:]) for a in (tab.f, tab.g, tab.x)
@@ -322,8 +261,8 @@ def drift_constants(
     delta: float | None = None,
     report: capacity.CapacityReport | None = None,
 ) -> DriftConstants:
-    """Compute B, D from the tables, T from the chain's mixing time, and the
-    cost constants from one ``solve_fopt`` and the same pass over the actions.
+    """Compute B, D from the tables, T from the chain's mixing time, ``f_opt``
+    from one ``solve_fopt`` and ``f_min``/``f_max`` from the tables.
 
     Second moments take the worst action per state and average over the
     stationary distribution; arrival moments are analytic.  The default
@@ -346,21 +285,11 @@ def drift_constants(
     lams = scenario.lambdas
     a2 = np.array([spec.second_moment() for spec in scenario.arrivals])
 
+    tab = scenario.tables
     b_total = 0.0
     d_total = 0.0
-    # Builtin min/max in validate's (omega, action) order: the same bits and
-    # signed zeros as its f_min and f_max.
-    f_min = math.inf
-    f_max = -math.inf
-    for w in range(scenario.omega_chain.n_states):
-        n_act = len(scenario.actions[w])
-        rows = [evaluate_action(scenario, w, i) for i in range(n_act)]
-        for r in rows:
-            f_min = min(f_min, r[3])
-            f_max = max(f_max, r[3])
-        y = np.array([r[0] for r in rows])  # (n_act, K)
-        b = np.array([r[1] for r in rows])
-        g = np.array([r[4] for r in rows]).reshape(n_act, -1)
+    for w, n_act in enumerate(map(len, scenario.actions)):
+        y, b, g = tab.y_offered[w, :n_act], tab.b[w, :n_act], tab.g[w, :n_act]
         # E[(a + y)^2 | action] with independent arrivals: E[a^2] + 2 lam y + y^2
         ay2 = a2[None, :] + 2.0 * lams[None, :] * y + y**2
         ayb2 = a2[None, :] + 2.0 * lams[None, :] * (y + b) + (y + b) ** 2
@@ -373,6 +302,9 @@ def drift_constants(
             np.max(ayb2, axis=0).sum() + np.max(g**2, axis=0).sum()
         )
     t_mix = mixing_time(scenario.omega_chain, delta).T
+    # Builtin min/max in (omega, action) order: validate's bits and signed zeros.
+    f_real = tab.f[tab.real].tolist()
+    f_min, f_max = min(f_real), max(f_real)
     return DriftConstants(
         B=float(b_total), D=float(d_total), T=t_mix, d_max=d_max,
         f_opt=cap.f_opt, f_min=f_min, f_max=f_max, delta=delta,

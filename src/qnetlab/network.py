@@ -1,5 +1,5 @@
-"""Controlled multi-queue network: scenario schema, action evaluation, and
-the one-slot transition.
+"""Controlled multi-queue network: scenario schema, compiled action tables
+and validation.
 
 A scenario is a static description of the network: the state chain for
 ``omega``, a finite action list per state, per-(action, state) service and
@@ -7,7 +7,12 @@ transfer tables, an affine cost on the attribute vector, affine constraint
 functions, arrival processes, and optional endogenous routing (service of one
 queue feeding another).
 
-Two transition modes are provided.  ``respect`` uses equality dynamics with a
+Every (omega, action) pair is evaluated once, when the scenario is built,
+into ``Scenario.tables``: padded per-state arrays that validation, the
+policy LP, the drift constants and the closed-loop kernel all read.
+
+The two transition modes (``MODES``) are applied by
+``controller.run_dpp_batch``.  ``respect`` uses equality dynamics with a
 feasibility clamp: a queue may forward or serve at most its slot-start
 content, resolved in one pass (same-slot arrivals are not forwardable).
 ``clamped`` applies the max[.,0] form with offered quantities, ignoring
@@ -19,25 +24,23 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .processes import ArrivalSpec, FiniteMarkovChain, stationary_distribution
-from .queues import CompositeState, virtual_queue_step
 
 __all__ = [
     "Action",
     "AffineFunction",
     "Scenario",
+    "ScenarioTables",
     "ScenarioValidation",
-    "StepRecord",
     "ScenarioError",
+    "compile_tables",
     "load_scenario",
     "fixture_path",
     "validate",
-    "evaluate_action",
-    "network_step",
 ]
 
 MODES = ("respect", "clamped")
@@ -71,6 +74,59 @@ class Action(NamedTuple):
     y: np.ndarray  # offered exogenous-style transfers into each queue
     b: np.ndarray  # offered service per queue
     x: np.ndarray  # attribute vector
+
+
+class ScenarioTables(NamedTuple):
+    """Per-state action tables, indexed ``[omega, action]`` and padded to the
+    largest action count.  A state's real actions are a prefix of its row;
+    padded entries are zero and carry ``pad = +inf``.
+
+    Scores add ``pad`` to ``V f`` (never multiply it by V, so V = 0 cannot
+    turn it into NaN): a padded action scores +inf and is never chosen.
+    """
+
+    f: np.ndarray    # (S, A): cost f(x)
+    pad: np.ndarray  # (S, A): 0 on real actions, +inf on padding
+    g: np.ndarray    # (S, A, L): constraint values g_l(x)
+    net: np.ndarray  # (S, A, K): y_offered - b
+    b: np.ndarray    # (S, A, K): offered service
+    y: np.ndarray    # (S, A, K): table y, without routed transfers
+    x: np.ndarray    # (S, A, M)
+    y_offered: np.ndarray  # (S, A, K): table y plus routed offered b
+
+    @property
+    def real(self) -> np.ndarray:
+        """``(S, A)`` mask of the real actions; indexing with it gives them
+        in (omega, action) order."""
+        return self.pad == 0.0
+
+
+def compile_tables(scenario: Scenario) -> ScenarioTables:
+    """Evaluate every (omega, action) pair of ``scenario`` into padded tables.
+
+    The offered arrival vector folds in endogenous routing: queue ``dst``
+    receives its table ``y`` plus the offered service of every queue routed
+    into it, added in routing-list order.  ``f`` and ``g`` are the affine
+    functions evaluated action by action.  Entries that overflow become inf
+    or NaN without a warning; ``validate`` reports them.
+    """
+    n_s, n_a = scenario.omega_chain.n_states, max(map(len, scenario.actions))
+    k, n_l, m = scenario.n_queues, scenario.n_constraints, scenario.n_attributes
+    f, pad = np.zeros((n_s, n_a)), np.full((n_s, n_a), np.inf)
+    g, x = np.zeros((n_s, n_a, n_l)), np.zeros((n_s, n_a, m))
+    b, y = np.zeros((n_s, n_a, k)), np.zeros((n_s, n_a, k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, acts in enumerate(scenario.actions):
+            for i, act in enumerate(acts):
+                y[w, i], b[w, i], x[w, i] = act.y, act.b, act.x
+                f[w, i] = scenario.cost(act.x)
+                g[w, i] = [fn(act.x) for fn in scenario.constraints]
+                pad[w, i] = 0.0
+        y_offered = y.copy()
+        for src, dst in scenario.routing:
+            y_offered[:, :, dst] += b[:, :, src]
+        net = y_offered - b
+    return ScenarioTables(f=f, pad=pad, g=g, net=net, b=b, y=y, x=x, y_offered=y_offered)
 
 
 class Scenario:
@@ -132,18 +188,18 @@ class Scenario:
             if (src, dst) in seen_pairs:
                 raise ScenarioError(loc, f"duplicate routing pair ({src}, {dst})")
             seen_pairs.add((src, dst))
+        self.tables = compile_tables(self)
 
     def _replace(self, **changes: Any) -> Scenario:
         """A new scenario with some constructor arguments changed, validated
-        again; named like the ``_replace`` of the NamedTuple records."""
-        return Scenario(**{**vars(self), **changes})
+        again; named like the ``_replace`` of the NamedTuple records.  The
+        tables are compiled again, not passed on."""
+        args = {key: value for key, value in vars(self).items() if key != "tables"}
+        return Scenario(**{**args, **changes})
 
     @property
     def lambdas(self) -> np.ndarray:
         return np.asarray([spec.rate for spec in self.arrivals], dtype=float)
-
-    def routed_sources(self, dst: int) -> list[int]:
-        return [s for (s, d) in self.routing if d == dst]
 
     def stationary(self) -> np.ndarray:
         return stationary_distribution(self.omega_chain).pi
@@ -155,38 +211,6 @@ class ScenarioValidation(NamedTuple):
     f_max: float
 
 
-class StepRecord(NamedTuple):
-    omega_index: int
-    action_index: int
-    arrivals: np.ndarray
-    y_offered: np.ndarray
-    b_offered: np.ndarray
-    y_actual: np.ndarray
-    b_actual: np.ndarray
-    x: np.ndarray
-    f_value: float
-    g_values: np.ndarray
-
-
-def evaluate_action(
-    scenario: Scenario, omega: int, action_index: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
-    """Offered quantities and affine evaluations for one (omega, action).
-
-    The offered arrival vector folds in endogenous routing: queue ``k``
-    receives its table ``y_k`` plus the offered service of every queue routed
-    into it.
-    """
-    act = scenario.actions[omega][action_index]
-    y = act.y.copy()
-    for src, dst in scenario.routing:
-        y[dst] += act.b[src]
-    x = act.x
-    f_value = scenario.cost(x)
-    g_values = np.asarray([g(x) for g in scenario.constraints], dtype=float)
-    return y, act.b.copy(), x.copy(), f_value, g_values
-
-
 def validate(scenario: Scenario) -> ScenarioValidation:
     """Worst-case second moment and cost extremes over all tables.
 
@@ -195,96 +219,32 @@ def validate(scenario: Scenario) -> ScenarioValidation:
     processes' analytic second moments.  ``f_min``/``f_max`` are the extreme
     cost values over all (omega, action).
     """
-    sigma2 = 0.0
-    f_min = math.inf
-    f_max = -math.inf
-    # Tables whose products overflow give inf or NaN here, which the
-    # finiteness checks below report; numpy's warning would only precede them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for w in range(scenario.omega_chain.n_states):
-            for i in range(len(scenario.actions[w])):
-                y, b, x, f_value, g_values = evaluate_action(scenario, w, i)
-                for arr, what in ((y, "y"), (b, "b"), (x, "x"), (g_values, "g")):
-                    if not np.all(np.isfinite(arr)):
-                        raise ScenarioError(
-                            f"actions[{w}][{i}]", f"non-finite {what} table entry"
-                        )
-                if not math.isfinite(f_value):
-                    raise ScenarioError(f"actions[{w}][{i}]", "non-finite cost value")
-                sigma2 = max(
-                    sigma2,
-                    float(np.max(y**2, initial=0.0)),
-                    float(np.max(b**2, initial=0.0)),
-                    float(np.max(g_values**2, initial=0.0)),
-                )
-                f_min = min(f_min, f_value)
-                f_max = max(f_max, f_value)
+    tab = scenario.tables
+    real = tab.real
+    y, b, x, g, f = (a[real] for a in (tab.y_offered, tab.b, tab.x, tab.g, tab.f))
+    # One row per real action: which of its y, b, x, g and cost are not finite.
+    bad = np.column_stack(
+        [~np.all(np.isfinite(a), axis=1) for a in (y, b, x, g)] + [~np.isfinite(f)]
+    )
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=1)))
+        w, i = np.argwhere(real)[j].tolist()
+        what = ("non-finite y table entry", "non-finite b table entry",
+                "non-finite x table entry", "non-finite g table entry",
+                "non-finite cost value")[int(np.argmax(bad[j]))]
+        raise ScenarioError(f"actions[{w}][{i}]", what)
+    # Entries near the float64 limit square to inf, which is then sigma2.
+    with np.errstate(over="ignore"):
+        sigma2 = max(float(np.max(a**2, initial=0.0)) for a in (y, b, g))
     for k, spec in enumerate(scenario.arrivals):
         try:
             sigma2 = max(sigma2, spec.second_moment())
         except ValueError as exc:
             raise ScenarioError(f"arrivals[{k}]", str(exc)) from exc
-    return ScenarioValidation(sigma2=sigma2, f_min=f_min, f_max=f_max)
-
-
-def network_step(
-    scenario: Scenario,
-    state: CompositeState,
-    omega: int,
-    action_index: int,
-    arrivals: np.ndarray,
-    mode: str = "respect",
-) -> tuple[CompositeState, StepRecord]:
-    """Advance all queues and virtual queues by one slot.
-
-    ``respect``: actual service is clamped to slot-start backlog,
-    ``b_act = min(b, Q)``; routed transfers deliver the clamped amounts; the
-    update is the equality form ``Q' = Q - b_act + y_act + a``.
-
-    ``clamped``: the max[.,0] form ``Q' = max(Q - b, 0) + y + a`` with offered
-    quantities (transfer feasibility ignored).
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if not 0 <= action_index < len(scenario.actions[omega]):
-        raise IndexError(f"action {action_index} out of range for omega {omega}")
-    arrivals = np.asarray(arrivals, dtype=float)
-    if arrivals.shape != (scenario.n_queues,):
-        raise ValueError("arrivals vector length must equal K")
-
-    act = scenario.actions[omega][action_index]
-    q = state.queues
-    y_offered, b_offered, x, f_value, g_values = evaluate_action(
-        scenario, omega, action_index
-    )
-
-    if mode == "respect":
-        b_actual = np.minimum(b_offered, q)
-        y_actual = act.y.copy()
-        for src, dst in scenario.routing:
-            y_actual[dst] += b_actual[src]
-        q_next = (q - b_actual) + y_actual + arrivals
-    else:
-        b_actual = np.minimum(b_offered, q)
-        y_actual = y_offered.copy()
-        q_next = np.maximum(q - b_offered, 0.0) + y_actual + arrivals
-
-    z_next = np.array(
-        [virtual_queue_step(z, g) for z, g in zip(state.virtuals, g_values)]
-    )
-    record = StepRecord(
-        omega_index=omega,
-        action_index=action_index,
-        arrivals=arrivals.copy(),
-        y_offered=y_offered,
-        b_offered=b_offered,
-        y_actual=y_actual,
-        b_actual=b_actual,
-        x=x,
-        f_value=f_value,
-        g_values=g_values,
-    )
-    return CompositeState(q_next, z_next), record
+    # Builtin min/max keep the first extreme in (omega, action) order, and
+    # with it the sign of a zero cost.
+    f_real = f.tolist()
+    return ScenarioValidation(sigma2=sigma2, f_min=min(f_real), f_max=max(f_real))
 
 
 # ---------------------------------------------------------------------------

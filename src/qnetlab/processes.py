@@ -97,7 +97,7 @@ class FiniteMarkovChain:
         row_err = np.abs(p.sum(axis=1) - 1.0)
         if np.any(row_err > ROW_SUM_TOL):
             bad = int(np.argmax(row_err))
-            raise ValueError(f"transition row {bad} sums to {p[bad].sum()!r}, not 1")
+            raise ValueError(f"transition row {bad} sums to {float(p[bad].sum())!r}, not 1")
         if not (np.all(pi0 >= 0) and abs(pi0.sum() - 1.0) <= ROW_SUM_TOL):
             raise ValueError("initial distribution must be a probability vector")
         if not self.labels:

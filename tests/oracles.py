@@ -4,9 +4,13 @@ Everything here deliberately avoids the implementation paths it checks:
 stationary distributions come from power iteration, mixing times from
 repeated dense powering, the capacity optimum from grid search over
 state-conditional action distributions, and controller decisions from an
-explicit exhaustive loop.  The closed-loop reference replays one run slot by
-slot through ``network_step``, the library's one-slot transition, on a path
-drawn by ``sample_path_by_chase``, the per-replication index chase that
+explicit exhaustive loop.  ``evaluate_action`` evaluates one (omega, action)
+pair straight from the scenario's action list; it is the reference for the
+compiled ``Scenario.tables``, and the per-action loops of ``validate``,
+``build_lp``, ``drift_constants`` and ``is_uncontrolled_single_queue`` that
+read those tables with array ops are kept here on top of it.  The
+closed-loop reference replays one run slot by slot through ``network_step``,
+the one-slot transition, on a path drawn by ``sample_path_by_chase``, the per-replication index chase that
 ``processes.sample_paths`` must match bit for bit; so the batched kernel and
 the lockstep sampler are both checked against the plain recursion.  The simplex's
 pivot, entering and leaving rules are kept here as row-by-row loops, the
@@ -20,17 +24,247 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from qnetlab.cli import _fmt
-from qnetlab.controller import DppRunResult, compile_tables, dpp_select_action
-from qnetlab.network import Scenario, evaluate_action, network_step
+from qnetlab.controller import DppRunResult
+from qnetlab.network import MODES, Scenario, ScenarioError, ScenarioValidation
 from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, make_rng
-from qnetlab.queues import CompositeState
+from qnetlab.queues import CompositeState, virtual_queue_step
 from qnetlab.simplex import TOL
 
 GRID_GUARD = 20_000_000
+
+
+# ---------------------------------------------------------------------------
+# per-action references for the compiled tables and their readers
+# ---------------------------------------------------------------------------
+
+
+def evaluate_action(
+    scenario: Scenario, omega: int, action_index: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
+    """Offered quantities and affine evaluations for one (omega, action).
+
+    The offered arrival vector folds in endogenous routing: queue ``k``
+    receives its table ``y_k`` plus the offered service of every queue routed
+    into it.
+    """
+    act = scenario.actions[omega][action_index]
+    y = act.y.copy()
+    for src, dst in scenario.routing:
+        y[dst] += act.b[src]
+    x = act.x
+    f_value = scenario.cost(x)
+    g_values = np.asarray([g(x) for g in scenario.constraints], dtype=float)
+    return y, act.b.copy(), x.copy(), f_value, g_values
+
+
+def validate_by_actions(scenario: Scenario) -> ScenarioValidation:
+    """``network.validate`` as one ``evaluate_action`` per (omega, action)."""
+    sigma2 = 0.0
+    f_min = math.inf
+    f_max = -math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in range(scenario.omega_chain.n_states):
+            for i in range(len(scenario.actions[w])):
+                y, b, x, f_value, g_values = evaluate_action(scenario, w, i)
+                for arr, what in ((y, "y"), (b, "b"), (x, "x"), (g_values, "g")):
+                    if not np.all(np.isfinite(arr)):
+                        raise ScenarioError(
+                            f"actions[{w}][{i}]", f"non-finite {what} table entry"
+                        )
+                if not math.isfinite(f_value):
+                    raise ScenarioError(f"actions[{w}][{i}]", "non-finite cost value")
+                sigma2 = max(
+                    sigma2,
+                    float(np.max(y**2, initial=0.0)),
+                    float(np.max(b**2, initial=0.0)),
+                    float(np.max(g_values**2, initial=0.0)),
+                )
+                f_min = min(f_min, f_value)
+                f_max = max(f_max, f_value)
+    for k, spec in enumerate(scenario.arrivals):
+        try:
+            sigma2 = max(sigma2, spec.second_moment())
+        except ValueError as exc:
+            raise ScenarioError(f"arrivals[{k}]", str(exc)) from exc
+    return ScenarioValidation(sigma2=sigma2, f_min=f_min, f_max=f_max)
+
+
+def lp_by_actions(
+    scenario: Scenario, lambdas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``c``, ``a_ub``, ``b_ub`` and ``a_eq`` of ``capacity.build_lp``, one
+    column per (omega, action) from ``evaluate_action``."""
+    pi = scenario.stationary()
+    var_index = [(w, i) for w, acts in enumerate(scenario.actions) for i in range(len(acts))]
+    n, n_g, k = len(var_index), scenario.n_constraints, scenario.n_queues
+    x_cols = np.zeros((scenario.n_attributes, n))
+    net_cols = np.zeros((k, n))
+    for j, (w, i) in enumerate(var_index):
+        y, b, x, _, _ = evaluate_action(scenario, w, i)
+        x_cols[:, j] = pi[w] * x
+        net_cols[:, j] = pi[w] * (y - b)
+    a_ub = np.zeros((n_g + k, n))
+    b_ub = np.zeros(n_g + k)
+    for l, g in enumerate(scenario.constraints):
+        a_ub[l] = g.coeffs @ x_cols
+        b_ub[l] = -g.c0
+    for q in range(k):
+        a_ub[n_g + q] = net_cols[q]
+        b_ub[n_g + q] = -lambdas[q]
+    a_eq = np.zeros((scenario.omega_chain.n_states, n))
+    for j, (w, _) in enumerate(var_index):
+        a_eq[w, j] = 1.0
+    return scenario.cost.coeffs @ x_cols, a_ub, b_ub, a_eq
+
+
+def drift_by_actions(scenario: Scenario) -> tuple[float, float, float, float]:
+    """``B``, ``D``, ``f_min`` and ``f_max`` of ``controller.drift_constants``,
+    from one ``evaluate_action`` per (omega, action)."""
+    pi = scenario.stationary()
+    lams = scenario.lambdas
+    a2 = np.array([spec.second_moment() for spec in scenario.arrivals])
+    b_total = 0.0
+    d_total = 0.0
+    f_min = math.inf
+    f_max = -math.inf
+    for w in range(scenario.omega_chain.n_states):
+        n_act = len(scenario.actions[w])
+        rows = [evaluate_action(scenario, w, i) for i in range(n_act)]
+        for r in rows:
+            f_min = min(f_min, r[3])
+            f_max = max(f_max, r[3])
+        y = np.array([r[0] for r in rows])  # (n_act, K)
+        b = np.array([r[1] for r in rows])
+        g = np.array([r[4] for r in rows]).reshape(n_act, -1)
+        ay2 = a2[None, :] + 2.0 * lams[None, :] * y + y**2
+        ayb2 = a2[None, :] + 2.0 * lams[None, :] * (y + b) + (y + b) ** 2
+        b_total += pi[w] * (
+            0.5 * np.max(b**2, axis=0).sum()
+            + 0.5 * np.max(ay2, axis=0).sum()
+            + np.max(g**2, axis=0).sum()
+        )
+        d_total += pi[w] * (
+            np.max(ayb2, axis=0).sum() + np.max(g**2, axis=0).sum()
+        )
+    return float(b_total), float(d_total), f_min, f_max
+
+
+def is_uncontrolled_single_queue_by_actions(scenario: Scenario) -> bool:
+    """``controller.is_uncontrolled_single_queue`` from the action lists."""
+    if scenario.n_queues != 1 or scenario.n_constraints != 0:
+        return False
+    if any(len(acts) != 1 for acts in scenario.actions):
+        return False
+    work = np.concatenate(
+        [v for acts in scenario.actions for v in (acts[0].b, acts[0].y)]
+        + [spec.table for spec in scenario.arrivals]
+    )
+    return bool(np.all(work == np.round(work)))
+
+
+# ---------------------------------------------------------------------------
+# the one-slot transition and the per-state argmin
+# ---------------------------------------------------------------------------
+
+
+class StepRecord(NamedTuple):
+    omega_index: int
+    action_index: int
+    arrivals: np.ndarray
+    y_offered: np.ndarray
+    b_offered: np.ndarray
+    y_actual: np.ndarray
+    b_actual: np.ndarray
+    x: np.ndarray
+    f_value: float
+    g_values: np.ndarray
+
+
+def network_step(
+    scenario: Scenario,
+    state: CompositeState,
+    omega: int,
+    action_index: int,
+    arrivals: np.ndarray,
+    mode: str = "respect",
+) -> tuple[CompositeState, StepRecord]:
+    """Advance all queues and virtual queues by one slot.
+
+    ``respect``: actual service is clamped to slot-start backlog,
+    ``b_act = min(b, Q)``; routed transfers deliver the clamped amounts; the
+    update is the equality form ``Q' = Q - b_act + y_act + a``.
+
+    ``clamped``: the max[.,0] form ``Q' = max(Q - b, 0) + y + a`` with offered
+    quantities (transfer feasibility ignored).
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    if not 0 <= action_index < len(scenario.actions[omega]):
+        raise IndexError(f"action {action_index} out of range for omega {omega}")
+    arrivals = np.asarray(arrivals, dtype=float)
+    if arrivals.shape != (scenario.n_queues,):
+        raise ValueError("arrivals vector length must equal K")
+
+    act = scenario.actions[omega][action_index]
+    q = state.queues
+    y_offered, b_offered, x, f_value, g_values = evaluate_action(
+        scenario, omega, action_index
+    )
+
+    if mode == "respect":
+        b_actual = np.minimum(b_offered, q)
+        y_actual = act.y.copy()
+        for src, dst in scenario.routing:
+            y_actual[dst] += b_actual[src]
+        q_next = (q - b_actual) + y_actual + arrivals
+    else:
+        b_actual = np.minimum(b_offered, q)
+        y_actual = y_offered.copy()
+        q_next = np.maximum(q - b_offered, 0.0) + y_actual + arrivals
+
+    z_next = np.array(
+        [virtual_queue_step(z, g) for z, g in zip(state.virtuals, g_values)]
+    )
+    record = StepRecord(
+        omega_index=omega,
+        action_index=action_index,
+        arrivals=arrivals.copy(),
+        y_offered=y_offered,
+        b_offered=b_offered,
+        y_actual=y_actual,
+        b_actual=b_actual,
+        x=x,
+        f_value=f_value,
+        g_values=g_values,
+    )
+    return CompositeState(q_next, z_next), record
+
+
+def dpp_select_action(
+    scenario: Scenario,
+    omega: int,
+    state: CompositeState,
+    v_weight: float,
+) -> int:
+    """Exact argmin of the score over the state's action list, one state's
+    table products at a time (the kernel makes the same products per lane).
+
+    ``np.argmin`` returns the first minimizer, which is the lowest-index tie
+    rule, so runs are reproducible.
+    """
+    tab = scenario.tables
+    scores = (
+        v_weight * tab.f[omega]
+        + tab.pad[omega]
+        + tab.g[omega] @ state.virtuals
+        + tab.net[omega] @ state.queues
+    )
+    return int(np.argmin(scores))
 
 
 def stationary_by_power(transition: np.ndarray, iters: int = 20_000) -> np.ndarray:
@@ -191,7 +425,6 @@ def replay_with_network_step(
     arrivals = np.array(
         [spec.table[idx] for spec, idx in zip(scenario.arrivals, arrival_index)]
     ).reshape(k, horizon)
-    tables = compile_tables(scenario)
     state = CompositeState.zeros(k, n_l)
     q_path = np.zeros((horizon + 1, k))
     z_path = np.zeros((horizon + 1, n_l))
@@ -201,7 +434,7 @@ def replay_with_network_step(
     g_path = np.zeros((horizon, n_l))
     for t in range(horizon):
         w = int(omega_path[t])
-        a_idx = dpp_select_action(scenario, w, state, v_weight, tables)
+        a_idx = dpp_select_action(scenario, w, state, v_weight)
         state, record = network_step(
             scenario, state, w, a_idx, arrivals[:, t], mode=mode
         )

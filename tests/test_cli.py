@@ -110,10 +110,25 @@ def test_sweep_v_validates_the_scenario_once(tmp_path, monkeypatch):
     for module in (network, capacity, controller, cli):
         if getattr(module, "validate", None) is real_validate:
             monkeypatch.setattr(module, "validate", counting)
+    # Scenario construction compiles the tables through the module's name.
+    compiles = []
+    real_compile = network.compile_tables
+
+    def counting_compile(scenario):
+        compiles.append(scenario.name)
+        return real_compile(scenario)
+
+    monkeypatch.setattr(network, "compile_tables", counting_compile)
     rc = main(["sweep-v", "downlink2.json", "--V", "1,10", "--horizon", "500",
                "--out", str(tmp_path / "o")])
     assert rc == 0
     assert len(calls) == 1
+    assert compiles == ["downlink2"]
+    compiles.clear()
+    rc = main(["capacity", "downlink2.json", "--sweep-scale", "0.5,1,1.5",
+               "--out", str(tmp_path / "c")])
+    assert rc == 0
+    assert compiles == ["downlink2"]
 
 
 def test_capacity_reports_infeasible_lambda(tmp_path, capsys):
@@ -446,3 +461,23 @@ def test_cli_import_leaves_the_worker_pool_unloaded(tmp_path):
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_traced_run_of_the_benchmark_completes(tmp_path):
+    # The benchmark's tracer imports qnetlab modules by name; a refactor that
+    # removes one of them must fail here rather than in a traced benchmark run.
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(qnetlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    spans_file = tmp_path / "spans.json"
+    run = subprocess.run(
+        [sys.executable, str(repo / "perfbench" / "traced.py"), str(spans_file),
+         "capacity", "bb1.json", "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    spans = json.loads(spans_file.read_text())
+    assert spans["exit_code"] == 0
+    names = {span[2] for span in spans["spans"]}
+    assert {"network.validate", "capacity.build_lp"} <= names

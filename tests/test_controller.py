@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_dpp_argmin, replay_with_network_step
+from oracles import dpp_select_action, exhaustive_dpp_argmin, replay_with_network_step
 from qnetlab.controller import (
     _dot,
-    compile_tables,
-    dpp_select_action,
     drift_constants,
     is_uncontrolled_single_queue,
     run_dpp_batch,
@@ -55,7 +53,7 @@ def two_action_scenario():
 
 def test_score_hand_enumeration():
     # Compiled tables give the scores V f + Q (y - b) = (10, -9) by hand.
-    tab = compile_tables(two_action_scenario())
+    tab = two_action_scenario().tables
     scores = 1.0 * tab.f[0] + tab.pad[0] + tab.net[0] @ np.array([10.0])
     assert list(scores) == [10.0, -9.0]
 
@@ -85,20 +83,19 @@ def test_virtual_queue_term_only():
     state = CompositeState(np.zeros(2), np.array([5.0]))
     # V=0, queues empty: scores are Z . g = 5 * (-0.45) for idle,
     # 5 * 0.55 for serving; idle wins.
-    assert compile_tables(s).g[on_off] @ state.virtuals == pytest.approx([-2.25, 2.75])
+    assert s.tables.g[on_off] @ state.virtuals == pytest.approx([-2.25, 2.75])
     assert dpp_select_action(s, on_off, state, 0.0) == 0
 
 
 def test_selection_matches_exhaustive_oracle_on_fuzzed_states(downlink2):
     rng = make_rng(555, 0)
-    tables = compile_tables(downlink2)
     for _ in range(2000):
         w = int(rng.integers(0, 3))
         q = rng.random(2) * float(rng.choice([1.0, 10.0, 1000.0]))
         z = rng.random(1) * float(rng.choice([1.0, 100.0]))
         v = float(rng.random() * 100)
         state = CompositeState(q, z)
-        got = dpp_select_action(downlink2, w, state, v, tables)
+        got = dpp_select_action(downlink2, w, state, v)
         assert got == exhaustive_dpp_argmin(downlink2, w, q, z, v)
 
 

@@ -4,15 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import evaluate_action, network_step
 from qnetlab.network import (
     Action,
     AffineFunction,
     Scenario,
     ScenarioError,
-    evaluate_action,
     fixture_path,
     load_scenario,
-    network_step,
     scenario_from_dict,
     validate,
 )

@@ -15,11 +15,11 @@ PACKAGE = [
     "DppRunResult", "DriftConstants", "FiniteMarkovChain", "MixingReport",
     "OmegaOnlyPolicy", "PerformanceBounds", "Scenario", "ScenarioError",
     "ScenarioValidation", "SlotIO", "StabilityVerdict", "StationaryDistribution",
-    "StepRecord", "TraceEnsemble", "VerdictThresholds", "bb1_closed_form", "build_lp",
+    "TraceEnsemble", "VerdictThresholds", "bb1_closed_form", "build_lp",
     "cex_mean_not_rate", "cex_rate_not_mean", "cex_strong_not_rate",
-    "conservation_check", "dpp_select_action", "drift_constants", "estimate_verdict",
-    "evaluate_action", "fixture_path", "lambda_in_capacity", "load_scenario",
-    "lyapunov_value", "make_rng", "mixing_time", "network_step", "performance_bounds",
+    "conservation_check", "drift_constants", "estimate_verdict",
+    "fixture_path", "lambda_in_capacity", "load_scenario",
+    "lyapunov_value", "make_rng", "mixing_time", "performance_bounds",
     "queue_step", "run_dpp_batch", "sample_path", "single_queue_path", "slater_dmax",
     "solve_fopt", "stationary_distribution", "substream_seed", "validate",
     "virtual_queue_step",
@@ -31,14 +31,12 @@ MODULES = {
         "lambda_in_capacity", "performance_bounds", "slater_dmax", "solve_fopt",
     ],
     "controller": [
-        "DppBatchResult", "DppRunResult", "DriftConstants", "compile_tables",
-        "dpp_select_action", "drift_constants", "is_uncontrolled_single_queue",
-        "run_dpp_batch",
+        "DppBatchResult", "DppRunResult", "DriftConstants", "drift_constants",
+        "is_uncontrolled_single_queue", "run_dpp_batch",
     ],
     "network": [
-        "Action", "AffineFunction", "Scenario", "ScenarioError", "ScenarioValidation",
-        "StepRecord", "evaluate_action", "fixture_path", "load_scenario", "network_step",
-        "validate",
+        "Action", "AffineFunction", "Scenario", "ScenarioError", "ScenarioTables",
+        "ScenarioValidation", "compile_tables", "fixture_path", "load_scenario", "validate",
     ],
     "processes": [
         "ArrivalSpec", "FiniteMarkovChain", "MixingReport", "PeriodicChainError",

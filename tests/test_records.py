@@ -15,6 +15,7 @@ import re
 import numpy as np
 import pytest
 
+import oracles
 from qnetlab import capacity, controller, network, processes, queues, simplex, stability
 
 # Constructor parameters in order; "name=default" where there is a default.
@@ -25,7 +26,6 @@ SIGNATURES = {
     capacity.PerformanceBounds: "c_0 T_eps backlog_bound cost_bound",
     capacity.PolicyLp:
         "scenario lambdas pi var_index c c0 a_ub b_ub row_names a_eq b_eq",
-    controller.DppTables: "f pad g net b y x",
     controller.DppRunResult:
         "horizon q_path z_path omega_path action_path x_path f_path g_path arrivals",
     controller.DppBatchResult: "totals avg_cost avg_g runs",
@@ -34,8 +34,9 @@ SIGNATURES = {
     network.Action: "name y b x",
     network.Scenario: "name n_queues n_constraints n_attributes omega_chain actions cost "
                       "constraints arrivals routing=None",
+    network.ScenarioTables: "f pad g net b y x y_offered",
     network.ScenarioValidation: "sigma2 f_min f_max",
-    network.StepRecord: "omega_index action_index arrivals y_offered b_offered y_actual "
+    oracles.StepRecord: "omega_index action_index arrivals y_offered b_offered y_actual "
                         "b_actual x f_value g_values",
     processes.StationaryDistribution: "pi",
     processes.MixingReport: "delta T tv_curve",
@@ -105,7 +106,8 @@ def test_positional_and_keyword_construction_agree():
 def test_scenario_keeps_its_arguments_and_defaults_routing_to_a_new_list():
     downlink2 = network.load_scenario("downlink2.json")
     args = vars(downlink2).copy()
-    del args["routing"]
+    # The compiled tables are built by the constructor, not passed to it.
+    del args["routing"], args["tables"]
     first, second = network.Scenario(**args), network.Scenario(*args.values())
     assert first.routing == [] and second.routing == [] and first.routing is not second.routing
     assert all(getattr(first, key) is value for key, value in args.items())
@@ -150,7 +152,7 @@ INVALID = [
     (lambda: _chain([[1.5, -0.5], [0.5, 0.5]]), ValueError,
      "transition entries must be finite and lie in [0, 1]"),
     (lambda: _chain([[0.5, 0.4], [0.5, 0.5]]), ValueError,
-     "transition row 0 sums to np.float64(0.9), not 1"),
+     "transition row 0 sums to 0.9, not 1"),
     (lambda: _chain([[0.5, 0.5], [0.5, 0.5]], (0.5, 0.4)), ValueError,
      "initial distribution must be a probability vector"),
     (lambda: _chain([[0.5, 0.5], [0.5, 0.5]], labels=("a",)), ValueError,
@@ -191,7 +193,7 @@ def every_record():
     """One instance of each public record type, made by the code that makes it."""
     scenario = network.load_scenario("downlink2.json")
     state = queues.CompositeState.zeros(scenario.n_queues, scenario.n_constraints)
-    _, step = network.network_step(scenario, state, 0, 0, np.zeros(scenario.n_queues))
+    _, step = oracles.network_step(scenario, state, 0, 0, np.zeros(scenario.n_queues))
     lp = capacity.build_lp(scenario)
     report = lp.solve()
     drift = controller.drift_constants(scenario)
@@ -204,7 +206,7 @@ def every_record():
         processes.stationary_distribution(scenario.omega_chain),
         processes.mixing_time(scenario.omega_chain, 0.1), lp, report, report.policy,
         capacity.performance_bounds(scenario, 1.0, drift.d_max / 4, drift), drift,
-        controller.compile_tables(scenario), batch, batch.runs[0], ensemble,
+        scenario.tables, batch, batch.runs[0], ensemble,
         stability.estimate_verdict(ensemble, estimators=["rate"]), stability.VerdictThresholds(),
         stability.BB1Params(0.3, 0.5),
         stability.sum_blocks([np.ones((2, 3))], keep=(1,)),
