@@ -11,9 +11,7 @@ from .capacity import (
     OmegaOnlyPolicy,
     PerformanceBounds,
     build_lp,
-    lambda_in_capacity,
     performance_bounds,
-    slater_dmax,
     solve_fopt,
 )
 from .controller import (
@@ -26,7 +24,6 @@ from .controller import (
 from .network import (
     Scenario,
     ScenarioError,
-    ScenarioValidation,
     fixture_path,
     load_scenario,
     validate,
@@ -35,10 +32,8 @@ from .processes import (
     ArrivalSpec,
     FiniteMarkovChain,
     MixingReport,
-    StationaryDistribution,
     make_rng,
     mixing_time,
-    sample_path,
     stationary_distribution,
     substream_seed,
 )
@@ -51,13 +46,9 @@ from .queues import (
     virtual_queue_step,
 )
 from .stability import (
-    BB1Params,
     StabilityVerdict,
-    TraceEnsemble,
     VerdictThresholds,
     bb1_closed_form,
-    cex_mean_not_rate,
-    cex_rate_not_mean,
     cex_strong_not_rate,
     estimate_verdict,
     single_queue_path,

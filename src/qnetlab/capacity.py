@@ -38,8 +38,6 @@ __all__ = [
     "PolicyLp",
     "build_lp",
     "solve_fopt",
-    "slater_dmax",
-    "lambda_in_capacity",
     "performance_bounds",
 ]
 
@@ -81,19 +79,13 @@ class PolicyLp(NamedTuple):
 
     scenario: Scenario
     lambdas: np.ndarray
-    pi: np.ndarray
-    var_index: list[tuple[int, int]]  # flat index -> (omega, action)
-    c: np.ndarray
+    c: np.ndarray  # one variable per real action, in (omega, action) order
     c0: float
     a_ub: np.ndarray
     b_ub: np.ndarray
     row_names: list[str]
     a_eq: np.ndarray
     b_eq: np.ndarray
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.var_index)
 
     def at(self, lambdas: Sequence[float]) -> "PolicyLp":
         """The same LP with the queue rows' right-hand side set to ``-lambdas``."""
@@ -118,7 +110,7 @@ class PolicyLp(NamedTuple):
 
     def _margin_lp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``c``, ``a_ub`` and ``a_eq`` of the margin LP: one more variable d."""
-        c = np.zeros(self.n_vars + 1)
+        c = np.zeros(self.c.size + 1)
         c[-1] = -1.0  # maximize d
         a_ub = np.hstack([self.a_ub, np.full((self.a_ub.shape[0], 1), 0.5)])
         a_eq = np.hstack([self.a_eq, np.zeros((self.a_eq.shape[0], 1))])
@@ -217,9 +209,8 @@ def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> Poli
     tab = scenario.tables
 
     # One variable per real action, in (omega, action) order.
-    w_of_var, a_of_var = np.nonzero(tab.real)
-    var_index = list(zip(w_of_var.tolist(), a_of_var.tolist()))
-    n = len(var_index)
+    w_of_var = np.nonzero(tab.real)[0]
+    n = w_of_var.size
 
     # Per-variable expected contributions, weighted by pi.  ``x_cols`` is
     # copied to C order: ``coeffs @ x_cols`` on a transposed view would take
@@ -245,8 +236,6 @@ def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> Poli
     lp = PolicyLp(
         scenario=scenario,
         lambdas=np.zeros(k),
-        pi=pi,
-        var_index=var_index,
         c=scenario.cost.coeffs @ x_cols,
         c0=scenario.cost.c0,
         a_ub=a_ub,
@@ -256,19 +245,6 @@ def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> Poli
         b_eq=b_eq,
     )
     return lp.at(scenario.lambdas if lambdas is None else lambdas)
-
-
-def slater_dmax(scenario: Scenario, lambdas: Sequence[float] | None = None) -> float:
-    """Largest margin d with every inequality pushed to <= -d/2 (0 at/outside
-    the boundary)."""
-    return build_lp(scenario, lambdas).margin()
-
-
-def lambda_in_capacity(scenario: Scenario, lambdas: Sequence[float]) -> bool:
-    """Is the arrival-rate vector supportable (closed region, zero slack)?"""
-    lp = build_lp(scenario, lambdas)
-    result = solve_lp(np.zeros(lp.n_vars), lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq)
-    return result.status == "optimal"
 
 
 def solve_fopt(

@@ -20,7 +20,7 @@ import numpy as np
 from . import capacity
 from .network import MODES, Scenario
 from .processes import mixing_time, sample_paths
-from .stability import TraceEnsemble, single_queue_path
+from .stability import single_queue_path
 
 __all__ = [
     "DriftConstants",
@@ -45,48 +45,18 @@ def _dot(tables: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(tables, cols, out=out)
 
 
-class DppRunResult:
-    """Closed-loop run output: per-slot records plus achieved time averages
-    (``avg_cost``, ``avg_g``, ``avg_backlog_sum``, ``q_slopes``, ``z_slopes``,
-    derived from the records)."""
+class DppRunResult(NamedTuple):
+    """One lane's closed-loop run in full: per-slot records."""
 
-    def __init__(
-        self,
-        horizon: int,
-        q_path: np.ndarray,       # (horizon + 1, K); slot-start backlogs
-        z_path: np.ndarray,       # (horizon + 1, L)
-        omega_path: np.ndarray,   # (horizon,)
-        action_path: np.ndarray,  # (horizon,)
-        x_path: np.ndarray,       # (horizon, M)
-        f_path: np.ndarray,       # (horizon,)
-        g_path: np.ndarray,       # (horizon, L)
-        arrivals: np.ndarray,     # (K, horizon)
-    ) -> None:
-        self.horizon = t = horizon
-        self.q_path = q_path
-        self.z_path = z_path
-        self.omega_path = omega_path
-        self.action_path = action_path
-        self.x_path = x_path
-        self.f_path = f_path
-        self.g_path = g_path
-        self.arrivals = arrivals
-        self.avg_cost = float(self.f_path.mean())
-        self.avg_g = self.g_path.mean(axis=0)
-        self.avg_backlog_sum = float(
-            (self.q_path[:t].sum(axis=1) + self.z_path[:t].sum(axis=1)).mean()
-        )
-        self.q_slopes = self.q_path[t] / t
-        self.z_slopes = self.z_path[t] / t
-
-    def queue_ensemble(self, k: int) -> TraceEnsemble:
-        return TraceEnsemble(backlog=self.q_path[: self.horizon, k][None, :])
-
-    def total_backlog_ensemble(self) -> TraceEnsemble:
-        total = self.q_path[: self.horizon].sum(axis=1) + self.z_path[
-            : self.horizon
-        ].sum(axis=1)
-        return TraceEnsemble(backlog=total[None, :])
+    horizon: int
+    q_path: np.ndarray       # (horizon + 1, K); slot-start backlogs
+    z_path: np.ndarray       # (horizon + 1, L)
+    omega_path: np.ndarray   # (horizon,)
+    action_path: np.ndarray  # (horizon,)
+    x_path: np.ndarray       # (horizon, M)
+    f_path: np.ndarray       # (horizon,)
+    g_path: np.ndarray       # (horizon, L)
+    arrivals: np.ndarray     # (K, horizon)
 
 
 class DppBatchResult(NamedTuple):
@@ -129,7 +99,7 @@ def run_dpp_batch(
     results equal a run of the slot recursion alone: scores, updates and
     reductions follow the single-run order.  The first ``record`` lanes are
     also returned in full; ``with_virtual`` adds the sum of Z to ``totals``,
-    whose row means are then ``DppRunResult.avg_backlog_sum``.  When
+    whose row means are then the time-average backlog sums.  When
     ``is_uncontrolled_single_queue`` holds, each replication's backlog path
     comes from the reflection identity (``single_queue_path``) instead of
     the slot loop, with ``y`` added to the arrivals.

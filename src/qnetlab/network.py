@@ -35,7 +35,6 @@ __all__ = [
     "AffineFunction",
     "Scenario",
     "ScenarioTables",
-    "ScenarioValidation",
     "ScenarioError",
     "compile_tables",
     "load_scenario",
@@ -202,22 +201,15 @@ class Scenario:
         return np.asarray([spec.rate for spec in self.arrivals], dtype=float)
 
     def stationary(self) -> np.ndarray:
-        return stationary_distribution(self.omega_chain).pi
+        return stationary_distribution(self.omega_chain)
 
 
-class ScenarioValidation(NamedTuple):
-    sigma2: float
-    f_min: float
-    f_max: float
+def validate(scenario: Scenario) -> None:
+    """Check every real (omega, action) table value and cost for finiteness,
+    and that every arrival process has a table second moment.
 
-
-def validate(scenario: Scenario) -> ScenarioValidation:
-    """Worst-case second moment and cost extremes over all tables.
-
-    ``sigma2`` is the max second moment over every (omega, action) of offered
-    y, offered b, and each constraint value, together with the arrival
-    processes' analytic second moments.  ``f_min``/``f_max`` are the extreme
-    cost values over all (omega, action).
+    Raises ``ScenarioError`` at the first offender in (omega, action) order,
+    then in queue order.
     """
     tab = scenario.tables
     real = tab.real
@@ -233,18 +225,11 @@ def validate(scenario: Scenario) -> ScenarioValidation:
                 "non-finite x table entry", "non-finite g table entry",
                 "non-finite cost value")[int(np.argmax(bad[j]))]
         raise ScenarioError(f"actions[{w}][{i}]", what)
-    # Entries near the float64 limit square to inf, which is then sigma2.
-    with np.errstate(over="ignore"):
-        sigma2 = max(float(np.max(a**2, initial=0.0)) for a in (y, b, g))
     for k, spec in enumerate(scenario.arrivals):
         try:
-            sigma2 = max(sigma2, spec.second_moment())
+            spec.second_moment()
         except ValueError as exc:
             raise ScenarioError(f"arrivals[{k}]", str(exc)) from exc
-    # Builtin min/max keep the first extreme in (omega, action) order, and
-    # with it the sign of a zero cost.
-    f_real = f.tolist()
-    return ScenarioValidation(sigma2=sigma2, f_min=min(f_real), f_max=max(f_real))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "FiniteMarkovChain",
-    "StationaryDistribution",
     "MixingReport",
     "ArrivalSpec",
     "ReducibleChainError",
@@ -26,7 +25,6 @@ __all__ = [
     "make_rng",
     "stationary_distribution",
     "mixing_time",
-    "sample_path",
     "sample_paths",
 ]
 
@@ -63,10 +61,6 @@ def substream_seed(master_seed: int, replication: int) -> int:
 def make_rng(master_seed: int, replication: int = 0) -> np.random.Generator:
     """PCG64 generator for one replication substream."""
     return np.random.Generator(np.random.PCG64(substream_seed(master_seed, replication)))
-
-
-class StationaryDistribution(NamedTuple):
-    pi: np.ndarray
 
 
 class MixingReport(NamedTuple):
@@ -108,12 +102,6 @@ class FiniteMarkovChain:
     @property
     def n_states(self) -> int:
         return self.transition.shape[0]
-
-    @classmethod
-    def iid(cls, probs: Sequence[float], labels: Sequence[str] = ()) -> "FiniteMarkovChain":
-        """Memoryless chain: every row equals ``probs``."""
-        probs = np.asarray(probs, dtype=float)
-        return cls(np.tile(probs, (len(probs), 1)), probs.copy(), tuple(labels))
 
     def reachable_from(self, start: int) -> set[int]:
         support = self.transition > 0
@@ -159,7 +147,7 @@ class FiniteMarkovChain:
         return abs(g)
 
 
-def stationary_distribution(chain: FiniteMarkovChain) -> StationaryDistribution:
+def stationary_distribution(chain: FiniteMarkovChain) -> np.ndarray:
     """Solve ``pi P = pi``, ``sum(pi) = 1`` by Gaussian elimination.
 
     The last balance equation (redundant for a stochastic matrix) is replaced
@@ -176,7 +164,7 @@ def stationary_distribution(chain: FiniteMarkovChain) -> StationaryDistribution:
     pi /= pi.sum()
     if np.max(np.abs(pi @ chain.transition - pi)) > STATIONARY_TOL:
         raise ArithmeticError("stationary distribution failed its fixed-point check")
-    return StationaryDistribution(pi=pi)
+    return pi
 
 
 def mixing_time(
@@ -195,7 +183,7 @@ def mixing_time(
             "chain is periodic; mixing to stationarity requires aperiodicity "
             "(randomize over the period to make the chain stationary)"
         )
-    pi = stationary_distribution(chain).pi
+    pi = stationary_distribution(chain)
     power = chain.transition.copy()
     curve: list[tuple[int, float]] = []
     for t in range(1, max_steps + 1):
@@ -298,9 +286,6 @@ class ArrivalSpec:
             f"counterexample arrival {self.tag!r} prescribes backlogs, not arrivals; "
             "generate it with the stability counterexample tools"
         )
-
-    def sample(self, rng: np.random.Generator, horizon: int) -> np.ndarray:
-        return self.table[self.sample_index(rng, horizon)]
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -407,21 +392,3 @@ def sample_paths(
         for k, spec in enumerate(arrival_specs):
             index[:, j, k] = spec.sample_index(rng, horizon)
     return omega, index
-
-
-def sample_path(
-    chain: FiniteMarkovChain,
-    arrival_specs: Sequence[ArrivalSpec],
-    seed: int,
-    horizon: int,
-    replication: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one replication's network-state path and arrivals, compactly.
-
-    The one-replication case of ``sample_paths``: returns
-    ``(omega_path, arrival_index)`` of shapes ``(horizon,)`` and
-    ``(K, horizon)``; the work arriving to queue ``k`` at slot ``t`` is
-    ``arrival_specs[k].table[arrival_index[k, t]]``.
-    """
-    omega, index = sample_paths(chain, arrival_specs, seed, horizon, [replication])
-    return omega[:, 0], np.ascontiguousarray(index[:, 0].T)

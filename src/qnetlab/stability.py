@@ -28,28 +28,20 @@ import numpy as np
 from .processes import make_rng
 
 __all__ = [
-    "TraceEnsemble",
     "BlockSums",
     "VerdictThresholds",
     "StabilityVerdict",
-    "BB1Params",
-    "InsufficientReplicationsError",
     "geometric_checkpoints",
     "single_queue_path",
     "estimate_verdict",
     "bb1_closed_form",
-    "cex_rate_not_mean",
     "cex_rate_not_mean_blocks",
-    "cex_mean_not_rate",
     "cex_mean_not_rate_blocks",
     "cex_strong_not_rate",
     "sum_blocks",
     "verdict_report_items",
     "curve_rows",
-    "markov_bound_violations",
 ]
-
-ALL_ESTIMATORS = ("rate", "mean_rate", "steady_state", "strong")
 
 # Largest time index allowed for the doubling counter-example: values reach
 # 2^(2t), and 2^80 is still exactly representable in float64.
@@ -60,49 +52,6 @@ RATE_NOT_MEAN_MAX_SLOTS = 41
 # peak RSS 39 / 40 / 42 / 45 / 54 MB at 256 KB / 512 KB / 1 / 2 / 4 MB, with
 # no faster time at the larger sizes.
 _CEX_BLOCK_BYTES = 1 << 18
-
-
-class InsufficientReplicationsError(ValueError):
-    """Raised when an estimator needs more replications than the ensemble has."""
-
-
-class TraceEnsemble:
-    """Backlog sample paths: ``backlog[r, t]`` for slots ``t = 0..horizon-1``.
-
-    ``checkpoints`` are the times at which slope estimates are read: strictly
-    increasing integers in ``[1, horizon - 1]``, by default (or when empty)
-    the geometric times (powers of two plus the final slot).
-    """
-
-    def __init__(self, backlog: np.ndarray, checkpoints: Sequence[int] = ()) -> None:
-        self.backlog = np.asarray(backlog, dtype=float)
-        if self.backlog.ndim != 2:
-            raise ValueError("backlog must be a (n_reps, horizon) matrix")
-        if not np.min(self.backlog, initial=0.0) >= 0:  # NaN fails too
-            raise ValueError("backlogs must be non-negative numbers")
-        raw = np.asarray(checkpoints)
-        if raw.ndim != 1:
-            raise ValueError("checkpoints must be a 1-d sequence of slot indices")
-        if raw.size == 0:
-            self.checkpoints = geometric_checkpoints(self.horizon)
-            return
-        with np.errstate(invalid="ignore"):
-            cps = raw.astype(np.int64)
-        if not np.array_equal(cps, raw):
-            raise ValueError("checkpoints must be integer slot indices")
-        if not (cps[0] >= 1 and cps[-1] <= self.horizon - 1 and np.all(np.diff(cps) > 0)):
-            raise ValueError(
-                f"checkpoints must increase strictly within [1, {self.horizon - 1}]"
-            )
-        self.checkpoints = cps
-
-    @property
-    def n_reps(self) -> int:
-        return self.backlog.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.backlog.shape[1]
 
 
 def geometric_checkpoints(horizon: int) -> np.ndarray:
@@ -133,7 +82,8 @@ class VerdictThresholds(NamedTuple):
 
 
 class StabilityVerdict(NamedTuple):
-    """Estimates plus the four-way classification (None = not requested)."""
+    """Estimates plus the four-way classification (mean rate: None when the
+    ensemble is too small for it)."""
 
     rate_slope: float
     mean_rate_slope: float | None
@@ -214,37 +164,32 @@ def _percentile(a: np.ndarray, q: float) -> np.ndarray:
 
 
 def estimate_verdict(
-    ensemble: TraceEnsemble,
-    thresholds: VerdictThresholds = VerdictThresholds(),
-    estimators: Sequence[str] | None = None,
+    backlog: np.ndarray, thresholds: VerdictThresholds = VerdictThresholds()
 ) -> StabilityVerdict:
-    """Estimate the four stability notions from a trace ensemble.
+    """Estimate the four stability notions from backlog paths
+    ``backlog[r, t]``, one row per replication, slots ``t = 0..horizon-1``.
 
-    ``estimators`` selects which classifications are requested (default all).
-    The mean-rate estimator averages Q(t)/t across replications and needs at
-    least ``thresholds.min_reps_mean_rate`` of them; requesting it with fewer
-    raises ``InsufficientReplicationsError``.
+    Slopes are read at ``geometric_checkpoints(horizon)``.  The mean-rate
+    estimate averages Q(t)/t across replications; it is made only when there
+    are at least ``thresholds.min_reps_mean_rate`` of them, and is None
+    otherwise.
 
-    Two passes over ``ensemble.backlog``: slopes and means first, then the
-    tail curves on the M-grid those means fix.  Sums over replications are
-    taken in replication order, so a verdict does not depend on how the
-    ensemble was produced.
+    Two passes over ``backlog``: slopes and means first, then the tail
+    curves on the M-grid those means fix.  Sums over replications are taken
+    in replication order, so a verdict does not depend on how the ensemble
+    was produced.
     """
-    requested = tuple(estimators) if estimators is not None else ALL_ESTIMATORS
-    unknown = set(requested) - set(ALL_ESTIMATORS)
-    if unknown:
-        raise ValueError(f"unknown estimators {sorted(unknown)}")
-    q, checkpoints = ensemble.backlog, ensemble.checkpoints
+    q = np.asarray(backlog, dtype=float)
+    if q.ndim != 2:
+        raise ValueError("backlog must be a (n_reps, horizon) matrix")
+    if not np.min(q, initial=0.0) >= 0:  # NaN fails too
+        raise ValueError("backlogs must be non-negative numbers")
     n_reps, horizon = q.shape
     if horizon < 1000:
         raise ValueError("verdicts need a horizon of at least 1e3 slots")
     if n_reps < 1:
         raise ValueError("ensembles need at least one replication")
-    if "mean_rate" in requested and n_reps < thresholds.min_reps_mean_rate:
-        raise InsufficientReplicationsError(
-            f"mean-rate estimation needs >= {thresholds.min_reps_mean_rate} "
-            f"replications, got {n_reps}"
-        )
+    checkpoints = geometric_checkpoints(horizon)
     t_final = int(checkpoints[-1])
     t_half = max(t_final // 2, 1)
 
@@ -252,7 +197,9 @@ def estimate_verdict(
     finals = q[:, t_final] / t_final
     rate_slope = float(_median(finals))
     slopes_at_checkpoints = _median(q[:, checkpoints] / checkpoints)
-    mean_rate_slope = float(np.mean(finals)) if "mean_rate" in requested else None
+    mean_rate_slope = (
+        float(np.mean(finals)) if n_reps >= thresholds.min_reps_mean_rate else None
+    )
 
     def ordered_sum(row_sums: np.ndarray) -> float:
         return float(np.cumsum(row_sums)[-1])
@@ -302,46 +249,30 @@ def estimate_verdict(
     )
 
 
-class BB1Params:
-    """Bernoulli/Bernoulli/1 parameters; closed forms need lam < mu."""
-
-    def __init__(self, lam: float, mu: float) -> None:
-        self.lam = lam
-        self.mu = mu
-        if not (0.0 <= self.lam < 1.0 and 0.0 < self.mu <= 1.0):
-            raise ValueError("need lam in [0, 1) and mu in (0, 1]")
-
-
-def bb1_closed_form(params: BB1Params) -> tuple[float, float]:
-    """Steady-state mean backlog and mean delay of the B/B/1 queue.
+def bb1_closed_form(lam: float, mu: float) -> tuple[float, float]:
+    """Steady-state mean backlog and mean delay of the Bernoulli/Bernoulli/1
+    queue with arrival rate ``lam`` and service rate ``mu``.
 
     ``Q_bar = lam (1 - lam) / (mu - lam)``, ``W_bar = (1 - lam) / (mu - lam)``.
     """
-    if params.lam >= params.mu:
+    if not (0.0 <= lam < 1.0 and 0.0 < mu <= 1.0):
+        raise ValueError("need lam in [0, 1) and mu in (0, 1]")
+    if lam >= mu:
         raise ValueError("no steady state: closed forms require lam < mu")
-    q_bar = params.lam * (1.0 - params.lam) / (params.mu - params.lam)
-    w_bar = (1.0 - params.lam) / (params.mu - params.lam)
-    return q_bar, w_bar
+    return lam * (1.0 - lam) / (mu - lam), (1.0 - lam) / (mu - lam)
 
 
 def _block_rows(horizon: int) -> int:
     return max(1, _CEX_BLOCK_BYTES // (8 * horizon))
 
 
-def cex_rate_not_mean(seed: int, horizon: int, n_reps: int) -> TraceEnsemble:
-    """Rate-stable but not mean-rate-stable: Q(t) = 4^t while t < T, else 0.
+def cex_rate_not_mean_blocks(seed: int, horizon: int, n_reps: int) -> Iterator[np.ndarray]:
+    """Rate-stable but not mean-rate-stable: Q(t) = 4^t while t < T, else 0,
+    as consecutive row blocks of the (n_reps, horizon) backlog.
 
     T is geometric with Pr[T > t] = 2^-t, so E[Q(t)] = 2^t diverges while
     every individual path is eventually zero.  Horizon is capped so values
-    (up to 2^80) stay exactly representable.  The backlog is the row-wise
-    concatenation of ``cex_rate_not_mean_blocks``.
-    """
-    blocks = list(cex_rate_not_mean_blocks(seed, horizon, n_reps))
-    return TraceEnsemble(backlog=np.concatenate(blocks))
-
-
-def cex_rate_not_mean_blocks(seed: int, horizon: int, n_reps: int) -> Iterator[np.ndarray]:
-    """``cex_rate_not_mean``'s backlog as consecutive row blocks.
+    (up to 2^80) stay exactly representable.
 
     All ``n_reps`` stopping times are drawn first, in replication order, from
     one ``make_rng(seed, 0)`` stream; block ``b`` then holds the rows of
@@ -365,16 +296,10 @@ def cex_rate_not_mean_blocks(seed: int, horizon: int, n_reps: int) -> Iterator[n
         yield np.where(t_idx[None, :] < stop[:, None], values[None, :], 0.0)
 
 
-def cex_mean_not_rate(seed: int, horizon: int, n_reps: int) -> TraceEnsemble:
-    """Mean-rate-stable but not rate-stable: independent slots with
-    Q(t) = t w.p. 1/t, else 0, so E[Q(t)] = 1 while spikes Q(t) = t recur.
-    The backlog is the row-wise concatenation of ``cex_mean_not_rate_blocks``."""
-    blocks = list(cex_mean_not_rate_blocks(seed, horizon, n_reps))
-    return TraceEnsemble(backlog=np.concatenate(blocks))
-
-
 def cex_mean_not_rate_blocks(seed: int, horizon: int, n_reps: int) -> Iterator[np.ndarray]:
-    """``cex_mean_not_rate``'s backlog as consecutive row blocks.
+    """Mean-rate-stable but not rate-stable: independent slots with
+    Q(t) = t w.p. 1/t, else 0, so E[Q(t)] = 1 while spikes Q(t) = t recur;
+    the (n_reps, horizon) backlog as consecutive row blocks.
 
     One uniform per (replication, slot) comes from one ``make_rng(seed, 0)``
     stream in row-major order: replication 0's ``horizon`` slots, then
@@ -441,21 +366,22 @@ def sum_blocks(
     )
 
 
-def cex_strong_not_rate(horizon: int) -> TraceEnsemble:
-    """Strongly stable but not rate-stable: deterministic Q(t) = t at powers
-    of two, else 0.  The running average tends to 2 while Q(2^n)/2^n = 1.
+def cex_strong_not_rate(horizon: int) -> np.ndarray:
+    """Strongly stable but not rate-stable: the deterministic path Q(t) = t at
+    powers of two, else 0.  The running average tends to 2 while
+    Q(2^n)/2^n = 1.
 
     ``horizon`` must be a power of two plus one so the trace ends exactly at
     a spike.
     """
     if horizon < 3 or not _is_power_of_two(horizon - 1):
         raise ValueError("horizon must be a power of two plus one")
-    backlog = np.zeros((1, horizon))
+    path = np.zeros(horizon)
     t = 1
     while t < horizon:
-        backlog[0, t] = float(t)
+        path[t] = float(t)
         t *= 2
-    return TraceEnsemble(backlog=backlog)
+    return path
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -495,13 +421,3 @@ def curve_rows(verdict: StabilityVerdict) -> list[tuple[float, float, float, flo
         )
         for i in range(verdict.m_grid.size)
     ]
-
-
-def markov_bound_violations(verdict: StabilityVerdict) -> int:
-    """Count grid points violating g(M) <= strong_metric / M.
-
-    The bound is the Markov inequality applied to the same empirical measure,
-    so the count must be zero on any ensemble.
-    """
-    bound = verdict.strong_metric / verdict.m_grid
-    return int(np.sum(verdict.g_curve > bound + 1e-15))

@@ -16,7 +16,8 @@ the lockstep sampler are both checked against the plain recursion.  The simplex'
 pivot, entering and leaving rules are kept here as row-by-row loops, the
 reference its array versions must match bit for bit.  The row-at-a-time
 CSV writer (``csv`` module, ``cli._fmt`` per value) is the byte reference
-for ``cli.write_csv``'s column-wise formatting.
+for ``cli.write_csv``'s column-wise formatting.  ``markov_bound_violations``
+checks the Markov inequality that every stability verdict must satisfy.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from qnetlab.cli import _fmt
 from qnetlab.controller import DppRunResult
-from qnetlab.network import MODES, Scenario, ScenarioError, ScenarioValidation
+from qnetlab.network import MODES, Scenario, ScenarioError
 from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, make_rng
 from qnetlab.queues import CompositeState, virtual_queue_step
 from qnetlab.simplex import TOL
@@ -62,11 +63,8 @@ def evaluate_action(
     return y, act.b.copy(), x.copy(), f_value, g_values
 
 
-def validate_by_actions(scenario: Scenario) -> ScenarioValidation:
+def validate_by_actions(scenario: Scenario) -> None:
     """``network.validate`` as one ``evaluate_action`` per (omega, action)."""
-    sigma2 = 0.0
-    f_min = math.inf
-    f_max = -math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for w in range(scenario.omega_chain.n_states):
             for i in range(len(scenario.actions[w])):
@@ -78,20 +76,11 @@ def validate_by_actions(scenario: Scenario) -> ScenarioValidation:
                         )
                 if not math.isfinite(f_value):
                     raise ScenarioError(f"actions[{w}][{i}]", "non-finite cost value")
-                sigma2 = max(
-                    sigma2,
-                    float(np.max(y**2, initial=0.0)),
-                    float(np.max(b**2, initial=0.0)),
-                    float(np.max(g_values**2, initial=0.0)),
-                )
-                f_min = min(f_min, f_value)
-                f_max = max(f_max, f_value)
     for k, spec in enumerate(scenario.arrivals):
         try:
-            sigma2 = max(sigma2, spec.second_moment())
+            spec.second_moment()
         except ValueError as exc:
             raise ScenarioError(f"arrivals[{k}]", str(exc)) from exc
-    return ScenarioValidation(sigma2=sigma2, f_min=f_min, f_max=f_max)
 
 
 def lp_by_actions(
@@ -165,6 +154,21 @@ def is_uncontrolled_single_queue_by_actions(scenario: Scenario) -> bool:
         + [spec.table for spec in scenario.arrivals]
     )
     return bool(np.all(work == np.round(work)))
+
+
+# ---------------------------------------------------------------------------
+# stability verdict invariant
+# ---------------------------------------------------------------------------
+
+
+def markov_bound_violations(verdict) -> int:
+    """Count grid points violating g(M) <= strong_metric / M.
+
+    The bound is the Markov inequality applied to the same empirical measure,
+    so the count must be zero on any ensemble.
+    """
+    bound = verdict.strong_metric / verdict.m_grid
+    return int(np.sum(verdict.g_curve > bound + 1e-15))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +390,8 @@ def sample_path_by_chase(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One replication's state path and arrival indices, one slot at a time.
 
-    The same draws as ``sample_path``: ``horizon`` uniforms, then each
+    The draws of one replication of ``processes.sample_paths``: ``horizon``
+    uniforms, then each
     queue's arrivals.  One ``searchsorted`` per state gives every slot's
     successor of every state, and a Python loop chases them.
     """

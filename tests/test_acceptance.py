@@ -9,7 +9,7 @@ constants themselves are loose by design and are not reproduced.
 import numpy as np
 import pytest
 
-from oracles import dpp_select_action, exhaustive_dpp_argmin, grid_fopt
+from oracles import dpp_select_action, exhaustive_dpp_argmin, grid_fopt, markov_bound_violations
 from qnetlab.capacity import performance_bounds, solve_fopt
 from qnetlab.cli import main
 from qnetlab.controller import drift_constants, run_dpp_batch
@@ -17,17 +17,14 @@ from qnetlab.network import load_scenario
 from qnetlab.processes import make_rng
 from qnetlab.queues import CompositeState
 from qnetlab.stability import (
-    TraceEnsemble,
-    cex_mean_not_rate,
-    cex_rate_not_mean,
+    cex_mean_not_rate_blocks,
+    cex_rate_not_mean_blocks,
     cex_strong_not_rate,
     estimate_verdict,
-    markov_bound_violations,
     single_queue_path,
 )
 
 SEED = 987654321
-PER_PATH_ESTIMATORS = ("rate", "steady_state", "strong")
 
 # Every ensemble produced by criteria 1-9 records its Markov-bound violation
 # count here; criterion 10 asserts the total is zero.
@@ -40,9 +37,8 @@ def _report(number: int, description: str, failures: list[str]) -> None:
     assert not failures, "; ".join(failures)
 
 
-def _record_markov(name: str, ensemble: TraceEnsemble) -> None:
-    """Direct check of g(M) <= strong_metric / M on the ensemble's own grid."""
-    q = ensemble.backlog
+def _record_markov(name: str, q: np.ndarray) -> None:
+    """Direct check of g(M) <= strong_metric / M on the backlog's own grid."""
     mean = float(q.mean())
     m_max = max(20.0 * mean, 1.0)
     grid = np.geomspace(1.0, m_max, 16) if m_max > 1.0 else np.array([1.0])
@@ -58,7 +54,7 @@ def _record_markov_verdict(name: str, verdict) -> None:
     MARKOV_LEDGER.append((name, markov_bound_violations(verdict)))
 
 
-def _bb1_paths(lam: float, mu: float, horizon: int, n_reps: int, seed: int) -> TraceEnsemble:
+def _bb1_paths(lam: float, mu: float, horizon: int, n_reps: int, seed: int) -> np.ndarray:
     """B/B/1 backlog paths; replication r draws its arrivals, then its
     services, from substream r."""
     backlog = np.empty((n_reps, horizon))
@@ -67,14 +63,12 @@ def _bb1_paths(lam: float, mu: float, horizon: int, n_reps: int, seed: int) -> T
         a = (rng.random(horizon - 1) < lam).astype(float)
         b = (rng.random(horizon - 1) < mu).astype(float)
         backlog[r] = single_queue_path(a, b)[:horizon]
-    return TraceEnsemble(backlog=backlog)
+    return backlog
 
 
 def test_criterion_01_bb1_golden_backlog():
     horizon, n_reps = 1_000_000, 20
-    verdict = estimate_verdict(
-        _bb1_paths(0.3, 0.5, horizon, n_reps, SEED), estimators=PER_PATH_ESTIMATORS
-    )
+    verdict = estimate_verdict(_bb1_paths(0.3, 0.5, horizon, n_reps, SEED))
     target = 0.3 * (1 - 0.3) / (0.5 - 0.3)  # 1.05
     failures = []
     if not abs(verdict.strong_metric - target) <= 0.05 * target:
@@ -87,23 +81,23 @@ def test_criterion_01_bb1_golden_backlog():
 
 def test_criterion_02_overload_slope():
     horizon, n_reps = 1_000_000, 5
-    ens = _bb1_paths(0.6, 0.5, horizon, n_reps, SEED + 1)
-    finals = ens.backlog[:, horizon - 1] / (horizon - 1)
+    backlog = _bb1_paths(0.6, 0.5, horizon, n_reps, SEED + 1)
+    finals = backlog[:, horizon - 1] / (horizon - 1)
     failures = [
         f"path {r}: Q(t)/t = {slope:.4f} outside 0.10 +/- 0.01"
         for r, slope in enumerate(finals)
         if not abs(slope - 0.10) <= 0.01
     ]
-    verdict = estimate_verdict(ens, estimators=PER_PATH_ESTIMATORS)
+    verdict = estimate_verdict(backlog)
     _record_markov_verdict("bb1-0.6-0.5", verdict)
     _report(2, f"overload slope per path ~ {finals.mean():.4f} vs 0.10 +/- 0.01", failures)
 
 
 def test_criterion_03_boundary_rate_stable_not_strong():
     horizon, n_reps = 1_000_000, 4
-    ens = _bb1_paths(0.5, 0.5, horizon, n_reps, SEED + 2)
-    verdict = estimate_verdict(ens, estimators=PER_PATH_ESTIMATORS)
-    finals = ens.backlog[:, horizon - 1] / (horizon - 1)
+    backlog = _bb1_paths(0.5, 0.5, horizon, n_reps, SEED + 2)
+    verdict = estimate_verdict(backlog)
+    finals = backlog[:, horizon - 1] / (horizon - 1)
     failures = []
     if not np.all(finals <= 0.01):
         failures.append(f"some Q(t)/t exceeds 0.01: {finals}")
@@ -117,44 +111,43 @@ def test_criterion_03_boundary_rate_stable_not_strong():
 
 
 def test_criterion_04_rate_not_mean_counterexample():
-    ens = cex_rate_not_mean(SEED + 3, horizon=41, n_reps=100_000)
-    mean6 = float(ens.backlog[:, 6].mean()) / 6.0
+    backlog = np.concatenate(list(cex_rate_not_mean_blocks(SEED + 3, 41, n_reps=100_000)))
+    mean6 = float(backlog[:, 6].mean()) / 6.0
     target = 2.0**6 / 6.0  # E[Q(6)] = 2^6
-    frac_zero = float((ens.backlog[:, 40] == 0.0).mean())
+    frac_zero = float((backlog[:, 40] == 0.0).mean())
     failures = []
     if not abs(mean6 - target) <= 0.10 * target:
         failures.append(f"ensemble mean Q(6)/6 = {mean6:.3f} not within 10% of {target:.3f}")
     if not frac_zero >= 0.99:
         failures.append(f"only {frac_zero:.4f} of paths have Q(40) = 0")
-    _record_markov("cex-rate-not-mean", ens)
+    _record_markov("cex-rate-not-mean", backlog)
     _report(4, f"doubling counterexample: mean Q(6)/6 = {mean6:.2f}, zeros at 40 = {frac_zero:.3f}", failures)
 
 
 def test_criterion_05_mean_not_rate_counterexample():
-    ens = cex_mean_not_rate(SEED + 4, horizon=200, n_reps=100_000)
-    mean100 = float(ens.backlog[:, 100].mean())
+    backlog = np.concatenate(list(cex_mean_not_rate_blocks(SEED + 4, 200, n_reps=100_000)))
+    mean100 = float(backlog[:, 100].mean())
     failures = []
     if not abs(mean100 - 1.0) <= 0.1:
         failures.append(f"ensemble mean Q(100) = {mean100:.3f} not within 1.0 +/- 0.1")
     # Recurring spikes: every quarter of the horizon sees spikes somewhere in
     # the ensemble, and the per-path spike fraction over [100, 200) matches
     # the independent-slot product form.
-    spikes_per_slot = (ens.backlog > 0).sum(axis=0)
+    spikes_per_slot = (backlog > 0).sum(axis=0)
     for lo in (1, 50, 100, 150):
         if spikes_per_slot[lo : lo + 50].sum() == 0:
             failures.append(f"no spikes in window [{lo}, {lo + 50})")
-    frac = float((ens.backlog[:, 100:200] > 0).any(axis=1).mean())
+    frac = float((backlog[:, 100:200] > 0).any(axis=1).mean())
     expected = 1.0 - float(np.prod(1.0 - 1.0 / np.arange(100, 200)))
     if not abs(frac - expected) <= 0.02:
         failures.append(f"window spike fraction {frac:.3f} vs derived {expected:.3f}")
-    _record_markov("cex-mean-not-rate", ens)
+    _record_markov("cex-mean-not-rate", backlog)
     _report(5, f"spiking counterexample: mean Q(100) = {mean100:.3f}, spikes recur", failures)
 
 
 def test_criterion_06_strong_not_rate_counterexample():
     horizon = 2**20 + 1
-    ens = cex_strong_not_rate(horizon)
-    path = ens.backlog[0]
+    path = cex_strong_not_rate(horizon)
     running = float(path.sum()) / horizon
     target = (2.0**21 - 1.0) / (2.0**20 + 1.0)
     failures = []
@@ -165,7 +158,7 @@ def test_criterion_06_strong_not_rate_counterexample():
     bad_spikes = [n for n in range(21) if path[2**n] / 2**n != 1.0]
     if bad_spikes:
         failures.append(f"Q(2^n)/2^n != 1 at n in {bad_spikes}")
-    verdict = estimate_verdict(ens, estimators=PER_PATH_ESTIMATORS)
+    verdict = estimate_verdict(path[None, :])
     _record_markov_verdict("cex-strong-not-rate", verdict)
     _report(6, f"power-of-two counterexample: running average {running:.6f} ~ 2", failures)
 
@@ -220,28 +213,32 @@ def test_criterion_09_controller_performance_suite():
     failures = []
     costs = []
     # One 3-lane kernel call: the three V values share replication 0's path.
-    batch = run_dpp_batch(scenario, v_list, [0] * len(v_list), SEED + 6, horizon, record=3)
-    for v_param, run in zip(v_list, batch.runs):
-        costs.append(run.avg_cost)
-        if not np.all(run.avg_g <= 0.01):
-            failures.append(f"V={v_param}: time-avg g {run.avg_g} above 0.01")
-        slopes = np.concatenate([run.q_slopes, run.z_slopes])
+    # Totals include the virtual queues: their row means are the time-average
+    # backlog sums that the bound covers.
+    batch = run_dpp_batch(scenario, v_list, [0] * len(v_list), SEED + 6, horizon, record=3,
+                          with_virtual=True)
+    for i, (v_param, run) in enumerate(zip(v_list, batch.runs)):
+        avg_cost, avg_g, avg_backlog = batch.avg_cost[i], batch.avg_g[i], batch.totals[i].mean()
+        costs.append(avg_cost)
+        if not np.all(avg_g <= 0.01):
+            failures.append(f"V={v_param}: time-avg g {avg_g} above 0.01")
+        slopes = np.concatenate([run.q_path[horizon], run.z_path[horizon]]) / horizon
         if not np.all(slopes <= 0.01):
             failures.append(f"V={v_param}: backlog slopes {slopes} above 0.01")
         bounds = performance_bounds(scenario, v_param, epsilon, drift)
-        if not run.avg_backlog_sum <= bounds.backlog_bound:
+        if not avg_backlog <= bounds.backlog_bound:
             failures.append(
-                f"V={v_param}: measured backlog {run.avg_backlog_sum:.2f} exceeds "
+                f"V={v_param}: measured backlog {avg_backlog:.2f} exceeds "
                 f"bound {bounds.backlog_bound:.2f}"
             )
-        if not run.avg_cost <= bounds.cost_bound:
+        if not avg_cost <= bounds.cost_bound:
             failures.append(
-                f"V={v_param}: measured cost {run.avg_cost:.4f} exceeds "
+                f"V={v_param}: measured cost {avg_cost:.4f} exceeds "
                 f"bound {bounds.cost_bound:.4f}"
             )
         for k in range(scenario.n_queues):
-            _record_markov(f"dpp-V{v_param}-queue{k}", run.queue_ensemble(k))
-        _record_markov(f"dpp-V{v_param}-total", run.total_backlog_ensemble())
+            _record_markov(f"dpp-V{v_param}-queue{k}", run.q_path[:horizon, k][None, :])
+        _record_markov(f"dpp-V{v_param}-total", batch.totals[i][None, :])
     if not (costs[1] <= costs[0] + noise and costs[2] <= costs[1] + noise):
         failures.append(f"avg cost not non-increasing in V: {costs}")
     if not (cap.f_opt - noise <= costs[-1] <= cap.f_opt + 0.05):

@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import grid_fopt
 from qnetlab import capacity, simplex
-from qnetlab.capacity import (
-    build_lp,
-    lambda_in_capacity,
-    performance_bounds,
-    slater_dmax,
-    solve_fopt,
-)
+from qnetlab.capacity import build_lp, performance_bounds, solve_fopt
 from qnetlab.cli import override_mu
 from qnetlab.controller import DriftConstants, drift_constants
 from qnetlab.network import load_scenario
@@ -37,8 +31,8 @@ def downlink2():
 
 
 def test_lp_variable_count_matches_action_tables(bb1, downlink2):
-    assert build_lp(bb1).n_vars == 2  # one action in each of two states
-    assert build_lp(downlink2).n_vars == 5  # 1 + 2 + 2
+    assert build_lp(bb1).c.size == 2  # one action in each of two states
+    assert build_lp(downlink2).c.size == 5  # 1 + 2 + 2
 
 
 def test_single_state_single_action_is_forced(bb1):
@@ -101,7 +95,7 @@ def test_lp_moved_to_new_rates_equals_a_fresh_build(downlink2):
 
 def test_bb1_dmax_hand_value(bb1):
     # Margin LP: 0.3 + d/2 <= 0.5  ->  d = 0.4.
-    assert slater_dmax(bb1) == pytest.approx(0.4, abs=1e-9)
+    assert build_lp(bb1).margin() == pytest.approx(0.4, abs=1e-9)
 
 
 def test_infeasible_rate_vector_reported(bb1):
@@ -138,7 +132,7 @@ def test_two_action_minimum_picks_smaller_cost():
 
 
 def test_zero_rates_with_idle_action_are_strictly_interior(downlink2):
-    assert slater_dmax(downlink2, lambdas=[0.0, 0.0]) > 0.0
+    assert build_lp(downlink2, [0.0, 0.0]).margin() > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -147,34 +141,34 @@ def test_zero_rates_with_idle_action_are_strictly_interior(downlink2):
 
 
 def test_membership_includes_boundary(bb1):
-    assert lambda_in_capacity(bb1, [0.5])
-    assert not lambda_in_capacity(bb1, [0.51])
-    assert lambda_in_capacity(bb1, [0.0])
+    assert build_lp(bb1, [0.5]).solve().feasible
+    assert not build_lp(bb1, [0.51]).solve().feasible
+    assert build_lp(bb1, [0.0]).solve().feasible
 
 
 def test_boundary_point_has_zero_margin(bb1):
-    assert slater_dmax(bb1, lambdas=[0.5]) == pytest.approx(0.0, abs=1e-9)
+    assert build_lp(bb1, [0.5]).margin() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_membership_is_monotone_downward(downlink2):
     rng = make_rng(31, 0)
     for _ in range(25):
         lam = rng.random(2) * 0.5
-        if lambda_in_capacity(downlink2, lam):
+        if build_lp(downlink2, lam).solve().feasible:
             smaller = lam * rng.random(2)
-            assert lambda_in_capacity(downlink2, smaller)
+            assert build_lp(downlink2, smaller).solve().feasible
 
 
 def test_slater_consistency(downlink2):
-    d = slater_dmax(downlink2)
+    d = build_lp(downlink2).margin()
     assert d > 0
-    assert lambda_in_capacity(downlink2, downlink2.lambdas)
+    assert build_lp(downlink2, downlink2.lambdas).solve().feasible
     # The margin-d policy pushes every inequality to -d/2, so shifting every
     # arrival rate up by d/2 keeps the vector inside the region.
     shifted = downlink2.lambdas + d / 2.0
-    assert lambda_in_capacity(downlink2, shifted)
+    assert build_lp(downlink2, shifted).solve().feasible
     beyond = downlink2.lambdas + d + 0.05
-    assert not lambda_in_capacity(downlink2, beyond)
+    assert not build_lp(downlink2, beyond).solve().feasible
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +195,14 @@ def test_fopt_matches_grid_oracle_with_lambda_override(downlink2):
 # ---------------------------------------------------------------------------
 
 
-# f_opt, f_min and f_max of bb1, as solve_fopt and validate give them.
+# f_opt, f_min and f_max of bb1, as solve_fopt and drift_constants give them.
 BB1_COSTS = dict(f_opt=0.5, f_min=0.0, f_max=1.0)
 
 
 def test_drift_constants_carry_the_cost_constants(bb1):
     drift = drift_constants(bb1)
     assert {name: getattr(drift, name) for name in BB1_COSTS} == BB1_COSTS
-    assert drift.d_max == slater_dmax(bb1)
+    assert drift.d_max == build_lp(bb1).margin()
 
 
 def test_bounds_reuse_the_drift_mixing_time(downlink2, monkeypatch):

@@ -59,25 +59,20 @@ def set_block_rows(monkeypatch, rows, horizon):
 
 
 DRAWS = [
-    ("rate-not-mean", stability.cex_rate_not_mean_blocks, stability.cex_rate_not_mean,
-     one_shot_rate_not_mean, 41),
-    ("mean-not-rate", stability.cex_mean_not_rate_blocks, stability.cex_mean_not_rate,
-     one_shot_mean_not_rate, 37),
+    ("rate-not-mean", stability.cex_rate_not_mean_blocks, one_shot_rate_not_mean, 41),
+    ("mean-not-rate", stability.cex_mean_not_rate_blocks, one_shot_mean_not_rate, 37),
 ]
 
 
-@pytest.mark.parametrize("name, blocks, ensemble, one_shot, horizon", DRAWS,
-                         ids=[d[0] for d in DRAWS])
+@pytest.mark.parametrize("name, blocks, one_shot, horizon", DRAWS, ids=[d[0] for d in DRAWS])
 @pytest.mark.parametrize("seed", [0, 3, 12345, 2**40 + 7])
-def test_stacked_blocks_equal_one_shot_draw(monkeypatch, name, blocks, ensemble, one_shot,
-                                            horizon, seed):
+def test_stacked_blocks_equal_one_shot_draw(monkeypatch, name, blocks, one_shot, horizon, seed):
     n_reps = 50  # 7 rows per block: 7 full blocks and a last one of 1 row
     set_block_rows(monkeypatch, 7, horizon)
     parts = list(blocks(seed, horizon, n_reps))
     assert [p.shape for p in parts] == [(7, horizon)] * 7 + [(1, horizon)]
     expected = one_shot(seed, horizon, n_reps)
     assert np.concatenate(parts).tobytes() == expected.tobytes()
-    assert ensemble(seed, horizon, n_reps).backlog.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("blocks", [stability.cex_rate_not_mean_blocks,

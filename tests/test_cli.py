@@ -98,6 +98,53 @@ def test_bad_sweep_scale_fails_before_any_output(tmp_path, capsys, raw, entry):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["capacity", "simulate"])
+@pytest.mark.parametrize("raw, entry", [
+    ("nan", "'nan'"), ("inf", "'inf'"), ("abc", "'abc'"), ("", "''"), ("-0.1", "'-0.1'"),
+    ("0.1,-0.1", "'-0.1'"),
+])
+def test_bad_lambda_fails_before_any_output(tmp_path, capsys, command, raw, entry):
+    out = tmp_path / "o"
+    rc = main([command, "downlink2.json", "--lambda", raw, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: --lambda entry {entry} ")
+    assert not out.exists()
+
+
+# The arguments after the scenario of each command that reads one.
+SCENARIO_COMMANDS = {
+    "simulate": ["--horizon", "1000", "--reps", "2"],
+    "stability": ["--horizon", "1000", "--reps", "2"],
+    "capacity": [],
+    "sweep-v": ["--horizon", "500"],
+}
+
+
+def assert_clean_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(SCENARIO_COMMANDS))
+def test_scenario_path_that_is_a_directory_is_an_error(tmp_path, capsys, command):
+    rc = main([command, str(tmp_path), *SCENARIO_COMMANDS[command], "--out", str(tmp_path / "o")])
+    assert_clean_error(rc, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "downlink2.json", *rest] for command, rest in SCENARIO_COMMANDS.items()),
+    ["counterexample", "strong-not-rate"],
+    ["bb1", "--lambda", "0.3", "--mu", "0.5"],
+], ids=lambda argv: argv[0])
+def test_out_naming_an_existing_file_is_an_error(tmp_path, capsys, argv):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert_clean_error(main([*argv, "--out", str(out)]), capsys)
+    assert out.read_text() == ""
+
+
 def test_sweep_v_validates_the_scenario_once(tmp_path, monkeypatch):
     calls = []
     real_validate = network.validate

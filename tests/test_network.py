@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import evaluate_action, network_step
+from qnetlab.capacity import CapacityReport
+from qnetlab.controller import drift_constants
 from qnetlab.network import (
     Action,
     AffineFunction,
@@ -188,11 +190,18 @@ def test_step_rejects_bad_action_index():
 # ---------------------------------------------------------------------------
 
 
+def cost_extremes(scenario):
+    """``f_min`` and ``f_max`` as ``drift_constants`` reads them off the
+    tables (an interior LP answer is given, so no LP is solved)."""
+    interior = CapacityReport(True, 0.0, 1.0, None, (), False)
+    drift = drift_constants(scenario, delta=0.25, report=interior)
+    return drift.f_min, drift.f_max
+
+
 def test_validate_all_zero_tables():
     s = make_scenario([action([0, 0], [0, 0], [0.0])], cost=AffineFunction(1.5, np.zeros(1)))
-    check = validate(s)
-    assert check.sigma2 == pytest.approx(0.1)  # Bernoulli(0.1) second moment
-    assert check.f_min == check.f_max == 1.5
+    assert validate(s) is None
+    assert cost_extremes(s) == (1.5, 1.5)
 
 
 def test_validate_two_action_cost_extremes():
@@ -200,14 +209,20 @@ def test_validate_two_action_cost_extremes():
         [action([0, 0], [0, 0], [1.0]), action([0, 0], [0, 0], [2.0])],
         cost=AffineFunction(0.0, np.array([1.0])),
     )
-    check = validate(s)
-    assert check.f_min == 1.0 and check.f_max == 2.0
+    assert validate(s) is None
+    assert cost_extremes(s) == (1.0, 2.0)
 
 
 def test_validate_downlink_fixture_second_moment():
-    check = validate(load_scenario("downlink2.json"))
-    assert check.sigma2 == 1.0
-    assert (check.f_min, check.f_max) == (0.0, 1.0)
+    s = load_scenario("downlink2.json")
+    assert validate(s) is None
+    drift = drift_constants(s)
+    assert (drift.f_min, drift.f_max) == (0.0, 1.0)
+    # B by hand, with pi = (3, 4, 4) / 11: per state, half the worst service
+    # square per queue, half each Bernoulli(0.15) second moment, and the
+    # worst square of g = x - 0.45.
+    per_state = [0.15 + 0.45**2, 0.5 + 0.15 + 0.55**2, 0.5 + 0.15 + 0.55**2]
+    assert drift.B == pytest.approx(np.dot([3 / 11, 4 / 11, 4 / 11], per_state), rel=1e-12)
 
 
 def test_validate_rejects_non_finite_tables():

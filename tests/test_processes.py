@@ -12,12 +12,22 @@ from qnetlab.processes import (
     ReducibleChainError,
     make_rng,
     mixing_time,
-    sample_path,
     sample_paths,
     splitmix64,
     stationary_distribution,
     substream_seed,
 )
+
+
+def iid_chain(probs) -> FiniteMarkovChain:
+    """Memoryless chain: every row equals ``probs``, which is also the start."""
+    probs = np.asarray(probs, dtype=float)
+    return FiniteMarkovChain(np.tile(probs, (probs.size, 1)), probs)
+
+
+def draw_arrivals(spec: ArrivalSpec, seed: int, horizon: int) -> np.ndarray:
+    """``horizon`` slots of work from ``spec`` on the substream ``make_rng(seed, 0)``."""
+    return spec.table[spec.sample_index(make_rng(seed, 0), horizon)]
 
 
 def two_state(p01: float, p10: float) -> FiniteMarkovChain:
@@ -59,17 +69,17 @@ def test_reducible_chain_error_names_unreachable_states():
 
 def test_stationary_single_state():
     chain = FiniteMarkovChain(np.array([[1.0]]), np.array([1.0]))
-    assert stationary_distribution(chain).pi == pytest.approx([1.0])
+    assert stationary_distribution(chain) == pytest.approx([1.0])
 
 
 def test_stationary_symmetric_two_state():
-    pi = stationary_distribution(two_state(0.5, 0.5)).pi
+    pi = stationary_distribution(two_state(0.5, 0.5))
     assert pi == pytest.approx([0.5, 0.5])
 
 
 def test_stationary_asymmetric_two_state_hand_oracle():
     # Balance: pi0 * 0.2 = pi1 * 0.8 and pi0 + pi1 = 1 -> (0.8, 0.2).
-    pi = stationary_distribution(two_state(0.2, 0.8)).pi
+    pi = stationary_distribution(two_state(0.2, 0.8))
     assert pi == pytest.approx([0.8, 0.2], abs=1e-12)
 
 
@@ -80,7 +90,7 @@ def test_stationary_matches_power_iteration_on_random_chains():
         raw = rng.random((n, n)) + 0.05  # strictly positive -> irreducible
         p = raw / raw.sum(axis=1, keepdims=True)
         chain = FiniteMarkovChain(p, np.full(n, 1.0 / n))
-        pi = stationary_distribution(chain).pi
+        pi = stationary_distribution(chain)
         assert pi == pytest.approx(stationary_by_power(p), abs=1e-9)
         assert pi @ p == pytest.approx(pi, abs=1e-10)
 
@@ -91,7 +101,7 @@ def test_stationary_matches_power_iteration_on_random_chains():
 
 
 def test_mixing_iid_chain_is_one_step():
-    chain = FiniteMarkovChain.iid([0.25, 0.75])
+    chain = iid_chain([0.25, 0.75])
     for delta in (0.5, 0.01, 1e-6):
         assert mixing_time(chain, delta).T == 1
 
@@ -145,17 +155,17 @@ def test_substreams_pass_pairwise_correlation_check():
 def test_sample_path_is_bit_identical_for_fixed_seed():
     chain = two_state(0.3, 0.4)
     specs = [ArrivalSpec(kind="bernoulli", rate=0.2, p=0.2)]
-    w1, a1 = sample_path(chain, specs, seed=5, horizon=1000)
-    w2, a2 = sample_path(chain, specs, seed=5, horizon=1000)
+    w1, a1 = sample_paths(chain, specs, seed=5, horizon=1000, replications=[0])
+    w2, a2 = sample_paths(chain, specs, seed=5, horizon=1000, replications=[0])
     assert np.array_equal(w1, w2) and np.array_equal(a1, a2)
-    w3, _ = sample_path(chain, specs, seed=6, horizon=1000)
+    w3, _ = sample_paths(chain, specs, seed=6, horizon=1000, replications=[0])
     assert not np.array_equal(w1, w3)
 
 
 def test_sample_path_rejects_zero_horizon():
     chain = two_state(0.3, 0.4)
     with pytest.raises(ValueError):
-        sample_path(chain, [], seed=5, horizon=0)
+        sample_paths(chain, [], seed=5, horizon=0, replications=[0])
 
 
 @st.composite
@@ -174,7 +184,7 @@ def chains(draw):
 
     initial = row()
     if draw(st.booleans()):
-        return FiniteMarkovChain.iid(initial)
+        return iid_chain(initial)
     return FiniteMarkovChain(np.array([row() for _ in range(n)]), initial)
 
 
@@ -230,19 +240,20 @@ def test_lockstep_sampler_with_default_blocks():
     omega, _ = sample_paths(chain, [], 5, 5000, [4, 1, 9])
     for j, rep in enumerate([4, 1, 9]):
         assert np.array_equal(omega[:, j], sample_path_by_chase(chain, [], 5, 5000, rep)[0])
-    assert np.array_equal(sample_path(chain, [], 5, 5000, 1)[0], omega[:, 1])
+    # A replication's path does not depend on the others drawn with it.
+    assert np.array_equal(sample_paths(chain, [], 5, 5000, [1])[0][:, 0], omega[:, 1])
 
 
 def test_bernoulli_mean_clt_bound():
     spec = ArrivalSpec(kind="bernoulli", rate=0.3, p=0.3)
-    draws = spec.sample(make_rng(11, 0), 1_000_000)
+    draws = draw_arrivals(spec, 11, 1_000_000)
     assert abs(draws.mean() - 0.3) < 0.002
 
 
 def test_state_occupancy_matches_stationary():
     chain = two_state(0.2, 0.8)
-    omega, _ = sample_path(chain, [], seed=17, horizon=1_000_000)
-    occupancy = np.bincount(omega, minlength=2) / omega.size
+    omega, _ = sample_paths(chain, [], seed=17, horizon=1_000_000, replications=[0])
+    occupancy = np.bincount(omega[:, 0], minlength=2) / omega.size
     assert occupancy == pytest.approx([0.8, 0.2], abs=0.005)
 
 
@@ -261,7 +272,7 @@ def test_declared_rate_must_match_analytic_mean():
 
 def test_deterministic_arrivals_cycle():
     spec = ArrivalSpec(kind="deterministic", rate=1.5, values=(1.0, 2.0))
-    out = spec.sample(make_rng(0, 0), 5)
+    out = draw_arrivals(spec, 0, 5)
     assert list(out) == [1.0, 2.0, 1.0, 2.0, 1.0]
     assert spec.second_moment() == 4.0
 
@@ -270,7 +281,7 @@ def test_iid_table_sampling_and_moments():
     spec = ArrivalSpec(
         kind="iid_table", rate=0.75, values=(0.0, 1.0, 2.0), probs=(0.5, 0.25, 0.25)
     )
-    draws = spec.sample(make_rng(3, 0), 200_000)
+    draws = draw_arrivals(spec, 3, 200_000)
     assert draws.mean() == pytest.approx(0.75, abs=0.01)
     assert spec.second_moment() == pytest.approx(0.25 + 4 * 0.25)
 
@@ -278,4 +289,4 @@ def test_iid_table_sampling_and_moments():
 def test_counterexample_kind_cannot_be_sampled():
     spec = ArrivalSpec(kind="counterexample", rate=0.0, tag="rate-not-mean")
     with pytest.raises(ValueError, match="stability"):
-        spec.sample(make_rng(0, 0), 10)
+        draw_arrivals(spec, 0, 10)

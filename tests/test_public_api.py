@@ -11,24 +11,20 @@ import pytest
 import qnetlab
 
 PACKAGE = [
-    "ArrivalSpec", "BB1Params", "CapacityReport", "CompositeState", "DppBatchResult",
-    "DppRunResult", "DriftConstants", "FiniteMarkovChain", "MixingReport",
-    "OmegaOnlyPolicy", "PerformanceBounds", "Scenario", "ScenarioError",
-    "ScenarioValidation", "SlotIO", "StabilityVerdict", "StationaryDistribution",
-    "TraceEnsemble", "VerdictThresholds", "bb1_closed_form", "build_lp",
-    "cex_mean_not_rate", "cex_rate_not_mean", "cex_strong_not_rate",
-    "conservation_check", "drift_constants", "estimate_verdict",
-    "fixture_path", "lambda_in_capacity", "load_scenario",
-    "lyapunov_value", "make_rng", "mixing_time", "performance_bounds",
-    "queue_step", "run_dpp_batch", "sample_path", "single_queue_path", "slater_dmax",
-    "solve_fopt", "stationary_distribution", "substream_seed", "validate",
-    "virtual_queue_step",
+    "ArrivalSpec", "CapacityReport", "CompositeState", "DppBatchResult", "DppRunResult",
+    "DriftConstants", "FiniteMarkovChain", "MixingReport", "OmegaOnlyPolicy",
+    "PerformanceBounds", "Scenario", "ScenarioError", "SlotIO", "StabilityVerdict",
+    "VerdictThresholds", "bb1_closed_form", "build_lp", "cex_strong_not_rate",
+    "conservation_check", "drift_constants", "estimate_verdict", "fixture_path",
+    "load_scenario", "lyapunov_value", "make_rng", "mixing_time", "performance_bounds",
+    "queue_step", "run_dpp_batch", "single_queue_path", "solve_fopt",
+    "stationary_distribution", "substream_seed", "validate", "virtual_queue_step",
 ]
 
 MODULES = {
     "capacity": [
         "CapacityReport", "OmegaOnlyPolicy", "PerformanceBounds", "PolicyLp", "build_lp",
-        "lambda_in_capacity", "performance_bounds", "slater_dmax", "solve_fopt",
+        "performance_bounds", "solve_fopt",
     ],
     "controller": [
         "DppBatchResult", "DppRunResult", "DriftConstants", "drift_constants",
@@ -36,13 +32,12 @@ MODULES = {
     ],
     "network": [
         "Action", "AffineFunction", "Scenario", "ScenarioError", "ScenarioTables",
-        "ScenarioValidation", "compile_tables", "fixture_path", "load_scenario", "validate",
+        "compile_tables", "fixture_path", "load_scenario", "validate",
     ],
     "processes": [
         "ArrivalSpec", "FiniteMarkovChain", "MixingReport", "PeriodicChainError",
-        "ReducibleChainError", "StationaryDistribution", "make_rng", "mixing_time",
-        "sample_path", "sample_paths", "splitmix64", "stationary_distribution",
-        "substream_seed",
+        "ReducibleChainError", "make_rng", "mixing_time", "sample_paths", "splitmix64",
+        "stationary_distribution", "substream_seed",
     ],
     "queues": [
         "CompositeState", "SlotIO", "conservation_check", "lyapunov_value", "queue_step",
@@ -50,11 +45,10 @@ MODULES = {
     ],
     "simplex": ["LpResult", "SimplexError", "solve_lp", "solve_lp_sequence"],
     "stability": [
-        "BB1Params", "BlockSums", "InsufficientReplicationsError", "StabilityVerdict",
-        "TraceEnsemble", "VerdictThresholds", "bb1_closed_form", "cex_mean_not_rate",
-        "cex_mean_not_rate_blocks", "cex_rate_not_mean", "cex_rate_not_mean_blocks",
-        "cex_strong_not_rate", "curve_rows", "estimate_verdict", "geometric_checkpoints",
-        "markov_bound_violations", "single_queue_path", "sum_blocks", "verdict_report_items",
+        "BlockSums", "StabilityVerdict", "VerdictThresholds", "bb1_closed_form",
+        "cex_mean_not_rate_blocks", "cex_rate_not_mean_blocks", "cex_strong_not_rate",
+        "curve_rows", "estimate_verdict", "geometric_checkpoints", "single_queue_path",
+        "sum_blocks", "verdict_report_items",
     ],
 }
 

@@ -25,7 +25,7 @@ SIGNATURES = {
         "feasible f_opt d_max policy binding_constraints routing_outer_bound",
     capacity.PerformanceBounds: "c_0 T_eps backlog_bound cost_bound",
     capacity.PolicyLp:
-        "scenario lambdas pi var_index c c0 a_ub b_ub row_names a_eq b_eq",
+        "scenario lambdas c c0 a_ub b_ub row_names a_eq b_eq",
     controller.DppRunResult:
         "horizon q_path z_path omega_path action_path x_path f_path g_path arrivals",
     controller.DppBatchResult: "totals avg_cost avg_g runs",
@@ -35,10 +35,8 @@ SIGNATURES = {
     network.Scenario: "name n_queues n_constraints n_attributes omega_chain actions cost "
                       "constraints arrivals routing=None",
     network.ScenarioTables: "f pad g net b y x y_offered",
-    network.ScenarioValidation: "sigma2 f_min f_max",
     oracles.StepRecord: "omega_index action_index arrivals y_offered b_offered y_actual "
                         "b_actual x f_value g_values",
-    processes.StationaryDistribution: "pi",
     processes.MixingReport: "delta T tv_curve",
     processes.FiniteMarkovChain: "transition initial labels=()",
     processes.ArrivalSpec: "kind rate p=0.0 size=1.0 values=() probs=() tag=",
@@ -46,7 +44,6 @@ SIGNATURES = {
     queues.CompositeState: "queues virtuals",
     simplex.LpResult: "status x objective",
     simplex._Optimum: "tableau basis signs identity eligible",
-    stability.TraceEnsemble: "backlog checkpoints=()",
     stability.VerdictThresholds: "slope_tol=0.01 tail_tol=0.05 plateau_rel=0.1 "
                                  "m_grid_points=16 m_max_multiplier=20.0 "
                                  "min_reps_mean_rate=100",
@@ -55,7 +52,6 @@ SIGNATURES = {
                                 "steady_state_stable strongly_stable running_mean_half "
                                 "running_mean_full thresholds checkpoints "
                                 "slopes_at_checkpoints",
-    stability.BB1Params: "lam mu",
     stability.BlockSums: "n_reps column_sums columns window_max",
 }
 
@@ -89,14 +85,9 @@ def test_positional_and_keyword_construction_agree():
         "kind": "bernoulli", "rate": 0.2, "p": 0.2, "size": 1.0, "values": (), "probs": (),
         "tag": "",
     }
-    assert vars(stability.BB1Params(0.3, 0.5)) == vars(stability.BB1Params(mu=0.5, lam=0.3))
 
     state = queues.CompositeState([1, 2], virtuals=[0])
     assert state.queues.dtype == float and state.virtuals.dtype == float
-
-    ens = stability.TraceEnsemble(np.ones((1, 9)), [1, 4])
-    assert ens.checkpoints.tolist() == [1, 4]
-    assert stability.TraceEnsemble(np.ones((1, 9))).checkpoints.tolist() == [1, 2, 4, 8]
 
     assert stability.VerdictThresholds(0.5, plateau_rel=0.2) == stability.VerdictThresholds(
         slope_tol=0.5, tail_tol=0.05, plateau_rel=0.2)
@@ -129,23 +120,16 @@ def _chain(transition, initial=(1.0, 0.0), labels=()):
 # (constructor call, error class, exact message) for each validating record.
 INVALID = [
     (lambda: _pi_row([0.5, 0.4]), ValueError, "policy row 0 is not a probability vector"),
-    (lambda: stability.BB1Params(1.0, 0.5), ValueError, "need lam in [0, 1) and mu in (0, 1]"),
+    (lambda: stability.bb1_closed_form(1.0, 0.5), ValueError,
+     "need lam in [0, 1) and mu in (0, 1]"),
     (lambda: queues.CompositeState(np.zeros((1, 1)), np.zeros(0)), ValueError,
      "queues and virtuals must be 1-d vectors"),
     (lambda: queues.CompositeState(np.zeros(1), -np.ones(1)), ValueError,
      "backlogs must be non-negative"),
-    (lambda: stability.TraceEnsemble(np.zeros(5)), ValueError,
+    (lambda: stability.estimate_verdict(np.zeros(5)), ValueError,
      "backlog must be a (n_reps, horizon) matrix"),
-    (lambda: stability.TraceEnsemble(np.full((1, 5), np.nan)), ValueError,
+    (lambda: stability.estimate_verdict(np.full((1, 5), np.nan)), ValueError,
      "backlogs must be non-negative numbers"),
-    (lambda: stability.TraceEnsemble(np.zeros((1, 5)), [[1]]), ValueError,
-     "checkpoints must be a 1-d sequence of slot indices"),
-    (lambda: stability.TraceEnsemble(np.zeros((1, 5)), None), ValueError,
-     "checkpoints must be a 1-d sequence of slot indices"),
-    (lambda: stability.TraceEnsemble(np.zeros((1, 5)), [1.5]), ValueError,
-     "checkpoints must be integer slot indices"),
-    (lambda: stability.TraceEnsemble(np.zeros((1, 5)), [2, 2]), ValueError,
-     "checkpoints must increase strictly within [1, 4]"),
     (lambda: _chain([[1.0, 0.0]]), ValueError, "transition must be a square matrix"),
     (lambda: _chain([[1.0]], (1.0, 0.0)), ValueError,
      "initial distribution length must match state count"),
@@ -198,17 +182,14 @@ def every_record():
     report = lp.solve()
     drift = controller.drift_constants(scenario)
     batch = controller.run_dpp_batch(scenario, [1.0, 2.0], [0, 1], 5, 1000, record=1)
-    ensemble = stability.TraceEnsemble(batch.totals)
     return [
         scenario, scenario.omega_chain, scenario.arrivals[0], scenario.actions[0][0],
-        scenario.cost, network.validate(scenario), step, state,
+        scenario.cost, step, state,
         queues.queue_step(1.0, 0.0, 1.0)[1],
-        processes.stationary_distribution(scenario.omega_chain),
         processes.mixing_time(scenario.omega_chain, 0.1), lp, report, report.policy,
         capacity.performance_bounds(scenario, 1.0, drift.d_max / 4, drift), drift,
-        scenario.tables, batch, batch.runs[0], ensemble,
-        stability.estimate_verdict(ensemble, estimators=["rate"]), stability.VerdictThresholds(),
-        stability.BB1Params(0.3, 0.5),
+        scenario.tables, batch, batch.runs[0],
+        stability.estimate_verdict(batch.totals), stability.VerdictThresholds(),
         stability.sum_blocks([np.ones((2, 3))], keep=(1,)),
         simplex.solve_lp([1.0], None, None, [[1.0]], [1.0]),
     ]

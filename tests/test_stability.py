@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import markov_bound_violations
 from qnetlab import stability
 from qnetlab.cli import override_lambdas, override_mu
 from qnetlab.controller import run_dpp_batch
@@ -10,18 +11,14 @@ from qnetlab.network import load_scenario
 from qnetlab.processes import make_rng
 from qnetlab.queues import queue_step
 from qnetlab.stability import (
-    BB1Params,
-    InsufficientReplicationsError,
     StabilityVerdict,
-    TraceEnsemble,
     VerdictThresholds,
     bb1_closed_form,
-    cex_mean_not_rate,
-    cex_rate_not_mean,
+    cex_mean_not_rate_blocks,
+    cex_rate_not_mean_blocks,
     cex_strong_not_rate,
     estimate_verdict,
     geometric_checkpoints,
-    markov_bound_violations,
     single_queue_path,
 )
 
@@ -32,8 +29,12 @@ def _bb1_ensemble(lam, mu, horizon, n_reps, seed):
     """Bernoulli(lam) arrivals against a Bernoulli(mu) server: the bb1
     fixture run through the batched kernel."""
     scenario = override_lambdas(override_mu(load_scenario("bb1.json"), mu), [lam])
-    batch = run_dpp_batch(scenario, [0.0] * n_reps, range(n_reps), seed, horizon)
-    return TraceEnsemble(backlog=batch.totals)
+    return run_dpp_batch(scenario, [0.0] * n_reps, range(n_reps), seed, horizon).totals
+
+
+def stacked(blocks):
+    """The (n_reps, horizon) backlog of a counter-example's row blocks."""
+    return np.concatenate(list(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -70,26 +71,26 @@ def test_single_queue_path_matches_recursion_on_float_work():
 
 
 def test_bb1_closed_form_values():
-    assert bb1_closed_form(BB1Params(0.3, 0.5)) == pytest.approx((1.05, 3.5))
-    assert bb1_closed_form(BB1Params(0.25, 0.75)) == pytest.approx((0.375, 1.5))
+    assert bb1_closed_form(0.3, 0.5) == pytest.approx((1.05, 3.5))
+    assert bb1_closed_form(0.25, 0.75) == pytest.approx((0.375, 1.5))
 
 
 def test_bb1_closed_form_vanishing_arrivals():
-    q_bar, _ = bb1_closed_form(BB1Params(1e-12, 0.5))
+    q_bar, _ = bb1_closed_form(1e-12, 0.5)
     assert q_bar == pytest.approx(0.0, abs=1e-11)
 
 
 def test_bb1_closed_form_requires_subcritical_load():
     with pytest.raises(ValueError, match="steady state"):
-        bb1_closed_form(BB1Params(0.5, 0.5))
-    with pytest.raises(ValueError):
-        BB1Params(1.5, 0.5)
+        bb1_closed_form(0.5, 0.5)
+    with pytest.raises(ValueError, match="need lam"):
+        bb1_closed_form(1.5, 0.5)
 
 
 def test_bb1_simulation_approaches_closed_form():
-    ens = _bb1_ensemble(0.3, 0.5, horizon=200_000, n_reps=4, seed=SEED)
-    q_bar, _ = bb1_closed_form(BB1Params(0.3, 0.5))
-    assert ens.backlog.mean() == pytest.approx(q_bar, rel=0.05)
+    backlog = _bb1_ensemble(0.3, 0.5, horizon=200_000, n_reps=4, seed=SEED)
+    q_bar, _ = bb1_closed_form(0.3, 0.5)
+    assert backlog.mean() == pytest.approx(q_bar, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +105,7 @@ def test_checkpoints_are_powers_of_two_plus_final():
 
 
 def test_verdict_on_stable_bb1():
-    ens = _bb1_ensemble(0.3, 0.5, horizon=100_000, n_reps=100, seed=SEED)
-    verdict = estimate_verdict(ens)
+    verdict = estimate_verdict(_bb1_ensemble(0.3, 0.5, horizon=100_000, n_reps=100, seed=SEED))
     assert verdict.rate_stable
     assert verdict.mean_rate_stable
     assert verdict.steady_state_stable
@@ -114,8 +114,7 @@ def test_verdict_on_stable_bb1():
 
 
 def test_verdict_on_overloaded_bb1():
-    ens = _bb1_ensemble(0.6, 0.5, horizon=100_000, n_reps=100, seed=SEED)
-    verdict = estimate_verdict(ens)
+    verdict = estimate_verdict(_bb1_ensemble(0.6, 0.5, horizon=100_000, n_reps=100, seed=SEED))
     assert verdict.rate_slope == pytest.approx(0.10, abs=0.01)
     assert not verdict.rate_stable
     assert not verdict.mean_rate_stable
@@ -124,8 +123,7 @@ def test_verdict_on_overloaded_bb1():
 
 
 def test_verdict_on_critical_bb1_rate_stable_but_not_strong():
-    ens = _bb1_ensemble(0.5, 0.5, horizon=100_000, n_reps=100, seed=SEED)
-    verdict = estimate_verdict(ens)
+    verdict = estimate_verdict(_bb1_ensemble(0.5, 0.5, horizon=100_000, n_reps=100, seed=SEED))
     assert verdict.rate_stable
     assert not verdict.strongly_stable  # running mean still growing ~ sqrt(t)
 
@@ -183,26 +181,19 @@ def reference_verdict(backlog, checkpoints, thresholds):
     horizon=st.integers(1000, 2500),
     scale=st.sampled_from([0.0, 1.0, 3.0, 40.0, 1e6]),
     integer=st.booleans(),
-    n_checkpoints=st.integers(0, 6),
     seed=st.integers(0, 2**32),
 )
 @settings(max_examples=60, deadline=None)
-def test_verdict_matches_per_path_reference(n_reps, horizon, scale, integer, n_checkpoints, seed):
+def test_verdict_matches_per_path_reference(n_reps, horizon, scale, integer, seed):
     # Integer paths put values exactly on M-grid points (M = 1 always is one),
-    # where "Q > M" must not count them.  Explicit checkpoints that stop
-    # before the final slot are what cex_rate_not_mean passes.
+    # where "Q > M" must not count them.
     rng = make_rng(seed, 0)
     q = rng.random((n_reps, horizon)) * scale * rng.random((n_reps, 1))
     if integer:
         q = np.floor(q)
-    if n_checkpoints:
-        cps = np.unique(rng.integers(1, horizon, size=n_checkpoints))
-        ens = TraceEnsemble(backlog=q, checkpoints=cps)
-    else:
-        ens = TraceEnsemble(backlog=q)
     thresholds = VerdictThresholds(min_reps_mean_rate=1)
-    verdict = estimate_verdict(ens, thresholds)
-    expected = reference_verdict(q, ens.checkpoints, thresholds)
+    verdict = estimate_verdict(q, thresholds)
+    expected = reference_verdict(q, geometric_checkpoints(horizon), thresholds)
     assert set(expected) == set(StabilityVerdict._fields)
     for name, value in expected.items():
         got = getattr(verdict, name)
@@ -213,12 +204,18 @@ def test_verdict_matches_per_path_reference(n_reps, horizon, scale, integer, n_c
 
 
 def test_mean_rate_estimator_needs_replications():
-    ens = _bb1_ensemble(0.3, 0.5, horizon=2000, n_reps=5, seed=SEED)
-    with pytest.raises(InsufficientReplicationsError):
-        estimate_verdict(ens)
-    verdict = estimate_verdict(ens, estimators=("rate", "steady_state", "strong"))
+    # Below min_reps_mean_rate the mean-rate notion is not estimated; the
+    # per-path notions are, with the same values.
+    backlog = _bb1_ensemble(0.3, 0.5, horizon=2000, n_reps=5, seed=SEED)
+    verdict = estimate_verdict(backlog)
     assert verdict.mean_rate_slope is None
     assert verdict.mean_rate_stable is None
+    enough = estimate_verdict(backlog, VerdictThresholds(min_reps_mean_rate=5))
+    assert enough.mean_rate_slope == float(np.mean(backlog[:, -1] / (backlog.shape[1] - 1)))
+    assert enough.mean_rate_stable
+    for name in ("rate_slope", "strong_metric", "rate_stable", "steady_state_stable",
+                 "strongly_stable"):
+        assert getattr(enough, name) == getattr(verdict, name), name
 
 
 @pytest.mark.parametrize("bad", [-1.0, np.nan])
@@ -226,47 +223,16 @@ def test_ensemble_rejects_negative_or_nan_backlogs(bad):
     backlog = np.zeros((2, 1000))
     backlog[1, 7] = bad
     with pytest.raises(ValueError, match="non-negative"):
-        TraceEnsemble(backlog=backlog)
-
-
-@pytest.mark.parametrize(
-    "checkpoints, match",
-    [
-        (np.array([0, 4, 99]), "within"),         # a slope at t = 0 divides by zero
-        (np.array([4, 100]), "within"),           # the last slot is horizon - 1
-        (np.array([4, 250]), "within"),
-        (np.array([8, 4, 99]), "increase"),
-        (np.array([4, 4, 99]), "increase"),
-        (np.array([2.5, 99.0]), "integer"),
-        (np.array([np.nan, 99.0]), "integer"),
-        (np.array([[1, 2], [4, 8]]), "1-d"),
-    ],
-    ids=["zero", "at-horizon", "beyond-horizon", "decreasing", "repeated", "fractional",
-         "nan", "two-d"],
-)
-def test_ensemble_rejects_bad_checkpoints(checkpoints, match):
-    with pytest.raises(ValueError, match=match):
-        TraceEnsemble(backlog=np.zeros((2, 100)), checkpoints=checkpoints)
-
-
-def test_ensemble_takes_checkpoints_as_a_list():
-    ens = TraceEnsemble(backlog=np.zeros((2, 100)), checkpoints=[1, 10, 99])
-    assert ens.checkpoints.dtype == np.int64
-    assert ens.checkpoints.tolist() == [1, 10, 99]
-    assert TraceEnsemble(backlog=np.zeros((2, 100)), checkpoints=[]).checkpoints.tolist() == (
-        geometric_checkpoints(100).tolist()
-    )
+        estimate_verdict(backlog)
 
 
 def test_verdict_rejects_short_horizons():
-    ens = TraceEnsemble(backlog=np.zeros((2, 100)))
     with pytest.raises(ValueError, match="horizon"):
-        estimate_verdict(ens)
+        estimate_verdict(np.zeros((2, 100)))
 
 
 def test_g_and_h_curves_are_well_formed():
-    ens = _bb1_ensemble(0.45, 0.5, horizon=50_000, n_reps=16, seed=SEED)
-    verdict = estimate_verdict(ens, estimators=("rate", "steady_state", "strong"))
+    verdict = estimate_verdict(_bb1_ensemble(0.45, 0.5, horizon=50_000, n_reps=16, seed=SEED))
     g = verdict.g_curve
     assert np.all((0.0 <= g) & (g <= 1.0))
     assert np.all(np.diff(g) <= 1e-15)  # non-increasing in M
@@ -286,8 +252,7 @@ def test_rate_stable_classification_implies_offered_rate_balance():
     a = (rng.random(horizon) < lam).astype(float)
     b = (rng.random(horizon) < mu).astype(float)
     path = single_queue_path(a, b)
-    ens = TraceEnsemble(backlog=path[None, :horizon])
-    verdict = estimate_verdict(ens, estimators=("rate",))
+    verdict = estimate_verdict(path[None, :horizon])
     assert verdict.rate_stable
     assert (a.mean() - b.mean()) <= verdict.thresholds.slope_tol
 
@@ -298,32 +263,32 @@ def test_rate_stable_classification_implies_offered_rate_balance():
 
 
 def test_cex_rate_not_mean_signature():
-    ens = cex_rate_not_mean(SEED, horizon=41, n_reps=50_000)
+    backlog = stacked(cex_rate_not_mean_blocks(SEED, horizon=41, n_reps=50_000))
     # Ensemble mean of Q(6)/6 tracks 2^6 / 6.
-    assert ens.backlog[:, 6].mean() / 6.0 == pytest.approx(2**6 / 6.0, rel=0.1)
+    assert backlog[:, 6].mean() / 6.0 == pytest.approx(2**6 / 6.0, rel=0.1)
     # Every path is zero from its stopping time onward.
-    alive = ens.backlog > 0
+    alive = backlog > 0
     first_zero = np.argmin(alive, axis=1)
     for r in (0, 17, 25_000):
         assert not alive[r, first_zero[r] :].any()
     # Per-path slope at the final slot vanishes.
-    assert np.median(ens.backlog[:, 40] / 40.0) == 0.0
+    assert np.median(backlog[:, 40] / 40.0) == 0.0
     # Values are exact powers of two up to 2^80.
-    assert ens.backlog.max() <= 2.0**80
+    assert backlog.max() <= 2.0**80
 
 
 def test_cex_rate_not_mean_guards_horizon():
     with pytest.raises(ValueError, match="horizon"):
-        cex_rate_not_mean(SEED, horizon=64, n_reps=10)
+        stacked(cex_rate_not_mean_blocks(SEED, horizon=64, n_reps=10))
 
 
 def test_cex_mean_not_rate_signature():
-    ens = cex_mean_not_rate(SEED, horizon=200, n_reps=50_000)
-    assert ens.backlog[:, 100].mean() == pytest.approx(1.0, abs=0.1)
-    assert ens.backlog[:, 150].mean() == pytest.approx(1.0, abs=0.1)
+    backlog = stacked(cex_mean_not_rate_blocks(SEED, horizon=200, n_reps=50_000))
+    assert backlog[:, 100].mean() == pytest.approx(1.0, abs=0.1)
+    assert backlog[:, 150].mean() == pytest.approx(1.0, abs=0.1)
     # Fraction of paths spiking in [t, 2t) stays bounded away from zero;
     # independent-slot oracle: 1 - prod(1 - 1/tau).
-    window = ens.backlog[:, 100:200] > 0
+    window = backlog[:, 100:200] > 0
     frac = window.any(axis=1).mean()
     expected = 1.0 - np.prod(1.0 - 1.0 / np.arange(100, 200))
     assert frac == pytest.approx(expected, abs=0.02)
@@ -332,21 +297,17 @@ def test_cex_mean_not_rate_signature():
 
 def test_cex_mean_not_rate_slope_vanishes_at_ten_thousand_slots():
     # E[Q(t)]/t = 1/t, so the ensemble slope at t = 10^4 sits near 1e-4.
-    ens = cex_mean_not_rate(SEED, horizon=10_001, n_reps=2000)
-    slope = ens.backlog[:, 10_000].mean() / 10_000
+    backlog = stacked(cex_mean_not_rate_blocks(SEED, horizon=10_001, n_reps=2000))
+    slope = backlog[:, 10_000].mean() / 10_000
     # Estimator s.e. is (sqrt(t)/sqrt(reps))/t ~ 2.2e-4; assert the order.
     assert slope <= 1e-3
-    verdict = estimate_verdict(
-        ens,
-        thresholds=VerdictThresholds(min_reps_mean_rate=1),
-    )
+    verdict = estimate_verdict(backlog, thresholds=VerdictThresholds(min_reps_mean_rate=1))
     assert verdict.mean_rate_stable
 
 
 def test_cex_strong_not_rate_signature():
     horizon = 2**14 + 1
-    ens = cex_strong_not_rate(horizon)
-    path = ens.backlog[0]
+    path = cex_strong_not_rate(horizon)
     running = path.sum() / horizon
     assert running == pytest.approx((2**15 - 1) / (2**14 + 1), abs=1e-12)
     for n in range(0, 15):
@@ -362,11 +323,11 @@ def test_cex_strong_not_rate_rejects_bad_horizon():
 
 def test_markov_bound_holds_on_counterexamples():
     thresholds = VerdictThresholds(min_reps_mean_rate=1)
-    for ens in (
-        cex_mean_not_rate(SEED, horizon=2000, n_reps=200),
-        cex_strong_not_rate(2**11 + 1),
+    for backlog in (
+        stacked(cex_mean_not_rate_blocks(SEED, horizon=2000, n_reps=200)),
+        cex_strong_not_rate(2**11 + 1)[None, :],
     ):
-        verdict = estimate_verdict(ens, thresholds=thresholds)
+        verdict = estimate_verdict(backlog, thresholds=thresholds)
         assert markov_bound_violations(verdict) == 0
 
 

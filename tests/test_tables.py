@@ -64,7 +64,7 @@ def assert_tables_match_actions(scenario):
 
 
 def assert_readers_match_actions(scenario):
-    assert same_bits(validate(scenario), validate_by_actions(scenario))
+    assert validate(scenario) is None and validate_by_actions(scenario) is None
     assert is_uncontrolled_single_queue(scenario) == is_uncontrolled_single_queue_by_actions(
         scenario
     )
@@ -127,9 +127,9 @@ def test_cost_extremes_keep_the_sign_of_the_first_zero(order):
     assert [math.copysign(1.0, f) for f in scenario.tables.f[0]] == [
         math.copysign(1.0, x) for x in order
     ]
-    check = validate(scenario)
-    assert math.copysign(1.0, check.f_min) == math.copysign(1.0, order[0])
-    assert math.copysign(1.0, check.f_max) == math.copysign(1.0, order[0])
+    drift = drift_constants(scenario, delta=0.25, report=INTERIOR)
+    assert math.copysign(1.0, drift.f_min) == math.copysign(1.0, order[0])
+    assert math.copysign(1.0, drift.f_max) == math.copysign(1.0, order[0])
     assert_readers_match_actions(scenario)
 
 
