@@ -519,6 +519,8 @@ def cmd_bb1(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.out is not None:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     items: list[tuple[str, object]] = [
         ("command", "bb1"),
         ("lambda", args.lam),
@@ -536,9 +538,7 @@ def cmd_bb1(args: argparse.Namespace) -> int:
     for key, value in items:
         _echo(f"{key}={_fmt(value)}")
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_report(out / "bb1.txt", items)
+        write_report(Path(args.out) / "bb1.txt", items)
     return 0
 
 

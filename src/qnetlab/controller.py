@@ -114,12 +114,12 @@ def run_dpp_batch(
     reps, lane_rep = np.unique(np.asarray(replications, dtype=np.int64), return_inverse=True)
     n, k, n_l = v.shape[0], scenario.n_queues, scenario.n_constraints
     tab = scenario.tables
-    n_a = tab.f.shape[1]
-    f_flat, g_flat, x_flat = (
-        a.reshape(tab.f.size, *a.shape[2:]) for a in (tab.f, tab.g, tab.x)
+    n_a, clamped = tab.f.shape[1], mode == "clamped"
+    # Clamped mode moves all offered service, so its routed transfers are y_offered's.
+    f_flat, g_flat, x_flat, b_flat, y_flat = (
+        a.reshape(tab.f.size, *a.shape[2:])
+        for a in (tab.f, tab.g, tab.x, tab.b, tab.y_offered if clamped else tab.y)
     )
-    # One gather per slot fetches the chosen actions' b, y and g together.
-    byg_flat = np.concatenate([tab.b, tab.y, tab.g], axis=2).reshape(tab.f.size, 2 * k + n_l)
     arrival_table = np.zeros((k, max(s.table.size for s in scenario.arrivals)))
     for q_idx, spec in enumerate(scenario.arrivals):
         arrival_table[q_idx, : spec.table.size] = spec.table
@@ -146,17 +146,19 @@ def run_dpp_batch(
         # Per-slot scratch, overwritten every slot.
         gz_col, nq_col = np.empty((n, n_a, 1)), np.empty((n, n_a, 1))
         gz, nq, scores = gz_col[..., 0], nq_col[..., 0], np.empty((n, n_a))
-        sel, byg = np.empty(n, dtype=np.intp), np.empty((n, 2 * k + n_l))
-        b_offered, y, g = byg[:, :k], byg[:, k : 2 * k], byg[:, 2 * k :]
-        kept = np.empty((n, k))
-        clamped = mode == "clamped"
-        moved = b_offered if clamped else np.empty((n, k))
-        routes = [(y[:, dst], moved[:, src]) for src, dst in scenario.routing]
+        sel, kept = np.empty(n, dtype=np.intp), np.empty((n, k))
+        b_offered, y, g = np.empty((n, k)), np.empty((n, k)), np.empty((n, n_l))
+        moved = np.empty((n, k))
+        routes = [] if clamped else [(y[:, dst], moved[:, src]) for src, dst in scenario.routing]
+        arrival_flat, queue_base = arrival_table.ravel(), queue_ix * arrival_table.shape[1]
         for t0 in range(0, horizon, block):
             # Gather one block of slots' tables at once; the slot loop then slices.
-            w = omega[t0 : t0 + block, lane_rep].astype(np.intp)
-            vf, g_w, net_w = v * tab.f[w] + tab.pad[w], tab.g[w], tab.net[w]
-            arrivals = arrival_table[queue_ix, arrival_ix[t0 : t0 + block, lane_rep]]
+            w = omega[t0 : t0 + block].take(lane_rep, axis=1).astype(np.intp)
+            vf = np.multiply(v, tab.f.take(w, axis=0))
+            vf += tab.pad.take(w, axis=0)
+            g_w, net_w = tab.g.take(w, axis=0), tab.net.take(w, axis=0)
+            ix = arrival_ix[t0 : t0 + block].take(lane_rep, axis=1)
+            arrivals = arrival_flat.take(ix + queue_base)  # arrival_table[q, ix[..., q]]
             # Per-slot views, one tuple per slot; zip stops at the block's last slot.
             slots = zip(w * n_a, vf, g_w, net_w, arrivals, a_buf, q_buf, q_buf[1:], q_col,
                         z_buf, z_buf[1:], z_col)
@@ -166,7 +168,9 @@ def run_dpp_batch(
                 np.add(vf_j, gz, out=scores)
                 np.add(scores, nq, out=scores)
                 np.add(base, scores.argmin(axis=1, out=a_j), out=sel)
-                byg_flat.take(sel, axis=0, out=byg, mode="clip")
+                b_flat.take(sel, axis=0, out=b_offered, mode="clip")
+                y_flat.take(sel, axis=0, out=y, mode="clip")
+                g_flat.take(sel, axis=0, out=g, mode="clip")
                 if clamped:
                     np.maximum(np.subtract(q, b_offered, out=kept), 0.0, out=kept)
                 else:
@@ -187,8 +191,8 @@ def run_dpp_batch(
     result = DppBatchResult(totals, np.empty(n), np.empty((n, n_l)), runs=[])
     for i in range(n):
         r, sel = lane_rep[i], omega[:, lane_rep[i]] * np.intp(n_a) + actions[:, i]
-        result.avg_cost[i] = f_flat[sel].mean()
-        result.avg_g[i] = g_flat[sel].mean(axis=0)
+        result.avg_cost[i] = f_flat.take(sel).mean()
+        result.avg_g[i] = g_flat.take(sel, axis=0).mean(axis=0)
         if i < record:
             result.runs.append(DppRunResult(
                 horizon=horizon,
@@ -196,9 +200,9 @@ def run_dpp_batch(
                 z_path=z_rec[i],
                 omega_path=omega[:, r].copy(),
                 action_path=actions[:, i].astype(np.int64),
-                x_path=x_flat[sel],
-                f_path=f_flat[sel],
-                g_path=g_flat[sel],
+                x_path=x_flat.take(sel, axis=0),
+                f_path=f_flat.take(sel),
+                g_path=g_flat.take(sel, axis=0),
                 arrivals=arrival_table[queue_ix[:, None], arrival_ix[:, r].T],
             ))
     return result

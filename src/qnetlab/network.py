@@ -187,14 +187,21 @@ class Scenario:
             if (src, dst) in seen_pairs:
                 raise ScenarioError(loc, f"duplicate routing pair ({src}, {dst})")
             seen_pairs.add((src, dst))
-        self.tables = compile_tables(self)
+        if "tables" not in vars(self):  # else passed on by _replace
+            self.tables = compile_tables(self)
 
     def _replace(self, **changes: Any) -> Scenario:
         """A new scenario with some constructor arguments changed, validated
         again; named like the ``_replace`` of the NamedTuple records.  The
-        tables are compiled again, not passed on."""
+        tables are passed on when only ``arrivals`` or ``omega_chain`` change:
+        ``compile_tables`` reads neither, beyond the state count that the
+        constructor checks against the action lists."""
         args = {key: value for key, value in vars(self).items() if key != "tables"}
-        return Scenario(**{**args, **changes})
+        new = Scenario.__new__(Scenario)
+        if changes.keys() <= {"arrivals", "omega_chain"}:
+            new.tables = self.tables
+        new.__init__(**{**args, **changes})
+        return new
 
     @property
     def lambdas(self) -> np.ndarray:

@@ -103,24 +103,15 @@ class FiniteMarkovChain:
     def n_states(self) -> int:
         return self.transition.shape[0]
 
-    def reachable_from(self, start: int) -> set[int]:
-        support = self.transition > 0
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for j in np.flatnonzero(support[i]):
-                if int(j) not in seen:
-                    seen.add(int(j))
-                    frontier.append(int(j))
-        return seen
-
     def require_irreducible(self) -> None:
-        n = self.n_states
-        for i in range(n):
-            missing = set(range(n)) - self.reachable_from(i)
-            if missing:
-                names = sorted(self.labels[j] for j in missing)
+        # reach[i, j]: j is reachable from i; squaring doubles the path length
+        # covered until the closure stops growing.
+        reach = (self.transition > 0) | np.eye(self.n_states, dtype=bool)
+        while not np.array_equal(closer := reach @ reach, reach):
+            reach = closer
+        for i, row in enumerate(reach):
+            if not row.all():
+                names = sorted(self.labels[j] for j in np.flatnonzero(~row))
                 raise ReducibleChainError(
                     f"chain is reducible: states {names} unreachable from {self.labels[i]}"
                 )

@@ -281,6 +281,24 @@ def stationary_by_power(transition: np.ndarray, iters: int = 20_000) -> np.ndarr
     return v
 
 
+def irreducibility_error_by_search(chain: FiniteMarkovChain) -> str | None:
+    """The reducible-chain message from one depth-first search per start
+    state, in index order: the first start that misses a state names the
+    missed labels, sorted.  ``None`` for an irreducible chain."""
+    support = chain.transition > 0
+    for start in range(chain.n_states):
+        seen, frontier = {start}, [start]
+        while frontier:
+            for j in np.flatnonzero(support[frontier.pop()]):
+                if int(j) not in seen:
+                    seen.add(int(j))
+                    frontier.append(int(j))
+        if len(seen) < chain.n_states:
+            names = sorted(chain.labels[j] for j in range(chain.n_states) if j not in seen)
+            return f"chain is reducible: states {names} unreachable from {chain.labels[start]}"
+    return None
+
+
 def mixing_time_by_powering(
     transition: np.ndarray, delta: float, cap: int = 100_000
 ) -> int:

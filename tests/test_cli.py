@@ -121,10 +121,12 @@ SCENARIO_COMMANDS = {
 
 
 def assert_clean_error(rc, capsys):
-    err = capsys.readouterr().err
+    """Exit 2 with a one-line error; returns what went to stdout."""
+    out, err = capsys.readouterr()
     assert rc == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    return out
 
 
 @pytest.mark.parametrize("command", sorted(SCENARIO_COMMANDS))
@@ -137,11 +139,13 @@ def test_scenario_path_that_is_a_directory_is_an_error(tmp_path, capsys, command
     *([command, "downlink2.json", *rest] for command, rest in SCENARIO_COMMANDS.items()),
     ["counterexample", "strong-not-rate"],
     ["bb1", "--lambda", "0.3", "--mu", "0.5"],
-], ids=lambda argv: argv[0])
+    ["bb1", "--lambda", "0.3", "--mu", "0.5", "--simulate", "--horizon", "100", "--reps", "2"],
+], ids=lambda argv: "-".join([argv[0], *(a[2:] for a in argv if a == "--simulate")]))
 def test_out_naming_an_existing_file_is_an_error(tmp_path, capsys, argv):
+    # The output directory is checked before any work or output.
     out = tmp_path / "taken"
     out.write_text("")
-    assert_clean_error(main([*argv, "--out", str(out)]), capsys)
+    assert assert_clean_error(main([*argv, "--out", str(out)]), capsys) == ""
     assert out.read_text() == ""
 
 
@@ -176,6 +180,12 @@ def test_sweep_v_validates_the_scenario_once(tmp_path, monkeypatch):
                "--out", str(tmp_path / "c")])
     assert rc == 0
     assert compiles == ["downlink2"]
+    # Overriding the arrivals and the server chain keeps the compiled tables.
+    compiles.clear()
+    rc = main(["simulate", "bb1.json", "--lambda", "0.3", "--mu", "0.5", "--horizon", "1000",
+               "--reps", "2", "--out", str(tmp_path / "s")])
+    assert rc == 0
+    assert compiles == ["bb1"]
 
 
 def test_capacity_reports_infeasible_lambda(tmp_path, capsys):

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dpp_select_action, exhaustive_dpp_argmin, replay_with_network_step
+from qnetlab import controller
 from qnetlab.controller import (
     _dot,
     drift_constants,
@@ -18,6 +21,8 @@ from qnetlab.network import (
 )
 from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, make_rng
 from qnetlab.queues import CompositeState
+
+RELAY8 = Path(__file__).parent / "fixtures" / "relay8.json"
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +267,40 @@ def assert_batch_matches_replay(scenario, v_weights, n_reps, mode, seed, horizon
         assert np.array_equal(batch.totals[i], total)
         assert batch.avg_cost[i] == ref.f_path.mean()
         assert np.array_equal(batch.avg_g[i], ref.g_path.mean(axis=0))
+
+
+# (v_weights, n_reps): simulate runs one lane per replication; sweep-v runs
+# every V on the same replications.
+LANE_LAYOUTS = {"simulate": ([2.0], 3), "sweep-v": ([0.0, 1.5, 20.0], 2)}
+
+
+def assert_ragged_batch_matches_replay(scenario, v_weights, n_reps, mode, seed):
+    """``assert_batch_matches_replay`` at horizon 50 with the kernel's table
+    blocks cut to 8 slots: six full blocks, then a short one of 2 slots."""
+    lanes, n_a = len(v_weights) * n_reps, scenario.tables.f.shape[1]
+    slot_bytes = 8 * lanes * n_a * (scenario.n_queues + scenario.n_constraints + 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller, "_BLOCK_BYTES", 8 * slot_bytes)
+        assert_batch_matches_replay(scenario, v_weights, n_reps, mode, seed, horizon=50)
+
+
+@pytest.mark.parametrize("mode", ["respect", "clamped"])
+@pytest.mark.parametrize("layout", sorted(LANE_LAYOUTS))
+def test_ragged_blocks_match_network_step_replay_on_relay8(layout, mode):
+    scenario = load_scenario(RELAY8)
+    assert scenario.routing and not is_uncontrolled_single_queue(scenario)
+    assert_ragged_batch_matches_replay(scenario, *LANE_LAYOUTS[layout], mode, seed=17)
+
+
+@given(
+    scenario=fuzzed_scenarios(),
+    layout=st.sampled_from(sorted(LANE_LAYOUTS)),
+    mode=st.sampled_from(("respect", "clamped")),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=30, deadline=None)
+def test_ragged_blocks_match_network_step_replay_on_fuzzed_scenarios(scenario, layout, mode, seed):
+    assert_ragged_batch_matches_replay(scenario, *LANE_LAYOUTS[layout], mode, seed)
 
 
 def bb1_variants():

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mixing_time_by_powering, sample_path_by_chase, stationary_by_power
+from oracles import (
+    irreducibility_error_by_search,
+    mixing_time_by_powering,
+    sample_path_by_chase,
+    stationary_by_power,
+)
 from qnetlab import processes
 from qnetlab.processes import (
     ArrivalSpec,
@@ -60,6 +65,25 @@ def test_reducible_chain_error_names_unreachable_states():
     )
     with pytest.raises(ReducibleChainError, match="transient"):
         stationary_distribution(chain)
+
+
+@given(n=st.integers(1, 7), density=st.floats(0.0, 0.6), seed=st.integers(0, 2**32))
+@settings(max_examples=200)
+def test_irreducibility_check_matches_search_per_start_state(n, density, seed):
+    # Sparse random supports, each row given at least one successor, and
+    # labels out of index order, so that the sorting of the names shows.
+    rng = make_rng(seed, 0)
+    raw = rng.random((n, n)) * (rng.random((n, n)) < density)
+    raw[np.arange(n), rng.integers(0, n, size=n)] += 1.0
+    labels = tuple(f"s{j}" for j in rng.permutation(n))
+    chain = FiniteMarkovChain(raw / raw.sum(axis=1, keepdims=True), np.full(n, 1.0 / n), labels)
+    expected = irreducibility_error_by_search(chain)
+    if expected is None:
+        chain.require_irreducible()
+    else:
+        with pytest.raises(ReducibleChainError) as err:
+            chain.require_irreducible()
+        assert str(err.value) == expected
 
 
 # ---------------------------------------------------------------------------
