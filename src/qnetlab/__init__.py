@@ -31,7 +31,6 @@ from .network import (
 from .processes import (
     ArrivalSpec,
     FiniteMarkovChain,
-    MixingReport,
     make_rng,
     mixing_time,
     stationary_distribution,

@@ -279,7 +279,7 @@ def performance_bounds(
     if epsilon == drift.delta:
         t_eps = drift.T
     else:
-        t_eps = mixing_time(scenario.omega_chain, epsilon).T
+        t_eps = mixing_time(scenario.omega_chain, epsilon)
     backlog_bound = (
         drift.T * drift.B + (drift.T - 1) * drift.D + v_param * (drift.f_max - drift.f_min)
     ) / (drift.d_max / 4.0)

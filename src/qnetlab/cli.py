@@ -307,10 +307,9 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     lams = (
         parse_lambda_flag(args.lam, scenario.n_queues) if args.lam is not None else None
     )
+    lp = capacity_mod.build_lp(scenario, lams)  # validates the scenario
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    lp = capacity_mod.build_lp(scenario, lams)
     report = lp.solve()
     items: list[tuple[str, object]] = [
         ("command", "capacity"),
@@ -350,10 +349,9 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 def cmd_sweep_v(args: argparse.Namespace) -> int:
     v_list = parse_entries(args.V_list, "--V")  # checked before anything is written
     scenario = _load_with_overrides(args)
+    cap = capacity_mod.solve_fopt(scenario)  # validates the scenario
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    cap = capacity_mod.solve_fopt(scenario)
     if not cap.feasible or cap.d_max <= 0.0:
         print(
             "error: V-sweep needs a strictly interior arrival-rate vector "
@@ -414,20 +412,17 @@ def _cex_report(
 ) -> tuple[list[tuple[str, object]], list, bool]:
     """Regenerate a counter-example and check its documented signature.
 
-    The random ensembles are reduced block by block (``stability.sum_blocks``).
-    Every backlog value is ``t``, ``4^t`` or 0.  A partial column sum is then
-    an integer below 2^53, or ``4^t`` times a count below 2^17; both are exact
-    float64, so the sums, the means and the profile have the bits of the
-    full-matrix formulas in any block order.
+    The random ensembles come as the few statistics the checks read, never
+    as the (replications x horizon) backlog.  Every backlog value is ``t``,
+    ``4^t`` or 0, so a column sum is that value times a count below 2^17, an
+    exact float64: the sums, the means and the profile have the bits of the
+    full-matrix formulas.
     """
     checks: list[tuple[str, object]] = [("command", "counterexample"), ("name", name)]
     if name == "rate-not-mean":
         horizon = 41
-        sums = stability.sum_blocks(
-            stability.cex_rate_not_mean_blocks(seed, horizon, n_reps), keep=(40,)
-        )
-        final = sums.columns[40]
-        mean6 = float(sums.column_sums[6] / n_reps / 6.0)
+        column_sums, final = stability.cex_rate_not_mean(seed, horizon, n_reps)
+        mean6 = float(column_sums[6] / n_reps / 6.0)
         frac_zero_at_40 = float((final == 0.0).mean())
         slope_final = float(stability._median(final / 40.0))
         ok = (
@@ -441,14 +436,12 @@ def _cex_report(
             ("fraction_zero_at_t40", frac_zero_at_40),
             ("median_final_slope", slope_final),
         ]
-        profile = _mean_profile_rows(sums.column_sums, n_reps, horizon)
+        profile = _mean_profile_rows(column_sums, n_reps, horizon)
     elif name == "mean-not-rate":
         horizon = 200
-        sums = stability.sum_blocks(
-            stability.cex_mean_not_rate_blocks(seed, horizon, n_reps), window=slice(100, 200)
-        )
-        mean100 = float(sums.column_sums[100] / n_reps)
-        spikes = float((sums.window_max > 0).mean())
+        column_sums, spiked = stability.cex_mean_not_rate(seed, horizon, n_reps)
+        mean100 = float(column_sums[100] / n_reps)
+        spikes = float(spiked.mean())
         expected_spikes = 1.0 - float(np.prod(1.0 - 1.0 / np.arange(100, 200)))
         ok = abs(mean100 - 1.0) <= 0.1 and abs(spikes - expected_spikes) <= 0.02
         checks += [
@@ -456,7 +449,7 @@ def _cex_report(
             ("spike_fraction_window_100_200", spikes),
             ("expected_spike_fraction", expected_spikes),
         ]
-        profile = _mean_profile_rows(sums.column_sums, n_reps, horizon)
+        profile = _mean_profile_rows(column_sums, n_reps, horizon)
     elif name == "strong-not-rate":
         horizon = 2**20 + 1
         path = stability.cex_strong_not_rate(horizon)

@@ -275,7 +275,7 @@ def drift_constants(
         d_total += pi[w] * (
             np.max(ayb2, axis=0).sum() + np.max(g**2, axis=0).sum()
         )
-    t_mix = mixing_time(scenario.omega_chain, delta).T
+    t_mix = mixing_time(scenario.omega_chain, delta)
     # Builtin min/max in (omega, action) order: validate's bits and signed zeros.
     f_real = tab.f[tab.real].tolist()
     f_min, f_max = min(f_real), max(f_real)

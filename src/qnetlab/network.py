@@ -212,11 +212,9 @@ class Scenario:
 
 
 def validate(scenario: Scenario) -> None:
-    """Check every real (omega, action) table value and cost for finiteness,
-    and that every arrival process has a table second moment.
+    """Check every real (omega, action) table value and cost for finiteness.
 
-    Raises ``ScenarioError`` at the first offender in (omega, action) order,
-    then in queue order.
+    Raises ``ScenarioError`` at the first offender in (omega, action) order.
     """
     tab = scenario.tables
     real = tab.real
@@ -232,11 +230,6 @@ def validate(scenario: Scenario) -> None:
                 "non-finite x table entry", "non-finite g table entry",
                 "non-finite cost value")[int(np.argmax(bad[j]))]
         raise ScenarioError(f"actions[{w}][{i}]", what)
-    for k, spec in enumerate(scenario.arrivals):
-        try:
-            spec.second_moment()
-        except ValueError as exc:
-            raise ScenarioError(f"arrivals[{k}]", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +293,6 @@ def _parse_arrival(raw: dict, where: str) -> ArrivalSpec:
                 rate=rate,
                 values=tuple(_float_list(_expect(raw, "values", where), where)),
                 probs=tuple(_float_list(_expect(raw, "probs", where), where)),
-            )
-        if kind == "counterexample":
-            return ArrivalSpec(
-                kind="counterexample", rate=rate, tag=str(_expect(raw, "tag", where))
             )
     except ScenarioError:
         raise

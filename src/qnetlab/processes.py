@@ -10,13 +10,12 @@ integers, so distinct replications always get distinct substream seeds.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "FiniteMarkovChain",
-    "MixingReport",
     "ArrivalSpec",
     "ReducibleChainError",
     "PeriodicChainError",
@@ -61,15 +60,6 @@ def substream_seed(master_seed: int, replication: int) -> int:
 def make_rng(master_seed: int, replication: int = 0) -> np.random.Generator:
     """PCG64 generator for one replication substream."""
     return np.random.Generator(np.random.PCG64(substream_seed(master_seed, replication)))
-
-
-class MixingReport(NamedTuple):
-    """Least horizon T at which every start state is within ``delta`` of
-    stationarity in total variation, with the max-TV decay curve up to T."""
-
-    delta: float
-    T: int
-    tv_curve: tuple[tuple[int, float], ...]
 
 
 class FiniteMarkovChain:
@@ -158,9 +148,7 @@ def stationary_distribution(chain: FiniteMarkovChain) -> np.ndarray:
     return pi
 
 
-def mixing_time(
-    chain: FiniteMarkovChain, delta: float, max_steps: int = 1_000_000
-) -> MixingReport:
+def mixing_time(chain: FiniteMarkovChain, delta: float, max_steps: int = 1_000_000) -> int:
     """Least T with ``max_i TV(P^T[i, :], pi) <= delta``, by matrix powering.
 
     Exact powering (no simulation noise) keeps the reported T deterministic.
@@ -176,12 +164,9 @@ def mixing_time(
         )
     pi = stationary_distribution(chain)
     power = chain.transition.copy()
-    curve: list[tuple[int, float]] = []
     for t in range(1, max_steps + 1):
-        max_tv = float(0.5 * np.max(np.abs(power - pi[None, :]).sum(axis=1)))
-        curve.append((t, max_tv))
-        if max_tv <= delta:
-            return MixingReport(delta=delta, T=t, tv_curve=tuple(curve))
+        if 0.5 * np.max(np.abs(power - pi[None, :]).sum(axis=1)) <= delta:
+            return t
         power = power @ chain.transition
     raise ArithmeticError(f"chain did not mix to delta={delta} within {max_steps} steps")
 
@@ -193,9 +178,6 @@ class ArrivalSpec:
       * ``bernoulli``: ``size`` units arrive with probability ``p`` each slot.
       * ``deterministic``: ``values`` repeat cyclically.
       * ``iid_table``: i.i.d. draws from ``values`` with probabilities ``probs``.
-      * ``counterexample``: a named pathological backlog process; it prescribes
-        backlogs directly, so it cannot be sampled as arrivals here (the
-        stability module generates those traces).
 
     ``rate`` is the declared mean work per slot and must match the analytic
     mean of the generator.
@@ -209,7 +191,6 @@ class ArrivalSpec:
         size: float = 1.0,
         values: tuple[float, ...] = (),
         probs: tuple[float, ...] = (),
-        tag: str = "",
     ) -> None:
         self.kind = kind
         self.rate = rate
@@ -217,18 +198,17 @@ class ArrivalSpec:
         self.size = size
         self.values = values
         self.probs = probs
-        self.tag = tag
-        if self.kind not in ("bernoulli", "deterministic", "iid_table", "counterexample"):
+        if self.kind not in ("bernoulli", "deterministic", "iid_table"):
             raise ValueError(f"unknown arrival kind {self.kind!r}")
         if self.rate < 0 or not math.isfinite(self.rate):
             raise ValueError("declared rate must be a non-negative finite real")
         mean = self.analytic_mean()
-        if mean is not None and abs(mean - self.rate) > 1e-12 * (1.0 + abs(mean)):
+        if abs(mean - self.rate) > 1e-12 * (1.0 + abs(mean)):
             raise ValueError(
                 f"declared rate {self.rate} does not match analytic mean {mean}"
             )
 
-    def analytic_mean(self) -> float | None:
+    def analytic_mean(self) -> float:
         if self.kind == "bernoulli":
             if not (0.0 <= self.p <= 1.0 and 0.0 <= self.size < math.inf):
                 raise ValueError("bernoulli arrivals need p in [0,1] and a finite size >= 0")
@@ -239,15 +219,13 @@ class ArrivalSpec:
             if any(v < 0 or not math.isfinite(v) for v in self.values):
                 raise ValueError("deterministic arrival values must be non-negative")
             return float(np.mean(self.values))
-        if self.kind == "iid_table":
-            if len(self.values) != len(self.probs) or not self.values:
-                raise ValueError("iid_table needs matching non-empty values/probs")
-            if not all(0.0 <= v < math.inf for v in self.values):
-                raise ValueError("iid_table arrival values must be finite and non-negative")
-            if not (all(p >= 0 for p in self.probs) and abs(sum(self.probs) - 1.0) <= 1e-12):
-                raise ValueError("iid_table probs must form a probability vector")
-            return float(np.dot(self.values, self.probs))
-        return None  # counterexample: mean is documentation only
+        if len(self.values) != len(self.probs) or not self.values:
+            raise ValueError("iid_table needs matching non-empty values/probs")
+        if not all(0.0 <= v < math.inf for v in self.values):
+            raise ValueError("iid_table arrival values must be finite and non-negative")
+        if not (all(p >= 0 for p in self.probs) and abs(sum(self.probs) - 1.0) <= 1e-12):
+            raise ValueError("iid_table probs must form a probability vector")
+        return float(np.dot(self.values, self.probs))
 
     def second_moment(self) -> float:
         """Analytic E[a^2]; for deterministic sequences the worst slot."""
@@ -255,9 +233,7 @@ class ArrivalSpec:
             return self.p * self.size**2
         if self.kind == "deterministic":
             return float(max(v**2 for v in self.values))
-        if self.kind == "iid_table":
-            return float(np.dot(np.square(self.values), self.probs))
-        raise ValueError("counterexample arrivals have no table second moment")
+        return float(np.dot(np.square(self.values), self.probs))
 
     @property
     def table(self) -> np.ndarray:
@@ -271,12 +247,7 @@ class ArrivalSpec:
         dtype = np.min_scalar_type(len(self.values) - 1)
         if self.kind == "deterministic":
             return (np.arange(horizon) % len(self.values)).astype(dtype)
-        if self.kind == "iid_table":
-            return rng.choice(len(self.values), size=horizon, p=self.probs).astype(dtype)
-        raise ValueError(
-            f"counterexample arrival {self.tag!r} prescribes backlogs, not arrivals; "
-            "generate it with the stability counterexample tools"
-        )
+        return rng.choice(len(self.values), size=horizon, p=self.probs).astype(dtype)
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:

@@ -8,37 +8,35 @@ Four stability notions are estimated from finite traces:
 * strong stability      -- finite time-average expected backlog.
 
 The definitions are asymptotic; this module applies documented finite-horizon
-proxies: slopes are read at geometric checkpoint times, the tail curve g(M)
+proxies: slopes are read at the final slot, the tail curve g(M)
 is evaluated on a geometric M-grid, and strong stability uses a plateau test
 on the running average across the final doubling.  The module also ships the
 three classic pathological processes that separate the notions, plus the
 Bernoulli/Bernoulli/1 closed forms used as golden values.  The two random
-ones are drawn in row blocks of bounded size, and ``sum_blocks`` reduces
-them block by block, so a report never holds the (replications x horizon)
-matrix.
+ones return only the statistics their report reads (column sums, the last
+column or a spike flag per replication), never the (replications x horizon)
+backlog.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .processes import make_rng
 
 __all__ = [
-    "BlockSums",
     "VerdictThresholds",
     "StabilityVerdict",
     "geometric_checkpoints",
     "single_queue_path",
     "estimate_verdict",
     "bb1_closed_form",
-    "cex_rate_not_mean_blocks",
-    "cex_mean_not_rate_blocks",
+    "cex_rate_not_mean",
+    "cex_mean_not_rate",
     "cex_strong_not_rate",
-    "sum_blocks",
     "verdict_report_items",
     "curve_rows",
 ]
@@ -47,10 +45,9 @@ __all__ = [
 # 2^(2t), and 2^80 is still exactly representable in float64.
 RATE_NOT_MEAN_MAX_SLOTS = 41
 
-# Float64 backlog per row block of the random counter-examples: 163 rows at
-# 200 slots.  Measured on mean-not-rate's 100,000 x 200 report, whole-process
-# peak RSS 39 / 40 / 42 / 45 / 54 MB at 256 KB / 512 KB / 1 / 2 / 4 MB, with
-# no faster time at the larger sizes.
+# Float64 uniforms per row block of mean-not-rate's draw: 163 rows at 200
+# slots.  Measured on the 100,000 x 200 report, whole-process peak RSS
+# 35 MB at 256 KB and 41 MB at 4 MB, with no faster time at 4 MB.
 _CEX_BLOCK_BYTES = 1 << 18
 
 
@@ -100,8 +97,6 @@ class StabilityVerdict(NamedTuple):
     running_mean_half: float
     running_mean_full: float
     thresholds: VerdictThresholds
-    checkpoints: np.ndarray
-    slopes_at_checkpoints: np.ndarray
 
 
 def single_queue_path(
@@ -169,9 +164,9 @@ def estimate_verdict(
     """Estimate the four stability notions from backlog paths
     ``backlog[r, t]``, one row per replication, slots ``t = 0..horizon-1``.
 
-    Slopes are read at ``geometric_checkpoints(horizon)``.  The mean-rate
-    estimate averages Q(t)/t across replications; it is made only when there
-    are at least ``thresholds.min_reps_mean_rate`` of them, and is None
+    Slopes Q(t)/t are read at the final slot.  The mean-rate estimate
+    averages the slopes across replications; it is made only when there are
+    at least ``thresholds.min_reps_mean_rate`` replications, and is None
     otherwise.
 
     Two passes over ``backlog``: slopes and means first, then the tail
@@ -189,14 +184,12 @@ def estimate_verdict(
         raise ValueError("verdicts need a horizon of at least 1e3 slots")
     if n_reps < 1:
         raise ValueError("ensembles need at least one replication")
-    checkpoints = geometric_checkpoints(horizon)
-    t_final = int(checkpoints[-1])
+    t_final = horizon - 1
     t_half = max(t_final // 2, 1)
 
     # Pass 1: slopes, overall mean, running means for the plateau test.
     finals = q[:, t_final] / t_final
     rate_slope = float(_median(finals))
-    slopes_at_checkpoints = _median(q[:, checkpoints] / checkpoints)
     mean_rate_slope = (
         float(np.mean(finals)) if n_reps >= thresholds.min_reps_mean_rate else None
     )
@@ -244,8 +237,6 @@ def estimate_verdict(
         running_mean_half=float(running_half),
         running_mean_full=float(running_full),
         thresholds=thresholds,
-        checkpoints=checkpoints,
-        slopes_at_checkpoints=slopes_at_checkpoints,
     )
 
 
@@ -262,22 +253,17 @@ def bb1_closed_form(lam: float, mu: float) -> tuple[float, float]:
     return lam * (1.0 - lam) / (mu - lam), (1.0 - lam) / (mu - lam)
 
 
-def _block_rows(horizon: int) -> int:
-    return max(1, _CEX_BLOCK_BYTES // (8 * horizon))
-
-
-def cex_rate_not_mean_blocks(seed: int, horizon: int, n_reps: int) -> Iterator[np.ndarray]:
-    """Rate-stable but not mean-rate-stable: Q(t) = 4^t while t < T, else 0,
-    as consecutive row blocks of the (n_reps, horizon) backlog.
+def cex_rate_not_mean(seed: int, horizon: int, n_reps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rate-stable but not mean-rate-stable: Q(t) = 4^t while t < T, else 0.
 
     T is geometric with Pr[T > t] = 2^-t, so E[Q(t)] = 2^t diverges while
     every individual path is eventually zero.  Horizon is capped so values
     (up to 2^80) stay exactly representable.
 
-    All ``n_reps`` stopping times are drawn first, in replication order, from
-    one ``make_rng(seed, 0)`` stream; block ``b`` then holds the rows of
-    replications ``b * rows .. (b + 1) * rows - 1``.  Stacking the blocks
-    gives the full ensemble whatever the block size.
+    All ``n_reps`` stopping times are drawn, in replication order, from one
+    ``make_rng(seed, 0)`` stream.  Returns the (n_reps, horizon) backlog's
+    column sums, ``4^t * #{T > t}``, and its last column, one value per
+    replication; the matrix itself is never built.
     """
     if not (2 <= horizon <= RATE_NOT_MEAN_MAX_SLOTS):
         raise ValueError(
@@ -288,24 +274,23 @@ def cex_rate_not_mean_blocks(seed: int, horizon: int, n_reps: int) -> Iterator[n
         raise ValueError("n_reps must be >= 1")
     rng = make_rng(seed, 0)
     t_stop = rng.geometric(0.5, size=n_reps)  # support {1, 2, ...}
-    t_idx = np.arange(horizon)
-    values = np.exp2(2.0 * t_idx)
-    rows = _block_rows(horizon)
-    for r0 in range(0, n_reps, rows):
-        stop = t_stop[r0 : r0 + rows]
-        yield np.where(t_idx[None, :] < stop[:, None], values[None, :], 0.0)
+    values = np.exp2(2.0 * np.arange(horizon))
+    stopped = np.cumsum(np.bincount(np.minimum(t_stop, horizon), minlength=horizon + 1))
+    column_sums = values * (n_reps - stopped[:horizon])
+    return column_sums, np.where(t_stop > horizon - 1, values[-1], 0.0)
 
 
-def cex_mean_not_rate_blocks(seed: int, horizon: int, n_reps: int) -> Iterator[np.ndarray]:
+def cex_mean_not_rate(seed: int, horizon: int, n_reps: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean-rate-stable but not rate-stable: independent slots with
-    Q(t) = t w.p. 1/t, else 0, so E[Q(t)] = 1 while spikes Q(t) = t recur;
-    the (n_reps, horizon) backlog as consecutive row blocks.
+    Q(t) = t w.p. 1/t, else 0, so E[Q(t)] = 1 while spikes Q(t) = t recur.
 
     One uniform per (replication, slot) comes from one ``make_rng(seed, 0)``
     stream in row-major order: replication 0's ``horizon`` slots, then
-    replication 1's, and so on.  Each block draws its rows with
-    ``rng.random((rows, horizon))``, which continues that order, so stacking
-    the blocks gives the full ensemble whatever the block size.
+    replication 1's, and so on; slot ``t`` spikes when its uniform is below
+    ``1/t`` (never at t = 0).  The uniforms are drawn in row blocks of
+    ``_CEX_BLOCK_BYTES``, which continue that order.  Returns the
+    (n_reps, horizon) backlog's column sums, ``t * #{Q(t) = t}``, and per
+    replication whether it spiked in ``[horizon // 2, horizon)``.
     """
     if horizon < 10:
         raise ValueError("horizon must be >= 10")
@@ -313,57 +298,16 @@ def cex_mean_not_rate_blocks(seed: int, horizon: int, n_reps: int) -> Iterator[n
         raise ValueError("n_reps must be >= 1")
     rng = make_rng(seed, 0)
     t_idx = np.arange(horizon, dtype=float)
-    with np.errstate(divide="ignore"):
-        prob = np.where(t_idx > 0, 1.0 / np.maximum(t_idx, 1.0), 0.0)
-    rows = _block_rows(horizon)
+    prob = np.zeros(horizon)
+    prob[1:] = 1.0 / t_idx[1:]
+    rows = max(1, _CEX_BLOCK_BYTES // (8 * horizon))
+    hits = np.zeros(horizon, dtype=np.int64)
+    spiked = np.empty(n_reps, dtype=bool)
     for r0 in range(0, n_reps, rows):
-        u = rng.random((min(rows, n_reps - r0), horizon))
-        block = np.where(u < prob[None, :], t_idx[None, :], 0.0)
-        block[:, 0] = 0.0
-        yield block
-
-
-class BlockSums(NamedTuple):
-    """Reductions of an ensemble read in row blocks (see ``sum_blocks``)."""
-
-    n_reps: int
-    column_sums: np.ndarray           # sum over replications of backlog[:, t]
-    columns: dict[int, np.ndarray]    # kept whole columns, replication order
-    window_max: np.ndarray | None     # per-replication max over the window
-
-
-def sum_blocks(
-    blocks: Iterable[np.ndarray], keep: Sequence[int] = (), window: slice | None = None
-) -> BlockSums:
-    """Reduce (rows, horizon) backlog blocks without stacking them.
-
-    Keeps the whole columns listed in ``keep`` and, if ``window`` is given,
-    each replication's maximum over ``backlog[:, window]``.  Column sums are
-    taken block by block, so they equal the full-ensemble sums exactly when
-    every partial sum is an exact float64, as for the integer counter-example
-    backlogs (see ``cli``).
-    """
-    n_reps, column_sums = 0, None
-    kept: dict[int, list[np.ndarray]] = {c: [] for c in keep}
-    maxima: list[np.ndarray] = []
-    for block in blocks:
-        n_reps += block.shape[0]
-        if column_sums is None:
-            column_sums = block.sum(axis=0)
-        else:
-            column_sums += block.sum(axis=0)
-        for c, parts in kept.items():
-            parts.append(block[:, c].copy())
-        if window is not None:
-            maxima.append(block[:, window].max(axis=1))
-    if column_sums is None:
-        raise ValueError("sum_blocks needs at least one block")
-    return BlockSums(
-        n_reps=n_reps,
-        column_sums=column_sums,
-        columns={c: np.concatenate(parts) for c, parts in kept.items()},
-        window_max=np.concatenate(maxima) if window is not None else None,
-    )
+        spikes = rng.random((min(rows, n_reps - r0), horizon)) < prob
+        hits += spikes.sum(axis=0)
+        spikes[:, horizon // 2 :].any(axis=1, out=spiked[r0 : r0 + spikes.shape[0]])
+    return hits * t_idx, spiked
 
 
 def cex_strong_not_rate(horizon: int) -> np.ndarray:

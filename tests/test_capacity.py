@@ -207,7 +207,7 @@ def test_drift_constants_carry_the_cost_constants(bb1):
 
 def test_bounds_reuse_the_drift_mixing_time(downlink2, monkeypatch):
     drift = drift_constants(downlink2)
-    t_other = capacity.mixing_time(downlink2.omega_chain, drift.delta / 2).T
+    t_other = capacity.mixing_time(downlink2.omega_chain, drift.delta / 2)
     calls = []
     real_mixing_time = capacity.mixing_time
 

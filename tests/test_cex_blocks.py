@@ -1,12 +1,13 @@
-"""Row-block generation and reduction of the counter-example ensembles.
+"""The counter-example reports from their sufficient statistics.
 
 The counter-example reports never hold the (replications x horizon) matrix:
-``stability.cex_*_blocks`` draw it in row blocks and ``stability.sum_blocks``
-reduces each block as it is made.  These tests pin what byte identity with
-the full-matrix code rests on: the stacked blocks equal one one-shot draw,
-the blocked reductions equal the full-matrix formulas, and the commands stay
-small in memory.  The memory guard also covers ``simulate``, whose sampler
-and CSV writer work in bounded blocks too.
+``stability.cex_rate_not_mean`` and ``stability.cex_mean_not_rate`` return
+only its column sums and one value per replication, and mean-not-rate draws
+its uniforms in row blocks.  These tests pin what byte identity with the
+full-matrix code rests on: the statistics equal those of the one-shot
+matrices in ``oracles``, the reports equal the full-matrix formulas, and the
+commands stay small in memory.  The memory guard also covers ``simulate``,
+whose sampler and CSV writer work in bounded blocks too.
 """
 
 from __future__ import annotations
@@ -22,31 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qnetlab
+from oracles import one_shot_mean_not_rate, one_shot_rate_not_mean
 from qnetlab import stability
 from qnetlab.cli import _cex_report, _fmt
-from qnetlab.processes import make_rng
-
-
-def one_shot_rate_not_mean(seed, horizon, n_reps):
-    """The whole doubling ensemble from one draw, as it was generated before
-    the blocks."""
-    rng = make_rng(seed, 0)
-    t_stop = rng.geometric(0.5, size=n_reps)
-    t_idx = np.arange(horizon)
-    values = np.exp2(2.0 * t_idx)
-    return np.where(t_idx[None, :] < t_stop[:, None], values[None, :], 0.0)
-
-
-def one_shot_mean_not_rate(seed, horizon, n_reps):
-    """The whole spiking ensemble from one (n_reps, horizon) uniform draw."""
-    rng = make_rng(seed, 0)
-    t_idx = np.arange(horizon, dtype=float)
-    u = rng.random((n_reps, horizon))
-    with np.errstate(divide="ignore"):
-        prob = np.where(t_idx > 0, 1.0 / np.maximum(t_idx, 1.0), 0.0)
-    backlog = np.where(u < prob[None, :], t_idx[None, :], 0.0)
-    backlog[:, 0] = 0.0
-    return backlog
 
 
 def set_block_rows(monkeypatch, rows, horizon):
@@ -58,35 +37,48 @@ def set_block_rows(monkeypatch, rows, horizon):
 # ---------------------------------------------------------------------------
 
 
+def rate_not_mean_statistics(backlog):
+    return backlog.sum(axis=0), backlog[:, -1]
+
+
+def mean_not_rate_statistics(backlog):
+    horizon = backlog.shape[1]
+    return backlog.sum(axis=0), (backlog[:, horizon // 2 :] > 0).any(axis=1)
+
+
+# Each at a long horizon and at a short one, where every column is reached.
 DRAWS = [
-    ("rate-not-mean", stability.cex_rate_not_mean_blocks, one_shot_rate_not_mean, 41),
-    ("mean-not-rate", stability.cex_mean_not_rate_blocks, one_shot_mean_not_rate, 37),
+    ("rate-not-mean", stability.cex_rate_not_mean, one_shot_rate_not_mean,
+     rate_not_mean_statistics, (41, 4)),
+    ("mean-not-rate", stability.cex_mean_not_rate, one_shot_mean_not_rate,
+     mean_not_rate_statistics, (37, 10)),
 ]
 
 
-@pytest.mark.parametrize("name, blocks, one_shot, horizon", DRAWS, ids=[d[0] for d in DRAWS])
+@pytest.mark.parametrize("name, draw, one_shot, statistics, horizons", DRAWS,
+                         ids=[d[0] for d in DRAWS])
 @pytest.mark.parametrize("seed", [0, 3, 12345, 2**40 + 7])
-def test_stacked_blocks_equal_one_shot_draw(monkeypatch, name, blocks, one_shot, horizon, seed):
-    n_reps = 50  # 7 rows per block: 7 full blocks and a last one of 1 row
-    set_block_rows(monkeypatch, 7, horizon)
-    parts = list(blocks(seed, horizon, n_reps))
-    assert [p.shape for p in parts] == [(7, horizon)] * 7 + [(1, horizon)]
-    expected = one_shot(seed, horizon, n_reps)
-    assert np.concatenate(parts).tobytes() == expected.tobytes()
+def test_stacked_blocks_equal_one_shot_draw(monkeypatch, name, draw, one_shot, statistics,
+                                            horizons, seed):
+    # The statistics of the blocked draw are those of one one-shot matrix,
+    # bit for bit.  7 rows per block: 7 full blocks and a last one of 1 row.
+    n_reps = 50
+    for horizon in horizons:
+        set_block_rows(monkeypatch, 7, horizon)
+        got = draw(seed, horizon, n_reps)
+        expected = statistics(one_shot(seed, horizon, n_reps))
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and g.shape == e.shape
+            assert g.tobytes() == e.tobytes()
 
 
-@pytest.mark.parametrize("blocks", [stability.cex_rate_not_mean_blocks,
-                                    stability.cex_mean_not_rate_blocks])
-def test_block_generators_reject_bad_sizes(blocks):
+@pytest.mark.parametrize("draw", [stability.cex_rate_not_mean, stability.cex_mean_not_rate])
+def test_cex_draws_reject_bad_sizes(draw):
     with pytest.raises(ValueError, match="n_reps"):
-        list(blocks(1, 20, 0))
+        draw(1, 20, 0)
     with pytest.raises(ValueError, match="horizon"):
-        list(blocks(1, 1, 10))
-
-
-def test_sum_blocks_needs_a_block():
-    with pytest.raises(ValueError, match="at least one block"):
-        stability.sum_blocks([])
+        draw(1, 1, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +145,6 @@ def test_blocked_report_equals_full_matrix_formulas(name, seed, n_reps, rows):
     expected = full_matrix_report(name, one_shot(seed, horizon, n_reps))
     assert formatted(*got[:2]) == formatted(*expected[:2])
     assert got[2] == expected[2]
-
-
-def test_sum_blocks_keeps_columns_and_window_maxima():
-    backlog = one_shot_mean_not_rate(5, 30, 23)
-    sums = stability.sum_blocks(
-        (backlog[r0 : r0 + 4] for r0 in range(0, 23, 4)), keep=(3, 29), window=slice(10, 20)
-    )
-    assert sums.n_reps == 23
-    assert np.array_equal(sums.column_sums, backlog.sum(axis=0))
-    assert sorted(sums.columns) == [3, 29]
-    assert np.array_equal(sums.columns[29], backlog[:, 29])
-    assert np.array_equal(sums.window_max, backlog[:, 10:20].max(axis=1))
 
 
 # ---------------------------------------------------------------------------

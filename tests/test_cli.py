@@ -142,7 +142,7 @@ def test_scenario_path_that_is_a_directory_is_an_error(tmp_path, capsys, command
     ["bb1", "--lambda", "0.3", "--mu", "0.5", "--simulate", "--horizon", "100", "--reps", "2"],
 ], ids=lambda argv: "-".join([argv[0], *(a[2:] for a in argv if a == "--simulate")]))
 def test_out_naming_an_existing_file_is_an_error(tmp_path, capsys, argv):
-    # The output directory is checked before any work or output.
+    # The output directory is checked before any output.
     out = tmp_path / "taken"
     out.write_text("")
     assert assert_clean_error(main([*argv, "--out", str(out)]), capsys) == ""
@@ -330,6 +330,42 @@ def test_non_finite_cost_is_scenario_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "actions[1][0]" in err and "non-finite cost value" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", sorted(SCENARIO_COMMANDS))
+def test_overflowing_routed_offer_fails_before_any_output(tmp_path, capsys, command):
+    # The tables are finite, so the file loads; the routed offer 1e308 + 1e308
+    # overflows, which validation rejects.  capacity and sweep-v used to
+    # create --out before they validated.
+    data = json.loads(fixture_path("downlink2").read_text())
+    data["actions"][1][1].update(y=[0.0, 1e308], b=[1e308, 0.0])
+    data["routing"] = [{"src": 0, "dst": 1}]
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):
+        rc = main([command, str(bad), *SCENARIO_COMMANDS[command], "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "scenario error: actions[1][1]: non-finite y table entry\n"
+    )
+    assert not out.exists()
+
+
+def test_counterexample_arrival_kind_fails_at_load(tmp_path, capsys):
+    # Counter-examples prescribe backlogs, not arrivals; the kind used to load
+    # and then fail validation for its missing second moment.
+    data = json.loads(fixture_path("bb1").read_text())
+    data["arrivals"][0] = {"kind": "counterexample", "tag": "mean-not-rate", "rate": 0.0}
+    bad = tmp_path / "cex.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    rc = main(["simulate", str(bad), "--horizon", "1000", "--reps", "2", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "scenario error: arrivals[0]: unknown arrival kind 'counterexample'\n"
+    )
+    assert not out.exists()
 
 
 def test_arithmetic_error_is_reported_not_raised(tmp_path, capsys, monkeypatch):

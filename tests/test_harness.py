@@ -30,27 +30,41 @@ TRACED_FUNCTIONS = {
     processes: ["mixing_time", "stationary_distribution"],
     capacity: ["build_lp", "solve_fopt", "performance_bounds"],
     controller: ["drift_constants"],
-    stability: ["single_queue_path", "cex_strong_not_rate"],
+    stability: ["single_queue_path", "cex_rate_not_mean", "cex_mean_not_rate",
+                "cex_strong_not_rate"],
 }
 
 
-@pytest.mark.skipif(not TRACED.is_file(), reason="needs the perfbench harness")
-def test_traced_run_records_a_counterexample_span(tmp_path):
+def traced_span_names(tmp_path, *cli_args: str) -> set[str]:
+    """Names of the spans of one traced CLI run, which must exit 0."""
     spans_path = tmp_path / "spans.json"
     src = str(Path(qnetlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     run = subprocess.run(
-        [sys.executable, str(TRACED), str(spans_path),
-         "counterexample", "strong-not-rate", "--out", str(tmp_path / "out")],
+        [sys.executable, str(TRACED), str(spans_path), *cli_args,
+         "--out", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
     record = json.loads(spans_path.read_text())
     assert record["exit_code"] == 0
-    names = {span[2] for span in record["spans"]}
+    return {span[2] for span in record["spans"]}
+
+
+@pytest.mark.skipif(not TRACED.is_file(), reason="needs the perfbench harness")
+def test_traced_run_records_a_counterexample_span(tmp_path):
+    names = traced_span_names(tmp_path, "counterexample", "strong-not-rate")
     assert "stability.cex_strong_not_rate" in names
     assert "cli.write_report" in names
+
+
+@pytest.mark.skipif(not TRACED.is_file(), reason="needs the perfbench harness")
+def test_traced_run_records_a_random_counterexample_span(tmp_path):
+    # The tracer wraps no generator function, so this span exists only while
+    # the draw is a plain function.
+    names = traced_span_names(tmp_path, "counterexample", "mean-not-rate")
+    assert "stability.cex_mean_not_rate" in names
 
 
 @pytest.mark.parametrize("module", list(TRACED_FUNCTIONS), ids=lambda m: m.__name__)

@@ -127,23 +127,19 @@ def test_stationary_matches_power_iteration_on_random_chains():
 def test_mixing_iid_chain_is_one_step():
     chain = iid_chain([0.25, 0.75])
     for delta in (0.5, 0.01, 1e-6):
-        assert mixing_time(chain, delta).T == 1
+        assert mixing_time(chain, delta) == 1
 
 
 def test_mixing_symmetric_half_chain_is_one_step():
-    assert mixing_time(two_state(0.5, 0.5), 0.01).T == 1
+    assert mixing_time(two_state(0.5, 0.5), 0.01) == 1
 
 
 def test_mixing_slow_chain_matches_powering_oracle():
     chain = two_state(0.1, 0.1)
-    report = mixing_time(chain, 0.01)
-    assert report.T == mixing_time_by_powering(chain.transition, 0.01)
-    ts, tvs = zip(*report.tv_curve)
-    assert ts[-1] == report.T
-    assert tvs[-1] <= 0.01
-    assert all(0.0 <= tv <= 1.0 for tv in tvs)
-    assert all(tvs[i + 1] <= tvs[i] + 1e-15 for i in range(len(tvs) - 1))
-    assert all(tv > 0.01 for tv in tvs[:-1])  # T is the least such t
+    t_mix = mixing_time(chain, 0.01)
+    assert type(t_mix) is int
+    # The oracle returns the least t whose powered chain is within delta.
+    assert t_mix == mixing_time_by_powering(chain.transition, 0.01) > 1
 
 
 def test_mixing_rejects_periodic_chain():
@@ -311,6 +307,7 @@ def test_iid_table_sampling_and_moments():
 
 
 def test_counterexample_kind_cannot_be_sampled():
-    spec = ArrivalSpec(kind="counterexample", rate=0.0, tag="rate-not-mean")
-    with pytest.raises(ValueError, match="stability"):
-        draw_arrivals(spec, 0, 10)
+    # Counter-examples prescribe backlogs, not arrivals, so they are no
+    # arrival kind at all.
+    with pytest.raises(ValueError, match="unknown arrival kind 'counterexample'"):
+        ArrivalSpec(kind="counterexample", rate=0.0)

@@ -12,7 +12,7 @@ import qnetlab
 
 PACKAGE = [
     "ArrivalSpec", "CapacityReport", "CompositeState", "DppBatchResult", "DppRunResult",
-    "DriftConstants", "FiniteMarkovChain", "MixingReport", "OmegaOnlyPolicy",
+    "DriftConstants", "FiniteMarkovChain", "OmegaOnlyPolicy",
     "PerformanceBounds", "Scenario", "ScenarioError", "SlotIO", "StabilityVerdict",
     "VerdictThresholds", "bb1_closed_form", "build_lp", "cex_strong_not_rate",
     "conservation_check", "drift_constants", "estimate_verdict", "fixture_path",
@@ -35,7 +35,7 @@ MODULES = {
         "compile_tables", "fixture_path", "load_scenario", "validate",
     ],
     "processes": [
-        "ArrivalSpec", "FiniteMarkovChain", "MixingReport", "PeriodicChainError",
+        "ArrivalSpec", "FiniteMarkovChain", "PeriodicChainError",
         "ReducibleChainError", "make_rng", "mixing_time", "sample_paths", "splitmix64",
         "stationary_distribution", "substream_seed",
     ],
@@ -45,10 +45,9 @@ MODULES = {
     ],
     "simplex": ["LpResult", "SimplexError", "solve_lp", "solve_lp_sequence"],
     "stability": [
-        "BlockSums", "StabilityVerdict", "VerdictThresholds", "bb1_closed_form",
-        "cex_mean_not_rate_blocks", "cex_rate_not_mean_blocks", "cex_strong_not_rate",
-        "curve_rows", "estimate_verdict", "geometric_checkpoints", "single_queue_path",
-        "sum_blocks", "verdict_report_items",
+        "StabilityVerdict", "VerdictThresholds", "bb1_closed_form", "cex_mean_not_rate",
+        "cex_rate_not_mean", "cex_strong_not_rate", "curve_rows", "estimate_verdict",
+        "geometric_checkpoints", "single_queue_path", "verdict_report_items",
     ],
 }
 

@@ -37,9 +37,8 @@ SIGNATURES = {
     network.ScenarioTables: "f pad g net b y x y_offered",
     oracles.StepRecord: "omega_index action_index arrivals y_offered b_offered y_actual "
                         "b_actual x f_value g_values",
-    processes.MixingReport: "delta T tv_curve",
     processes.FiniteMarkovChain: "transition initial labels=()",
-    processes.ArrivalSpec: "kind rate p=0.0 size=1.0 values=() probs=() tag=",
+    processes.ArrivalSpec: "kind rate p=0.0 size=1.0 values=() probs=()",
     queues.SlotIO: "arrival offered_service actual_service negative_part",
     queues.CompositeState: "queues virtuals",
     simplex.LpResult: "status x objective",
@@ -50,9 +49,7 @@ SIGNATURES = {
     stability.StabilityVerdict: "rate_slope mean_rate_slope strong_metric m_grid g_curve "
                                 "h_mean h_p05 h_p95 rate_stable mean_rate_stable "
                                 "steady_state_stable strongly_stable running_mean_half "
-                                "running_mean_full thresholds checkpoints "
-                                "slopes_at_checkpoints",
-    stability.BlockSums: "n_reps column_sums columns window_max",
+                                "running_mean_full thresholds",
 }
 
 
@@ -78,12 +75,11 @@ def test_positional_and_keyword_construction_agree():
     assert np.array_equal(by_pos.transition, by_kw.transition)
     assert processes.FiniteMarkovChain(*chain_args[:2]).labels == ("s0", "s1")
 
-    spec = processes.ArrivalSpec("iid_table", 0.5, 0.0, 1.0, (0.0, 1.0), (0.5, 0.5), "t")
+    spec = processes.ArrivalSpec("iid_table", 0.5, 0.0, 1.0, (0.0, 1.0), (0.5, 0.5))
     assert vars(spec) == vars(processes.ArrivalSpec(
-        kind="iid_table", rate=0.5, values=(0.0, 1.0), probs=(0.5, 0.5), tag="t"))
+        kind="iid_table", rate=0.5, values=(0.0, 1.0), probs=(0.5, 0.5)))
     assert vars(processes.ArrivalSpec("bernoulli", 0.2, p=0.2)) == {
         "kind": "bernoulli", "rate": 0.2, "p": 0.2, "size": 1.0, "values": (), "probs": (),
-        "tag": "",
     }
 
     state = queues.CompositeState([1, 2], virtuals=[0])
@@ -186,11 +182,10 @@ def every_record():
         scenario, scenario.omega_chain, scenario.arrivals[0], scenario.actions[0][0],
         scenario.cost, step, state,
         queues.queue_step(1.0, 0.0, 1.0)[1],
-        processes.mixing_time(scenario.omega_chain, 0.1), lp, report, report.policy,
+        lp, report, report.policy,
         capacity.performance_bounds(scenario, 1.0, drift.d_max / 4, drift), drift,
         scenario.tables, batch, batch.runs[0],
         stability.estimate_verdict(batch.totals), stability.VerdictThresholds(),
-        stability.sum_blocks([np.ones((2, 3))], keep=(1,)),
         simplex.solve_lp([1.0], None, None, [[1.0]], [1.0]),
     ]
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import markov_bound_violations
+from oracles import markov_bound_violations, one_shot_mean_not_rate, one_shot_rate_not_mean
 from qnetlab import stability
 from qnetlab.cli import override_lambdas, override_mu
 from qnetlab.controller import run_dpp_batch
@@ -14,8 +14,7 @@ from qnetlab.stability import (
     StabilityVerdict,
     VerdictThresholds,
     bb1_closed_form,
-    cex_mean_not_rate_blocks,
-    cex_rate_not_mean_blocks,
+    cex_rate_not_mean,
     cex_strong_not_rate,
     estimate_verdict,
     geometric_checkpoints,
@@ -30,11 +29,6 @@ def _bb1_ensemble(lam, mu, horizon, n_reps, seed):
     fixture run through the batched kernel."""
     scenario = override_lambdas(override_mu(load_scenario("bb1.json"), mu), [lam])
     return run_dpp_batch(scenario, [0.0] * n_reps, range(n_reps), seed, horizon).totals
-
-
-def stacked(blocks):
-    """The (n_reps, horizon) backlog of a counter-example's row blocks."""
-    return np.concatenate(list(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +127,10 @@ def reference_verdict(backlog, checkpoints, thresholds):
     n_reps, horizon = backlog.shape
     t_final = int(checkpoints[-1])
     t_half = max(t_final // 2, 1)
-    finals, cp_slopes = [], []
+    finals = []
     total = to_half = to_final = 0.0
     for q in backlog:
         finals.append(q[t_final] / t_final)
-        cp_slopes.append(q[checkpoints] / checkpoints)
         total += float(q.sum())
         to_half += float(q[: t_half + 1].sum())
         to_final += float(q[: t_final + 1].sum())
@@ -171,8 +164,6 @@ def reference_verdict(backlog, checkpoints, thresholds):
         "running_mean_half": half,
         "running_mean_full": full,
         "thresholds": thresholds,
-        "checkpoints": checkpoints,
-        "slopes_at_checkpoints": np.median(cp_slopes, axis=0),
     }
 
 
@@ -263,7 +254,7 @@ def test_rate_stable_classification_implies_offered_rate_balance():
 
 
 def test_cex_rate_not_mean_signature():
-    backlog = stacked(cex_rate_not_mean_blocks(SEED, horizon=41, n_reps=50_000))
+    backlog = one_shot_rate_not_mean(SEED, horizon=41, n_reps=50_000)
     # Ensemble mean of Q(6)/6 tracks 2^6 / 6.
     assert backlog[:, 6].mean() / 6.0 == pytest.approx(2**6 / 6.0, rel=0.1)
     # Every path is zero from its stopping time onward.
@@ -279,11 +270,11 @@ def test_cex_rate_not_mean_signature():
 
 def test_cex_rate_not_mean_guards_horizon():
     with pytest.raises(ValueError, match="horizon"):
-        stacked(cex_rate_not_mean_blocks(SEED, horizon=64, n_reps=10))
+        cex_rate_not_mean(SEED, horizon=64, n_reps=10)
 
 
 def test_cex_mean_not_rate_signature():
-    backlog = stacked(cex_mean_not_rate_blocks(SEED, horizon=200, n_reps=50_000))
+    backlog = one_shot_mean_not_rate(SEED, horizon=200, n_reps=50_000)
     assert backlog[:, 100].mean() == pytest.approx(1.0, abs=0.1)
     assert backlog[:, 150].mean() == pytest.approx(1.0, abs=0.1)
     # Fraction of paths spiking in [t, 2t) stays bounded away from zero;
@@ -297,7 +288,7 @@ def test_cex_mean_not_rate_signature():
 
 def test_cex_mean_not_rate_slope_vanishes_at_ten_thousand_slots():
     # E[Q(t)]/t = 1/t, so the ensemble slope at t = 10^4 sits near 1e-4.
-    backlog = stacked(cex_mean_not_rate_blocks(SEED, horizon=10_001, n_reps=2000))
+    backlog = one_shot_mean_not_rate(SEED, horizon=10_001, n_reps=2000)
     slope = backlog[:, 10_000].mean() / 10_000
     # Estimator s.e. is (sqrt(t)/sqrt(reps))/t ~ 2.2e-4; assert the order.
     assert slope <= 1e-3
@@ -324,7 +315,7 @@ def test_cex_strong_not_rate_rejects_bad_horizon():
 def test_markov_bound_holds_on_counterexamples():
     thresholds = VerdictThresholds(min_reps_mean_rate=1)
     for backlog in (
-        stacked(cex_mean_not_rate_blocks(SEED, horizon=2000, n_reps=200)),
+        one_shot_mean_not_rate(SEED, horizon=2000, n_reps=200),
         cex_strong_not_rate(2**11 + 1)[None, :],
     ):
         verdict = estimate_verdict(backlog, thresholds=thresholds)
