@@ -6,6 +6,18 @@ controller performance against an exact state-only-policy LP oracle for the
 network capacity region.
 """
 
+import os
+
+# Set before the first import of numpy: OpenBLAS reads it once, at load.
+# The package's parallelism is --workers processes, and every BLAS call a
+# command makes is tiny (per-lane gemv on n_a x (K+L) tables, the simplex
+# tableau, S <= 16 solves), so a second BLAS thread costs only its start-up:
+# a fresh `python -c "import numpy"` takes 0.190 instead of 0.233 s (median
+# wall time, 2-CPU x86-64 host, OpenBLAS 0.3.31).  A caller's own value is
+# kept; a process that loaded numpy before qnetlab keeps the pool it has.
+# No output byte depends on the thread count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .capacity import (
     CapacityReport,
     OmegaOnlyPolicy,

@@ -227,9 +227,12 @@ def _verdict_run(
 ) -> tuple[Scenario, StabilityVerdict, controller.DppRunResult | None, list[tuple[str, object]]]:
     """The shared part of ``simulate`` and ``stability``: load and validate
     the scenario, run the ensemble, write ``curves.csv``.  Returns the
-    verdict, replication 0 when ``record``, and the report's leading items."""
+    verdict, replication 0 when ``record``, and the report's leading items.
+    A horizon too short for a verdict fails before anything runs or is
+    written."""
     scenario = _load_with_overrides(args)
     validate(scenario)
+    stability._check_verdict_horizon(args.horizon)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     verdict, run = ensemble_verdict(scenario, args, record)
@@ -350,8 +353,6 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
     v_list = parse_entries(args.V_list, "--V")  # checked before anything is written
     scenario = _load_with_overrides(args)
     cap = capacity_mod.solve_fopt(scenario)  # validates the scenario
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if not cap.feasible or cap.d_max <= 0.0:
         print(
             "error: V-sweep needs a strictly interior arrival-rate vector "
@@ -359,6 +360,8 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     drift = controller.drift_constants(scenario, report=cap)
     epsilon = drift.d_max / 4.0
 

@@ -45,6 +45,9 @@ __all__ = [
 # 2^(2t), and 2^80 is still exactly representable in float64.
 RATE_NOT_MEAN_MAX_SLOTS = 41
 
+# Shortest horizon, in slots, that a stability verdict is estimated on.
+MIN_VERDICT_HORIZON = 1000
+
 # Float64 uniforms per row block of mean-not-rate's draw: 163 rows at 200
 # slots.  Measured on the 100,000 x 200 report, whole-process peak RSS
 # 35 MB at 256 KB and 41 MB at 4 MB, with no faster time at 4 MB.
@@ -158,6 +161,12 @@ def _percentile(a: np.ndarray, q: float) -> np.ndarray:
     return above - diff * (1 - g) if g >= 0.5 else below + diff * g
 
 
+def _check_verdict_horizon(horizon: int) -> None:
+    """Raise ``ValueError`` when ``horizon`` is below ``MIN_VERDICT_HORIZON``."""
+    if horizon < MIN_VERDICT_HORIZON:
+        raise ValueError("verdicts need a horizon of at least 1e3 slots")
+
+
 def estimate_verdict(
     backlog: np.ndarray, thresholds: VerdictThresholds = VerdictThresholds()
 ) -> StabilityVerdict:
@@ -180,8 +189,7 @@ def estimate_verdict(
     if not np.min(q, initial=0.0) >= 0:  # NaN fails too
         raise ValueError("backlogs must be non-negative numbers")
     n_reps, horizon = q.shape
-    if horizon < 1000:
-        raise ValueError("verdicts need a horizon of at least 1e3 slots")
+    _check_verdict_horizon(horizon)
     if n_reps < 1:
         raise ValueError("ensembles need at least one replication")
     t_final = horizon - 1

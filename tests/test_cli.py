@@ -9,6 +9,7 @@ import pytest
 
 import qnetlab
 from oracles import trace_rows, write_csv_by_rows
+from test_golden import CASES, GOLDEN, digests
 from qnetlab import capacity, cli, controller, network
 from qnetlab.cli import main
 from qnetlab.network import fixture_path
@@ -250,6 +251,7 @@ def test_sweep_v_rejects_exterior_lambda(tmp_path, capsys):
     )
     assert rc == 1
     assert "lambda_in_capacity=false" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # refused before --out is made
 
 
 def test_counterexample_strong_not_rate(tmp_path, capsys):
@@ -409,6 +411,20 @@ def test_sweep_v_solves_a_fixed_number_of_lps(tmp_path, monkeypatch, v_list):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+def test_short_verdict_horizon_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the kernel ran on a horizon too short for a verdict")
+
+    monkeypatch.setattr(controller, "run_dpp_batch", no_kernel)
+    out = tmp_path / "o"
+    rc = main([command, "downlink2.json", "--horizon", "999", "--reps", "100",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: verdicts need a horizon of at least 1e3 slots\n"
+    assert not out.exists()
+
+
 def test_zero_horizon_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", "bb1.json", "--horizon", "0", "--out", str(tmp_path / "o")])
@@ -520,6 +536,49 @@ def test_write_csv_matches_row_writer_on_edge_values(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def child_env(openblas_threads=None):
+    """The environment of a child that imports this checkout's qnetlab, with
+    ``OPENBLAS_NUM_THREADS`` set to ``openblas_threads`` or, when None, unset."""
+    src = str(Path(qnetlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return env
+
+
+THREAD_PROBE = (
+    "import qnetlab.cli, os; "
+    "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))"
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("caller, expected", [(None, "1 1"), ("2", "2 2")],
+                         ids=["unset", "caller-2"])
+def test_cli_process_runs_single_threaded_blas_unless_told(caller, expected):
+    # The package sets OPENBLAS_NUM_THREADS=1 before numpy loads, so a fresh
+    # command process starts no BLAS thread pool; a caller's value is kept.
+    run = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=child_env(caller),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == expected.split()
+
+
+@pytest.mark.parametrize("case", ["capacity-relay8", "sweep-v-relay8",
+                                  "simulate-downlink2-w2", "counterexample-mean-not-rate"])
+@pytest.mark.parametrize("threads", [None, "2"], ids=["pinned", "threads-2"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, case, threads):
+    # The in-process goldens run at whatever thread count pytest's numpy
+    # loaded with; these run a fresh command at one and at two BLAS threads.
+    out = tmp_path / case
+    run = subprocess.run([sys.executable, "-m", "qnetlab.cli", *CASES[case], "--out", str(out)],
+                         env=child_env(threads), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert digests(out) == GOLDEN[case]
+
+
 STARTUP_PROBE = """
 import contextlib, io, sys
 import qnetlab.cli
@@ -547,11 +606,8 @@ def test_cli_import_leaves_the_worker_pool_unloaded(tmp_path):
     # Records are NamedTuples or plain classes, so nothing imports
     # dataclasses, and no one-worker command loads numpy.ma, which
     # np.median, np.percentile and a bare np.unique import on first use.
-    src = str(Path(qnetlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     run = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path), RELAY8],
-                         env=env, capture_output=True, text=True, timeout=120)
+                         env=child_env(), capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["[]", "[]"]
 
@@ -560,14 +616,11 @@ def test_traced_run_of_the_benchmark_completes(tmp_path):
     # The benchmark's tracer imports qnetlab modules by name; a refactor that
     # removes one of them must fail here rather than in a traced benchmark run.
     repo = Path(__file__).resolve().parents[1]
-    src = str(Path(qnetlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     spans_file = tmp_path / "spans.json"
     run = subprocess.run(
         [sys.executable, str(repo / "perfbench" / "traced.py"), str(spans_file),
          "capacity", "bb1.json", "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
     spans = json.loads(spans_file.read_text())
