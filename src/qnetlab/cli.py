@@ -30,7 +30,7 @@ from .stability import (
 )
 
 DEFAULT_SEED = 12345
-CSV_BLOCK_CELLS = 8192  # cells formatted per row block in write_csv: bounds its strings
+CSV_BLOCK_CELLS = 4096  # cells formatted per row block in write_csv: bounds its strings
 COUNTEREXAMPLES = ("rate-not-mean", "mean-not-rate", "strong-not-rate")
 
 
@@ -140,16 +140,19 @@ def run_lanes(
     args: argparse.Namespace,
     record: int = 0,
     with_virtual: bool = False,
+    verdict: bool = False,
+    record_slots: int | None = None,
 ) -> controller.DppBatchResult:
     """Run (V, replication) lanes through the batched kernel.
 
     With ``--workers N`` the lanes split into N contiguous blocks, one kernel
-    call per worker process; results come back in lane order.
+    call per worker process; results, and the verdict reducers' lanes, come
+    back in lane order.
     """
     bounds = np.linspace(0, len(v_weights), min(args.workers, len(v_weights)) + 1).astype(int)
     jobs = [
         (scenario, v_weights[lo:hi], replications[lo:hi], args.seed, args.horizon,
-         args.mode, record if lo == 0 else 0, with_virtual)
+         args.mode, record if lo == 0 else 0, with_virtual, verdict, record_slots)
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
     if len(jobs) == 1:
@@ -159,6 +162,9 @@ def run_lanes(
 
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         parts = list(pool.map(controller.run_dpp_batch, *zip(*jobs)))
+    if verdict:
+        reducer = stability.VerdictReducer.concat([part.reducer for part in parts])
+        return parts[0]._replace(reducer=reducer)
     return controller.DppBatchResult(
         totals=np.concatenate([part.totals for part in parts]),
         avg_cost=np.concatenate([part.avg_cost for part in parts]),
@@ -171,9 +177,16 @@ def ensemble_verdict(
     scenario: Scenario, args: argparse.Namespace, record: bool
 ) -> tuple[StabilityVerdict, controller.DppRunResult | None]:
     """Stability verdict on the total actual backlog of every replication,
-    plus replication 0 in full when ``record``."""
-    batch = run_lanes(scenario, [args.V] * args.reps, range(args.reps), args, int(record))
-    return estimate_verdict(batch.totals), (batch.runs[0] if record else None)
+    plus the first ``--trace-limit`` slots of replication 0 when ``record``.
+
+    With integer work the totals stream into a verdict reducer block by
+    block; otherwise the whole matrix is kept for ``estimate_verdict``.
+    Both give the same bits where both apply."""
+    stream = controller.has_integer_work(scenario, args.mode)
+    batch = run_lanes(scenario, [args.V] * args.reps, range(args.reps), args, int(record),
+                      verdict=stream, record_slots=args.trace_limit if record else 0)
+    verdict = batch.reducer.verdict() if stream else estimate_verdict(batch.totals)
+    return verdict, (batch.runs[0] if record else None)
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +432,16 @@ def _cex_report(
     as the (replications x horizon) backlog.  Every backlog value is ``t``,
     ``4^t`` or 0, so a column sum is that value times a count below 2^17, an
     exact float64: the sums, the means and the profile have the bits of the
-    full-matrix formulas.
+    full-matrix formulas.  Rate-not-mean's last column holds only 0 and
+    ``4^40``, so its zero fraction and median come from one count.
     """
     checks: list[tuple[str, object]] = [("command", "counterexample"), ("name", name)]
     if name == "rate-not-mean":
         horizon = 41
-        column_sums, final = stability.cex_rate_not_mean(seed, horizon, n_reps)
+        column_sums, running = stability.cex_rate_not_mean(seed, horizon, n_reps)
         mean6 = float(column_sums[6] / n_reps / 6.0)
-        frac_zero_at_40 = float((final == 0.0).mean())
-        slope_final = float(stability._median(final / 40.0))
+        frac_zero_at_40 = (n_reps - running) / n_reps
+        slope_final = _two_valued_median(n_reps - running, running, 4.0**40 / 40.0)
         ok = (
             abs(mean6 - (2.0**6) / 6.0) <= 0.1 * (2.0**6) / 6.0
             and frac_zero_at_40 >= 0.99
@@ -473,6 +487,18 @@ def _cex_report(
         raise ValueError(f"unknown counterexample {name!r}")
     checks.append(("signature_ok", ok))
     return checks, profile, ok
+
+
+def _two_valued_median(n_zero: int, n_top: int, top: float) -> float:
+    """``stability._median`` of ``n_zero`` zeros and ``n_top`` copies of
+    ``top > 0``, from its two middle order statistics."""
+    n = n_zero + n_top
+
+    def order(i: int) -> float:
+        return top if i >= n_zero else 0.0
+
+    mid = order(n // 2) if n % 2 else order(n // 2 - 1) + order(n // 2)
+    return (mid + 0.0) / (2 - n % 2)
 
 
 def _mean_profile_rows(column_sums: np.ndarray, n_reps: int, horizon: int) -> list[list[object]]:

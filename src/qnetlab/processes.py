@@ -10,7 +10,7 @@ integers, so distinct replications always get distinct substream seeds.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ STATIONARY_TOL = 1e-10
 
 _MASK64 = (1 << 64) - 1
 _SAMPLE_BLOCK_BYTES = 1 << 20  # per time block of sample_paths: its uniforms and maps
+_RANK_BUCKETS = 4096  # buckets of the table that ranks uniforms among cdf values
 
 
 class ReducibleChainError(ValueError):
@@ -240,13 +241,17 @@ class ArrivalSpec:
         """Work values that ``sample_index`` indexes into."""
         return np.array((0.0, self.size) if self.kind == "bernoulli" else self.values)
 
-    def sample_index(self, rng: np.random.Generator, horizon: int) -> np.ndarray:
-        """Per-slot indices into ``table``, in the smallest unsigned dtype."""
+    def sample_index(
+        self, rng: np.random.Generator | None, horizon: int, start: int = 0
+    ) -> np.ndarray:
+        """Indices into ``table`` for ``horizon`` slots from slot ``start``, in
+        the smallest unsigned dtype.  Random kinds take the next ``horizon``
+        outputs of ``rng``; ``deterministic`` reads no stream."""
         if self.kind == "bernoulli":
             return (rng.random(horizon) < self.p).view(np.uint8)
         dtype = np.min_scalar_type(len(self.values) - 1)
         if self.kind == "deterministic":
-            return (np.arange(horizon) % len(self.values)).astype(dtype)
+            return (np.arange(start, start + horizon) % len(self.values)).astype(dtype)
         return rng.choice(len(self.values), size=horizon, p=self.probs).astype(dtype)
 
 
@@ -260,51 +265,103 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
+def _rank_table(cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket table that ranks uniforms among the sorted ``cuts`` (see ``_ranks``).
+
+    Bucket ``b`` holds the uniforms ``u`` with ``floor(u * _RANK_BUCKETS) = b``.
+    ``base[b]`` counts the cuts at or below the bucket's lower edge, in the
+    smallest unsigned dtype that holds ``cuts.size``;
+    ``inside[i, b]`` is the ``i``-th cut strictly inside the bucket, or 2.0
+    (above every uniform) where there is none.  Scaling by a power of two is
+    exact, so every bucket index and edge is too.
+    """
+    edges = np.arange(_RANK_BUCKETS) / _RANK_BUCKETS
+    base = np.searchsorted(cuts, edges, side="right").astype(np.min_scalar_type(cuts.size))
+    scaled = cuts * _RANK_BUCKETS
+    bucket = scaled.astype(np.intp)
+    inner = (cuts < 1.0) & (scaled != bucket)  # cuts on an edge are in ``base``
+    cut, bucket = cuts[inner], bucket[inner]
+    order = np.arange(cut.size) - np.searchsorted(bucket, bucket)  # within the bucket
+    inside = np.full((order.max(initial=-1) + 1, _RANK_BUCKETS), 2.0)
+    inside[order, bucket] = cut
+    return base, inside
+
+
+def _ranks(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cuts, u, side="right")`` for uniforms ``u`` in [0, 1),
+    from ``_rank_table(cuts)``: one lookup, then one compare per cut that
+    shares a bucket."""
+    base, inside = table
+    bucket = np.empty(u.shape, dtype=np.intp)
+    np.multiply(u, _RANK_BUCKETS, out=bucket, casting="unsafe")  # truncates: the floor
+    rank = base.take(bucket)
+    for row in inside:
+        rank += row.take(bucket) <= u
+    return rank
+
+
 def sample_paths(
     chain: FiniteMarkovChain,
     arrival_specs: Sequence[ArrivalSpec],
     seed: int,
     horizon: int,
     replications: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw several replications' network-state paths and arrivals together.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Draw several replications' network-state paths and arrivals together,
+    one time block at a time.
 
     Replication ``r`` draws from ``make_rng(seed, r)`` in a fixed order:
     ``horizon`` uniforms for the state path, then each queue's arrivals in
     queue order.  The uniform of slot 0 picks the initial state from
     ``chain.initial``; the uniform of slot ``t >= 1`` picks the successor of
     the state at ``t - 1`` from its transition row (the first state whose
-    cumulative probability exceeds it, capped at the last state).  Returns
-    ``(omega, arrival_index)`` of shapes ``(horizon, R)`` and
-    ``(horizon, R, K)``, column ``j`` for ``replications[j]``; the work
-    arriving to queue ``k`` at slot ``t`` is
-    ``arrival_specs[k].table[arrival_index[t, j, k]]``.  Both arrays use the
+    cumulative probability exceeds it, capped at the last state).  Yields
+    ``(omega, arrival_index)`` for consecutive blocks of slots, of shapes
+    ``(nb, R)`` and ``(nb, R, K)``, column ``j`` for ``replications[j]``;
+    the work arriving to queue ``k`` at the block's slot ``i`` is
+    ``arrival_specs[k].table[arrival_index[i, j, k]]``.  Both arrays use the
     smallest unsigned dtype that holds their values.
 
-    All replications advance in lockstep, one time block at a time
-    (``_SAMPLE_BLOCK_BYTES`` bounds a block's temporaries; chunked draws
-    continue each stream exactly).  Within a block the per-slot successor
-    maps are composed over strides of about ``sqrt(block / 5)`` slots, so
-    Python steps through the stride starts only; the chase is integer
-    indexing, hence exact.
+    All replications advance in lockstep (``_SAMPLE_BLOCK_BYTES`` bounds a
+    block's temporaries; chunked draws continue each stream exactly).
+    Within a block the per-slot successor maps are composed over strides of
+    about ``sqrt(block / 5)`` slots, so Python steps through the stride
+    starts only; the chase is integer indexing, hence exact.  Each random
+    queue reads its arrivals through a cursor: a copy of the replication's
+    stream moved on by ``horizon * (1 + rank)`` outputs, ``rank`` the number
+    of random queues before it.  Every uniform, and every ``choice`` draw,
+    takes one output of the stream, so the cursors read the one-shot order.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     rngs = [make_rng(seed, int(r)) for r in replications]
     n_r, n_s, top = len(rngs), chain.n_states, chain.n_states - 1
-    omega = np.empty((horizon, n_r), dtype=np.min_scalar_type(top))
-    # A uniform's rank among the sorted distinct cdf values (one searchsorted)
-    # picks its successor of every state: succ[rank, s].  The top guard
-    # catches a uniform at or above a row's imperfectly-summed last value.
+    w_dtype = np.min_scalar_type(top)
+    # A uniform's rank among the sorted distinct cdf values picks its
+    # successor of every state: succ[rank, s].  The top guard catches a
+    # uniform at or above a row's imperfectly-summed last value.
     cdf = np.cumsum(chain.transition, axis=1)
     cuts = _sorted_unique(cdf)
-    succ = np.zeros((cuts.size + 1, n_s), dtype=omega.dtype)
+    ranks = _rank_table(cuts)
+    succ = np.zeros((cuts.size + 1, n_s), dtype=w_dtype)
     for s, row in enumerate(cdf):
         succ[1:, s] = np.minimum(np.searchsorted(row, cuts, side="right"), top)
     markov = bool(np.any(chain.transition != chain.transition[0]))
-    block = max(1, _SAMPLE_BLOCK_BYTES // (max(n_r, 1) * (16 + n_s * omega.itemsize)))
-    for t0 in range(0, horizon, block):
-        nb = min(block, horizon - t0)
+    block = max(1, _SAMPLE_BLOCK_BYTES // (max(n_r, 1) * (16 + n_s * w_dtype.itemsize)))
+    ix_dtype = np.min_scalar_type(max([1, *(spec.table.size - 1 for spec in arrival_specs)]))
+    cursors, skip = [], horizon
+    for spec in arrival_specs:
+        if spec.kind == "deterministic":  # draws nothing
+            cursors.append(None)
+            continue
+        cursors.append([make_rng(seed, int(r)) for r in replications])
+        for rng in cursors[-1]:
+            rng.bit_generator.advance(skip)
+        skip += horizon
+
+    def states(t0: int, nb: int, prev: np.ndarray | None) -> np.ndarray:
+        """State paths of slots ``t0 .. t0 + nb - 1``, following ``prev``,
+        the previous block's; its temporaries die on return."""
         stride = max(1, math.isqrt(nb // 5)) if markov else nb
         n_c = -(-nb // stride)  # strides in the block; the last is padded
         u = np.zeros((n_r, n_c * stride))
@@ -314,14 +371,16 @@ def sample_paths(
             first = np.searchsorted(np.cumsum(chain.initial), u[:, 0], side="right")
             first = np.minimum(first, top)
         if not markov:
-            omega[t0 : t0 + nb] = succ[:, 0].take(np.searchsorted(cuts, u.T, side="right"))
-            continue
+            omega = succ[:, 0].take(_ranks(ranks, u.T))
+            if t0 == 0:
+                omega[0] = first
+            return omega
         # maps[i, c, r] is replication r's successor map at slot
         # t0 + c*stride + i; slot 0's map sends every state to the initial one.
         u = u.T.reshape(n_c, stride, n_r).swapaxes(0, 1)
-        maps = np.empty((stride, n_c, n_r, n_s), dtype=omega.dtype)
+        maps = np.empty((stride, n_c, n_r, n_s), dtype=w_dtype)
         for i in range(stride):
-            succ.take(np.searchsorted(cuts, u[i], side="right"), axis=0, out=maps[i], mode="clip")
+            succ.take(_ranks(ranks, u[i]), axis=0, out=maps[i], mode="clip")
         if t0 == 0:
             maps[0, 0] = first[:, None]
         flat = maps.reshape(stride, -1)
@@ -332,25 +391,31 @@ def sample_paths(
         for i in range(1, stride):
             np.add(flat[i].take(comp), offset[..., None], out=comp)
         # Step through the stride starts, with states as offsets r*S + state
-        # into one stride's maps.  Block 0's entry state is never read.
+        # into one stride's maps, from the previous block's last state.
+        # Block 0's entry state is never read.
         comp = (comp - offset[:, :1, None]).reshape(n_c, -1)
-        cur = offset[0] + (omega[t0 - 1] if t0 else 0)
+        cur = offset[0] + (prev[-1] if t0 else 0)
         entries = [cur]
         for c in range(n_c - 1):
             cur = comp[c].take(cur)
             entries.append(cur)
         # Chase every stride from its entry state, all strides at once.
         cur = np.add(entries, offset - offset[0])
-        path = np.empty((n_c, stride, n_r), dtype=omega.dtype)
+        path = np.empty((n_c, stride, n_r), dtype=w_dtype)
         for i in range(stride):
             path[:, i] = state = flat[i].take(cur)
             np.add(state, offset, out=cur)
-        omega[t0 : t0 + nb] = path.reshape(-1, n_r)[:nb]
-    if not markov:
-        omega[0] = first
-    dtype = np.min_scalar_type(max([1, *(spec.table.size - 1 for spec in arrival_specs)]))
-    index = np.empty((horizon, n_r, len(arrival_specs)), dtype=dtype)
-    for j, rng in enumerate(rngs):
-        for k, spec in enumerate(arrival_specs):
-            index[:, j, k] = spec.sample_index(rng, horizon)
-    return omega, index
+        return path.reshape(-1, n_r)[:nb]
+
+    omega = None
+    for t0 in range(0, horizon, block):
+        nb = min(block, horizon - t0)
+        omega = states(t0, nb, omega)
+        index = np.empty((nb, n_r, len(arrival_specs)), dtype=ix_dtype)
+        for k, (spec, streams) in enumerate(zip(arrival_specs, cursors)):
+            if streams is None:
+                index[:, :, k] = spec.sample_index(None, nb, t0)[:, None]
+            else:
+                for j, rng in enumerate(streams):
+                    index[:, j, k] = spec.sample_index(rng, nb)
+        yield omega, index

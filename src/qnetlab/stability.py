@@ -13,15 +13,17 @@ is evaluated on a geometric M-grid, and strong stability uses a plateau test
 on the running average across the final doubling.  The module also ships the
 three classic pathological processes that separate the notions, plus the
 Bernoulli/Bernoulli/1 closed forms used as golden values.  The two random
-ones return only the statistics their report reads (column sums, the last
-column or a spike flag per replication), never the (replications x horizon)
-backlog.
+ones return only the statistics their report reads (column sums, a count of
+replications or a spike flag per replication), never the (replications x
+horizon) backlog.  ``VerdictReducer`` estimates a verdict the same way, from
+per-replication sums and histograms fed one time block at a time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from functools import partial
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .processes import make_rng
 __all__ = [
     "VerdictThresholds",
     "StabilityVerdict",
+    "VerdictReducer",
     "geometric_checkpoints",
     "single_queue_path",
     "estimate_verdict",
@@ -52,6 +55,11 @@ MIN_VERDICT_HORIZON = 1000
 # slots.  Measured on the 100,000 x 200 report, whole-process peak RSS
 # 35 MB at 256 KB and 41 MB at 4 MB, with no faster time at 4 MB.
 _CEX_BLOCK_BYTES = 1 << 18
+
+# Cells per bincount of VerdictReducer's histograms, and the most bins per
+# lane and slot of a chunk that one bincount may count.
+_HIST_CHUNK_CELLS = 1 << 15
+_HIST_SPAN_PER_SLOT = 4
 
 
 def geometric_checkpoints(horizon: int) -> np.ndarray:
@@ -116,13 +124,23 @@ def single_queue_path(
     b = np.asarray(services, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("arrivals and services must be 1-d arrays of equal length")
-    s = np.concatenate(([0.0], np.cumsum(a - b)))
-    u = a - s[1:]
-    running_max = np.maximum.accumulate(u)
     q = np.empty(a.size + 1)
     q[0] = q0
-    q[1:] = np.maximum(q0 + s[1:], s[1:] + running_max)
+    _reflection(a, b, q0, out=q[1:])
     return q
+
+
+def _reflection(a: np.ndarray, b: np.ndarray, q0, out: np.ndarray) -> np.ndarray:
+    """``Q(1..n)`` of ``q' = max(q - b, 0) + a`` from ``Q(0) = q0``, into
+    ``out``: the reflection identity of ``single_queue_path`` along axis 0,
+    so a 2-d ``a`` holds one path per column and ``q0`` one start per
+    column.  ``out`` may be ``a``."""
+    s = np.subtract(a, b)
+    np.cumsum(s, axis=0, out=s)  # S(1..n)
+    peak = np.subtract(a, s)
+    np.maximum.accumulate(peak, axis=0, out=peak)
+    np.add(s, peak, out=peak)
+    return np.maximum(np.add(s, q0, out=s), peak, out=out)
 
 
 def _m_grid(mean_backlog: float, thresholds: VerdictThresholds) -> np.ndarray:
@@ -188,37 +206,61 @@ def estimate_verdict(
         raise ValueError("backlog must be a (n_reps, horizon) matrix")
     if not np.min(q, initial=0.0) >= 0:  # NaN fails too
         raise ValueError("backlogs must be non-negative numbers")
-    n_reps, horizon = q.shape
+    horizon = q.shape[1]
     _check_verdict_horizon(horizon)
+    t_half = max((horizon - 1) // 2, 1)
+    return _verdict(q[:, -1], q.sum(axis=1), q[:, : t_half + 1].sum(axis=1), horizon,
+                    partial(_counts_at_most, q), thresholds)
+
+
+def _counts_at_most(q: np.ndarray, m_grid: np.ndarray) -> np.ndarray:
+    """``(n_reps, m)`` counts of each row's values ``<= M``, one sort per row."""
+    counts = np.empty((q.shape[0], m_grid.size), dtype=np.intp)
+    for r, row in enumerate(q):
+        counts[r] = np.searchsorted(np.sort(row), m_grid, side="right")
+    return counts
+
+
+def _verdict(
+    final: np.ndarray,
+    row_sums: np.ndarray,
+    half_sums: np.ndarray,
+    horizon: int,
+    at_most,
+    thresholds: VerdictThresholds,
+) -> StabilityVerdict:
+    """The verdict from each replication's final backlog, its sum over every
+    slot and over slots ``0..t_half``, and ``at_most(m_grid)``: the
+    ``(n_reps, m)`` counts of slots with ``Q <= M``."""
+    n_reps = final.size
     if n_reps < 1:
         raise ValueError("ensembles need at least one replication")
     t_final = horizon - 1
     t_half = max(t_final // 2, 1)
 
     # Pass 1: slopes, overall mean, running means for the plateau test.
-    finals = q[:, t_final] / t_final
+    finals = final / t_final
     rate_slope = float(_median(finals))
     mean_rate_slope = (
         float(np.mean(finals)) if n_reps >= thresholds.min_reps_mean_rate else None
     )
 
-    def ordered_sum(row_sums: np.ndarray) -> float:
-        return float(np.cumsum(row_sums)[-1])
+    def ordered_sum(sums: np.ndarray) -> float:
+        return float(np.cumsum(sums)[-1])
 
-    mean_backlog = ordered_sum(q.sum(axis=1)) / (n_reps * horizon)
+    mean_backlog = ordered_sum(row_sums) / (n_reps * horizon)
     strong_metric = mean_backlog  # time average of the ensemble-mean backlog
-    running_half = ordered_sum(q[:, : t_half + 1].sum(axis=1)) / (n_reps * (t_half + 1))
-    running_full = ordered_sum(q[:, : t_final + 1].sum(axis=1)) / (n_reps * (t_final + 1))
+    running_half = ordered_sum(half_sums) / (n_reps * (t_half + 1))
+    running_full = ordered_sum(row_sums) / (n_reps * (t_final + 1))
     plateau = abs(running_full - running_half) <= thresholds.plateau_rel * max(
         running_half, 1e-12
     )
 
     # Pass 2: per-path tail occupancy h(M) = fraction of slots with Q > M.
+    # C order: it fixes the summation order of h_mean.
     m_grid = _m_grid(mean_backlog, thresholds)
     h_per_path = np.empty((n_reps, m_grid.size))
-    for r, row in enumerate(q):
-        above = horizon - np.searchsorted(np.sort(row), m_grid, side="right")
-        h_per_path[r] = above / horizon
+    np.divide(horizon - at_most(m_grid), horizon, out=h_per_path)
     g_curve = np.cumsum(h_per_path, axis=0)[-1] / n_reps
     h_mean = h_per_path.mean(axis=0)
     h_p05 = _percentile(h_per_path, 5)
@@ -248,6 +290,122 @@ def estimate_verdict(
     )
 
 
+class VerdictReducer:
+    """``estimate_verdict`` of integer-valued backlogs, fed a time block at a
+    time, so the ``(n_lanes, horizon)`` matrix is not held while the
+    backlogs span a narrow range.
+
+    Per lane it keeps the sum over every slot and over slots ``0..t_half``,
+    the final value and a histogram of the values.  Sums of integers below
+    2^53 are exact in any order, and for integer ``Q`` the count of slots
+    with ``Q <= M`` is the histogram cumulated up to ``floor(M)``, so
+    ``verdict`` returns ``estimate_verdict``'s bits on the whole matrix.
+    The histograms' memory grows with the lane count and the largest value,
+    not with the horizon.  When a chunk spans more values per lane than
+    ``_HIST_SPAN_PER_SLOT`` times its slots, or the histograms would need
+    more than ``horizon // 2`` bins, the reducer keeps the values themselves
+    instead (at most the whole matrix, as ``estimate_verdict`` takes it):
+    the histograms so far expand into the sorted values they count, which
+    give the same counts.
+    """
+
+    def __init__(self, n_lanes: int, horizon: int) -> None:
+        _check_verdict_horizon(horizon)
+        self.horizon = horizon
+        self.t_half = max((horizon - 1) // 2, 1)
+        self.row_sums = np.zeros(n_lanes)
+        self.half_sums = np.zeros(n_lanes)
+        self.final = np.zeros(n_lanes)
+        self.hist: np.ndarray | None = np.zeros((n_lanes, 1), dtype=np.int64)
+        self.values: np.ndarray | None = None  # (n_lanes, horizon) once hist is dropped
+
+    def add(self, t0: int, block: np.ndarray) -> None:
+        """Take slots ``t0 .. t0 + nb - 1`` of every lane: ``block[i, j]`` is
+        lane ``i``'s non-negative integer backlog at slot ``t0 + j``."""
+        n, nb = block.shape
+        self.row_sums += block.sum(axis=1)
+        if t0 <= self.t_half:
+            self.half_sums += block[:, : self.t_half + 1 - t0].sum(axis=1)
+        if t0 + nb == self.horizon:
+            self.final[:] = block[:, -1]
+        c0 = 0
+        if self.hist is not None:
+            cols = max(1, _HIST_CHUNK_CELLS // max(n, 1))
+            while c0 < nb and self._count(block[:, c0 : c0 + cols]):
+                c0 += cols
+            if c0 < nb:
+                self._keep_values(t0 + c0)
+        if self.values is not None:
+            self.values[:, t0 + c0 : t0 + nb] = block[:, c0:]
+
+    def _count(self, chunk: np.ndarray) -> bool:
+        """Add one chunk to the histograms: one ``bincount``, each lane's
+        values shifted to start at its minimum and offset by its lane.
+        False, with nothing added, when the chunk is too wide for that."""
+        n, cols = chunk.shape
+        v = chunk.astype(np.intp)
+        lo, hi = v.min(axis=1), v.max(axis=1)
+        if lo.min() < 0:
+            raise ValueError("backlogs must be non-negative numbers")
+        span = int((hi - lo).max()) + 1
+        width = int(lo.max()) + span
+        if span > _HIST_SPAN_PER_SLOT * cols or width > self.horizon // 2:
+            return False
+        v -= (lo - np.arange(0, n * span, span))[:, None]
+        counts = np.bincount(v.ravel(), minlength=n * span).reshape(n, span)
+        if width > self.hist.shape[1]:
+            grown = np.zeros((n, min(max(width, 2 * self.hist.shape[1]), self.horizon // 2)),
+                             dtype=np.int64)
+            grown[:, : self.hist.shape[1]] = self.hist
+            self.hist = grown
+        rows = np.arange(n)[:, None]
+        self.hist[rows, lo[:, None] + np.arange(span)] += counts
+        return True
+
+    def _keep_values(self, seen: int) -> None:
+        """Drop the histograms for the values: each lane's first ``seen``
+        slots become the sorted values its histogram counts."""
+        self.values = np.empty((self.final.size, self.horizon))
+        bins = np.arange(self.hist.shape[1], dtype=float)
+        for row, counts in zip(self.values, self.hist):
+            row[:seen] = bins.repeat(counts)
+        self.hist = None
+
+    @classmethod
+    def concat(cls, parts: Sequence[VerdictReducer]) -> VerdictReducer:
+        """One reducer whose lanes are those of ``parts``, in order; it keeps
+        values if any part does."""
+        merged = cls(0, parts[0].horizon)
+        for name in ("row_sums", "half_sums", "final"):
+            setattr(merged, name, np.concatenate([getattr(part, name) for part in parts]))
+        if any(part.values is not None for part in parts):
+            for part in parts:
+                if part.values is None:
+                    part._keep_values(part.horizon)
+            merged.hist, merged.values = None, np.concatenate([part.values for part in parts])
+            return merged
+        width = max(part.hist.shape[1] for part in parts)
+        merged.hist = np.concatenate(
+            [np.pad(part.hist, ((0, 0), (0, width - part.hist.shape[1]))) for part in parts])
+        return merged
+
+    def verdict(self, thresholds: VerdictThresholds = VerdictThresholds()) -> StabilityVerdict:
+        """``estimate_verdict`` of the backlogs added so far, which must
+        cover every slot of the horizon."""
+        if self.values is not None:
+            return _verdict(self.final, self.row_sums, self.half_sums, self.horizon,
+                            partial(_counts_at_most, self.values), thresholds)
+        top = self.hist.shape[1] - 1
+
+        def at_most(m_grid: np.ndarray) -> np.ndarray:
+            # One prefix sum per grid point: no cumulated copy of the bins.
+            cols = np.minimum(m_grid, top).astype(np.intp)
+            return np.stack([self.hist[:, : c + 1].sum(axis=1) for c in cols], axis=1)
+
+        return _verdict(self.final, self.row_sums, self.half_sums, self.horizon, at_most,
+                        thresholds)
+
+
 def bb1_closed_form(lam: float, mu: float) -> tuple[float, float]:
     """Steady-state mean backlog and mean delay of the Bernoulli/Bernoulli/1
     queue with arrival rate ``lam`` and service rate ``mu``.
@@ -261,7 +419,7 @@ def bb1_closed_form(lam: float, mu: float) -> tuple[float, float]:
     return lam * (1.0 - lam) / (mu - lam), (1.0 - lam) / (mu - lam)
 
 
-def cex_rate_not_mean(seed: int, horizon: int, n_reps: int) -> tuple[np.ndarray, np.ndarray]:
+def cex_rate_not_mean(seed: int, horizon: int, n_reps: int) -> tuple[np.ndarray, int]:
     """Rate-stable but not mean-rate-stable: Q(t) = 4^t while t < T, else 0.
 
     T is geometric with Pr[T > t] = 2^-t, so E[Q(t)] = 2^t diverges while
@@ -270,8 +428,9 @@ def cex_rate_not_mean(seed: int, horizon: int, n_reps: int) -> tuple[np.ndarray,
 
     All ``n_reps`` stopping times are drawn, in replication order, from one
     ``make_rng(seed, 0)`` stream.  Returns the (n_reps, horizon) backlog's
-    column sums, ``4^t * #{T > t}``, and its last column, one value per
-    replication; the matrix itself is never built.
+    column sums, ``4^t * #{T > t}``, and the count of replications still
+    running at ``horizon - 1`` (whose last value is ``4^(horizon - 1)``; every
+    other is 0); the matrix itself is never built.
     """
     if not (2 <= horizon <= RATE_NOT_MEAN_MAX_SLOTS):
         raise ValueError(
@@ -285,7 +444,7 @@ def cex_rate_not_mean(seed: int, horizon: int, n_reps: int) -> tuple[np.ndarray,
     values = np.exp2(2.0 * np.arange(horizon))
     stopped = np.cumsum(np.bincount(np.minimum(t_stop, horizon), minlength=horizon + 1))
     column_sums = values * (n_reps - stopped[:horizon])
-    return column_sums, np.where(t_stop > horizon - 1, values[-1], 0.0)
+    return column_sums, int(n_reps - stopped[horizon - 1])
 
 
 def cex_mean_not_rate(seed: int, horizon: int, n_reps: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,9 +10,11 @@ compiled ``Scenario.tables``, and the per-action loops of ``validate``,
 ``build_lp``, ``drift_constants`` and ``is_uncontrolled_single_queue`` that
 read those tables with array ops are kept here on top of it.  The
 closed-loop reference replays one run slot by slot through ``network_step``,
-the one-slot transition, on a path drawn by ``sample_path_by_chase``, the per-replication index chase that
-``processes.sample_paths`` must match bit for bit; so the batched kernel and
-the lockstep sampler are both checked against the plain recursion.  The simplex's
+the one-slot transition, on a path drawn by ``sample_path_by_chase``, the
+per-replication index chase that ``processes.sample_paths`` must match bit
+for bit (``stacked_sample_paths`` stacks the sampler's time blocks for that
+comparison); so the batched kernel and the lockstep sampler are both checked
+against the plain recursion.  The simplex's
 pivot, entering and leaving rules are kept here as row-by-row loops, the
 reference its array versions must match bit for bit.  The row-at-a-time
 CSV writer (``csv`` module, ``cli._fmt`` per value) is the byte reference
@@ -35,7 +37,7 @@ import numpy as np
 from qnetlab.cli import _fmt
 from qnetlab.controller import DppRunResult
 from qnetlab.network import MODES, Scenario, ScenarioError
-from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, make_rng
+from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, make_rng, sample_paths
 from qnetlab.queues import CompositeState, virtual_queue_step
 from qnetlab.simplex import TOL
 
@@ -450,6 +452,19 @@ def sample_path_by_chase(
     index = [spec.sample_index(rng, horizon) for spec in arrival_specs]
     dtype = np.result_type(np.uint8, *index)
     return path, np.array(index, dtype=dtype).reshape(len(index), horizon)
+
+
+def stacked_sample_paths(
+    chain: FiniteMarkovChain,
+    arrival_specs: list[ArrivalSpec],
+    seed: int,
+    horizon: int,
+    replications: list[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every block of ``processes.sample_paths``, stacked: the whole
+    ``(horizon, R)`` state paths and ``(horizon, R, K)`` arrival indices."""
+    blocks = list(sample_paths(chain, arrival_specs, seed, horizon, replications))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def replay_with_network_step(

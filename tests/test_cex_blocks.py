@@ -1,31 +1,26 @@
 """The counter-example reports from their sufficient statistics.
 
 The counter-example reports never hold the (replications x horizon) matrix:
-``stability.cex_rate_not_mean`` and ``stability.cex_mean_not_rate`` return
-only its column sums and one value per replication, and mean-not-rate draws
-its uniforms in row blocks.  These tests pin what byte identity with the
-full-matrix code rests on: the statistics equal those of the one-shot
-matrices in ``oracles``, the reports equal the full-matrix formulas, and the
-commands stay small in memory.  The memory guard also covers ``simulate``,
+``stability.cex_rate_not_mean`` returns only its column sums and a count of
+replications, ``stability.cex_mean_not_rate`` its column sums and one flag
+per replication, and mean-not-rate draws its uniforms in row blocks.  These
+tests pin what byte identity with the full-matrix code rests on: the
+statistics equal those of the one-shot matrices in ``oracles``, the reports
+equal the full-matrix formulas, and the commands stay small in memory.  The memory guard also covers ``simulate``,
 whose sampler and CSV writer work in bounded blocks too.
 """
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qnetlab
 from oracles import one_shot_mean_not_rate, one_shot_rate_not_mean
+from peak_rss import needs_wait4, peak_rss_mb
 from qnetlab import stability
-from qnetlab.cli import _cex_report, _fmt
+from qnetlab.cli import _cex_report, _fmt, _two_valued_median
 
 
 def set_block_rows(monkeypatch, rows, horizon):
@@ -38,7 +33,7 @@ def set_block_rows(monkeypatch, rows, horizon):
 
 
 def rate_not_mean_statistics(backlog):
-    return backlog.sum(axis=0), backlog[:, -1]
+    return backlog.sum(axis=0), np.count_nonzero(backlog[:, -1])
 
 
 def mean_not_rate_statistics(backlog):
@@ -69,8 +64,11 @@ def test_stacked_blocks_equal_one_shot_draw(monkeypatch, name, draw, one_shot, s
         expected = statistics(one_shot(seed, horizon, n_reps))
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
-            assert g.dtype == e.dtype and g.shape == e.shape
-            assert g.tobytes() == e.tobytes()
+            if isinstance(e, np.ndarray):
+                assert g.dtype == e.dtype and g.shape == e.shape
+                assert g.tobytes() == e.tobytes()
+            else:  # a count of replications
+                assert type(g) is int and g == e
 
 
 @pytest.mark.parametrize("draw", [stability.cex_rate_not_mean, stability.cex_mean_not_rate])
@@ -124,6 +122,19 @@ def full_matrix_report(name, backlog):
     return checks, profile, ok
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 11])
+def test_two_valued_median_is_the_sample_median(n):
+    # Rate-not-mean's median final slope comes from a count: every middle
+    # position, odd and even n, and c = n / 2, where the two middle order
+    # statistics differ.
+    top = 4.0**40 / 40.0
+    for c in range(n + 1):
+        sample = np.array([top] * c + [0.0] * (n - c))
+        got = _two_valued_median(n - c, c, top)
+        assert repr(got) == repr(float(stability._median(sample)))
+        assert repr(got) == repr(float(np.median(sample)))
+
+
 def formatted(checks, profile):
     return [(k, _fmt(v)) for k, v in checks], [[_fmt(v) for v in row] for row in profile]
 
@@ -154,35 +165,8 @@ def test_blocked_report_equals_full_matrix_formulas(name, seed, n_reps, rows):
 
 RSS_CEILING_MB = 120  # whole process; the full-matrix mean-not-rate took ~361 MB
 
-# A child's ru_maxrss starts at its parent's RSS, because fork copies the
-# parent's mappings, and pytest may have grown large.  So a small launcher
-# process starts the command and reports the figure.
-LAUNCHER = """
-import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
-_, status, usage = os.wait4(proc.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
 
-
-def peak_rss_mb(*cli_args: str) -> float:
-    """Whole-process peak RSS of one ``python -m qnetlab.cli`` command."""
-    src = str(Path(qnetlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    run = subprocess.run(
-        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "qnetlab.cli", *cli_args],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert run.returncode == 0, run.stderr
-    code, max_rss = map(int, run.stdout.split())
-    assert code == 0, run.stderr
-    # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
-    scale = 1 if sys.platform == "darwin" else 1024
-    return max_rss * scale / 2**20
-
-
-@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for ru_maxrss")
+@needs_wait4
 @pytest.mark.parametrize("name", ["rate-not-mean", "mean-not-rate", "strong-not-rate"])
 def test_counterexample_peak_rss_is_bounded(tmp_path, name):
     peak_mb = peak_rss_mb("counterexample", name, "--out", str(tmp_path))
@@ -192,7 +176,7 @@ def test_counterexample_peak_rss_is_bounded(tmp_path, name):
 SIMULATE_RSS_CEILING_MB = 80  # the benchmark's dpp-ensemble command peaks near 42 MB
 
 
-@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for ru_maxrss")
+@needs_wait4
 def test_simulate_peak_rss_is_bounded(tmp_path):
     # Guards the lockstep sampler's blocks and the CSV writer's row blocks.
     peak_mb = peak_rss_mb("simulate", "downlink2.json", "--horizon", "3000", "--reps", "100",

@@ -145,6 +145,15 @@ def test_unknown_mode_is_rejected(downlink2):
         run_dpp_batch(downlink2, [1.0], [0], 1, 100, mode="clmaped")
 
 
+@pytest.mark.parametrize("fixture", ["downlink2.json", "bb1.json"])  # slot loop, reflection
+@pytest.mark.parametrize("record", [-1, 2])
+def test_record_outside_the_lanes_is_rejected(fixture, record):
+    # One lane: record=2 used to return one run on downlink2 and raise an
+    # IndexError on bb1, record=-1 numpy's "negative dimensions".
+    with pytest.raises(ValueError, match="record"):
+        run_dpp_batch(load_scenario(fixture), [1.0], [0], 1, 100, record=record)
+
+
 # ---------------------------------------------------------------------------
 # closed loop
 # ---------------------------------------------------------------------------

@@ -67,6 +67,15 @@ def test_traced_run_records_a_random_counterexample_span(tmp_path):
     assert "stability.cex_mean_not_rate" in names
 
 
+@pytest.mark.skipif(not TRACED.is_file(), reason="needs the perfbench harness")
+def test_traced_streaming_simulate_exits_zero(tmp_path):
+    # The sampler is a generator, which the tracer leaves alone; the verdict
+    # reducer's methods are not module functions.  The run must still pass.
+    names = traced_span_names(tmp_path, "simulate", "downlink2.json", "--horizon", "1000",
+                              "--reps", "100")
+    assert "cli.write_csv" in names
+
+
 @pytest.mark.parametrize("module", list(TRACED_FUNCTIONS), ids=lambda m: m.__name__)
 def test_traced_functions_stay_public(module):
     for name in TRACED_FUNCTIONS[module]:

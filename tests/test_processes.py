@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,11 @@ from oracles import (
     irreducibility_error_by_search,
     mixing_time_by_powering,
     sample_path_by_chase,
+    stacked_sample_paths,
     stationary_by_power,
 )
 from qnetlab import processes
+from qnetlab.network import load_scenario
 from qnetlab.processes import (
     ArrivalSpec,
     FiniteMarkovChain,
@@ -17,11 +21,13 @@ from qnetlab.processes import (
     ReducibleChainError,
     make_rng,
     mixing_time,
-    sample_paths,
     splitmix64,
     stationary_distribution,
     substream_seed,
 )
+
+
+RELAY8 = str(Path(__file__).parent / "fixtures" / "relay8.json")
 
 
 def iid_chain(probs) -> FiniteMarkovChain:
@@ -175,17 +181,17 @@ def test_substreams_pass_pairwise_correlation_check():
 def test_sample_path_is_bit_identical_for_fixed_seed():
     chain = two_state(0.3, 0.4)
     specs = [ArrivalSpec(kind="bernoulli", rate=0.2, p=0.2)]
-    w1, a1 = sample_paths(chain, specs, seed=5, horizon=1000, replications=[0])
-    w2, a2 = sample_paths(chain, specs, seed=5, horizon=1000, replications=[0])
+    w1, a1 = stacked_sample_paths(chain, specs, seed=5, horizon=1000, replications=[0])
+    w2, a2 = stacked_sample_paths(chain, specs, seed=5, horizon=1000, replications=[0])
     assert np.array_equal(w1, w2) and np.array_equal(a1, a2)
-    w3, _ = sample_paths(chain, specs, seed=6, horizon=1000, replications=[0])
+    w3, _ = stacked_sample_paths(chain, specs, seed=6, horizon=1000, replications=[0])
     assert not np.array_equal(w1, w3)
 
 
 def test_sample_path_rejects_zero_horizon():
     chain = two_state(0.3, 0.4)
     with pytest.raises(ValueError):
-        sample_paths(chain, [], seed=5, horizon=0, replications=[0])
+        stacked_sample_paths(chain, [], seed=5, horizon=0, replications=[0])
 
 
 @st.composite
@@ -231,7 +237,7 @@ def test_lockstep_sampler_matches_per_replication_chase(chain, specs, replicatio
     n_s = chain.n_states
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(processes, "_SAMPLE_BLOCK_BYTES", block * len(replications) * (16 + n_s))
-        omega, index = sample_paths(chain, specs, 77, horizon, replications)
+        omega, index = stacked_sample_paths(chain, specs, 77, horizon, replications)
     assert omega.shape == (horizon, len(replications))
     assert index.shape == (horizon, len(replications), len(specs))
     for j, rep in enumerate(replications):
@@ -257,11 +263,49 @@ def test_lockstep_sampler_with_default_blocks():
     transition[3] = [0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
     chain = FiniteMarkovChain(transition, np.full(10, 0.1))
     assert np.cumsum(transition[0])[-1] < 1.0
-    omega, _ = sample_paths(chain, [], 5, 5000, [4, 1, 9])
+    omega, _ = stacked_sample_paths(chain, [], 5, 5000, [4, 1, 9])
     for j, rep in enumerate([4, 1, 9]):
         assert np.array_equal(omega[:, j], sample_path_by_chase(chain, [], 5, 5000, rep)[0])
     # A replication's path does not depend on the others drawn with it.
-    assert np.array_equal(sample_paths(chain, [], 5, 5000, [1])[0][:, 0], omega[:, 1])
+    assert np.array_equal(stacked_sample_paths(chain, [], 5, 5000, [1])[0][:, 0], omega[:, 1])
+
+
+RANK_CHAINS = {
+    "downlink2": lambda: load_scenario("downlink2.json").omega_chain,
+    "relay8": lambda: load_scenario(RELAY8).omega_chain,
+    "iid": lambda: iid_chain([0.1, 0.25, 0.0, 0.4, 0.25]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_CHAINS))
+def test_bucket_ranks_equal_searchsorted(name):
+    # The sampler ranks its uniforms by bucket table; every rank must be
+    # searchsorted's: on random uniforms, on every cut and its float
+    # neighbours, and on the bucket edges k / 4096 and theirs.
+    cuts = processes._sorted_unique(np.cumsum(RANK_CHAINS[name]().transition, axis=1))
+    edges = np.arange(processes._RANK_BUCKETS) / processes._RANK_BUCKETS
+    points = np.concatenate([cuts, edges])
+    probes = np.concatenate([
+        make_rng(7, 0).random(200_000),
+        points, np.nextafter(points, 0.0), np.nextafter(points, 1.0), [0.0],
+    ])
+    u = probes[(probes >= 0.0) & (probes < 1.0)]  # the range of Generator.random
+    table = processes._rank_table(cuts)
+    expected = np.searchsorted(cuts, u, side="right")
+    assert np.array_equal(processes._ranks(table, u), expected)
+    # The same on a strided 2-d view, which is what the sampler passes.
+    grid = u[: u.size // 4 * 4].reshape(4, -1).T
+    assert np.array_equal(processes._ranks(table, grid), expected[: grid.size].reshape(4, -1).T)
+
+
+def test_bucket_table_holds_cuts_sharing_a_bucket():
+    # Three cuts inside one bucket, one on an edge and one at 1.
+    cuts = np.array([0.0, 0.25, 0.2500001, 0.2500002, 0.2500003, 0.6, 1.0])
+    base, inside = processes._rank_table(cuts)
+    assert inside.shape == (3, processes._RANK_BUCKETS)
+    u = np.concatenate([cuts[:-1], np.nextafter(cuts[:-1], 1.0), np.linspace(0.25, 0.2501, 999)])
+    got = processes._ranks((base, inside), u)
+    assert np.array_equal(got, np.searchsorted(cuts, u, side="right"))
 
 
 def test_bernoulli_mean_clt_bound():
@@ -272,7 +316,7 @@ def test_bernoulli_mean_clt_bound():
 
 def test_state_occupancy_matches_stationary():
     chain = two_state(0.2, 0.8)
-    omega, _ = sample_paths(chain, [], seed=17, horizon=1_000_000, replications=[0])
+    omega, _ = stacked_sample_paths(chain, [], seed=17, horizon=1_000_000, replications=[0])
     occupancy = np.bincount(omega[:, 0], minlength=2) / omega.size
     assert occupancy == pytest.approx([0.8, 0.2], abs=0.005)
 

@@ -28,7 +28,7 @@ MODULES = {
     ],
     "controller": [
         "DppBatchResult", "DppRunResult", "DriftConstants", "drift_constants",
-        "is_uncontrolled_single_queue", "run_dpp_batch",
+        "has_integer_work", "is_uncontrolled_single_queue", "run_dpp_batch",
     ],
     "network": [
         "Action", "AffineFunction", "Scenario", "ScenarioError", "ScenarioTables",
@@ -45,7 +45,8 @@ MODULES = {
     ],
     "simplex": ["LpResult", "SimplexError", "solve_lp", "solve_lp_sequence"],
     "stability": [
-        "StabilityVerdict", "VerdictThresholds", "bb1_closed_form", "cex_mean_not_rate",
+        "StabilityVerdict", "VerdictReducer", "VerdictThresholds", "bb1_closed_form",
+        "cex_mean_not_rate",
         "cex_rate_not_mean", "cex_strong_not_rate", "curve_rows", "estimate_verdict",
         "geometric_checkpoints", "single_queue_path", "verdict_report_items",
     ],

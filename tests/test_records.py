@@ -28,7 +28,7 @@ SIGNATURES = {
         "scenario lambdas c c0 a_ub b_ub row_names a_eq b_eq",
     controller.DppRunResult:
         "horizon q_path z_path omega_path action_path x_path f_path g_path arrivals",
-    controller.DppBatchResult: "totals avg_cost avg_g runs",
+    controller.DppBatchResult: "totals avg_cost avg_g runs reducer=None",
     controller.DriftConstants: "B D T d_max f_opt f_min f_max delta=nan",
     network.AffineFunction: "c0 coeffs",
     network.Action: "name y b x",
