@@ -61,7 +61,6 @@ from .stability import (
     VerdictThresholds,
     bb1_closed_form,
     cex_strong_not_rate,
-    estimate_verdict,
     single_queue_path,
 )
 

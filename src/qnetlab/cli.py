@@ -25,7 +25,6 @@ from .stability import (
     StabilityVerdict,
     bb1_closed_form,
     curve_rows,
-    estimate_verdict,
     verdict_report_items,
 )
 
@@ -140,19 +139,19 @@ def run_lanes(
     args: argparse.Namespace,
     record: int = 0,
     with_virtual: bool = False,
-    verdict: bool = False,
     record_slots: int | None = None,
+    reducer=None,
 ) -> controller.DppBatchResult:
     """Run (V, replication) lanes through the batched kernel.
 
     With ``--workers N`` the lanes split into N contiguous blocks, one kernel
-    call per worker process; results, and the verdict reducers' lanes, come
-    back in lane order.
+    call per worker process; the per-lane sums, and the ``reducer``
+    consumers' lanes, come back in lane order.
     """
     bounds = np.linspace(0, len(v_weights), min(args.workers, len(v_weights)) + 1).astype(int)
     jobs = [
         (scenario, v_weights[lo:hi], replications[lo:hi], args.seed, args.horizon,
-         args.mode, record if lo == 0 else 0, with_virtual, verdict, record_slots)
+         args.mode, record if lo == 0 else 0, with_virtual, record_slots, reducer)
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
     if len(jobs) == 1:
@@ -162,15 +161,11 @@ def run_lanes(
 
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         parts = list(pool.map(controller.run_dpp_batch, *zip(*jobs)))
-    if verdict:
-        reducer = stability.VerdictReducer.concat([part.reducer for part in parts])
-        return parts[0]._replace(reducer=reducer)
-    return controller.DppBatchResult(
-        totals=np.concatenate([part.totals for part in parts]),
-        avg_cost=np.concatenate([part.avg_cost for part in parts]),
-        avg_g=np.concatenate([part.avg_g for part in parts]),
-        runs=parts[0].runs,
-    )
+    if reducer is not None:
+        return parts[0]._replace(reducer=type(parts[0].reducer).concat(
+            [part.reducer for part in parts]))
+    sums = (np.concatenate([part[i] for part in parts]) for i in range(3))
+    return controller.DppBatchResult(*sums, runs=parts[0].runs)
 
 
 def ensemble_verdict(
@@ -179,14 +174,17 @@ def ensemble_verdict(
     """Stability verdict on the total actual backlog of every replication,
     plus the first ``--trace-limit`` slots of replication 0 when ``record``.
 
-    With integer work the totals stream into a verdict reducer block by
-    block; otherwise the whole matrix is kept for ``estimate_verdict``.
-    Both give the same bits where both apply."""
-    stream = controller.has_integer_work(scenario, args.mode)
-    batch = run_lanes(scenario, [args.V] * args.reps, range(args.reps), args, int(record),
-                      verdict=stream, record_slots=args.trace_limit if record else 0)
-    verdict = batch.reducer.verdict() if stream else estimate_verdict(batch.totals)
-    return verdict, (batch.runs[0] if record else None)
+    The totals stream into a verdict reducer block by block.  When its
+    histograms cannot count pass 2, the kernel runs again from the same
+    seeds into the consumer the reducer asks for."""
+    lanes = ([args.V] * args.reps, range(args.reps))
+    batch = run_lanes(scenario, *lanes, args, int(record), reducer=stability.VerdictReducer,
+                      record_slots=args.trace_limit if record else 0)
+
+    def replay(make):
+        return run_lanes(scenario, *lanes, args, reducer=make).reducer
+
+    return batch.reducer.verdict(replay=replay), (batch.runs[0] if record else None)
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +274,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     items += verdict_report_items(verdict)
     write_report(out / "report.txt", items)
 
-    stable_count = sum(
-        1
-        for flag in (
-            verdict.rate_stable,
-            verdict.mean_rate_stable,
-            verdict.steady_state_stable,
-            verdict.strongly_stable,
-        )
-        if flag
-    )
+    stable_count = sum(map(bool, (verdict.rate_stable, verdict.mean_rate_stable,
+                                  verdict.steady_state_stable, verdict.strongly_stable)))
     _echo(f"verdict: stable x{stable_count}")
     _echo(f"mean backlog: {verdict.strong_metric:.6g}")
     _echo(f"wrote {out / 'report.txt'}, {out / 'trace.csv'}, {out / 'curves.csv'}")
@@ -364,6 +354,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 
 def cmd_sweep_v(args: argparse.Namespace) -> int:
     v_list = parse_entries(args.V_list, "--V")  # checked before anything is written
+    controller._check_horizon(args.horizon)
     scenario = _load_with_overrides(args)
     cap = capacity_mod.solve_fopt(scenario)  # validates the scenario
     if not cap.feasible or cap.d_max <= 0.0:
@@ -388,9 +379,9 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
     rows = []
     for i, v_param in enumerate(v_list):
         lanes = slice(i * args.reps, (i + 1) * args.reps)
-        avg_backlog = float(np.mean(batch.totals[lanes].mean(axis=1)))
-        avg_cost = float(np.mean(batch.avg_cost[lanes]))
-        avg_g = np.mean(batch.avg_g[lanes], axis=0)
+        avg_backlog = float(np.mean(batch.backlog_sum[lanes] / args.horizon))
+        avg_cost = float(np.mean(batch.cost_sum[lanes] / args.horizon))
+        avg_g = np.mean(batch.g_sum[lanes] / args.horizon, axis=0)
         bounds = capacity_mod.performance_bounds(scenario, v_param, epsilon, drift)
         rows.append(
             [v_param, avg_backlog, avg_cost]
@@ -469,10 +460,13 @@ def _cex_report(
         profile = _mean_profile_rows(column_sums, n_reps, horizon)
     elif name == "strong-not-rate":
         horizon = 2**20 + 1
-        path = stability.cex_strong_not_rate(horizon)
-        running = float(path.sum() / horizon)
+        # Q(t) = t at the spike times t = 2^n, else 0: the running sum through
+        # a spike is 2t - 1, exact in float64; the last spike ends the path.
+        spikes = stability.cex_strong_not_rate(horizon).tolist()
+        running_sums = [2.0 * t - 1.0 for t in spikes]
+        running = running_sums[-1] / horizon
         target = (2.0**21 - 1.0) / (2.0**20 + 1.0)
-        spikes_exact = all(path[2**n] / 2**n == 1.0 for n in range(0, 21))
+        spikes_exact = spikes == [2**n for n in range(0, 21)]
         ok = abs(running - target) <= 1e-12 and abs(running - 2.0) <= 0.005 * 2.0 and spikes_exact
         checks += [
             ("running_average", running),
@@ -480,9 +474,8 @@ def _cex_report(
             ("rate_slope_at_powers_of_two", 1.0),
             ("spikes_exact", spikes_exact),
         ]
-        # One replication: the path is its own column sum; the profile
-        # overwrites it, so it comes last.
-        profile = _mean_profile_rows(path, 1, horizon)
+        # The geometric checkpoints are the spike times.
+        profile = [[t, float(t), s / (t + 1)] for t, s in zip(spikes, running_sums)]
     else:
         raise ValueError(f"unknown counterexample {name!r}")
     checks.append(("signature_ok", ok))
@@ -502,19 +495,11 @@ def _two_valued_median(n_zero: int, n_top: int, top: float) -> float:
 
 
 def _mean_profile_rows(column_sums: np.ndarray, n_reps: int, horizon: int) -> list[list[object]]:
-    """Rows (t, E[Q(t)], running mean of E[Q]) at the geometric checkpoints.
-
-    Overwrites ``column_sums`` with the running sums, so the profile of a
-    long path costs no copy of it.
-    """
-    mean_path = np.divide(column_sums, n_reps, out=column_sums)
-    checkpoints = stability.geometric_checkpoints(horizon)
-    means = mean_path[checkpoints]
-    cum = np.cumsum(mean_path, out=mean_path)
-    return [
-        [int(t), float(m), float(cum[t] / (t + 1))]
-        for t, m in zip(checkpoints, means)
-    ]
+    """Rows (t, E[Q(t)], running mean of E[Q]) at the geometric checkpoints."""
+    mean_path = column_sums / n_reps
+    cum = np.cumsum(mean_path)
+    return [[int(t), float(mean_path[t]), float(cum[t] / (t + 1))]
+            for t in stability.geometric_checkpoints(horizon)]
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
@@ -541,6 +526,8 @@ def cmd_bb1(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.simulate:
+        controller._check_horizon(args.horizon)  # before anything is written
     if args.out is not None:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     items: list[tuple[str, object]] = [
@@ -556,7 +543,9 @@ def cmd_bb1(args: argparse.Namespace) -> int:
             override_lambdas(bb1, [args.lam]), [0.0] * args.reps, range(args.reps),
             args.seed, args.horizon,
         )
-        items.append(("measured_mean_backlog", float(batch.totals.mean())))
+        # Integer backlogs: every sum is exact, so the order of the lanes' sums is free.
+        total = batch.backlog_sum.sum()
+        items.append(("measured_mean_backlog", float(total / (args.reps * args.horizon))))
     for key, value in items:
         _echo(f"{key}={_fmt(value)}")
     if args.out is not None:

@@ -13,26 +13,26 @@ purpose; the network transition applies the clamp.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import capacity
 from .network import MODES, Scenario
 from .processes import mixing_time, sample_paths
-from .stability import VerdictReducer, _reflection
+from .stability import OrderedSum, _reflection
 
 __all__ = [
     "DriftConstants",
     "DppRunResult",
     "DppBatchResult",
-    "has_integer_work",
     "is_uncontrolled_single_queue",
     "run_dpp_batch",
     "drift_constants",
 ]
 
 _BLOCK_BYTES = 1 << 18  # per-block table gathers in run_dpp_batch
+_SUM_BLOCK_BYTES = 1 << 16  # per chunk of chosen-action values handed to the sums
 
 
 def _dot(tables: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -61,37 +61,32 @@ class DppRunResult(NamedTuple):
 
 
 class DppBatchResult(NamedTuple):
-    """Per-lane outputs of ``run_dpp_batch``; lane ``i`` runs
-    ``v_weights[i]`` on replication ``replications[i]``.  A ``verdict`` run
-    returns its ``reducer`` in place of the first three."""
+    """Per-lane outputs of ``run_dpp_batch``; lane ``i`` runs ``v_weights[i]``
+    on replication ``replications[i]``.  The sums (None in a ``reducer`` run)
+    add in numpy's order, so over the horizon they are ``mean``'s bits."""
 
-    totals: np.ndarray | None  # (lanes, horizon): slot-start sum of Q (+ sum of Z if asked)
-    avg_cost: np.ndarray | None  # (lanes,)
-    avg_g: np.ndarray | None  # (lanes, L)
+    backlog_sum: np.ndarray | None  # (lanes,): of the slot-start sum of Q (+ sum of Z if asked)
+    cost_sum: np.ndarray | None  # (lanes,): of f
+    g_sum: np.ndarray | None  # (lanes, L): of g, as mean(axis=0) adds
     runs: list[DppRunResult]  # records of the first ``record`` lanes
-    reducer: VerdictReducer | None = None
+    reducer: object = None  # the ``reducer`` consumer, fed every block
 
 
-def has_integer_work(scenario: Scenario, mode: str = "respect") -> bool:
-    """True when every backlog the slot recursion produces is a whole number:
-    integer ``b``, ``y`` (``y_offered`` in clamped mode) and arrival values.
-    The slot-start backlog sums are then integers too, which is what
-    ``stability.VerdictReducer`` needs."""
-    tab = scenario.tables
-    y = tab.y_offered if mode == "clamped" else tab.y
-    work = np.concatenate([tab.b.ravel(), y.ravel(), *(s.table for s in scenario.arrivals)])
-    return bool(np.all(work == np.round(work)))
+def _check_horizon(horizon: int) -> None:
+    if horizon < 2:
+        raise ValueError("horizon must be >= 2")
 
 
 def is_uncontrolled_single_queue(scenario: Scenario) -> bool:
     """True when the scenario has no decisions to make and integer work: one
-    queue, no constraints, one action per state, and ``has_integer_work``.
-    ``run_dpp_batch`` then builds each backlog path by the reflection
-    identity, which equals the slot recursion exactly for integer work."""
+    queue, no constraints, one action per state, whole-number ``b``, ``y``
+    and arrivals.  ``run_dpp_batch`` then builds each backlog path by the
+    reflection identity, which equals the slot recursion for integer work."""
     tab = scenario.tables
     if scenario.n_queues != 1 or scenario.n_constraints != 0 or tab.f.shape[1] != 1:
         return False
-    return has_integer_work(scenario)
+    work = np.concatenate([tab.b.ravel(), tab.y.ravel(), *(s.table for s in scenario.arrivals)])
+    return bool(np.all(work == np.round(work)))
 
 
 def run_dpp_batch(
@@ -103,30 +98,27 @@ def run_dpp_batch(
     mode: str = "respect",
     record: int = 0,
     with_virtual: bool = False,
-    verdict: bool = False,
     record_slots: int | None = None,
+    reducer: Callable[[int, int], object] | None = None,
 ) -> DppBatchResult:
     """Run the closed loop for every lane at once, one step per slot.
 
     A lane is one (V, replication) pair.  Each replication is sampled once,
     compactly and one time block at a time, and lanes that share it share
     its path.  Per lane, the results equal a run of the slot recursion
-    alone: scores, updates and reductions follow the single-run order.  The
-    first ``record`` lanes are also returned in full, or their first
-    ``record_slots`` slots; ``with_virtual`` adds the sum of Z to
-    ``totals``, whose row means are then the time-average backlog sums.
+    alone: scores, updates and reductions follow the single-run order.
     When ``is_uncontrolled_single_queue`` holds, each replication's backlog
     path comes from the reflection identity of ``single_queue_path``, block
     by block from the backlog the previous block ended with, instead of the
     slot loop, with ``y`` added to the arrivals.
 
-    With ``verdict``, which needs ``has_integer_work`` and no
-    ``with_virtual``, each time block of totals goes to a
-    ``stability.VerdictReducer`` and is dropped: the result carries the
-    reducer, and neither totals nor actions nor cost averages are kept.
+    Results leave by time block; no array spans the horizon.  Each block's
+    per-lane totals of the slot-start backlogs (plus the sum of Z with
+    ``with_virtual``) go to ``reducer(n_lanes, horizon).add(t0, totals)``
+    if given, else with the costs and ``g`` to the result's sums.  The
+    first ``record`` lanes are recorded, or their first ``record_slots``.
     """
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
+    _check_horizon(horizon)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     v = np.asarray(v_weights, dtype=float)[:, None]
@@ -136,8 +128,6 @@ def run_dpp_batch(
     n, k, n_l = v.shape[0], scenario.n_queues, scenario.n_constraints
     if not 0 <= record <= n:
         raise ValueError(f"record must lie in [0, {n}], the number of lanes; got {record}")
-    if verdict and (with_virtual or not has_integer_work(scenario, mode)):
-        raise ValueError("verdict runs need integer work and no virtual queues in the totals")
     tab = scenario.tables
     n_a, clamped = tab.f.shape[1], mode == "clamped"
     # Clamped mode moves all offered service, so its routed transfers are y_offered's.
@@ -151,10 +141,8 @@ def run_dpp_batch(
     queue_ix = np.arange(k)
     a_dtype = np.min_scalar_type(n_a - 1)
 
-    reducer = VerdictReducer(n, horizon) if verdict else None
-    # Whole-horizon arrays only where the cost averages need them.
-    totals = None if verdict else np.empty((n, horizon))
-    actions_all = None if verdict else np.zeros((horizon, n), dtype=a_dtype)
+    sink = None if reducer is None else reducer(n, horizon)
+    sums = [] if sink is not None else [OrderedSum(n, horizon, w) for w in (None, None, n_l)]
     n_rec = horizon if record_slots is None else min(horizon, record_slots)
     rec_reps = lane_rep[:record]
     q_rec, z_rec = np.zeros((record, n_rec + 1, k)), np.zeros((record, n_rec + 1, n_l))
@@ -167,6 +155,7 @@ def run_dpp_batch(
     # Slots per block: the slot loop gathers n_a * (k + n_l + 2) table values
     # per lane and slot; the reflection holds about eight float64 arrays.
     block = max(1, _BLOCK_BYTES // (8 * n * (8 if fast else n_a * (k + n_l + 2))))
+    cols = max(1, _SUM_BLOCK_BYTES // (8 * n * max(1, n_l)))  # slots per chunk of costs and g
     # Slot-start backlogs of one block: q_buf[j] is the state at slot t0 + j.
     # The column views' trailing unit axis is what the stacked products take.
     q_buf, z_buf = np.zeros((block + 1, n, k)), np.zeros((block + 1, n, n_l))
@@ -188,16 +177,8 @@ def run_dpp_batch(
         if t0 == 0:  # the first block fixes the block size and the index dtypes
             w_rec = np.zeros((n_rec, record), dtype=omega.dtype)
             ix_rec = np.zeros((n_rec, record, k), dtype=arrival_ix.dtype)
-            if verdict:
-                tot_buf, actions_buf = np.empty((n, nb_s)), np.zeros((nb_s, n), dtype=a_dtype)
-            else:
-                omega_all = np.empty((horizon, reps.size), dtype=omega.dtype)
-        # This block's totals and actions: scratch, or slices of the whole arrays.
-        if verdict:
-            tot, actions = tot_buf[:, :nb_s], actions_buf[:nb_s]
-        else:
-            tot, actions = totals[:, t0 : t0 + nb_s], actions_all[t0 : t0 + nb_s]
-            omega_all[t0 : t0 + nb_s] = omega
+            tot_buf, actions_buf = np.empty((n, nb_s)), np.zeros((nb_s, n), dtype=a_dtype)
+        tot, actions = tot_buf[:, :nb_s], actions_buf[:nb_s]
         for j0 in range(0, nb_s, block):
             nb = min(block, nb_s - j0)
             if fast:
@@ -245,8 +226,16 @@ def run_dpp_batch(
             q_rec[:, rows] = q_buf[1 : nb_rec + 1, :record].transpose(1, 0, 2)
             z_rec[:, rows] = z_buf[1 : nb_rec + 1, :record].transpose(1, 0, 2)
             q_buf[0], z_buf[0] = q_buf[nb], z_buf[nb]
-        if verdict:
-            reducer.add(t0, tot)
+        # Hand the block to the consumers, each lane's values contiguous.
+        if sink is not None:
+            sink.add(t0, tot)
+        else:
+            sums[0].add(tot)
+            for c0 in range(0, nb_s, cols):
+                chosen = omega[c0 : c0 + cols].take(lane_rep, axis=1) * np.intp(n_a)
+                chosen += actions[c0 : c0 + cols]
+                sums[1].add(f_flat.take(chosen.T))
+                sums[2].add(g_flat.take(chosen.T, axis=0))
         keep = max(0, min(nb_s, n_rec - t0))  # recorded slots of this sampler block
         w_rec[t0 : t0 + keep] = omega[:keep, rec_reps]
         ix_rec[t0 : t0 + keep] = arrival_ix[:keep, rec_reps]
@@ -267,14 +256,7 @@ def run_dpp_batch(
             g_path=g_flat.take(sel, axis=0),
             arrivals=arrival_table[queue_ix[:, None], ix_rec[:, i].T],
         ))
-    if verdict:
-        return DppBatchResult(None, None, None, runs, reducer)
-    result = DppBatchResult(totals, np.empty(n), np.empty((n, n_l)), runs)
-    for i in range(n):
-        sel = omega_all[:, lane_rep[i]] * np.intp(n_a) + actions_all[:, i]
-        result.avg_cost[i] = f_flat.take(sel).mean()
-        result.avg_g[i] = g_flat.take(sel, axis=0).mean(axis=0)
-    return result
+    return DppBatchResult(*([s.total for s in sums] or [None] * 3), runs, sink)
 
 
 class DriftConstants(NamedTuple):

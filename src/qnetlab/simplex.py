@@ -60,8 +60,11 @@ def _bland_leaving(tableau: np.ndarray, col: int, basis: list[int]) -> int | Non
     rows = (column > TOL).nonzero()[0]
     best_row = None
     best_ratio = np.inf
+    # A ratio past the float range is +inf, which never beats a finite one.
+    with np.errstate(over="ignore"):
+        ratios = tableau[rows, -1] / column[rows]
     # The tie tolerance makes the choice depend on visiting order: keep it.
-    for i, ratio in zip(rows.tolist(), (tableau[rows, -1] / column[rows]).tolist()):
+    for i, ratio in zip(rows.tolist(), ratios.tolist()):
         if ratio < best_ratio - TOL or (
             abs(ratio - best_ratio) <= TOL
             and (best_row is None or basis[i] < basis[best_row])

@@ -10,20 +10,22 @@ Four stability notions are estimated from finite traces:
 The definitions are asymptotic; this module applies documented finite-horizon
 proxies: slopes are read at the final slot, the tail curve g(M)
 is evaluated on a geometric M-grid, and strong stability uses a plateau test
-on the running average across the final doubling.  The module also ships the
-three classic pathological processes that separate the notions, plus the
-Bernoulli/Bernoulli/1 closed forms used as golden values.  The two random
-ones return only the statistics their report reads (column sums, a count of
-replications or a spike flag per replication), never the (replications x
-horizon) backlog.  ``VerdictReducer`` estimates a verdict the same way, from
-per-replication sums and histograms fed one time block at a time.
+on the running average across the final doubling.  ``VerdictReducer``
+estimates a verdict from backlogs fed one time block at a time, never from a
+(replications x horizon) array; ``OrderedSum`` gives its sums numpy's bits.
+The module also ships the three classic pathological processes that
+separate the notions, plus the Bernoulli/Bernoulli/1 closed forms used as
+golden values.  The counter-examples return only the statistics their
+report reads (column sums, a count of replications, a spike flag per
+replication, or the spike times), never the backlog itself.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from typing import NamedTuple, Sequence
+import mmap
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,9 +35,9 @@ __all__ = [
     "VerdictThresholds",
     "StabilityVerdict",
     "VerdictReducer",
+    "OrderedSum",
     "geometric_checkpoints",
     "single_queue_path",
-    "estimate_verdict",
     "bb1_closed_form",
     "cex_rate_not_mean",
     "cex_mean_not_rate",
@@ -56,10 +58,16 @@ MIN_VERDICT_HORIZON = 1000
 # 35 MB at 256 KB and 41 MB at 4 MB, with no faster time at 4 MB.
 _CEX_BLOCK_BYTES = 1 << 18
 
-# Cells per bincount of VerdictReducer's histograms, and the most bins per
-# lane and slot of a chunk that one bincount may count.
+# Cells per bincount of VerdictReducer's histograms, the most bins per lane
+# and slot of a chunk that one bincount may count, and the int32 bins all
+# lanes' histograms may take together (2 MB).
 _HIST_CHUNK_CELLS = 1 << 15
 _HIST_SPAN_PER_SLOT = 4
+_HIST_BUDGET_CELLS = 1 << 19
+
+# numpy's pairwise float sum: spans of at most this many values are one
+# leaf, summed by one np.add.reduce (pairwise_sum in loops_utils.h.src).
+_PAIRWISE_LEAF = 128
 
 
 def geometric_checkpoints(horizon: int) -> np.ndarray:
@@ -185,42 +193,6 @@ def _check_verdict_horizon(horizon: int) -> None:
         raise ValueError("verdicts need a horizon of at least 1e3 slots")
 
 
-def estimate_verdict(
-    backlog: np.ndarray, thresholds: VerdictThresholds = VerdictThresholds()
-) -> StabilityVerdict:
-    """Estimate the four stability notions from backlog paths
-    ``backlog[r, t]``, one row per replication, slots ``t = 0..horizon-1``.
-
-    Slopes Q(t)/t are read at the final slot.  The mean-rate estimate
-    averages the slopes across replications; it is made only when there are
-    at least ``thresholds.min_reps_mean_rate`` replications, and is None
-    otherwise.
-
-    Two passes over ``backlog``: slopes and means first, then the tail
-    curves on the M-grid those means fix.  Sums over replications are taken
-    in replication order, so a verdict does not depend on how the ensemble
-    was produced.
-    """
-    q = np.asarray(backlog, dtype=float)
-    if q.ndim != 2:
-        raise ValueError("backlog must be a (n_reps, horizon) matrix")
-    if not np.min(q, initial=0.0) >= 0:  # NaN fails too
-        raise ValueError("backlogs must be non-negative numbers")
-    horizon = q.shape[1]
-    _check_verdict_horizon(horizon)
-    t_half = max((horizon - 1) // 2, 1)
-    return _verdict(q[:, -1], q.sum(axis=1), q[:, : t_half + 1].sum(axis=1), horizon,
-                    partial(_counts_at_most, q), thresholds)
-
-
-def _counts_at_most(q: np.ndarray, m_grid: np.ndarray) -> np.ndarray:
-    """``(n_reps, m)`` counts of each row's values ``<= M``, one sort per row."""
-    counts = np.empty((q.shape[0], m_grid.size), dtype=np.intp)
-    for r, row in enumerate(q):
-        counts[r] = np.searchsorted(np.sort(row), m_grid, side="right")
-    return counts
-
-
 def _verdict(
     final: np.ndarray,
     row_sums: np.ndarray,
@@ -290,120 +262,180 @@ def _verdict(
     )
 
 
-class VerdictReducer:
-    """``estimate_verdict`` of integer-valued backlogs, fed a time block at a
-    time, so the ``(n_lanes, horizon)`` matrix is not held while the
-    backlogs span a narrow range.
+@lru_cache(maxsize=8)
+def _pairwise_plan(n: int) -> tuple[tuple[int, int], ...]:
+    """numpy's pairwise sum of ``n`` values as leaves, in order: each leaf's
+    length and the merges its last value completes.  numpy splits more than
+    ``_PAIRWISE_LEAF`` values at ``n // 2`` rounded down to a multiple of 8."""
+    plan: list[list[int]] = []
 
-    Per lane it keeps the sum over every slot and over slots ``0..t_half``,
-    the final value and a histogram of the values.  Sums of integers below
-    2^53 are exact in any order, and for integer ``Q`` the count of slots
-    with ``Q <= M`` is the histogram cumulated up to ``floor(M)``, so
-    ``verdict`` returns ``estimate_verdict``'s bits on the whole matrix.
-    The histograms' memory grows with the lane count and the largest value,
-    not with the horizon.  When a chunk spans more values per lane than
-    ``_HIST_SPAN_PER_SLOT`` times its slots, or the histograms would need
-    more than ``horizon // 2`` bins, the reducer keeps the values themselves
-    instead (at most the whole matrix, as ``estimate_verdict`` takes it):
-    the histograms so far expand into the sorted values they count, which
-    give the same counts.
-    """
+    def split(m: int) -> None:
+        if m <= _PAIRWISE_LEAF:
+            plan.append([m, 0])
+        else:
+            half = m // 2 - m // 2 % 8
+            split(half)
+            split(m - half)
+            plan[-1][1] += 1
+
+    split(n)
+    return tuple(map(tuple, plan))
+
+
+class OrderedSum:
+    """Each row's sum of ``n`` values fed a block of columns at a time, with
+    the bits of numpy's sum of the whole row: each leaf of the pairwise tree
+    is summed once its last value arrives, then merged up the tree.  With
+    ``width``, values are vectors, summed as ``a.sum(axis=0)`` sums an
+    ``(n, width)`` array: pairwise for width 1, else one after another.
+    ``total`` is set once all ``n`` are in.  Block rows must be contiguous."""
+
+    def __init__(self, rows: int, n: int, width: int | None = None) -> None:
+        self.n, self.width, self.seen = n, width, 0
+        self.plan, self.leaf, self.stack = _pairwise_plan(n), 0, []
+        self.carry, self.filled = np.empty((rows, max(size for size, _ in self.plan))), 0
+        self.total = np.zeros((rows, width)) if width not in (None, 1) else None
+
+    def add(self, block: np.ndarray) -> None:
+        """Take the next ``block.shape[1]`` values of every row."""
+        nb = block.shape[1]
+        if self.seen + nb > self.n:
+            raise ValueError(f"more than the {self.n} values this sum was made for")
+        self.seen += nb
+        if self.width not in (None, 1):  # the running sum, then each vector in turn
+            np.add.reduce(np.concatenate([self.total[:, None], block], axis=1), axis=1,
+                          out=self.total)
+            return
+        block = block.reshape(block.shape[:2])
+        j = 0
+        while j < nb:
+            size, merges = self.plan[self.leaf]
+            take = min(size - self.filled, nb - j)
+            if take == size:  # the whole leaf is in this block
+                value = np.add.reduce(block[:, j : j + size], axis=1)
+            else:
+                self.carry[:, self.filled : self.filled + take] = block[:, j : j + take]
+                self.filled += take
+                if self.filled < size:
+                    return
+                value = np.add.reduce(self.carry[:, :size], axis=1)
+                self.filled = 0
+            j += take
+            self.stack.append(value)
+            for _ in range(merges):
+                self.stack[-2:] = [self.stack[-2] + self.stack[-1]]
+            self.leaf += 1
+        if self.seen == self.n:
+            self.total = self.stack[0] if self.width is None else self.stack[0][:, None]
+            self.carry = None
+
+
+class VerdictReducer:
+    """The stability verdict of backlogs fed a time block at a time.  Pass 1
+    keeps per lane the final value and the sums over every slot and over
+    slots ``0..t_half``.  Pass 2 counts each lane's slots with ``Q <= M`` on
+    the grid pass 1 fixes: by histograms while the backlogs are whole
+    numbers that fit ``_HIST_BUDGET_CELLS`` int32 bins (and a chunk spans at
+    most ``_HIST_SPAN_PER_SLOT`` bins per slot), else on a replay of the same
+    backlogs.  Counts are exact, so both ways give the same bits."""
 
     def __init__(self, n_lanes: int, horizon: int) -> None:
         _check_verdict_horizon(horizon)
-        self.horizon = horizon
-        self.t_half = max((horizon - 1) // 2, 1)
-        self.row_sums = np.zeros(n_lanes)
-        self.half_sums = np.zeros(n_lanes)
+        self.horizon, self.t_half = horizon, max((horizon - 1) // 2, 1)
+        self.sums = OrderedSum(n_lanes, horizon)
+        self.half_sums = OrderedSum(n_lanes, self.t_half + 1)
         self.final = np.zeros(n_lanes)
-        self.hist: np.ndarray | None = np.zeros((n_lanes, 1), dtype=np.int64)
-        self.values: np.ndarray | None = None  # (n_lanes, horizon) once hist is dropped
+        # Counts by (value, lane) on anonymous pages, which take memory only
+        # once written: the rows above the largest value never are.
+        rows = _HIST_BUDGET_CELLS // max(n_lanes, 1)
+        cells = np.frombuffer(mmap.mmap(-1, 4 * rows * n_lanes + 4), np.int32)
+        self.hist: np.ndarray | None = cells[: rows * n_lanes].reshape(rows, n_lanes)
+        self.bins = 0  # the largest value counted, plus one
 
     def add(self, t0: int, block: np.ndarray) -> None:
         """Take slots ``t0 .. t0 + nb - 1`` of every lane: ``block[i, j]`` is
-        lane ``i``'s non-negative integer backlog at slot ``t0 + j``."""
+        lane ``i``'s non-negative backlog at slot ``t0 + j``."""
         n, nb = block.shape
-        self.row_sums += block.sum(axis=1)
+        if not block.min(initial=0.0) >= 0:  # NaN fails too
+            raise ValueError("backlogs must be non-negative numbers")
+        self.sums.add(block)
         if t0 <= self.t_half:
-            self.half_sums += block[:, : self.t_half + 1 - t0].sum(axis=1)
-        if t0 + nb == self.horizon:
+            self.half_sums.add(block[:, : self.t_half + 1 - t0])
+        cols = max(1, _HIST_CHUNK_CELLS // max(n, 1))
+        for c0 in range(0, nb, cols):
+            if self.hist is not None and not self._count(block[:, c0 : c0 + cols]):
+                self.hist = None
+        if t0 + nb == self.horizon:  # done: keep (and pickle for --workers) the bins in use
             self.final[:] = block[:, -1]
-        c0 = 0
-        if self.hist is not None:
-            cols = max(1, _HIST_CHUNK_CELLS // max(n, 1))
-            while c0 < nb and self._count(block[:, c0 : c0 + cols]):
-                c0 += cols
-            if c0 < nb:
-                self._keep_values(t0 + c0)
-        if self.values is not None:
-            self.values[:, t0 + c0 : t0 + nb] = block[:, c0:]
+            self.hist = None if self.hist is None else self.hist[: self.bins].copy()
 
     def _count(self, chunk: np.ndarray) -> bool:
-        """Add one chunk to the histograms: one ``bincount``, each lane's
-        values shifted to start at its minimum and offset by its lane.
-        False, with nothing added, when the chunk is too wide for that."""
+        """Count a chunk by one ``bincount``; False if it is not whole numbers that fit."""
         n, cols = chunk.shape
-        v = chunk.astype(np.intp)
-        lo, hi = v.min(axis=1), v.max(axis=1)
-        if lo.min() < 0:
-            raise ValueError("backlogs must be non-negative numbers")
-        span = int((hi - lo).max()) + 1
-        width = int(lo.max()) + span
-        if span > _HIST_SPAN_PER_SLOT * cols or width > self.horizon // 2:
+        lo, hi = chunk.min(), chunk.max()
+        if hi >= self.hist.shape[0] or hi - lo >= _HIST_SPAN_PER_SLOT * cols:
             return False
-        v -= (lo - np.arange(0, n * span, span))[:, None]
-        counts = np.bincount(v.ravel(), minlength=n * span).reshape(n, span)
-        if width > self.hist.shape[1]:
-            grown = np.zeros((n, min(max(width, 2 * self.hist.shape[1]), self.horizon // 2)),
-                             dtype=np.int64)
-            grown[:, : self.hist.shape[1]] = self.hist
-            self.hist = grown
-        rows = np.arange(n)[:, None]
-        self.hist[rows, lo[:, None] + np.arange(span)] += counts
+        v = chunk.astype(np.intp)
+        if not np.array_equal(v, chunk):
+            return False
+        lo, span = int(lo), int(hi - lo) + 1
+        v -= lo
+        v *= n
+        v += np.arange(n)[:, None]  # bin (value - lo) * n + lane
+        self.hist[lo : lo + span] += np.bincount(v.ravel(), minlength=span * n).reshape(span, n)
+        self.bins = max(self.bins, lo + span)
         return True
-
-    def _keep_values(self, seen: int) -> None:
-        """Drop the histograms for the values: each lane's first ``seen``
-        slots become the sorted values its histogram counts."""
-        self.values = np.empty((self.final.size, self.horizon))
-        bins = np.arange(self.hist.shape[1], dtype=float)
-        for row, counts in zip(self.values, self.hist):
-            row[:seen] = bins.repeat(counts)
-        self.hist = None
 
     @classmethod
     def concat(cls, parts: Sequence[VerdictReducer]) -> VerdictReducer:
-        """One reducer whose lanes are those of ``parts``, in order; it keeps
-        values if any part does."""
+        """One reducer of the lanes of ``parts``, in order: histograms if all have them."""
         merged = cls(0, parts[0].horizon)
-        for name in ("row_sums", "half_sums", "final"):
-            setattr(merged, name, np.concatenate([getattr(part, name) for part in parts]))
-        if any(part.values is not None for part in parts):
-            for part in parts:
-                if part.values is None:
-                    part._keep_values(part.horizon)
-            merged.hist, merged.values = None, np.concatenate([part.values for part in parts])
-            return merged
-        width = max(part.hist.shape[1] for part in parts)
-        merged.hist = np.concatenate(
-            [np.pad(part.hist, ((0, 0), (0, width - part.hist.shape[1]))) for part in parts])
+        for name in ("sums", "half_sums"):
+            getattr(merged, name).total = np.concatenate([getattr(p, name).total for p in parts])
+        merged.final = np.concatenate([part.final for part in parts])
+        merged.bins = max(part.bins for part in parts)
+        merged.hist = None if any(part.hist is None for part in parts) else np.concatenate(
+            [np.pad(part.hist, ((0, merged.bins - part.bins), (0, 0))) for part in parts], axis=1)
         return merged
 
-    def verdict(self, thresholds: VerdictThresholds = VerdictThresholds()) -> StabilityVerdict:
-        """``estimate_verdict`` of the backlogs added so far, which must
-        cover every slot of the horizon."""
-        if self.values is not None:
-            return _verdict(self.final, self.row_sums, self.half_sums, self.horizon,
-                            partial(_counts_at_most, self.values), thresholds)
-        top = self.hist.shape[1] - 1
+    def verdict(
+        self, thresholds: VerdictThresholds = VerdictThresholds(), replay: Callable | None = None
+    ) -> StabilityVerdict:
+        """The verdict of every slot's backlogs.  Without histograms, pass 2 calls
+        ``replay(make)``: it feeds the same backlogs to ``make(n_lanes, horizon)``."""
 
         def at_most(m_grid: np.ndarray) -> np.ndarray:
-            # One prefix sum per grid point: no cumulated copy of the bins.
-            cols = np.minimum(m_grid, top).astype(np.intp)
-            return np.stack([self.hist[:, : c + 1].sum(axis=1) for c in cols], axis=1)
+            if self.hist is None:
+                if replay is None:
+                    raise ValueError("pass 2 needs a replay: the histograms were dropped")
+                return replay(partial(_TailCounts, m_grid=m_grid)).counts
+            # One sum of the bins up to floor(M) per grid point: no cumulated copy.
+            rows = np.minimum(m_grid, self.bins - 1).astype(np.intp)
+            return np.stack([self.hist[: r + 1].sum(axis=0) for r in rows], axis=1)
 
-        return _verdict(self.final, self.row_sums, self.half_sums, self.horizon, at_most,
-                        thresholds)
+        return _verdict(self.final, self.sums.total, self.half_sums.total, self.horizon,
+                        at_most, thresholds)
+
+
+class _TailCounts:
+    """Pass 2 on a replay: per lane, its slots with ``Q <= M`` for each M."""
+
+    def __init__(self, n_lanes: int, horizon: int, m_grid: np.ndarray) -> None:
+        self.m_grid = m_grid
+        self.counts = np.zeros((n_lanes, m_grid.size), dtype=np.intp)
+
+    def add(self, t0: int, block: np.ndarray) -> None:
+        n, m = self.counts.shape
+        # Q <= M_j exactly when j >= the number of grid points below Q.
+        below = np.searchsorted(self.m_grid, block) + np.arange(0, n * (m + 1), m + 1)[:, None]
+        hist = np.bincount(below.ravel(), minlength=n * (m + 1)).reshape(n, m + 1)
+        self.counts += np.cumsum(hist[:, :m], axis=1)
+
+    @classmethod
+    def concat(cls, parts: Sequence[_TailCounts]) -> _TailCounts:
+        merged = cls(0, 0, parts[0].m_grid)
+        merged.counts = np.concatenate([part.counts for part in parts])
+        return merged
 
 
 def bb1_closed_form(lam: float, mu: float) -> tuple[float, float]:
@@ -482,17 +514,12 @@ def cex_strong_not_rate(horizon: int) -> np.ndarray:
     powers of two, else 0.  The running average tends to 2 while
     Q(2^n)/2^n = 1.
 
-    ``horizon`` must be a power of two plus one so the trace ends exactly at
-    a spike.
+    ``horizon`` must be a power of two plus one, so the trace ends at a
+    spike.  Returns the spike times ``1, 2, 4, ..., horizon - 1``.
     """
     if horizon < 3 or not _is_power_of_two(horizon - 1):
         raise ValueError("horizon must be a power of two plus one")
-    path = np.zeros(horizon)
-    t = 1
-    while t < horizon:
-        path[t] = float(t)
-        t *= 2
-    return path
+    return 1 << np.arange((horizon - 1).bit_length(), dtype=np.int64)
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -22,7 +22,12 @@ for ``cli.write_csv``'s column-wise formatting.  ``markov_bound_violations``
 checks the Markov inequality that every stability verdict must satisfy.  The
 ``one_shot_*`` generators build the random counter-examples' whole backlog
 matrices, which the library reduces to their column sums and per-replication
-flags without building.
+flags without building, and ``strong_not_rate_path`` the deterministic one's
+whole path, which the library keeps as its spike times.  ``estimate_verdict``
+is the verdict of a whole (replications x horizon) backlog array, the
+reference for ``stability.VerdictReducer``, which sees the backlogs one time
+block at a time; ``TotalsCollector`` is the kernel consumer that keeps that
+array.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +46,13 @@ from qnetlab.network import MODES, Scenario, ScenarioError
 from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, make_rng, sample_paths
 from qnetlab.queues import CompositeState, virtual_queue_step
 from qnetlab.simplex import TOL
+from qnetlab.stability import (
+    StabilityVerdict,
+    VerdictThresholds,
+    _check_verdict_horizon,
+    _verdict,
+    cex_strong_not_rate,
+)
 
 GRID_GUARD = 20_000_000
 
@@ -169,6 +182,53 @@ def markov_bound_violations(verdict) -> int:
     """
     bound = verdict.strong_metric / verdict.m_grid
     return int(np.sum(verdict.g_curve > bound + 1e-15))
+
+
+def estimate_verdict(
+    backlog: np.ndarray, thresholds: VerdictThresholds = VerdictThresholds()
+) -> StabilityVerdict:
+    """The four stability notions from backlog paths ``backlog[r, t]``, one
+    row per replication, slots ``t = 0..horizon-1``: two passes over the
+    whole array.  Slopes and means first (row sums in numpy's order), then
+    the tail counts on the M-grid those means fix, one sort per row."""
+    q = np.asarray(backlog, dtype=float)
+    if q.ndim != 2:
+        raise ValueError("backlog must be a (n_reps, horizon) matrix")
+    if not np.min(q, initial=0.0) >= 0:  # NaN fails too
+        raise ValueError("backlogs must be non-negative numbers")
+    horizon = q.shape[1]
+    _check_verdict_horizon(horizon)
+    t_half = max((horizon - 1) // 2, 1)
+    return _verdict(q[:, -1], q.sum(axis=1), q[:, : t_half + 1].sum(axis=1), horizon,
+                    partial(_counts_at_most, q), thresholds)
+
+
+def _counts_at_most(q: np.ndarray, m_grid: np.ndarray) -> np.ndarray:
+    """``(n_reps, m)`` counts of each row's values ``<= M``, one sort per row."""
+    counts = np.empty((q.shape[0], m_grid.size), dtype=np.intp)
+    for r, row in enumerate(q):
+        counts[r] = np.searchsorted(np.sort(row), m_grid, side="right")
+    return counts
+
+
+class TotalsCollector:
+    """A ``run_dpp_batch`` reducer that keeps every block of totals: the whole
+    ``(n_lanes, horizon)`` array the streaming consumers never hold."""
+
+    def __init__(self, n_lanes: int, horizon: int) -> None:
+        self.totals = np.empty((n_lanes, horizon))
+
+    def add(self, t0: int, block: np.ndarray) -> None:
+        self.totals[:, t0 : t0 + block.shape[1]] = block
+
+
+def strong_not_rate_path(horizon: int) -> np.ndarray:
+    """The whole path of ``stability.cex_strong_not_rate``: Q(t) = t at its
+    spike times, else 0."""
+    spikes = cex_strong_not_rate(horizon)
+    path = np.zeros(horizon)
+    path[spikes] = spikes
+    return path
 
 
 def one_shot_rate_not_mean(seed: int, horizon: int, n_reps: int) -> np.ndarray:

@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 from oracles import (
+    TotalsCollector,
     dpp_select_action,
+    estimate_verdict,
     exhaustive_dpp_argmin,
     grid_fopt,
     markov_bound_violations,
     one_shot_mean_not_rate,
     one_shot_rate_not_mean,
+    strong_not_rate_path,
 )
 from qnetlab.capacity import performance_bounds, solve_fopt
 from qnetlab.cli import main
@@ -23,7 +26,7 @@ from qnetlab.controller import drift_constants, run_dpp_batch
 from qnetlab.network import load_scenario
 from qnetlab.processes import make_rng
 from qnetlab.queues import CompositeState
-from qnetlab.stability import cex_strong_not_rate, estimate_verdict, single_queue_path
+from qnetlab.stability import single_queue_path
 
 SEED = 987654321
 
@@ -148,7 +151,7 @@ def test_criterion_05_mean_not_rate_counterexample():
 
 def test_criterion_06_strong_not_rate_counterexample():
     horizon = 2**20 + 1
-    path = cex_strong_not_rate(horizon)
+    path = strong_not_rate_path(horizon)
     running = float(path.sum()) / horizon
     target = (2.0**21 - 1.0) / (2.0**20 + 1.0)
     failures = []
@@ -217,9 +220,10 @@ def test_criterion_09_controller_performance_suite():
     # Totals include the virtual queues: their row means are the time-average
     # backlog sums that the bound covers.
     batch = run_dpp_batch(scenario, v_list, [0] * len(v_list), SEED + 6, horizon, record=3,
-                          with_virtual=True)
+                          with_virtual=True, reducer=TotalsCollector)
+    totals = batch.reducer.totals
     for i, (v_param, run) in enumerate(zip(v_list, batch.runs)):
-        avg_cost, avg_g, avg_backlog = batch.avg_cost[i], batch.avg_g[i], batch.totals[i].mean()
+        avg_cost, avg_g, avg_backlog = run.f_path.mean(), run.g_path.mean(axis=0), totals[i].mean()
         costs.append(avg_cost)
         if not np.all(avg_g <= 0.01):
             failures.append(f"V={v_param}: time-avg g {avg_g} above 0.01")
@@ -239,7 +243,7 @@ def test_criterion_09_controller_performance_suite():
             )
         for k in range(scenario.n_queues):
             _record_markov(f"dpp-V{v_param}-queue{k}", run.q_path[:horizon, k][None, :])
-        _record_markov(f"dpp-V{v_param}-total", batch.totals[i][None, :])
+        _record_markov(f"dpp-V{v_param}-total", totals[i][None, :])
     if not (costs[1] <= costs[0] + noise and costs[2] <= costs[1] + noise):
         failures.append(f"avg cost not non-increasing in V: {costs}")
     if not (cap.f_opt - noise <= costs[-1] <= cap.f_opt + 0.05):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,17 @@ def test_sweep_v_validates_the_scenario_once(tmp_path, monkeypatch):
                "--reps", "2", "--out", str(tmp_path / "s")])
     assert rc == 0
     assert compiles == ["bb1"]
+
+
+def test_capacity_with_a_huge_lambda_warns_nothing(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["capacity", "downlink2.json", "--lambda", "1e308,1",
+                   "--out", str(tmp_path / "cap")])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "feasible=false\n" in captured.out
+    assert captured.err == ""
 
 
 def test_capacity_reports_infeasible_lambda(tmp_path, capsys):
@@ -422,6 +434,21 @@ def test_short_verdict_horizon_fails_before_any_work(tmp_path, capsys, monkeypat
                "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == "error: verdicts need a horizon of at least 1e3 slots\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-v", "downlink2.json", "--V", "1"],
+    ["bb1", "--lambda", "0.3", "--mu", "0.5", "--simulate"],
+], ids=["sweep-v", "bb1"])
+def test_one_slot_horizon_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the kernel ran on a one-slot horizon")
+
+    monkeypatch.setattr(controller, "run_dpp_batch", no_kernel)
+    out = tmp_path / "o"
+    assert main([*argv, "--horizon", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: horizon must be >= 2\n"
     assert not out.exists()
 
 

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dpp_select_action, exhaustive_dpp_argmin, replay_with_network_step
+from oracles import (
+    TotalsCollector,
+    dpp_select_action,
+    exhaustive_dpp_argmin,
+    replay_with_network_step,
+)
 from qnetlab import controller
 from qnetlab.controller import (
     _dot,
@@ -263,9 +268,9 @@ def assert_batch_matches_replay(scenario, v_weights, n_reps, mode, seed, horizon
     bit for bit."""
     lanes_v = [v for v in v_weights for _ in range(n_reps)]
     lanes_rep = list(range(n_reps)) * len(v_weights)
-    batch = run_dpp_batch(
-        scenario, lanes_v, lanes_rep, seed, horizon, mode, record=len(lanes_v), with_virtual=True
-    )
+    args = (scenario, lanes_v, lanes_rep, seed, horizon, mode)
+    batch = run_dpp_batch(*args, record=len(lanes_v), with_virtual=True)
+    totals = run_dpp_batch(*args, with_virtual=True, reducer=TotalsCollector).reducer.totals
     for i, (v, rep) in enumerate(zip(lanes_v, lanes_rep)):
         ref = replay_with_network_step(scenario, v, seed, horizon, rep, mode)
         run = batch.runs[i]
@@ -273,9 +278,10 @@ def assert_batch_matches_replay(scenario, v_weights, n_reps, mode, seed, horizon
                      "f_path", "g_path", "arrivals"):
             assert np.array_equal(getattr(run, name), getattr(ref, name)), name
         total = ref.q_path[:horizon].sum(axis=1) + ref.z_path[:horizon].sum(axis=1)
-        assert np.array_equal(batch.totals[i], total)
-        assert batch.avg_cost[i] == ref.f_path.mean()
-        assert np.array_equal(batch.avg_g[i], ref.g_path.mean(axis=0))
+        assert np.array_equal(totals[i], total)
+        assert batch.backlog_sum[i] == total.sum()
+        assert batch.cost_sum[i] / horizon == ref.f_path.mean()
+        assert np.array_equal(batch.g_sum[i] / horizon, ref.g_path.mean(axis=0))
 
 
 # (v_weights, n_reps): simulate runs one lane per replication; sweep-v runs
@@ -365,14 +371,14 @@ def test_replications_use_independent_substreams(downlink2):
 def test_constraints_hold_even_at_zero_weight(downlink2):
     batch = run_dpp_batch(downlink2, [0.0], [0], 13, 60_000, record=1)
     run = batch.runs[0]
-    assert np.all(batch.avg_g[0] <= 0.01)
+    assert np.all(batch.g_sum[0] / 60_000 <= 0.01)
     assert np.all(run.q_path[-1] / run.horizon <= 0.01)
     assert np.all(run.z_path[-1] / run.horizon <= 0.01)
 
 
 def test_backlog_grows_at_most_linearly_in_v(downlink2):
     batch = run_dpp_batch(downlink2, [10.0, 100.0], [0, 0], 29, 60_000, with_virtual=True)
-    backlogs = batch.totals.mean(axis=1)
+    backlogs = batch.backlog_sum / 60_000
     assert backlogs[1] / backlogs[0] <= 15.0  # O(V): ratio ~10, generous cap
 
 

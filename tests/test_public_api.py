@@ -15,7 +15,7 @@ PACKAGE = [
     "DriftConstants", "FiniteMarkovChain", "OmegaOnlyPolicy",
     "PerformanceBounds", "Scenario", "ScenarioError", "SlotIO", "StabilityVerdict",
     "VerdictThresholds", "bb1_closed_form", "build_lp", "cex_strong_not_rate",
-    "conservation_check", "drift_constants", "estimate_verdict", "fixture_path",
+    "conservation_check", "drift_constants", "fixture_path",
     "load_scenario", "lyapunov_value", "make_rng", "mixing_time", "performance_bounds",
     "queue_step", "run_dpp_batch", "single_queue_path", "solve_fopt",
     "stationary_distribution", "substream_seed", "validate", "virtual_queue_step",
@@ -28,7 +28,7 @@ MODULES = {
     ],
     "controller": [
         "DppBatchResult", "DppRunResult", "DriftConstants", "drift_constants",
-        "has_integer_work", "is_uncontrolled_single_queue", "run_dpp_batch",
+        "is_uncontrolled_single_queue", "run_dpp_batch",
     ],
     "network": [
         "Action", "AffineFunction", "Scenario", "ScenarioError", "ScenarioTables",
@@ -45,10 +45,9 @@ MODULES = {
     ],
     "simplex": ["LpResult", "SimplexError", "solve_lp", "solve_lp_sequence"],
     "stability": [
-        "StabilityVerdict", "VerdictReducer", "VerdictThresholds", "bb1_closed_form",
-        "cex_mean_not_rate",
-        "cex_rate_not_mean", "cex_strong_not_rate", "curve_rows", "estimate_verdict",
-        "geometric_checkpoints", "single_queue_path", "verdict_report_items",
+        "OrderedSum", "StabilityVerdict", "VerdictReducer", "VerdictThresholds",
+        "bb1_closed_form", "cex_mean_not_rate", "cex_rate_not_mean", "cex_strong_not_rate",
+        "curve_rows", "geometric_checkpoints", "single_queue_path", "verdict_report_items",
     ],
 }
 

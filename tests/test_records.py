@@ -28,7 +28,7 @@ SIGNATURES = {
         "scenario lambdas c c0 a_ub b_ub row_names a_eq b_eq",
     controller.DppRunResult:
         "horizon q_path z_path omega_path action_path x_path f_path g_path arrivals",
-    controller.DppBatchResult: "totals avg_cost avg_g runs reducer=None",
+    controller.DppBatchResult: "backlog_sum cost_sum g_sum runs reducer=None",
     controller.DriftConstants: "B D T d_max f_opt f_min f_max delta=nan",
     network.AffineFunction: "c0 coeffs",
     network.Action: "name y b x",
@@ -122,9 +122,9 @@ INVALID = [
      "queues and virtuals must be 1-d vectors"),
     (lambda: queues.CompositeState(np.zeros(1), -np.ones(1)), ValueError,
      "backlogs must be non-negative"),
-    (lambda: stability.estimate_verdict(np.zeros(5)), ValueError,
+    (lambda: oracles.estimate_verdict(np.zeros(5)), ValueError,
      "backlog must be a (n_reps, horizon) matrix"),
-    (lambda: stability.estimate_verdict(np.full((1, 5), np.nan)), ValueError,
+    (lambda: stability.VerdictReducer(1, 1000).add(0, np.full((1, 5), np.nan)), ValueError,
      "backlogs must be non-negative numbers"),
     (lambda: _chain([[1.0, 0.0]]), ValueError, "transition must be a square matrix"),
     (lambda: _chain([[1.0]], (1.0, 0.0)), ValueError,
@@ -185,7 +185,9 @@ def every_record():
         lp, report, report.policy,
         capacity.performance_bounds(scenario, 1.0, drift.d_max / 4, drift), drift,
         scenario.tables, batch, batch.runs[0],
-        stability.estimate_verdict(batch.totals), stability.VerdictThresholds(),
+        controller.run_dpp_batch(scenario, [1.0] * 3, [0, 1, 2], 5, 1000,
+                                 reducer=stability.VerdictReducer).reducer.verdict(),
+        stability.VerdictThresholds(),
         simplex.solve_lp([1.0], None, None, [[1.0]], [1.0]),
     ]
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,14 @@ def test_simple_bounded_minimum():
     )
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-4.0)
+
+
+def test_leaving_row_skips_an_overflowing_ratio_without_a_warning():
+    # Row 0's ratio 1e308 / 1e-3 is past the float range: +inf, never chosen.
+    tableau = np.array([[1e-3, 1e308], [2.0, 4.0], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert simplex._bland_leaving(tableau, 0, [0, 1]) == 1
 
 
 def test_equality_constraints():

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import markov_bound_violations, one_shot_mean_not_rate, one_shot_rate_not_mean
+from oracles import (
+    TotalsCollector,
+    estimate_verdict,
+    markov_bound_violations,
+    one_shot_mean_not_rate,
+    one_shot_rate_not_mean,
+    strong_not_rate_path,
+)
 from qnetlab import stability
 from qnetlab.cli import override_lambdas, override_mu
 from qnetlab.controller import run_dpp_batch
@@ -16,7 +23,6 @@ from qnetlab.stability import (
     bb1_closed_form,
     cex_rate_not_mean,
     cex_strong_not_rate,
-    estimate_verdict,
     geometric_checkpoints,
     single_queue_path,
 )
@@ -26,9 +32,10 @@ SEED = 20240601
 
 def _bb1_ensemble(lam, mu, horizon, n_reps, seed):
     """Bernoulli(lam) arrivals against a Bernoulli(mu) server: the bb1
-    fixture run through the batched kernel."""
+    fixture run through the batched kernel, its totals collected whole."""
     scenario = override_lambdas(override_mu(load_scenario("bb1.json"), mu), [lam])
-    return run_dpp_batch(scenario, [0.0] * n_reps, range(n_reps), seed, horizon).totals
+    return run_dpp_batch(scenario, [0.0] * n_reps, range(n_reps), seed, horizon,
+                         reducer=TotalsCollector).reducer.totals
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +305,7 @@ def test_cex_mean_not_rate_slope_vanishes_at_ten_thousand_slots():
 
 def test_cex_strong_not_rate_signature():
     horizon = 2**14 + 1
-    path = cex_strong_not_rate(horizon)
+    path = strong_not_rate_path(horizon)
     running = path.sum() / horizon
     assert running == pytest.approx((2**15 - 1) / (2**14 + 1), abs=1e-12)
     for n in range(0, 15):
@@ -316,7 +323,7 @@ def test_markov_bound_holds_on_counterexamples():
     thresholds = VerdictThresholds(min_reps_mean_rate=1)
     for backlog in (
         one_shot_mean_not_rate(SEED, horizon=2000, n_reps=200),
-        cex_strong_not_rate(2**11 + 1)[None, :],
+        strong_not_rate_path(2**11 + 1)[None, :],
     ):
         verdict = estimate_verdict(backlog, thresholds=thresholds)
         assert markov_bound_violations(verdict) == 0
