@@ -46,7 +46,6 @@ from .processes import (
     make_rng,
     mixing_time,
     stationary_distribution,
-    substream_seed,
 )
 from .queues import (
     CompositeState,

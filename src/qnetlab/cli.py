@@ -360,7 +360,7 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
     if not cap.feasible or cap.d_max <= 0.0:
         print(
             "error: V-sweep needs a strictly interior arrival-rate vector "
-            f"(lambda_in_capacity={str(cap.feasible).lower()}, d_max={cap.d_max})",
+            f"(in_capacity={str(cap.feasible).lower()}, d_max={cap.d_max})",
             file=sys.stderr,
         )
         return 1

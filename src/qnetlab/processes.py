@@ -1,10 +1,11 @@
 """Stochastic process generation: the network-state Markov chain, arrival
 processes, and the seeded RNG contract.
 
-Randomness comes from numpy's PCG64 generator.  Replication ``r`` of a run
-with master seed ``s`` draws from an independent substream seeded with
-``splitmix64(s XOR r)``; the SplitMix64 finalizer is a bijection on 64-bit
-integers, so distinct replications always get distinct substream seeds.
+Randomness comes from numpy's PCG64 generator, seeded through numpy's
+``SeedSequence``.  Stream ``j`` of replication ``r`` under master seed ``s``
+is child ``(r, j)`` of the ``SeedSequence(s mod 2**64)`` spawn tree, so every
+(seed, replication, stream) triple has its own stream and seeds that differ
+mod 2**64 never share a replication.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ __all__ = [
     "ArrivalSpec",
     "ReducibleChainError",
     "PeriodicChainError",
-    "splitmix64",
-    "substream_seed",
     "make_rng",
     "stationary_distribution",
     "mixing_time",
@@ -43,24 +42,15 @@ class PeriodicChainError(ValueError):
     """Raised when an aperiodic chain is required but the chain is periodic."""
 
 
-def splitmix64(x: int) -> int:
-    """SplitMix64 finalizer: one avalanche round on a 64-bit integer."""
-    z = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
-def substream_seed(master_seed: int, replication: int) -> int:
-    """Substream seed for one replication: splitmix64(seed XOR replication)."""
-    if replication < 0:
-        raise ValueError("replication index must be non-negative")
-    return splitmix64((master_seed & _MASK64) ^ (replication & _MASK64))
-
-
-def make_rng(master_seed: int, replication: int = 0) -> np.random.Generator:
-    """PCG64 generator for one replication substream."""
-    return np.random.Generator(np.random.PCG64(substream_seed(master_seed, replication)))
+def make_rng(master_seed: int, replication: int = 0, stream: int = 0) -> np.random.Generator:
+    """PCG64 generator for stream ``stream`` of replication ``replication``:
+    child ``(replication, stream)`` of ``SeedSequence(master_seed mod 2**64)``.
+    Each index must lie in [0, 2**32), one word of the spawn key, so that no
+    two index pairs share a key."""
+    if not (0 <= replication < 1 << 32 and 0 <= stream < 1 << 32):
+        raise ValueError("replication and stream indices must lie in [0, 2**32)")
+    key = np.random.SeedSequence(master_seed & _MASK64, spawn_key=(replication, stream))
+    return np.random.Generator(np.random.PCG64(key))
 
 
 class FiniteMarkovChain:
@@ -310,27 +300,23 @@ def sample_paths(
     """Draw several replications' network-state paths and arrivals together,
     one time block at a time.
 
-    Replication ``r`` draws from ``make_rng(seed, r)`` in a fixed order:
-    ``horizon`` uniforms for the state path, then each queue's arrivals in
-    queue order.  The uniform of slot 0 picks the initial state from
-    ``chain.initial``; the uniform of slot ``t >= 1`` picks the successor of
-    the state at ``t - 1`` from its transition row (the first state whose
-    cumulative probability exceeds it, capped at the last state).  Yields
-    ``(omega, arrival_index)`` for consecutive blocks of slots, of shapes
-    ``(nb, R)`` and ``(nb, R, K)``, column ``j`` for ``replications[j]``;
-    the work arriving to queue ``k`` at the block's slot ``i`` is
-    ``arrival_specs[k].table[arrival_index[i, j, k]]``.  Both arrays use the
-    smallest unsigned dtype that holds their values.
+    Replication ``r`` draws ``horizon`` uniforms for its state path from
+    ``make_rng(seed, r, 0)`` and queue ``k``'s arrivals from
+    ``make_rng(seed, r, 1 + k)``.  The uniform of slot 0 picks the initial
+    state from ``chain.initial``; the uniform of slot ``t >= 1`` picks the
+    successor of the state at ``t - 1`` from its transition row (the first
+    state whose cumulative probability exceeds it, capped at the last
+    state).  Yields ``(omega, arrival_index)`` for consecutive blocks of
+    slots, of shapes ``(nb, R)`` and ``(nb, R, K)``, column ``j`` for
+    ``replications[j]``; the work arriving to queue ``k`` at the block's
+    slot ``i`` is ``arrival_specs[k].table[arrival_index[i, j, k]]``.  Both
+    arrays use the smallest unsigned dtype that holds their values.
 
     All replications advance in lockstep (``_SAMPLE_BLOCK_BYTES`` bounds a
     block's temporaries; chunked draws continue each stream exactly).
     Within a block the per-slot successor maps are composed over strides of
     about ``sqrt(block / 5)`` slots, so Python steps through the stride
-    starts only; the chase is integer indexing, hence exact.  Each random
-    queue reads its arrivals through a cursor: a copy of the replication's
-    stream moved on by ``horizon * (1 + rank)`` outputs, ``rank`` the number
-    of random queues before it.  Every uniform, and every ``choice`` draw,
-    takes one output of the stream, so the cursors read the one-shot order.
+    starts only; the chase is integer indexing, hence exact.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -349,15 +335,11 @@ def sample_paths(
     markov = bool(np.any(chain.transition != chain.transition[0]))
     block = max(1, _SAMPLE_BLOCK_BYTES // (max(n_r, 1) * (16 + n_s * w_dtype.itemsize)))
     ix_dtype = np.min_scalar_type(max([1, *(spec.table.size - 1 for spec in arrival_specs)]))
-    cursors, skip = [], horizon
-    for spec in arrival_specs:
-        if spec.kind == "deterministic":  # draws nothing
-            cursors.append(None)
-            continue
-        cursors.append([make_rng(seed, int(r)) for r in replications])
-        for rng in cursors[-1]:
-            rng.bit_generator.advance(skip)
-        skip += horizon
+    arrival_rngs = [
+        None if spec.kind == "deterministic"  # draws nothing
+        else [make_rng(seed, int(r), 1 + k) for r in replications]
+        for k, spec in enumerate(arrival_specs)
+    ]
 
     def states(t0: int, nb: int, prev: np.ndarray | None) -> np.ndarray:
         """State paths of slots ``t0 .. t0 + nb - 1``, following ``prev``,
@@ -412,10 +394,10 @@ def sample_paths(
         nb = min(block, horizon - t0)
         omega = states(t0, nb, omega)
         index = np.empty((nb, n_r, len(arrival_specs)), dtype=ix_dtype)
-        for k, (spec, streams) in enumerate(zip(arrival_specs, cursors)):
-            if streams is None:
+        for k, (spec, queue_rngs) in enumerate(zip(arrival_specs, arrival_rngs)):
+            if queue_rngs is None:
                 index[:, :, k] = spec.sample_index(None, nb, t0)[:, None]
             else:
-                for j, rng in enumerate(streams):
+                for j, rng in enumerate(queue_rngs):
                     index[:, j, k] = spec.sample_index(rng, nb)
         yield omega, index

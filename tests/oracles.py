@@ -492,12 +492,11 @@ def sample_path_by_chase(
     """One replication's state path and arrival indices, one slot at a time.
 
     The draws of one replication of ``processes.sample_paths``: ``horizon``
-    uniforms, then each
-    queue's arrivals.  One ``searchsorted`` per state gives every slot's
-    successor of every state, and a Python loop chases them.
+    uniforms from stream 0, and queue ``k``'s arrivals from stream ``1 + k``.
+    One ``searchsorted`` per state gives every slot's successor of every
+    state, and a Python loop chases them.
     """
-    rng = make_rng(seed, replication)
-    u = rng.random(horizon)
+    u = make_rng(seed, replication, 0).random(horizon)
     top = chain.n_states - 1
     cdf = np.cumsum(chain.transition, axis=1)
     succ = np.empty((horizon, chain.n_states), dtype=np.min_scalar_type(top))
@@ -509,7 +508,10 @@ def sample_path_by_chase(
     for t in range(1, horizon):
         state = int(succ[t, state])
         path[t] = state
-    index = [spec.sample_index(rng, horizon) for spec in arrival_specs]
+    index = [
+        spec.sample_index(make_rng(seed, replication, 1 + k), horizon)
+        for k, spec in enumerate(arrival_specs)
+    ]
     dtype = np.result_type(np.uint8, *index)
     return path, np.array(index, dtype=dtype).reshape(len(index), horizon)
 

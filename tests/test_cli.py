@@ -76,6 +76,34 @@ def test_simulate_repeat_is_byte_identical(tmp_path):
         assert read_bytes(out1 / name) == read_bytes(out2 / name)
 
 
+def report_without_seed(out: Path) -> list[str]:
+    return [line for line in (out / "report.txt").read_text().splitlines()
+            if not line.startswith("seed=")]
+
+
+def test_neighbouring_seeds_draw_different_ensembles(tmp_path):
+    # Seeds 1, 2 and 3 once drew the same 100 replications; each seed's
+    # verdict must now come from its own ensemble.
+    reports = []
+    for seed in ("1", "2", "3"):
+        out = tmp_path / seed
+        assert main(["stability", "downlink2.json", "--horizon", "1000", "--reps", "100",
+                     "--seed", seed, "--out", str(out)]) == 0
+        reports.append(report_without_seed(out))
+    assert reports[0] != reports[1] and reports[0] != reports[2] and reports[1] != reports[2]
+
+
+def test_cli_seeds_are_taken_mod_two_to_the_64(tmp_path):
+    outs = []
+    for seed in ("-1", str(2**64 - 1)):
+        outs.append(out := tmp_path / seed)
+        assert main(["simulate", "bb1.json", "--horizon", "2000", "--reps", "4",
+                     "--seed", seed, "--out", str(out)]) == 0
+    assert report_without_seed(outs[0]) == report_without_seed(outs[1])
+    for name in ("trace.csv", "curves.csv"):
+        assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name)
+
+
 def test_capacity_repeat_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -262,7 +290,7 @@ def test_sweep_v_rejects_exterior_lambda(tmp_path, capsys):
         ]
     )
     assert rc == 1
-    assert "lambda_in_capacity=false" in capsys.readouterr().err
+    assert "(in_capacity=false" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()  # refused before --out is made
 
 

@@ -12,7 +12,15 @@ with sweep scales on both sides of its capacity boundary (near 1.67).  The
 ``capacity_sweep.csv`` digests of ``capacity-downlink2`` and
 ``capacity-relay8`` were re-pinned when sweeps moved onto the warm-started
 dual simplex: the same feasible flags, and every ``f_opt`` and ``d_max``
-within 6e-15 relative of the cold solve's.
+within 6e-15 relative of the cold solve's.  The 14 sampled cases (every
+``simulate``, ``stability`` and ``sweep-v`` case, ``bb1-simulate``,
+``counterexample-rate-not-mean`` and ``counterexample-mean-not-rate``) were
+re-pinned when every stream moved onto numpy's ``SeedSequence`` spawn keys:
+under the old ``splitmix64(seed XOR replication)`` seeding, nearby seeds drew
+the same replications.  Each queue's arrivals also moved to a stream of their
+own.  The
+``capacity-*`` and ``counterexample-strong-not-rate`` cases draw nothing and
+kept their digests.
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ CASES = {
 
 GOLDEN: dict[str, dict[str, str]] = {
     "bb1-simulate": {
-        "bb1.txt": "004a2922f45ce48ad3bc97c309b02b2a69fbe132d05004725a574ffbbfd4b7d7",
+        "bb1.txt": "0353eb94f2473d04a7c48155e4487ff1eed1f673a2cc7cb688d7c4e0c4e43375",
     },
     "capacity-bb1": {
         "capacity.txt": "a2aede82c0e950046e2c3cb2425ffa0cf168835a05540ca92132ffcb808fa4cd",
@@ -78,64 +86,64 @@ GOLDEN: dict[str, dict[str, str]] = {
         "capacity_sweep.csv": "1c051320fdff04680330b039ccedeb55e4944a538dd047487855d0da69f7c084",
     },
     "counterexample-mean-not-rate": {
-        "profile.csv": "25b0cb39e33874ea96b8f782427c3052c017446a8adf976fe79d84e61f745438",
-        "report.txt": "87932a2bbcde2c6b083e9ee002e973e7ae93f01f452ee4aac7b39bdf080dcbda",
+        "profile.csv": "29cbdc20e02429975d5ae27e1d2fbc93759ae1a182df8242d7ac7472c300f6b2",
+        "report.txt": "285bf0a671ccc3be83a52ba26cc2e33b6e4f434b7d4a3224187d275790fc84ff",
     },
     "counterexample-rate-not-mean": {
-        "profile.csv": "fb5ffbc9788a1ac2e5794b5f4758db3df46bcf2308c93e5bfa23ca1c0a7adaea",
-        "report.txt": "1efc65b9d348624a68d9f9e444237dbcf740f3a343f04e72b2ffc097bc9f7bc6",
+        "profile.csv": "6bb8db276ab5169f9a8357a101bc3a4c06f3800e4b927c26a82c7521276abc5f",
+        "report.txt": "e26dbf7f1b46a3f693b2188fa89115f8fa3789ab7356d8b12f9e6ab42b6ed95b",
     },
     "counterexample-strong-not-rate": {
         "profile.csv": "4c271162f1e99cf208b2cc7c08be7df0bd9af2fb14f417ca51f3358cde48ebc9",
         "report.txt": "045312c58388ebaf6b6ae35440d2d510f2fd38c7d24c122ae071cf3577b00520",
     },
     "simulate-bb1-w1": {
-        "curves.csv": "cfd224572fbd0f4190c1a6e9295f7c2e4db08e22df0c8e541cc5f7fd47e495dd",
-        "report.txt": "a3e1c50b7d3bdb66f90aea87993c9325029ad67f59051a9cddfdb46808256a4d",
-        "trace.csv": "7c46a32166edc26e1fc55cec438b0d8419456313ed161f4dd343732542302a76",
+        "curves.csv": "8494473a598dc3f7ac3c3f41aaf4070877dd38d79477d4f81f67059cc6df278c",
+        "report.txt": "33cd1dc62d57a409b46f8d2b0d2c1545589c1783d93cb1492e456c55fc184ee6",
+        "trace.csv": "62cce1263ff7a47104e80c709b862925254cb2daa2c3b3bc1224a4de58d7a483",
     },
     "simulate-bb1-w2": {
-        "curves.csv": "cfd224572fbd0f4190c1a6e9295f7c2e4db08e22df0c8e541cc5f7fd47e495dd",
-        "report.txt": "a3e1c50b7d3bdb66f90aea87993c9325029ad67f59051a9cddfdb46808256a4d",
-        "trace.csv": "7c46a32166edc26e1fc55cec438b0d8419456313ed161f4dd343732542302a76",
+        "curves.csv": "8494473a598dc3f7ac3c3f41aaf4070877dd38d79477d4f81f67059cc6df278c",
+        "report.txt": "33cd1dc62d57a409b46f8d2b0d2c1545589c1783d93cb1492e456c55fc184ee6",
+        "trace.csv": "62cce1263ff7a47104e80c709b862925254cb2daa2c3b3bc1224a4de58d7a483",
     },
     "simulate-downlink2-clamped": {
-        "curves.csv": "7dab581d439b1ae1f4edf115b565a1d9bcd9551b984901680584e8bf6062f5f2",
-        "report.txt": "fa705032e54bcd87536396c7ff74c858eb0a3663e1753bae46b9fbacac7b639b",
-        "trace.csv": "13cbba00e78dc11bcb9f04c875f6b25e03c4017ce2ae1b360f771bdffc75e9d2",
+        "curves.csv": "7122e69dec95f274c3d7dbc54fd67f0712d7a32f8fb66202b608d953bb6a37ef",
+        "report.txt": "106bb80f39c22c790a8477aff5916e9ee0828722344cac03df0e993649ecafff",
+        "trace.csv": "74f5ed6e0b6d7ed8fefb15e70d0d3426d888554c0edc843851bc06ac93cf9772",
     },
     "simulate-downlink2-w1": {
-        "curves.csv": "795cbfe45511db74e52b28da85f10437cbeafa41c9c8914c60dccd06dfcb805a",
-        "report.txt": "18f2564a21d7b2d235f6553fb1eb6cf05e85ce229882430c069a5c1592b7fca9",
-        "trace.csv": "c0097090d643280fbb8445941babaece757fbc0f0bbbd7eb52db07b2a554498b",
+        "curves.csv": "f3f9be330b9460c2f96d890bfca0a372fc438c806ee4cf8b17c97ecdb9a99a39",
+        "report.txt": "7474df4939e8a47a414d7692825393acffbbc195269925507624edb36734dd74",
+        "trace.csv": "53892ff1eb360252f209ab3b1dc7b8b2edaee22aea0544f4dc638713a67f179a",
     },
     "simulate-downlink2-w2": {
-        "curves.csv": "795cbfe45511db74e52b28da85f10437cbeafa41c9c8914c60dccd06dfcb805a",
-        "report.txt": "18f2564a21d7b2d235f6553fb1eb6cf05e85ce229882430c069a5c1592b7fca9",
-        "trace.csv": "c0097090d643280fbb8445941babaece757fbc0f0bbbd7eb52db07b2a554498b",
+        "curves.csv": "f3f9be330b9460c2f96d890bfca0a372fc438c806ee4cf8b17c97ecdb9a99a39",
+        "report.txt": "7474df4939e8a47a414d7692825393acffbbc195269925507624edb36734dd74",
+        "trace.csv": "53892ff1eb360252f209ab3b1dc7b8b2edaee22aea0544f4dc638713a67f179a",
     },
     "stability-bb1": {
-        "curves.csv": "efc5bf764ced36ef5b91c0215297589ae35888648bede6d7a9272062ea026f06",
-        "report.txt": "153b18c7969a6b5a4bf7b9ec1b09e92910643723c13edd5a0fcc1240731ab3b0",
+        "curves.csv": "a928d5e2f469b613abf212e4c0a231525a5ac37be4d91a185c8e27e3c2dbb5c4",
+        "report.txt": "1040cd1de0d04308dc3c8e93b4a3ad9148a17d75b8b12da7bc9b898b656a52eb",
     },
     "stability-downlink2": {
-        "curves.csv": "f76cb47f1a323219bb6741e0d67c962e2f22acc83b463a5ac885803051d3a344",
-        "report.txt": "df466a50185236220a1dcab81e8eb3ebc6221307d6b436a0dc4f762103aec151",
+        "curves.csv": "eae4265aa84d1fbb8c8a4db467e3ce777c8c5a544df9e998fec4265ecfeeeb1c",
+        "report.txt": "721dd62c05d11c3c7314de518f35e68ae47b8e503d03a4c568738379b87e5b54",
     },
     "sweep-v-bb1": {
-        "sweep.csv": "c918b8c225cbf33ea2ffde27114e63ceac2ad30198074b5ba80bf846b22988d6",
+        "sweep.csv": "68e1a2ea030d8165e780b3f5605e69e23c603a04d3258c8f1900bcba6a8dbaba",
         "sweep_report.txt": "14deff43ce3507ca338a27437127c4963d3723b9def7cf6bf512ee66ec4f5e4a",
     },
     "sweep-v-downlink2": {
-        "sweep.csv": "5567938a437b06cb07c824d80a374d76cd8b9ee17c07b317710ecd74b0288bf5",
+        "sweep.csv": "158c2a3b31d43d76d674713ca16badaf2dc2aea2cfb31c867a153f16a7c91a45",
         "sweep_report.txt": "f01274364a9c88352748ec5ef5f09beb28ee7a6ae86f8e5ced1f3e30b9fc9fb7",
     },
     "sweep-v-downlink2-w2": {
-        "sweep.csv": "5dac4654a08c2d19f2bfbd19f413bf10b29a180350bf6172d8ceefe9468076a3",
+        "sweep.csv": "2962f7a2267bf92da83b690b79351ead1bdea39efa4687dd45695e08599fec03",
         "sweep_report.txt": "501b41488183818b42e182ce053f7d88f0ef60dcbdf3f8d5669ce9b61cf42863",
     },
     "sweep-v-relay8": {
-        "sweep.csv": "d063d0885a41ba7d56a6e585dd6d97b297203eb996113b818b9c23abf1f49673",
+        "sweep.csv": "7cafd299e6487bf0d83b5c0ade87316880b6d1b7565ab5b8149431f288edd930",
         "sweep_report.txt": "1d7ba76a390e1a7c378233bc20d3fe30cf760d131c310f36cbd06c577eff119c",
     },
 }

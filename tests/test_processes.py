@@ -21,9 +21,7 @@ from qnetlab.processes import (
     ReducibleChainError,
     make_rng,
     mixing_time,
-    splitmix64,
     stationary_distribution,
-    substream_seed,
 )
 
 
@@ -164,11 +162,36 @@ def test_mixing_rejects_bad_delta():
 # ---------------------------------------------------------------------------
 
 
-def test_splitmix64_is_deterministic_and_spreads_bits():
-    assert splitmix64(0) == splitmix64(0)
-    assert splitmix64(0) != splitmix64(1)
-    assert substream_seed(1234, 0) != substream_seed(1234, 1)
-    assert substream_seed(1234, 7) == substream_seed(1234, 7)
+def test_make_rng_is_a_child_of_the_seed_sequence_spawn_tree():
+    for seed, rep, stream in [(1234, 0, 0), (1234, 7, 2), (0, 3, 1), (2**64 - 1, 0, 5)]:
+        child = np.random.SeedSequence(seed).spawn(rep + 1)[rep].spawn(stream + 1)[stream]
+        want = np.random.Generator(np.random.PCG64(child)).random(8)
+        assert np.array_equal(make_rng(seed, rep, stream).random(8), want)
+    assert make_rng(1234, 7).random() == make_rng(1234, 7, 0).random()
+
+
+def test_streams_are_distinct_over_seeds_replications_and_streams():
+    # Seeds 0-127, replications 0-99 and streams 0-2: no two of the 38,400
+    # generators share a first output, so no seed aliases another's draws.
+    firsts = {
+        make_rng(seed, rep, stream).bit_generator.random_raw()
+        for seed in range(128)
+        for rep in range(100)
+        for stream in range(3)
+    }
+    assert len(firsts) == 128 * 100 * 3
+
+
+def test_make_rng_takes_indices_of_one_key_word():
+    make_rng(5, 2**32 - 1, 2**32 - 1)
+    for rep, stream in [(-1, 0), (0, -1), (2**32, 0), (0, 2**32)]:
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            make_rng(5, rep, stream)
+
+
+def test_seeds_are_taken_mod_two_to_the_64():
+    assert make_rng(-1, 3, 1).random() == make_rng(2**64 - 1, 3, 1).random()
+    assert make_rng(2**64 + 5, 2).random() == make_rng(5, 2).random()
 
 
 def test_substreams_pass_pairwise_correlation_check():

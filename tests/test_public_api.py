@@ -18,7 +18,7 @@ PACKAGE = [
     "conservation_check", "drift_constants", "fixture_path",
     "load_scenario", "lyapunov_value", "make_rng", "mixing_time", "performance_bounds",
     "queue_step", "run_dpp_batch", "single_queue_path", "solve_fopt",
-    "stationary_distribution", "substream_seed", "validate", "virtual_queue_step",
+    "stationary_distribution", "validate", "virtual_queue_step",
 ]
 
 MODULES = {
@@ -36,8 +36,8 @@ MODULES = {
     ],
     "processes": [
         "ArrivalSpec", "FiniteMarkovChain", "PeriodicChainError",
-        "ReducibleChainError", "make_rng", "mixing_time", "sample_paths", "splitmix64",
-        "stationary_distribution", "substream_seed",
+        "ReducibleChainError", "make_rng", "mixing_time", "sample_paths",
+        "stationary_distribution",
     ],
     "queues": [
         "CompositeState", "SlotIO", "conservation_check", "lyapunov_value", "queue_step",
