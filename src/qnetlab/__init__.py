@@ -60,7 +60,6 @@ from .stability import (
     VerdictThresholds,
     bb1_closed_form,
     cex_strong_not_rate,
-    single_queue_path,
 )
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import numpy as np
 from . import capacity as capacity_mod
 from . import controller, stability
 from .network import Scenario, ScenarioError, fixture_path, load_scenario, validate
-from .processes import ArrivalSpec, FiniteMarkovChain
+from .processes import _MASK64, ArrivalSpec, FiniteMarkovChain
 from .simplex import SimplexError
 from .stability import (
     StabilityVerdict,
@@ -253,7 +253,7 @@ def _verdict_run(
     head: list[tuple[str, object]] = [
         ("command", args.cmd),
         ("scenario", scenario.name),
-        ("seed", args.seed),
+        ("seed", args.seed & _MASK64),  # the seed the draws use
         ("horizon", args.horizon),
         ("reps", args.reps),
     ]
@@ -264,11 +264,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario, verdict, trace_run, items = _verdict_run(args, record=True)
     out = Path(args.out)
     write_csv(out / "trace.csv", trace_header(scenario), trace_columns(trace_run, args.trace_limit))
-    fast = controller.is_uncontrolled_single_queue(scenario)
     items += [
         ("mode", args.mode),
         ("V", args.V),
-        ("controller", "fast-single-queue" if fast else "dpp"),
+        ("controller", "dpp"),
         ("mean_backlog", verdict.strong_metric),
     ]
     items += verdict_report_items(verdict)
@@ -399,7 +398,7 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
         [
             ("command", "sweep-v"),
             ("scenario", scenario.name),
-            ("seed", args.seed),
+            ("seed", args.seed & _MASK64),  # the seed the draws use
             ("horizon", args.horizon),
             ("reps", args.reps),
             ("f_opt", cap.f_opt),

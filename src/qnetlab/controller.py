@@ -20,13 +20,12 @@ import numpy as np
 from . import capacity
 from .network import MODES, Scenario
 from .processes import mixing_time, sample_paths
-from .stability import OrderedSum, _reflection
+from .stability import OrderedSum
 
 __all__ = [
     "DriftConstants",
     "DppRunResult",
     "DppBatchResult",
-    "is_uncontrolled_single_queue",
     "run_dpp_batch",
     "drift_constants",
 ]
@@ -77,18 +76,6 @@ def _check_horizon(horizon: int) -> None:
         raise ValueError("horizon must be >= 2")
 
 
-def is_uncontrolled_single_queue(scenario: Scenario) -> bool:
-    """True when the scenario has no decisions to make and integer work: one
-    queue, no constraints, one action per state, whole-number ``b``, ``y``
-    and arrivals.  ``run_dpp_batch`` then builds each backlog path by the
-    reflection identity, which equals the slot recursion for integer work."""
-    tab = scenario.tables
-    if scenario.n_queues != 1 or scenario.n_constraints != 0 or tab.f.shape[1] != 1:
-        return False
-    work = np.concatenate([tab.b.ravel(), tab.y.ravel(), *(s.table for s in scenario.arrivals)])
-    return bool(np.all(work == np.round(work)))
-
-
 def run_dpp_batch(
     scenario: Scenario,
     v_weights: Sequence[float],
@@ -107,10 +94,12 @@ def run_dpp_batch(
     compactly and one time block at a time, and lanes that share it share
     its path.  Per lane, the results equal a run of the slot recursion
     alone: scores, updates and reductions follow the single-run order.
-    When ``is_uncontrolled_single_queue`` holds, each replication's backlog
-    path comes from the reflection identity of ``single_queue_path``, block
-    by block from the backlog the previous block ended with, instead of the
-    slot loop, with ``y`` added to the arrivals.
+    Every scenario runs the same slot update; two cases skip work that the
+    compiled shapes make empty, with the same bits.  With one action per
+    state (``n_a == 1``) the argmin of one candidate is action 0, so no
+    score is computed and the chosen row is the state's.  With no
+    constraints (``n_l == 0``) there is no ``g`` to gather and no ``Z`` to
+    update.
 
     Results leave by time block; no array spans the horizon.  Each block's
     per-lane totals of the slot-start backlogs (plus the sum of Z with
@@ -148,19 +137,15 @@ def run_dpp_batch(
     q_rec, z_rec = np.zeros((record, n_rec + 1, k)), np.zeros((record, n_rec + 1, n_l))
     a_rec = np.zeros((n_rec, record), dtype=a_dtype)
 
-    fast = is_uncontrolled_single_queue(scenario)
-    if fast:
-        y_0, b_0, arrival_0 = tab.y[:, 0, 0], tab.b[:, 0, 0], arrival_table[0]
-        rep_lane = np.unique(lane_rep, return_index=True)[1]  # a lane of each replication
     # Slots per block: the slot loop gathers n_a * (k + n_l + 2) table values
-    # per lane and slot; the reflection holds about eight float64 arrays.
-    block = max(1, _BLOCK_BYTES // (8 * n * (8 if fast else n_a * (k + n_l + 2))))
+    # per lane and slot.
+    block = max(1, _BLOCK_BYTES // (8 * n * n_a * (k + n_l + 2)))
     cols = max(1, _SUM_BLOCK_BYTES // (8 * n * max(1, n_l)))  # slots per chunk of costs and g
     # Slot-start backlogs of one block: q_buf[j] is the state at slot t0 + j.
     # The column views' trailing unit axis is what the stacked products take.
     q_buf, z_buf = np.zeros((block + 1, n, k)), np.zeros((block + 1, n, n_l))
     q_col, z_col = q_buf[..., None], z_buf[..., None]
-    a_buf = np.zeros((block, n), dtype=np.intp)  # the reflection branch keeps action 0
+    a_buf = np.zeros((block, n), dtype=np.intp)  # stays 0 with one action per state
     # Per-slot scratch, overwritten every slot.
     gz_col, nq_col = np.empty((n, n_a, 1)), np.empty((n, n_a, 1))
     gz, nq, scores = gz_col[..., 0], nq_col[..., 0], np.empty((n, n_a))
@@ -181,41 +166,35 @@ def run_dpp_batch(
         tot, actions = tot_buf[:, :nb_s], actions_buf[:nb_s]
         for j0 in range(0, nb_s, block):
             nb = min(block, nb_s - j0)
-            if fast:
-                # No decisions: each replication's backlogs by the reflection
-                # identity, from the backlog the previous block ended with.
-                w = omega[j0 : j0 + nb]
-                work = y_0.take(w)
-                work += arrival_0.take(arrival_ix[j0 : j0 + nb, :, 0])
-                _reflection(work, b_0.take(w), q_buf[0, rep_lane, 0], out=work)
-                q_buf[1 : nb + 1, :, 0] = work.take(lane_rep, axis=1)
-            else:
-                # Gather one block of slots' tables at once; the slot loop then slices.
-                w = omega[j0 : j0 + nb].take(lane_rep, axis=1).astype(np.intp)
-                vf = np.multiply(v, tab.f.take(w, axis=0))
-                vf += tab.pad.take(w, axis=0)
-                g_w, net_w = tab.g.take(w, axis=0), tab.net.take(w, axis=0)
-                ix = arrival_ix[j0 : j0 + nb].take(lane_rep, axis=1)
-                arrivals = arrival_flat.take(ix + queue_base)  # arrival_table[q, ix[..., q]]
-                # Per-slot views, one tuple per slot; zip stops at the block's last slot.
-                slots = zip(w * n_a, vf, g_w, net_w, arrivals, a_buf, q_buf, q_buf[1:], q_col,
-                            z_buf, z_buf[1:], z_col)
-                for base, vf_j, g_j, net_j, arr_j, a_j, q, q_next, q_c, z, z_next, z_c in slots:
+            # Gather one block of slots' tables at once; the slot loop then slices.
+            w = omega[j0 : j0 + nb].take(lane_rep, axis=1).astype(np.intp)
+            vf = np.multiply(v, tab.f.take(w, axis=0))
+            vf += tab.pad.take(w, axis=0)
+            g_w, net_w = tab.g.take(w, axis=0), tab.net.take(w, axis=0)
+            ix = arrival_ix[j0 : j0 + nb].take(lane_rep, axis=1)
+            arrivals = arrival_flat.take(ix + queue_base)  # arrival_table[q, ix[..., q]]
+            # Per-slot views, one tuple per slot; zip stops at the block's last slot.
+            slots = zip(w * n_a, vf, g_w, net_w, arrivals, a_buf, q_buf, q_buf[1:], q_col,
+                        z_buf, z_buf[1:], z_col)
+            for base, vf_j, g_j, net_j, arr_j, a_j, q, q_next, q_c, z, z_next, z_c in slots:
+                row = base  # one action per state: it is the argmin
+                if n_a > 1:
                     _dot(g_j, z_c, gz_col)
                     _dot(net_j, q_c, nq_col)
                     np.add(vf_j, gz, out=scores)
                     np.add(scores, nq, out=scores)
-                    np.add(base, scores.argmin(axis=1, out=a_j), out=sel)
-                    b_flat.take(sel, axis=0, out=b_offered, mode="clip")
-                    y_flat.take(sel, axis=0, out=y, mode="clip")
-                    g_flat.take(sel, axis=0, out=g, mode="clip")
-                    if clamped:
-                        np.maximum(np.subtract(q, b_offered, out=kept), 0.0, out=kept)
-                    else:
-                        np.subtract(q, np.minimum(b_offered, q, out=moved), out=kept)
-                    for dst, src in routes:
-                        dst += src
-                    np.add(np.add(kept, y, out=q_next), arr_j, out=q_next)
+                    row = np.add(base, scores.argmin(axis=1, out=a_j), out=sel)
+                b_flat.take(row, axis=0, out=b_offered, mode="clip")
+                y_flat.take(row, axis=0, out=y, mode="clip")
+                if clamped:
+                    np.maximum(np.subtract(q, b_offered, out=kept), 0.0, out=kept)
+                else:
+                    np.subtract(q, np.minimum(b_offered, q, out=moved), out=kept)
+                for dst, src in routes:
+                    dst += src
+                np.add(np.add(kept, y, out=q_next), arr_j, out=q_next)
+                if n_l:
+                    g_flat.take(row, axis=0, out=g, mode="clip")
                     np.maximum(np.add(z, g, out=z_next), 0.0, out=z_next)
             actions[j0 : j0 + nb] = a_buf[:nb]
             tot[:, j0 : j0 + nb] = q_buf[:nb].sum(axis=2).T

@@ -37,7 +37,6 @@ __all__ = [
     "VerdictReducer",
     "OrderedSum",
     "geometric_checkpoints",
-    "single_queue_path",
     "bb1_closed_form",
     "cex_rate_not_mean",
     "cex_mean_not_rate",
@@ -116,39 +115,6 @@ class StabilityVerdict(NamedTuple):
     running_mean_half: float
     running_mean_full: float
     thresholds: VerdictThresholds
-
-
-def single_queue_path(
-    arrivals: np.ndarray, services: np.ndarray, q0: float = 0.0
-) -> np.ndarray:
-    """Backlog path of ``q' = max(q - b, 0) + a`` for t = 0..len(arrivals).
-
-    Vectorized via the reflection identity
-    ``Q(t) = max(Q(0) + S(t), S(t) + max_{s<t}[a(s) - S(s+1)])`` with
-    ``S(t) = sum_{tau<t} (a - b)``; equals the slot recursion exactly for
-    integer-valued work and to rounding error otherwise.
-    """
-    a = np.asarray(arrivals, dtype=float)
-    b = np.asarray(services, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("arrivals and services must be 1-d arrays of equal length")
-    q = np.empty(a.size + 1)
-    q[0] = q0
-    _reflection(a, b, q0, out=q[1:])
-    return q
-
-
-def _reflection(a: np.ndarray, b: np.ndarray, q0, out: np.ndarray) -> np.ndarray:
-    """``Q(1..n)`` of ``q' = max(q - b, 0) + a`` from ``Q(0) = q0``, into
-    ``out``: the reflection identity of ``single_queue_path`` along axis 0,
-    so a 2-d ``a`` holds one path per column and ``q0`` one start per
-    column.  ``out`` may be ``a``."""
-    s = np.subtract(a, b)
-    np.cumsum(s, axis=0, out=s)  # S(1..n)
-    peak = np.subtract(a, s)
-    np.maximum.accumulate(peak, axis=0, out=peak)
-    np.add(s, peak, out=peak)
-    return np.maximum(np.add(s, q0, out=s), peak, out=out)
 
 
 def _m_grid(mean_backlog: float, thresholds: VerdictThresholds) -> np.ndarray:

@@ -7,14 +7,16 @@ state-conditional action distributions, and controller decisions from an
 explicit exhaustive loop.  ``evaluate_action`` evaluates one (omega, action)
 pair straight from the scenario's action list; it is the reference for the
 compiled ``Scenario.tables``, and the per-action loops of ``validate``,
-``build_lp``, ``drift_constants`` and ``is_uncontrolled_single_queue`` that
-read those tables with array ops are kept here on top of it.  The
-closed-loop reference replays one run slot by slot through ``network_step``,
-the one-slot transition, on a path drawn by ``sample_path_by_chase``, the
-per-replication index chase that ``processes.sample_paths`` must match bit
-for bit (``stacked_sample_paths`` stacks the sampler's time blocks for that
-comparison); so the batched kernel and the lockstep sampler are both checked
-against the plain recursion.  The simplex's
+``build_lp`` and ``drift_constants`` that read those tables with array ops
+are kept here on top of it.  The closed-loop reference replays one run slot
+by slot through ``network_step``, the one-slot transition, on a path drawn
+by ``sample_path_by_chase``, the per-replication index chase that
+``processes.sample_paths`` must match bit for bit (``stacked_sample_paths``
+stacks the sampler's time blocks for that comparison); so the batched kernel
+and the lockstep sampler are both checked against the plain recursion.
+``single_queue_path`` builds one queue's backlog path by the reflection
+identity, with no slot loop at all: the kernel's lanes on a single queue
+with integer work must equal it bit for bit.  The simplex's
 pivot, entering and leaving rules are kept here as row-by-row loops, the
 reference its array versions must match bit for bit.  The row-at-a-time
 CSV writer (``csv`` module, ``cli._fmt`` per value) is the byte reference
@@ -154,19 +156,6 @@ def drift_by_actions(scenario: Scenario) -> tuple[float, float, float, float]:
             np.max(ayb2, axis=0).sum() + np.max(g**2, axis=0).sum()
         )
     return float(b_total), float(d_total), f_min, f_max
-
-
-def is_uncontrolled_single_queue_by_actions(scenario: Scenario) -> bool:
-    """``controller.is_uncontrolled_single_queue`` from the action lists."""
-    if scenario.n_queues != 1 or scenario.n_constraints != 0:
-        return False
-    if any(len(acts) != 1 for acts in scenario.actions):
-        return False
-    work = np.concatenate(
-        [v for acts in scenario.actions for v in (acts[0].b, acts[0].y)]
-        + [spec.table for spec in scenario.arrivals]
-    )
-    return bool(np.all(work == np.round(work)))
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +341,25 @@ def dpp_select_action(
         + tab.net[omega] @ state.queues
     )
     return int(np.argmin(scores))
+
+
+def single_queue_path(
+    arrivals: np.ndarray, services: np.ndarray, q0: float = 0.0
+) -> np.ndarray:
+    """Backlog path of ``q' = max(q - b, 0) + a`` for t = 0..len(arrivals).
+
+    Vectorized via the reflection identity
+    ``Q(t) = max(Q(0) + S(t), S(t) + max_{s<t}[a(s) - S(s+1)])`` with
+    ``S(t) = sum_{tau<t} (a - b)``; equals the slot recursion exactly for
+    integer-valued work and to rounding error otherwise.
+    """
+    a = np.asarray(arrivals, dtype=float)
+    b = np.asarray(services, dtype=float)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError("arrivals and services must be 1-d arrays of equal length")
+    s = np.cumsum(a - b)  # S(1..n)
+    peak = np.maximum.accumulate(a - s) + s
+    return np.concatenate([[q0], np.maximum(s + q0, peak)])
 
 
 def stationary_by_power(transition: np.ndarray, iters: int = 20_000) -> np.ndarray:

@@ -18,6 +18,7 @@ from oracles import (
     markov_bound_violations,
     one_shot_mean_not_rate,
     one_shot_rate_not_mean,
+    single_queue_path,
     strong_not_rate_path,
 )
 from qnetlab.capacity import performance_bounds, solve_fopt
@@ -26,7 +27,6 @@ from qnetlab.controller import drift_constants, run_dpp_batch
 from qnetlab.network import load_scenario
 from qnetlab.processes import make_rng
 from qnetlab.queues import CompositeState
-from qnetlab.stability import single_queue_path
 
 SEED = 987654321
 

@@ -93,15 +93,24 @@ def test_neighbouring_seeds_draw_different_ensembles(tmp_path):
     assert reports[0] != reports[1] and reports[0] != reports[2] and reports[1] != reports[2]
 
 
-def test_cli_seeds_are_taken_mod_two_to_the_64(tmp_path):
-    outs = []
+def assert_seeds_are_taken_mod_two_to_the_64(tmp_path, *command: str) -> None:
+    # The reports print the seed the draws use, so both runs write the same bytes.
+    outputs = []
     for seed in ("-1", str(2**64 - 1)):
-        outs.append(out := tmp_path / seed)
-        assert main(["simulate", "bb1.json", "--horizon", "2000", "--reps", "4",
-                     "--seed", seed, "--out", str(out)]) == 0
-    assert report_without_seed(outs[0]) == report_without_seed(outs[1])
-    for name in ("trace.csv", "curves.csv"):
-        assert read_bytes(outs[0] / name) == read_bytes(outs[1] / name)
+        out = tmp_path / seed
+        assert main([*command, "--seed", seed, "--out", str(out)]) == 0
+        outputs.append({path.name: read_bytes(path) for path in out.iterdir()})
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_seeds_are_taken_mod_two_to_the_64(tmp_path):
+    assert_seeds_are_taken_mod_two_to_the_64(
+        tmp_path, "simulate", "bb1.json", "--horizon", "2000", "--reps", "4")
+
+
+def test_sweep_v_seeds_are_taken_mod_two_to_the_64(tmp_path):
+    assert_seeds_are_taken_mod_two_to_the_64(
+        tmp_path, "sweep-v", "downlink2.json", "--V", "1,10", "--horizon", "1000", "--reps", "2")
 
 
 def test_capacity_repeat_is_byte_identical(tmp_path):

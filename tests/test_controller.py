@@ -10,12 +10,13 @@ from oracles import (
     dpp_select_action,
     exhaustive_dpp_argmin,
     replay_with_network_step,
+    sample_path_by_chase,
+    single_queue_path,
 )
 from qnetlab import controller
 from qnetlab.controller import (
     _dot,
     drift_constants,
-    is_uncontrolled_single_queue,
     run_dpp_batch,
 )
 from qnetlab.network import (
@@ -150,7 +151,7 @@ def test_unknown_mode_is_rejected(downlink2):
         run_dpp_batch(downlink2, [1.0], [0], 1, 100, mode="clmaped")
 
 
-@pytest.mark.parametrize("fixture", ["downlink2.json", "bb1.json"])  # slot loop, reflection
+@pytest.mark.parametrize("fixture", ["downlink2.json", "bb1.json"])  # a choice, no choice
 @pytest.mark.parametrize("record", [-1, 2])
 def test_record_outside_the_lanes_is_rejected(fixture, record):
     # One lane: record=2 used to return one run on downlink2 and raise an
@@ -172,7 +173,6 @@ def run_one(scenario, v_weight, seed, horizon, replication=0, mode="respect"):
 
 
 def test_run_matches_network_step_replay(downlink2):
-    assert not is_uncontrolled_single_queue(downlink2)  # the slot loop runs
     fast = run_one(downlink2, 5.0, seed=11, horizon=3000)
     slow = replay_with_network_step(downlink2, 5.0, seed=11, horizon=3000)
     assert np.array_equal(fast.q_path, slow.q_path)
@@ -303,8 +303,44 @@ def assert_ragged_batch_matches_replay(scenario, v_weights, n_reps, mode, seed):
 @pytest.mark.parametrize("layout", sorted(LANE_LAYOUTS))
 def test_ragged_blocks_match_network_step_replay_on_relay8(layout, mode):
     scenario = load_scenario(RELAY8)
-    assert scenario.routing and not is_uncontrolled_single_queue(scenario)
+    assert scenario.routing
     assert_ragged_batch_matches_replay(scenario, *LANE_LAYOUTS[layout], mode, seed=17)
+
+
+def single_action_scenario(k, n_l):
+    """One action in every state of a two-state Markov chain, so no lane has
+    a choice to make: K queues (a route from queue 0 to queue 1 when K > 1),
+    L constraints whose virtual queues grow, and non-integer work."""
+    chain = FiniteMarkovChain(np.array([[0.7, 0.3], [0.4, 0.6]]), np.array([1.0, 0.0]))
+    actions = [
+        [Action(f"s{w}", y=np.full(k, 0.3 * w), b=np.arange(1, k + 1) * (0.6 + 0.5 * w),
+                x=np.array([0.2 + w, -0.5 * w]))]
+        for w in range(2)
+    ]
+    return Scenario(
+        name="single-action",
+        n_queues=k,
+        n_constraints=n_l,
+        n_attributes=2,
+        omega_chain=chain,
+        actions=actions,
+        cost=AffineFunction(0.1, np.array([1.0, 2.0])),
+        constraints=[AffineFunction(0.2 * l - 0.3, np.array([0.5, l - 1.0])) for l in range(n_l)],
+        arrivals=[ArrivalSpec(kind="bernoulli", rate=0.35 * 1.3, p=0.35, size=1.3)] * k,
+        routing=[(0, 1)] if k > 1 else [],
+    )
+
+
+@pytest.mark.parametrize("mode", ["respect", "clamped"])
+@pytest.mark.parametrize("layout", sorted(LANE_LAYOUTS))
+@pytest.mark.parametrize("k, n_l", [(1, 0), (1, 2), (3, 0), (3, 2)])
+def test_ragged_blocks_match_network_step_replay_with_one_action_per_state(k, n_l, layout, mode):
+    # The kernel skips the scores when no state has a choice, and the Z
+    # update when there are no constraints; the fuzzed scenarios reach the
+    # first case only by chance.
+    scenario = single_action_scenario(k, n_l)
+    assert scenario.tables.f.shape[1] == 1
+    assert_ragged_batch_matches_replay(scenario, *LANE_LAYOUTS[layout], mode, seed=23)
 
 
 @given(
@@ -335,12 +371,24 @@ def bb1_variants():
 
 @pytest.mark.parametrize("mode", ["respect", "clamped"])
 @pytest.mark.parametrize("name", ["bb1", "markov-transfer", "fractional"])
-def test_reflection_specialisation_matches_network_step_replay(name, mode):
-    # Integer work with no decisions takes the reflection identity, anything
-    # else the slot loop; either way every lane equals the slot-by-slot replay.
+def test_bb1_variants_match_network_step_replay(name, mode):
     scenario = bb1_variants()[name]
-    assert is_uncontrolled_single_queue(scenario) == (name != "fractional")
     assert_batch_matches_replay(scenario, [0.0, 3.0], 2, mode, seed=41, horizon=2000)
+
+
+@pytest.mark.parametrize("mode", ["respect", "clamped"])
+@pytest.mark.parametrize("name", ["bb1", "markov-transfer"])
+def test_single_queue_lanes_equal_the_reflection_identity(name, mode):
+    # One queue, one action per state and integer work: every lane's backlog
+    # path is the reflection identity's on the same draws, bit for bit.
+    scenario, seed, horizon = bb1_variants()[name], 43, 3000
+    tab, spec = scenario.tables, scenario.arrivals[0]
+    y = tab.y_offered if mode == "clamped" else tab.y
+    batch = run_dpp_batch(scenario, [1.0] * 3, range(3), seed, horizon, mode, record=3)
+    for rep, run in enumerate(batch.runs):
+        w, ix = sample_path_by_chase(scenario.omega_chain, scenario.arrivals, seed, horizon, rep)
+        work = y[w, 0, 0] + spec.table[ix[0]]
+        assert np.array_equal(run.q_path[:, 0], single_queue_path(work, tab.b[w, 0, 0]))
 
 
 @given(

@@ -30,8 +30,7 @@ TRACED_FUNCTIONS = {
     processes: ["mixing_time", "stationary_distribution"],
     capacity: ["build_lp", "solve_fopt", "performance_bounds"],
     controller: ["drift_constants"],
-    stability: ["single_queue_path", "cex_rate_not_mean", "cex_mean_not_rate",
-                "cex_strong_not_rate"],
+    stability: ["cex_rate_not_mean", "cex_mean_not_rate", "cex_strong_not_rate"],
 }
 
 

@@ -17,7 +17,7 @@ PACKAGE = [
     "VerdictThresholds", "bb1_closed_form", "build_lp", "cex_strong_not_rate",
     "conservation_check", "drift_constants", "fixture_path",
     "load_scenario", "lyapunov_value", "make_rng", "mixing_time", "performance_bounds",
-    "queue_step", "run_dpp_batch", "single_queue_path", "solve_fopt",
+    "queue_step", "run_dpp_batch", "solve_fopt",
     "stationary_distribution", "validate", "virtual_queue_step",
 ]
 
@@ -27,8 +27,7 @@ MODULES = {
         "performance_bounds", "solve_fopt",
     ],
     "controller": [
-        "DppBatchResult", "DppRunResult", "DriftConstants", "drift_constants",
-        "is_uncontrolled_single_queue", "run_dpp_batch",
+        "DppBatchResult", "DppRunResult", "DriftConstants", "drift_constants", "run_dpp_batch",
     ],
     "network": [
         "Action", "AffineFunction", "Scenario", "ScenarioError", "ScenarioTables",
@@ -47,7 +46,7 @@ MODULES = {
     "stability": [
         "OrderedSum", "StabilityVerdict", "VerdictReducer", "VerdictThresholds",
         "bb1_closed_form", "cex_mean_not_rate", "cex_rate_not_mean", "cex_strong_not_rate",
-        "curve_rows", "geometric_checkpoints", "single_queue_path", "verdict_report_items",
+        "curve_rows", "geometric_checkpoints", "verdict_report_items",
     ],
 }
 

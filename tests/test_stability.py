@@ -9,6 +9,7 @@ from oracles import (
     markov_bound_violations,
     one_shot_mean_not_rate,
     one_shot_rate_not_mean,
+    single_queue_path,
     strong_not_rate_path,
 )
 from qnetlab import stability
@@ -24,7 +25,6 @@ from qnetlab.stability import (
     cex_rate_not_mean,
     cex_strong_not_rate,
     geometric_checkpoints,
-    single_queue_path,
 )
 
 SEED = 20240601
@@ -39,7 +39,7 @@ def _bb1_ensemble(lam, mu, horizon, n_reps, seed):
 
 
 # ---------------------------------------------------------------------------
-# fast path generator
+# reflection-identity reference
 # ---------------------------------------------------------------------------
 
 

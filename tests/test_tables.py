@@ -1,10 +1,10 @@
 """Parity of the compiled scenario tables and their readers with the
 per-action references in ``oracles``.
 
-``Scenario.tables`` is built once per scenario; ``validate``, ``build_lp``,
-``drift_constants`` and ``is_uncontrolled_single_queue`` read it with array
-ops.  Each must give the bits of its one-``evaluate_action``-per-(omega,
-action) loop, signed zeros included, on random valid scenarios.
+``Scenario.tables`` is built once per scenario; ``validate``, ``build_lp``
+and ``drift_constants`` read it with array ops.  Each must give the bits of
+its one-``evaluate_action``-per-(omega, action) loop, signed zeros included,
+on random valid scenarios.
 """
 
 import math
@@ -16,12 +16,11 @@ from hypothesis import given, settings
 from oracles import (
     drift_by_actions,
     evaluate_action,
-    is_uncontrolled_single_queue_by_actions,
     lp_by_actions,
     validate_by_actions,
 )
 from qnetlab.capacity import CapacityReport, build_lp
-from qnetlab.controller import drift_constants, is_uncontrolled_single_queue
+from qnetlab.controller import drift_constants
 from qnetlab.network import (
     Action,
     AffineFunction,
@@ -31,7 +30,7 @@ from qnetlab.network import (
     validate,
 )
 from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, ReducibleChainError
-from test_controller import bb1_variants, fuzzed_scenarios
+from test_controller import fuzzed_scenarios
 from test_golden import RELAY8
 
 # drift_constants with the LP's answer given: no LP is solved.
@@ -65,9 +64,6 @@ def assert_tables_match_actions(scenario):
 
 def assert_readers_match_actions(scenario):
     assert validate(scenario) is None and validate_by_actions(scenario) is None
-    assert is_uncontrolled_single_queue(scenario) == is_uncontrolled_single_queue_by_actions(
-        scenario
-    )
     try:
         scenario.stationary()
     except ReducibleChainError:
@@ -92,14 +88,6 @@ def test_fixture_tables_and_readers_match_per_action_references(name):
     scenario = load_scenario(RELAY8 if name == "relay8" else name)
     assert_tables_match_actions(scenario)
     assert_readers_match_actions(scenario)
-
-
-@pytest.mark.parametrize("name", ["bb1", "markov-transfer", "fractional"])
-def test_single_queue_check_matches_reference_on_bb1_variants(name):
-    scenario = bb1_variants()[name]
-    assert is_uncontrolled_single_queue(scenario) == is_uncontrolled_single_queue_by_actions(
-        scenario
-    )
 
 
 def signed_zero_scenario(order):
