@@ -30,19 +30,14 @@ __all__ = [
     "drift_constants",
 ]
 
-_BLOCK_BYTES = 1 << 18  # per-block table gathers in run_dpp_batch
+_BLOCK_BYTES = 1 << 18  # per-block buffers of run_dpp_batch's slot loop
 _SUM_BLOCK_BYTES = 1 << 16  # per chunk of chosen-action values handed to the sums
 
 
-def _dot(tables: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``tables[i] @ cols[i]`` into ``out[i]`` for every lane ``i``; ``cols``
-    and ``out`` carry a trailing unit axis.
-
-    ``np.matmul`` makes the same BLAS call per lane as ``table @ vec`` makes
-    for one state, so a lane rounds like the per-state argmin that
-    ``tests/oracles.py`` keeps as the reference.
-    """
-    return np.matmul(tables, cols, out=out)
+def _lane_slot_bytes(n_a: int, k: int, n_l: int) -> int:
+    """Bytes per lane and slot of ``run_dpp_batch``'s per-block buffers: score rows
+    and ``V f + pad`` (given a choice), indices, arrivals, and the states twice."""
+    return 8 * ((n_l + k + 3) * n_a * (n_a > 1) + 3 + 3 * k + 2 * (n_l + k))
 
 
 class DppRunResult(NamedTuple):
@@ -94,12 +89,12 @@ def run_dpp_batch(
     compactly and one time block at a time, and lanes that share it share
     its path.  Per lane, the results equal a run of the slot recursion
     alone: scores, updates and reductions follow the single-run order.
-    Every scenario runs the same slot update; two cases skip work that the
-    compiled shapes make empty, with the same bits.  With one action per
-    state (``n_a == 1``) the argmin of one candidate is action 0, so no
-    score is computed and the chosen row is the state's.  With no
-    constraints (``n_l == 0``) there is no ``g`` to gather and no ``Z`` to
-    update.
+    Every scenario runs one slot update on the stacked state ``s = [Z; Q]``,
+    lanes innermost.  Scores add the ``[g | net]`` rows times ``s`` in the
+    fixed order ``t = 0..L+K-1``, so no BLAS kernel rounds them; the update
+    ``s - min([-g | b], s)`` (respect) or ``max(s - [-g | b], 0)`` is
+    ``max(Z + g, 0)`` on the ``Z`` rows.  With one action per state the
+    argmin is action 0, so no score is computed.
 
     Results leave by time block; no array spans the horizon.  Each block's
     per-lane totals of the slot-start backlogs (plus the sum of Z with
@@ -110,7 +105,7 @@ def run_dpp_batch(
     _check_horizon(horizon)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    v = np.asarray(v_weights, dtype=float)[:, None]
+    v = np.asarray(v_weights, dtype=float)
     if not np.all(np.isfinite(v) & (v >= 0)):
         raise ValueError("v_weight must be finite and >= 0")
     reps, lane_rep = np.unique(np.asarray(replications, dtype=np.int64), return_inverse=True)
@@ -118,12 +113,16 @@ def run_dpp_batch(
     if not 0 <= record <= n:
         raise ValueError(f"record must lie in [0, {n}], the number of lanes; got {record}")
     tab = scenario.tables
-    n_a, clamped = tab.f.shape[1], mode == "clamped"
-    # Clamped mode moves all offered service, so its routed transfers are y_offered's.
-    f_flat, g_flat, x_flat, b_flat, y_flat = (
-        a.reshape(tab.f.size, *a.shape[2:])
-        for a in (tab.f, tab.g, tab.x, tab.b, tab.y_offered if clamped else tab.y)
-    )
+    n_a, clamped, m = tab.f.shape[1], mode == "clamped", n_l + k
+    f_flat, g_flat, x_flat = (a.reshape(tab.f.size, *a.shape[2:]) for a in (tab.f, tab.g, tab.x))
+    # One column per (omega, action), lanes innermost after a take: scores read
+    # [f | pad | g | net], the update [-g | b | 0 | y].  Clamped mode moves all
+    # offered service, so its routed transfers are y_offered's.
+    score_tab = np.concatenate([tab.f[..., None], tab.pad[..., None], tab.g, tab.net],
+                               axis=2).transpose(2, 1, 0).copy()  # (m + 2, A, S)
+    y_tab = tab.y_offered if clamped else tab.y
+    update_tab = np.concatenate([-tab.g, tab.b, np.zeros_like(tab.g), y_tab],
+                                axis=2).reshape(tab.f.size, 2 * m).T.copy()  # (2m, S * A)
     arrival_table = np.zeros((k, max(s.table.size for s in scenario.arrivals)))
     for q_idx, spec in enumerate(scenario.arrivals):
         arrival_table[q_idx, : spec.table.size] = spec.table
@@ -137,22 +136,19 @@ def run_dpp_batch(
     q_rec, z_rec = np.zeros((record, n_rec + 1, k)), np.zeros((record, n_rec + 1, n_l))
     a_rec = np.zeros((n_rec, record), dtype=a_dtype)
 
-    # Slots per block: the slot loop gathers n_a * (k + n_l + 2) table values
-    # per lane and slot.
-    block = max(1, _BLOCK_BYTES // (8 * n * n_a * (k + n_l + 2)))
+    block = max(1, _BLOCK_BYTES // (n * _lane_slot_bytes(n_a, k, n_l)))
     cols = max(1, _SUM_BLOCK_BYTES // (8 * n * max(1, n_l)))  # slots per chunk of costs and g
-    # Slot-start backlogs of one block: q_buf[j] is the state at slot t0 + j.
-    # The column views' trailing unit axis is what the stacked products take.
-    q_buf, z_buf = np.zeros((block + 1, n, k)), np.zeros((block + 1, n, n_l))
-    q_col, z_col = q_buf[..., None], z_buf[..., None]
+    # Slot-start states s = [Z; Q] of one block: s_buf[j] is the state at slot
+    # t0 + j; scores take it with a unit action axis.
+    s_buf = np.zeros((block + 1, m, n))
+    s_col, q_buf = s_buf[:, :, None], s_buf[:, n_l:]
     a_buf = np.zeros((block, n), dtype=np.intp)  # stays 0 with one action per state
     # Per-slot scratch, overwritten every slot.
-    gz_col, nq_col = np.empty((n, n_a, 1)), np.empty((n, n_a, 1))
-    gz, nq, scores = gz_col[..., 0], nq_col[..., 0], np.empty((n, n_a))
-    sel, kept = np.empty(n, dtype=np.intp), np.empty((n, k))
-    b_offered, y, g = np.empty((n, k)), np.empty((n, k)), np.empty((n, n_l))
-    moved = np.empty((n, k))
-    routes = [] if clamped else [(y[:, dst], moved[:, src]) for src, dst in scenario.routing]
+    prod, scores = np.empty((m, n_a, n)), np.empty((n_a, n))
+    sel, upd = np.empty(n, dtype=np.intp), np.empty((2 * m, n))
+    sub, add, kept, moved = upd[:m], upd[m:], np.empty((m, n)), np.empty((m, n))
+    routes = [] if clamped else [(add[n_l + dst], moved[n_l + src])
+                                 for src, dst in scenario.routing]
     arrival_flat, queue_base = arrival_table.ravel(), queue_ix * arrival_table.shape[1]
 
     t0 = 0
@@ -166,45 +162,46 @@ def run_dpp_batch(
         tot, actions = tot_buf[:, :nb_s], actions_buf[:nb_s]
         for j0 in range(0, nb_s, block):
             nb = min(block, nb_s - j0)
-            # Gather one block of slots' tables at once; the slot loop then slices.
+            # Gather one block of slots' columns at once; the slot loop then slices.
             w = omega[j0 : j0 + nb].take(lane_rep, axis=1).astype(np.intp)
-            vf = np.multiply(v, tab.f.take(w, axis=0))
-            vf += tab.pad.take(w, axis=0)
-            g_w, net_w = tab.g.take(w, axis=0), tab.net.take(w, axis=0)
-            ix = arrival_ix[j0 : j0 + nb].take(lane_rep, axis=1)
-            arrivals = arrival_flat.take(ix + queue_base)  # arrival_table[q, ix[..., q]]
+            score_tabs = vfs = [None] * nb
+            if n_a > 1:
+                tabs = score_tab.take(w, axis=2)  # (m + 2, A, nb, n)
+                vfs = np.multiply(v, tabs[0]).transpose(1, 0, 2)
+                vfs += tabs[1].transpose(1, 0, 2)
+                score_tabs = tabs[2:].transpose(2, 0, 1, 3)
+            ix = arrival_ix[j0 : j0 + nb].take(lane_rep, axis=1) + queue_base
+            arrivals = arrival_flat.take(ix.transpose(0, 2, 1))  # arrival_table[q, ix[..., q]]
             # Per-slot views, one tuple per slot; zip stops at the block's last slot.
-            slots = zip(w * n_a, vf, g_w, net_w, arrivals, a_buf, q_buf, q_buf[1:], q_col,
-                        z_buf, z_buf[1:], z_col)
-            for base, vf_j, g_j, net_j, arr_j, a_j, q, q_next, q_c, z, z_next, z_c in slots:
+            slots = zip(w * n_a, score_tabs, vfs, arrivals, a_buf, s_buf, s_col, s_buf[1:],
+                        q_buf[1:])
+            for base, score_j, vf_j, arr_j, a_j, s, s_c, s_next, q_next in slots:
                 row = base  # one action per state: it is the argmin
                 if n_a > 1:
-                    _dot(g_j, z_c, gz_col)
-                    _dot(net_j, q_c, nq_col)
-                    np.add(vf_j, gz, out=scores)
-                    np.add(scores, nq, out=scores)
-                    row = np.add(base, scores.argmin(axis=1, out=a_j), out=sel)
-                b_flat.take(row, axis=0, out=b_offered, mode="clip")
-                y_flat.take(row, axis=0, out=y, mode="clip")
+                    # (V f + pad) + sum_t [g | net][t] * s[t], added in the order t = 0..m-1.
+                    np.add.reduce(np.multiply(score_j, s_c, out=prod), axis=0, out=scores)
+                    np.add(vf_j, scores, out=scores)
+                    row = np.add(base, scores.argmin(axis=0, out=a_j), out=sel)
+                update_tab.take(row, axis=1, out=upd, mode="clip")
                 if clamped:
-                    np.maximum(np.subtract(q, b_offered, out=kept), 0.0, out=kept)
+                    np.maximum(np.subtract(s, sub, out=kept), 0.0, out=kept)
                 else:
-                    np.subtract(q, np.minimum(b_offered, q, out=moved), out=kept)
+                    np.subtract(s, np.minimum(sub, s, out=moved), out=kept)
                 for dst, src in routes:
                     dst += src
-                np.add(np.add(kept, y, out=q_next), arr_j, out=q_next)
-                if n_l:
-                    g_flat.take(row, axis=0, out=g, mode="clip")
-                    np.maximum(np.add(z, g, out=z_next), 0.0, out=z_next)
+                np.add(kept, add, out=s_next)
+                np.add(q_next, arr_j, out=q_next)
             actions[j0 : j0 + nb] = a_buf[:nb]
-            tot[:, j0 : j0 + nb] = q_buf[:nb].sum(axis=2).T
+            # Lanes outermost: each total adds as numpy's sum of one lane's vector.
+            lanes = s_buf[:nb].transpose(2, 0, 1).copy()
+            tot[:, j0 : j0 + nb] = lanes[..., n_l:].sum(axis=2)
             if with_virtual:
-                tot[:, j0 : j0 + nb] += z_buf[:nb].sum(axis=2).T
+                tot[:, j0 : j0 + nb] += lanes[..., :n_l].sum(axis=2)
             nb_rec = max(0, min(nb, n_rec - t0 - j0))  # recorded slots of this block
+            rec = s_buf[1 : nb_rec + 1, :, :record].transpose(2, 0, 1)
             rows = slice(t0 + j0 + 1, t0 + j0 + nb_rec + 1)
-            q_rec[:, rows] = q_buf[1 : nb_rec + 1, :record].transpose(1, 0, 2)
-            z_rec[:, rows] = z_buf[1 : nb_rec + 1, :record].transpose(1, 0, 2)
-            q_buf[0], z_buf[0] = q_buf[nb], z_buf[nb]
+            q_rec[:, rows], z_rec[:, rows] = rec[..., n_l:], rec[..., :n_l]
+            s_buf[0] = s_buf[nb]
         # Hand the block to the consumers, each lane's values contiguous.
         if sink is not None:
             sink.add(t0, tot)

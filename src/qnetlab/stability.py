@@ -52,10 +52,9 @@ RATE_NOT_MEAN_MAX_SLOTS = 41
 # Shortest horizon, in slots, that a stability verdict is estimated on.
 MIN_VERDICT_HORIZON = 1000
 
-# Float64 uniforms per row block of mean-not-rate's draw: 163 rows at 200
-# slots.  Measured on the 100,000 x 200 report, whole-process peak RSS
-# 35 MB at 256 KB and 41 MB at 4 MB, with no faster time at 4 MB.
-_CEX_BLOCK_BYTES = 1 << 18
+# Bytes per chunk of mean-not-rate's replications, each holding about five
+# 8-byte values per round (times, indices, uniforms, survivors): 6,553 of them.
+_CEX_BLOCK_BYTES, _CEX_REP_BYTES = 1 << 18, 40
 
 # Cells per bincount of VerdictReducer's histograms, the most bins per lane
 # and slot of a chunk that one bincount may count, and the int32 bins all
@@ -449,11 +448,13 @@ def cex_mean_not_rate(seed: int, horizon: int, n_reps: int) -> tuple[np.ndarray,
     """Mean-rate-stable but not rate-stable: independent slots with
     Q(t) = t w.p. 1/t, else 0, so E[Q(t)] = 1 while spikes Q(t) = t recur.
 
-    One uniform per (replication, slot) comes from one ``make_rng(seed, 0)``
-    stream in row-major order: replication 0's ``horizon`` slots, then
-    replication 1's, and so on; slot ``t`` spikes when its uniform is below
-    ``1/t`` (never at t = 0).  The uniforms are drawn in row blocks of
-    ``_CEX_BLOCK_BYTES``, which continue that order.  Returns the
+    The draw jumps from spike to spike.  Every replication spikes at slot 1;
+    after a spike at ``t`` no slot in ``t+1 .. s-1`` spikes w.p. ``t/(s-1)``,
+    so the next spike is at ``floor(t / U) + 1`` with ``U = 1 - u`` in (0, 1].
+    Replications advance in lockstep rounds, in chunks of
+    ``_CEX_BLOCK_BYTES // _CEX_REP_BYTES``: each round draws one uniform ``u``
+    per replication of the chunk still below ``horizon``, in replication
+    order, from one ``make_rng(seed, 0)`` stream.  Returns the
     (n_reps, horizon) backlog's column sums, ``t * #{Q(t) = t}``, and per
     replication whether it spiked in ``[horizon // 2, horizon)``.
     """
@@ -462,17 +463,19 @@ def cex_mean_not_rate(seed: int, horizon: int, n_reps: int) -> tuple[np.ndarray,
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     rng = make_rng(seed, 0)
-    t_idx = np.arange(horizon, dtype=float)
-    prob = np.zeros(horizon)
-    prob[1:] = 1.0 / t_idx[1:]
-    rows = max(1, _CEX_BLOCK_BYTES // (8 * horizon))
+    chunk = max(1, _CEX_BLOCK_BYTES // _CEX_REP_BYTES)
     hits = np.zeros(horizon, dtype=np.int64)
-    spiked = np.empty(n_reps, dtype=bool)
-    for r0 in range(0, n_reps, rows):
-        spikes = rng.random((min(rows, n_reps - r0), horizon)) < prob
-        hits += spikes.sum(axis=0)
-        spikes[:, horizon // 2 :].any(axis=1, out=spiked[r0 : r0 + spikes.shape[0]])
-    return hits * t_idx, spiked
+    spiked = np.zeros(n_reps, dtype=bool)
+    for r0 in range(0, n_reps, chunk):
+        rep = np.arange(r0, min(n_reps, r0 + chunk))
+        t = np.ones(rep.size)
+        while rep.size:
+            hits += np.bincount(t.astype(np.intp), minlength=horizon)
+            t = np.floor(t / (1.0 - rng.random(rep.size))) + 1.0
+            alive = t < horizon
+            rep, t = rep[alive], t[alive]
+            spiked[rep[t >= horizon // 2]] = True
+    return hits * np.arange(horizon, dtype=float), spiked
 
 
 def cex_strong_not_rate(horizon: int) -> np.ndarray:

@@ -24,8 +24,10 @@ for ``cli.write_csv``'s column-wise formatting.  ``markov_bound_violations``
 checks the Markov inequality that every stability verdict must satisfy.  The
 ``one_shot_*`` generators build the random counter-examples' whole backlog
 matrices, which the library reduces to their column sums and per-replication
-flags without building, and ``strong_not_rate_path`` the deterministic one's
-whole path, which the library keeps as its spike times.  ``estimate_verdict``
+flags without building (mean-not-rate's by its slot-by-slot law; its
+spike-to-spike draw is ``gap_mean_not_rate``, one uniform at a time), and
+``strong_not_rate_path`` the deterministic one's whole path, which the
+library keeps as its spike times.  ``estimate_verdict``
 is the verdict of a whole (replications x horizon) backlog array, the
 reference for ``stability.VerdictReducer``, which sees the backlogs one time
 block at a time; ``TotalsCollector`` is the kernel consumer that keeps that
@@ -231,8 +233,10 @@ def one_shot_rate_not_mean(seed: int, horizon: int, n_reps: int) -> np.ndarray:
 
 
 def one_shot_mean_not_rate(seed: int, horizon: int, n_reps: int) -> np.ndarray:
-    """The spiking counter-example's whole (n_reps, horizon) backlog from one
-    uniform draw, in the row-major order of ``stability.cex_mean_not_rate``."""
+    """The spiking counter-example's whole (n_reps, horizon) backlog by its
+    slot-by-slot law: one uniform per (replication, slot), slot ``t`` spiking
+    below ``1/t``.  Same law as ``stability.cex_mean_not_rate``, other
+    draws."""
     rng = make_rng(seed, 0)
     t_idx = np.arange(horizon, dtype=float)
     u = rng.random((n_reps, horizon))
@@ -240,6 +244,28 @@ def one_shot_mean_not_rate(seed: int, horizon: int, n_reps: int) -> np.ndarray:
         prob = np.where(t_idx > 0, 1.0 / np.maximum(t_idx, 1.0), 0.0)
     backlog = np.where(u < prob[None, :], t_idx[None, :], 0.0)
     backlog[:, 0] = 0.0
+    return backlog
+
+
+def gap_mean_not_rate(seed: int, horizon: int, n_reps: int, chunk: int) -> np.ndarray:
+    """The whole (n_reps, horizon) backlog of ``stability.cex_mean_not_rate``
+    with ``chunk`` replications per chunk, one scalar uniform at a time.
+
+    Within a chunk, each round visits the replications whose last spike lies
+    below ``horizon`` in index order, and each draws one uniform to jump from
+    its spike ``t`` to ``floor(t / (1 - u)) + 1``."""
+    rng = make_rng(seed, 0)
+    backlog = np.zeros((n_reps, horizon))
+    for r0 in range(0, n_reps, chunk):
+        last = {r: 1 for r in range(r0, min(n_reps, r0 + chunk))}  # every one spikes at 1
+        while last:
+            for r, t in list(last.items()):
+                backlog[r, t] = t
+                nxt = math.floor(t / (1.0 - rng.random())) + 1
+                if nxt < horizon:
+                    last[r] = nxt
+                else:
+                    del last[r]
     return backlog
 
 
@@ -327,19 +353,21 @@ def dpp_select_action(
     state: CompositeState,
     v_weight: float,
 ) -> int:
-    """Exact argmin of the score over the state's action list, one state's
-    table products at a time (the kernel makes the same products per lane).
+    """Exact argmin of the score over the state's action list:
+    ``(V f + pad) + sum_t [g | net][:, t] * [Z; Q][t]``, the products added
+    one term at a time in the order ``t = 0..L+K-1`` (the kernel's order).
 
     ``np.argmin`` returns the first minimizer, which is the lowest-index tie
     rule, so runs are reproducible.
     """
     tab = scenario.tables
-    scores = (
-        v_weight * tab.f[omega]
-        + tab.pad[omega]
-        + tab.g[omega] @ state.virtuals
-        + tab.net[omega] @ state.queues
-    )
+    columns = np.concatenate([tab.g[omega], tab.net[omega]], axis=1)
+    state_vec = np.concatenate([state.virtuals, state.queues])
+    products = columns * state_vec
+    total = products[:, 0]
+    for t in range(1, state_vec.size):
+        total = total + products[:, t]
+    scores = (v_weight * tab.f[omega] + tab.pad[omega]) + total
     return int(np.argmin(scores))
 
 

@@ -3,28 +3,34 @@
 The counter-example reports never hold the (replications x horizon) matrix:
 ``stability.cex_rate_not_mean`` returns only its column sums and a count of
 replications, ``stability.cex_mean_not_rate`` its column sums and one flag
-per replication, and mean-not-rate draws its uniforms in row blocks.  These
-tests pin what byte identity with the full-matrix code rests on: the
-statistics equal those of the one-shot matrices in ``oracles``, the reports
-equal the full-matrix formulas, and the commands stay small in memory.  The memory guard also covers ``simulate``,
-whose sampler and CSV writer work in bounded blocks too.
+per replication, and mean-not-rate jumps from spike to spike, in chunks of
+replications.  These tests pin what byte identity with the full-matrix code
+rests on: the statistics equal those of the whole matrices in ``oracles``
+(mean-not-rate's drawn one uniform at a time, at every chunk size), the
+spike-to-spike draw keeps the slot-by-slot law, the reports equal the
+full-matrix formulas, and the commands stay small in memory.  The memory
+guard also covers ``simulate``, whose sampler and CSV writer work in bounded
+blocks too.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import one_shot_mean_not_rate, one_shot_rate_not_mean
+from oracles import gap_mean_not_rate, one_shot_rate_not_mean
 from peak_rss import needs_wait4, peak_rss_mb
 from qnetlab import stability
 from qnetlab.cli import _cex_report, _fmt, _two_valued_median
 
 
-def set_block_rows(monkeypatch, rows, horizon):
-    monkeypatch.setattr(stability, "_CEX_BLOCK_BYTES", 8 * horizon * rows)
+def set_chunk(monkeypatch, reps):
+    """``reps`` replications per chunk of mean-not-rate's draw."""
+    monkeypatch.setattr(stability, "_CEX_BLOCK_BYTES", stability._CEX_REP_BYTES * reps)
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +51,7 @@ def mean_not_rate_statistics(backlog):
 DRAWS = [
     ("rate-not-mean", stability.cex_rate_not_mean, one_shot_rate_not_mean,
      rate_not_mean_statistics, (41, 4)),
-    ("mean-not-rate", stability.cex_mean_not_rate, one_shot_mean_not_rate,
+    ("mean-not-rate", stability.cex_mean_not_rate, partial(gap_mean_not_rate, chunk=7),
      mean_not_rate_statistics, (37, 10)),
 ]
 
@@ -55,11 +61,11 @@ DRAWS = [
 @pytest.mark.parametrize("seed", [0, 3, 12345, 2**40 + 7])
 def test_stacked_blocks_equal_one_shot_draw(monkeypatch, name, draw, one_shot, statistics,
                                             horizons, seed):
-    # The statistics of the blocked draw are those of one one-shot matrix,
-    # bit for bit.  7 rows per block: 7 full blocks and a last one of 1 row.
+    # The statistics of the chunked draw are those of one whole matrix, bit
+    # for bit.  7 replications per chunk: 7 full chunks and a last one of 1.
     n_reps = 50
     for horizon in horizons:
-        set_block_rows(monkeypatch, 7, horizon)
+        set_chunk(monkeypatch, 7)
         got = draw(seed, horizon, n_reps)
         expected = statistics(one_shot(seed, horizon, n_reps))
         assert len(got) == len(expected)
@@ -69,6 +75,39 @@ def test_stacked_blocks_equal_one_shot_draw(monkeypatch, name, draw, one_shot, s
                 assert g.tobytes() == e.tobytes()
             else:  # a count of replications
                 assert type(g) is int and g == e
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 49, 50, 64])
+def test_gap_draw_equals_one_uniform_at_a_time_at_every_chunk_size(monkeypatch, chunk):
+    # Lockstep rounds over a chunk draw the reference's uniforms in its order:
+    # one replication per chunk, a ragged last chunk, one chunk, and more
+    # room than replications.
+    set_chunk(monkeypatch, chunk)
+    got = stability.cex_mean_not_rate(11, 200, 50)
+    expected = mean_not_rate_statistics(gap_mean_not_rate(11, 200, 50, chunk))
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+
+def test_gap_draw_keeps_the_slot_by_slot_law():
+    # Slot t spikes w.p. 1/t, independently: each count of spikes at t is
+    # Binomial(n, 1/t), and the window [100, 200) holds a spike w.p.
+    # 1 - prod(1 - 1/t).
+    n, horizon = 100_000, 200
+    column_sums, spiked = stability.cex_mean_not_rate(5, horizon, n)
+    t = np.arange(1, horizon)
+    hits = column_sums[1:] / t
+    assert column_sums[0] == 0.0 and np.all(hits == np.round(hits))
+    p = 1.0 / t
+    assert np.all(np.abs(hits - n * p) <= 5.0 * np.sqrt(n * p * (1.0 - p)))
+    window = 1.0 - np.prod(1.0 - 1.0 / np.arange(100, 200))
+    assert abs(spiked.mean() - window) <= 0.01
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_mean_not_rate_signature_holds_at_seeds_1_to_20(seed):
+    checks, _, ok = _cex_report("mean-not-rate", seed)
+    assert ok is True and ("signature_ok", True) in checks
 
 
 @pytest.mark.parametrize("draw", [stability.cex_rate_not_mean, stability.cex_mean_not_rate])
@@ -144,16 +183,17 @@ def formatted(checks, profile):
     name=st.sampled_from(["rate-not-mean", "mean-not-rate"]),
     seed=st.integers(0, 2**63 - 1),
     n_reps=st.integers(1, 60),
-    rows=st.integers(1, 9),
+    chunk=st.integers(1, 9),
 )
-def test_blocked_report_equals_full_matrix_formulas(name, seed, n_reps, rows):
-    horizon, one_shot = (
-        (41, one_shot_rate_not_mean) if name == "rate-not-mean" else (200, one_shot_mean_not_rate)
+def test_blocked_report_equals_full_matrix_formulas(name, seed, n_reps, chunk):
+    horizon, whole = (
+        (41, one_shot_rate_not_mean) if name == "rate-not-mean"
+        else (200, partial(gap_mean_not_rate, chunk=chunk))
     )
     with pytest.MonkeyPatch.context() as mp:
-        set_block_rows(mp, rows, horizon)
+        set_chunk(mp, chunk)
         got = _cex_report(name, seed, n_reps)
-    expected = full_matrix_report(name, one_shot(seed, horizon, n_reps))
+    expected = full_matrix_report(name, whole(seed, horizon, n_reps))
     assert formatted(*got[:2]) == formatted(*expected[:2])
     assert got[2] == expected[2]
 

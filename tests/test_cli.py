@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -641,6 +643,35 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, case, threads)
                          env=child_env(threads), capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert digests(out) == GOLDEN[case]
+
+
+KERNEL_COLUMNS = ("V", "avg_backlog", "avg_cost", "g_avg_1", "g_avg_2")
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_kernel_outputs_do_not_depend_on_the_blas_core_type(tmp_path):
+    # The kernel scores actions by a sum in a fixed order, so no BLAS kernel
+    # rounds a near-tie; per-lane gemv gave V=10 avg_backlog 59.708925 by
+    # default and 59.710005 under Prescott on this sweep.  The bound columns
+    # come from the setup-side products (LAPACK solve, BLAS dots) and may
+    # still differ.
+    args = ["sweep-v", RELAY8, "--V", "1,10,100,1000", "--horizon", "20000", "--reps", "2",
+            "--seed", "302"]
+    columns = {}
+    for core in (None, "Prescott"):
+        env = child_env()
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        out = tmp_path / str(core)
+        run = subprocess.run([sys.executable, "-m", "qnetlab.cli", *args, "--out", str(out)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        with open(out / "sweep.csv", newline="") as fh:
+            columns[core] = [[row[c] for c in KERNEL_COLUMNS] for row in csv.DictReader(fh)]
+    assert len(columns[None]) == 4
+    assert columns["Prescott"] == columns[None]
 
 
 STARTUP_PROBE = """

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from oracles import (
 )
 from qnetlab import controller
 from qnetlab.controller import (
-    _dot,
+    _lane_slot_bytes,
     drift_constants,
     run_dpp_batch,
 )
@@ -27,6 +28,7 @@ from qnetlab.network import (
 )
 from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, make_rng
 from qnetlab.queues import CompositeState
+from qnetlab.stability import VerdictReducer
 
 RELAY8 = Path(__file__).parent / "fixtures" / "relay8.json"
 
@@ -293,7 +295,7 @@ def assert_ragged_batch_matches_replay(scenario, v_weights, n_reps, mode, seed):
     """``assert_batch_matches_replay`` at horizon 50 with the kernel's table
     blocks cut to 8 slots: six full blocks, then a short one of 2 slots."""
     lanes, n_a = len(v_weights) * n_reps, scenario.tables.f.shape[1]
-    slot_bytes = 8 * lanes * n_a * (scenario.n_queues + scenario.n_constraints + 2)
+    slot_bytes = lanes * _lane_slot_bytes(n_a, scenario.n_queues, scenario.n_constraints)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(controller, "_BLOCK_BYTES", 8 * slot_bytes)
         assert_batch_matches_replay(scenario, v_weights, n_reps, mode, seed, horizon=50)
@@ -305,6 +307,30 @@ def test_ragged_blocks_match_network_step_replay_on_relay8(layout, mode):
     scenario = load_scenario(RELAY8)
     assert scenario.routing
     assert_ragged_batch_matches_replay(scenario, *LANE_LAYOUTS[layout], mode, seed=17)
+
+
+@pytest.mark.parametrize("fixture, lanes, horizon", [("bb1.json", 100, 3000),
+                                                      ("downlink2.json", 400, 1000)])
+def test_block_buffers_stay_within_the_block_budget(monkeypatch, fixture, lanes, horizon):
+    # _lane_slot_bytes counts every per-block buffer of the slot loop, so the
+    # traced peak stays a small multiple of _BLOCK_BYTES (the sampler's
+    # blocks and the reducer's histograms make most of it), and quadrupling
+    # the budget adds at most three budgets to it.
+    scenario, budget = load_scenario(fixture), controller._BLOCK_BYTES
+
+    def traced_peak(block_bytes):
+        monkeypatch.setattr(controller, "_BLOCK_BYTES", block_bytes)
+        tracemalloc.start()
+        try:
+            run_dpp_batch(scenario, [1.0] * lanes, range(lanes), 7, horizon,
+                          reducer=VerdictReducer)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    base, grown = traced_peak(budget), traced_peak(4 * budget)
+    assert base <= 20 * budget
+    assert grown - base <= 3 * budget
 
 
 def single_action_scenario(k, n_l):
@@ -393,21 +419,24 @@ def test_single_queue_lanes_equal_the_reflection_identity(name, mode):
 
 @given(
     n=st.integers(1, 5),
-    n_actions=st.integers(1, 13),
-    width=st.integers(0, 8),
+    n_actions=st.integers(2, 13),
+    m=st.integers(1, 24),
     seed=st.integers(0, 2**32),
 )
 @settings(max_examples=100)
-def test_lane_products_round_like_single_state_products(n, n_actions, width, seed):
-    # The kernel scores all lanes with one stacked product; each lane must
-    # round exactly as dpp_select_action's per-state product does, or lanes
-    # and the reference would break near-ties differently.
+def test_scores_add_their_terms_in_a_fixed_order(n, n_actions, m, seed):
+    # The kernel's score sum, np.add.reduce over the leading axis of its
+    # (L + K, actions, lanes) products, adds the terms t = 0..L+K-1 one at a
+    # time for every lane count, as dpp_select_action does; a pairwise or
+    # BLAS order would break near-ties differently.  Magnitudes spread over
+    # 2^60 make each order round differently.
     rng = make_rng(seed, 0)
-    tables = rng.integers(-20, 21, size=(n, n_actions, width)) / 10
-    vecs = rng.random((n, width)) * 10
-    stacked = _dot(tables, vecs[..., None], np.empty((n, n_actions, 1)))[..., 0]
-    for i in range(n):
-        assert np.array_equal(stacked[i], tables[i] @ vecs[i])
+    products = rng.standard_normal((m, n_actions, n)) * np.exp2(rng.integers(0, 60, (m, 1, 1)))
+    got = np.add.reduce(products, axis=0, out=np.empty((n_actions, n)))
+    expected = products[0].copy()
+    for t in range(1, m):
+        expected = expected + products[t]
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_replications_use_independent_substreams(downlink2):

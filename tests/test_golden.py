@@ -24,7 +24,12 @@ kept their digests.  The ``report.txt`` digests of ``simulate-bb1-w1`` and
 ``simulate-bb1-w2`` were re-pinned when bb1 moved off the reflection identity
 onto the kernel's slot loop: the report's ``controller=fast-single-queue``
 line became ``controller=dpp``, and every other byte, their ``trace.csv`` and
-``curves.csv`` included, stayed the same.
+``curves.csv`` included, stayed the same.  The ``counterexample-mean-not-rate``
+digests were re-pinned when its draw moved from one uniform per (replication,
+slot) to one uniform per spike, jumping from a spike at ``t`` to
+``floor(t / U) + 1``: the same law from about 30 times fewer draws, so other
+draws and other bytes.  When the kernel's scores moved from per-lane BLAS
+products to a sum in a fixed order, every digest stayed the same.
 """
 
 from __future__ import annotations
@@ -90,8 +95,8 @@ GOLDEN: dict[str, dict[str, str]] = {
         "capacity_sweep.csv": "1c051320fdff04680330b039ccedeb55e4944a538dd047487855d0da69f7c084",
     },
     "counterexample-mean-not-rate": {
-        "profile.csv": "29cbdc20e02429975d5ae27e1d2fbc93759ae1a182df8242d7ac7472c300f6b2",
-        "report.txt": "285bf0a671ccc3be83a52ba26cc2e33b6e4f434b7d4a3224187d275790fc84ff",
+        "profile.csv": "d25d74208ac0f25fcc39080313541c95560440e5770ce59e3c51bb4e0edd5103",
+        "report.txt": "42c3a72f611f82969880883ac34c75ec53e691dcb0cfff5be5a14ac449f67fa2",
     },
     "counterexample-rate-not-mean": {
         "profile.csv": "6bb8db276ab5169f9a8357a101bc3a4c06f3800e4b927c26a82c7521276abc5f",
