@@ -47,14 +47,6 @@ from .processes import (
     mixing_time,
     stationary_distribution,
 )
-from .queues import (
-    CompositeState,
-    SlotIO,
-    conservation_check,
-    lyapunov_value,
-    queue_step,
-    virtual_queue_step,
-)
 from .stability import (
     StabilityVerdict,
     VerdictThresholds,

@@ -239,14 +239,14 @@ def _verdict_run(
     """The shared part of ``simulate`` and ``stability``: load and validate
     the scenario, run the ensemble, write ``curves.csv``.  Returns the
     verdict, replication 0 when ``record``, and the report's leading items.
-    A horizon too short for a verdict fails before anything runs or is
-    written."""
+    A horizon too short for a verdict fails before anything runs, and a
+    failed run before anything is written."""
     scenario = _load_with_overrides(args)
     validate(scenario)
     stability._check_verdict_horizon(args.horizon)
+    verdict, run = ensemble_verdict(scenario, args, record)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    verdict, run = ensemble_verdict(scenario, args, record)
     write_csv(
         out / "curves.csv", ["M", "g", "h_mean", "h_p05", "h_p95"], list(zip(*curve_rows(verdict)))
     )
@@ -305,7 +305,7 @@ def parse_entries(raw: str, flag: str) -> list[float]:
 
 def cmd_capacity(args: argparse.Namespace) -> int:
     # Checked before anything is solved or written.
-    scales = parse_entries(args.sweep_scale, "--sweep-scale") if args.sweep_scale else []
+    scales = [] if args.sweep_scale is None else parse_entries(args.sweep_scale, "--sweep-scale")
     scenario = load_scenario(args.scenario)
     if getattr(args, "mu", None) is not None:
         scenario = override_mu(scenario, args.mu)
@@ -363,8 +363,6 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     drift = controller.drift_constants(scenario, report=cap)
     epsilon = drift.d_max / 4.0
 
@@ -375,6 +373,8 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
         args,
         with_virtual=True,
     )
+    out = Path(args.out)  # made once the run has succeeded
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, v_param in enumerate(v_list):
         lanes = slice(i * args.reps, (i + 1) * args.reps)

@@ -41,7 +41,8 @@ def _lane_slot_bytes(n_a: int, k: int, n_l: int) -> int:
 
 
 class DppRunResult(NamedTuple):
-    """One lane's closed-loop run in full: per-slot records."""
+    """One lane's closed-loop run in full: per-slot records.  ``q_path`` and
+    ``z_path`` are views of one ``(horizon + 1, L + K)`` record of ``[Z; Q]``."""
 
     horizon: int
     q_path: np.ndarray       # (horizon + 1, K); slot-start backlogs
@@ -51,7 +52,6 @@ class DppRunResult(NamedTuple):
     x_path: np.ndarray       # (horizon, M)
     f_path: np.ndarray       # (horizon,)
     g_path: np.ndarray       # (horizon, L)
-    arrivals: np.ndarray     # (K, horizon)
 
 
 class DppBatchResult(NamedTuple):
@@ -94,7 +94,10 @@ def run_dpp_batch(
     fixed order ``t = 0..L+K-1``, so no BLAS kernel rounds them; the update
     ``s - min([-g | b], s)`` (respect) or ``max(s - [-g | b], 0)`` is
     ``max(Z + g, 0)`` on the ``Z`` rows.  With one action per state the
-    argmin is action 0, so no score is computed.
+    argmin is action 0, so no score is computed.  A slot's decision is one
+    flat index ``omega * A + action`` per lane, which the update, the sums
+    and the records all read.  A value past the float range raises
+    ``FloatingPointError``.
 
     Results leave by time block; no array spans the horizon.  Each block's
     per-lane totals of the slot-start backlogs (plus the sum of Z with
@@ -126,15 +129,13 @@ def run_dpp_batch(
     arrival_table = np.zeros((k, max(s.table.size for s in scenario.arrivals)))
     for q_idx, spec in enumerate(scenario.arrivals):
         arrival_table[q_idx, : spec.table.size] = spec.table
-    queue_ix = np.arange(k)
-    a_dtype = np.min_scalar_type(n_a - 1)
+    # The flat index omega * A + action; its dtype holds every index and A.
+    c_dtype = np.min_scalar_type(max(tab.f.size - 1, n_a))
 
     sink = None if reducer is None else reducer(n, horizon)
     sums = [] if sink is not None else [OrderedSum(n, horizon, w) for w in (None, None, n_l)]
     n_rec = horizon if record_slots is None else min(horizon, record_slots)
-    rec_reps = lane_rep[:record]
-    q_rec, z_rec = np.zeros((record, n_rec + 1, k)), np.zeros((record, n_rec + 1, n_l))
-    a_rec = np.zeros((n_rec, record), dtype=a_dtype)
+    s_rec, c_rec = np.zeros((record, n_rec + 1, m)), np.zeros((n_rec, record), dtype=c_dtype)
 
     block = max(1, _BLOCK_BYTES // (n * _lane_slot_bytes(n_a, k, n_l)))
     cols = max(1, _SUM_BLOCK_BYTES // (8 * n * max(1, n_l)))  # slots per chunk of costs and g
@@ -142,95 +143,87 @@ def run_dpp_batch(
     # t0 + j; scores take it with a unit action axis.
     s_buf = np.zeros((block + 1, m, n))
     s_col, q_buf = s_buf[:, :, None], s_buf[:, n_l:]
-    a_buf = np.zeros((block, n), dtype=np.intp)  # stays 0 with one action per state
     # Per-slot scratch, overwritten every slot.
     prod, scores = np.empty((m, n_a, n)), np.empty((n_a, n))
-    sel, upd = np.empty(n, dtype=np.intp), np.empty((2 * m, n))
+    best, upd = np.empty(n, dtype=c_dtype), np.empty((2 * m, n))
     sub, add, kept, moved = upd[:m], upd[m:], np.empty((m, n)), np.empty((m, n))
     routes = [] if clamped else [(add[n_l + dst], moved[n_l + src])
                                  for src, dst in scenario.routing]
-    arrival_flat, queue_base = arrival_table.ravel(), queue_ix * arrival_table.shape[1]
+    arrival_flat, queue_base = arrival_table.ravel(), np.arange(k) * arrival_table.shape[1]
 
     t0 = 0
-    for omega, arrival_ix in sample_paths(scenario.omega_chain, scenario.arrivals, seed,
-                                          horizon, reps):
-        nb_s = omega.shape[0]
-        if t0 == 0:  # the first block fixes the block size and the index dtypes
-            w_rec = np.zeros((n_rec, record), dtype=omega.dtype)
-            ix_rec = np.zeros((n_rec, record, k), dtype=arrival_ix.dtype)
-            tot_buf, actions_buf = np.empty((n, nb_s)), np.zeros((nb_s, n), dtype=a_dtype)
-        tot, actions = tot_buf[:, :nb_s], actions_buf[:nb_s]
-        for j0 in range(0, nb_s, block):
-            nb = min(block, nb_s - j0)
-            # Gather one block of slots' columns at once; the slot loop then slices.
-            w = omega[j0 : j0 + nb].take(lane_rep, axis=1).astype(np.intp)
-            score_tabs = vfs = [None] * nb
-            if n_a > 1:
-                tabs = score_tab.take(w, axis=2)  # (m + 2, A, nb, n)
-                vfs = np.multiply(v, tabs[0]).transpose(1, 0, 2)
-                vfs += tabs[1].transpose(1, 0, 2)
-                score_tabs = tabs[2:].transpose(2, 0, 1, 3)
-            ix = arrival_ix[j0 : j0 + nb].take(lane_rep, axis=1) + queue_base
-            arrivals = arrival_flat.take(ix.transpose(0, 2, 1))  # arrival_table[q, ix[..., q]]
-            # Per-slot views, one tuple per slot; zip stops at the block's last slot.
-            slots = zip(w * n_a, score_tabs, vfs, arrivals, a_buf, s_buf, s_col, s_buf[1:],
-                        q_buf[1:])
-            for base, score_j, vf_j, arr_j, a_j, s, s_c, s_next, q_next in slots:
-                row = base  # one action per state: it is the argmin
+    # A backlog, score or sum past the float range stops the run.
+    with np.errstate(over="raise", invalid="raise"):
+        for omega, arrival_ix in sample_paths(scenario.omega_chain, scenario.arrivals, seed,
+                                              horizon, reps):
+            nb_s = omega.shape[0]
+            if t0 == 0:  # the first block fixes the block size
+                tot_buf, c_buf = np.empty((n, nb_s)), np.empty((nb_s, n), dtype=c_dtype)
+            tot, c_blk = tot_buf[:, :nb_s], c_buf[:nb_s]
+            for j0 in range(0, nb_s, block):
+                nb = min(block, nb_s - j0)
+                # Gather one block of slots' columns at once; the slot loop then slices.
+                w = omega[j0 : j0 + nb].take(lane_rep, axis=1)
+                c = np.multiply(w, n_a, out=c_blk[j0 : j0 + nb], dtype=c_dtype)
+                score_tabs = vfs = [None] * nb
                 if n_a > 1:
-                    # (V f + pad) + sum_t [g | net][t] * s[t], added in the order t = 0..m-1.
-                    np.add.reduce(np.multiply(score_j, s_c, out=prod), axis=0, out=scores)
-                    np.add(vf_j, scores, out=scores)
-                    row = np.add(base, scores.argmin(axis=0, out=a_j), out=sel)
-                update_tab.take(row, axis=1, out=upd, mode="clip")
-                if clamped:
-                    np.maximum(np.subtract(s, sub, out=kept), 0.0, out=kept)
-                else:
-                    np.subtract(s, np.minimum(sub, s, out=moved), out=kept)
-                for dst, src in routes:
-                    dst += src
-                np.add(kept, add, out=s_next)
-                np.add(q_next, arr_j, out=q_next)
-            actions[j0 : j0 + nb] = a_buf[:nb]
-            # Lanes outermost: each total adds as numpy's sum of one lane's vector.
-            lanes = s_buf[:nb].transpose(2, 0, 1).copy()
-            tot[:, j0 : j0 + nb] = lanes[..., n_l:].sum(axis=2)
-            if with_virtual:
-                tot[:, j0 : j0 + nb] += lanes[..., :n_l].sum(axis=2)
-            nb_rec = max(0, min(nb, n_rec - t0 - j0))  # recorded slots of this block
-            rec = s_buf[1 : nb_rec + 1, :, :record].transpose(2, 0, 1)
-            rows = slice(t0 + j0 + 1, t0 + j0 + nb_rec + 1)
-            q_rec[:, rows], z_rec[:, rows] = rec[..., n_l:], rec[..., :n_l]
-            s_buf[0] = s_buf[nb]
-        # Hand the block to the consumers, each lane's values contiguous.
-        if sink is not None:
-            sink.add(t0, tot)
-        else:
-            sums[0].add(tot)
-            for c0 in range(0, nb_s, cols):
-                chosen = omega[c0 : c0 + cols].take(lane_rep, axis=1) * np.intp(n_a)
-                chosen += actions[c0 : c0 + cols]
-                sums[1].add(f_flat.take(chosen.T))
-                sums[2].add(g_flat.take(chosen.T, axis=0))
-        keep = max(0, min(nb_s, n_rec - t0))  # recorded slots of this sampler block
-        w_rec[t0 : t0 + keep] = omega[:keep, rec_reps]
-        ix_rec[t0 : t0 + keep] = arrival_ix[:keep, rec_reps]
-        a_rec[t0 : t0 + keep] = actions[:keep, :record]
-        t0 += nb_s
+                    tabs = score_tab.take(w, axis=2)  # (m + 2, A, nb, n)
+                    vfs = np.multiply(v, tabs[0]).transpose(1, 0, 2)
+                    vfs += tabs[1].transpose(1, 0, 2)
+                    score_tabs = tabs[2:].transpose(2, 0, 1, 3)
+                ix = arrival_ix[j0 : j0 + nb].take(lane_rep, axis=1) + queue_base
+                arrivals = arrival_flat.take(ix.transpose(0, 2, 1))  # arrival_table[q, ix[..., q]]
+                # Per-slot views, one tuple per slot; zip stops at the block's last slot.
+                slots = zip(c, score_tabs, vfs, arrivals, s_buf, s_col, s_buf[1:], q_buf[1:])
+                for row, score_j, vf_j, arr_j, s, s_c, s_next, q_next in slots:
+                    if n_a > 1:  # else the state's one action is the argmin
+                        # (V f + pad) + sum_t [g | net][t] * s[t], added in the order t = 0..m-1.
+                        np.add.reduce(np.multiply(score_j, s_c, out=prod), axis=0, out=scores)
+                        np.add(vf_j, scores, out=scores)
+                        row += scores.argmin(axis=0, out=best)
+                    update_tab.take(row, axis=1, out=upd, mode="clip")
+                    if clamped:
+                        np.maximum(np.subtract(s, sub, out=kept), 0.0, out=kept)
+                    else:
+                        np.subtract(s, np.minimum(sub, s, out=moved), out=kept)
+                    for dst, src in routes:
+                        dst += src
+                    np.add(kept, add, out=s_next)
+                    np.add(q_next, arr_j, out=q_next)
+                # Lanes outermost: each total adds as numpy's sum of one lane's vector.
+                lanes = s_buf[:nb].transpose(2, 0, 1).copy()
+                tot[:, j0 : j0 + nb] = lanes[..., n_l:].sum(axis=2)
+                if with_virtual:
+                    tot[:, j0 : j0 + nb] += lanes[..., :n_l].sum(axis=2)
+                nb_rec = max(0, min(nb, n_rec - t0 - j0))  # recorded slots of this block
+                s_rec[:, t0 + j0 + 1 : t0 + j0 + nb_rec + 1] = (
+                    s_buf[1 : nb_rec + 1, :, :record].transpose(2, 0, 1))
+                s_buf[0] = s_buf[nb]
+            # Hand the block to the consumers, each lane's values contiguous.
+            if sink is not None:
+                sink.add(t0, tot)
+            else:
+                sums[0].add(tot)
+                for c0 in range(0, nb_s, cols):
+                    chosen = c_blk[c0 : c0 + cols].T
+                    sums[1].add(f_flat.take(chosen))
+                    sums[2].add(g_flat.take(chosen, axis=0))
+            keep = max(0, min(nb_s, n_rec - t0))  # recorded slots of this sampler block
+            c_rec[t0 : t0 + keep] = c_blk[:keep, :record]
+            t0 += nb_s
 
     runs = []
     for i in range(record):
-        sel = w_rec[:, i] * np.intp(n_a) + a_rec[:, i]
+        omega_path, action_path = divmod(c_rec[:, i].astype(np.int64), n_a)
         runs.append(DppRunResult(
             horizon=n_rec,
-            q_path=q_rec[i],
-            z_path=z_rec[i],
-            omega_path=w_rec[:, i].copy(),
-            action_path=a_rec[:, i].astype(np.int64),
-            x_path=x_flat.take(sel, axis=0),
-            f_path=f_flat.take(sel),
-            g_path=g_flat.take(sel, axis=0),
-            arrivals=arrival_table[queue_ix[:, None], ix_rec[:, i].T],
+            q_path=s_rec[i, :, n_l:],
+            z_path=s_rec[i, :, :n_l],
+            omega_path=omega_path,
+            action_path=action_path,
+            x_path=x_flat.take(c_rec[:, i], axis=0),
+            f_path=f_flat.take(c_rec[:, i]),
+            g_path=g_flat.take(c_rec[:, i], axis=0),
         ))
     return DppBatchResult(*([s.total for s in sums] or [None] * 3), runs, sink)
 

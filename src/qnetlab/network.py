@@ -264,10 +264,14 @@ def _integer(raw: Any, where: str) -> int:
     return raw
 
 
-def _float_list(raw: Any, where: str) -> list[float]:
+def _list(raw: Any, where: str) -> list:
     if not isinstance(raw, list):
-        raise ScenarioError(where, "expected a list of numbers")
-    return [_number(v, where) for v in raw]
+        raise ScenarioError(where, "expected a list")
+    return raw
+
+
+def _float_list(raw: Any, where: str) -> list[float]:
+    return [_number(v, where) for v in _list(raw, where)]
 
 
 def _parse_arrival(raw: dict, where: str) -> ArrivalSpec:
@@ -314,20 +318,17 @@ def scenario_from_dict(data: dict, name_hint: str = "scenario") -> Scenario:
         chain = FiniteMarkovChain(
             transition=np.asarray(_expect(chain_raw, "transition", "omega_chain"), float),
             initial=np.asarray(_expect(chain_raw, "initial", "omega_chain"), float),
-            labels=tuple(chain_raw.get("labels", ())),
+            labels=tuple(_list(chain_raw.get("labels", []), "omega_chain.labels")),
         )
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError("omega_chain", str(exc)) from exc
 
-    actions_raw = _expect(data, "actions", "actions")
-    if not isinstance(actions_raw, list):
-        raise ScenarioError("actions", "expected a list (one action list per state)")
     actions: list[list[Action]] = []
-    for w, acts_raw in enumerate(actions_raw):
+    for w, acts_raw in enumerate(_list(_expect(data, "actions", "actions"), "actions")):
         acts = []
-        if not isinstance(acts_raw, list):
-            raise ScenarioError(f"actions[{w}]", "expected a list of action objects")
-        for i, raw in enumerate(acts_raw):
+        for i, raw in enumerate(_list(acts_raw, f"actions[{w}]")):
             where = f"actions[{w}][{i}]"
             y, b, x = (np.asarray(_float_list(_expect(raw, key, where), f"{where}.{key}"))
                        for key in ("y", "b", "x"))
@@ -340,7 +341,7 @@ def scenario_from_dict(data: dict, name_hint: str = "scenario") -> Scenario:
         coeffs=np.asarray(_float_list(_expect(cost_raw, "c", "cost"), "cost")),
     )
     constraints = []
-    for l, raw in enumerate(data.get("constraints", [])):
+    for l, raw in enumerate(_list(data.get("constraints", []), "constraints")):
         where = f"constraints[{l}]"
         constraints.append(
             AffineFunction(
@@ -350,12 +351,12 @@ def scenario_from_dict(data: dict, name_hint: str = "scenario") -> Scenario:
         )
     arrivals = [
         _parse_arrival(raw, f"arrivals[{i}]")
-        for i, raw in enumerate(_expect(data, "arrivals", "arrivals"))
+        for i, raw in enumerate(_list(_expect(data, "arrivals", "arrivals"), "arrivals"))
     ]
     routing = [
         tuple(_integer(_expect(raw, key, f"routing[{j}]"), f"routing[{j}].{key}")
               for key in ("src", "dst"))
-        for j, raw in enumerate(data.get("routing", []))
+        for j, raw in enumerate(_list(data.get("routing", []), "routing"))
     ]
     return Scenario(
         name=str(data.get("name", name_hint)),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    CompositeState,
     TotalsCollector,
     dpp_select_action,
     estimate_verdict,
@@ -26,7 +27,6 @@ from qnetlab.cli import main
 from qnetlab.controller import drift_constants, run_dpp_batch
 from qnetlab.network import load_scenario
 from qnetlab.processes import make_rng
-from qnetlab.queues import CompositeState
 
 SEED = 987654321
 

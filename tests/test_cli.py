@@ -128,7 +128,7 @@ def test_capacity_repeat_is_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("raw, entry", [
     ("nan", "'nan'"), ("-1", "'-1'"), ("inf", "'inf'"), ("1,,2", "''"), ("abc", "'abc'"),
-    ("0.5,-0.1", "'-0.1'"),
+    ("0.5,-0.1", "'-0.1'"), ("", "''"),
 ])
 def test_bad_sweep_scale_fails_before_any_output(tmp_path, capsys, raw, entry):
     out = tmp_path / "cap"
@@ -402,6 +402,55 @@ def test_overflowing_routed_offer_fails_before_any_output(tmp_path, capsys, comm
     assert capsys.readouterr().err == (
         "scenario error: actions[1][1]: non-finite y table entry\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["capacity", "simulate"])
+@pytest.mark.parametrize("field", ["omega_chain.labels", "routing", "constraints", "arrivals"])
+def test_non_list_field_fails_at_load(tmp_path, capsys, command, field):
+    # A number where a list belongs used to raise TypeError: a traceback, exit 1.
+    data = json.loads(fixture_path("downlink2").read_text())
+    *parents, key = field.split(".")
+    target = data
+    for parent in parents:
+        target = target[parent]
+    target[key] = 3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    rc = main([command, str(bad), *SCENARIO_COMMANDS[command], "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"scenario error: {field}: expected a list\n"
+    assert not out.exists()
+
+
+def overflowing_work(data):
+    """Work of 1e308 per slot: queue 1's backlog overflows in slot 2."""
+    data["arrivals"][0] = {"kind": "bernoulli", "p": 1.0, "size": 1e308, "rate": 1e308}
+
+
+def cost_of_ten(data):
+    """f = 10 x: with V = 1e308 the score V f overflows."""
+    data["cost"]["c"] = [10.0]
+
+
+@pytest.mark.parametrize("mutate, argv", [
+    (overflowing_work, ["simulate", "--horizon", "1000", "--reps", "2"]),
+    (overflowing_work, ["stability", "--horizon", "1000", "--reps", "2", "--workers", "2"]),
+    (cost_of_ten, ["sweep-v", "--V", "1,1e308", "--horizon", "500"]),
+], ids=["simulate", "stability-workers", "sweep-v"])
+def test_value_past_the_float_range_fails_before_any_output(tmp_path, capsys, mutate, argv):
+    # These used to run on as inf, with numpy warnings, and exit 0.
+    data = json.loads(fixture_path("downlink2").read_text())
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    rc = main([argv[0], str(bad), *argv[1:], "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert rc == 2 and stdout == ""
+    assert err.startswith("error: overflow encountered in ") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    CompositeState,
     TotalsCollector,
     dpp_select_action,
     exhaustive_dpp_argmin,
@@ -27,7 +28,6 @@ from qnetlab.network import (
     load_scenario,
 )
 from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, make_rng
-from qnetlab.queues import CompositeState
 from qnetlab.stability import VerdictReducer
 
 RELAY8 = Path(__file__).parent / "fixtures" / "relay8.json"
@@ -277,7 +277,7 @@ def assert_batch_matches_replay(scenario, v_weights, n_reps, mode, seed, horizon
         ref = replay_with_network_step(scenario, v, seed, horizon, rep, mode)
         run = batch.runs[i]
         for name in ("q_path", "z_path", "omega_path", "action_path", "x_path",
-                     "f_path", "g_path", "arrivals"):
+                     "f_path", "g_path"):
             assert np.array_equal(getattr(run, name), getattr(ref, name)), name
         total = ref.q_path[:horizon].sum(axis=1) + ref.z_path[:horizon].sum(axis=1)
         assert np.array_equal(totals[i], total)

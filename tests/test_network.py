@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import evaluate_action, network_step
+from oracles import CompositeState, evaluate_action, network_step, queue_step
 from qnetlab.capacity import CapacityReport
 from qnetlab.controller import drift_constants
 from qnetlab.network import (
@@ -18,7 +18,6 @@ from qnetlab.network import (
     validate,
 )
 from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, make_rng
-from qnetlab.queues import CompositeState, queue_step
 
 
 def single_state_chain() -> FiniteMarkovChain:

@@ -11,14 +11,13 @@ import pytest
 import qnetlab
 
 PACKAGE = [
-    "ArrivalSpec", "CapacityReport", "CompositeState", "DppBatchResult", "DppRunResult",
+    "ArrivalSpec", "CapacityReport", "DppBatchResult", "DppRunResult",
     "DriftConstants", "FiniteMarkovChain", "OmegaOnlyPolicy",
-    "PerformanceBounds", "Scenario", "ScenarioError", "SlotIO", "StabilityVerdict",
+    "PerformanceBounds", "Scenario", "ScenarioError", "StabilityVerdict",
     "VerdictThresholds", "bb1_closed_form", "build_lp", "cex_strong_not_rate",
-    "conservation_check", "drift_constants", "fixture_path",
-    "load_scenario", "lyapunov_value", "make_rng", "mixing_time", "performance_bounds",
-    "queue_step", "run_dpp_batch", "solve_fopt",
-    "stationary_distribution", "validate", "virtual_queue_step",
+    "drift_constants", "fixture_path", "load_scenario", "make_rng", "mixing_time",
+    "performance_bounds", "run_dpp_batch", "solve_fopt", "stationary_distribution",
+    "validate",
 ]
 
 MODULES = {
@@ -38,10 +37,7 @@ MODULES = {
         "ReducibleChainError", "make_rng", "mixing_time", "sample_paths",
         "stationary_distribution",
     ],
-    "queues": [
-        "CompositeState", "SlotIO", "conservation_check", "lyapunov_value", "queue_step",
-        "virtual_queue_step",
-    ],
+    "queues": [],  # kept importable, with no names, for the benchmark's tracer
     "simplex": ["LpResult", "SimplexError", "solve_lp", "solve_lp_sequence"],
     "stability": [
         "OrderedSum", "StabilityVerdict", "VerdictReducer", "VerdictThresholds",

@@ -1,12 +1,16 @@
+import inspect
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnetlab.queues import (
+from oracles import (
     CompositeState,
+    SlotIO,
     conservation_check,
     lyapunov_value,
     queue_step,
@@ -193,3 +197,33 @@ def test_composite_state_validation():
         CompositeState(np.array([-1.0]), np.zeros(0))
     with pytest.raises(ValueError):
         CompositeState(np.zeros((2, 2)), np.zeros(0))
+
+
+# The two records' constructor parameters, in order.
+SIGNATURES = {
+    SlotIO: "arrival offered_service actual_service negative_part",
+    CompositeState: "queues virtuals",
+}
+
+
+@pytest.mark.parametrize("cls", list(SIGNATURES), ids=lambda c: c.__name__)
+def test_constructor_parameters_keep_order(cls):
+    assert " ".join(inspect.signature(cls).parameters) == SIGNATURES[cls]
+
+
+@pytest.mark.parametrize("queues, virtuals, message", [
+    (np.zeros((1, 1)), np.zeros(0), "queues and virtuals must be 1-d vectors"),
+    (np.zeros(1), -np.ones(1), "backlogs must be non-negative"),
+], ids=["queues and virtuals must be 1-d vectors", "backlogs must be non-negative"])
+def test_composite_state_raises_the_documented_error(queues, virtuals, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        CompositeState(queues, virtuals)
+    assert type(info.value) is ValueError
+
+
+def test_records_take_lists_and_survive_a_pickle_round_trip():
+    state = CompositeState([1, 2], virtuals=[0])
+    assert state.queues.dtype == float and state.virtuals.dtype == float
+    for record in (state, queue_step(1.0, 0.0, 1.0)[1]):
+        data = pickle.dumps(record)
+        assert pickle.dumps(pickle.loads(data)) == data

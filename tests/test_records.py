@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qnetlab import capacity, controller, network, processes, queues, simplex, stability
+from qnetlab import capacity, controller, network, processes, simplex, stability
 
 # Constructor parameters in order; "name=default" where there is a default.
 SIGNATURES = {
@@ -27,7 +27,7 @@ SIGNATURES = {
     capacity.PolicyLp:
         "scenario lambdas c c0 a_ub b_ub row_names a_eq b_eq",
     controller.DppRunResult:
-        "horizon q_path z_path omega_path action_path x_path f_path g_path arrivals",
+        "horizon q_path z_path omega_path action_path x_path f_path g_path",
     controller.DppBatchResult: "backlog_sum cost_sum g_sum runs reducer=None",
     controller.DriftConstants: "B D T d_max f_opt f_min f_max delta=nan",
     network.AffineFunction: "c0 coeffs",
@@ -39,8 +39,6 @@ SIGNATURES = {
                         "b_actual x f_value g_values",
     processes.FiniteMarkovChain: "transition initial labels=()",
     processes.ArrivalSpec: "kind rate p=0.0 size=1.0 values=() probs=()",
-    queues.SlotIO: "arrival offered_service actual_service negative_part",
-    queues.CompositeState: "queues virtuals",
     simplex.LpResult: "status x objective",
     simplex._Optimum: "tableau basis signs identity eligible",
     stability.VerdictThresholds: "slope_tol=0.01 tail_tol=0.05 plateau_rel=0.1 "
@@ -82,9 +80,6 @@ def test_positional_and_keyword_construction_agree():
         "kind": "bernoulli", "rate": 0.2, "p": 0.2, "size": 1.0, "values": (), "probs": (),
     }
 
-    state = queues.CompositeState([1, 2], virtuals=[0])
-    assert state.queues.dtype == float and state.virtuals.dtype == float
-
     assert stability.VerdictThresholds(0.5, plateau_rel=0.2) == stability.VerdictThresholds(
         slope_tol=0.5, tail_tol=0.05, plateau_rel=0.2)
     assert np.isnan(controller.DriftConstants(1.0, 2.0, 3, 0.1, 0.0, 0.0, 1.0).delta)
@@ -118,10 +113,6 @@ INVALID = [
     (lambda: _pi_row([0.5, 0.4]), ValueError, "policy row 0 is not a probability vector"),
     (lambda: stability.bb1_closed_form(1.0, 0.5), ValueError,
      "need lam in [0, 1) and mu in (0, 1]"),
-    (lambda: queues.CompositeState(np.zeros((1, 1)), np.zeros(0)), ValueError,
-     "queues and virtuals must be 1-d vectors"),
-    (lambda: queues.CompositeState(np.zeros(1), -np.ones(1)), ValueError,
-     "backlogs must be non-negative"),
     (lambda: oracles.estimate_verdict(np.zeros(5)), ValueError,
      "backlog must be a (n_reps, horizon) matrix"),
     (lambda: stability.VerdictReducer(1, 1000).add(0, np.full((1, 5), np.nan)), ValueError,
@@ -172,7 +163,7 @@ def test_validating_records_raise_the_documented_error(make, error, message):
 def every_record():
     """One instance of each public record type, made by the code that makes it."""
     scenario = network.load_scenario("downlink2.json")
-    state = queues.CompositeState.zeros(scenario.n_queues, scenario.n_constraints)
+    state = oracles.CompositeState.zeros(scenario.n_queues, scenario.n_constraints)
     _, step = oracles.network_step(scenario, state, 0, 0, np.zeros(scenario.n_queues))
     lp = capacity.build_lp(scenario)
     report = lp.solve()
@@ -180,8 +171,7 @@ def every_record():
     batch = controller.run_dpp_batch(scenario, [1.0, 2.0], [0, 1], 5, 1000, record=1)
     return [
         scenario, scenario.omega_chain, scenario.arrivals[0], scenario.actions[0][0],
-        scenario.cost, step, state,
-        queues.queue_step(1.0, 0.0, 1.0)[1],
+        scenario.cost, step,
         lp, report, report.policy,
         capacity.performance_bounds(scenario, 1.0, drift.d_max / 4, drift), drift,
         scenario.tables, batch, batch.runs[0],

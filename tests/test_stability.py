@@ -9,6 +9,7 @@ from oracles import (
     markov_bound_violations,
     one_shot_mean_not_rate,
     one_shot_rate_not_mean,
+    queue_step,
     single_queue_path,
     strong_not_rate_path,
 )
@@ -17,7 +18,6 @@ from qnetlab.cli import override_lambdas, override_mu
 from qnetlab.controller import run_dpp_batch
 from qnetlab.network import load_scenario
 from qnetlab.processes import make_rng
-from qnetlab.queues import queue_step
 from qnetlab.stability import (
     StabilityVerdict,
     VerdictThresholds,
