@@ -1,7 +1,6 @@
 import inspect
 import math
 import pickle
-import re
 
 import numpy as np
 import pytest
@@ -193,9 +192,9 @@ def test_lyapunov_values():
 
 
 def test_composite_state_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^backlogs must be non-negative$"):
         CompositeState(np.array([-1.0]), np.zeros(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^queues and virtuals must be 1-d vectors$"):
         CompositeState(np.zeros((2, 2)), np.zeros(0))
 
 
@@ -209,16 +208,6 @@ SIGNATURES = {
 @pytest.mark.parametrize("cls", list(SIGNATURES), ids=lambda c: c.__name__)
 def test_constructor_parameters_keep_order(cls):
     assert " ".join(inspect.signature(cls).parameters) == SIGNATURES[cls]
-
-
-@pytest.mark.parametrize("queues, virtuals, message", [
-    (np.zeros((1, 1)), np.zeros(0), "queues and virtuals must be 1-d vectors"),
-    (np.zeros(1), -np.ones(1), "backlogs must be non-negative"),
-], ids=["queues and virtuals must be 1-d vectors", "backlogs must be non-negative"])
-def test_composite_state_raises_the_documented_error(queues, virtuals, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
-        CompositeState(queues, virtuals)
-    assert type(info.value) is ValueError
 
 
 def test_records_take_lists_and_survive_a_pickle_round_trip():
