@@ -113,6 +113,8 @@ INVALID = [
     (lambda: _pi_row([0.5, 0.4]), ValueError, "policy row 0 is not a probability vector"),
     (lambda: stability.bb1_closed_form(1.0, 0.5), ValueError,
      "need lam in [0, 1) and mu in (0, 1]"),
+    (lambda: oracles.CompositeState(np.zeros((1, 1)), np.zeros(0)), ValueError,
+     "queues and virtuals must be 1-d vectors"),
     (lambda: oracles.estimate_verdict(np.zeros(5)), ValueError,
      "backlog must be a (n_reps, horizon) matrix"),
     (lambda: stability.VerdictReducer(1, 1000).add(0, np.full((1, 5), np.nan)), ValueError,
