@@ -173,18 +173,11 @@ def ensemble_verdict(
 ) -> tuple[StabilityVerdict, controller.DppRunResult | None]:
     """Stability verdict on the total actual backlog of every replication,
     plus the first ``--trace-limit`` slots of replication 0 when ``record``.
-
-    The totals stream into a verdict reducer block by block.  When its
-    histograms cannot count pass 2, the kernel runs again from the same
-    seeds into the consumer the reducer asks for."""
-    lanes = ([args.V] * args.reps, range(args.reps))
-    batch = run_lanes(scenario, *lanes, args, int(record), reducer=stability.VerdictReducer,
+    The totals stream into a verdict reducer block by block, in one kernel pass."""
+    batch = run_lanes(scenario, [args.V] * args.reps, range(args.reps), args, int(record),
+                      reducer=stability.VerdictReducer,
                       record_slots=args.trace_limit if record else 0)
-
-    def replay(make):
-        return run_lanes(scenario, *lanes, args, reducer=make).reducer
-
-    return batch.reducer.verdict(replay=replay), (batch.runs[0] if record else None)
+    return batch.reducer.verdict(), (batch.runs[0] if record else None)
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +226,29 @@ def _load_with_overrides(args: argparse.Namespace) -> Scenario:
     return scenario
 
 
+def _check_out(out: Path) -> None:
+    """Fail before a run whose ``--out`` could not be made after it: ``out``,
+    or its nearest existing ancestor, is not a directory."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
+
+
 def _verdict_run(
     args: argparse.Namespace, record: bool
 ) -> tuple[Scenario, StabilityVerdict, controller.DppRunResult | None, list[tuple[str, object]]]:
     """The shared part of ``simulate`` and ``stability``: load and validate
     the scenario, run the ensemble, write ``curves.csv``.  Returns the
     verdict, replication 0 when ``record``, and the report's leading items.
-    A horizon too short for a verdict fails before anything runs, and a
-    failed run before anything is written."""
+    A horizon too short for a verdict, or an ``--out`` that is not a
+    directory, fails before anything runs, and a failed run before anything
+    is written."""
+    out = Path(args.out)
     scenario = _load_with_overrides(args)
     validate(scenario)
     stability._check_verdict_horizon(args.horizon)
+    _check_out(out)
     verdict, run = ensemble_verdict(scenario, args, record)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "curves.csv", ["M", "g", "h_mean", "h_p05", "h_p95"], list(zip(*curve_rows(verdict)))
@@ -354,6 +357,8 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 def cmd_sweep_v(args: argparse.Namespace) -> int:
     v_list = parse_entries(args.V_list, "--V")  # checked before anything is written
     controller._check_horizon(args.horizon)
+    out = Path(args.out)
+    _check_out(out)
     scenario = _load_with_overrides(args)
     cap = capacity_mod.solve_fopt(scenario)  # validates the scenario
     if not cap.feasible or cap.d_max <= 0.0:
@@ -373,8 +378,7 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
         args,
         with_virtual=True,
     )
-    out = Path(args.out)  # made once the run has succeeded
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)  # made once the run has succeeded
     rows = []
     for i, v_param in enumerate(v_list):
         lanes = slice(i * args.reps, (i + 1) * args.reps)

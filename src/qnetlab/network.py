@@ -314,9 +314,14 @@ def scenario_from_dict(data: dict, name_hint: str = "scenario") -> Scenario:
         raise ScenarioError("dimensions", "need K >= 1, L >= 0, M >= 0")
 
     chain_raw = _expect(data, "omega_chain", "omega_chain")
+    rows = _list(_expect(chain_raw, "transition", "omega_chain"), "omega_chain.transition")
+    for i, row in enumerate(rows):
+        if len(_list(row, f"omega_chain.transition[{i}]")) != len(rows):
+            raise ScenarioError(f"omega_chain.transition[{i}]",
+                                f"expected {len(rows)} entries, one per state, got {len(row)}")
     try:
         chain = FiniteMarkovChain(
-            transition=np.asarray(_expect(chain_raw, "transition", "omega_chain"), float),
+            transition=np.asarray(rows, float),
             initial=np.asarray(_expect(chain_raw, "initial", "omega_chain"), float),
             labels=tuple(_list(chain_raw.get("labels", []), "omega_chain.labels")),
         )

@@ -8,11 +8,12 @@ Four stability notions are estimated from finite traces:
 * strong stability      -- finite time-average expected backlog.
 
 The definitions are asymptotic; this module applies documented finite-horizon
-proxies: slopes are read at the final slot, the tail curve g(M)
-is evaluated on a geometric M-grid, and strong stability uses a plateau test
-on the running average across the final doubling.  ``VerdictReducer``
-estimates a verdict from backlogs fed one time block at a time, never from a
-(replications x horizon) array; ``OrderedSum`` gives its sums numpy's bits.
+proxies: slopes are read at the final slot, the tail curve g(M) is
+evaluated on a fixed quarter-octave M-grid, and strong stability uses a
+plateau test on the running average across the final doubling.
+``VerdictReducer`` estimates a verdict from backlogs fed one time block at a
+time, in one pass, never from a (replications x horizon) array;
+``OrderedSum`` gives its sums numpy's bits.
 The module also ships the three classic pathological processes that
 separate the notions, plus the Bernoulli/Bernoulli/1 closed forms used as
 golden values.  The counter-examples return only the statistics their
@@ -23,9 +24,8 @@ replication, or the spike times), never the backlog itself.
 from __future__ import annotations
 
 import math
-import mmap
-from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,12 +56,8 @@ MIN_VERDICT_HORIZON = 1000
 # 8-byte values per round (times, indices, uniforms, survivors): 6,553 of them.
 _CEX_BLOCK_BYTES, _CEX_REP_BYTES = 1 << 18, 40
 
-# Cells per bincount of VerdictReducer's histograms, the most bins per lane
-# and slot of a chunk that one bincount may count, and the int32 bins all
-# lanes' histograms may take together (2 MB).
-_HIST_CHUNK_CELLS = 1 << 15
-_HIST_SPAN_PER_SLOT = 4
-_HIST_BUDGET_CELLS = 1 << 19
+# Cells per chunk that VerdictReducer keys and counts by one bincount.
+_COUNT_CHUNK_CELLS = 1 << 15
 
 # numpy's pairwise float sum: spans of at most this many values are one
 # leaf, summed by one np.add.reduce (pairwise_sum in loops_utils.h.src).
@@ -81,17 +77,18 @@ def geometric_checkpoints(horizon: int) -> np.ndarray:
 class VerdictThresholds(NamedTuple):
     """Finite-horizon classification thresholds (documented proxies).
 
-    The steady-state verdict additionally requires the rate slope to pass:
-    on a divergent trace the M-grid top (a multiple of the empirical mean)
-    outruns the maximum backlog and the tail estimate degenerates to zero, so
-    tail decay is only meaningful on non-divergent traces.
+    The steady-state verdict reads g at M_max, the first grid point at or
+    above ``m_max_multiplier`` times the mean backlog, and also requires the
+    rate slope to pass.  By Markov's inequality on the pooled empirical
+    measure, g(M) <= mean / M, so g(M_max) <= 1 / m_max_multiplier: with the
+    defaults (1/20 = ``tail_tol``) the tail test always passes, and the
+    steady-state verdict is the rate verdict.
     """
 
     slope_tol: float = 0.01          # rate / mean-rate: final-checkpoint slope
     tail_tol: float = 0.05           # steady-state: g(M_max) at the grid top
     plateau_rel: float = 0.10        # strong: relative drift across last doubling
-    m_grid_points: int = 16          # geometric M-grid size
-    m_max_multiplier: float = 20.0   # M_max = multiplier * empirical mean backlog
+    m_max_multiplier: float = 20.0   # M_max >= multiplier * empirical mean backlog
     min_reps_mean_rate: int = 100    # ensemble size needed for E[Q(t)]/t estimates
 
 
@@ -116,11 +113,19 @@ class StabilityVerdict(NamedTuple):
     thresholds: VerdictThresholds
 
 
+def _grid_index(value: float) -> int:
+    """The least ``i`` with ``value <= M_i`` on the quarter-octave grid
+    ``M_i = 2^(i//4) (1 + (i%4)/4)``, from frexp's ``value = m 2^e``, m in
+    [0.5, 1): ``4 (e - 1) + ceil(8m - 4)``, at least 0.  ``8m - 4`` is exact."""
+    m, e = math.frexp(value)
+    return max(0, 4 * (e - 1) + math.ceil(8 * m - 4))
+
+
 def _m_grid(mean_backlog: float, thresholds: VerdictThresholds) -> np.ndarray:
-    m_max = max(thresholds.m_max_multiplier * mean_backlog, 1.0)
-    if m_max <= 1.0:
-        return np.array([1.0])
-    return np.geomspace(1.0, m_max, thresholds.m_grid_points)
+    """``M_0 = 1 .. M_max``, the first grid point >= multiplier * mean: each an
+    exact power of two times 1, 1.25, 1.5 or 1.75."""
+    i = np.arange(_grid_index(thresholds.m_max_multiplier * mean_backlog) + 1)
+    return np.ldexp(1 + (i % 4) / 4, i // 4)
 
 
 # The two order statistics below give numpy's bits for NaN-free input without
@@ -168,7 +173,8 @@ def _verdict(
 ) -> StabilityVerdict:
     """The verdict from each replication's final backlog, its sum over every
     slot and over slots ``0..t_half``, and ``at_most(m_grid)``: the
-    ``(n_reps, m)`` counts of slots with ``Q <= M``."""
+    ``(n_reps, m)`` counts of slots with ``Q <= M`` on the first m points of
+    the quarter-octave grid."""
     n_reps = final.size
     if n_reps < 1:
         raise ValueError("ensembles need at least one replication")
@@ -296,13 +302,11 @@ class OrderedSum:
 
 
 class VerdictReducer:
-    """The stability verdict of backlogs fed a time block at a time.  Pass 1
-    keeps per lane the final value and the sums over every slot and over
-    slots ``0..t_half``.  Pass 2 counts each lane's slots with ``Q <= M`` on
-    the grid pass 1 fixes: by histograms while the backlogs are whole
-    numbers that fit ``_HIST_BUDGET_CELLS`` int32 bins (and a chunk spans at
-    most ``_HIST_SPAN_PER_SLOT`` bins per slot), else on a replay of the same
-    backlogs.  Counts are exact, so both ways give the same bits."""
+    """The stability verdict of backlogs fed a time block at a time, in one
+    pass.  Per lane it keeps the final value, the sums over every slot and
+    over slots ``0..t_half``, and the count of slots per key: the least grid
+    index ``i`` with ``Q <= M_i`` (see ``_grid_index``).  Counts are exact
+    integers, so any cut into blocks or lanes gives the same bits."""
 
     def __init__(self, n_lanes: int, horizon: int) -> None:
         _check_verdict_horizon(horizon)
@@ -310,97 +314,53 @@ class VerdictReducer:
         self.sums = OrderedSum(n_lanes, horizon)
         self.half_sums = OrderedSum(n_lanes, self.t_half + 1)
         self.final = np.zeros(n_lanes)
-        # Counts by (value, lane) on anonymous pages, which take memory only
-        # once written: the rows above the largest value never are.
-        rows = _HIST_BUDGET_CELLS // max(n_lanes, 1)
-        cells = np.frombuffer(mmap.mmap(-1, 4 * rows * n_lanes + 4), np.int32)
-        self.hist: np.ndarray | None = cells[: rows * n_lanes].reshape(rows, n_lanes)
-        self.bins = 0  # the largest value counted, plus one
+        self.counts = np.zeros((n_lanes, 1), dtype=np.intp)  # grows to the largest key
 
     def add(self, t0: int, block: np.ndarray) -> None:
         """Take slots ``t0 .. t0 + nb - 1`` of every lane: ``block[i, j]`` is
-        lane ``i``'s non-negative backlog at slot ``t0 + j``."""
+        lane ``i``'s finite non-negative backlog at slot ``t0 + j``."""
         n, nb = block.shape
         if not block.min(initial=0.0) >= 0:  # NaN fails too
             raise ValueError("backlogs must be non-negative numbers")
+        if block.max(initial=0.0) == math.inf:
+            raise ValueError("backlogs must be finite")
         self.sums.add(block)
         if t0 <= self.t_half:
             self.half_sums.add(block[:, : self.t_half + 1 - t0])
-        cols = max(1, _HIST_CHUNK_CELLS // max(n, 1))
+        cols = max(1, _COUNT_CHUNK_CELLS // max(n, 1))
         for c0 in range(0, nb, cols):
-            if self.hist is not None and not self._count(block[:, c0 : c0 + cols]):
-                self.hist = None
-        if t0 + nb == self.horizon:  # done: keep (and pickle for --workers) the bins in use
+            # _grid_index of every value: 4 (e - 1) + ceil(8m - 4) = 4e + ceil(8m) - 8.
+            m, e = np.frexp(block[:, c0 : c0 + cols])
+            key = np.ceil(np.multiply(m, 8.0, out=m), out=m).astype(np.intp)
+            key += 4 * e - 8
+            np.maximum(key, 0, out=key)
+            width = max(self.counts.shape[1], int(key.max()) + 1)
+            if width > self.counts.shape[1]:
+                self.counts = np.pad(self.counts, ((0, 0), (0, width - self.counts.shape[1])))
+            key += np.arange(0, n * width, width)[:, None]  # bin lane * width + key
+            self.counts += np.bincount(key.ravel(), minlength=n * width).reshape(n, width)
+        if t0 + nb == self.horizon:
             self.final[:] = block[:, -1]
-            self.hist = None if self.hist is None else self.hist[: self.bins].copy()
-
-    def _count(self, chunk: np.ndarray) -> bool:
-        """Count a chunk by one ``bincount``; False if it is not whole numbers that fit."""
-        n, cols = chunk.shape
-        lo, hi = chunk.min(), chunk.max()
-        if hi >= self.hist.shape[0] or hi - lo >= _HIST_SPAN_PER_SLOT * cols:
-            return False
-        v = chunk.astype(np.intp)
-        if not np.array_equal(v, chunk):
-            return False
-        lo, span = int(lo), int(hi - lo) + 1
-        v -= lo
-        v *= n
-        v += np.arange(n)[:, None]  # bin (value - lo) * n + lane
-        self.hist[lo : lo + span] += np.bincount(v.ravel(), minlength=span * n).reshape(span, n)
-        self.bins = max(self.bins, lo + span)
-        return True
 
     @classmethod
     def concat(cls, parts: Sequence[VerdictReducer]) -> VerdictReducer:
-        """One reducer of the lanes of ``parts``, in order: histograms if all have them."""
+        """One reducer of the lanes of ``parts``, in order."""
         merged = cls(0, parts[0].horizon)
         for name in ("sums", "half_sums"):
             getattr(merged, name).total = np.concatenate([getattr(p, name).total for p in parts])
         merged.final = np.concatenate([part.final for part in parts])
-        merged.bins = max(part.bins for part in parts)
-        merged.hist = None if any(part.hist is None for part in parts) else np.concatenate(
-            [np.pad(part.hist, ((0, merged.bins - part.bins), (0, 0))) for part in parts], axis=1)
+        width = max(part.counts.shape[1] for part in parts)
+        merged.counts = np.concatenate(
+            [np.pad(part.counts, ((0, 0), (0, width - part.counts.shape[1]))) for part in parts])
         return merged
 
-    def verdict(
-        self, thresholds: VerdictThresholds = VerdictThresholds(), replay: Callable | None = None
-    ) -> StabilityVerdict:
-        """The verdict of every slot's backlogs.  Without histograms, pass 2 calls
-        ``replay(make)``: it feeds the same backlogs to ``make(n_lanes, horizon)``."""
-
-        def at_most(m_grid: np.ndarray) -> np.ndarray:
-            if self.hist is None:
-                if replay is None:
-                    raise ValueError("pass 2 needs a replay: the histograms were dropped")
-                return replay(partial(_TailCounts, m_grid=m_grid)).counts
-            # One sum of the bins up to floor(M) per grid point: no cumulated copy.
-            rows = np.minimum(m_grid, self.bins - 1).astype(np.intp)
-            return np.stack([self.hist[: r + 1].sum(axis=0) for r in rows], axis=1)
-
+    def verdict(self, thresholds: VerdictThresholds = VerdictThresholds()) -> StabilityVerdict:
+        """The verdict of every slot's backlogs."""
+        at_most = np.cumsum(self.counts, axis=1)  # slots with Q <= M_i, per lane
+        width = at_most.shape[1]
         return _verdict(self.final, self.sums.total, self.half_sums.total, self.horizon,
-                        at_most, thresholds)
-
-
-class _TailCounts:
-    """Pass 2 on a replay: per lane, its slots with ``Q <= M`` for each M."""
-
-    def __init__(self, n_lanes: int, horizon: int, m_grid: np.ndarray) -> None:
-        self.m_grid = m_grid
-        self.counts = np.zeros((n_lanes, m_grid.size), dtype=np.intp)
-
-    def add(self, t0: int, block: np.ndarray) -> None:
-        n, m = self.counts.shape
-        # Q <= M_j exactly when j >= the number of grid points below Q.
-        below = np.searchsorted(self.m_grid, block) + np.arange(0, n * (m + 1), m + 1)[:, None]
-        hist = np.bincount(below.ravel(), minlength=n * (m + 1)).reshape(n, m + 1)
-        self.counts += np.cumsum(hist[:, :m], axis=1)
-
-    @classmethod
-    def concat(cls, parts: Sequence[_TailCounts]) -> _TailCounts:
-        merged = cls(0, 0, parts[0].m_grid)
-        merged.counts = np.concatenate([part.counts for part in parts])
-        return merged
+                        lambda m_grid: at_most[:, np.minimum(np.arange(m_grid.size), width - 1)],
+                        thresholds)
 
 
 def bb1_closed_form(lam: float, mu: float) -> tuple[float, float]:

@@ -44,8 +44,12 @@ def _report(number: int, description: str, failures: list[str]) -> None:
 def _record_markov(name: str, q: np.ndarray) -> None:
     """Direct check of g(M) <= strong_metric / M on the backlog's own grid."""
     mean = float(q.mean())
-    m_max = max(20.0 * mean, 1.0)
-    grid = np.geomspace(1.0, m_max, 16) if m_max > 1.0 else np.array([1.0])
+    # The verdict's quarter-octave grid, M_i = 2^(i//4) (1 + (i%4)/4), up
+    # to the first point at or above 20 x mean.
+    grid = [1.0]
+    while grid[-1] < 20.0 * mean:
+        i = len(grid)
+        grid.append(2.0 ** (i // 4) * (1 + (i % 4) / 4))
     violations = 0
     for m in grid:
         g = float((q > m).mean())

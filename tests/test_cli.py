@@ -182,8 +182,12 @@ def test_scenario_path_that_is_a_directory_is_an_error(tmp_path, capsys, command
     ["bb1", "--lambda", "0.3", "--mu", "0.5"],
     ["bb1", "--lambda", "0.3", "--mu", "0.5", "--simulate", "--horizon", "100", "--reps", "2"],
 ], ids=lambda argv: "-".join([argv[0], *(a[2:] for a in argv if a == "--simulate")]))
-def test_out_naming_an_existing_file_is_an_error(tmp_path, capsys, argv):
-    # The output directory is checked before any output.
+def test_out_naming_an_existing_file_is_an_error(tmp_path, capsys, monkeypatch, argv):
+    # The output directory is checked before any output, and before any run.
+    def no_run(*args, **kwargs):
+        raise AssertionError("the kernel ran before --out was checked")
+
+    monkeypatch.setattr(controller, "run_dpp_batch", no_run)
     out = tmp_path / "taken"
     out.write_text("")
     assert assert_clean_error(main([*argv, "--out", str(out)]), capsys) == ""

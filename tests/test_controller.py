@@ -314,8 +314,8 @@ def test_ragged_blocks_match_network_step_replay_on_relay8(layout, mode):
 def test_block_buffers_stay_within_the_block_budget(monkeypatch, fixture, lanes, horizon):
     # _lane_slot_bytes counts every per-block buffer of the slot loop, so the
     # traced peak stays a small multiple of _BLOCK_BYTES (the sampler's
-    # blocks and the reducer's histograms make most of it), and quadrupling
-    # the budget adds at most three budgets to it.
+    # blocks and the reducer's counting chunks make most of it), and
+    # quadrupling the budget adds at most three budgets to it.
     scenario, budget = load_scenario(fixture), controller._BLOCK_BYTES
 
     def traced_peak(block_bytes):

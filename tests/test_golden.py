@@ -29,16 +29,28 @@ digests were re-pinned when its draw moved from one uniform per (replication,
 slot) to one uniform per spike, jumping from a spike at ``t`` to
 ``floor(t / U) + 1``: the same law from about 30 times fewer draws, so other
 draws and other bytes.  When the kernel's scores moved from per-lane BLAS
-products to a sum in a fixed order, every digest stayed the same.
+products to a sum in a fixed order, every digest stayed the same.  The
+``curves.csv`` and ``report.txt`` digests of the seven ``simulate`` and
+``stability`` cases were re-pinned when the tail grid moved from
+``geomspace(1, 20 x mean, 16)`` to the fixed quarter-octave grid
+``2^k x {1, 1.25, 1.5, 1.75}`` up to the first point at or above 20 x mean:
+the ``M`` column became exact powers of two times those four, so it no
+longer depends on numpy's SIMD ``log``/``exp``; in each report only the
+``m_max`` line moved (``g_at_m_max`` stayed 0.0, and every verdict flag
+stayed the same), and every ``trace.csv`` stayed the same.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qnetlab
 from qnetlab.cli import main
 
 BB1 = ["bb1.json", "--lambda", "0.3", "--mu", "0.5"]
@@ -107,37 +119,37 @@ GOLDEN: dict[str, dict[str, str]] = {
         "report.txt": "045312c58388ebaf6b6ae35440d2d510f2fd38c7d24c122ae071cf3577b00520",
     },
     "simulate-bb1-w1": {
-        "curves.csv": "8494473a598dc3f7ac3c3f41aaf4070877dd38d79477d4f81f67059cc6df278c",
-        "report.txt": "f0b1682c2aea5d1170d610e5483ea37c845c6de0e4a6bbbcb8c67e152eaf1737",
+        "curves.csv": "470a965db25c9296a57043102592cf6c1c26846b74d86c4cf40eaad136108986",
+        "report.txt": "201076c36812704f31f53311253f491ac7c1016f720155aaa72ab64b1edaf95a",
         "trace.csv": "62cce1263ff7a47104e80c709b862925254cb2daa2c3b3bc1224a4de58d7a483",
     },
     "simulate-bb1-w2": {
-        "curves.csv": "8494473a598dc3f7ac3c3f41aaf4070877dd38d79477d4f81f67059cc6df278c",
-        "report.txt": "f0b1682c2aea5d1170d610e5483ea37c845c6de0e4a6bbbcb8c67e152eaf1737",
+        "curves.csv": "470a965db25c9296a57043102592cf6c1c26846b74d86c4cf40eaad136108986",
+        "report.txt": "201076c36812704f31f53311253f491ac7c1016f720155aaa72ab64b1edaf95a",
         "trace.csv": "62cce1263ff7a47104e80c709b862925254cb2daa2c3b3bc1224a4de58d7a483",
     },
     "simulate-downlink2-clamped": {
-        "curves.csv": "7122e69dec95f274c3d7dbc54fd67f0712d7a32f8fb66202b608d953bb6a37ef",
-        "report.txt": "106bb80f39c22c790a8477aff5916e9ee0828722344cac03df0e993649ecafff",
+        "curves.csv": "3fdace8e25a48277ec8457cef2a262caadf13e3baf61c28fd37ee1af13efc8d1",
+        "report.txt": "d76ea216f3c8d44c739e40ea57b7742e08c089371882d762a0813afaf07246de",
         "trace.csv": "74f5ed6e0b6d7ed8fefb15e70d0d3426d888554c0edc843851bc06ac93cf9772",
     },
     "simulate-downlink2-w1": {
-        "curves.csv": "f3f9be330b9460c2f96d890bfca0a372fc438c806ee4cf8b17c97ecdb9a99a39",
-        "report.txt": "7474df4939e8a47a414d7692825393acffbbc195269925507624edb36734dd74",
+        "curves.csv": "0657e27cf0b709ce59bdb666cd62a6ce4bc569ada31814380eb189eb2cccdf01",
+        "report.txt": "d27334d93b56d28348dc418ac981fbad64d515424378c2260a266f00504baf5a",
         "trace.csv": "53892ff1eb360252f209ab3b1dc7b8b2edaee22aea0544f4dc638713a67f179a",
     },
     "simulate-downlink2-w2": {
-        "curves.csv": "f3f9be330b9460c2f96d890bfca0a372fc438c806ee4cf8b17c97ecdb9a99a39",
-        "report.txt": "7474df4939e8a47a414d7692825393acffbbc195269925507624edb36734dd74",
+        "curves.csv": "0657e27cf0b709ce59bdb666cd62a6ce4bc569ada31814380eb189eb2cccdf01",
+        "report.txt": "d27334d93b56d28348dc418ac981fbad64d515424378c2260a266f00504baf5a",
         "trace.csv": "53892ff1eb360252f209ab3b1dc7b8b2edaee22aea0544f4dc638713a67f179a",
     },
     "stability-bb1": {
-        "curves.csv": "a928d5e2f469b613abf212e4c0a231525a5ac37be4d91a185c8e27e3c2dbb5c4",
-        "report.txt": "1040cd1de0d04308dc3c8e93b4a3ad9148a17d75b8b12da7bc9b898b656a52eb",
+        "curves.csv": "8daf80466fb585bb44a3994cd0fc936f1669e0cfaa632effaae3b5fb7e5dbf2f",
+        "report.txt": "91b8d32f283e6b98a19dcdbb01d3f0fb31976b1185c5995c0b8ee654b8924bf8",
     },
     "stability-downlink2": {
-        "curves.csv": "eae4265aa84d1fbb8c8a4db467e3ce777c8c5a544df9e998fec4265ecfeeeb1c",
-        "report.txt": "721dd62c05d11c3c7314de518f35e68ae47b8e503d03a4c568738379b87e5b54",
+        "curves.csv": "d34591db79b76dbae23f5887b88b67d089b8dd32d8b0df26590938d02ab3b7cc",
+        "report.txt": "bb6b958cd4b11582859d077edb81ffbb6de05fc20202f36233173ce5f87ee032",
     },
     "sweep-v-bb1": {
         "sweep.csv": "68e1a2ea030d8165e780b3f5605e69e23c603a04d3258c8f1900bcba6a8dbaba",
@@ -169,4 +181,23 @@ def digests(out) -> dict[str, str]:
 def test_cli_outputs_match_golden_digests(case, tmp_path):
     out = tmp_path / case
     assert main(CASES[case] + ["--out", str(out)]) == 0
+    assert digests(out) == GOLDEN[case]
+
+
+# numpy picks its SIMD loops (log, exp and friends) by CPU at import.  These
+# features exist only on AVX-512 hosts; elsewhere disabling them changes
+# nothing.
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith(("simulate-",
+                                                                          "stability-"))))
+def test_verdict_digests_hold_without_avx512_loops(case, tmp_path):
+    out = tmp_path / case
+    src = str(Path(qnetlab.__file__).resolve().parents[1])
+    env = dict(os.environ, **NO_AVX512, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-m", "qnetlab.cli", *CASES[case], "--out", str(out)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
     assert digests(out) == GOLDEN[case]

@@ -356,9 +356,11 @@ def _load_with_value(tmp_path, path, value) -> None:
         (("dimensions", "M"), 1.9, r"dimensions\.M: expected an integer"),
         (("actions", 1, 0, "x"), [math.nan], r"actions\[1\]\[0\]\.x: table entries must be finite"),
         (("cost", "c"), [math.nan], r"cost: constant and coefficients must be finite"),
+        (("omega_chain", "transition"), [[1.0], [0.5, 0.5]],
+         r"omega_chain\.transition\[0\]: expected 2 entries, one per state, got 1"),
     ],
     ids=["non-object-action", "boolean-entry", "boolean-dimension", "fractional-dimension",
-         "nan-action-entry", "nan-cost-coefficient"],
+         "nan-action-entry", "nan-cost-coefficient", "ragged-transition"],
 )
 def test_load_rejects_malformed_field(tmp_path, path, value, message):
     with pytest.raises(ScenarioError, match=message):

@@ -42,8 +42,7 @@ SIGNATURES = {
     simplex.LpResult: "status x objective",
     simplex._Optimum: "tableau basis signs identity eligible",
     stability.VerdictThresholds: "slope_tol=0.01 tail_tol=0.05 plateau_rel=0.1 "
-                                 "m_grid_points=16 m_max_multiplier=20.0 "
-                                 "min_reps_mean_rate=100",
+                                 "m_max_multiplier=20.0 min_reps_mean_rate=100",
     stability.StabilityVerdict: "rate_slope mean_rate_slope strong_metric m_grid g_curve "
                                 "h_mean h_p05 h_p95 rate_stable mean_rate_stable "
                                 "steady_state_stable strongly_stable running_mean_half "

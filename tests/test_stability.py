@@ -129,6 +129,16 @@ def test_verdict_on_critical_bb1_rate_stable_but_not_strong():
     assert not verdict.strongly_stable  # running mean still growing ~ sqrt(t)
 
 
+def quarter_octave_grid(target):
+    """``M_i = 2^(i//4) (1 + (i%4)/4)`` from ``M_0 = 1`` up to the first
+    point at or above ``target``."""
+    grid = [1.0]
+    while grid[-1] < target:
+        i = len(grid)
+        grid.append(2.0 ** (i // 4) * (1 + (i % 4) / 4))
+    return np.array(grid)
+
+
 def reference_verdict(backlog, checkpoints, thresholds):
     """The verdict's estimates computed path by path, in two plain passes."""
     n_reps, horizon = backlog.shape
@@ -142,10 +152,7 @@ def reference_verdict(backlog, checkpoints, thresholds):
         to_half += float(q[: t_half + 1].sum())
         to_final += float(q[: t_final + 1].sum())
     mean = total / (n_reps * horizon)
-    m_max = max(thresholds.m_max_multiplier * mean, 1.0)
-    m_grid = (
-        np.geomspace(1.0, m_max, thresholds.m_grid_points) if m_max > 1.0 else np.array([1.0])
-    )
+    m_grid = quarter_octave_grid(thresholds.m_max_multiplier * mean)
     h = np.array([[(q > m).mean() for m in m_grid] for q in backlog])
     g = np.zeros(m_grid.size)
     for row in h:

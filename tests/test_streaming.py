@@ -5,15 +5,17 @@ drops it, so no (replications x horizon) array is held.  These tests pin
 what byte identity with the whole-array formulas rests on: ``OrderedSum``
 adds in numpy's order however the values are cut into blocks; the
 reducer's verdict equals ``estimate_verdict`` on the whole matrix, bit for
-bit, however the matrix is cut into blocks and lanes, whether its
-histograms or a replay count pass 2; a verdict run of the kernel equals a
-whole-array run; the recorded lane's first slots are those of a full
-record; and the commands stay small in memory at horizons where the whole
-arrays did not.
+bit, however the matrix is cut into blocks and lanes, with values on the
+quarter-octave tail grid, one ulp either side of it, zeros of both signs,
+subnormals and values up to 2^60; a verdict run of the kernel equals a
+whole-array run, in one kernel pass; the recorded lane's first slots are
+those of a full record; and the commands stay small in memory at horizons
+where the whole arrays did not.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import pickle
 
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from oracles import TotalsCollector, estimate_verdict
 from peak_rss import needs_wait4, peak_rss_mb
 from qnetlab import controller, stability
-from qnetlab.cli import override_lambdas, override_mu
+from qnetlab.cli import ensemble_verdict, override_lambdas, override_mu
 from qnetlab.network import fixture_path, load_scenario
 from qnetlab.processes import ArrivalSpec
 from qnetlab.stability import OrderedSum, VerdictReducer
@@ -50,19 +52,12 @@ def feed_in_blocks(consumer, backlog, cuts):
 
 
 def reduce_in_blocks(backlog, cuts):
-    """A reducer fed ``backlog`` in time blocks that end at ``cuts``, and the
-    replay its verdict may ask for: the same blocks once more."""
-    reducer = feed_in_blocks(VerdictReducer(*backlog.shape), backlog, cuts)
-
-    def replay(make):
-        return feed_in_blocks(make(*backlog.shape), backlog, cuts)
-
-    return reducer, replay
+    """A reducer fed ``backlog`` in time blocks that end at ``cuts``."""
+    return feed_in_blocks(VerdictReducer(*backlog.shape), backlog, cuts)
 
 
 def reduced_verdict(backlog, cuts, thresholds=stability.VerdictThresholds()):
-    reducer, replay = reduce_in_blocks(backlog, cuts)
-    return reducer.verdict(thresholds, replay=replay)
+    return reduce_in_blocks(backlog, cuts).verdict(thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +137,19 @@ def test_ordered_sum_survives_a_pickle_midway_and_refuses_extra_values():
 # ---------------------------------------------------------------------------
 
 
+# Points of the quarter-octave tail grid, 2^k (1 + j/4) up to 2^60, and the
+# floats one ulp either side of each; then zeros of both signs and the least
+# subnormal.
+GRID_POINTS = np.array([2.0**k * (1 + j / 4) for k in range(61) for j in range(4)])
+EDGE_VALUES = np.concatenate([GRID_POINTS, np.nextafter(GRID_POINTS, 0.0),
+                              np.nextafter(GRID_POINTS, np.inf), [0.0, -0.0, 5e-324]])
+
+
 @st.composite
 def reducer_backlogs(draw):
     """Backlogs as floats: random walks reflected at 0, all-zero lanes, and
-    sparse large values; whole numbers, or halves of them."""
+    sparse large values; whole numbers, or halves of them; and at times
+    sparse values on and next to the tail grid, up to 2^60."""
     n = draw(st.integers(1, 12))
     horizon = draw(st.integers(1000, 2500))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -155,7 +159,12 @@ def reducer_backlogs(draw):
     if draw(st.booleans()):  # rare bursts far above the walk
         spikes = rng.random((n, horizon)) < 0.001
         backlog[spikes] += rng.integers(1, 60_000, size=int(spikes.sum()))
-    return backlog * (0.5 if draw(st.booleans()) else 1.0)
+    backlog = backlog * (0.5 if draw(st.booleans()) else 1.0)
+    if draw(st.booleans()):  # grid edges up to 2^top
+        edges = EDGE_VALUES[EDGE_VALUES <= 2.0 ** draw(st.integers(0, 60))]
+        cells = rng.random((n, horizon)) < 0.02
+        backlog[cells] = rng.choice(edges, size=int(cells.sum()))
+    return backlog
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,80 +176,28 @@ def test_reducer_equals_whole_array_verdict(backlog, data):
     expected = estimate_verdict(backlog)
     assert same_verdict(reduced_verdict(backlog, cuts), expected)
     # Lanes split in two parts, each reduced on its own (as --workers does),
-    # pickled across, and merged in lane order; a replay feeds every lane.
+    # pickled across, and merged in lane order.
     split = data.draw(st.integers(1, max(1, backlog.shape[0] - 1)), label="split")
-    parts = [reduce_in_blocks(part, cuts)[0] for part in (backlog[:split], backlog[split:])
+    parts = [reduce_in_blocks(part, cuts) for part in (backlog[:split], backlog[split:])
              if part.size]
     merged = VerdictReducer.concat([pickle.loads(pickle.dumps(part)) for part in parts])
-    replay = reduce_in_blocks(backlog, cuts)[1]
-    assert same_verdict(merged.verdict(replay=replay), expected)
+    assert same_verdict(merged.verdict(), expected)
 
 
 def test_reducer_equals_whole_array_verdict_with_thresholds():
     rng = np.random.default_rng(5)
     backlog = rng.integers(0, 40, size=(150, 1500)).astype(float)
-    thresholds = stability.VerdictThresholds(m_grid_points=7, m_max_multiplier=3.0)
-    for scale in (1.0, 0.25):  # histograms, then a replay
+    thresholds = stability.VerdictThresholds(m_max_multiplier=3.0)
+    for scale in (1.0, 0.25):  # whole numbers, then quarters
         verdict = reduced_verdict(backlog * scale, [1, 749, 750, 751, 1499], thresholds)
         assert same_verdict(verdict, estimate_verdict(backlog * scale, thresholds))
-
-
-def test_reducer_chunks_cover_every_cell(monkeypatch):
-    # Chunks of 7 cells: one column per chunk at 3 lanes and more, several
-    # columns per chunk below.
-    # Values 0..3 span at most 4 bins, narrow enough for one-slot chunks.
-    monkeypatch.setattr(stability, "_HIST_CHUNK_CELLS", 7)
-    backlog = np.random.default_rng(1).integers(0, 4, size=(5, 1200)).astype(float)
-    for n in (1, 2, 5):
-        reducer, _ = reduce_in_blocks(backlog[:n], [100, 1100])
-        assert reducer.hist is not None
-        assert same_verdict(reducer.verdict(), estimate_verdict(backlog[:n]))
-
-
-def test_reducer_replays_once_the_range_is_wide():
-    # Narrow for 700 slots, then jumps of 1,000: one chunk spans too many
-    # values per slot, and the histograms go.
-    rng = np.random.default_rng(3)
-    backlog = rng.integers(0, 5, size=(4, 1600)).astype(float)
-    backlog[:, 700:] += 1000.0 * rng.integers(0, 30, size=(4, 900))
-    dense = VerdictReducer(4, 1600)
-    dense.add(0, backlog[:, :700])
-    assert dense.hist is not None
-    switched, replay = reduce_in_blocks(backlog, [700, 1000])
-    assert switched.hist is None
-    with pytest.raises(ValueError, match="replay"):
-        switched.verdict()
-    expected = estimate_verdict(backlog)
-    assert same_verdict(switched.verdict(replay=replay), expected)
-    # Lanes reduced apart: one part still histograms, the other does not,
-    # so the merged reducer replays every lane.
-    narrow, _ = reduce_in_blocks(backlog[:2, :1000] % 7, [])
-    assert narrow.hist is not None
-    wide, _ = reduce_in_blocks(backlog[2:, :1000], [])
-    assert wide.hist is None
-    merged = VerdictReducer.concat([narrow, wide])
-    whole = np.concatenate([backlog[:2, :1000] % 7, backlog[2:, :1000]])
-    replay = reduce_in_blocks(whole, [])[1]
-    assert same_verdict(merged.verdict(replay=replay), estimate_verdict(whole))
-
-
-def test_reducer_replays_when_the_histograms_would_outgrow_the_budget(monkeypatch):
-    # A slow climb to 5,000 within 2,000 slots: every chunk is narrow, but
-    # the histograms would need more bins than the budget.
-    monkeypatch.setattr(stability, "_HIST_BUDGET_CELLS", 3 * 4000)
-    backlog = np.tile(np.arange(2000) * 2.5 // 1, (3, 1))
-    reducer, replay = reduce_in_blocks(backlog, [500, 900, 1500])
-    assert reducer.hist is None
-    assert same_verdict(reducer.verdict(replay=replay), estimate_verdict(backlog))
-    # Under the budget, the same climb is counted by histograms.
-    reducer, _ = reduce_in_blocks(backlog[:, :1500], [500, 900])
-    assert reducer.hist is not None
-    assert same_verdict(reducer.verdict(), estimate_verdict(backlog[:, :1500]))
 
 
 def test_reducer_rejects_negative_backlogs_and_short_horizons():
     with pytest.raises(ValueError, match="non-negative"):
         VerdictReducer(2, 1000).add(0, np.full((2, 10), -1.0))
+    with pytest.raises(ValueError, match="finite"):
+        VerdictReducer(2, 1000).add(0, np.full((2, 10), np.inf))
     with pytest.raises(ValueError, match="horizon"):
         VerdictReducer(2, 999)
 
@@ -270,27 +227,17 @@ KERNEL_CASES = {
 }
 
 
-def verdict_and_whole_runs(monkeypatch, scenario, mode, record_slots):
-    """A verdict run and a whole-array run of the same lanes, with small
-    sampler blocks: many blocks, a short last one."""
-    monkeypatch.setattr("qnetlab.processes._SAMPLE_BLOCK_BYTES", 40_000)
-    args = (scenario, [2.0] * 6 + [0.0], [0, 1, 2, 3, 4, 5, 2], 17, 1301, mode)
-    whole = controller.run_dpp_batch(*args, record=2, reducer=TotalsCollector)
-    streamed = controller.run_dpp_batch(*args, record=2, record_slots=record_slots,
-                                        reducer=VerdictReducer)
-
-    def replay(make):
-        return controller.run_dpp_batch(*args, reducer=make).reducer
-
-    return whole, streamed, replay
-
-
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_verdict_run_equals_whole_array_run(monkeypatch, case):
+    # Small sampler blocks: many blocks, a short last one.
+    monkeypatch.setattr("qnetlab.processes._SAMPLE_BLOCK_BYTES", 40_000)
     make, mode = KERNEL_CASES[case]
-    whole, streamed, replay = verdict_and_whole_runs(monkeypatch, make(), mode, 450)
+    args = (make(), [2.0] * 6 + [0.0], [0, 1, 2, 3, 4, 5, 2], 17, 1301, mode)
+    whole = controller.run_dpp_batch(*args, record=2, reducer=TotalsCollector)
+    streamed = controller.run_dpp_batch(*args, record=2, record_slots=450,
+                                        reducer=VerdictReducer)
     expected = estimate_verdict(whole.reducer.totals)
-    assert same_verdict(streamed.reducer.verdict(replay=replay), expected)
+    assert same_verdict(streamed.reducer.verdict(), expected)
     for full, kept in zip(whole.runs, streamed.runs):
         assert kept.horizon == 450
         for name in ("q_path", "z_path"):
@@ -301,19 +248,36 @@ def test_verdict_run_equals_whole_array_run(monkeypatch, case):
             assert np.array_equal(getattr(kept, name), want)
 
 
-@pytest.mark.parametrize("mode", ["respect", "clamped"])
-def test_non_integer_verdict_run_replays_pass_two(monkeypatch, mode):
-    whole, streamed, replay = verdict_and_whole_runs(
-        monkeypatch, halved(load_scenario("downlink2.json")), mode, None)
-    assert streamed.reducer.hist is None
-    replays = []
+ONE_PASS_CASES = {
+    "halved-downlink2": (lambda: halved(load_scenario("downlink2.json")), "respect"),
+    "halved-downlink2-clamped": (lambda: halved(load_scenario("downlink2.json")), "clamped"),
+    "bb1-unstable": (lambda: bb1(0.9, 0.5), "respect"),
+}
 
-    def counted(make):
-        replays.append(make)
-        return replay(make)
 
-    verdict = streamed.reducer.verdict(replay=counted)
-    assert len(replays) == 1  # one extra kernel pass, for pass 2 only
+@pytest.mark.parametrize("case", sorted(ONE_PASS_CASES))
+def test_verdict_run_takes_one_kernel_pass(monkeypatch, case):
+    # Backlogs that are not whole numbers, or that grow without bound, are
+    # counted on the same pass.  Chunks of 20 cells put two slots of the 7
+    # lanes in each chunk, with chunk edges that cross the sampler's blocks.
+    monkeypatch.setattr("qnetlab.processes._SAMPLE_BLOCK_BYTES", 40_000)
+    monkeypatch.setattr(stability, "_COUNT_CHUNK_CELLS", 20)
+    make, mode = ONE_PASS_CASES[case]
+    scenario = make()
+    whole = controller.run_dpp_batch(scenario, [2.0] * 7, range(7), 17, 1301, mode,
+                                     reducer=TotalsCollector)
+    calls = []
+    real_run = controller.run_dpp_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(controller, "run_dpp_batch", counted)
+    args = argparse.Namespace(V=2.0, reps=7, seed=17, horizon=1301, mode=mode, workers=1,
+                              trace_limit=10)
+    verdict, _ = ensemble_verdict(scenario, args, record=False)
+    assert len(calls) == 1
     assert same_verdict(verdict, estimate_verdict(whole.reducer.totals))
 
 
@@ -338,7 +302,7 @@ def test_long_simulate_peak_rss_does_not_grow_with_the_horizon(tmp_path, argv):
 @needs_wait4
 def test_wide_backlog_range_peak_rss_stays_bounded(tmp_path):
     # Arrivals of 1,000 units against unit service: backlogs reach ~10^6,
-    # whose histograms would take gigabytes; pass 2 replays instead.
+    # which one count per quarter octave covers in ~80 keys per lane.
     spec = json.loads(fixture_path("downlink2").read_text())
     for arrival in spec["arrivals"]:
         arrival["size"], arrival["rate"] = 1000.0, 1000.0 * arrival["p"]
@@ -357,8 +321,9 @@ def test_wide_backlog_range_peak_rss_stays_bounded(tmp_path):
     # 231 MB with whole arrays.
     ["bb1", "--lambda", "0.3", "--mu", "0.5", "--simulate", "--horizon", "200000",
      "--reps", "100"],
-    # An unstable queue outgrows the histograms' budget: 175 MB when they
-    # grew by doubling.
+    # An unstable queue: its backlogs grow with the horizon, their tail
+    # counts by a few keys (175 MB when whole-number histograms grew by
+    # doubling).
     ["simulate", "bb1.json", "--lambda", "0.9", "--mu", "0.5", "--horizon", "200000",
      "--reps", "100", "--seed", "7"],
 ], ids=["sweep-v", "bb1-simulate", "simulate-unstable"])
