@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -658,5 +659,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """The process entry of ``python -m qnetlab.cli`` and the ``qnetlab``
+    console script: ``main()``, then an exit that skips interpreter
+    finalization.
+
+    Unloading numpy at exit costs a command 15-30 ms after its last output
+    file is closed.  Every output file is closed by its writer and every
+    worker pool is joined by its ``with`` block, so only stdout and stderr
+    are flushed here, and a stdout whose reader has gone reports the error
+    the way ``main`` reports one: one stderr line and exit status 2.  An
+    uncaught exception, or argparse's ``SystemExit``, takes the normal exit.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

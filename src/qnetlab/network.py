@@ -128,6 +128,46 @@ def compile_tables(scenario: Scenario) -> ScenarioTables:
     return ScenarioTables(f=f, pad=pad, g=g, net=net, b=b, y=y, x=x, y_offered=y_offered)
 
 
+def _check_action_tables(actions: list[list[Action]], k: int, m: int) -> None:
+    """Raise ``ScenarioError`` at the first malformed action in (omega,
+    action) order: an empty action list, table vectors whose lengths do not
+    match K/M, a non-finite ``y``, ``b`` or ``x`` entry (checked in that
+    order), or a negative ``y`` or ``b`` entry.
+
+    Lengths are checked action by action, up to the first mismatch; the
+    values of the actions before it are checked on their stacked tables in
+    one pass.
+    """
+    shaped: list[tuple[int, int, Action]] = []
+    error = None
+    for w, acts in enumerate(actions):
+        if not acts:
+            error = ScenarioError(f"actions[{w}]", "action list is empty")
+        for i, act in enumerate(acts):
+            if act.y.shape != (k,) or act.b.shape != (k,) or act.x.shape != (m,):
+                error = ScenarioError(f"actions[{w}][{i}]", "table vector lengths do not match K/M")
+                break
+            shaped.append((w, i, act))
+        if error is not None:
+            break
+    if shaped:
+        y, b, x = (np.array([getattr(act, key) for _, _, act in shaped]) for key in "ybx")
+        # One row per action: y, b or x not finite, then a negative y or b.
+        # A NaN compares as not negative, and without a warning.
+        bad = np.column_stack([~np.isfinite(t).all(axis=1) for t in (y, b, x)]
+                              + [(y < 0).any(axis=1) | (b < 0).any(axis=1)])
+        if bad.any():
+            j = int(np.argmax(bad.any(axis=1)))
+            field = int(np.argmax(bad[j]))
+            w, i, _ = shaped[j]
+            loc = f"actions[{w}][{i}]"
+            if field < 3:
+                raise ScenarioError(f"{loc}.{'ybx'[field]}", "table entries must be finite")
+            raise ScenarioError(loc, "offered y and b must be non-negative")
+    if error is not None:
+        raise error
+
+
 class Scenario:
     def __init__(
         self,
@@ -155,18 +195,7 @@ class Scenario:
         k, m = n_queues, n_attributes
         if len(self.actions) != self.omega_chain.n_states:
             raise ScenarioError("actions", "need one action list per omega state")
-        for w, acts in enumerate(self.actions):
-            if not acts:
-                raise ScenarioError(f"actions[{w}]", "action list is empty")
-            for i, act in enumerate(acts):
-                loc = f"actions[{w}][{i}]"
-                if act.y.shape != (k,) or act.b.shape != (k,) or act.x.shape != (m,):
-                    raise ScenarioError(loc, "table vector lengths do not match K/M")
-                for key in ("y", "b", "x"):
-                    if not np.all(np.isfinite(getattr(act, key))):
-                        raise ScenarioError(f"{loc}.{key}", "table entries must be finite")
-                if np.any(act.y < 0) or np.any(act.b < 0):
-                    raise ScenarioError(loc, "offered y and b must be non-negative")
+        _check_action_tables(self.actions, k, m)
         if len(self.constraints) != self.n_constraints:
             raise ScenarioError("constraints", "need one affine function per constraint")
         named = [(f"constraints[{l}]", g) for l, g in enumerate(self.constraints)]

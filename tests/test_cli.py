@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import warnings
@@ -775,3 +777,97 @@ def test_traced_run_of_the_benchmark_completes(tmp_path):
     assert spans["exit_code"] == 0
     names = {span[2] for span in spans["spans"]}
     assert {"network.validate", "capacity.build_lp"} <= names
+
+
+# ---------------------------------------------------------------------------
+# process entry
+# ---------------------------------------------------------------------------
+
+# The two ways a command process starts: ``python -m qnetlab.cli``, and
+# ``run()`` called the way the ``qnetlab`` console script calls it.
+ENTRIES = {
+    "module": ["-m", "qnetlab.cli"],
+    "script": ["-c", "import sys; from qnetlab.cli import run; "
+                     "sys.argv[0] = 'qnetlab'; sys.exit(run())"],
+}
+
+
+def run_entry(entry, args, cwd):
+    return subprocess.run([sys.executable, *ENTRIES[entry], *args], cwd=cwd, env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("case", ["simulate-bb1-w1", "stability-bb1", "capacity-bb1",
+                                  "sweep-v-bb1", "counterexample-strong-not-rate",
+                                  "bb1-simulate"])
+def test_process_entries_match_main(tmp_path, monkeypatch, capsys, case):
+    # Both entries leave through os._exit, skipping interpreter
+    # finalization: the exit status, stdout and output bytes stay those of
+    # an in-process main().
+    args = CASES[case] + ["--out", "out"]
+    for where in ("main", *ENTRIES):
+        (tmp_path / where).mkdir()
+    monkeypatch.chdir(tmp_path / "main")
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    assert stdout
+    for entry in ENTRIES:
+        run = run_entry(entry, args, tmp_path / entry)
+        assert (run.returncode, run.stderr, run.stdout) == (0, "", stdout), entry
+        assert digests(tmp_path / entry / "out") == GOLDEN[case], entry
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_process_entry_reports_a_malformed_scenario(tmp_path, entry):
+    data = json.loads(fixture_path("bb1").read_text())
+    data["actions"][1][0]["b"] = [-1.0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    run = run_entry(entry, ["simulate", str(path), "--horizon", "1000", "--reps", "2",
+                            "--out", str(out)], tmp_path)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.splitlines() == [
+        "scenario error: actions[1][0]: offered y and b must be non-negative"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_2_with_one_error_line(tmp_path, unbuffered):
+    # Buffered, the output first reaches the pipe in run()'s own flush, and
+    # the interpreter's exit flush would print "Exception ignored ...
+    # BrokenPipeError" and exit 120.  Unbuffered, main() catches the first
+    # print's error itself.
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "qnetlab.cli", "capacity", "bb1.json",
+                              "--out", str(tmp_path / "out")],
+                             stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                             timeout=120)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+def test_process_entry_leaves_no_process_behind(tmp_path):
+    # os._exit skips the interpreter's exit hooks, so the worker pool must
+    # be gone before it: the command's whole process group has exited.
+    args = ["simulate", "downlink2.json", "--horizon", "1000", "--reps", "4",
+            "--workers", "2", "--out", str(tmp_path / "out")]
+    # No pipe: a process left behind would hold it open, and the wait with it.
+    with open(tmp_path / "stderr", "w") as err:
+        proc = subprocess.Popen([sys.executable, *ENTRIES["module"], *args], cwd=tmp_path,
+                                env=child_env(), stdout=subprocess.DEVNULL, stderr=err,
+                                start_new_session=True)
+    try:
+        assert proc.wait(timeout=120) == 0, (tmp_path / "stderr").read_text()
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)  # what the command left behind

@@ -279,13 +279,6 @@ def test_schema_error_reports_field_path(tmp_path):
         load_scenario(path)
 
 
-def test_schema_rejects_negative_service_tables():
-    data = json.loads(fixture_path("bb1").read_text())
-    data["actions"][1][0]["b"] = [-1.0]
-    with pytest.raises(ScenarioError, match="non-negative"):
-        scenario_from_dict(data)
-
-
 def test_schema_rejects_empty_action_list():
     data = json.loads(fixture_path("bb1").read_text())
     data["actions"][0] = []
@@ -355,12 +348,28 @@ def _load_with_value(tmp_path, path, value) -> None:
         (("dimensions", "K"), True, r"dimensions\.K: expected an integer"),
         (("dimensions", "M"), 1.9, r"dimensions\.M: expected an integer"),
         (("actions", 1, 0, "x"), [math.nan], r"actions\[1\]\[0\]\.x: table entries must be finite"),
+        (("actions", 1, 0, "y"), [math.nan], r"actions\[1\]\[0\]\.y: table entries must be finite"),
+        (("actions", 1, 0, "b"), [-math.inf], r"actions\[1\]\[0\]\.b: table entries must be finite"),
+        (("actions", 1, 0, "y"), [-1.0], r"actions\[1\]\[0\]: offered y and b must be non-negative"),
+        (("actions", 1, 0, "b"), [-1.0], r"actions\[1\]\[0\]: offered y and b must be non-negative"),
+        # Two offenders: the first action in (omega, action) order is named,
+        # and within an action y, b, x are checked for finiteness, then the sign.
+        (("actions", 1), [{"y": [0.0], "b": [-1.0], "x": [0.0]},
+                          {"y": [math.nan], "b": [0.0], "x": [0.0]}],
+         r"actions\[1\]\[0\]: offered y and b must be non-negative"),
+        (("actions", 1, 0), {"y": [-1.0], "b": [math.nan], "x": [math.inf]},
+         r"actions\[1\]\[0\]\.b: table entries must be finite"),
+        (("actions",), [[{"y": [0.0], "b": [0.0], "x": [math.nan]}],
+                        [{"y": [0.0, 0.0], "b": [0.0], "x": [0.0]}]],
+         r"actions\[0\]\[0\]\.x: table entries must be finite"),
         (("cost", "c"), [math.nan], r"cost: constant and coefficients must be finite"),
         (("omega_chain", "transition"), [[1.0], [0.5, 0.5]],
          r"omega_chain\.transition\[0\]: expected 2 entries, one per state, got 1"),
     ],
     ids=["non-object-action", "boolean-entry", "boolean-dimension", "fractional-dimension",
-         "nan-action-entry", "nan-cost-coefficient", "ragged-transition"],
+         "nan-action-entry", "nan-y-entry", "infinite-b-entry", "negative-y-entry",
+         "negative-b-entry", "first-action-first", "b-before-x-before-sign",
+         "values-before-a-later-length", "nan-cost-coefficient", "ragged-transition"],
 )
 def test_load_rejects_malformed_field(tmp_path, path, value, message):
     with pytest.raises(ScenarioError, match=message):
