@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .network import Scenario, validate
+from .network import Scenario
 from .processes import mixing_time
 from .simplex import LpResult, SimplexError, solve_lp, solve_lp_sequence
 
@@ -203,8 +203,7 @@ def _margin_value(result: LpResult) -> float:
 
 
 def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> PolicyLp:
-    """Assemble the state-only-policy LP for a validated scenario."""
-    validate(scenario)
+    """Assemble the state-only-policy LP of ``scenario`` from its tables."""
     pi = scenario.stationary()
     tab = scenario.tables
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import capacity as capacity_mod
 from . import controller, stability
-from .network import Scenario, ScenarioError, fixture_path, load_scenario, validate
+from .network import Scenario, ScenarioError, fixture_path, load_scenario
 from .processes import _MASK64, ArrivalSpec, FiniteMarkovChain
 from .simplex import SimplexError
 from .stability import (
@@ -238,15 +238,14 @@ def _check_out(out: Path) -> None:
 def _verdict_run(
     args: argparse.Namespace, record: bool
 ) -> tuple[Scenario, StabilityVerdict, controller.DppRunResult | None, list[tuple[str, object]]]:
-    """The shared part of ``simulate`` and ``stability``: load and validate
-    the scenario, run the ensemble, write ``curves.csv``.  Returns the
-    verdict, replication 0 when ``record``, and the report's leading items.
-    A horizon too short for a verdict, or an ``--out`` that is not a
+    """The shared part of ``simulate`` and ``stability``: load the scenario,
+    run the ensemble, write ``curves.csv``.  Returns the verdict,
+    replication 0 when ``record``, and the report's leading items.  A
+    horizon too short for a verdict, or an ``--out`` that is not a
     directory, fails before anything runs, and a failed run before anything
     is written."""
     out = Path(args.out)
     scenario = _load_with_overrides(args)
-    validate(scenario)
     stability._check_verdict_horizon(args.horizon)
     _check_out(out)
     verdict, run = ensemble_verdict(scenario, args, record)
@@ -316,7 +315,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     lams = (
         parse_lambda_flag(args.lam, scenario.n_queues) if args.lam is not None else None
     )
-    lp = capacity_mod.build_lp(scenario, lams)  # validates the scenario
+    lp = capacity_mod.build_lp(scenario, lams)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = lp.solve()
@@ -361,7 +360,7 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
     out = Path(args.out)
     _check_out(out)
     scenario = _load_with_overrides(args)
-    cap = capacity_mod.solve_fopt(scenario)  # validates the scenario
+    cap = capacity_mod.solve_fopt(scenario)
     if not cap.feasible or cap.d_max <= 0.0:
         print(
             "error: V-sweep needs a strictly interior arrival-rate vector "

@@ -91,13 +91,14 @@ def run_dpp_batch(
     alone: scores, updates and reductions follow the single-run order.
     Every scenario runs one slot update on the stacked state ``s = [Z; Q]``,
     lanes innermost.  Scores add the ``[g | net]`` rows times ``s`` in the
-    fixed order ``t = 0..L+K-1``, so no BLAS kernel rounds them; the update
-    ``s - min([-g | b], s)`` (respect) or ``max(s - [-g | b], 0)`` is
-    ``max(Z + g, 0)`` on the ``Z`` rows.  With one action per state the
-    argmin is action 0, so no score is computed.  A slot's decision is one
-    flat index ``omega * A + action`` per lane, which the update, the sums
-    and the records all read.  A value past the float range raises
-    ``FloatingPointError``.
+    fixed order ``t = 0..L+K-1``, so no BLAS kernel rounds them.  Both modes
+    update by ``s - min([-g | b], s)``, which for ``s >= 0`` is
+    ``max(s - [-g | b], 0)`` bit for bit, and ``max(Z + g, 0)`` on the ``Z``
+    rows; clamped mode adds the offered ``y_offered`` and takes no routes.
+    With one action per state the argmin is action 0, so no score is
+    computed.  A slot's decision is one flat index ``omega * A + action``
+    per lane, which the update, the sums and the records all read.  A value
+    past the float range raises ``FloatingPointError``.
 
     Results leave by time block; no array spans the horizon.  Each block's
     per-lane totals of the slot-start backlogs (plus the sum of Z with
@@ -182,10 +183,7 @@ def run_dpp_batch(
                         np.add(vf_j, scores, out=scores)
                         row += scores.argmin(axis=0, out=best)
                     update_tab.take(row, axis=1, out=upd, mode="clip")
-                    if clamped:
-                        np.maximum(np.subtract(s, sub, out=kept), 0.0, out=kept)
-                    else:
-                        np.subtract(s, np.minimum(sub, s, out=moved), out=kept)
+                    np.subtract(s, np.minimum(sub, s, out=moved), out=kept)
                     for dst, src in routes:
                         dst += src
                     np.add(kept, add, out=s_next)
@@ -296,7 +294,7 @@ def drift_constants(
             np.max(ayb2, axis=0).sum() + np.max(g**2, axis=0).sum()
         )
     t_mix = mixing_time(scenario.omega_chain, delta)
-    # Builtin min/max in (omega, action) order: validate's bits and signed zeros.
+    # Builtin min/max in (omega, action) order keep the first zero's sign.
     f_real = tab.f[tab.real].tolist()
     f_min, f_max = min(f_real), max(f_real)
     return DriftConstants(

@@ -107,7 +107,8 @@ def compile_tables(scenario: Scenario) -> ScenarioTables:
     receives its table ``y`` plus the offered service of every queue routed
     into it, added in routing-list order.  ``f`` and ``g`` are the affine
     functions evaluated action by action.  Entries that overflow become inf
-    or NaN without a warning; ``validate`` reports them.
+    or NaN without a warning; the constructor's ``validate`` then rejects
+    them.
     """
     n_s, n_a = scenario.omega_chain.n_states, max(map(len, scenario.actions))
     k, n_l, m = scenario.n_queues, scenario.n_constraints, scenario.n_attributes
@@ -126,46 +127,6 @@ def compile_tables(scenario: Scenario) -> ScenarioTables:
             y_offered[:, :, dst] += b[:, :, src]
         net = y_offered - b
     return ScenarioTables(f=f, pad=pad, g=g, net=net, b=b, y=y, x=x, y_offered=y_offered)
-
-
-def _check_action_tables(actions: list[list[Action]], k: int, m: int) -> None:
-    """Raise ``ScenarioError`` at the first malformed action in (omega,
-    action) order: an empty action list, table vectors whose lengths do not
-    match K/M, a non-finite ``y``, ``b`` or ``x`` entry (checked in that
-    order), or a negative ``y`` or ``b`` entry.
-
-    Lengths are checked action by action, up to the first mismatch; the
-    values of the actions before it are checked on their stacked tables in
-    one pass.
-    """
-    shaped: list[tuple[int, int, Action]] = []
-    error = None
-    for w, acts in enumerate(actions):
-        if not acts:
-            error = ScenarioError(f"actions[{w}]", "action list is empty")
-        for i, act in enumerate(acts):
-            if act.y.shape != (k,) or act.b.shape != (k,) or act.x.shape != (m,):
-                error = ScenarioError(f"actions[{w}][{i}]", "table vector lengths do not match K/M")
-                break
-            shaped.append((w, i, act))
-        if error is not None:
-            break
-    if shaped:
-        y, b, x = (np.array([getattr(act, key) for _, _, act in shaped]) for key in "ybx")
-        # One row per action: y, b or x not finite, then a negative y or b.
-        # A NaN compares as not negative, and without a warning.
-        bad = np.column_stack([~np.isfinite(t).all(axis=1) for t in (y, b, x)]
-                              + [(y < 0).any(axis=1) | (b < 0).any(axis=1)])
-        if bad.any():
-            j = int(np.argmax(bad.any(axis=1)))
-            field = int(np.argmax(bad[j]))
-            w, i, _ = shaped[j]
-            loc = f"actions[{w}][{i}]"
-            if field < 3:
-                raise ScenarioError(f"{loc}.{'ybx'[field]}", "table entries must be finite")
-            raise ScenarioError(loc, "offered y and b must be non-negative")
-    if error is not None:
-        raise error
 
 
 class Scenario:
@@ -195,7 +156,13 @@ class Scenario:
         k, m = n_queues, n_attributes
         if len(self.actions) != self.omega_chain.n_states:
             raise ScenarioError("actions", "need one action list per omega state")
-        _check_action_tables(self.actions, k, m)
+        for w, acts in enumerate(self.actions):
+            if not acts:
+                raise ScenarioError(f"actions[{w}]", "action list is empty")
+            for i, act in enumerate(acts):
+                if act.y.shape != (k,) or act.b.shape != (k,) or act.x.shape != (m,):
+                    raise ScenarioError(f"actions[{w}][{i}]",
+                                        "table vector lengths do not match K/M")
         if len(self.constraints) != self.n_constraints:
             raise ScenarioError("constraints", "need one affine function per constraint")
         named = [(f"constraints[{l}]", g) for l, g in enumerate(self.constraints)]
@@ -218,13 +185,15 @@ class Scenario:
             seen_pairs.add((src, dst))
         if "tables" not in vars(self):  # else passed on by _replace
             self.tables = compile_tables(self)
+            validate(self)
 
     def _replace(self, **changes: Any) -> Scenario:
-        """A new scenario with some constructor arguments changed, validated
+        """A new scenario with some constructor arguments changed, checked
         again; named like the ``_replace`` of the NamedTuple records.  The
         tables are passed on when only ``arrivals`` or ``omega_chain`` change:
         ``compile_tables`` reads neither, beyond the state count that the
-        constructor checks against the action lists."""
+        constructor checks against the action lists, so neither the compile
+        nor ``validate`` runs again."""
         args = {key: value for key, value in vars(self).items() if key != "tables"}
         new = Scenario.__new__(Scenario)
         if changes.keys() <= {"arrivals", "omega_chain"}:
@@ -240,25 +209,47 @@ class Scenario:
         return stationary_distribution(self.omega_chain)
 
 
-def validate(scenario: Scenario) -> None:
-    """Check every real (omega, action) table value and cost for finiteness.
+# A value fault per column of ``validate``'s table: the location's suffix and
+# the message.  The first four are the table inputs, the last three the
+# evaluated values.
+_VALUE_FAULTS = (
+    (".y", "table entries must be finite"),
+    (".b", "table entries must be finite"),
+    (".x", "table entries must be finite"),
+    ("", "offered y and b must be non-negative"),
+    ("", "non-finite y table entry"),
+    ("", "non-finite g table entry"),
+    ("", "non-finite cost value"),
+)
 
-    Raises ``ScenarioError`` at the first offender in (omega, action) order.
+
+def validate(scenario: Scenario) -> None:
+    """Check the values of every real (omega, action) in ``scenario.tables``.
+
+    Two groups, each in (omega, action) order: first the table inputs (a
+    ``y``, ``b`` or ``x`` entry that is not finite, checked in that order,
+    then a negative ``y`` or ``b``), then the evaluated values (the routed
+    offer ``y_offered``, then ``g``, then the cost).  Raises
+    ``ScenarioError`` at the first offender.  ``Scenario`` runs it once,
+    right after ``compile_tables``.
     """
     tab = scenario.tables
     real = tab.real
-    y, b, x, g, f = (a[real] for a in (tab.y_offered, tab.b, tab.x, tab.g, tab.f))
-    # One row per real action: which of its y, b, x, g and cost are not finite.
+    y, b, x, y_offered, g, f = (a[real] for a in (tab.y, tab.b, tab.x, tab.y_offered, tab.g, tab.f))
+    # One row per real action, one column per fault.  A NaN compares as not
+    # negative, and without a warning.
     bad = np.column_stack(
-        [~np.all(np.isfinite(a), axis=1) for a in (y, b, x, g)] + [~np.isfinite(f)]
+        [~np.isfinite(t).all(axis=1) for t in (y, b, x)]
+        + [(y < 0).any(axis=1) | (b < 0).any(axis=1)]
+        + [~np.isfinite(t).all(axis=1) for t in (y_offered, g)] + [~np.isfinite(f)]
     )
-    if bad.any():
-        j = int(np.argmax(bad.any(axis=1)))
-        w, i = np.argwhere(real)[j].tolist()
-        what = ("non-finite y table entry", "non-finite b table entry",
-                "non-finite x table entry", "non-finite g table entry",
-                "non-finite cost value")[int(np.argmax(bad[j]))]
-        raise ScenarioError(f"actions[{w}][{i}]", what)
+    for group in (slice(0, 4), slice(4, 7)):  # inputs, then evaluated values
+        hit = bad[:, group].any(axis=1)
+        if hit.any():
+            j = int(np.argmax(hit))
+            w, i = np.argwhere(real)[j].tolist()
+            suffix, message = _VALUE_FAULTS[group.start + int(np.argmax(bad[j, group]))]
+            raise ScenarioError(f"actions[{w}][{i}]{suffix}", message)
 
 
 # ---------------------------------------------------------------------------

@@ -87,19 +87,29 @@ def evaluate_action(
     return y, act.b.copy(), x.copy(), f_value, g_values
 
 
-def validate_by_actions(scenario: Scenario) -> None:
-    """``network.validate`` as one ``evaluate_action`` per (omega, action)."""
+def validate_by_actions(scenario) -> None:
+    """``network.validate`` as one loop per group over the (omega, action)
+    pairs: the table inputs from the action list, then the evaluated values
+    from ``evaluate_action``.  ``scenario`` needs only what those read: a
+    built ``Scenario`` or the constructor's arguments."""
+    pairs = [(w, i) for w, acts in enumerate(scenario.actions) for i in range(len(acts))]
+    for w, i in pairs:
+        act = scenario.actions[w][i]
+        for key in "ybx":
+            if not np.all(np.isfinite(getattr(act, key))):
+                raise ScenarioError(f"actions[{w}][{i}].{key}", "table entries must be finite")
+        if np.any(act.y < 0) or np.any(act.b < 0):
+            raise ScenarioError(f"actions[{w}][{i}]", "offered y and b must be non-negative")
     with np.errstate(over="ignore", invalid="ignore"):
-        for w in range(scenario.omega_chain.n_states):
-            for i in range(len(scenario.actions[w])):
-                y, b, x, f_value, g_values = evaluate_action(scenario, w, i)
-                for arr, what in ((y, "y"), (b, "b"), (x, "x"), (g_values, "g")):
-                    if not np.all(np.isfinite(arr)):
-                        raise ScenarioError(
-                            f"actions[{w}][{i}]", f"non-finite {what} table entry"
-                        )
-                if not math.isfinite(f_value):
-                    raise ScenarioError(f"actions[{w}][{i}]", "non-finite cost value")
+        for w, i in pairs:
+            y, _, _, f_value, g_values = evaluate_action(scenario, w, i)
+            for arr, what in ((y, "y"), (g_values, "g")):
+                if not np.all(np.isfinite(arr)):
+                    raise ScenarioError(
+                        f"actions[{w}][{i}]", f"non-finite {what} table entry"
+                    )
+            if not math.isfinite(f_value):
+                raise ScenarioError(f"actions[{w}][{i}]", "non-finite cost value")
 
 
 def lp_by_actions(

@@ -17,7 +17,7 @@ from oracles import trace_rows, write_csv_by_rows
 from test_golden import CASES, GOLDEN, digests
 from qnetlab import capacity, cli, controller, network
 from qnetlab.cli import main
-from qnetlab.network import fixture_path
+from qnetlab.network import ScenarioError, fixture_path, load_scenario
 from qnetlab.simplex import SimplexError
 
 RELAY8 = str(Path(__file__).parent / "fixtures" / "relay8.json")
@@ -204,11 +204,11 @@ def test_sweep_v_validates_the_scenario_once(tmp_path, monkeypatch):
         calls.append(scenario.name)
         return real_validate(scenario)
 
-    # Every module binds its own name for the function.
-    for module in (network, capacity, controller, cli):
-        if getattr(module, "validate", None) is real_validate:
-            monkeypatch.setattr(module, "validate", counting)
-    # Scenario construction compiles the tables through the module's name.
+    # Scenario construction compiles the tables and validates them through
+    # the network module's names; no other module binds either.
+    for module in (capacity, controller, cli):
+        assert not hasattr(module, "validate")
+    monkeypatch.setattr(network, "validate", counting)
     compiles = []
     real_compile = network.compile_tables
 
@@ -220,19 +220,21 @@ def test_sweep_v_validates_the_scenario_once(tmp_path, monkeypatch):
     rc = main(["sweep-v", "downlink2.json", "--V", "1,10", "--horizon", "500",
                "--out", str(tmp_path / "o")])
     assert rc == 0
-    assert len(calls) == 1
-    assert compiles == ["downlink2"]
+    assert calls == compiles == ["downlink2"]
+    calls.clear()
     compiles.clear()
     rc = main(["capacity", "downlink2.json", "--sweep-scale", "0.5,1,1.5",
                "--out", str(tmp_path / "c")])
     assert rc == 0
-    assert compiles == ["downlink2"]
-    # Overriding the arrivals and the server chain keeps the compiled tables.
+    assert calls == compiles == ["downlink2"]
+    # Overriding the arrivals and the server chain keeps the compiled tables,
+    # which are not validated again.
+    calls.clear()
     compiles.clear()
     rc = main(["simulate", "bb1.json", "--lambda", "0.3", "--mu", "0.5", "--horizon", "1000",
                "--reps", "2", "--out", str(tmp_path / "s")])
     assert rc == 0
-    assert compiles == ["bb1"]
+    assert calls == compiles == ["bb1"]
 
 
 def test_capacity_with_a_huge_lambda_warns_nothing(tmp_path, capsys):
@@ -393,9 +395,9 @@ def test_non_finite_cost_is_scenario_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", sorted(SCENARIO_COMMANDS))
 def test_overflowing_routed_offer_fails_before_any_output(tmp_path, capsys, command):
-    # The tables are finite, so the file loads; the routed offer 1e308 + 1e308
-    # overflows, which validation rejects.  capacity and sweep-v used to
-    # create --out before they validated.
+    # The tables are finite, but the routed offer 1e308 + 1e308 overflows,
+    # so the file fails at load.  capacity and sweep-v used to create --out
+    # before they validated.
     data = json.loads(fixture_path("downlink2").read_text())
     data["actions"][1][1].update(y=[0.0, 1e308], b=[1e308, 0.0])
     data["routing"] = [{"src": 0, "dst": 1}]
@@ -408,6 +410,27 @@ def test_overflowing_routed_offer_fails_before_any_output(tmp_path, capsys, comm
     assert capsys.readouterr().err == (
         "scenario error: actions[1][1]: non-finite y table entry\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SCENARIO_COMMANDS))
+@pytest.mark.parametrize("field, message", [("c", "non-finite cost value"),
+                                            ("d", "non-finite g table entry")],
+                         ids=["cost", "constraint"])
+def test_overflowing_cost_or_constraint_fails_at_load(tmp_path, capsys, command, field, message):
+    # x = 1e308 is finite, and so is the cost or constraint coefficient 10,
+    # but their product overflows.
+    data = json.loads(fixture_path("downlink2").read_text())
+    data["actions"][1][1]["x"] = [1e308]
+    (data["cost"] if field == "c" else data["constraints"][0])[field] = [10.0]
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match=rf"^actions\[1\]\[1\]: {message}$"):
+        load_scenario(bad)
+    out = tmp_path / "o"
+    rc = main([command, str(bad), *SCENARIO_COMMANDS[command], "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"scenario error: actions[1][1]: {message}\n"
     assert not out.exists()
 
 

@@ -225,10 +225,10 @@ def test_validate_downlink_fixture_second_moment():
 
 
 def test_validate_rejects_non_finite_tables():
-    # Finite tables load, but the routed offer 1e308 + 1e308 overflows.
-    s = make_scenario([action([0, 1e308], [1e308, 0], [0.0])], routing=[(0, 1)])
-    with np.errstate(over="ignore"), pytest.raises(ScenarioError, match="non-finite"):
-        validate(s)
+    # The tables are finite, but the routed offer 1e308 + 1e308 overflows,
+    # which the constructor's validate rejects.
+    with pytest.raises(ScenarioError, match=r"^actions\[0\]\[0\]: non-finite y table entry$"):
+        make_scenario([action([0, 1e308], [1e308, 0], [0.0])], routing=[(0, 1)])
 
 
 def test_affine_passthrough_over_action_mixtures():
@@ -330,12 +330,16 @@ def test_load_rejects_nan_transition_row(tmp_path):
 
 
 def _load_with_value(tmp_path, path, value) -> None:
-    """Load the bb1 fixture with the field at ``path`` set to ``value``."""
+    """Load the bb1 fixture with the field at ``path`` set to ``value``; an
+    empty ``path`` sets the top-level fields of ``value``."""
 
     def edit(data):
         for key in path[:-1]:
             data = data[key]
-        data[path[-1]] = value
+        if path:
+            data[path[-1]] = value
+        else:
+            data.update(value)
 
     _load_with(tmp_path, edit)
 
@@ -359,9 +363,15 @@ def _load_with_value(tmp_path, path, value) -> None:
          r"actions\[1\]\[0\]: offered y and b must be non-negative"),
         (("actions", 1, 0), {"y": [-1.0], "b": [math.nan], "x": [math.inf]},
          r"actions\[1\]\[0\]\.b: table entries must be finite"),
+        # Every shape error comes before any value error, and the table
+        # inputs of every action before any evaluated value.
         (("actions",), [[{"y": [0.0], "b": [0.0], "x": [math.nan]}],
                         [{"y": [0.0, 0.0], "b": [0.0], "x": [0.0]}]],
-         r"actions\[0\]\[0\]\.x: table entries must be finite"),
+         r"actions\[1\]\[0\]: table vector lengths do not match K/M"),
+        ((), {"cost": {"c0": 0.0, "c": [1e308]},
+              "actions": [[{"y": [0.0], "b": [0.0], "x": [10.0]}],
+                          [{"y": [math.nan], "b": [1.0], "x": [1.0]}]]},
+         r"actions\[1\]\[0\]\.y: table entries must be finite"),
         (("cost", "c"), [math.nan], r"cost: constant and coefficients must be finite"),
         (("omega_chain", "transition"), [[1.0], [0.5, 0.5]],
          r"omega_chain\.transition\[0\]: expected 2 entries, one per state, got 1"),
@@ -369,7 +379,8 @@ def _load_with_value(tmp_path, path, value) -> None:
     ids=["non-object-action", "boolean-entry", "boolean-dimension", "fractional-dimension",
          "nan-action-entry", "nan-y-entry", "infinite-b-entry", "negative-y-entry",
          "negative-b-entry", "first-action-first", "b-before-x-before-sign",
-         "values-before-a-later-length", "nan-cost-coefficient", "ragged-transition"],
+         "values-before-a-later-length", "inputs-before-evaluated-values",
+         "nan-cost-coefficient", "ragged-transition"],
 )
 def test_load_rejects_malformed_field(tmp_path, path, value, message):
     with pytest.raises(ScenarioError, match=message):
