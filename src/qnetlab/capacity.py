@@ -26,7 +26,7 @@ import numpy as np
 
 from .network import Scenario
 from .processes import mixing_time
-from .simplex import LpResult, SimplexError, solve_lp, solve_lp_sequence
+from .simplex import LpResult, SimplexError, solve_lp_sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .controller import DriftConstants
@@ -108,81 +108,59 @@ class PolicyLp(NamedTuple):
             pos += len(acts)
         return OmegaOnlyPolicy(distributions=tuple(dists))
 
-    def _margin_lp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``c``, ``a_ub`` and ``a_eq`` of the margin LP: one more variable d."""
-        c = np.zeros(self.c.size + 1)
-        c[-1] = -1.0  # maximize d
-        a_ub = np.hstack([self.a_ub, np.full((self.a_ub.shape[0], 1), 0.5)])
-        a_eq = np.hstack([self.a_eq, np.zeros((self.a_eq.shape[0], 1))])
-        return c, a_ub, a_eq
-
-    def margin(self) -> float:
-        """Largest margin d with every inequality pushed to <= -d/2 (0 at or
-        outside the boundary)."""
-        c, a_ub, a_eq = self._margin_lp()
-        return _margin_value(solve_lp(c, a_ub, self.b_ub, a_eq, self.b_eq))
-
-    def sweep(self, scales: Sequence[float]) -> list[tuple[bool, float, float]]:
-        """``(feasible, f_opt, d_max)`` of ``self.at(s * self.lambdas).solve()``
-        for each scale s, without the policy or the binding rows.
+    def sweep(
+        self, scales: Sequence[float]
+    ) -> tuple[CapacityReport, list[tuple[bool, float, float]]]:
+        """The report at ``self.lambdas``, and ``(feasible, f_opt, d_max)`` at
+        ``s * self.lambdas`` for each scale s, without the policy or the
+        binding rows.
 
         The points share everything but the queue rows' right-hand side, so
-        the cost LP is solved as one warm-started sequence over every scale
-        and the margin LP as another over the feasible ones.  The cost
-        sequence starts at zero rates, where no queue row needs an
-        artificial and the cold solve is cheap (16 pivots against ~150-380
-        at the relay8 fixture's loaded points).  Feasibility is the cold
-        solve's; ``f_opt`` and ``d_max`` can differ from it in the last
-        digits.
+        the cost LP is one warm-started sequence that opens with the cold
+        solve at ``self.lambdas``, and the margin LP (one more variable d,
+        every inequality pushed to <= -d/2) is another over the feasible
+        points.  Feasibility is the cold solve's; a scale's ``f_opt`` and
+        ``d_max`` can differ from it in the last digits.  Arithmetic past
+        the float range raises ``FloatingPointError``.
         """
-        points = [self.at(s * self.lambdas) for s in scales]
-        idle = self.at(np.zeros_like(self.lambdas))
-        costs = solve_lp_sequence(
-            self.c, self.a_ub, self.a_eq, [(p.b_ub, p.b_eq) for p in (idle, *points)]
-        )[1:]
-        feasible = [_cost_feasible(result) for result in costs]
-        c, a_ub, a_eq = self._margin_lp()
-        margins = iter(
-            solve_lp_sequence(
-                c, a_ub, a_eq,
-                [(p.b_ub, p.b_eq) for p, ok in zip(points, feasible) if ok],
+        with np.errstate(over="raise", invalid="raise"):
+            points = [self, *(self.at(s * self.lambdas) for s in scales)]
+            costs = solve_lp_sequence(
+                self.c, self.a_ub, self.a_eq, [(p.b_ub, p.b_eq) for p in points]
             )
-        )
-        return [
-            (True, self.c0 + float(result.objective), _margin_value(next(margins)))
-            if ok
-            else (False, math.nan, 0.0)
-            for result, ok in zip(costs, feasible)
-        ]
+            feasible = [_cost_feasible(result) for result in costs]
+            c = np.zeros(self.c.size + 1)
+            c[-1] = -1.0  # maximize d
+            margins = iter(
+                solve_lp_sequence(
+                    c,
+                    np.hstack([self.a_ub, np.full((self.a_ub.shape[0], 1), 0.5)]),
+                    np.hstack([self.a_eq, np.zeros((self.a_eq.shape[0], 1))]),
+                    [(p.b_ub, p.b_eq) for p, ok in zip(points, feasible) if ok],
+                )
+            )
+            rows = [
+                (True, self.c0 + float(result.objective), _margin_value(next(margins)))
+                if ok
+                else (False, math.nan, 0.0)
+                for result, ok in zip(costs, feasible)
+            ]
+            policy, binding = None, ()
+            if feasible[0]:
+                x = costs[0].x
+                slack = self.b_ub - self.a_ub @ x
+                policy = self.policy_from(x)
+                binding = tuple(
+                    name
+                    for name, s, rhs in zip(self.row_names, slack, self.b_ub)
+                    if s <= FEAS_TOL * (1.0 + abs(rhs))
+                )
+        report = CapacityReport(*rows[0], policy, binding, bool(self.scenario.routing))
+        return report, rows[1:]
 
     def solve(self) -> CapacityReport:
         """Minimum-cost state-only policy, with feasibility and margin report."""
-        result = solve_lp(self.c, self.a_ub, self.b_ub, self.a_eq, self.b_eq)
-        routing_flag = bool(self.scenario.routing)
-        if not _cost_feasible(result):
-            return CapacityReport(
-                feasible=False,
-                f_opt=math.nan,
-                d_max=0.0,
-                policy=None,
-                binding_constraints=(),
-                routing_outer_bound=routing_flag,
-            )
-        x = result.x
-        slack = self.b_ub - self.a_ub @ x
-        binding = tuple(
-            name
-            for name, s, rhs in zip(self.row_names, slack, self.b_ub)
-            if s <= FEAS_TOL * (1.0 + abs(rhs))
-        )
-        return CapacityReport(
-            feasible=True,
-            f_opt=self.c0 + float(result.objective),
-            d_max=self.margin(),
-            policy=self.policy_from(x),
-            binding_constraints=binding,
-            routing_outer_bound=routing_flag,
-        )
+        return self.sweep(())[0]
 
 
 def _cost_feasible(result: LpResult) -> bool:

@@ -315,10 +315,11 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     lams = (
         parse_lambda_flag(args.lam, scenario.n_queues) if args.lam is not None else None
     )
-    lp = capacity_mod.build_lp(scenario, lams)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report = lp.solve()
+    _check_out(out)
+    lp = capacity_mod.build_lp(scenario, lams)
+    report, sweep_rows = lp.sweep(scales)
+    out.mkdir(parents=True, exist_ok=True)  # made once the solves have succeeded
     items: list[tuple[str, object]] = [
         ("command", "capacity"),
         ("scenario", scenario.name),
@@ -342,7 +343,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     if scales:
         rows = [
             [scale, *[float(v) for v in scale * lp.lambdas], feasible, f_opt, d_max]
-            for scale, (feasible, f_opt, d_max) in zip(scales, lp.sweep(scales))
+            for scale, (feasible, f_opt, d_max) in zip(scales, sweep_rows)
         ]
         header = ["scale"] + [f"lambda_{k + 1}" for k in range(scenario.n_queues)] + [
             "feasible",

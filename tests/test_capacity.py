@@ -95,7 +95,7 @@ def test_lp_moved_to_new_rates_equals_a_fresh_build(downlink2):
 
 def test_bb1_dmax_hand_value(bb1):
     # Margin LP: 0.3 + d/2 <= 0.5  ->  d = 0.4.
-    assert build_lp(bb1).margin() == pytest.approx(0.4, abs=1e-9)
+    assert build_lp(bb1).solve().d_max == pytest.approx(0.4, abs=1e-9)
 
 
 def test_infeasible_rate_vector_reported(bb1):
@@ -132,7 +132,7 @@ def test_two_action_minimum_picks_smaller_cost():
 
 
 def test_zero_rates_with_idle_action_are_strictly_interior(downlink2):
-    assert build_lp(downlink2, [0.0, 0.0]).margin() > 0.0
+    assert build_lp(downlink2, [0.0, 0.0]).solve().d_max > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def test_membership_includes_boundary(bb1):
 
 
 def test_boundary_point_has_zero_margin(bb1):
-    assert build_lp(bb1, [0.5]).margin() == pytest.approx(0.0, abs=1e-9)
+    assert build_lp(bb1, [0.5]).solve().d_max == pytest.approx(0.0, abs=1e-9)
 
 
 def test_membership_is_monotone_downward(downlink2):
@@ -160,7 +160,7 @@ def test_membership_is_monotone_downward(downlink2):
 
 
 def test_slater_consistency(downlink2):
-    d = build_lp(downlink2).margin()
+    d = build_lp(downlink2).solve().d_max
     assert d > 0
     assert build_lp(downlink2, downlink2.lambdas).solve().feasible
     # The margin-d policy pushes every inequality to -d/2, so shifting every
@@ -202,7 +202,7 @@ BB1_COSTS = dict(f_opt=0.5, f_min=0.0, f_max=1.0)
 def test_drift_constants_carry_the_cost_constants(bb1):
     drift = drift_constants(bb1)
     assert {name: getattr(drift, name) for name in BB1_COSTS} == BB1_COSTS
-    assert drift.d_max == build_lp(bb1).margin()
+    assert drift.d_max == build_lp(bb1).solve().d_max
 
 
 def test_bounds_reuse_the_drift_mixing_time(downlink2, monkeypatch):
@@ -286,13 +286,16 @@ def sweep_case(name):
     return lp, lo
 
 
-@st.composite
-def scale_lists(draw, boundary):
+def scale_points(boundary):
     near = st.floats(-1e-6, 1e-6).map(lambda d: boundary + d)
-    point = st.one_of(
+    return st.one_of(
         st.just(0.0), st.just(boundary), near, st.floats(0.0, 1.5 * boundary)
     )
-    scales = draw(st.lists(point, min_size=1, max_size=6))
+
+
+@st.composite
+def scale_lists(draw, boundary):
+    scales = draw(st.lists(scale_points(boundary), min_size=1, max_size=6))
     repeats = draw(st.lists(st.sampled_from(scales), max_size=3))
     return draw(st.permutations(scales + repeats))
 
@@ -301,14 +304,31 @@ def close(warm, cold):
     return abs(warm - cold) <= 1e-12 * max(1.0, abs(cold))
 
 
+def report_bits(report):
+    policy = report.policy
+    return report._replace(
+        f_opt=report.f_opt.hex(),
+        d_max=report.d_max.hex(),
+        policy=policy and [dist.tobytes() for dist in policy.distributions],
+    )
+
+
 @pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_warm_sweep_matches_cold_solves(name, data):
     lp, boundary = sweep_case(name)
-    scales = data.draw(scale_lists(boundary))
-    for scale, (feasible, f_opt, d_max) in zip(scales, lp.sweep(scales), strict=True):
-        cold = lp.at(scale * lp.lambdas).solve()
+    # The base point opens both sequences, so it is drawn too, on either side
+    # of the boundary; its report does not depend on the scales after it.
+    # The scales are divided by the base's, so the points stay where they
+    # were drawn relative to the boundary.
+    b = data.draw(scale_points(boundary).filter(lambda b: b >= 1e-3))
+    base = lp.at(b * lp.lambdas)
+    scales = [s / b for s in data.draw(scale_lists(boundary))]
+    report, rows = base.sweep(scales)
+    assert report_bits(report) == report_bits(base.sweep(())[0])
+    for scale, (feasible, f_opt, d_max) in zip(scales, rows, strict=True):
+        cold = base.at(scale * base.lambdas).solve()
         assert feasible == cold.feasible, scale
         if feasible:
             assert close(f_opt, cold.f_opt) and close(d_max, cold.d_max), scale
@@ -334,5 +354,8 @@ def test_warm_sweep_takes_a_tenth_of_the_cold_pivots(monkeypatch):
         lp.at(scale * lp.lambdas).solve()
     cold = len(pivots)
     pivots.clear()
+    lp.solve()
+    base = len(pivots)
+    pivots.clear()
     lp.sweep(scales)
-    assert len(pivots) <= 0.10 * cold, (len(pivots), cold)
+    assert len(pivots) - base <= 0.10 * cold, (len(pivots), base, cold)

@@ -15,7 +15,7 @@ import pytest
 import qnetlab
 from oracles import trace_rows, write_csv_by_rows
 from test_golden import CASES, GOLDEN, digests
-from qnetlab import capacity, cli, controller, network
+from qnetlab import capacity, cli, controller, network, simplex
 from qnetlab.cli import main
 from qnetlab.network import ScenarioError, fixture_path, load_scenario
 from qnetlab.simplex import SimplexError
@@ -516,24 +516,57 @@ def test_simplex_error_is_reported_not_raised(tmp_path, capsys, monkeypatch):
     def failing_lp(*args, **kwargs):
         raise SimplexError("iteration limit reached")
 
-    monkeypatch.setattr(capacity, "solve_lp", failing_lp)
-    rc = main(["capacity", "bb1.json", "--out", str(tmp_path / "o")])
+    monkeypatch.setattr(capacity, "solve_lp_sequence", failing_lp)
+    out = tmp_path / "o"
+    rc = main(["capacity", "bb1.json", "--out", str(out)])
     assert rc == 2
     assert "error: iteration limit reached" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_capacity_out_that_is_a_file_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an LP was solved before --out was checked")
+
+    monkeypatch.setattr(capacity, "solve_lp_sequence", no_solve)
+    out = tmp_path / "file"
+    out.write_text("kept")
+    rc = main(["capacity", RELAY8, "--sweep-scale", "0.5,1,1.5", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --out {out}: {out} is not a directory\n"
+    assert out.read_text() == "kept"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lambda", "1e308"],
+    ["--lambda", "1e308", "--sweep-scale", "2"],
+    ["--lambda", "1e300", "--sweep-scale", "1e10"],
+], ids=["base", "base-and-scale", "scale"])
+def test_capacity_past_the_float_range_fails_before_any_output(tmp_path, capsys, argv):
+    # The first reported feasible=false and the second wrote capacity.txt, both
+    # with a numpy overflow warning on stderr.
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["capacity", "downlink2.json", *argv, "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert rc == 2 and stdout == "" and caught == []
+    assert err.startswith("error: overflow encountered in ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("v_list", ["1", "1,10,100"])
 def test_sweep_v_solves_a_fixed_number_of_lps(tmp_path, monkeypatch, v_list):
-    # Two LPs (optimum and margin) for the interior check, which the drift
-    # constants reuse; the per-V bounds solve none.
+    # Two cold LPs (optimum and margin) for the interior check, which the
+    # drift constants reuse; the per-V bounds solve none.
     calls = []
-    real_solve_lp = capacity.solve_lp
+    real_two_phase = simplex._two_phase
 
     def counting_lp(*args, **kwargs):
         calls.append(1)
-        return real_solve_lp(*args, **kwargs)
+        return real_two_phase(*args, **kwargs)
 
-    monkeypatch.setattr(capacity, "solve_lp", counting_lp)
+    monkeypatch.setattr(simplex, "_two_phase", counting_lp)
     rc = main(["sweep-v", "downlink2.json", "--V", v_list, "--horizon", "1000",
                "--out", str(tmp_path / "o")])
     assert rc == 0
