@@ -22,12 +22,7 @@ from . import controller, stability
 from .network import Scenario, ScenarioError, fixture_path, load_scenario
 from .processes import _MASK64, ArrivalSpec, FiniteMarkovChain
 from .simplex import SimplexError
-from .stability import (
-    StabilityVerdict,
-    bb1_closed_form,
-    curve_rows,
-    verdict_report_items,
-)
+from .stability import StabilityVerdict, bb1_closed_form, verdict_report_items
 
 DEFAULT_SEED = 12345
 CSV_BLOCK_CELLS = 4096  # cells formatted per row block in write_csv: bounds its strings
@@ -250,9 +245,8 @@ def _verdict_run(
     _check_out(out)
     verdict, run = ensemble_verdict(scenario, args, record)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "curves.csv", ["M", "g", "h_mean", "h_p05", "h_p95"], list(zip(*curve_rows(verdict)))
-    )
+    write_csv(out / "curves.csv", ["M", "g", "h_mean", "h_p05", "h_p95"],
+              [verdict.m_grid, verdict.g_curve, verdict.h_mean, verdict.h_p05, verdict.h_p95])
     head: list[tuple[str, object]] = [
         ("command", args.cmd),
         ("scenario", scenario.name),

@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 _BLOCK_BYTES = 1 << 18  # per-block buffers of run_dpp_batch's slot loop
-_SUM_BLOCK_BYTES = 1 << 16  # per chunk of chosen-action values handed to the sums
 
 
 def _lane_slot_bytes(n_a: int, k: int, n_l: int) -> int:
@@ -56,14 +55,25 @@ class DppRunResult(NamedTuple):
 
 class DppBatchResult(NamedTuple):
     """Per-lane outputs of ``run_dpp_batch``; lane ``i`` runs ``v_weights[i]``
-    on replication ``replications[i]``.  The sums (None in a ``reducer`` run)
-    add in numpy's order, so over the horizon they are ``mean``'s bits."""
+    on replication ``replications[i]``.  The sums are None in a ``reducer``
+    run.  ``backlog_sum`` adds the per-slot totals as numpy's sum over time
+    does; ``cost_sum`` and ``g_sum`` are each (omega, action)'s count of
+    slots times its ``f`` or ``g``, added in (omega, action) order."""
 
     backlog_sum: np.ndarray | None  # (lanes,): of the slot-start sum of Q (+ sum of Z if asked)
     cost_sum: np.ndarray | None  # (lanes,): of f
-    g_sum: np.ndarray | None  # (lanes, L): of g, as mean(axis=0) adds
+    g_sum: np.ndarray | None  # (lanes, L): of g
     runs: list[DppRunResult]  # records of the first ``record`` lanes
     reducer: object = None  # the ``reducer`` consumer, fed every block
+
+
+def _add_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = rows[:, 0] + rows[:, 1] + ...``, added in row order (numpy's
+    reduction over the rows adds pairwise when there is one lane)."""
+    out[...] = rows[:, 0] if rows.shape[1] else 0.0
+    for i in range(1, rows.shape[1]):
+        out += rows[:, i]
+    return out
 
 
 def _check_horizon(horizon: int) -> None:
@@ -97,14 +107,16 @@ def run_dpp_batch(
     rows; clamped mode adds the offered ``y_offered`` and takes no routes.
     With one action per state the argmin is action 0, so no score is
     computed.  A slot's decision is one flat index ``omega * A + action``
-    per lane, which the update, the sums and the records all read.  A value
+    per lane, which the update, the counts and the records all read.  A value
     past the float range raises ``FloatingPointError``.
 
     Results leave by time block; no array spans the horizon.  Each block's
-    per-lane totals of the slot-start backlogs (plus the sum of Z with
-    ``with_virtual``) go to ``reducer(n_lanes, horizon).add(t0, totals)``
-    if given, else with the costs and ``g`` to the result's sums.  The
-    first ``record`` lanes are recorded, or their first ``record_slots``.
+    per-lane totals of the slot-start backlogs, added in queue order (plus
+    the sum of Z with ``with_virtual``), go to
+    ``reducer(n_lanes, horizon).add(t0, totals)`` if given, else to the
+    result's ``backlog_sum``, and each lane counts its slots per (omega,
+    action) for ``cost_sum`` and ``g_sum``.  The first ``record`` lanes are
+    recorded, or their first ``record_slots``.
     """
     _check_horizon(horizon)
     if mode not in MODES:
@@ -134,16 +146,18 @@ def run_dpp_batch(
     c_dtype = np.min_scalar_type(max(tab.f.size - 1, n_a))
 
     sink = None if reducer is None else reducer(n, horizon)
-    sums = [] if sink is not None else [OrderedSum(n, horizon, w) for w in (None, None, n_l)]
+    backlog_sum = OrderedSum(n, horizon) if sink is None else None
+    # Slots per lane and (omega, action), at lane * S * A + omega * A + action.
+    counts, lane_base = np.zeros(n * tab.f.size, dtype=np.int64), np.arange(n) * tab.f.size
     n_rec = horizon if record_slots is None else min(horizon, record_slots)
     s_rec, c_rec = np.zeros((record, n_rec + 1, m)), np.zeros((n_rec, record), dtype=c_dtype)
 
     block = max(1, _BLOCK_BYTES // (n * _lane_slot_bytes(n_a, k, n_l)))
-    cols = max(1, _SUM_BLOCK_BYTES // (8 * n * max(1, n_l)))  # slots per chunk of costs and g
     # Slot-start states s = [Z; Q] of one block: s_buf[j] is the state at slot
     # t0 + j; scores take it with a unit action axis.
     s_buf = np.zeros((block + 1, m, n))
     s_col, q_buf = s_buf[:, :, None], s_buf[:, n_l:]
+    z_tot = np.empty((block, n)) if with_virtual else None
     # Per-slot scratch, overwritten every slot.
     prod, scores = np.empty((m, n_a, n)), np.empty((n_a, n))
     best, upd = np.empty(n, dtype=c_dtype), np.empty((2 * m, n))
@@ -188,11 +202,12 @@ def run_dpp_batch(
                         dst += src
                     np.add(kept, add, out=s_next)
                     np.add(q_next, arr_j, out=q_next)
-                # Lanes outermost: each total adds as numpy's sum of one lane's vector.
-                lanes = s_buf[:nb].transpose(2, 0, 1).copy()
-                tot[:, j0 : j0 + nb] = lanes[..., n_l:].sum(axis=2)
+                # Each lane's total, in queue order, through the transposed view.
+                tot_j = _add_rows(q_buf[:nb], out=tot[:, j0 : j0 + nb].T)
                 if with_virtual:
-                    tot[:, j0 : j0 + nb] += lanes[..., :n_l].sum(axis=2)
+                    tot_j += _add_rows(s_buf[:nb, :n_l], out=z_tot[:nb])
+                if sink is None:
+                    counts += np.bincount((c + lane_base).ravel(), minlength=counts.size)
                 nb_rec = max(0, min(nb, n_rec - t0 - j0))  # recorded slots of this block
                 s_rec[:, t0 + j0 + 1 : t0 + j0 + nb_rec + 1] = (
                     s_buf[1 : nb_rec + 1, :, :record].transpose(2, 0, 1))
@@ -201,14 +216,16 @@ def run_dpp_batch(
             if sink is not None:
                 sink.add(t0, tot)
             else:
-                sums[0].add(tot)
-                for c0 in range(0, nb_s, cols):
-                    chosen = c_blk[c0 : c0 + cols].T
-                    sums[1].add(f_flat.take(chosen))
-                    sums[2].add(g_flat.take(chosen, axis=0))
+                backlog_sum.add(tot)
             keep = max(0, min(nb_s, n_rec - t0))  # recorded slots of this sampler block
             c_rec[t0 : t0 + keep] = c_blk[:keep, :record]
             t0 += nb_s
+        sums = [None] * 3
+        if sink is None:
+            # Each lane's counts times the tables, added in (omega, action) order.
+            counts = counts.reshape(n, -1).T
+            sums = [backlog_sum.total, np.cumsum(counts * f_flat[:, None], axis=0)[-1],
+                    np.cumsum(counts[..., None] * g_flat[:, None], axis=0)[-1]]
 
     runs = []
     for i in range(record):
@@ -223,7 +240,7 @@ def run_dpp_batch(
             f_path=f_flat.take(c_rec[:, i]),
             g_path=g_flat.take(c_rec[:, i], axis=0),
         ))
-    return DppBatchResult(*([s.total for s in sums] or [None] * 3), runs, sink)
+    return DppBatchResult(*sums, runs, sink)
 
 
 class DriftConstants(NamedTuple):

@@ -334,15 +334,17 @@ def scenario_from_dict(data: dict, name_hint: str = "scenario") -> Scenario:
         raise ScenarioError("dimensions", "need K >= 1, L >= 0, M >= 0")
 
     chain_raw = _expect(data, "omega_chain", "omega_chain")
-    rows = _list(_expect(chain_raw, "transition", "omega_chain"), "omega_chain.transition")
+    rows = [_float_list(row, f"omega_chain.transition[{i}]") for i, row in enumerate(
+        _list(_expect(chain_raw, "transition", "omega_chain"), "omega_chain.transition"))]
     for i, row in enumerate(rows):
-        if len(_list(row, f"omega_chain.transition[{i}]")) != len(rows):
+        if len(row) != len(rows):
             raise ScenarioError(f"omega_chain.transition[{i}]",
                                 f"expected {len(rows)} entries, one per state, got {len(row)}")
+    initial = _float_list(_expect(chain_raw, "initial", "omega_chain"), "omega_chain.initial")
     try:
         chain = FiniteMarkovChain(
-            transition=np.asarray(rows, float),
-            initial=np.asarray(_expect(chain_raw, "initial", "omega_chain"), float),
+            transition=rows,
+            initial=initial,
             labels=tuple(_list(chain_raw.get("labels", []), "omega_chain.labels")),
         )
     except ScenarioError:
@@ -410,6 +412,8 @@ def load_scenario(path: str | Path) -> Scenario:
         data = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{p}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    except RecursionError:
+        raise ScenarioError(str(p), "JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ScenarioError(str(p), "top-level JSON value must be an object")
     return scenario_from_dict(data, name_hint=p.stem)

@@ -24,7 +24,6 @@ replication, or the spike times), never the backlog itself.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "cex_mean_not_rate",
     "cex_strong_not_rate",
     "verdict_report_items",
-    "curve_rows",
 ]
 
 # Largest time index allowed for the doubling counter-example: values reach
@@ -199,13 +197,11 @@ def _verdict(
         running_half, 1e-12
     )
 
-    # Pass 2: per-path tail occupancy h(M) = fraction of slots with Q > M.
-    # C order: it fixes the summation order of h_mean.
+    # Pass 2: per-path tail occupancy h(M) = fraction of slots with Q > M,
+    # and its mean over replications, added in replication order.
     m_grid = _m_grid(mean_backlog, thresholds)
-    h_per_path = np.empty((n_reps, m_grid.size))
-    np.divide(horizon - at_most(m_grid), horizon, out=h_per_path)
-    g_curve = np.cumsum(h_per_path, axis=0)[-1] / n_reps
-    h_mean = h_per_path.mean(axis=0)
+    h_per_path = (horizon - at_most(m_grid)) / horizon
+    g_curve = h_mean = np.cumsum(h_per_path, axis=0)[-1] / n_reps
     h_p05 = _percentile(h_per_path, 5)
     h_p95 = _percentile(h_per_path, 95)
 
@@ -233,39 +229,36 @@ def _verdict(
     )
 
 
-@lru_cache(maxsize=8)
-def _pairwise_plan(n: int) -> tuple[tuple[int, int], ...]:
-    """numpy's pairwise sum of ``n`` values as leaves, in order: each leaf's
-    length and the merges its last value completes.  numpy splits more than
-    ``_PAIRWISE_LEAF`` values at ``n // 2`` rounded down to a multiple of 8."""
-    plan: list[list[int]] = []
-
-    def split(m: int) -> None:
-        if m <= _PAIRWISE_LEAF:
-            plan.append([m, 0])
-        else:
-            half = m // 2 - m // 2 % 8
-            split(half)
-            split(m - half)
-            plan[-1][1] += 1
-
-    split(n)
-    return tuple(map(tuple, plan))
-
-
 class OrderedSum:
     """Each row's sum of ``n`` values fed a block of columns at a time, with
-    the bits of numpy's sum of the whole row: each leaf of the pairwise tree
-    is summed once its last value arrives, then merged up the tree.  With
-    ``width``, values are vectors, summed as ``a.sum(axis=0)`` sums an
-    ``(n, width)`` array: pairwise for width 1, else one after another.
-    ``total`` is set once all ``n`` are in.  Block rows must be contiguous."""
+    the bits of numpy's sum of the whole row.  numpy sums at most
+    ``_PAIRWISE_LEAF`` values as one leaf and splits more at ``n // 2``
+    rounded down to a multiple of 8; the walk descends that tree one leaf at
+    a time, keeping the right halves still to come on ``todo`` (-1 marks a
+    merge), so its state is O(log n).  Each leaf is summed once its last
+    value arrives, then merged up the tree.  ``total`` is set once all ``n``
+    are in.  Block rows must be contiguous."""
 
-    def __init__(self, rows: int, n: int, width: int | None = None) -> None:
-        self.n, self.width, self.seen = n, width, 0
-        self.plan, self.leaf, self.stack = _pairwise_plan(n), 0, []
-        self.carry, self.filled = np.empty((rows, max(size for size, _ in self.plan))), 0
-        self.total = np.zeros((rows, width)) if width not in (None, 1) else None
+    def __init__(self, rows: int, n: int) -> None:
+        self.n, self.seen, self.todo, self.stack, self.total = n, 0, [n], [], None
+        self.carry, self.filled = np.empty((rows, min(n, _PAIRWISE_LEAF))), 0
+        self._descend()
+
+    def _descend(self) -> None:
+        """Merge what the finished leaf completes, then split down to the next
+        leaf, whose length becomes ``size``."""
+        while self.todo and self.todo[-1] == -1:
+            self.todo.pop()
+            self.stack[-2:] = [self.stack[-2] + self.stack[-1]]
+        if not self.todo:
+            self.total, self.carry = self.stack[0], None
+            return
+        m = self.todo.pop()
+        while m > _PAIRWISE_LEAF:
+            half = m // 2 - m // 2 % 8
+            self.todo += [-1, m - half]
+            m = half
+        self.size = m
 
     def add(self, block: np.ndarray) -> None:
         """Take the next ``block.shape[1]`` values of every row."""
@@ -273,14 +266,9 @@ class OrderedSum:
         if self.seen + nb > self.n:
             raise ValueError(f"more than the {self.n} values this sum was made for")
         self.seen += nb
-        if self.width not in (None, 1):  # the running sum, then each vector in turn
-            np.add.reduce(np.concatenate([self.total[:, None], block], axis=1), axis=1,
-                          out=self.total)
-            return
-        block = block.reshape(block.shape[:2])
         j = 0
         while j < nb:
-            size, merges = self.plan[self.leaf]
+            size = self.size
             take = min(size - self.filled, nb - j)
             if take == size:  # the whole leaf is in this block
                 value = np.add.reduce(block[:, j : j + size], axis=1)
@@ -293,12 +281,7 @@ class OrderedSum:
                 self.filled = 0
             j += take
             self.stack.append(value)
-            for _ in range(merges):
-                self.stack[-2:] = [self.stack[-2] + self.stack[-1]]
-            self.leaf += 1
-        if self.seen == self.n:
-            self.total = self.stack[0] if self.width is None else self.stack[0][:, None]
-            self.carry = None
+            self._descend()
 
 
 class VerdictReducer:
@@ -474,17 +457,3 @@ def verdict_report_items(verdict: StabilityVerdict) -> list[tuple[str, object]]:
         ("threshold_plateau_rel", verdict.thresholds.plateau_rel),
     ]
     return items
-
-
-def curve_rows(verdict: StabilityVerdict) -> list[tuple[float, float, float, float, float]]:
-    """Rows (M, g, h_mean, h_p05, h_p95) for the curves CSV."""
-    return [
-        (
-            float(verdict.m_grid[i]),
-            float(verdict.g_curve[i]),
-            float(verdict.h_mean[i]),
-            float(verdict.h_p05[i]),
-            float(verdict.h_p95[i]),
-        )
-        for i in range(verdict.m_grid.size)
-    ]

@@ -353,6 +353,34 @@ def test_malformed_scenario_reports_location(tmp_path, capsys):
     assert "bad.json:3" in err
 
 
+def deeply_nested(tmp_path):
+    """A scenario file of 200,000 nested lists, deeper than json can parse."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    return deep
+
+
+@pytest.mark.parametrize("command", sorted(SCENARIO_COMMANDS))
+def test_deeply_nested_scenario_is_a_scenario_error(tmp_path, capsys, command):
+    # json.loads raised RecursionError: a traceback and exit 1, the status of
+    # a failed check.
+    deep, out = deeply_nested(tmp_path), tmp_path / "o"
+    rc = main([command, str(deep), *SCENARIO_COMMANDS[command], "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"scenario error: {deep}: JSON nested too deeply\n"
+    assert not out.exists()
+
+
+def test_deeply_nested_scenario_prints_no_traceback(tmp_path):
+    deep, out = deeply_nested(tmp_path), tmp_path / "o"
+    run = subprocess.run([sys.executable, "-m", "qnetlab.cli", "capacity", str(deep),
+                          "--out", str(out)], env=child_env(), capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 2
+    assert run.stderr == f"scenario error: {deep}: JSON nested too deeply\n"
+    assert not out.exists()
+
+
 def test_schema_error_exit_code(tmp_path, capsys):
     data = json.loads(fixture_path("bb1").read_text())
     del data["omega_chain"]
@@ -608,23 +636,28 @@ def test_zero_horizon_is_usage_error(tmp_path):
     assert excinfo.value.code == 2
 
 
-def test_parallel_workers_match_sequential(tmp_path):
-    args = [
-        "sweep-v",
-        "downlink2.json",
-        "--V",
-        "2",
-        "--horizon",
-        "4000",
-        "--reps",
-        "4",
-        "--seed",
-        "21",
-    ]
-    seq, par = tmp_path / "seq", tmp_path / "par"
-    assert main(args + ["--out", str(seq), "--workers", "1"]) == 0
-    assert main(args + ["--out", str(par), "--workers", "2"]) == 0
-    assert read_bytes(seq / "sweep.csv") == read_bytes(par / "sweep.csv")
+def test_parallel_workers_match_sequential(tmp_path, monkeypatch):
+    # Any worker count (three give lanes of one) and blocks cut short, so
+    # that many end inside a leaf of numpy's sum tree, give the same bytes.
+    cases = {
+        "downlink2": ["downlink2.json", "--V", "2", "--horizon", "4000", "--reps", "4",
+                      "--seed", "21"],
+        "relay8": [RELAY8, "--V", "1,10", "--horizon", "1500", "--reps", "2", "--seed", "11"],
+    }
+
+    def sweep(case, name, *extra):
+        out = tmp_path / case / name
+        assert main(["sweep-v", *cases[case], *extra, "--out", str(out)]) == 0
+        return read_bytes(out / "sweep.csv")
+
+    expected = {case: sweep(case, "w1", "--workers", "1") for case in cases}
+    for case in cases:
+        assert sweep(case, "w2", "--workers", "2") == expected[case]
+        assert sweep(case, "w3", "--workers", "3") == expected[case]
+    monkeypatch.setattr("qnetlab.processes._SAMPLE_BLOCK_BYTES", 40_000)
+    monkeypatch.setattr(controller, "_BLOCK_BYTES", 1 << 12)
+    for case in cases:
+        assert sweep(case, "small") == expected[case]
 
 
 def test_mu_flag_requires_bb1_shape(tmp_path, capsys):

@@ -279,11 +279,27 @@ def assert_batch_matches_replay(scenario, v_weights, n_reps, mode, seed, horizon
         for name in ("q_path", "z_path", "omega_path", "action_path", "x_path",
                      "f_path", "g_path"):
             assert np.array_equal(getattr(run, name), getattr(ref, name)), name
-        total = ref.q_path[:horizon].sum(axis=1) + ref.z_path[:horizon].sum(axis=1)
+        # Per-slot totals add the queues in index order, then the virtual queues.
+        total = in_order(ref.q_path[:horizon]) + in_order(ref.z_path[:horizon])
         assert np.array_equal(totals[i], total)
         assert batch.backlog_sum[i] == total.sum()
-        assert batch.cost_sum[i] / horizon == ref.f_path.mean()
-        assert np.array_equal(batch.g_sum[i] / horizon, ref.g_path.mean(axis=0))
+        # Costs and g: each (omega, action)'s slot count times the tables,
+        # added in (omega, action) order; close to the means over time.
+        tab = scenario.tables
+        counts = np.bincount(ref.omega_path * tab.f.shape[1] + ref.action_path,
+                             minlength=tab.f.size)
+        cost = in_order((counts * tab.f.ravel())[None])
+        g = in_order((counts[:, None] * tab.g.reshape(tab.f.size, -1)).T)
+        assert batch.cost_sum[i].tobytes() == cost.tobytes()
+        assert batch.g_sum[i].tobytes() == g.tobytes()
+        for got, path in ((batch.cost_sum[i], ref.f_path), (batch.g_sum[i], ref.g_path)):
+            scale = np.abs(path).mean(axis=0)
+            assert np.all(np.abs(got / horizon - path.mean(axis=0)) <= 1e-12 * scale)
+
+
+def in_order(rows):
+    """``rows[:, 0] + rows[:, 1] + ...``, added in column order."""
+    return np.cumsum(rows, axis=1)[:, -1] if rows.shape[1] else np.zeros(rows.shape[0])
 
 
 # (v_weights, n_reps): simulate runs one lane per replication; sweep-v runs
@@ -367,6 +383,14 @@ def test_ragged_blocks_match_network_step_replay_with_one_action_per_state(k, n_
     scenario = single_action_scenario(k, n_l)
     assert scenario.tables.f.shape[1] == 1
     assert_ragged_batch_matches_replay(scenario, *LANE_LAYOUTS[layout], mode, seed=23)
+
+
+@pytest.mark.parametrize("mode", ["respect", "clamped"])
+def test_one_lane_adds_its_queues_in_order(mode):
+    # With one lane, numpy's reduction over the queues would be its pairwise
+    # inner loop; eight queues of non-integer work show the order.
+    scenario = single_action_scenario(8, 2)
+    assert_ragged_batch_matches_replay(scenario, [2.0], 1, mode, seed=23)
 
 
 @given(

@@ -41,7 +41,14 @@ products to a sum in a fixed order, every digest stayed the same.  The
 the ``M`` column became exact powers of two times those four, so it no
 longer depends on numpy's SIMD ``log``/``exp``; in each report only the
 ``m_max`` line moved (``g_at_m_max`` stayed 0.0, and every verdict flag
-stayed the same), and every ``trace.csv`` stayed the same.
+stayed the same), and every ``trace.csv`` stayed the same.  The
+``sweep.csv`` digests of ``sweep-v-downlink2``, ``sweep-v-downlink2-w2`` and
+``sweep-v-relay8`` were re-pinned when ``avg_cost`` and ``g_avg_l`` moved from
+a sum over slots to each (omega, action)'s count of slots times its table
+value, added in (omega, action) order: every ``g_avg_l`` moved by at most
+4e-14 relative (downlink2 seed 5 at V = 1 went from -0.16850000000000004 to
+-0.1685), relay8's two ``avg_cost`` values by one ulp, and every
+``avg_backlog``, bound and ``sweep_report.txt`` stayed the same.
 """
 
 from __future__ import annotations
@@ -160,15 +167,15 @@ GOLDEN: dict[str, dict[str, str]] = {
         "sweep_report.txt": "14deff43ce3507ca338a27437127c4963d3723b9def7cf6bf512ee66ec4f5e4a",
     },
     "sweep-v-downlink2": {
-        "sweep.csv": "158c2a3b31d43d76d674713ca16badaf2dc2aea2cfb31c867a153f16a7c91a45",
+        "sweep.csv": "3c8298b577cf15cd40e49ad90b6773cc048fd34a2722daa54d8a001d9c6d9055",
         "sweep_report.txt": "f01274364a9c88352748ec5ef5f09beb28ee7a6ae86f8e5ced1f3e30b9fc9fb7",
     },
     "sweep-v-downlink2-w2": {
-        "sweep.csv": "2962f7a2267bf92da83b690b79351ead1bdea39efa4687dd45695e08599fec03",
+        "sweep.csv": "f4c5fbf86020d6207b417ba5f37ba5db00c7507b4664e7b0176ec8f0ea49557b",
         "sweep_report.txt": "501b41488183818b42e182ce053f7d88f0ef60dcbdf3f8d5669ce9b61cf42863",
     },
     "sweep-v-relay8": {
-        "sweep.csv": "7cafd299e6487bf0d83b5c0ade87316880b6d1b7565ab5b8149431f288edd930",
+        "sweep.csv": "236154bbde7d6340baab16d20d6f0d5ab8a84ae2f916f1ddcd7bcc7e8e3649dd",
         "sweep_report.txt": "1d7ba76a390e1a7c378233bc20d3fe30cf760d131c310f36cbd06c577eff119c",
     },
 }

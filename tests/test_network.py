@@ -375,12 +375,18 @@ def _load_with_value(tmp_path, path, value) -> None:
         (("cost", "c"), [math.nan], r"cost: constant and coefficients must be finite"),
         (("omega_chain", "transition"), [[1.0], [0.5, 0.5]],
          r"omega_chain\.transition\[0\]: expected 2 entries, one per state, got 1"),
+        (("omega_chain", "transition", 0), [0.5, "x", 0.5],
+         r"omega_chain\.transition\[0\]: expected a number"),
+        (("omega_chain", "initial"), [[0.5], 0.5, 0], r"omega_chain\.initial: expected a number"),
+        (("omega_chain", "transition"), [[False, True], [False, True]],
+         r"omega_chain\.transition\[0\]: expected a number"),
     ],
     ids=["non-object-action", "boolean-entry", "boolean-dimension", "fractional-dimension",
          "nan-action-entry", "nan-y-entry", "infinite-b-entry", "negative-y-entry",
          "negative-b-entry", "first-action-first", "b-before-x-before-sign",
          "values-before-a-later-length", "inputs-before-evaluated-values",
-         "nan-cost-coefficient", "ragged-transition"],
+         "nan-cost-coefficient", "ragged-transition", "string-transition-entry",
+         "nested-initial-entry", "boolean-transition-entries"],
 )
 def test_load_rejects_malformed_field(tmp_path, path, value, message):
     with pytest.raises(ScenarioError, match=message):

@@ -42,7 +42,7 @@ MODULES = {
     "stability": [
         "OrderedSum", "StabilityVerdict", "VerdictReducer", "VerdictThresholds",
         "bb1_closed_form", "cex_mean_not_rate", "cex_rate_not_mean", "cex_strong_not_rate",
-        "curve_rows", "geometric_checkpoints", "verdict_report_items",
+        "geometric_checkpoints", "verdict_report_items",
     ],
 }
 

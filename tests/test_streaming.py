@@ -3,7 +3,8 @@
 The kernel hands each time block of backlog totals to its consumers and
 drops it, so no (replications x horizon) array is held.  These tests pin
 what byte identity with the whole-array formulas rests on: ``OrderedSum``
-adds in numpy's order however the values are cut into blocks; the
+adds in numpy's order however the values are cut into blocks, with state
+that does not grow with the horizon; the
 reducer's verdict equals ``estimate_verdict`` on the whole matrix, bit for
 bit, however the matrix is cut into blocks and lanes, with values on the
 quarter-octave tail grid, one ulp either side of it, zeros of both signs,
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,12 +68,12 @@ def reduced_verdict(backlog, cuts, thresholds=stability.VerdictThresholds()):
 
 
 @st.composite
-def spread_values(draw, lengths, width=None):
-    """``(rows, n)`` floats, or ``(rows, n, width)``, spanning 16 decades of
-    both signs with exact zeros of both signs, and cuts into column blocks."""
+def spread_values(draw, lengths):
+    """``(rows, n)`` floats spanning 16 decades of both signs with exact
+    zeros of both signs, and cuts into column blocks."""
     rows, n = draw(st.integers(1, 3)), draw(lengths)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (rows, n) if width is None else (rows, n, width)
+    shape = (rows, n)
     values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
     if draw(st.booleans()):
         values[rng.random(shape) < 0.1] = 0.0
@@ -81,8 +83,8 @@ def spread_values(draw, lengths, width=None):
     return values, [int(c) for c in cuts]
 
 
-def ordered_sum(values, cuts, width=None):
-    total = OrderedSum(values.shape[0], values.shape[1], width)
+def ordered_sum(values, cuts):
+    total = OrderedSum(*values.shape)
     for t0, t1 in zip([0, *cuts], [*cuts, values.shape[1]]):
         total.add(values[:, t0:t1])
     return total.total
@@ -107,17 +109,6 @@ def test_ordered_sum_has_numpys_bits(case):
     assert same_bits(total, values.sum(axis=1))
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), width=st.sampled_from([1, 2, 3]))
-def test_ordered_vector_sum_has_the_bits_of_mean_along_axis_0(data, width):
-    values, cuts = data.draw(spread_values(st.integers(1, 5000), width), label="values")
-    total = ordered_sum(values, cuts, width)
-    n = values.shape[1]
-    for row, got in zip(values, total):
-        # Each row is one lane's (n, width) g values, as mean(axis=0) sees them.
-        assert same_bits(got / n, row.mean(axis=0))
-
-
 def test_ordered_sum_survives_a_pickle_midway_and_refuses_extra_values():
     values = np.random.default_rng(2).standard_normal((3, 1000))
     total = OrderedSum(3, 1000)
@@ -130,6 +121,19 @@ def test_ordered_sum_survives_a_pickle_midway_and_refuses_extra_values():
     unfinished = OrderedSum(1, 1000)
     unfinished.add(values[:1, :999])
     assert unfinished.total is None
+
+
+def test_ordered_sum_state_does_not_grow_with_the_horizon():
+    # The walk holds one leaf's carry and two pending entries per tree level,
+    # never a plan of every leaf (23.6 MB for a reducer at 10^7 slots).
+    tracemalloc.start()
+    try:
+        VerdictReducer(100, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"{peak} bytes"
+    assert len(OrderedSum(1, 10**12).todo) <= 80
 
 
 # ---------------------------------------------------------------------------
