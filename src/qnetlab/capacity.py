@@ -101,11 +101,11 @@ class PolicyLp(NamedTuple):
     def policy_from(self, x: np.ndarray) -> OmegaOnlyPolicy:
         dists = []
         pos = 0
-        for acts in self.scenario.actions:
-            row = np.clip(x[pos : pos + len(acts)], 0.0, None)
+        for n_act in map(len, self.scenario.names):
+            row = np.clip(x[pos : pos + n_act], 0.0, None)
             total = row.sum()
-            dists.append(row / total if total > 0 else np.full(len(acts), 1.0 / len(acts)))
-            pos += len(acts)
+            dists.append(row / total if total > 0 else np.full(n_act, 1.0 / n_act))
+            pos += n_act
         return OmegaOnlyPolicy(distributions=tuple(dists))
 
     def sweep(
@@ -190,8 +190,8 @@ def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> Poli
     n = w_of_var.size
 
     # Per-variable expected contributions, weighted by pi.  ``x_cols`` is
-    # copied to C order: ``coeffs @ x_cols`` on a transposed view would take
-    # another BLAS kernel, which can round differently.
+    # copied to C order: ``coeffs[r] @ x_cols`` on a transposed view would
+    # take another BLAS kernel, which can round differently.
     pi_of_var = pi[w_of_var][:, None]
     x_cols = np.ascontiguousarray((pi_of_var * tab.x[tab.real]).T)
     net_cols = (pi_of_var * tab.net[tab.real]).T  # y_bar - b_bar coefficients
@@ -200,9 +200,9 @@ def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> Poli
     k = scenario.n_queues
     a_ub = np.zeros((n_g + k, n))
     b_ub = np.zeros(n_g + k)  # ``at`` sets the queue rows to -lambda
-    for l, g in enumerate(scenario.constraints):
-        a_ub[l] = g.coeffs @ x_cols
-        b_ub[l] = -g.c0
+    for l in range(n_g):  # row 0 of c0 and coeffs is the cost
+        a_ub[l] = scenario.coeffs[1 + l] @ x_cols
+    b_ub[:n_g] = -scenario.c0[1:]
     a_ub[n_g:] = net_cols
     row_names = [f"g[{l}]" for l in range(n_g)] + [f"queue[{q}]" for q in range(k)]
 
@@ -213,8 +213,8 @@ def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> Poli
     lp = PolicyLp(
         scenario=scenario,
         lambdas=np.zeros(k),
-        c=scenario.cost.coeffs @ x_cols,
-        c0=scenario.cost.c0,
+        c=scenario.coeffs[0] @ x_cols,
+        c0=float(scenario.c0[0]),
         a_ub=a_ub,
         b_ub=b_ub,
         row_names=row_names,

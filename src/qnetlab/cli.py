@@ -327,8 +327,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     if report.policy is not None:
         for w, dist in enumerate(report.policy.distributions):
             label = scenario.omega_chain.labels[w]
-            for i, prob in enumerate(dist):
-                name = scenario.actions[w][i].name
+            for name, prob in zip(scenario.names[w], dist):
                 items.append((f"policy[{label}][{name}]", float(prob)))
     write_report(out / "capacity.txt", items)
     for key, value in items:
@@ -509,8 +508,9 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         )
         return 2
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _check_out(out)
     checks, profile, ok = _cex_report(args.name, args.seed)
+    out.mkdir(parents=True, exist_ok=True)
     write_report(out / "report.txt", checks)
     write_csv(out / "profile.csv", ["t", "mean_backlog", "running_mean"], list(zip(*profile)))
     for key, value in checks:
@@ -527,7 +527,7 @@ def cmd_bb1(args: argparse.Namespace) -> int:
     if args.simulate:
         controller._check_horizon(args.horizon)  # before anything is written
     if args.out is not None:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        _check_out(Path(args.out))
     items: list[tuple[str, object]] = [
         ("command", "bb1"),
         ("lambda", args.lam),
@@ -544,10 +544,11 @@ def cmd_bb1(args: argparse.Namespace) -> int:
         # Integer backlogs: every sum is exact, so the order of the lanes' sums is free.
         total = batch.backlog_sum.sum()
         items.append(("measured_mean_backlog", float(total / (args.reps * args.horizon))))
+    if args.out is not None:
+        Path(args.out).mkdir(parents=True, exist_ok=True)  # made once the run has succeeded
+        write_report(Path(args.out) / "bb1.txt", items)
     for key, value in items:
         _echo(f"{key}={_fmt(value)}")
-    if args.out is not None:
-        write_report(Path(args.out) / "bb1.txt", items)
     return 0
 
 

@@ -297,7 +297,7 @@ def drift_constants(
     tab = scenario.tables
     b_total = 0.0
     d_total = 0.0
-    for w, n_act in enumerate(map(len, scenario.actions)):
+    for w, n_act in enumerate(map(len, scenario.names)):
         y, b, g = tab.y_offered[w, :n_act], tab.b[w, :n_act], tab.g[w, :n_act]
         # E[(a + y)^2 | action] with independent arrivals: E[a^2] + 2 lam y + y^2
         ay2 = a2[None, :] + 2.0 * lams[None, :] * y + y**2

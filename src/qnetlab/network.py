@@ -1,15 +1,15 @@
 """Controlled multi-queue network: scenario schema, compiled action tables
 and validation.
 
-A scenario is a static description of the network: the state chain for
-``omega``, a finite action list per state, per-(action, state) service and
-transfer tables, an affine cost on the attribute vector, affine constraint
-functions, arrival processes, and optional endogenous routing (service of one
-queue feeding another).
-
-Every (omega, action) pair is evaluated once, when the scenario is built,
-into ``Scenario.tables``: padded per-state arrays that validation, the
-policy LP, the drift constants and the closed-loop kernel all read.
+A scenario is a static description of the network, held as its tables: the
+state chain for ``omega``; per state, its action names and its actions'
+service, transfer and attribute rows, in ``(S, A, .)`` arrays padded to
+the longest action list; the affine cost and constraint functions of the
+attributes, as one ``(c0, coeffs)`` pair whose row 0 is the cost; arrival
+processes; and optional endogenous routing (service of one queue feeding
+another).  ``Scenario.tables`` adds what is derived from them, once, when
+the scenario is built; validation, the policy LP, the drift constants and
+the closed-loop kernel all read these arrays.
 
 The two transition modes (``MODES``) are applied by
 ``controller.run_dpp_batch``.  ``respect`` uses equality dynamics with a
@@ -24,19 +24,16 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from .processes import ArrivalSpec, FiniteMarkovChain, stationary_distribution
 
 __all__ = [
-    "Action",
-    "AffineFunction",
     "Scenario",
     "ScenarioTables",
     "ScenarioError",
-    "compile_tables",
     "load_scenario",
     "fixture_path",
     "validate",
@@ -54,25 +51,6 @@ class ScenarioError(ValueError):
     def __init__(self, location: str, message: str):
         self.location = location
         super().__init__(f"{location}: {message}")
-
-
-class AffineFunction(NamedTuple):
-    """``value(x) = c0 + coeffs . x``."""
-
-    c0: float
-    coeffs: np.ndarray
-
-    def __call__(self, x: np.ndarray) -> float:
-        return self.c0 + float(np.dot(self.coeffs, x))
-
-
-class Action(NamedTuple):
-    """One control action's offered quantities at one network state."""
-
-    name: str
-    y: np.ndarray  # offered exogenous-style transfers into each queue
-    b: np.ndarray  # offered service per queue
-    x: np.ndarray  # attribute vector
 
 
 class ScenarioTables(NamedTuple):
@@ -100,83 +78,87 @@ class ScenarioTables(NamedTuple):
         return self.pad == 0.0
 
 
-def compile_tables(scenario: Scenario) -> ScenarioTables:
-    """Evaluate every (omega, action) pair of ``scenario`` into padded tables.
+def _real(names: Sequence[Sequence[str]], n_a: int) -> np.ndarray:
+    """``(S, A)`` mask of the real actions: state w's first ``len(names[w])``."""
+    return np.arange(n_a) < np.array([len(acts) for acts in names])[:, None]
 
-    The offered arrival vector folds in endogenous routing: queue ``dst``
-    receives its table ``y`` plus the offered service of every queue routed
-    into it, added in routing-list order.  ``f`` and ``g`` are the affine
-    functions evaluated action by action.  Entries that overflow become inf
-    or NaN without a warning; the constructor's ``validate`` then rejects
-    them.
+
+def compile_tables(scenario: Scenario) -> ScenarioTables:
+    """Derive the evaluated tables from ``scenario``'s arrays.
+
+    ``f`` and ``g`` are rows 0 and 1.. of ``c0 + (coeffs[:, 0] x_0 + ...)``,
+    the products added in attribute order by a ``cumsum``: no BLAS kernel
+    rounds them, and unlike ``np.add.reduce`` it neither starts from +0.0
+    nor turns pairwise when the other axes hold one element.  Queue ``dst``
+    is offered its table ``y`` plus the offered service of every queue
+    routed into it, added in routing-list order.  Overflows become inf or
+    NaN without a warning; the constructor's ``validate`` rejects them.
     """
-    n_s, n_a = scenario.omega_chain.n_states, max(map(len, scenario.actions))
-    k, n_l, m = scenario.n_queues, scenario.n_constraints, scenario.n_attributes
-    f, pad = np.zeros((n_s, n_a)), np.full((n_s, n_a), np.inf)
-    g, x = np.zeros((n_s, n_a, n_l)), np.zeros((n_s, n_a, m))
-    b, y = np.zeros((n_s, n_a, k)), np.zeros((n_s, n_a, k))
+    y, b, x = scenario.y, scenario.b, scenario.x
+    real = _real(scenario.names, y.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        for w, acts in enumerate(scenario.actions):
-            for i, act in enumerate(acts):
-                y[w, i], b[w, i], x[w, i] = act.y, act.b, act.x
-                f[w, i] = scenario.cost(act.x)
-                g[w, i] = [fn(act.x) for fn in scenario.constraints]
-                pad[w, i] = 0.0
+        terms = x[:, :, None, :] * scenario.coeffs  # (S, A, 1 + L, M)
+        sums = np.cumsum(terms, axis=3)[..., -1] if terms.shape[3] else 0.0
+        fg = np.where(real[..., None], scenario.c0 + sums, 0.0)
         y_offered = y.copy()
         for src, dst in scenario.routing:
             y_offered[:, :, dst] += b[:, :, src]
         net = y_offered - b
-    return ScenarioTables(f=f, pad=pad, g=g, net=net, b=b, y=y, x=x, y_offered=y_offered)
+    return ScenarioTables(f=fg[..., 0], pad=np.where(real, 0.0, np.inf), g=fg[..., 1:],
+                          net=net, b=b, y=y, x=x, y_offered=y_offered)
+
+
+def _check_functions(c0: Sequence[float], coeffs: Sequence[Sequence[float]], m: int) -> None:
+    """The cost (row 0), then each constraint: its coefficient count, then
+    that its constant and coefficients are finite."""
+    for r, (const, row) in enumerate(zip(c0, coeffs)):
+        loc = "cost" if r == 0 else f"constraints[{r - 1}]"
+        if len(row) != m:
+            raise ScenarioError(loc, "coefficient length must equal M")
+        if not (math.isfinite(const) and np.all(np.isfinite(row))):
+            raise ScenarioError(loc, "constant and coefficients must be finite")
 
 
 class Scenario:
+    """``names[w]`` holds state w's action names, one per action.  ``y``, ``b``
+    ``(S, A, K)`` and ``x`` ``(S, A, M)`` are zero past a state's last
+    action; ``c0`` ``(1 + L,)`` and ``coeffs`` ``(1 + L, M)`` hold the cost
+    (row 0) and the L constraints.  K, L and M are read off these shapes."""
+
     def __init__(
-        self,
-        name: str,
-        n_queues: int,
-        n_constraints: int,
-        n_attributes: int,
-        omega_chain: FiniteMarkovChain,
-        actions: list[list[Action]],
-        cost: AffineFunction,
-        constraints: list[AffineFunction],
+        self, name: str, omega_chain: FiniteMarkovChain, names: Sequence[Sequence[str]],
+        y: np.ndarray, b: np.ndarray, x: np.ndarray, c0: np.ndarray, coeffs: np.ndarray,
         arrivals: list[ArrivalSpec],
         routing: list[tuple[int, int]] | None = None,  # (src, dst) pairs; None: no routing
     ) -> None:
         self.name = name
-        self.n_queues = n_queues
-        self.n_constraints = n_constraints
-        self.n_attributes = n_attributes
         self.omega_chain = omega_chain
-        self.actions = actions
-        self.cost = cost
-        self.constraints = constraints
+        self.names = names
+        self.y, self.b, self.x = y, b, x
+        self.c0, self.coeffs = c0, coeffs
         self.arrivals = arrivals
         self.routing = [] if routing is None else routing
-        k, m = n_queues, n_attributes
-        if len(self.actions) != self.omega_chain.n_states:
+        if len(names) != omega_chain.n_states:
             raise ScenarioError("actions", "need one action list per omega state")
-        for w, acts in enumerate(self.actions):
+        for w, acts in enumerate(names):
             if not acts:
                 raise ScenarioError(f"actions[{w}]", "action list is empty")
-            for i, act in enumerate(acts):
-                if act.y.shape != (k,) or act.b.shape != (k,) or act.x.shape != (m,):
-                    raise ScenarioError(f"actions[{w}][{i}]",
-                                        "table vector lengths do not match K/M")
-        if len(self.constraints) != self.n_constraints:
+        n_s, n_a = len(names), max(map(len, names))
+        if not (y.ndim == x.ndim == 3 and y.shape == b.shape == (n_s, n_a, y.shape[2])
+                and x.shape[:2] == (n_s, n_a) and y.shape[2] >= 1):
+            raise ScenarioError("actions", "y, b and x must be (S, A, K), (S, A, K) and "
+                                           "(S, A, M) arrays, with K >= 1")
+        if any(t[~_real(names, n_a)].any() for t in (y, b, x)):
+            raise ScenarioError("actions", "entries past a state's last action must be zero")
+        if not (c0.ndim == 1 and coeffs.ndim == 2 and 1 <= len(c0) == len(coeffs)):
             raise ScenarioError("constraints", "need one affine function per constraint")
-        named = [(f"constraints[{l}]", g) for l, g in enumerate(self.constraints)]
-        for loc, fn in [("cost", self.cost), *named]:
-            if fn.coeffs.shape != (m,):
-                raise ScenarioError(loc, "coefficient length must equal M")
-            if not (math.isfinite(fn.c0) and np.all(np.isfinite(fn.coeffs))):
-                raise ScenarioError(loc, "constant and coefficients must be finite")
-        if len(self.arrivals) != k:
+        _check_functions(c0, coeffs, x.shape[2])
+        if len(self.arrivals) != self.n_queues:
             raise ScenarioError("arrivals", "need one arrival spec per queue")
         seen_pairs: set[tuple[int, int]] = set()
         for j, (src, dst) in enumerate(self.routing):
             loc = f"routing[{j}]"
-            if not (0 <= src < k and 0 <= dst < k):
+            if not (0 <= src < self.n_queues and 0 <= dst < self.n_queues):
                 raise ScenarioError(loc, "src/dst must be valid queue indices")
             if src == dst:
                 raise ScenarioError(loc, "a queue cannot feed itself")
@@ -191,15 +173,19 @@ class Scenario:
         """A new scenario with some constructor arguments changed, checked
         again; named like the ``_replace`` of the NamedTuple records.  The
         tables are passed on when only ``arrivals`` or ``omega_chain`` change:
-        ``compile_tables`` reads neither, beyond the state count that the
-        constructor checks against the action lists, so neither the compile
-        nor ``validate`` runs again."""
+        the compile reads neither, beyond the state count that the
+        constructor checks against ``names``, so neither the compile nor
+        ``validate`` runs again."""
         args = {key: value for key, value in vars(self).items() if key != "tables"}
         new = Scenario.__new__(Scenario)
         if changes.keys() <= {"arrivals", "omega_chain"}:
             new.tables = self.tables
         new.__init__(**{**args, **changes})
         return new
+
+    n_queues = property(lambda self: self.y.shape[2])  # K
+    n_constraints = property(lambda self: self.c0.shape[0] - 1)  # L
+    n_attributes = property(lambda self: self.x.shape[2])  # M
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -299,30 +285,36 @@ def _parse_arrival(raw: dict, where: str) -> ArrivalSpec:
     rate = _number(_expect(raw, "rate", where), f"{where}.rate")
     try:
         if kind == "bernoulli":
-            return ArrivalSpec(
-                kind="bernoulli",
-                rate=rate,
-                p=_number(_expect(raw, "p", where), f"{where}.p"),
-                size=_number(raw.get("size", 1.0), f"{where}.size"),
-            )
-        if kind == "deterministic":
-            return ArrivalSpec(
-                kind="deterministic",
-                rate=rate,
-                values=tuple(_float_list(_expect(raw, "values", where), where)),
-            )
-        if kind == "iid_table":
-            return ArrivalSpec(
-                kind="iid_table",
-                rate=rate,
-                values=tuple(_float_list(_expect(raw, "values", where), where)),
-                probs=tuple(_float_list(_expect(raw, "probs", where), where)),
-            )
+            return ArrivalSpec(kind, rate, p=_number(_expect(raw, "p", where), f"{where}.p"),
+                               size=_number(raw.get("size", 1.0), f"{where}.size"))
+        if kind in ("deterministic", "iid_table"):
+            values = tuple(_float_list(_expect(raw, "values", where), where))
+            if kind == "deterministic":
+                return ArrivalSpec(kind, rate, values=values)
+            probs = tuple(_float_list(_expect(raw, "probs", where), where))
+            return ArrivalSpec(kind, rate, values=values, probs=probs)
     except ScenarioError:
         raise
     except ValueError as exc:
         raise ScenarioError(where, str(exc)) from exc
     raise ScenarioError(where, f"unknown arrival kind {kind!r}")
+
+
+def _affine(raw: Any, where: str, const: str, coeffs: str) -> tuple[float, list[float]]:
+    return (_number(_expect(raw, const, where), f"{where}.{const}"),
+            _float_list(_expect(raw, coeffs, where), where))
+
+
+def _name(raw: Any, where: str, *, key: bool) -> str:
+    """A name written into the reports: a string with no line break, and no
+    ``=`` when it goes into a report key (a label or an action name)."""
+    if not isinstance(raw, str):
+        raise ScenarioError(where, "expected a string")
+    if raw.splitlines() not in ([], [raw]):
+        raise ScenarioError(where, "a name must not contain a line break")
+    if key and "=" in raw:
+        raise ScenarioError(where, "a label or action name must not contain '='")
+    return raw
 
 
 def scenario_from_dict(data: dict, name_hint: str = "scenario") -> Scenario:
@@ -341,41 +333,30 @@ def scenario_from_dict(data: dict, name_hint: str = "scenario") -> Scenario:
             raise ScenarioError(f"omega_chain.transition[{i}]",
                                 f"expected {len(rows)} entries, one per state, got {len(row)}")
     initial = _float_list(_expect(chain_raw, "initial", "omega_chain"), "omega_chain.initial")
+    labels = tuple(
+        _name(label, f"omega_chain.labels[{i}]", key=True)
+        for i, label in enumerate(_list(chain_raw.get("labels", []), "omega_chain.labels"))
+    )
     try:
-        chain = FiniteMarkovChain(
-            transition=rows,
-            initial=initial,
-            labels=tuple(_list(chain_raw.get("labels", []), "omega_chain.labels")),
-        )
-    except ScenarioError:
-        raise
+        chain = FiniteMarkovChain(transition=rows, initial=initial, labels=labels)
     except ValueError as exc:
         raise ScenarioError("omega_chain", str(exc)) from exc
 
-    actions: list[list[Action]] = []
+    # Per state, one (name, y, b, x) list per action.
+    states = []
     for w, acts_raw in enumerate(_list(_expect(data, "actions", "actions"), "actions")):
         acts = []
         for i, raw in enumerate(_list(acts_raw, f"actions[{w}]")):
             where = f"actions[{w}][{i}]"
-            y, b, x = (np.asarray(_float_list(_expect(raw, key, where), f"{where}.{key}"))
-                       for key in ("y", "b", "x"))
-            acts.append(Action(name=str(raw.get("name", f"a{i}")), y=y, b=b, x=x))
-        actions.append(acts)
+            vecs = [_float_list(_expect(raw, key, where), f"{where}.{key}") for key in "ybx"]
+            acts.append((_name(raw.get("name", f"a{i}"), f"{where}.name", key=True), *vecs))
+        states.append(acts)
 
-    cost_raw = _expect(data, "cost", "cost")
-    cost = AffineFunction(
-        c0=_number(_expect(cost_raw, "c0", "cost"), "cost.c0"),
-        coeffs=np.asarray(_float_list(_expect(cost_raw, "c", "cost"), "cost")),
-    )
-    constraints = []
-    for l, raw in enumerate(_list(data.get("constraints", []), "constraints")):
-        where = f"constraints[{l}]"
-        constraints.append(
-            AffineFunction(
-                c0=_number(_expect(raw, "d0", where), f"{where}.d0"),
-                coeffs=np.asarray(_float_list(_expect(raw, "d", where), where)),
-            )
-        )
+    # (constant, coefficients) of the cost, then of each constraint.
+    functions = [_affine(_expect(data, "cost", "cost"), "cost", "c0", "c")] + [
+        _affine(raw, f"constraints[{l}]", "d0", "d")
+        for l, raw in enumerate(_list(data.get("constraints", []), "constraints"))
+    ]
     arrivals = [
         _parse_arrival(raw, f"arrivals[{i}]")
         for i, raw in enumerate(_list(_expect(data, "arrivals", "arrivals"), "arrivals"))
@@ -385,18 +366,32 @@ def scenario_from_dict(data: dict, name_hint: str = "scenario") -> Scenario:
               for key in ("src", "dst"))
         for j, raw in enumerate(_list(data.get("routing", []), "routing"))
     ]
-    return Scenario(
-        name=str(data.get("name", name_hint)),
-        n_queues=k,
-        n_constraints=n_constraints,
-        n_attributes=m,
-        omega_chain=chain,
-        actions=actions,
-        cost=cost,
-        constraints=constraints,
-        arrivals=arrivals,
-        routing=routing,
-    )
+    name = _name(data.get("name", name_hint), "name", key=False)
+
+    # The shapes, in the constructor's order, before any array is allocated:
+    # the arrays take their sizes from lengths checked here, not from the
+    # dimensions alone.
+    if len(states) != chain.n_states:
+        raise ScenarioError("actions", "need one action list per omega state")
+    for w, acts in enumerate(states):
+        if not acts:
+            raise ScenarioError(f"actions[{w}]", "action list is empty")
+        for i, (_, *vecs) in enumerate(acts):
+            if list(map(len, vecs)) != [k, k, m]:
+                raise ScenarioError(f"actions[{w}][{i}]", "table vector lengths do not match K/M")
+    if len(functions) != 1 + n_constraints:
+        raise ScenarioError("constraints", "need one affine function per constraint")
+    c0, coeffs = zip(*functions)
+    _check_functions(c0, coeffs, m)
+
+    names = tuple(tuple(act[0] for act in acts) for acts in states)
+    real = _real(names, max(map(len, names)))
+    y, b, x = (np.zeros((*real.shape, width)) for width in (k, k, m))
+    _, *columns = zip(*(act for acts in states for act in acts))
+    for table, column in zip((y, b, x), columns):
+        table[real] = column
+    return Scenario(name, chain, names, y, b, x, np.array(c0),
+                    np.array(coeffs).reshape(len(c0), m), arrivals, routing)
 
 
 def load_scenario(path: str | Path) -> Scenario:

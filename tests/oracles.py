@@ -4,8 +4,11 @@ Everything here deliberately avoids the implementation paths it checks:
 stationary distributions come from power iteration, mixing times from
 repeated dense powering, the capacity optimum from grid search over
 state-conditional action distributions, and controller decisions from an
-explicit exhaustive loop.  ``evaluate_action`` evaluates one (omega, action)
-pair straight from the scenario's action list; it is the reference for the
+explicit exhaustive loop.  ``scenario_args`` and ``build_scenario`` make a
+``Scenario`` from per-action ``(name, y, b, x)`` records and ``(c0,
+coeffs)`` pairs, for the tests' hand-made and fuzzed scenarios.
+``evaluate_action`` evaluates one (omega, action) pair straight from the
+scenario's input arrays, in Python floats; it is the reference for the
 compiled ``Scenario.tables``, and the per-action loops of ``validate``,
 ``build_lp`` and ``drift_constants`` that read those tables with array ops
 are kept here on top of it.  The closed-loop reference replays one run slot
@@ -68,37 +71,88 @@ GRID_GUARD = 20_000_000
 # ---------------------------------------------------------------------------
 
 
+def scenario_args(
+    actions: Sequence[Sequence[tuple]],
+    cost: tuple[float, Sequence[float]],
+    constraints: Sequence[tuple[float, Sequence[float]]] = (),
+    *,
+    chain: FiniteMarkovChain | None = None,
+    arrivals: Sequence[ArrivalSpec] | None = None,
+    routing: Sequence[tuple[int, int]] | None = None,
+    name: str = "test",
+) -> dict:
+    """The ``Scenario`` constructor's arguments for per-action records.
+
+    ``actions[w]`` lists state w's actions as ``(name, y, b, x)``; ``cost``
+    and each constraint are ``(constant, coefficients)``.  The tables are
+    padded with zeros to the longest list.  The chain defaults to one state
+    and the arrivals to Bernoulli(0.1) per queue.
+    """
+    k, m = len(actions[0][0][1]), len(actions[0][0][3])
+    n_a = max(map(len, actions))
+    y, b, x = (np.zeros((len(actions), n_a, width)) for width in (k, k, m))
+    for w, acts in enumerate(actions):
+        for i, (_, *vecs) in enumerate(acts):
+            y[w, i], b[w, i], x[w, i] = vecs
+    functions = [cost, *constraints]
+    return dict(
+        name=name,
+        omega_chain=chain or FiniteMarkovChain(np.array([[1.0]]), np.array([1.0])),
+        names=tuple(tuple(act[0] for act in acts) for acts in actions),
+        y=y,
+        b=b,
+        x=x,
+        c0=np.array([c for c, _ in functions], dtype=float),
+        coeffs=np.array([row for _, row in functions], dtype=float).reshape(len(functions), m),
+        arrivals=list(arrivals or [ArrivalSpec(kind="bernoulli", rate=0.1, p=0.1)] * k),
+        routing=None if routing is None else list(routing),
+    )
+
+
+def build_scenario(*args, **kwargs) -> Scenario:
+    """``Scenario`` of ``scenario_args(*args, **kwargs)``."""
+    return Scenario(**scenario_args(*args, **kwargs))
+
+
+def affine_value(c0: float, coeffs: Sequence[float], x: Sequence[float]) -> float:
+    """``c0 + (coeffs[0] x[0] + coeffs[1] x[1] + ...)`` in Python floats, the
+    products added in that order; the empty sum is 0.0."""
+    products = [float(c) * float(v) for c, v in zip(coeffs, x)]
+    total = products[0] if products else 0.0
+    for product in products[1:]:
+        total += product
+    return float(c0) + total
+
+
 def evaluate_action(
     scenario: Scenario, omega: int, action_index: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
-    """Offered quantities and affine evaluations for one (omega, action).
+    """Offered quantities and affine evaluations for one (omega, action),
+    from the scenario's input arrays.
 
     The offered arrival vector folds in endogenous routing: queue ``k``
     receives its table ``y_k`` plus the offered service of every queue routed
-    into it.
+    into it.  Row 0 of ``c0``/``coeffs`` is the cost, the rest the
+    constraints.
     """
-    act = scenario.actions[omega][action_index]
-    y = act.y.copy()
+    y, b, x = (t[omega, action_index].copy() for t in (scenario.y, scenario.b, scenario.x))
     for src, dst in scenario.routing:
-        y[dst] += act.b[src]
-    x = act.x
-    f_value = scenario.cost(x)
-    g_values = np.asarray([g(x) for g in scenario.constraints], dtype=float)
-    return y, act.b.copy(), x.copy(), f_value, g_values
+        y[dst] += b[src]
+    values = [affine_value(c, row, x) for c, row in zip(scenario.c0, scenario.coeffs)]
+    return y, b, x, values[0], np.asarray(values[1:], dtype=float)
 
 
 def validate_by_actions(scenario) -> None:
     """``network.validate`` as one loop per group over the (omega, action)
-    pairs: the table inputs from the action list, then the evaluated values
+    pairs: the table inputs from the input arrays, then the evaluated values
     from ``evaluate_action``.  ``scenario`` needs only what those read: a
     built ``Scenario`` or the constructor's arguments."""
-    pairs = [(w, i) for w, acts in enumerate(scenario.actions) for i in range(len(acts))]
+    pairs = [(w, i) for w, acts in enumerate(scenario.names) for i in range(len(acts))]
     for w, i in pairs:
-        act = scenario.actions[w][i]
         for key in "ybx":
-            if not np.all(np.isfinite(getattr(act, key))):
+            if not np.all(np.isfinite(getattr(scenario, key)[w, i])):
                 raise ScenarioError(f"actions[{w}][{i}].{key}", "table entries must be finite")
-        if np.any(act.y < 0) or np.any(act.b < 0):
+        if np.any(scenario.y[w, i] < 0) or np.any(scenario.b[w, i] < 0):
             raise ScenarioError(f"actions[{w}][{i}]", "offered y and b must be non-negative")
     with np.errstate(over="ignore", invalid="ignore"):
         for w, i in pairs:
@@ -118,7 +172,7 @@ def lp_by_actions(
     """``c``, ``a_ub``, ``b_ub`` and ``a_eq`` of ``capacity.build_lp``, one
     column per (omega, action) from ``evaluate_action``."""
     pi = scenario.stationary()
-    var_index = [(w, i) for w, acts in enumerate(scenario.actions) for i in range(len(acts))]
+    var_index = [(w, i) for w, acts in enumerate(scenario.names) for i in range(len(acts))]
     n, n_g, k = len(var_index), scenario.n_constraints, scenario.n_queues
     x_cols = np.zeros((scenario.n_attributes, n))
     net_cols = np.zeros((k, n))
@@ -128,16 +182,16 @@ def lp_by_actions(
         net_cols[:, j] = pi[w] * (y - b)
     a_ub = np.zeros((n_g + k, n))
     b_ub = np.zeros(n_g + k)
-    for l, g in enumerate(scenario.constraints):
-        a_ub[l] = g.coeffs @ x_cols
-        b_ub[l] = -g.c0
+    for l in range(n_g):
+        a_ub[l] = scenario.coeffs[1 + l] @ x_cols
+        b_ub[l] = -scenario.c0[1 + l]
     for q in range(k):
         a_ub[n_g + q] = net_cols[q]
         b_ub[n_g + q] = -lambdas[q]
     a_eq = np.zeros((scenario.omega_chain.n_states, n))
     for j, (w, _) in enumerate(var_index):
         a_eq[w, j] = 1.0
-    return scenario.cost.coeffs @ x_cols, a_ub, b_ub, a_eq
+    return scenario.coeffs[0] @ x_cols, a_ub, b_ub, a_eq
 
 
 def drift_by_actions(scenario: Scenario) -> tuple[float, float, float, float]:
@@ -151,7 +205,7 @@ def drift_by_actions(scenario: Scenario) -> tuple[float, float, float, float]:
     f_min = math.inf
     f_max = -math.inf
     for w in range(scenario.omega_chain.n_states):
-        n_act = len(scenario.actions[w])
+        n_act = len(scenario.names[w])
         rows = [evaluate_action(scenario, w, i) for i in range(n_act)]
         for r in rows:
             f_min = min(f_min, r[3])
@@ -426,13 +480,12 @@ def network_step(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if not 0 <= action_index < len(scenario.actions[omega]):
+    if not 0 <= action_index < len(scenario.names[omega]):
         raise IndexError(f"action {action_index} out of range for omega {omega}")
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.shape != (scenario.n_queues,):
         raise ValueError("arrivals vector length must equal K")
 
-    act = scenario.actions[omega][action_index]
     q = state.queues
     y_offered, b_offered, x, f_value, g_values = evaluate_action(
         scenario, omega, action_index
@@ -440,7 +493,7 @@ def network_step(
 
     if mode == "respect":
         b_actual = np.minimum(b_offered, q)
-        y_actual = act.y.copy()
+        y_actual = scenario.y[omega, action_index].copy()
         for src, dst in scenario.routing:
             y_actual[dst] += b_actual[src]
         q_next = (q - b_actual) + y_actual + arrivals
@@ -583,11 +636,11 @@ def grid_fopt(
     per_state_net = []  # candidate-indexed expected (y - b) contribution
     n_candidates = []
     for w in range(n_states):
-        acts = scenario.actions[w]
-        rows = [evaluate_action(scenario, w, i) for i in range(len(acts))]
-        x_tab = np.array([r[2] for r in rows]).reshape(len(acts), -1)
+        n_act = len(scenario.names[w])
+        rows = [evaluate_action(scenario, w, i) for i in range(n_act)]
+        x_tab = np.array([r[2] for r in rows]).reshape(n_act, -1)
         net_tab = np.array([r[0] - r[1] for r in rows])
-        grid = _simplex_grid(len(acts), step)
+        grid = _simplex_grid(n_act, step)
         per_state_x.append(pi[w] * grid @ x_tab)
         per_state_net.append(pi[w] * grid @ net_tab)
         n_candidates.append(grid.shape[0])
@@ -605,13 +658,13 @@ def grid_fopt(
         net_bar += per_state_net[w][idx[w]]
 
     feasible = np.ones(total, dtype=bool)
-    for g in scenario.constraints:
-        feasible &= (g.c0 + x_bar @ g.coeffs) <= feas_slack
+    for c0, coeffs in zip(scenario.c0[1:], scenario.coeffs[1:]):
+        feasible &= (c0 + x_bar @ coeffs) <= feas_slack
     for k in range(scenario.n_queues):
         feasible &= (lams[k] + net_bar[:, k]) <= feas_slack
     if not np.any(feasible):
         raise AssertionError("oracle: no feasible grid point")
-    costs = scenario.cost.c0 + x_bar @ scenario.cost.coeffs
+    costs = scenario.c0[0] + x_bar @ scenario.coeffs[0]
     return float(np.min(costs[feasible]))
 
 
@@ -625,7 +678,7 @@ def exhaustive_dpp_argmin(
     """Lowest-index exact minimizer of the penalty-plus-differential score."""
     best_index = 0
     best_score = math.inf
-    for i in range(len(scenario.actions[omega])):
+    for i in range(len(scenario.names[omega])):
         y, b, _, f_value, g_values = evaluate_action(scenario, omega, i)
         score = v_weight * f_value
         for l in range(len(z)):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_fopt
+from oracles import build_scenario, grid_fopt
 from qnetlab import capacity, simplex
 from qnetlab.capacity import build_lp, performance_bounds, solve_fopt
 from qnetlab.cli import override_mu
 from qnetlab.controller import DriftConstants, drift_constants
 from qnetlab.network import load_scenario
-from qnetlab.processes import make_rng
+from qnetlab.processes import ArrivalSpec, make_rng
 from test_golden import CASES, RELAY8
 
 
@@ -107,24 +107,11 @@ def test_infeasible_rate_vector_reported(bb1):
 
 def test_two_action_minimum_picks_smaller_cost():
     # Single state, actions with x in {1, 2}, cost f(x) = x, no constraints.
-    from qnetlab.network import Action, AffineFunction, Scenario
-    from qnetlab.processes import ArrivalSpec, FiniteMarkovChain
-
-    s = Scenario(
-        name="pick-smaller",
-        n_queues=1,
-        n_constraints=0,
-        n_attributes=1,
-        omega_chain=FiniteMarkovChain(np.array([[1.0]]), np.array([1.0])),
-        actions=[
-            [
-                Action("one", y=np.zeros(1), b=np.ones(1), x=np.array([1.0])),
-                Action("two", y=np.zeros(1), b=np.ones(1), x=np.array([2.0])),
-            ]
-        ],
-        cost=AffineFunction(0.0, np.array([1.0])),
-        constraints=[],
+    s = build_scenario(
+        [[("one", [0.0], [1.0], [1.0]), ("two", [0.0], [1.0], [2.0])]],
+        (0.0, [1.0]),
         arrivals=[ArrivalSpec(kind="bernoulli", rate=0.5, p=0.5)],
+        name="pick-smaller",
     )
     report = solve_fopt(s)
     assert report.f_opt == pytest.approx(1.0, abs=1e-9)

@@ -178,12 +178,19 @@ def test_scenario_path_that_is_a_directory_is_an_error(tmp_path, capsys, command
     assert_clean_error(rc, capsys)
 
 
-@pytest.mark.parametrize("argv", [
+OUT_COMMANDS = [
     *([command, "downlink2.json", *rest] for command, rest in SCENARIO_COMMANDS.items()),
     ["counterexample", "strong-not-rate"],
     ["bb1", "--lambda", "0.3", "--mu", "0.5"],
     ["bb1", "--lambda", "0.3", "--mu", "0.5", "--simulate", "--horizon", "100", "--reps", "2"],
-], ids=lambda argv: "-".join([argv[0], *(a[2:] for a in argv if a == "--simulate")]))
+]
+
+
+def _out_id(argv):
+    return "-".join([argv[0], *(a[2:] for a in argv if a == "--simulate")])
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=_out_id)
 def test_out_naming_an_existing_file_is_an_error(tmp_path, capsys, monkeypatch, argv):
     # The output directory is checked before any output, and before any run.
     def no_run(*args, **kwargs):
@@ -194,6 +201,35 @@ def test_out_naming_an_existing_file_is_an_error(tmp_path, capsys, monkeypatch, 
     out.write_text("")
     assert assert_clean_error(main([*argv, "--out", str(out)]), capsys) == ""
     assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=_out_id)
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "below-a-file"])
+def test_every_command_names_an_out_that_is_not_a_directory(tmp_path, capsys, argv, nested):
+    # One rule for all six commands: checked before the run, made after it.
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if nested else taken
+    rc = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == f"error: --out {out}: {taken} is not a directory\n"
+    assert taken.read_text() == ""
+
+
+def test_labels_of_an_unreachable_state_fail_at_load(tmp_path, capsys):
+    # Mixed-type labels of unreachable states used to reach the reducibility
+    # message's sort: a TypeError traceback and exit 1.
+    data = json.loads(fixture_path("downlink2").read_text())
+    data["omega_chain"]["labels"] = [1, "a", None]
+    data["omega_chain"]["transition"] = [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    rc = main(["capacity", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "scenario error: omega_chain.labels[0]: expected a string\n"
+    assert not out.exists()
 
 
 def test_sweep_v_validates_the_scenario_once(tmp_path, monkeypatch):

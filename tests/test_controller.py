@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     CompositeState,
     TotalsCollector,
+    build_scenario,
     dpp_select_action,
     exhaustive_dpp_argmin,
     replay_with_network_step,
@@ -21,12 +22,7 @@ from qnetlab.controller import (
     drift_constants,
     run_dpp_batch,
 )
-from qnetlab.network import (
-    Action,
-    AffineFunction,
-    Scenario,
-    load_scenario,
-)
+from qnetlab.network import load_scenario
 from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, make_rng
 from qnetlab.stability import VerdictReducer
 
@@ -40,22 +36,11 @@ def downlink2():
 
 def two_action_scenario():
     """Hand example: Q=(10,), V=1; action A (y=1,b=0,f=0), B (y=0,b=1,f=1)."""
-    chain = FiniteMarkovChain(np.array([[1.0]]), np.array([1.0]))
-    return Scenario(
-        name="hand",
-        n_queues=1,
-        n_constraints=0,
-        n_attributes=1,
-        omega_chain=chain,
-        actions=[
-            [
-                Action("A", y=np.array([1.0]), b=np.array([0.0]), x=np.array([0.0])),
-                Action("B", y=np.array([0.0]), b=np.array([1.0]), x=np.array([1.0])),
-            ]
-        ],
-        cost=AffineFunction(0.0, np.array([1.0])),
-        constraints=[],
+    return build_scenario(
+        [[("A", [1.0], [0.0], [0.0]), ("B", [0.0], [1.0], [1.0])]],
+        (0.0, [1.0]),
         arrivals=[ArrivalSpec(kind="bernoulli", rate=0.2, p=0.2)],
+        name="hand",
     )
 
 
@@ -217,10 +202,7 @@ def fuzzed_scenarios(draw):
     else:
         chain = FiniteMarkovChain(np.array([dist(n_s) for _ in range(n_s)]), dist(n_s))
     actions = [
-        [
-            Action(f"a{i}", y=vec(work, k), b=vec(work, k), x=vec(real, m))
-            for i in range(draw(st.integers(1, 4)))
-        ]
+        [(f"a{i}", vec(work, k), vec(work, k), vec(real, m)) for i in range(draw(st.integers(1, 4)))]
         for _ in range(n_s)
     ]
     arrivals = []
@@ -239,17 +221,14 @@ def fuzzed_scenarios(draw):
                 arrivals.append(ArrivalSpec(kind=kind, rate=rate, values=values, probs=probs))
     pairs = [(s, d) for s in range(k) for d in range(k) if s != d]
     routing = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) if pairs else []
-    return Scenario(
-        name="fuzz",
-        n_queues=k,
-        n_constraints=n_l,
-        n_attributes=m,
-        omega_chain=chain,
-        actions=actions,
-        cost=AffineFunction(draw(real), vec(real, m)),
-        constraints=[AffineFunction(draw(real), vec(real, m)) for _ in range(n_l)],
+    return build_scenario(
+        actions,
+        (draw(real), vec(real, m)),
+        [(draw(real), vec(real, m)) for _ in range(n_l)],
+        chain=chain,
         arrivals=arrivals,
         routing=routing,
+        name="fuzz",
     )
 
 
@@ -355,21 +334,17 @@ def single_action_scenario(k, n_l):
     L constraints whose virtual queues grow, and non-integer work."""
     chain = FiniteMarkovChain(np.array([[0.7, 0.3], [0.4, 0.6]]), np.array([1.0, 0.0]))
     actions = [
-        [Action(f"s{w}", y=np.full(k, 0.3 * w), b=np.arange(1, k + 1) * (0.6 + 0.5 * w),
-                x=np.array([0.2 + w, -0.5 * w]))]
+        [(f"s{w}", np.full(k, 0.3 * w), np.arange(1, k + 1) * (0.6 + 0.5 * w), [0.2 + w, -0.5 * w])]
         for w in range(2)
     ]
-    return Scenario(
-        name="single-action",
-        n_queues=k,
-        n_constraints=n_l,
-        n_attributes=2,
-        omega_chain=chain,
-        actions=actions,
-        cost=AffineFunction(0.1, np.array([1.0, 2.0])),
-        constraints=[AffineFunction(0.2 * l - 0.3, np.array([0.5, l - 1.0])) for l in range(n_l)],
+    return build_scenario(
+        actions,
+        (0.1, [1.0, 2.0]),
+        [(0.2 * l - 0.3, [0.5, l - 1.0]) for l in range(n_l)],
+        chain=chain,
         arrivals=[ArrivalSpec(kind="bernoulli", rate=0.35 * 1.3, p=0.35, size=1.3)] * k,
         routing=[(0, 1)] if k > 1 else [],
+        name="single-action",
     )
 
 
@@ -408,10 +383,11 @@ def bb1_variants():
     """The bb1 fixture, a Markov-modulated variant with a unit transfer into
     the queue in the OFF state, and a variant with non-integer arrivals."""
     bb1 = load_scenario("bb1.json")
-    off = bb1.actions[0][0]
+    y = bb1.y.copy()
+    y[0, 0] = 1.0  # the OFF state's one action
     markov = bb1._replace(
         omega_chain=FiniteMarkovChain(np.array([[0.5, 0.5], [0.1, 0.9]]), np.array([1.0, 0.0])),
-        actions=[[Action(off.name, y=np.array([1.0]), b=off.b, x=off.x)], bb1.actions[1]],
+        y=y,
     )
     fractional = bb1._replace(
         arrivals=[ArrivalSpec(kind="bernoulli", rate=0.21, p=0.3, size=0.7)]
@@ -494,17 +470,11 @@ def test_clamped_mode_runs(downlink2):
 
 
 def test_drift_constants_zero_for_idle_network():
-    chain = FiniteMarkovChain(np.array([[1.0]]), np.array([1.0]))
-    s = Scenario(
-        name="idle",
-        n_queues=1,
-        n_constraints=0,
-        n_attributes=0,
-        omega_chain=chain,
-        actions=[[Action("idle", y=np.zeros(1), b=np.zeros(1), x=np.zeros(0))]],
-        cost=AffineFunction(0.0, np.zeros(0)),
-        constraints=[],
+    s = build_scenario(
+        [[("idle", [0.0], [0.0], [])]],
+        (0.0, []),
         arrivals=[ArrivalSpec(kind="deterministic", rate=0.0, values=(0.0,))],
+        name="idle",
     )
     drift = drift_constants(s, delta=0.5)
     assert drift.B == 0.0 and drift.D == 0.0
@@ -524,12 +494,12 @@ def test_drift_constants_downlink_enumeration_oracle(downlink2):
         max_ay2 = np.full(2, a2)  # y = 0 always: E[(a+0)^2] = E[a^2]
         max_ab2 = np.full(2, a2)  # placeholder, recomputed below
         max_g2 = 0.0
-        for i in range(len(downlink2.actions[w])):
-            act = downlink2.actions[w][i]
-            max_b2 = np.maximum(max_b2, act.b**2)
-            ab = a2 + 2 * lam * act.b + act.b**2
+        for i in range(len(downlink2.names[w])):
+            b, x = downlink2.b[w, i], downlink2.x[w, i]
+            max_b2 = np.maximum(max_b2, b**2)
+            ab = a2 + 2 * lam * b + b**2
             max_ab2 = np.maximum(max_ab2, ab)
-            g_val = act.x[0] - 0.45
+            g_val = x[0] - 0.45
             max_g2 = max(max_g2, g_val**2)
         b_expect += pi[w] * (0.5 * max_b2.sum() + 0.5 * max_ay2.sum() + max_g2)
         d_expect += pi[w] * (max_ab2.sum() + max_g2)

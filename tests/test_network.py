@@ -1,46 +1,27 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import CompositeState, evaluate_action, network_step, queue_step
+from oracles import CompositeState, build_scenario, evaluate_action, network_step, queue_step
 from qnetlab.capacity import CapacityReport
 from qnetlab.controller import drift_constants
 from qnetlab.network import (
-    Action,
-    AffineFunction,
-    Scenario,
     ScenarioError,
     fixture_path,
     load_scenario,
     scenario_from_dict,
     validate,
 )
-from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, make_rng
+from qnetlab.processes import make_rng
 
 
-def single_state_chain() -> FiniteMarkovChain:
-    return FiniteMarkovChain(np.array([[1.0]]), np.array([1.0]))
-
-
-def make_scenario(actions, *, k=2, n_l=0, m=1, cost=None, constraints=(), routing=()):
-    return Scenario(
-        name="test",
-        n_queues=k,
-        n_constraints=n_l,
-        n_attributes=m,
-        omega_chain=single_state_chain(),
-        actions=[actions],
-        cost=cost or AffineFunction(0.0, np.zeros(m)),
-        constraints=list(constraints),
-        arrivals=[ArrivalSpec(kind="bernoulli", rate=0.1, p=0.1) for _ in range(k)],
-        routing=list(routing),
-    )
-
-
-def action(y, b, x, name="a"):
-    return Action(name=name, y=np.asarray(y, float), b=np.asarray(b, float), x=np.asarray(x, float))
+def make_scenario(actions, *, cost=(0.0, [0.0]), constraints=(), routing=()):
+    """One state, its actions given as ``(y, b, x)`` triples."""
+    return build_scenario([[("a", *act) for act in actions]], cost, constraints,
+                          routing=routing)
 
 
 # ---------------------------------------------------------------------------
@@ -49,17 +30,13 @@ def action(y, b, x, name="a"):
 
 
 def test_evaluate_action_zero_coefficients_gives_constant_cost():
-    s = make_scenario([action([0, 0], [0, 0], [3.0])], cost=AffineFunction(2.5, np.zeros(1)))
+    s = make_scenario([([0, 0], [0, 0], [3.0])], cost=(2.5, [0.0]))
     _, _, _, f_value, _ = evaluate_action(s, 0, 0)
     assert f_value == 2.5
 
 
 def test_evaluate_action_affine_arithmetic():
-    s = make_scenario(
-        [action([0, 0], [0, 0], [1.0, 2.0])],
-        m=2,
-        cost=AffineFunction(0.0, np.array([2.0, -1.0])),
-    )
+    s = make_scenario([([0, 0], [0, 0], [1.0, 2.0])], cost=(0.0, [2.0, -1.0]))
     _, _, _, f_value, _ = evaluate_action(s, 0, 0)
     assert f_value == 0.0
 
@@ -67,8 +44,7 @@ def test_evaluate_action_affine_arithmetic():
 def test_evaluate_action_on_downlink_fixture():
     s = load_scenario("downlink2.json")
     on_off = s.omega_chain.labels.index("ON-OFF")
-    names = [a.name for a in s.actions[on_off]]
-    y, b, x, f_value, g_values = evaluate_action(s, on_off, names.index("serve-1"))
+    y, b, x, f_value, g_values = evaluate_action(s, on_off, s.names[on_off].index("serve-1"))
     assert list(b) == [1.0, 0.0]
     assert list(x) == [1.0]
     assert f_value == 1.0
@@ -82,7 +58,7 @@ def test_evaluate_action_on_downlink_fixture():
 
 
 def test_step_reduces_to_single_queue_update():
-    s = make_scenario([action([0, 0], [3, 0], [0.0])])
+    s = make_scenario([([0, 0], [3, 0], [0.0])])
     state = CompositeState(np.array([5.0, 0.0]), np.zeros(0))
     nxt, rec = network_step(s, state, 0, 0, arrivals=np.array([2.0, 0.0]))
     assert list(nxt.queues) == [4.0, 0.0]
@@ -90,7 +66,7 @@ def test_step_reduces_to_single_queue_update():
 
 
 def test_step_cannot_overdraw_empty_queue():
-    s = make_scenario([action([0, 0], [1, 0], [0.0])])
+    s = make_scenario([([0, 0], [1, 0], [0.0])])
     state = CompositeState(np.zeros(2), np.zeros(0))
     nxt, rec = network_step(s, state, 0, 0, arrivals=np.zeros(2), mode="respect")
     assert list(rec.b_actual) == [0.0, 0.0]
@@ -98,7 +74,7 @@ def test_step_cannot_overdraw_empty_queue():
 
 
 def test_endogenous_route_clamps_to_slot_start_content():
-    s = make_scenario([action([0, 0], [1, 0], [0.0])], routing=[(0, 1)])
+    s = make_scenario([([0, 0], [1, 0], [0.0])], routing=[(0, 1)])
     state = CompositeState(np.array([0.5, 0.0]), np.zeros(0))
     nxt, rec = network_step(s, state, 0, 0, arrivals=np.zeros(2))
     assert rec.y_actual[1] == 0.5  # transfer limited to queue 0's content
@@ -108,7 +84,7 @@ def test_endogenous_route_clamps_to_slot_start_content():
 
 
 def test_same_slot_arrivals_are_not_forwardable():
-    s = make_scenario([action([0, 0], [1, 0], [0.0])], routing=[(0, 1)])
+    s = make_scenario([([0, 0], [1, 0], [0.0])], routing=[(0, 1)])
     state = CompositeState(np.array([0.0, 0.0]), np.zeros(0))
     nxt, rec = network_step(s, state, 0, 0, arrivals=np.array([1.0, 0.0]))
     assert rec.y_actual[1] == 0.0
@@ -118,7 +94,7 @@ def test_same_slot_arrivals_are_not_forwardable():
 def test_step_record_respects_offered_bounds():
     rng = make_rng(99, 0)
     s = make_scenario(
-        [action([0.3, 0.1], [0.7, 0.2], [0.0]), action([0.0, 0.5], [1.5, 0.0], [1.0])],
+        [([0.3, 0.1], [0.7, 0.2], [0.0]), ([0.0, 0.5], [1.5, 0.0], [1.0])],
         routing=[(0, 1)],
     )
     state = CompositeState(np.zeros(2), np.zeros(0))
@@ -132,7 +108,7 @@ def test_step_record_respects_offered_bounds():
 
 
 def test_clamped_mode_uses_max_form_with_offered_quantities():
-    s = make_scenario([action([0.0, 2.0], [5.0, 0.0], [0.0])])
+    s = make_scenario([([0.0, 2.0], [5.0, 0.0], [0.0])])
     state = CompositeState(np.array([1.0, 0.0]), np.zeros(0))
     nxt, _ = network_step(s, state, 0, 0, arrivals=np.array([0.5, 0.0]), mode="clamped")
     assert nxt.queues[0] == 0.5  # max(1 - 5, 0) + 0.5
@@ -140,12 +116,8 @@ def test_clamped_mode_uses_max_form_with_offered_quantities():
 
 
 def test_virtual_queues_update_from_constraint_values():
-    g = AffineFunction(-0.5, np.array([1.0]))
-    s = make_scenario(
-        [action([0, 0], [0, 0], [0.0]), action([0, 0], [0, 0], [1.0])],
-        n_l=1,
-        constraints=[g],
-    )
+    s = make_scenario([([0, 0], [0, 0], [0.0]), ([0, 0], [0, 0], [1.0])],
+                      constraints=[(-0.5, [1.0])])
     state = CompositeState(np.zeros(2), np.array([0.2]))
     nxt, rec = network_step(s, state, 0, 1, arrivals=np.zeros(2))
     assert rec.g_values == pytest.approx([0.5])
@@ -157,17 +129,7 @@ def test_virtual_queues_update_from_constraint_values():
 def test_single_queue_network_is_bit_exact_with_queue_step():
     rng = make_rng(4242, 0)
     b_val = float(rng.random() * 2)
-    s = Scenario(
-        name="one",
-        n_queues=1,
-        n_constraints=0,
-        n_attributes=0,
-        omega_chain=single_state_chain(),
-        actions=[[action([0.0], [b_val], [])]],
-        cost=AffineFunction(0.0, np.zeros(0)),
-        constraints=[],
-        arrivals=[ArrivalSpec(kind="bernoulli", rate=0.1, p=0.1)],
-    )
+    s = build_scenario([[("a", [0.0], [b_val], [])]], (0.0, []), name="one")
     state = CompositeState(np.array([0.0]), np.zeros(0))
     q_ref = 0.0
     for _ in range(2000):
@@ -178,7 +140,7 @@ def test_single_queue_network_is_bit_exact_with_queue_step():
 
 
 def test_step_rejects_bad_action_index():
-    s = make_scenario([action([0, 0], [0, 0], [0.0])])
+    s = make_scenario([([0, 0], [0, 0], [0.0])])
     state = CompositeState(np.zeros(2), np.zeros(0))
     with pytest.raises(IndexError):
         network_step(s, state, 0, 5, arrivals=np.zeros(2))
@@ -198,15 +160,15 @@ def cost_extremes(scenario):
 
 
 def test_validate_all_zero_tables():
-    s = make_scenario([action([0, 0], [0, 0], [0.0])], cost=AffineFunction(1.5, np.zeros(1)))
+    s = make_scenario([([0, 0], [0, 0], [0.0])], cost=(1.5, [0.0]))
     assert validate(s) is None
     assert cost_extremes(s) == (1.5, 1.5)
 
 
 def test_validate_two_action_cost_extremes():
     s = make_scenario(
-        [action([0, 0], [0, 0], [1.0]), action([0, 0], [0, 0], [2.0])],
-        cost=AffineFunction(0.0, np.array([1.0])),
+        [([0, 0], [0, 0], [1.0]), ([0, 0], [0, 0], [2.0])],
+        cost=(0.0, [1.0]),
     )
     assert validate(s) is None
     assert cost_extremes(s) == (1.0, 2.0)
@@ -228,7 +190,7 @@ def test_validate_rejects_non_finite_tables():
     # The tables are finite, but the routed offer 1e308 + 1e308 overflows,
     # which the constructor's validate rejects.
     with pytest.raises(ScenarioError, match=r"^actions\[0\]\[0\]: non-finite y table entry$"):
-        make_scenario([action([0, 1e308], [1e308, 0], [0.0])], routing=[(0, 1)])
+        make_scenario([([0, 1e308], [1e308, 0], [0.0])], routing=[(0, 1)])
 
 
 def test_affine_passthrough_over_action_mixtures():
@@ -236,13 +198,14 @@ def test_affine_passthrough_over_action_mixtures():
     s = load_scenario("downlink2.json")
     rng = make_rng(7, 0)
     for w in range(s.omega_chain.n_states):
-        acts = s.actions[w]
-        xs = np.stack([evaluate_action(s, w, i)[2] for i in range(len(acts))])
-        fs = np.array([evaluate_action(s, w, i)[3] for i in range(len(acts))])
+        n_act = len(s.names[w])
+        xs = np.stack([evaluate_action(s, w, i)[2] for i in range(n_act)])
+        fs = np.array([evaluate_action(s, w, i)[3] for i in range(n_act)])
         for _ in range(25):
-            weights = rng.random(len(acts))
+            weights = rng.random(n_act)
             weights /= weights.sum()
-            assert np.dot(weights, fs) == pytest.approx(s.cost(weights @ xs), abs=1e-12)
+            cost = s.c0[0] + s.coeffs[0] @ (weights @ xs)
+            assert np.dot(weights, fs) == pytest.approx(cost, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +218,7 @@ def test_fixtures_load():
     assert (bb1.n_queues, bb1.n_constraints, bb1.n_attributes) == (1, 0, 1)
     dl2 = load_scenario(fixture_path("downlink2"))
     assert (dl2.n_queues, dl2.n_constraints, dl2.n_attributes) == (2, 1, 1)
-    assert [len(acts) for acts in dl2.actions] == [1, 2, 2]
+    assert [len(acts) for acts in dl2.names] == [1, 2, 2]
 
 
 def test_missing_file_raises():
@@ -380,17 +343,63 @@ def _load_with_value(tmp_path, path, value) -> None:
         (("omega_chain", "initial"), [[0.5], 0.5, 0], r"omega_chain\.initial: expected a number"),
         (("omega_chain", "transition"), [[False, True], [False, True]],
          r"omega_chain\.transition\[0\]: expected a number"),
+        # Labels and names are written into the reports, labels and action
+        # names into report keys.
+        (("omega_chain", "labels"), [[1], {"a": 1}],
+         r"^omega_chain\.labels\[0\]: expected a string$"),
+        (("omega_chain", "labels"), ["OFF", None], r"^omega_chain\.labels\[1\]: expected a string$"),
+        (("omega_chain", "labels"), ["OFF", "O\nN"],
+         r"^omega_chain\.labels\[1\]: a name must not contain a line break$"),
+        (("omega_chain", "labels"), ["OFF", "ON=1"],
+         r"^omega_chain\.labels\[1\]: a label or action name must not contain '='$"),
+        (("actions", 1, 0, "name"), 5, r"^actions\[1\]\[0\]\.name: expected a string$"),
+        (("actions", 1, 0, "name"), "a\nb=c",
+         r"^actions\[1\]\[0\]\.name: a name must not contain a line break$"),
+        (("actions", 1, 0, "name"), "serve=1",
+         r"^actions\[1\]\[0\]\.name: a label or action name must not contain '='$"),
+        (("name",), ["bb1"], r"^name: expected a string$"),
+        (("name",), "bb\r1", r"^name: a name must not contain a line break$"),
     ],
     ids=["non-object-action", "boolean-entry", "boolean-dimension", "fractional-dimension",
          "nan-action-entry", "nan-y-entry", "infinite-b-entry", "negative-y-entry",
          "negative-b-entry", "first-action-first", "b-before-x-before-sign",
          "values-before-a-later-length", "inputs-before-evaluated-values",
          "nan-cost-coefficient", "ragged-transition", "string-transition-entry",
-         "nested-initial-entry", "boolean-transition-entries"],
+         "nested-initial-entry", "boolean-transition-entries", "non-string-label",
+         "null-label", "label-line-break", "label-equals", "non-string-action-name",
+         "action-name-line-break", "action-name-equals", "non-string-name", "name-line-break"],
 )
 def test_load_rejects_malformed_field(tmp_path, path, value, message):
     with pytest.raises(ScenarioError, match=message):
         _load_with_value(tmp_path, path, value)
+
+
+def test_names_may_repeat_and_a_scenario_name_may_hold_an_equals_sign():
+    data = json.loads(fixture_path("downlink2").read_text())
+    data["name"] = "downlink=2"
+    data["actions"][1][1]["name"] = "idle"
+    s = scenario_from_dict(data)
+    assert s.name == "downlink=2" and s.names[1] == ("idle", "idle")
+
+
+@pytest.mark.parametrize("key, message", [
+    ("K", r"^actions\[0\]\[0\]: table vector lengths do not match K/M$"),
+    ("M", r"^actions\[0\]\[0\]: table vector lengths do not match K/M$"),
+    ("L", r"^constraints: need one affine function per constraint$"),
+])
+def test_a_huge_dimension_fails_at_load_without_a_large_allocation(key, message):
+    # The padded arrays are sized from the parsed and checked lengths, never
+    # from the declared dimensions alone.
+    data = json.loads(fixture_path("bb1").read_text())
+    data["dimensions"][key] = 10**12
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_schema_roundtrip_through_loader(tmp_path):
@@ -401,7 +410,6 @@ def test_schema_roundtrip_through_loader(tmp_path):
     a = load_scenario(fixture_path("downlink2"))
     b = load_scenario(path)
     assert np.array_equal(a.omega_chain.transition, b.omega_chain.transition)
-    for w in range(3):
-        for i in range(len(a.actions[w])):
-            assert np.array_equal(a.actions[w][i].b, b.actions[w][i].b)
+    assert a.names == b.names
+    assert np.array_equal(a.b, b.b)
     assert a.lambdas == pytest.approx(b.lambdas)

@@ -29,8 +29,8 @@ MODULES = {
         "DppBatchResult", "DppRunResult", "DriftConstants", "drift_constants", "run_dpp_batch",
     ],
     "network": [
-        "Action", "AffineFunction", "Scenario", "ScenarioError", "ScenarioTables",
-        "compile_tables", "fixture_path", "load_scenario", "validate",
+        "Scenario", "ScenarioError", "ScenarioTables", "fixture_path", "load_scenario",
+        "validate",
     ],
     "processes": [
         "ArrivalSpec", "FiniteMarkovChain", "PeriodicChainError",

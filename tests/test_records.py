@@ -30,10 +30,7 @@ SIGNATURES = {
         "horizon q_path z_path omega_path action_path x_path f_path g_path",
     controller.DppBatchResult: "backlog_sum cost_sum g_sum runs reducer=None",
     controller.DriftConstants: "B D T d_max f_opt f_min f_max delta=nan",
-    network.AffineFunction: "c0 coeffs",
-    network.Action: "name y b x",
-    network.Scenario: "name n_queues n_constraints n_attributes omega_chain actions cost "
-                      "constraints arrivals routing=None",
+    network.Scenario: "name omega_chain names y b x c0 coeffs arrivals routing=None",
     network.ScenarioTables: "f pad g net b y x y_offered",
     oracles.StepRecord: "omega_index action_index arrivals y_offered b_offered y_actual "
                         "b_actual x f_value g_values",
@@ -141,12 +138,22 @@ INVALID = [
      "deterministic arrivals need a non-empty sequence"),
     (lambda: processes.ArrivalSpec("iid_table", 1.0, values=(1.0,), probs=(0.5,)), ValueError,
      "iid_table probs must form a probability vector"),
-    (lambda: _scenario(actions=[]), network.ScenarioError,
+    (lambda: _scenario(names=()), network.ScenarioError,
      "actions: need one action list per omega state"),
+    (lambda: _scenario(names=(("idle",), ("idle", "serve-1"), ())), network.ScenarioError,
+     "actions[2]: action list is empty"),
+    (lambda: _scenario(x=np.zeros((3, 2))), network.ScenarioError,
+     "actions: y, b and x must be (S, A, K), (S, A, K) and (S, A, M) arrays, with K >= 1"),
+    (lambda: _scenario(b=np.ones((3, 2, 2))), network.ScenarioError,
+     "actions: entries past a state's last action must be zero"),
     (lambda: _scenario(arrivals=[]), network.ScenarioError,
      "arrivals: need one arrival spec per queue"),
-    (lambda: _scenario(constraints=[]), network.ScenarioError,
+    (lambda: _scenario(c0=np.zeros(1)), network.ScenarioError,
      "constraints: need one affine function per constraint"),
+    (lambda: _scenario(coeffs=np.zeros((2, 2))), network.ScenarioError,
+     "cost: coefficient length must equal M"),
+    (lambda: _scenario(c0=np.array([0.0, np.nan])), network.ScenarioError,
+     "constraints[0]: constant and coefficients must be finite"),
     (lambda: _scenario(routing=[(0, 0)]), network.ScenarioError,
      "routing[0]: a queue cannot feed itself"),
     (lambda: _scenario(routing=[(0, 1), (0, 1)]), network.ScenarioError,
@@ -171,8 +178,7 @@ def every_record():
     drift = controller.drift_constants(scenario)
     batch = controller.run_dpp_batch(scenario, [1.0, 2.0], [0, 1], 5, 1000, record=1)
     return [
-        scenario, scenario.omega_chain, scenario.arrivals[0], scenario.actions[0][0],
-        scenario.cost, step,
+        scenario, scenario.omega_chain, scenario.arrivals[0], step,
         lp, report, report.policy,
         capacity.performance_bounds(scenario, 1.0, drift.d_max / 4, drift), drift,
         scenario.tables, batch, batch.runs[0],

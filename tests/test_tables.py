@@ -15,21 +15,16 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import (
+    build_scenario,
     drift_by_actions,
     evaluate_action,
     lp_by_actions,
+    scenario_args,
     validate_by_actions,
 )
 from qnetlab.capacity import CapacityReport, build_lp
 from qnetlab.controller import drift_constants
-from qnetlab.network import (
-    Action,
-    AffineFunction,
-    Scenario,
-    ScenarioError,
-    load_scenario,
-    validate,
-)
+from qnetlab.network import Scenario, ScenarioError, load_scenario, validate
 from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, ReducibleChainError
 from test_controller import fuzzed_scenarios
 from test_golden import RELAY8
@@ -46,8 +41,8 @@ def same_bits(a, b) -> bool:
 
 def assert_tables_match_actions(scenario):
     tab = scenario.tables
-    for w, acts in enumerate(scenario.actions):
-        for i, act in enumerate(acts):
+    for w, acts in enumerate(scenario.names):
+        for i in range(len(acts)):
             y, b, x, f_value, g_values = evaluate_action(scenario, w, i)
             assert same_bits(tab.y_offered[w, i], y)
             assert same_bits(tab.b[w, i], b)
@@ -55,7 +50,7 @@ def assert_tables_match_actions(scenario):
             assert same_bits(tab.f[w, i], f_value)
             assert same_bits(tab.g[w, i], g_values)
             assert same_bits(tab.net[w, i], y - b)
-            assert same_bits(tab.y[w, i], act.y)
+            assert same_bits(tab.y[w, i], scenario.y[w, i])
             assert tab.pad[w, i] == 0.0
         padding = slice(len(acts), None)
         assert np.all(tab.pad[w, padding] == np.inf)
@@ -95,18 +90,14 @@ def signed_zero_scenario(order):
     """One queue, two states whose action costs are 0.0 and -0.0 in ``order``:
     ``-0.0 + 1.0 * x`` is -0.0 at x = -0.0 and 0.0 at x = 0.0."""
     def act(x):
-        return Action(f"x{x}", y=np.zeros(1), b=np.ones(1), x=np.array([x]))
+        return (f"x{x}", [0.0], [1.0], [x])
 
-    return Scenario(
-        name="signed-zero",
-        n_queues=1,
-        n_constraints=0,
-        n_attributes=1,
-        omega_chain=FiniteMarkovChain(np.full((2, 2), 0.5), np.array([1.0, 0.0])),
-        actions=[[act(x) for x in order], [act(order[-1])]],
-        cost=AffineFunction(-0.0, np.array([1.0])),
-        constraints=[],
+    return build_scenario(
+        [[act(x) for x in order], [act(order[-1])]],
+        (-0.0, [1.0]),
+        chain=FiniteMarkovChain(np.full((2, 2), 0.5), np.array([1.0, 0.0])),
         arrivals=[ArrivalSpec(kind="bernoulli", rate=0.2, p=0.2)],
+        name="signed-zero",
     )
 
 
@@ -126,21 +117,15 @@ def overflowing(kind):
     """The constructor's arguments of a single-state scenario with finite
     tables whose evaluation overflows."""
     routed = kind == "routed"
-    return dict(
-        name=kind,
-        n_queues=2,
-        n_constraints=int(kind == "constraint"),
-        n_attributes=1,
-        omega_chain=FiniteMarkovChain(np.array([[1.0]]), np.array([1.0])),
-        actions=[[
-            Action("ok", y=np.zeros(2), b=np.zeros(2), x=np.zeros(1)),
-            Action("big", y=np.array([0.0, 1e308 if routed else 0.0]),
-                   b=np.array([1e308 if routed else 0.0, 0.0]), x=np.array([10.0])),
+    return scenario_args(
+        [[
+            ("ok", [0.0, 0.0], [0.0, 0.0], [0.0]),
+            ("big", [0.0, 1e308 if routed else 0.0], [1e308 if routed else 0.0, 0.0], [10.0]),
         ]],
-        cost=AffineFunction(0.0, np.array([1e308 if kind == "cost" else 0.0])),
-        constraints=[AffineFunction(0.0, np.array([1e308]))] * int(kind == "constraint"),
-        arrivals=[ArrivalSpec(kind="bernoulli", rate=0.1, p=0.1)] * 2,
+        (0.0, [1e308 if kind == "cost" else 0.0]),
+        [(0.0, [1e308])] * int(kind == "constraint"),
         routing=[(0, 1)] if routed else [],
+        name=kind,
     )
 
 
