@@ -34,9 +34,10 @@ _BLOCK_BYTES = 1 << 18  # per-block buffers of run_dpp_batch's slot loop
 
 
 def _lane_slot_bytes(n_a: int, k: int, n_l: int) -> int:
-    """Bytes per lane and slot of ``run_dpp_batch``'s per-block buffers: score rows
-    and ``V f + pad`` (given a choice), indices, arrivals, and the states twice."""
-    return 8 * ((n_l + k + 3) * n_a * (n_a > 1) + 3 + 3 * k + 2 * (n_l + k))
+    """Bytes per lane and slot of ``run_dpp_batch``'s per-block buffers: the
+    gathered score rows, ``[g | net | f | pad]`` (given a choice), indices,
+    arrivals, and the states ``[Z; Q; 1]`` twice."""
+    return 8 * ((n_l + k + 2) * n_a * (n_a > 1) + 3 + 3 * k + 2 * (n_l + k + 1))
 
 
 class DppRunResult(NamedTuple):
@@ -76,6 +77,21 @@ def _add_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _route_runs(routing: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """``(src, dst, length)`` for each run of consecutive routes ``(src, dst),
+    (src + 1, dst + 1), ...``, in list order, so every destination still
+    receives its transfers in the order of the routing list."""
+    runs: list[tuple[int, int, int]] = []
+    for src, dst in routing:
+        if runs:
+            s0, d0, r = runs[-1]
+            if (src, dst) == (s0 + r, d0 + r):
+                runs[-1] = (s0, d0, r + 1)
+                continue
+        runs.append((src, dst, 1))
+    return runs
+
+
 def _check_horizon(horizon: int) -> None:
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
@@ -100,15 +116,22 @@ def run_dpp_batch(
     its path.  Per lane, the results equal a run of the slot recursion
     alone: scores, updates and reductions follow the single-run order.
     Every scenario runs one slot update on the stacked state ``s = [Z; Q]``,
-    lanes innermost.  Scores add the ``[g | net]`` rows times ``s`` in the
-    fixed order ``t = 0..L+K-1``, so no BLAS kernel rounds them.  Both modes
+    lanes innermost.  The state carries a constant last row, ``[Z; Q; 1]``,
+    and each block computes ``V f + pad`` once as the last of its gathered
+    score rows, so one reduction adds the rows ``[g | net | V f + pad]``
+    times ``[Z; Q; 1]`` in the fixed order ``t = 0..L+K``; no BLAS kernel
+    rounds them, and as IEEE addition commutes the score is
+    ``(V f + pad) + sum_t [g | net][t] * s[t]`` bit for bit.  Both modes
     update by ``s - min([-g | b], s)``, which for ``s >= 0`` is
     ``max(s - [-g | b], 0)`` bit for bit, and ``max(Z + g, 0)`` on the ``Z``
     rows; clamped mode adds the offered ``y_offered`` and takes no routes.
-    With one action per state the argmin is action 0, so no score is
-    computed.  A slot's decision is one flat index ``omega * A + action``
-    per lane, which the update, the counts and the records all read.  A value
-    past the float range raises ``FloatingPointError``.
+    A run of routes ``(src, dst), (src + 1, dst + 1), ...`` adds as one
+    slice, and each destination receives in routing-list order.  With one
+    action per state the argmin is action 0, so no score is computed.  A
+    slot's decision is one flat index ``omega * A + action`` per lane, held
+    as intp so that the update's take reads it as it is; the counts and the
+    records read it too.  A value past the float range raises
+    ``FloatingPointError``.
 
     Results leave by time block; no array spans the horizon.  Each block's
     per-lane totals of the slot-start backlogs, added in queue order (plus
@@ -132,9 +155,9 @@ def run_dpp_batch(
     n_a, clamped, m = tab.f.shape[1], mode == "clamped", n_l + k
     f_flat, g_flat, x_flat = (a.reshape(tab.f.size, *a.shape[2:]) for a in (tab.f, tab.g, tab.x))
     # One column per (omega, action), lanes innermost after a take: scores read
-    # [f | pad | g | net], the update [-g | b | 0 | y].  Clamped mode moves all
+    # [g | net | f | pad], the update [-g | b | 0 | y].  Clamped mode moves all
     # offered service, so its routed transfers are y_offered's.
-    score_tab = np.concatenate([tab.f[..., None], tab.pad[..., None], tab.g, tab.net],
+    score_tab = np.concatenate([tab.g, tab.net, tab.f[..., None], tab.pad[..., None]],
                                axis=2).transpose(2, 1, 0).copy()  # (m + 2, A, S)
     y_tab = tab.y_offered if clamped else tab.y
     update_tab = np.concatenate([-tab.g, tab.b, np.zeros_like(tab.g), y_tab],
@@ -142,7 +165,7 @@ def run_dpp_batch(
     arrival_table = np.zeros((k, max(s.table.size for s in scenario.arrivals)))
     for q_idx, spec in enumerate(scenario.arrivals):
         arrival_table[q_idx, : spec.table.size] = spec.table
-    # The flat index omega * A + action; its dtype holds every index and A.
+    # The flat index omega * A + action as recorded; its dtype holds every index and A.
     c_dtype = np.min_scalar_type(max(tab.f.size - 1, n_a))
 
     sink = None if reducer is None else reducer(n, horizon)
@@ -153,17 +176,30 @@ def run_dpp_batch(
     s_rec, c_rec = np.zeros((record, n_rec + 1, m)), np.zeros((n_rec, record), dtype=c_dtype)
 
     block = max(1, _BLOCK_BYTES // (n * _lane_slot_bytes(n_a, k, n_l)))
-    # Slot-start states s = [Z; Q] of one block: s_buf[j] is the state at slot
-    # t0 + j; scores take it with a unit action axis.
-    s_buf = np.zeros((block + 1, m, n))
-    s_col, q_buf = s_buf[:, :, None], s_buf[:, n_l:]
+    # Slot-start states s = [Z; Q; 1] of one block: s_buf[j] is the state at
+    # slot t0 + j.  Scores take all of it with a unit action axis, so the
+    # constant last row adds V f + pad; the update reads and writes [Z; Q].
+    s_buf = np.zeros((block + 1, m + 1, n))
+    s_buf[:, m] = 1.0
+    s_col, zq_buf, q_buf = s_buf[:, :, None], s_buf[:, :m], s_buf[:, n_l:m]
     z_tot = np.empty((block, n)) if with_virtual else None
+    # One block's gathered score tables (given a choice), flat indices and
+    # arrivals, in buffers that every block reuses.  The indices are intp,
+    # the dtype that the update's take reads without a copy.
+    tabs_buf = np.empty((m + 2, n_a, block, n)) if n_a > 1 else None
+    ix_buf, arr_buf = np.empty((block, n), dtype=np.intp), np.empty((block, k, n))
+    score_rows = [None] * block if tabs_buf is None else tabs_buf[: m + 1].transpose(2, 0, 1, 3)
+    # The views that slot j of a block reads, made once: its index row, score
+    # rows and arrivals, and the states [Z; Q; 1], [Z; Q] and Q at its start
+    # and end.
+    slot_views = list(zip(ix_buf, score_rows, arr_buf, zq_buf, s_col, zq_buf[1:], q_buf[1:]))
     # Per-slot scratch, overwritten every slot.
-    prod, scores = np.empty((m, n_a, n)), np.empty((n_a, n))
-    best, upd = np.empty(n, dtype=c_dtype), np.empty((2 * m, n))
+    prod, scores = np.empty((m + 1, n_a, n)), np.empty((n_a, n))
+    best, upd = np.empty(n, dtype=np.intp), np.empty((2 * m, n))
     sub, add, kept, moved = upd[:m], upd[m:], np.empty((m, n)), np.empty((m, n))
-    routes = [] if clamped else [(add[n_l + dst], moved[n_l + src])
-                                 for src, dst in scenario.routing]
+    # A run of routes (src, dst), (src + 1, dst + 1), ... adds as one slice.
+    routes = [] if clamped else [(add[n_l + dst : n_l + dst + r], moved[n_l + src : n_l + src + r])
+                                 for src, dst, r in _route_runs(scenario.routing)]
     arrival_flat, queue_base = arrival_table.ravel(), np.arange(k) * arrival_table.shape[1]
 
     t0 = 0
@@ -177,24 +213,24 @@ def run_dpp_batch(
             tot, c_blk = tot_buf[:, :nb_s], c_buf[:nb_s]
             for j0 in range(0, nb_s, block):
                 nb = min(block, nb_s - j0)
-                # Gather one block of slots' columns at once; the slot loop then slices.
+                # Gather one block of slots' columns at once, into the buffers
+                # that slot_views read.
                 w = omega[j0 : j0 + nb].take(lane_rep, axis=1)
-                c = np.multiply(w, n_a, out=c_blk[j0 : j0 + nb], dtype=c_dtype)
-                score_tabs = vfs = [None] * nb
+                ix = np.multiply(w, n_a, out=ix_buf[:nb], dtype=np.intp)
                 if n_a > 1:
-                    tabs = score_tab.take(w, axis=2)  # (m + 2, A, nb, n)
-                    vfs = np.multiply(v, tabs[0]).transpose(1, 0, 2)
-                    vfs += tabs[1].transpose(1, 0, 2)
-                    score_tabs = tabs[2:].transpose(2, 0, 1, 3)
-                ix = arrival_ix[j0 : j0 + nb].take(lane_rep, axis=1) + queue_base
-                arrivals = arrival_flat.take(ix.transpose(0, 2, 1))  # arrival_table[q, ix[..., q]]
-                # Per-slot views, one tuple per slot; zip stops at the block's last slot.
-                slots = zip(c, score_tabs, vfs, arrivals, s_buf, s_col, s_buf[1:], q_buf[1:])
-                for row, score_j, vf_j, arr_j, s, s_c, s_next, q_next in slots:
+                    tabs = tabs_buf[:, :, :nb]
+                    score_tab.take(w, axis=2, out=tabs, mode="clip")
+                    vf = np.multiply(tabs[m], v, out=tabs[m])  # V f + pad, in the f row
+                    vf += tabs[m + 1]
+                arr_ix = arrival_ix[j0 : j0 + nb].take(lane_rep, axis=1) + queue_base
+                # arrival_table[q, arr_ix[..., q]]
+                arrival_flat.take(arr_ix.transpose(0, 2, 1), out=arr_buf[:nb], mode="clip")
+                for row, score_j, arr_j, s, s_c, s_next, q_next in slot_views[:nb]:
                     if n_a > 1:  # else the state's one action is the argmin
-                        # (V f + pad) + sum_t [g | net][t] * s[t], added in the order t = 0..m-1.
+                        # sum_t [g | net | V f + pad][t] * [Z; Q; 1][t], added in
+                        # the order t = 0..m; IEEE addition commutes, so this is
+                        # (V f + pad) + the [g | net] terms added in order.
                         np.add.reduce(np.multiply(score_j, s_c, out=prod), axis=0, out=scores)
-                        np.add(vf_j, scores, out=scores)
                         row += scores.argmin(axis=0, out=best)
                     update_tab.take(row, axis=1, out=upd, mode="clip")
                     np.subtract(s, np.minimum(sub, s, out=moved), out=kept)
@@ -202,15 +238,16 @@ def run_dpp_batch(
                         dst += src
                     np.add(kept, add, out=s_next)
                     np.add(q_next, arr_j, out=q_next)
+                c_blk[j0 : j0 + nb] = ix
                 # Each lane's total, in queue order, through the transposed view.
                 tot_j = _add_rows(q_buf[:nb], out=tot[:, j0 : j0 + nb].T)
                 if with_virtual:
                     tot_j += _add_rows(s_buf[:nb, :n_l], out=z_tot[:nb])
                 if sink is None:
-                    counts += np.bincount((c + lane_base).ravel(), minlength=counts.size)
+                    counts += np.bincount((ix + lane_base).ravel(), minlength=counts.size)
                 nb_rec = max(0, min(nb, n_rec - t0 - j0))  # recorded slots of this block
                 s_rec[:, t0 + j0 + 1 : t0 + j0 + nb_rec + 1] = (
-                    s_buf[1 : nb_rec + 1, :, :record].transpose(2, 0, 1))
+                    zq_buf[1 : nb_rec + 1, :, :record].transpose(2, 0, 1))
                 s_buf[0] = s_buf[nb]
             # Hand the block to the consumers, each lane's values contiguous.
             if sink is not None:

@@ -92,7 +92,8 @@ class FiniteMarkovChain:
             reach = closer
         for i, row in enumerate(reach):
             if not row.all():
-                names = sorted(self.labels[j] for j in np.flatnonzero(~row))
+                # By str, so that labels of mixed types sort too.
+                names = sorted((self.labels[j] for j in np.flatnonzero(~row)), key=str)
                 raise ReducibleChainError(
                     f"chain is reducible: states {names} unreachable from {self.labels[i]}"
                 )

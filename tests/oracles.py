@@ -528,7 +528,9 @@ def dpp_select_action(
 ) -> int:
     """Exact argmin of the score over the state's action list:
     ``(V f + pad) + sum_t [g | net][:, t] * [Z; Q][t]``, the products added
-    one term at a time in the order ``t = 0..L+K-1`` (the kernel's order).
+    one term at a time in the order ``t = 0..L+K-1`` (the kernel's order;
+    the kernel adds ``V f + pad`` last, which gives the same bits, as IEEE
+    addition commutes).
 
     ``np.argmin`` returns the first minimizer, which is the lowest-index tie
     rule, so runs are reproducible.
@@ -576,7 +578,7 @@ def stationary_by_power(transition: np.ndarray, iters: int = 20_000) -> np.ndarr
 def irreducibility_error_by_search(chain: FiniteMarkovChain) -> str | None:
     """The reducible-chain message from one depth-first search per start
     state, in index order: the first start that misses a state names the
-    missed labels, sorted.  ``None`` for an irreducible chain."""
+    missed labels, sorted by ``str``.  ``None`` for an irreducible chain."""
     support = chain.transition > 0
     for start in range(chain.n_states):
         seen, frontier = {start}, [start]
@@ -586,7 +588,8 @@ def irreducibility_error_by_search(chain: FiniteMarkovChain) -> str | None:
                     seen.add(int(j))
                     frontier.append(int(j))
         if len(seen) < chain.n_states:
-            names = sorted(chain.labels[j] for j in range(chain.n_states) if j not in seen)
+            names = sorted((chain.labels[j] for j in range(chain.n_states) if j not in seen),
+                           key=str)
             return f"chain is reducible: states {names} unreachable from {chain.labels[start]}"
     return None
 

@@ -360,6 +360,64 @@ def test_ragged_blocks_match_network_step_replay_with_one_action_per_state(k, n_
     assert_ragged_batch_matches_replay(scenario, *LANE_LAYOUTS[layout], mode, seed=23)
 
 
+def routed_scenario(routing):
+    """Five queues of non-integer work on a two-state Markov chain, routed as
+    ``routing``, with one constraint.  State 0 has three actions and state 1
+    two, so state 1's third action is missing (pad = +inf)."""
+    chain = FiniteMarkovChain(np.array([[0.6, 0.4], [0.3, 0.7]]), np.array([1.0, 0.0]))
+    rates, zero = np.array([0.7, 1.3, 0.9, 1.1, 0.6]), np.zeros(5)
+    actions = [
+        [("even", zero, rates * [1, 0, 1, 0, 1], [0.4, 0.0]),
+         ("odd", zero + 0.1, rates * [0, 1, 0, 1, 0], [0.0, 0.3]),
+         ("idle", zero, zero, [0.0, 0.0])],
+        [("half", zero + 0.1, rates * 0.5, [0.2, 0.15]),
+         ("idle", zero + 0.2, zero, [0.0, 0.0])],
+    ]
+    return build_scenario(
+        actions,
+        (0.1, [1.0, 2.0]),
+        [(-0.25, [1.0, 1.0])],
+        chain=chain,
+        arrivals=[ArrivalSpec(kind="bernoulli", rate=0.3 * 1.3, p=0.3, size=1.3)] * 5,
+        routing=routing,
+        name="routed",
+    )
+
+
+# Routing lists and the runs the kernel adds each as one slice, (src, dst, length).
+ROUTE_LISTS = {
+    "chain-run": ([(0, 1), (1, 2), (2, 3)], [(0, 1, 3)]),
+    "run": ([(0, 2), (1, 3)], [(0, 2, 2)]),
+    "shared-destination": ([(0, 2), (1, 2)], [(0, 2, 1), (1, 2, 1)]),
+    "reversed-pair": ([(1, 2), (0, 1)], [(1, 2, 1), (0, 1, 1)]),
+    "run-then-wrap": ([(0, 3), (1, 4), (3, 0)], [(0, 3, 2), (3, 0, 1)]),
+}
+
+
+@pytest.mark.parametrize("mode", ["respect", "clamped"])
+@pytest.mark.parametrize("layout", sorted(LANE_LAYOUTS))
+@pytest.mark.parametrize("routing", sorted(ROUTE_LISTS))
+def test_route_runs_match_network_step_replay(routing, layout, mode):
+    # Consecutive routes add as one slice; a destination fed by several
+    # routes must still receive them in routing-list order.
+    routes, runs = ROUTE_LISTS[routing]
+    assert controller._route_runs(routes) == runs
+    scenario = routed_scenario(routes)
+    assert_ragged_batch_matches_replay(scenario, *LANE_LAYOUTS[layout], mode, seed=29)
+
+
+@pytest.mark.parametrize("mode", ["respect", "clamped"])
+def test_one_lane_at_zero_weight_never_picks_a_missing_action(mode):
+    # At V = 0 the unit row's score term is the pad alone: 0 for a real
+    # action, +inf for state 1's missing one.
+    scenario = routed_scenario([(0, 2), (1, 3)])
+    assert np.isinf(scenario.tables.pad[1, 2])
+    assert_ragged_batch_matches_replay(scenario, [0.0], 1, mode, seed=31)
+    run = run_one(scenario, 0.0, seed=31, horizon=200, mode=mode)
+    assert np.all(run.action_path[run.omega_path == 1] < 2)
+    assert np.any(run.action_path[run.omega_path == 0] > 0)
+
+
 @pytest.mark.parametrize("mode", ["respect", "clamped"])
 def test_one_lane_adds_its_queues_in_order(mode):
     # With one lane, numpy's reduction over the queues would be its pairwise
@@ -426,16 +484,23 @@ def test_single_queue_lanes_equal_the_reflection_identity(name, mode):
 @settings(max_examples=100)
 def test_scores_add_their_terms_in_a_fixed_order(n, n_actions, m, seed):
     # The kernel's score sum, np.add.reduce over the leading axis of its
-    # (L + K, actions, lanes) products, adds the terms t = 0..L+K-1 one at a
-    # time for every lane count, as dpp_select_action does; a pairwise or
-    # BLAS order would break near-ties differently.  Magnitudes spread over
-    # 2^60 make each order round differently.
+    # (L + K + 1, actions, lanes) products of [g | net | V f + pad] with
+    # [Z; Q; 1], adds the terms t = 0..L+K one at a time for every lane
+    # count.  The last term is V f + pad times 1, and IEEE addition commutes,
+    # so the bits are dpp_select_action's (V f + pad) + the ordered sum; a
+    # pairwise or BLAS order would break near-ties differently.  Magnitudes
+    # spread over 2^60 make each order round differently, and the last
+    # action is missing (pad = +inf).
     rng = make_rng(seed, 0)
-    products = rng.standard_normal((m, n_actions, n)) * np.exp2(rng.integers(0, 60, (m, 1, 1)))
-    got = np.add.reduce(products, axis=0, out=np.empty((n_actions, n)))
+    rows = rng.standard_normal((m + 1, n_actions, n)) * np.exp2(rng.integers(0, 60, (m + 1, 1, 1)))
+    rows[m, -1] = np.inf
+    state = np.concatenate([rng.random((m, 1, n)) * 4.0, np.ones((1, 1, n))])
+    got = np.add.reduce(np.multiply(rows, state), axis=0, out=np.empty((n_actions, n)))
+    products = rows[:m] * state[:m]
     expected = products[0].copy()
     for t in range(1, m):
         expected = expected + products[t]
+    expected = rows[m] + expected
     assert got.tobytes() == expected.tobytes()
 
 

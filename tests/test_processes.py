@@ -71,6 +71,20 @@ def test_reducible_chain_error_names_unreachable_states():
         stationary_distribution(chain)
 
 
+def test_reducible_chain_with_mixed_labels_names_them_sorted_by_str():
+    # States 1 and 2 cannot be reached from state 0.  Their labels, "a" and
+    # None, do not compare with each other; they sort by their str forms.
+    chain = FiniteMarkovChain(
+        transition=np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]),
+        initial=np.array([1.0, 0.0, 0.0]),
+        labels=(1, "a", None),
+    )
+    with pytest.raises(ReducibleChainError) as err:
+        chain.require_irreducible()
+    assert str(err.value) == "chain is reducible: states [None, 'a'] unreachable from 1"
+    assert str(err.value) == irreducibility_error_by_search(chain)
+
+
 @given(n=st.integers(1, 7), density=st.floats(0.0, 0.6), seed=st.integers(0, 2**32))
 @settings(max_examples=200)
 def test_irreducibility_check_matches_search_per_start_state(n, density, seed):
