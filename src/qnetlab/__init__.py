@@ -20,7 +20,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .capacity import (
     CapacityReport,
-    OmegaOnlyPolicy,
     PerformanceBounds,
     build_lp,
     performance_bounds,
@@ -49,7 +48,6 @@ from .processes import (
 )
 from .stability import (
     StabilityVerdict,
-    VerdictThresholds,
     bb1_closed_form,
     cex_strong_not_rate,
 )

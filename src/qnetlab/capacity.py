@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .controller import DriftConstants
 
 __all__ = [
-    "OmegaOnlyPolicy",
     "CapacityReport",
     "PerformanceBounds",
     "PolicyLp",
@@ -44,21 +43,11 @@ __all__ = [
 FEAS_TOL = 1e-9
 
 
-class OmegaOnlyPolicy:
-    """Conditional action distributions, one probability vector per state."""
-
-    def __init__(self, distributions: tuple[np.ndarray, ...]) -> None:
-        self.distributions = distributions
-        for w, dist in enumerate(distributions):
-            if np.any(dist < -FEAS_TOL) or abs(dist.sum() - 1.0) > 1e-6:
-                raise ValueError(f"policy row {w} is not a probability vector")
-
-
 class CapacityReport(NamedTuple):
     feasible: bool
     f_opt: float
     d_max: float
-    policy: OmegaOnlyPolicy | None
+    policy: tuple[np.ndarray, ...] | None  # per state, its action probabilities
     binding_constraints: tuple[str, ...]
     routing_outer_bound: bool  # LP ignores backlog coupling when routing exists
 
@@ -98,7 +87,9 @@ class PolicyLp(NamedTuple):
         b_ub[self.scenario.n_constraints :] = -lams
         return self._replace(lambdas=lams, b_ub=b_ub)
 
-    def policy_from(self, x: np.ndarray) -> OmegaOnlyPolicy:
+    def policy_from(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per state, its slice of ``x`` clipped at 0 and scaled to sum to 1,
+        or the uniform row where nothing is left."""
         dists = []
         pos = 0
         for n_act in map(len, self.scenario.names):
@@ -106,7 +97,7 @@ class PolicyLp(NamedTuple):
             total = row.sum()
             dists.append(row / total if total > 0 else np.full(n_act, 1.0 / n_act))
             pos += n_act
-        return OmegaOnlyPolicy(distributions=tuple(dists))
+        return tuple(dists)
 
     def sweep(
         self, scales: Sequence[float]
@@ -193,7 +184,7 @@ def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> Poli
     # copied to C order: ``coeffs[r] @ x_cols`` on a transposed view would
     # take another BLAS kernel, which can round differently.
     pi_of_var = pi[w_of_var][:, None]
-    x_cols = np.ascontiguousarray((pi_of_var * tab.x[tab.real]).T)
+    x_cols = np.ascontiguousarray((pi_of_var * scenario.x[tab.real]).T)
     net_cols = (pi_of_var * tab.net[tab.real]).T  # y_bar - b_bar coefficients
 
     n_g = scenario.n_constraints

@@ -245,8 +245,9 @@ def _verdict_run(
     _check_out(out)
     verdict, run = ensemble_verdict(scenario, args, record)
     out.mkdir(parents=True, exist_ok=True)
+    # g is the mean of the per-path tail fractions: it is the h_mean column too.
     write_csv(out / "curves.csv", ["M", "g", "h_mean", "h_p05", "h_p95"],
-              [verdict.m_grid, verdict.g_curve, verdict.h_mean, verdict.h_p05, verdict.h_p95])
+              [verdict.m_grid, verdict.g_curve, verdict.g_curve, verdict.h_p05, verdict.h_p95])
     head: list[tuple[str, object]] = [
         ("command", args.cmd),
         ("scenario", scenario.name),
@@ -325,7 +326,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
         ("routing_outer_bound", report.routing_outer_bound),
     ]
     if report.policy is not None:
-        for w, dist in enumerate(report.policy.distributions):
+        for w, dist in enumerate(report.policy):
             label = scenario.omega_chain.labels[w]
             for name, prob in zip(scenario.names[w], dist):
                 items.append((f"policy[{label}][{name}]", float(prob)))

@@ -153,14 +153,15 @@ def run_dpp_batch(
         raise ValueError(f"record must lie in [0, {n}], the number of lanes; got {record}")
     tab = scenario.tables
     n_a, clamped, m = tab.f.shape[1], mode == "clamped", n_l + k
-    f_flat, g_flat, x_flat = (a.reshape(tab.f.size, *a.shape[2:]) for a in (tab.f, tab.g, tab.x))
+    f_flat, g_flat, x_flat = (a.reshape(tab.f.size, *a.shape[2:])
+                              for a in (tab.f, tab.g, scenario.x))
     # One column per (omega, action), lanes innermost after a take: scores read
     # [g | net | f | pad], the update [-g | b | 0 | y].  Clamped mode moves all
     # offered service, so its routed transfers are y_offered's.
     score_tab = np.concatenate([tab.g, tab.net, tab.f[..., None], tab.pad[..., None]],
                                axis=2).transpose(2, 1, 0).copy()  # (m + 2, A, S)
-    y_tab = tab.y_offered if clamped else tab.y
-    update_tab = np.concatenate([-tab.g, tab.b, np.zeros_like(tab.g), y_tab],
+    y_tab = tab.y_offered if clamped else scenario.y
+    update_tab = np.concatenate([-tab.g, scenario.b, np.zeros_like(tab.g), y_tab],
                                 axis=2).reshape(tab.f.size, 2 * m).T.copy()  # (2m, S * A)
     arrival_table = np.zeros((k, max(s.table.size for s in scenario.arrivals)))
     for q_idx, spec in enumerate(scenario.arrivals):
@@ -335,7 +336,7 @@ def drift_constants(
     b_total = 0.0
     d_total = 0.0
     for w, n_act in enumerate(map(len, scenario.names)):
-        y, b, g = tab.y_offered[w, :n_act], tab.b[w, :n_act], tab.g[w, :n_act]
+        y, b, g = tab.y_offered[w, :n_act], scenario.b[w, :n_act], tab.g[w, :n_act]
         # E[(a + y)^2 | action] with independent arrivals: E[a^2] + 2 lam y + y^2
         ay2 = a2[None, :] + 2.0 * lams[None, :] * y + y**2
         ayb2 = a2[None, :] + 2.0 * lams[None, :] * (y + b) + (y + b) ** 2

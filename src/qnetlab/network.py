@@ -9,7 +9,7 @@ attributes, as one ``(c0, coeffs)`` pair whose row 0 is the cost; arrival
 processes; and optional endogenous routing (service of one queue feeding
 another).  ``Scenario.tables`` adds what is derived from them, once, when
 the scenario is built; validation, the policy LP, the drift constants and
-the closed-loop kernel all read these arrays.
+the closed-loop kernel all read the scenario's arrays and these.
 
 The two transition modes (``MODES``) are applied by
 ``controller.run_dpp_batch``.  ``respect`` uses equality dynamics with a
@@ -66,9 +66,6 @@ class ScenarioTables(NamedTuple):
     pad: np.ndarray  # (S, A): 0 on real actions, +inf on padding
     g: np.ndarray    # (S, A, L): constraint values g_l(x)
     net: np.ndarray  # (S, A, K): y_offered - b
-    b: np.ndarray    # (S, A, K): offered service
-    y: np.ndarray    # (S, A, K): table y, without routed transfers
-    x: np.ndarray    # (S, A, M)
     y_offered: np.ndarray  # (S, A, K): table y plus routed offered b
 
     @property
@@ -105,7 +102,7 @@ def compile_tables(scenario: Scenario) -> ScenarioTables:
             y_offered[:, :, dst] += b[:, :, src]
         net = y_offered - b
     return ScenarioTables(f=fg[..., 0], pad=np.where(real, 0.0, np.inf), g=fg[..., 1:],
-                          net=net, b=b, y=y, x=x, y_offered=y_offered)
+                          net=net, y_offered=y_offered)
 
 
 def _check_functions(c0: Sequence[float], coeffs: Sequence[Sequence[float]], m: int) -> None:
@@ -210,7 +207,8 @@ _VALUE_FAULTS = (
 
 
 def validate(scenario: Scenario) -> None:
-    """Check the values of every real (omega, action) in ``scenario.tables``.
+    """Check the values of every real (omega, action): ``scenario``'s arrays
+    and ``scenario.tables``.
 
     Two groups, each in (omega, action) order: first the table inputs (a
     ``y``, ``b`` or ``x`` entry that is not finite, checked in that order,
@@ -221,7 +219,8 @@ def validate(scenario: Scenario) -> None:
     """
     tab = scenario.tables
     real = tab.real
-    y, b, x, y_offered, g, f = (a[real] for a in (tab.y, tab.b, tab.x, tab.y_offered, tab.g, tab.f))
+    y, b, x, y_offered, g, f = (a[real] for a in (scenario.y, scenario.b, scenario.x,
+                                                  tab.y_offered, tab.g, tab.f))
     # One row per real action, one column per fault.  A NaN compares as not
     # negative, and without a warning.
     bad = np.column_stack(

@@ -220,12 +220,9 @@ def solve_lp(
     a_eq: np.ndarray | None = None,
     b_eq: np.ndarray | None = None,
 ) -> LpResult:
-    """Two-phase simplex over non-negative variables."""
-    c, a_ub, b_ub, a_eq, b_eq = _lp_arrays(c, a_ub, b_ub, a_eq, b_eq)
-    status, opt = _two_phase(c, a_ub, b_ub, a_eq, b_eq)
-    if opt is None:
-        return LpResult(status=status, x=None, objective=None)
-    return _solution(opt.tableau, opt.basis, c)
+    """Two-phase simplex over non-negative variables: the sequence of one
+    right-hand side."""
+    return solve_lp_sequence(c, a_ub, a_eq, [(b_ub, b_eq)])[0]
 
 
 def _run_dual_simplex(
@@ -309,16 +306,16 @@ def solve_lp_sequence(
     a_eq: np.ndarray | None,
     rhs: Iterable[tuple[np.ndarray | None, np.ndarray | None]],
 ) -> list[LpResult]:
-    """``solve_lp(c, a_ub, b_ub, a_eq, b_eq)`` for each ``(b_ub, b_eq)`` in turn.
+    """The LP of ``c``, ``a_ub`` and ``a_eq`` for each ``(b_ub, b_eq)`` in turn.
 
-    Right-hand sides are solved cold until one is optimal; each later one
-    starts from the last optimal tableau: its basic values become
+    Right-hand sides are solved cold (two-phase) until one is optimal; each
+    later one starts from the last optimal tableau: its basic values become
     ``B^-1 b'`` under the row signs of that tableau's own normalisation, and
-    dual-simplex pivots restore primal feasibility.  A right-hand side found
-    infeasible leaves the last optimal tableau in place.  Where the warm
-    path's evidence is marginal (an infeasibility certificate worth at most
-    twice the phase-1 threshold, or a basic artificial away from zero), that
-    point is solved cold, so the status is the one ``solve_lp`` gives.
+    dual-simplex pivots restore primal feasibility.  Where the warm path's
+    evidence is marginal (an infeasibility certificate worth at most twice
+    the phase-1 threshold, or a basic artificial away from zero), that point
+    is solved cold, so its status is the cold solve's.  Neither such a point
+    nor one found infeasible moves the warm start.
     Values can differ from the cold solve's in the last digits, and at a
     degenerate optimum ``x`` can be another optimal vertex.
     """
@@ -326,20 +323,13 @@ def solve_lp_sequence(
     best: _Optimum | None = None
     for b_ub, b_eq in rhs:
         c, a_ub, b_ub, a_eq, b_eq = _lp_arrays(c, a_ub, b_ub, a_eq, b_eq)
-        if best is None:
-            status, best = _two_phase(c, a_ub, b_ub, a_eq, b_eq)
-            results.append(
-                LpResult(status=status, x=None, objective=None)
-                if best is None
-                else _solution(best.tableau, best.basis, c)
-            )
-            continue
-        status, warm = _warm_solve(best, b_ub, b_eq)
+        status, opt = ("cold", None) if best is None else _warm_solve(best, b_ub, b_eq)
         if status == "cold":
-            results.append(solve_lp(c, a_ub, b_ub, a_eq, b_eq))
-        elif warm is None:
-            results.append(LpResult(status=status, x=None, objective=None))
-        else:
-            best = warm
-            results.append(_solution(best.tableau, best.basis, c))
+            status, opt = _two_phase(c, a_ub, b_ub, a_eq, b_eq)
+            if best is None:  # a fall-back's optimum is not a warm start
+                best = opt
+        elif opt is not None:
+            best = opt
+        results.append(LpResult(status, None, None) if opt is None
+                       else _solution(opt.tableau, opt.basis, c))
     return results

@@ -31,7 +31,6 @@ import numpy as np
 from .processes import make_rng
 
 __all__ = [
-    "VerdictThresholds",
     "StabilityVerdict",
     "VerdictReducer",
     "OrderedSum",
@@ -72,34 +71,30 @@ def geometric_checkpoints(horizon: int) -> np.ndarray:
     return np.asarray(points, dtype=np.int64)
 
 
-class VerdictThresholds(NamedTuple):
-    """Finite-horizon classification thresholds (documented proxies).
-
-    The steady-state verdict reads g at M_max, the first grid point at or
-    above ``m_max_multiplier`` times the mean backlog, and also requires the
-    rate slope to pass.  By Markov's inequality on the pooled empirical
-    measure, g(M) <= mean / M, so g(M_max) <= 1 / m_max_multiplier: with the
-    defaults (1/20 = ``tail_tol``) the tail test always passes, and the
-    steady-state verdict is the rate verdict.
-    """
-
-    slope_tol: float = 0.01          # rate / mean-rate: final-checkpoint slope
-    tail_tol: float = 0.05           # steady-state: g(M_max) at the grid top
-    plateau_rel: float = 0.10        # strong: relative drift across last doubling
-    m_max_multiplier: float = 20.0   # M_max >= multiplier * empirical mean backlog
-    min_reps_mean_rate: int = 100    # ensemble size needed for E[Q(t)]/t estimates
+# Finite-horizon classification thresholds (documented proxies).  The
+# steady-state verdict reads g at M_max, the first grid point at or above
+# M_MAX_MULTIPLIER times the mean backlog, and also requires the rate slope to
+# pass.  By Markov's inequality on the pooled empirical measure,
+# g(M) <= mean / M, so g(M_max) <= 1 / M_MAX_MULTIPLIER = TAIL_TOL: the tail
+# test always passes, and the steady-state verdict is the rate verdict.
+SLOPE_TOL = 0.01          # rate / mean-rate: final-checkpoint slope
+TAIL_TOL = 0.05           # steady-state: g(M_max) at the grid top
+PLATEAU_REL = 0.10        # strong: relative drift across last doubling
+M_MAX_MULTIPLIER = 20.0   # M_max >= multiplier * empirical mean backlog
+MIN_REPS_MEAN_RATE = 100  # ensemble size needed for E[Q(t)]/t estimates
 
 
 class StabilityVerdict(NamedTuple):
     """Estimates plus the four-way classification (mean rate: None when the
-    ensemble is too small for it)."""
+    ensemble is too small for it).  ``strong_metric`` is also the running
+    mean over the whole horizon, and ``g_curve`` the mean of the per-path
+    tail fractions whose percentiles are ``h_p05`` and ``h_p95``."""
 
     rate_slope: float
     mean_rate_slope: float | None
     strong_metric: float
     m_grid: np.ndarray
     g_curve: np.ndarray
-    h_mean: np.ndarray
     h_p05: np.ndarray
     h_p95: np.ndarray
     rate_stable: bool
@@ -107,22 +102,24 @@ class StabilityVerdict(NamedTuple):
     steady_state_stable: bool
     strongly_stable: bool
     running_mean_half: float
-    running_mean_full: float
-    thresholds: VerdictThresholds
 
 
-def _grid_index(value: float) -> int:
-    """The least ``i`` with ``value <= M_i`` on the quarter-octave grid
-    ``M_i = 2^(i//4) (1 + (i%4)/4)``, from frexp's ``value = m 2^e``, m in
-    [0.5, 1): ``4 (e - 1) + ceil(8m - 4)``, at least 0.  ``8m - 4`` is exact."""
-    m, e = math.frexp(value)
-    return max(0, 4 * (e - 1) + math.ceil(8 * m - 4))
+def _grid_keys(values: np.ndarray) -> np.ndarray:
+    """Per value, the least ``i`` with ``value <= M_i`` on the quarter-octave
+    grid ``M_i = 2^(i//4) (1 + (i%4)/4)``, from frexp's ``value = m 2^e``, m
+    in [0.5, 1): ``4 (e - 1) + ceil(8m - 4) = 4e + ceil(8m) - 8``, at least
+    0, as floats.  Every step is exact, and infinity stays infinite."""
+    m, e = np.frexp(values)
+    key = np.ceil(np.multiply(m, 8.0, out=m), out=m)
+    key += 4 * e - 8
+    return np.maximum(key, 0.0, out=key)
 
 
-def _m_grid(mean_backlog: float, thresholds: VerdictThresholds) -> np.ndarray:
+def _m_grid(mean_backlog: float) -> np.ndarray:
     """``M_0 = 1 .. M_max``, the first grid point >= multiplier * mean: each an
-    exact power of two times 1, 1.25, 1.5 or 1.75."""
-    i = np.arange(_grid_index(thresholds.m_max_multiplier * mean_backlog) + 1)
+    exact power of two times 1, 1.25, 1.5 or 1.75.  An infinite mean raises
+    ``OverflowError``."""
+    i = np.arange(int(_grid_keys(np.array([M_MAX_MULTIPLIER * mean_backlog]))[0]) + 1)
     return np.ldexp(1 + (i % 4) / 4, i // 4)
 
 
@@ -167,7 +164,6 @@ def _verdict(
     half_sums: np.ndarray,
     horizon: int,
     at_most,
-    thresholds: VerdictThresholds,
 ) -> StabilityVerdict:
     """The verdict from each replication's final backlog, its sum over every
     slot and over slots ``0..t_half``, and ``at_most(m_grid)``: the
@@ -182,50 +178,38 @@ def _verdict(
     # Pass 1: slopes, overall mean, running means for the plateau test.
     finals = final / t_final
     rate_slope = float(_median(finals))
-    mean_rate_slope = (
-        float(np.mean(finals)) if n_reps >= thresholds.min_reps_mean_rate else None
-    )
+    mean_rate_slope = float(np.mean(finals)) if n_reps >= MIN_REPS_MEAN_RATE else None
 
     def ordered_sum(sums: np.ndarray) -> float:
         return float(np.cumsum(sums)[-1])
 
+    # The time average of the ensemble-mean backlog: the running mean over
+    # the whole horizon.
     mean_backlog = ordered_sum(row_sums) / (n_reps * horizon)
-    strong_metric = mean_backlog  # time average of the ensemble-mean backlog
     running_half = ordered_sum(half_sums) / (n_reps * (t_half + 1))
-    running_full = ordered_sum(row_sums) / (n_reps * (t_final + 1))
-    plateau = abs(running_full - running_half) <= thresholds.plateau_rel * max(
-        running_half, 1e-12
-    )
+    plateau = abs(mean_backlog - running_half) <= PLATEAU_REL * max(running_half, 1e-12)
 
     # Pass 2: per-path tail occupancy h(M) = fraction of slots with Q > M,
     # and its mean over replications, added in replication order.
-    m_grid = _m_grid(mean_backlog, thresholds)
+    m_grid = _m_grid(mean_backlog)
     h_per_path = (horizon - at_most(m_grid)) / horizon
-    g_curve = h_mean = np.cumsum(h_per_path, axis=0)[-1] / n_reps
+    g_curve = np.cumsum(h_per_path, axis=0)[-1] / n_reps
     h_p05 = _percentile(h_per_path, 5)
     h_p95 = _percentile(h_per_path, 95)
 
     return StabilityVerdict(
         rate_slope=rate_slope,
         mean_rate_slope=mean_rate_slope,
-        strong_metric=strong_metric,
+        strong_metric=mean_backlog,
         m_grid=m_grid,
         g_curve=g_curve,
-        h_mean=h_mean,
         h_p05=h_p05,
         h_p95=h_p95,
-        rate_stable=rate_slope <= thresholds.slope_tol,
-        mean_rate_stable=(
-            None if mean_rate_slope is None else mean_rate_slope <= thresholds.slope_tol
-        ),
-        steady_state_stable=(
-            float(g_curve[-1]) <= thresholds.tail_tol
-            and rate_slope <= thresholds.slope_tol
-        ),
+        rate_stable=rate_slope <= SLOPE_TOL,
+        mean_rate_stable=None if mean_rate_slope is None else mean_rate_slope <= SLOPE_TOL,
+        steady_state_stable=float(g_curve[-1]) <= TAIL_TOL and rate_slope <= SLOPE_TOL,
         strongly_stable=bool(plateau),
         running_mean_half=float(running_half),
-        running_mean_full=float(running_full),
-        thresholds=thresholds,
     )
 
 
@@ -288,7 +272,7 @@ class VerdictReducer:
     """The stability verdict of backlogs fed a time block at a time, in one
     pass.  Per lane it keeps the final value, the sums over every slot and
     over slots ``0..t_half``, and the count of slots per key: the least grid
-    index ``i`` with ``Q <= M_i`` (see ``_grid_index``).  Counts are exact
+    index ``i`` with ``Q <= M_i`` (see ``_grid_keys``).  Counts are exact
     integers, so any cut into blocks or lanes gives the same bits."""
 
     def __init__(self, n_lanes: int, horizon: int) -> None:
@@ -312,11 +296,7 @@ class VerdictReducer:
             self.half_sums.add(block[:, : self.t_half + 1 - t0])
         cols = max(1, _COUNT_CHUNK_CELLS // max(n, 1))
         for c0 in range(0, nb, cols):
-            # _grid_index of every value: 4 (e - 1) + ceil(8m - 4) = 4e + ceil(8m) - 8.
-            m, e = np.frexp(block[:, c0 : c0 + cols])
-            key = np.ceil(np.multiply(m, 8.0, out=m), out=m).astype(np.intp)
-            key += 4 * e - 8
-            np.maximum(key, 0, out=key)
+            key = _grid_keys(block[:, c0 : c0 + cols]).astype(np.intp)
             width = max(self.counts.shape[1], int(key.max()) + 1)
             if width > self.counts.shape[1]:
                 self.counts = np.pad(self.counts, ((0, 0), (0, width - self.counts.shape[1])))
@@ -337,13 +317,12 @@ class VerdictReducer:
             [np.pad(part.counts, ((0, 0), (0, width - part.counts.shape[1]))) for part in parts])
         return merged
 
-    def verdict(self, thresholds: VerdictThresholds = VerdictThresholds()) -> StabilityVerdict:
+    def verdict(self) -> StabilityVerdict:
         """The verdict of every slot's backlogs."""
         at_most = np.cumsum(self.counts, axis=1)  # slots with Q <= M_i, per lane
         width = at_most.shape[1]
         return _verdict(self.final, self.sums.total, self.half_sums.total, self.horizon,
-                        lambda m_grid: at_most[:, np.minimum(np.arange(m_grid.size), width - 1)],
-                        thresholds)
+                        lambda m_grid: at_most[:, np.minimum(np.arange(m_grid.size), width - 1)])
 
 
 def bb1_closed_form(lam: float, mu: float) -> tuple[float, float]:
@@ -447,13 +426,13 @@ def verdict_report_items(verdict: StabilityVerdict) -> list[tuple[str, object]]:
         ("g_at_m_max", float(verdict.g_curve[-1])),
         ("m_max", float(verdict.m_grid[-1])),
         ("running_mean_half", verdict.running_mean_half),
-        ("running_mean_full", verdict.running_mean_full),
+        ("running_mean_full", verdict.strong_metric),
         ("rate_stable", verdict.rate_stable),
         ("mean_rate_stable", verdict.mean_rate_stable),
         ("steady_state_stable", verdict.steady_state_stable),
         ("strongly_stable", verdict.strongly_stable),
-        ("threshold_slope", verdict.thresholds.slope_tol),
-        ("threshold_tail", verdict.thresholds.tail_tol),
-        ("threshold_plateau_rel", verdict.thresholds.plateau_rel),
+        ("threshold_slope", SLOPE_TOL),
+        ("threshold_tail", TAIL_TOL),
+        ("threshold_plateau_rel", PLATEAU_REL),
     ]
     return items

@@ -57,7 +57,6 @@ from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, make_rng, sample_p
 from qnetlab.simplex import TOL
 from qnetlab.stability import (
     StabilityVerdict,
-    VerdictThresholds,
     _check_verdict_horizon,
     _verdict,
     cex_strong_not_rate,
@@ -241,9 +240,7 @@ def markov_bound_violations(verdict) -> int:
     return int(np.sum(verdict.g_curve > bound + 1e-15))
 
 
-def estimate_verdict(
-    backlog: np.ndarray, thresholds: VerdictThresholds = VerdictThresholds()
-) -> StabilityVerdict:
+def estimate_verdict(backlog: np.ndarray) -> StabilityVerdict:
     """The four stability notions from backlog paths ``backlog[r, t]``, one
     row per replication, slots ``t = 0..horizon-1``: two passes over the
     whole array.  Slopes and means first (row sums in numpy's order), then
@@ -257,7 +254,7 @@ def estimate_verdict(
     _check_verdict_horizon(horizon)
     t_half = max((horizon - 1) // 2, 1)
     return _verdict(q[:, -1], q.sum(axis=1), q[:, : t_half + 1].sum(axis=1), horizon,
-                    partial(_counts_at_most, q), thresholds)
+                    partial(_counts_at_most, q))
 
 
 def _counts_at_most(q: np.ndarray, m_grid: np.ndarray) -> np.ndarray:

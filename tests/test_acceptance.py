@@ -112,7 +112,7 @@ def test_criterion_03_boundary_rate_stable_not_strong():
     if verdict.strongly_stable:
         failures.append(
             "plateau test passed but the running average must still be growing "
-            f"(half {verdict.running_mean_half:.2f}, full {verdict.running_mean_full:.2f})"
+            f"(half {verdict.running_mean_half:.2f}, full {verdict.strong_metric:.2f})"
         )
     _record_markov_verdict("bb1-0.5-0.5", verdict)
     _report(3, "critical-load queue: rate slope <= 0.01, strong plateau fails", failures)

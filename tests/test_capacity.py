@@ -38,7 +38,7 @@ def test_lp_variable_count_matches_action_tables(bb1, downlink2):
 def test_single_state_single_action_is_forced(bb1):
     report = solve_fopt(bb1)
     assert report.feasible
-    for dist in report.policy.distributions:
+    for dist in report.policy:
         assert dist == pytest.approx([1.0])
 
 
@@ -65,14 +65,14 @@ def test_downlink_fopt_equals_total_arrival_rate(downlink2):
     assert set(report.binding_constraints) == {"queue[0]", "queue[1]"}
     # Optimal serve probability at an ON state: 0.15 / (4/11).
     on_off = downlink2.omega_chain.labels.index("ON-OFF")
-    serve_prob = report.policy.distributions[on_off][1]
+    serve_prob = report.policy[on_off][1]
     assert serve_prob == pytest.approx(0.15 * 11 / 4, abs=1e-9)
 
 
 def test_returned_policy_satisfies_lp_constraints(downlink2):
     report = solve_fopt(downlink2)
     lp = build_lp(downlink2)
-    x = np.concatenate(report.policy.distributions)
+    x = np.concatenate(report.policy)
     assert np.max(lp.a_ub @ x - lp.b_ub, initial=0.0) <= 1e-9
 
 
@@ -115,7 +115,7 @@ def test_two_action_minimum_picks_smaller_cost():
     )
     report = solve_fopt(s)
     assert report.f_opt == pytest.approx(1.0, abs=1e-9)
-    assert report.policy.distributions[0] == pytest.approx([1.0, 0.0])
+    assert report.policy[0] == pytest.approx([1.0, 0.0])
 
 
 def test_zero_rates_with_idle_action_are_strictly_interior(downlink2):
@@ -296,7 +296,7 @@ def report_bits(report):
     return report._replace(
         f_opt=report.f_opt.hex(),
         d_max=report.d_max.hex(),
-        policy=policy and [dist.tobytes() for dist in policy.distributions],
+        policy=policy and [dist.tobytes() for dist in policy],
     )
 
 

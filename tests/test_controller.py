@@ -467,12 +467,12 @@ def test_single_queue_lanes_equal_the_reflection_identity(name, mode):
     # path is the reflection identity's on the same draws, bit for bit.
     scenario, seed, horizon = bb1_variants()[name], 43, 3000
     tab, spec = scenario.tables, scenario.arrivals[0]
-    y = tab.y_offered if mode == "clamped" else tab.y
+    y = tab.y_offered if mode == "clamped" else scenario.y
     batch = run_dpp_batch(scenario, [1.0] * 3, range(3), seed, horizon, mode, record=3)
     for rep, run in enumerate(batch.runs):
         w, ix = sample_path_by_chase(scenario.omega_chain, scenario.arrivals, seed, horizon, rep)
         work = y[w, 0, 0] + spec.table[ix[0]]
-        assert np.array_equal(run.q_path[:, 0], single_queue_path(work, tab.b[w, 0, 0]))
+        assert np.array_equal(run.q_path[:, 0], single_queue_path(work, scenario.b[w, 0, 0]))
 
 
 @given(

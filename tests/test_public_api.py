@@ -12,18 +12,17 @@ import qnetlab
 
 PACKAGE = [
     "ArrivalSpec", "CapacityReport", "DppBatchResult", "DppRunResult",
-    "DriftConstants", "FiniteMarkovChain", "OmegaOnlyPolicy",
-    "PerformanceBounds", "Scenario", "ScenarioError", "StabilityVerdict",
-    "VerdictThresholds", "bb1_closed_form", "build_lp", "cex_strong_not_rate",
-    "drift_constants", "fixture_path", "load_scenario", "make_rng", "mixing_time",
-    "performance_bounds", "run_dpp_batch", "solve_fopt", "stationary_distribution",
-    "validate",
+    "DriftConstants", "FiniteMarkovChain", "PerformanceBounds", "Scenario",
+    "ScenarioError", "StabilityVerdict", "bb1_closed_form", "build_lp",
+    "cex_strong_not_rate", "drift_constants", "fixture_path", "load_scenario",
+    "make_rng", "mixing_time", "performance_bounds", "run_dpp_batch", "solve_fopt",
+    "stationary_distribution", "validate",
 ]
 
 MODULES = {
     "capacity": [
-        "CapacityReport", "OmegaOnlyPolicy", "PerformanceBounds", "PolicyLp", "build_lp",
-        "performance_bounds", "solve_fopt",
+        "CapacityReport", "PerformanceBounds", "PolicyLp", "build_lp", "performance_bounds",
+        "solve_fopt",
     ],
     "controller": [
         "DppBatchResult", "DppRunResult", "DriftConstants", "drift_constants", "run_dpp_batch",
@@ -40,7 +39,7 @@ MODULES = {
     "queues": [],  # kept importable, with no names, for the benchmark's tracer
     "simplex": ["LpResult", "SimplexError", "solve_lp", "solve_lp_sequence"],
     "stability": [
-        "OrderedSum", "StabilityVerdict", "VerdictReducer", "VerdictThresholds",
+        "OrderedSum", "StabilityVerdict", "VerdictReducer",
         "bb1_closed_form", "cex_mean_not_rate", "cex_rate_not_mean", "cex_strong_not_rate",
         "geometric_checkpoints", "verdict_report_items",
     ],

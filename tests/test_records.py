@@ -20,7 +20,6 @@ from qnetlab import capacity, controller, network, processes, simplex, stability
 
 # Constructor parameters in order; "name=default" where there is a default.
 SIGNATURES = {
-    capacity.OmegaOnlyPolicy: "distributions",
     capacity.CapacityReport:
         "feasible f_opt d_max policy binding_constraints routing_outer_bound",
     capacity.PerformanceBounds: "c_0 T_eps backlog_bound cost_bound",
@@ -31,19 +30,16 @@ SIGNATURES = {
     controller.DppBatchResult: "backlog_sum cost_sum g_sum runs reducer=None",
     controller.DriftConstants: "B D T d_max f_opt f_min f_max delta=nan",
     network.Scenario: "name omega_chain names y b x c0 coeffs arrivals routing=None",
-    network.ScenarioTables: "f pad g net b y x y_offered",
+    network.ScenarioTables: "f pad g net y_offered",
     oracles.StepRecord: "omega_index action_index arrivals y_offered b_offered y_actual "
                         "b_actual x f_value g_values",
     processes.FiniteMarkovChain: "transition initial labels=()",
     processes.ArrivalSpec: "kind rate p=0.0 size=1.0 values=() probs=()",
     simplex.LpResult: "status x objective",
     simplex._Optimum: "tableau basis signs identity eligible",
-    stability.VerdictThresholds: "slope_tol=0.01 tail_tol=0.05 plateau_rel=0.1 "
-                                 "m_max_multiplier=20.0 min_reps_mean_rate=100",
     stability.StabilityVerdict: "rate_slope mean_rate_slope strong_metric m_grid g_curve "
-                                "h_mean h_p05 h_p95 rate_stable mean_rate_stable "
-                                "steady_state_stable strongly_stable running_mean_half "
-                                "running_mean_full thresholds",
+                                "h_p05 h_p95 rate_stable mean_rate_stable "
+                                "steady_state_stable strongly_stable running_mean_half",
 }
 
 
@@ -76,8 +72,6 @@ def test_positional_and_keyword_construction_agree():
         "kind": "bernoulli", "rate": 0.2, "p": 0.2, "size": 1.0, "values": (), "probs": (),
     }
 
-    assert stability.VerdictThresholds(0.5, plateau_rel=0.2) == stability.VerdictThresholds(
-        slope_tol=0.5, tail_tol=0.05, plateau_rel=0.2)
     assert np.isnan(controller.DriftConstants(1.0, 2.0, 3, 0.1, 0.0, 0.0, 1.0).delta)
 
 
@@ -91,10 +85,6 @@ def test_scenario_keeps_its_arguments_and_defaults_routing_to_a_new_list():
     assert all(getattr(first, key) is value for key, value in args.items())
 
 
-def _pi_row(dist):
-    return capacity.OmegaOnlyPolicy(distributions=(np.asarray(dist, float),))
-
-
 def _scenario(**changes):
     return network.load_scenario("downlink2.json")._replace(**changes)
 
@@ -106,7 +96,6 @@ def _chain(transition, initial=(1.0, 0.0), labels=()):
 
 # (constructor call, error class, exact message) for each validating record.
 INVALID = [
-    (lambda: _pi_row([0.5, 0.4]), ValueError, "policy row 0 is not a probability vector"),
     (lambda: stability.bb1_closed_form(1.0, 0.5), ValueError,
      "need lam in [0, 1) and mu in (0, 1]"),
     (lambda: oracles.CompositeState(np.zeros((1, 1)), np.zeros(0)), ValueError,
@@ -179,12 +168,11 @@ def every_record():
     batch = controller.run_dpp_batch(scenario, [1.0, 2.0], [0, 1], 5, 1000, record=1)
     return [
         scenario, scenario.omega_chain, scenario.arrivals[0], step,
-        lp, report, report.policy,
+        lp, report,
         capacity.performance_bounds(scenario, 1.0, drift.d_max / 4, drift), drift,
         scenario.tables, batch, batch.runs[0],
         controller.run_dpp_batch(scenario, [1.0] * 3, [0, 1, 2], 5, 1000,
                                  reducer=stability.VerdictReducer).reducer.verdict(),
-        stability.VerdictThresholds(),
         simplex.solve_lp([1.0], None, None, [[1.0]], [1.0]),
     ]
 

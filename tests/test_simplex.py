@@ -306,22 +306,23 @@ def test_sequence_solves_cold_until_one_is_optimal():
 def test_marginal_infeasibility_is_decided_cold(monkeypatch):
     # x <= b with x == 1: at b = 1 - 5e-8 the violation is under the phase-1
     # threshold, so the cold solve calls it feasible and so must the sequence;
-    # at b = 1 - 1e-6 both call it infeasible, and only the first is re-solved.
+    # at b = 1 - 1e-6 both call it infeasible, and only the first is re-solved
+    # (after the opening cold solve at b = 2).
     c = np.array([1.0])
     a_ub = np.array([[1.0]])
     a_eq = np.array([[1.0]])
     rhs = [(np.array([b]), np.array([1.0])) for b in (2.0, 1.0 - 5e-8, 1.0 - 1e-6, 1.0)]
     cold_calls = []
-    cold_solve = simplex.solve_lp
+    cold_solve = simplex._two_phase
 
     def counting(*args):
         cold_calls.append(args[2][0])
         return cold_solve(*args)
 
-    monkeypatch.setattr(simplex, "solve_lp", counting)
+    monkeypatch.setattr(simplex, "_two_phase", counting)
     results = simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)
     monkeypatch.undo()
-    assert cold_calls == [1.0 - 5e-8]
+    assert cold_calls == [2.0, 1.0 - 5e-8]
     _assert_matches_cold((c, a_ub, None, a_eq, None), rhs, results)
     assert [r.status for r in results] == ["optimal", "optimal", "infeasible", "optimal"]
 

@@ -20,7 +20,6 @@ from qnetlab.network import load_scenario
 from qnetlab.processes import make_rng
 from qnetlab.stability import (
     StabilityVerdict,
-    VerdictThresholds,
     bb1_closed_form,
     cex_rate_not_mean,
     cex_strong_not_rate,
@@ -139,7 +138,7 @@ def quarter_octave_grid(target):
     return np.array(grid)
 
 
-def reference_verdict(backlog, checkpoints, thresholds):
+def reference_verdict(backlog, checkpoints):
     """The verdict's estimates computed path by path, in two plain passes."""
     n_reps, horizon = backlog.shape
     t_final = int(checkpoints[-1])
@@ -152,7 +151,7 @@ def reference_verdict(backlog, checkpoints, thresholds):
         to_half += float(q[: t_half + 1].sum())
         to_final += float(q[: t_final + 1].sum())
     mean = total / (n_reps * horizon)
-    m_grid = quarter_octave_grid(thresholds.m_max_multiplier * mean)
+    m_grid = quarter_octave_grid(stability.M_MAX_MULTIPLIER * mean)
     h = np.array([[(q > m).mean() for m in m_grid] for q in backlog])
     g = np.zeros(m_grid.size)
     for row in h:
@@ -161,28 +160,31 @@ def reference_verdict(backlog, checkpoints, thresholds):
     rate_slope = float(np.median(finals))
     half = to_half / (n_reps * (t_half + 1))
     full = to_final / (n_reps * (t_final + 1))
-    tol = thresholds.slope_tol
+    tol = stability.SLOPE_TOL
+    mean_rate = float(np.mean(finals)) if n_reps >= stability.MIN_REPS_MEAN_RATE else None
+    # g is the mean of the per-path tail fractions, and the running mean over
+    # the whole horizon is the mean backlog.
+    assert np.array_equal(g, h.mean(axis=0)) and full == mean
     return {
         "rate_slope": rate_slope,
-        "mean_rate_slope": float(np.mean(finals)),
+        "mean_rate_slope": mean_rate,
         "strong_metric": mean,
         "m_grid": m_grid,
         "g_curve": g,
-        "h_mean": h.mean(axis=0),
         "h_p05": np.percentile(h, 5, axis=0),
         "h_p95": np.percentile(h, 95, axis=0),
         "rate_stable": rate_slope <= tol,
-        "mean_rate_stable": float(np.mean(finals)) <= tol,
-        "steady_state_stable": g[-1] <= thresholds.tail_tol and rate_slope <= tol,
-        "strongly_stable": abs(full - half) <= thresholds.plateau_rel * max(half, 1e-12),
+        "mean_rate_stable": None if mean_rate is None else mean_rate <= tol,
+        "steady_state_stable": g[-1] <= stability.TAIL_TOL and rate_slope <= tol,
+        "strongly_stable": abs(full - half) <= stability.PLATEAU_REL * max(half, 1e-12),
         "running_mean_half": half,
-        "running_mean_full": full,
-        "thresholds": thresholds,
     }
 
 
 @given(
-    n_reps=st.integers(1, 5),
+    # Small ensembles leave the mean-rate notion out; from MIN_REPS_MEAN_RATE
+    # replications on its slope is estimated too.
+    n_reps=st.one_of(st.integers(1, 5), st.integers(stability.MIN_REPS_MEAN_RATE, 120)),
     horizon=st.integers(1000, 2500),
     scale=st.sampled_from([0.0, 1.0, 3.0, 40.0, 1e6]),
     integer=st.booleans(),
@@ -196,9 +198,8 @@ def test_verdict_matches_per_path_reference(n_reps, horizon, scale, integer, see
     q = rng.random((n_reps, horizon)) * scale * rng.random((n_reps, 1))
     if integer:
         q = np.floor(q)
-    thresholds = VerdictThresholds(min_reps_mean_rate=1)
-    verdict = estimate_verdict(q, thresholds)
-    expected = reference_verdict(q, geometric_checkpoints(horizon), thresholds)
+    verdict = estimate_verdict(q)
+    expected = reference_verdict(q, geometric_checkpoints(horizon))
     assert set(expected) == set(StabilityVerdict._fields)
     for name, value in expected.items():
         got = getattr(verdict, name)
@@ -209,18 +210,17 @@ def test_verdict_matches_per_path_reference(n_reps, horizon, scale, integer, see
 
 
 def test_mean_rate_estimator_needs_replications():
-    # Below min_reps_mean_rate the mean-rate notion is not estimated; the
-    # per-path notions are, with the same values.
-    backlog = _bb1_ensemble(0.3, 0.5, horizon=2000, n_reps=5, seed=SEED)
-    verdict = estimate_verdict(backlog)
+    # Below MIN_REPS_MEAN_RATE replications the mean-rate notion is not
+    # estimated; at it, it is.  The per-path notions are estimated either way.
+    backlog = _bb1_ensemble(0.3, 0.5, horizon=2000, n_reps=stability.MIN_REPS_MEAN_RATE,
+                            seed=SEED)
+    verdict = estimate_verdict(backlog[:-1])
     assert verdict.mean_rate_slope is None
     assert verdict.mean_rate_stable is None
-    enough = estimate_verdict(backlog, VerdictThresholds(min_reps_mean_rate=5))
+    assert verdict.rate_stable and verdict.steady_state_stable
+    enough = estimate_verdict(backlog)
     assert enough.mean_rate_slope == float(np.mean(backlog[:, -1] / (backlog.shape[1] - 1)))
     assert enough.mean_rate_stable
-    for name in ("rate_slope", "strong_metric", "rate_stable", "steady_state_stable",
-                 "strongly_stable"):
-        assert getattr(enough, name) == getattr(verdict, name), name
 
 
 @pytest.mark.parametrize("bad", [-1.0, np.nan])
@@ -241,10 +241,8 @@ def test_g_and_h_curves_are_well_formed():
     g = verdict.g_curve
     assert np.all((0.0 <= g) & (g <= 1.0))
     assert np.all(np.diff(g) <= 1e-15)  # non-increasing in M
-    assert np.all((0.0 <= verdict.h_mean) & (verdict.h_mean <= 1.0))
-    assert np.all(np.diff(verdict.h_mean) <= 1e-15)
-    assert np.all(verdict.h_p05 <= verdict.h_mean + 1e-15)
-    assert np.all(verdict.h_mean <= verdict.h_p95 + 1e-15)
+    assert np.all(verdict.h_p05 <= g + 1e-15)
+    assert np.all(g <= verdict.h_p95 + 1e-15)
     assert markov_bound_violations(verdict) == 0
 
 
@@ -259,7 +257,7 @@ def test_rate_stable_classification_implies_offered_rate_balance():
     path = single_queue_path(a, b)
     verdict = estimate_verdict(path[None, :horizon])
     assert verdict.rate_stable
-    assert (a.mean() - b.mean()) <= verdict.thresholds.slope_tol
+    assert (a.mean() - b.mean()) <= stability.SLOPE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +304,7 @@ def test_cex_mean_not_rate_slope_vanishes_at_ten_thousand_slots():
     slope = backlog[:, 10_000].mean() / 10_000
     # Estimator s.e. is (sqrt(t)/sqrt(reps))/t ~ 2.2e-4; assert the order.
     assert slope <= 1e-3
-    verdict = estimate_verdict(backlog, thresholds=VerdictThresholds(min_reps_mean_rate=1))
+    verdict = estimate_verdict(backlog)
     assert verdict.mean_rate_stable
 
 
@@ -327,12 +325,11 @@ def test_cex_strong_not_rate_rejects_bad_horizon():
 
 
 def test_markov_bound_holds_on_counterexamples():
-    thresholds = VerdictThresholds(min_reps_mean_rate=1)
     for backlog in (
         one_shot_mean_not_rate(SEED, horizon=2000, n_reps=200),
         strong_not_rate_path(2**11 + 1)[None, :],
     ):
-        verdict = estimate_verdict(backlog, thresholds=thresholds)
+        verdict = estimate_verdict(backlog)
         assert markov_bound_violations(verdict) == 0
 
 

@@ -58,8 +58,8 @@ def reduce_in_blocks(backlog, cuts):
     return feed_in_blocks(VerdictReducer(*backlog.shape), backlog, cuts)
 
 
-def reduced_verdict(backlog, cuts, thresholds=stability.VerdictThresholds()):
-    return reduce_in_blocks(backlog, cuts).verdict(thresholds)
+def reduced_verdict(backlog, cuts):
+    return reduce_in_blocks(backlog, cuts).verdict()
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +189,20 @@ def test_reducer_equals_whole_array_verdict(backlog, data):
 
 
 def test_reducer_equals_whole_array_verdict_with_thresholds():
+    # The verdict reads the grid up to 20 x the mean backlog.  Values below
+    # it end the counted keys short of the grid top, and the grid reads the
+    # last count past them; one spike far above it counts keys past the top.
     rng = np.random.default_rng(5)
     backlog = rng.integers(0, 40, size=(150, 1500)).astype(float)
-    thresholds = stability.VerdictThresholds(m_max_multiplier=3.0)
-    for scale in (1.0, 0.25):  # whole numbers, then quarters
-        verdict = reduced_verdict(backlog * scale, [1, 749, 750, 751, 1499], thresholds)
-        assert same_verdict(verdict, estimate_verdict(backlog * scale, thresholds))
+    spiked = backlog.copy()
+    spiked[3, 700] = 2.0**30
+    for values, above in ((backlog, False), (spiked, True)):
+        for scale in (1.0, 0.25):  # whole numbers, then quarters
+            reducer = reduce_in_blocks(values * scale, [1, 749, 750, 751, 1499])
+            verdict = reducer.verdict()
+            assert (reducer.counts.shape[1] > verdict.m_grid.size) == above
+            assert verdict.mean_rate_slope is not None  # 150 replications
+            assert same_verdict(verdict, estimate_verdict(values * scale))
 
 
 def test_reducer_rejects_negative_backlogs_and_short_horizons():
@@ -204,6 +212,16 @@ def test_reducer_rejects_negative_backlogs_and_short_horizons():
         VerdictReducer(2, 1000).add(0, np.full((2, 10), np.inf))
     with pytest.raises(ValueError, match="horizon"):
         VerdictReducer(2, 999)
+
+
+def test_reducer_refuses_an_infinite_mean_backlog():
+    # Finite backlogs whose sum overflows: the grid top is not a number, and
+    # the CLI reports the OverflowError as an error line.
+    reducer = VerdictReducer(4, 1000)
+    with np.errstate(over="ignore"):
+        reducer.add(0, np.full((4, 1000), 1e306))
+        with pytest.raises(OverflowError, match="infinity"):
+            reducer.verdict()
 
 
 # ---------------------------------------------------------------------------

@@ -43,18 +43,15 @@ def assert_tables_match_actions(scenario):
     tab = scenario.tables
     for w, acts in enumerate(scenario.names):
         for i in range(len(acts)):
-            y, b, x, f_value, g_values = evaluate_action(scenario, w, i)
+            y, b, _, f_value, g_values = evaluate_action(scenario, w, i)
             assert same_bits(tab.y_offered[w, i], y)
-            assert same_bits(tab.b[w, i], b)
-            assert same_bits(tab.x[w, i], x)
             assert same_bits(tab.f[w, i], f_value)
             assert same_bits(tab.g[w, i], g_values)
             assert same_bits(tab.net[w, i], y - b)
-            assert same_bits(tab.y[w, i], scenario.y[w, i])
             assert tab.pad[w, i] == 0.0
         padding = slice(len(acts), None)
         assert np.all(tab.pad[w, padding] == np.inf)
-        for field in (tab.f, tab.g, tab.net, tab.b, tab.y, tab.x, tab.y_offered):
+        for field in (tab.f, tab.g, tab.net, tab.y_offered):
             assert same_bits(field[w, padding], np.zeros_like(field[w, padding]))
 
 
