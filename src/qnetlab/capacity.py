@@ -172,20 +172,20 @@ def _margin_value(result: LpResult) -> float:
 
 
 def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> PolicyLp:
-    """Assemble the state-only-policy LP of ``scenario`` from its tables."""
+    """Assemble the state-only-policy LP of ``scenario`` from its arrays."""
     pi = scenario.stationary()
-    tab = scenario.tables
 
     # One variable per real action, in (omega, action) order.
-    w_of_var = np.nonzero(tab.real)[0]
+    real = scenario.real
+    w_of_var = np.nonzero(real)[0]
     n = w_of_var.size
 
     # Per-variable expected contributions, weighted by pi.  ``x_cols`` is
     # copied to C order: ``coeffs[r] @ x_cols`` on a transposed view would
     # take another BLAS kernel, which can round differently.
     pi_of_var = pi[w_of_var][:, None]
-    x_cols = np.ascontiguousarray((pi_of_var * scenario.x[tab.real]).T)
-    net_cols = (pi_of_var * tab.net[tab.real]).T  # y_bar - b_bar coefficients
+    x_cols = np.ascontiguousarray((pi_of_var * scenario.x[real]).T)
+    net_cols = (pi_of_var * scenario.net[real]).T  # y_bar - b_bar coefficients
 
     n_g = scenario.n_constraints
     k = scenario.n_queues

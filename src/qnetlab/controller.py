@@ -151,28 +151,27 @@ def run_dpp_batch(
     n, k, n_l = v.shape[0], scenario.n_queues, scenario.n_constraints
     if not 0 <= record <= n:
         raise ValueError(f"record must lie in [0, {n}], the number of lanes; got {record}")
-    tab = scenario.tables
-    n_a, clamped, m = tab.f.shape[1], mode == "clamped", n_l + k
-    f_flat, g_flat, x_flat = (a.reshape(tab.f.size, *a.shape[2:])
-                              for a in (tab.f, tab.g, scenario.x))
+    f, g, n_sa = scenario.f, scenario.g, scenario.f.size  # n_sa = S * A
+    n_a, clamped, m = f.shape[1], mode == "clamped", n_l + k
+    f_flat, g_flat, x_flat = (a.reshape(n_sa, *a.shape[2:]) for a in (f, g, scenario.x))
     # One column per (omega, action), lanes innermost after a take: scores read
     # [g | net | f | pad], the update [-g | b | 0 | y].  Clamped mode moves all
     # offered service, so its routed transfers are y_offered's.
-    score_tab = np.concatenate([tab.g, tab.net, tab.f[..., None], tab.pad[..., None]],
+    score_tab = np.concatenate([g, scenario.net, f[..., None], scenario.pad[..., None]],
                                axis=2).transpose(2, 1, 0).copy()  # (m + 2, A, S)
-    y_tab = tab.y_offered if clamped else scenario.y
-    update_tab = np.concatenate([-tab.g, scenario.b, np.zeros_like(tab.g), y_tab],
-                                axis=2).reshape(tab.f.size, 2 * m).T.copy()  # (2m, S * A)
+    y_tab = scenario.y_offered if clamped else scenario.y
+    update_tab = np.concatenate([-g, scenario.b, np.zeros_like(g), y_tab],
+                                axis=2).reshape(n_sa, 2 * m).T.copy()  # (2m, S * A)
     arrival_table = np.zeros((k, max(s.table.size for s in scenario.arrivals)))
     for q_idx, spec in enumerate(scenario.arrivals):
         arrival_table[q_idx, : spec.table.size] = spec.table
     # The flat index omega * A + action as recorded; its dtype holds every index and A.
-    c_dtype = np.min_scalar_type(max(tab.f.size - 1, n_a))
+    c_dtype = np.min_scalar_type(max(n_sa - 1, n_a))
 
     sink = None if reducer is None else reducer(n, horizon)
     backlog_sum = OrderedSum(n, horizon) if sink is None else None
     # Slots per lane and (omega, action), at lane * S * A + omega * A + action.
-    counts, lane_base = np.zeros(n * tab.f.size, dtype=np.int64), np.arange(n) * tab.f.size
+    counts, lane_base = np.zeros(n * n_sa, dtype=np.int64), np.arange(n) * n_sa
     n_rec = horizon if record_slots is None else min(horizon, record_slots)
     s_rec, c_rec = np.zeros((record, n_rec + 1, m)), np.zeros((n_rec, record), dtype=c_dtype)
 
@@ -210,8 +209,8 @@ def run_dpp_batch(
                                               horizon, reps):
             nb_s = omega.shape[0]
             if t0 == 0:  # the first block fixes the block size
-                tot_buf, c_buf = np.empty((n, nb_s)), np.empty((nb_s, n), dtype=c_dtype)
-            tot, c_blk = tot_buf[:, :nb_s], c_buf[:nb_s]
+                tot_buf = np.empty((n, nb_s))
+            tot = tot_buf[:, :nb_s]
             for j0 in range(0, nb_s, block):
                 nb = min(block, nb_s - j0)
                 # Gather one block of slots' columns at once, into the buffers
@@ -239,7 +238,6 @@ def run_dpp_batch(
                         dst += src
                     np.add(kept, add, out=s_next)
                     np.add(q_next, arr_j, out=q_next)
-                c_blk[j0 : j0 + nb] = ix
                 # Each lane's total, in queue order, through the transposed view.
                 tot_j = _add_rows(q_buf[:nb], out=tot[:, j0 : j0 + nb].T)
                 if with_virtual:
@@ -249,14 +247,13 @@ def run_dpp_batch(
                 nb_rec = max(0, min(nb, n_rec - t0 - j0))  # recorded slots of this block
                 s_rec[:, t0 + j0 + 1 : t0 + j0 + nb_rec + 1] = (
                     zq_buf[1 : nb_rec + 1, :, :record].transpose(2, 0, 1))
+                c_rec[t0 + j0 : t0 + j0 + nb_rec] = ix[:nb_rec, :record]
                 s_buf[0] = s_buf[nb]
             # Hand the block to the consumers, each lane's values contiguous.
             if sink is not None:
                 sink.add(t0, tot)
             else:
                 backlog_sum.add(tot)
-            keep = max(0, min(nb_s, n_rec - t0))  # recorded slots of this sampler block
-            c_rec[t0 : t0 + keep] = c_blk[:keep, :record]
             t0 += nb_s
         sums = [None] * 3
         if sink is None:
@@ -332,11 +329,10 @@ def drift_constants(
     lams = scenario.lambdas
     a2 = np.array([spec.second_moment() for spec in scenario.arrivals])
 
-    tab = scenario.tables
     b_total = 0.0
     d_total = 0.0
     for w, n_act in enumerate(map(len, scenario.names)):
-        y, b, g = tab.y_offered[w, :n_act], scenario.b[w, :n_act], tab.g[w, :n_act]
+        y, b, g = scenario.y_offered[w, :n_act], scenario.b[w, :n_act], scenario.g[w, :n_act]
         # E[(a + y)^2 | action] with independent arrivals: E[a^2] + 2 lam y + y^2
         ay2 = a2[None, :] + 2.0 * lams[None, :] * y + y**2
         ayb2 = a2[None, :] + 2.0 * lams[None, :] * (y + b) + (y + b) ** 2
@@ -350,7 +346,7 @@ def drift_constants(
         )
     t_mix = mixing_time(scenario.omega_chain, delta)
     # Builtin min/max in (omega, action) order keep the first zero's sign.
-    f_real = tab.f[tab.real].tolist()
+    f_real = scenario.f[scenario.real].tolist()
     f_min, f_max = min(f_real), max(f_real)
     return DriftConstants(
         B=float(b_total), D=float(d_total), T=t_mix, d_max=d_max,

@@ -7,9 +7,9 @@ service, transfer and attribute rows, in ``(S, A, .)`` arrays padded to
 the longest action list; the affine cost and constraint functions of the
 attributes, as one ``(c0, coeffs)`` pair whose row 0 is the cost; arrival
 processes; and optional endogenous routing (service of one queue feeding
-another).  ``Scenario.tables`` adds what is derived from them, once, when
-the scenario is built; validation, the policy LP, the drift constants and
-the closed-loop kernel all read the scenario's arrays and these.
+another).  The constructor adds what is derived from them, once, as more of
+the scenario's arrays; validation, the policy LP, the drift constants and
+the closed-loop kernel all read the scenario's arrays.
 
 The two transition modes (``MODES``) are applied by
 ``controller.run_dpp_batch``.  ``respect`` uses equality dynamics with a
@@ -21,10 +21,11 @@ transfer feasibility.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .processes import ArrivalSpec, FiniteMarkovChain, stationary_distribution
 
 __all__ = [
     "Scenario",
-    "ScenarioTables",
     "ScenarioError",
     "load_scenario",
     "fixture_path",
@@ -53,46 +53,28 @@ class ScenarioError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-class ScenarioTables(NamedTuple):
-    """Per-state action tables, indexed ``[omega, action]`` and padded to the
-    largest action count.  A state's real actions are a prefix of its row;
-    padded entries are zero and carry ``pad = +inf``.
-
-    Scores add ``pad`` to ``V f`` (never multiply it by V, so V = 0 cannot
-    turn it into NaN): a padded action scores +inf and is never chosen.
-    """
-
-    f: np.ndarray    # (S, A): cost f(x)
-    pad: np.ndarray  # (S, A): 0 on real actions, +inf on padding
-    g: np.ndarray    # (S, A, L): constraint values g_l(x)
-    net: np.ndarray  # (S, A, K): y_offered - b
-    y_offered: np.ndarray  # (S, A, K): table y plus routed offered b
-
-    @property
-    def real(self) -> np.ndarray:
-        """``(S, A)`` mask of the real actions; indexing with it gives them
-        in (omega, action) order."""
-        return self.pad == 0.0
-
-
 def _real(names: Sequence[Sequence[str]], n_a: int) -> np.ndarray:
     """``(S, A)`` mask of the real actions: state w's first ``len(names[w])``."""
     return np.arange(n_a) < np.array([len(acts) for acts in names])[:, None]
 
 
-def compile_tables(scenario: Scenario) -> ScenarioTables:
-    """Derive the evaluated tables from ``scenario``'s arrays.
+def compile_tables(
+    scenario: Scenario,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Derive ``(f, pad, g, net, y_offered)`` from the scenario's arrays.
 
-    ``f`` and ``g`` are rows 0 and 1.. of ``c0 + (coeffs[:, 0] x_0 + ...)``,
-    the products added in attribute order by a ``cumsum``: no BLAS kernel
-    rounds them, and unlike ``np.add.reduce`` it neither starts from +0.0
-    nor turns pairwise when the other axes hold one element.  Queue ``dst``
-    is offered its table ``y`` plus the offered service of every queue
-    routed into it, added in routing-list order.  Overflows become inf or
-    NaN without a warning; the constructor's ``validate`` rejects them.
+    ``f`` ``(S, A)`` and ``g`` ``(S, A, L)`` are rows 0 and 1.. of ``c0 +
+    (coeffs[:, 0] x_0 + ...)``, the products added in attribute order by a
+    ``cumsum``: no BLAS kernel rounds them, and unlike ``np.add.reduce`` it
+    neither starts from +0.0 nor turns pairwise when the other axes hold one
+    element.  ``pad`` ``(S, A)`` is 0 on the real actions and +inf on the
+    padding, where every other array is zero.  Queue ``dst`` is offered its
+    table ``y`` plus the offered service of every queue routed into it,
+    added in routing-list order: ``y_offered`` ``(S, A, K)``, and ``net =
+    y_offered - b``.  Overflows become inf or NaN without a warning; the
+    constructor's ``validate`` rejects them.
     """
-    y, b, x = scenario.y, scenario.b, scenario.x
-    real = _real(scenario.names, y.shape[1])
+    y, b, x, real = scenario.y, scenario.b, scenario.x, scenario.real
     with np.errstate(over="ignore", invalid="ignore"):
         terms = x[:, :, None, :] * scenario.coeffs  # (S, A, 1 + L, M)
         sums = np.cumsum(terms, axis=3)[..., -1] if terms.shape[3] else 0.0
@@ -101,8 +83,7 @@ def compile_tables(scenario: Scenario) -> ScenarioTables:
         for src, dst in scenario.routing:
             y_offered[:, :, dst] += b[:, :, src]
         net = y_offered - b
-    return ScenarioTables(f=fg[..., 0], pad=np.where(real, 0.0, np.inf), g=fg[..., 1:],
-                          net=net, y_offered=y_offered)
+    return fg[..., 0], np.where(real, 0.0, np.inf), fg[..., 1:], net, y_offered
 
 
 def _check_functions(c0: Sequence[float], coeffs: Sequence[Sequence[float]], m: int) -> None:
@@ -120,7 +101,13 @@ class Scenario:
     """``names[w]`` holds state w's action names, one per action.  ``y``, ``b``
     ``(S, A, K)`` and ``x`` ``(S, A, M)`` are zero past a state's last
     action; ``c0`` ``(1 + L,)`` and ``coeffs`` ``(1 + L, M)`` hold the cost
-    (row 0) and the L constraints.  K, L and M are read off these shapes."""
+    (row 0) and the L constraints.  K, L and M are read off these shapes.
+
+    The constructor adds the ``(S, A)`` mask ``real`` of the real actions
+    (indexing with it gives them in (omega, action) order) and the arrays of
+    ``compile_tables``: ``f``, ``pad``, ``g``, ``net`` and ``y_offered``.
+    Scores add ``pad`` to ``V f`` (never multiply it by V, so V = 0 cannot
+    turn it into NaN): a padded action scores +inf and is never chosen."""
 
     def __init__(
         self, name: str, omega_chain: FiniteMarkovChain, names: Sequence[Sequence[str]],
@@ -145,7 +132,8 @@ class Scenario:
                 and x.shape[:2] == (n_s, n_a) and y.shape[2] >= 1):
             raise ScenarioError("actions", "y, b and x must be (S, A, K), (S, A, K) and "
                                            "(S, A, M) arrays, with K >= 1")
-        if any(t[~_real(names, n_a)].any() for t in (y, b, x)):
+        self.real = _real(names, n_a)
+        if any(t[~self.real].any() for t in (y, b, x)):
             raise ScenarioError("actions", "entries past a state's last action must be zero")
         if not (c0.ndim == 1 and coeffs.ndim == 2 and 1 <= len(c0) == len(coeffs)):
             raise ScenarioError("constraints", "need one affine function per constraint")
@@ -162,23 +150,15 @@ class Scenario:
             if (src, dst) in seen_pairs:
                 raise ScenarioError(loc, f"duplicate routing pair ({src}, {dst})")
             seen_pairs.add((src, dst))
-        if "tables" not in vars(self):  # else passed on by _replace
-            self.tables = compile_tables(self)
-            validate(self)
+        self.f, self.pad, self.g, self.net, self.y_offered = compile_tables(self)
+        validate(self)
 
     def _replace(self, **changes: Any) -> Scenario:
-        """A new scenario with some constructor arguments changed, checked
-        again; named like the ``_replace`` of the NamedTuple records.  The
-        tables are passed on when only ``arrivals`` or ``omega_chain`` change:
-        the compile reads neither, beyond the state count that the
-        constructor checks against ``names``, so neither the compile nor
-        ``validate`` runs again."""
-        args = {key: value for key, value in vars(self).items() if key != "tables"}
-        new = Scenario.__new__(Scenario)
-        if changes.keys() <= {"arrivals", "omega_chain"}:
-            new.tables = self.tables
-        new.__init__(**{**args, **changes})
-        return new
+        """A new scenario with some constructor arguments changed, built and
+        checked by the constructor; named like the ``_replace`` of the
+        NamedTuple records."""
+        args = {key: getattr(self, key) for key in inspect.signature(Scenario).parameters}
+        return Scenario(**{**args, **changes})
 
     n_queues = property(lambda self: self.y.shape[2])  # K
     n_constraints = property(lambda self: self.c0.shape[0] - 1)  # L
@@ -207,20 +187,18 @@ _VALUE_FAULTS = (
 
 
 def validate(scenario: Scenario) -> None:
-    """Check the values of every real (omega, action): ``scenario``'s arrays
-    and ``scenario.tables``.
+    """Check the values of every real (omega, action) in the scenario's arrays.
 
     Two groups, each in (omega, action) order: first the table inputs (a
     ``y``, ``b`` or ``x`` entry that is not finite, checked in that order,
     then a negative ``y`` or ``b``), then the evaluated values (the routed
-    offer ``y_offered``, then ``g``, then the cost).  Raises
+    offer ``y_offered``, then ``g``, then the cost ``f``).  Raises
     ``ScenarioError`` at the first offender.  ``Scenario`` runs it once,
     right after ``compile_tables``.
     """
-    tab = scenario.tables
-    real = tab.real
+    real = scenario.real
     y, b, x, y_offered, g, f = (a[real] for a in (scenario.y, scenario.b, scenario.x,
-                                                  tab.y_offered, tab.g, tab.f))
+                                                  scenario.y_offered, scenario.g, scenario.f))
     # One row per real action, one column per fault.  A NaN compares as not
     # negative, and without a warning.
     bad = np.column_stack(

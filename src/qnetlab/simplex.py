@@ -105,24 +105,28 @@ class _Optimum(NamedTuple):
     eligible: np.ndarray  # structural and slack columns
 
 
-def _lp_arrays(c, a_ub, b_ub, a_eq, b_eq):
+def _lp_matrices(c, a_ub, a_eq):
+    """The fixed data of an LP sequence as float arrays, checked once."""
     c = np.asarray(c, dtype=float)
     n = c.size
-    a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
-    a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-    if a_ub.shape != (b_ub.size, n) or a_eq.shape != (b_eq.size, n):
+    a_ub, a_eq = (np.zeros((0, n)) if a is None else np.asarray(a, dtype=float)
+                  for a in (a_ub, a_eq))
+    if not (a_ub.ndim == a_eq.ndim == 2 and a_ub.shape[1] == a_eq.shape[1] == n):
         raise ValueError("constraint matrix shapes do not match")
-    if not (
-        np.all(np.isfinite(c))
-        and np.all(np.isfinite(a_ub))
-        and np.all(np.isfinite(b_ub))
-        and np.all(np.isfinite(a_eq))
-        and np.all(np.isfinite(b_eq))
-    ):
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a_ub)) and np.all(np.isfinite(a_eq))):
         raise ValueError("LP data must be finite")
-    return c, a_ub, b_ub, a_eq, b_eq
+    return c, a_ub, a_eq
+
+
+def _rhs_arrays(a_ub, a_eq, b_ub, b_eq):
+    """One right-hand side as float arrays, checked against the checked
+    ``a_ub`` and ``a_eq``."""
+    b_ub, b_eq = (np.zeros(0) if b is None else np.asarray(b, dtype=float) for b in (b_ub, b_eq))
+    if (b_ub.size, b_eq.size) != (a_ub.shape[0], a_eq.shape[0]):
+        raise ValueError("constraint matrix shapes do not match")
+    if not (np.all(np.isfinite(b_ub)) and np.all(np.isfinite(b_eq))):
+        raise ValueError("LP data must be finite")
+    return b_ub, b_eq
 
 
 def _solution(tableau: np.ndarray, basis: list[int], c: np.ndarray) -> LpResult:
@@ -308,6 +312,8 @@ def solve_lp_sequence(
 ) -> list[LpResult]:
     """The LP of ``c``, ``a_ub`` and ``a_eq`` for each ``(b_ub, b_eq)`` in turn.
 
+    The fixed data are converted and checked once, each right-hand side as
+    it comes; mis-shaped or non-finite data raise ``ValueError``.
     Right-hand sides are solved cold (two-phase) until one is optimal; each
     later one starts from the last optimal tableau: its basic values become
     ``B^-1 b'`` under the row signs of that tableau's own normalisation, and
@@ -319,10 +325,11 @@ def solve_lp_sequence(
     Values can differ from the cold solve's in the last digits, and at a
     degenerate optimum ``x`` can be another optimal vertex.
     """
+    c, a_ub, a_eq = _lp_matrices(c, a_ub, a_eq)
     results: list[LpResult] = []
     best: _Optimum | None = None
     for b_ub, b_eq in rhs:
-        c, a_ub, b_ub, a_eq, b_eq = _lp_arrays(c, a_ub, b_ub, a_eq, b_eq)
+        b_ub, b_eq = _rhs_arrays(a_ub, a_eq, b_ub, b_eq)
         status, opt = ("cold", None) if best is None else _warm_solve(best, b_ub, b_eq)
         if status == "cold":
             status, opt = _two_phase(c, a_ub, b_ub, a_eq, b_eq)

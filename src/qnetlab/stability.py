@@ -175,27 +175,30 @@ def _verdict(
     t_final = horizon - 1
     t_half = max(t_final // 2, 1)
 
-    # Pass 1: slopes, overall mean, running means for the plateau test.
-    finals = final / t_final
-    rate_slope = float(_median(finals))
-    mean_rate_slope = float(np.mean(finals)) if n_reps >= MIN_REPS_MEAN_RATE else None
-
     def ordered_sum(sums: np.ndarray) -> float:
         return float(np.cumsum(sums)[-1])
 
-    # The time average of the ensemble-mean backlog: the running mean over
-    # the whole horizon.
-    mean_backlog = ordered_sum(row_sums) / (n_reps * horizon)
-    running_half = ordered_sum(half_sums) / (n_reps * (t_half + 1))
-    plateau = abs(mean_backlog - running_half) <= PLATEAU_REL * max(running_half, 1e-12)
+    # A sum over replications past the float range raises
+    # ``FloatingPointError``, as the kernel's sums do.
+    with np.errstate(over="raise", invalid="raise"):
+        # Pass 1: slopes, overall mean, running means for the plateau test.
+        finals = final / t_final
+        rate_slope = float(_median(finals))
+        mean_rate_slope = float(np.mean(finals)) if n_reps >= MIN_REPS_MEAN_RATE else None
 
-    # Pass 2: per-path tail occupancy h(M) = fraction of slots with Q > M,
-    # and its mean over replications, added in replication order.
-    m_grid = _m_grid(mean_backlog)
-    h_per_path = (horizon - at_most(m_grid)) / horizon
-    g_curve = np.cumsum(h_per_path, axis=0)[-1] / n_reps
-    h_p05 = _percentile(h_per_path, 5)
-    h_p95 = _percentile(h_per_path, 95)
+        # The time average of the ensemble-mean backlog: the running mean over
+        # the whole horizon.
+        mean_backlog = ordered_sum(row_sums) / (n_reps * horizon)
+        running_half = ordered_sum(half_sums) / (n_reps * (t_half + 1))
+        plateau = abs(mean_backlog - running_half) <= PLATEAU_REL * max(running_half, 1e-12)
+
+        # Pass 2: per-path tail occupancy h(M) = fraction of slots with Q > M,
+        # and its mean over replications, added in replication order.
+        m_grid = _m_grid(mean_backlog)
+        h_per_path = (horizon - at_most(m_grid)) / horizon
+        g_curve = np.cumsum(h_per_path, axis=0)[-1] / n_reps
+        h_p05 = _percentile(h_per_path, 5)
+        h_p95 = _percentile(h_per_path, 95)
 
     return StabilityVerdict(
         rate_slope=rate_slope,

@@ -9,8 +9,8 @@ explicit exhaustive loop.  ``scenario_args`` and ``build_scenario`` make a
 coeffs)`` pairs, for the tests' hand-made and fuzzed scenarios.
 ``evaluate_action`` evaluates one (omega, action) pair straight from the
 scenario's input arrays, in Python floats; it is the reference for the
-compiled ``Scenario.tables``, and the per-action loops of ``validate``,
-``build_lp`` and ``drift_constants`` that read those tables with array ops
+scenario's compiled arrays, and the per-action loops of ``validate``,
+``build_lp`` and ``drift_constants`` that read those arrays with array ops
 are kept here on top of it.  The closed-loop reference replays one run slot
 by slot through ``network_step``, the one-slot transition, on a path drawn
 by ``sample_path_by_chase``, the per-replication index chase that
@@ -532,14 +532,13 @@ def dpp_select_action(
     ``np.argmin`` returns the first minimizer, which is the lowest-index tie
     rule, so runs are reproducible.
     """
-    tab = scenario.tables
-    columns = np.concatenate([tab.g[omega], tab.net[omega]], axis=1)
+    columns = np.concatenate([scenario.g[omega], scenario.net[omega]], axis=1)
     state_vec = np.concatenate([state.virtuals, state.queues])
     products = columns * state_vec
     total = products[:, 0]
     for t in range(1, state_vec.size):
         total = total + products[:, t]
-    scores = (v_weight * tab.f[omega] + tab.pad[omega]) + total
+    scores = (v_weight * scenario.f[omega] + scenario.pad[omega]) + total
     return int(np.argmin(scores))
 
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import qnetlab
+from test_golden import checkout_env
 
 LAUNCHER = """
 import os, subprocess, sys
@@ -28,12 +27,9 @@ needs_wait4 = pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait
 
 def peak_rss_mb(*cli_args: str) -> float:
     """Peak RSS in MiB of one CLI command, which must exit 0."""
-    src = str(Path(qnetlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     run = subprocess.run(
         [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "qnetlab.cli", *cli_args],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=checkout_env(), capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
     code, max_rss = map(int, run.stdout.split())

@@ -12,9 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import qnetlab
 from oracles import trace_rows, write_csv_by_rows
-from test_golden import CASES, GOLDEN, digests
+from test_golden import CASES, GOLDEN, checkout_env, digests
 from qnetlab import capacity, cli, controller, network, simplex
 from qnetlab.cli import main
 from qnetlab.network import ScenarioError, fixture_path, load_scenario
@@ -263,14 +262,14 @@ def test_sweep_v_validates_the_scenario_once(tmp_path, monkeypatch):
                "--out", str(tmp_path / "c")])
     assert rc == 0
     assert calls == compiles == ["downlink2"]
-    # Overriding the arrivals and the server chain keeps the compiled tables,
-    # which are not validated again.
+    # Each override builds a new scenario through the constructor: the load,
+    # then --lambda's arrivals, then --mu's server chain.
     calls.clear()
     compiles.clear()
     rc = main(["simulate", "bb1.json", "--lambda", "0.3", "--mu", "0.5", "--horizon", "1000",
                "--reps", "2", "--out", str(tmp_path / "s")])
     assert rc == 0
-    assert calls == compiles == ["bb1"]
+    assert calls == compiles == ["bb1"] * 3
 
 
 def test_capacity_with_a_huge_lambda_warns_nothing(tmp_path, capsys):
@@ -547,6 +546,46 @@ def test_value_past_the_float_range_fails_before_any_output(tmp_path, capsys, mu
     assert not out.exists()
 
 
+# One queue fed 2e302 per slot and never served: each replication's backlog
+# sum is finite (about 1e308), and so is every value the kernel computes,
+# but the sum over 4 replications overflows.
+ENSEMBLE_OVERFLOW = {
+    "name": "ensemble-overflow",
+    "dimensions": {"K": 1, "L": 0, "M": 0},
+    "omega_chain": {"transition": [[1.0]], "initial": [1.0]},
+    "actions": [[{"name": "idle", "y": [0.0], "b": [0.0], "x": []}]],
+    "cost": {"c0": 0.0, "c": []},
+    "arrivals": [{"kind": "deterministic", "values": [2e302], "rate": 2e302}],
+}
+ENSEMBLE_OVERFLOW_ARGS = ["--horizon", "1000", "--reps", "4"]
+
+
+def test_ensemble_sum_past_the_float_range_fails_before_any_output(tmp_path, capsys):
+    # numpy warned about the overflow, then _m_grid failed on the infinite
+    # mean backlog; with warnings as errors the warning was a traceback.
+    bad, out = tmp_path / "huge.json", tmp_path / "o"
+    bad.write_text(json.dumps(ENSEMBLE_OVERFLOW))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", str(bad), *ENSEMBLE_OVERFLOW_ARGS, "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert rc == 2 and stdout == ""
+    assert err.startswith("error: overflow encountered in ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_ensemble_sum_past_the_float_range_prints_no_traceback(tmp_path):
+    bad, out = tmp_path / "huge.json", tmp_path / "o"
+    bad.write_text(json.dumps(ENSEMBLE_OVERFLOW))
+    run = subprocess.run([sys.executable, "-m", "qnetlab.cli", "simulate", str(bad),
+                          *ENSEMBLE_OVERFLOW_ARGS, "--out", str(out)],
+                         env=child_env(), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: overflow encountered in ")
+    assert run.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_counterexample_arrival_kind_fails_at_load(tmp_path, capsys):
     # Counter-examples prescribe backlogs, not arrivals; the kind used to load
     # and then fail validation for its missing second moment.
@@ -783,11 +822,9 @@ def test_write_csv_matches_row_writer_on_edge_values(tmp_path, monkeypatch):
 
 
 def child_env(openblas_threads=None):
-    """The environment of a child that imports this checkout's qnetlab, with
-    ``OPENBLAS_NUM_THREADS`` set to ``openblas_threads`` or, when None, unset."""
-    src = str(Path(qnetlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    """``checkout_env()``, with ``OPENBLAS_NUM_THREADS`` set to
+    ``openblas_threads`` or, when None, unset."""
+    env = checkout_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads

@@ -50,9 +50,9 @@ def two_action_scenario():
 
 
 def test_score_hand_enumeration():
-    # Compiled tables give the scores V f + Q (y - b) = (10, -9) by hand.
-    tab = two_action_scenario().tables
-    scores = 1.0 * tab.f[0] + tab.pad[0] + tab.net[0] @ np.array([10.0])
+    # The compiled arrays give the scores V f + Q (y - b) = (10, -9) by hand.
+    s = two_action_scenario()
+    scores = 1.0 * s.f[0] + s.pad[0] + s.net[0] @ np.array([10.0])
     assert list(scores) == [10.0, -9.0]
 
 
@@ -81,7 +81,7 @@ def test_virtual_queue_term_only():
     state = CompositeState(np.zeros(2), np.array([5.0]))
     # V=0, queues empty: scores are Z . g = 5 * (-0.45) for idle,
     # 5 * 0.55 for serving; idle wins.
-    assert s.tables.g[on_off] @ state.virtuals == pytest.approx([-2.25, 2.75])
+    assert s.g[on_off] @ state.virtuals == pytest.approx([-2.25, 2.75])
     assert dpp_select_action(s, on_off, state, 0.0) == 0
 
 
@@ -264,11 +264,10 @@ def assert_batch_matches_replay(scenario, v_weights, n_reps, mode, seed, horizon
         assert batch.backlog_sum[i] == total.sum()
         # Costs and g: each (omega, action)'s slot count times the tables,
         # added in (omega, action) order; close to the means over time.
-        tab = scenario.tables
-        counts = np.bincount(ref.omega_path * tab.f.shape[1] + ref.action_path,
-                             minlength=tab.f.size)
-        cost = in_order((counts * tab.f.ravel())[None])
-        g = in_order((counts[:, None] * tab.g.reshape(tab.f.size, -1)).T)
+        f = scenario.f
+        counts = np.bincount(ref.omega_path * f.shape[1] + ref.action_path, minlength=f.size)
+        cost = in_order((counts * f.ravel())[None])
+        g = in_order((counts[:, None] * scenario.g.reshape(f.size, -1)).T)
         assert batch.cost_sum[i].tobytes() == cost.tobytes()
         assert batch.g_sum[i].tobytes() == g.tobytes()
         for got, path in ((batch.cost_sum[i], ref.f_path), (batch.g_sum[i], ref.g_path)):
@@ -289,7 +288,7 @@ LANE_LAYOUTS = {"simulate": ([2.0], 3), "sweep-v": ([0.0, 1.5, 20.0], 2)}
 def assert_ragged_batch_matches_replay(scenario, v_weights, n_reps, mode, seed):
     """``assert_batch_matches_replay`` at horizon 50 with the kernel's table
     blocks cut to 8 slots: six full blocks, then a short one of 2 slots."""
-    lanes, n_a = len(v_weights) * n_reps, scenario.tables.f.shape[1]
+    lanes, n_a = len(v_weights) * n_reps, scenario.f.shape[1]
     slot_bytes = lanes * _lane_slot_bytes(n_a, scenario.n_queues, scenario.n_constraints)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(controller, "_BLOCK_BYTES", 8 * slot_bytes)
@@ -356,7 +355,7 @@ def test_ragged_blocks_match_network_step_replay_with_one_action_per_state(k, n_
     # update when there are no constraints; the fuzzed scenarios reach the
     # first case only by chance.
     scenario = single_action_scenario(k, n_l)
-    assert scenario.tables.f.shape[1] == 1
+    assert scenario.f.shape[1] == 1
     assert_ragged_batch_matches_replay(scenario, *LANE_LAYOUTS[layout], mode, seed=23)
 
 
@@ -411,7 +410,7 @@ def test_one_lane_at_zero_weight_never_picks_a_missing_action(mode):
     # At V = 0 the unit row's score term is the pad alone: 0 for a real
     # action, +inf for state 1's missing one.
     scenario = routed_scenario([(0, 2), (1, 3)])
-    assert np.isinf(scenario.tables.pad[1, 2])
+    assert np.isinf(scenario.pad[1, 2])
     assert_ragged_batch_matches_replay(scenario, [0.0], 1, mode, seed=31)
     run = run_one(scenario, 0.0, seed=31, horizon=200, mode=mode)
     assert np.all(run.action_path[run.omega_path == 1] < 2)
@@ -466,8 +465,8 @@ def test_single_queue_lanes_equal_the_reflection_identity(name, mode):
     # One queue, one action per state and integer work: every lane's backlog
     # path is the reflection identity's on the same draws, bit for bit.
     scenario, seed, horizon = bb1_variants()[name], 43, 3000
-    tab, spec = scenario.tables, scenario.arrivals[0]
-    y = tab.y_offered if mode == "clamped" else scenario.y
+    spec = scenario.arrivals[0]
+    y = scenario.y_offered if mode == "clamped" else scenario.y
     batch = run_dpp_batch(scenario, [1.0] * 3, range(3), seed, horizon, mode, record=3)
     for rep, run in enumerate(batch.runs):
         w, ix = sample_path_by_chase(scenario.omega_chain, scenario.arrivals, seed, horizon, rep)

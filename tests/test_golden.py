@@ -195,6 +195,17 @@ def test_cli_outputs_match_golden_digests(case, tmp_path):
     assert digests(out) == GOLDEN[case]
 
 
+def checkout_env(**overrides: str) -> dict[str, str]:
+    """The environment of a child process that imports this checkout's
+    qnetlab, with CI's warning filters: pyproject.toml's ``filterwarnings``
+    reaches only the pytest process, so a numpy warning or a deprecation in
+    a CLI child fails here as it fails in CI."""
+    src = str(Path(qnetlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p),
+        PYTHONWARNINGS="error::RuntimeWarning,error::DeprecationWarning", **overrides)
+
+
 # numpy picks its SIMD loops (log, exp and friends) by CPU at import.  These
 # features exist only on AVX-512 hosts; elsewhere disabling them changes
 # nothing.
@@ -205,10 +216,8 @@ NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
                                                                           "stability-"))))
 def test_verdict_digests_hold_without_avx512_loops(case, tmp_path):
     out = tmp_path / case
-    src = str(Path(qnetlab.__file__).resolve().parents[1])
-    env = dict(os.environ, **NO_AVX512, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     run = subprocess.run([sys.executable, "-m", "qnetlab.cli", *CASES[case], "--out", str(out)],
-                         env=env, capture_output=True, text=True, timeout=300)
+                         env=checkout_env(**NO_AVX512), capture_output=True, text=True,
+                         timeout=300)
     assert run.returncode == 0, run.stderr
     assert digests(out) == GOLDEN[case]

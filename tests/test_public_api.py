@@ -28,8 +28,7 @@ MODULES = {
         "DppBatchResult", "DppRunResult", "DriftConstants", "drift_constants", "run_dpp_batch",
     ],
     "network": [
-        "Scenario", "ScenarioError", "ScenarioTables", "fixture_path", "load_scenario",
-        "validate",
+        "Scenario", "ScenarioError", "fixture_path", "load_scenario", "validate",
     ],
     "processes": [
         "ArrivalSpec", "FiniteMarkovChain", "PeriodicChainError",

@@ -9,6 +9,7 @@ processes).
 """
 
 import inspect
+import math
 import pickle
 import re
 
@@ -30,7 +31,6 @@ SIGNATURES = {
     controller.DppBatchResult: "backlog_sum cost_sum g_sum runs reducer=None",
     controller.DriftConstants: "B D T d_max f_opt f_min f_max delta=nan",
     network.Scenario: "name omega_chain names y b x c0 coeffs arrivals routing=None",
-    network.ScenarioTables: "f pad g net y_offered",
     oracles.StepRecord: "omega_index action_index arrivals y_offered b_offered y_actual "
                         "b_actual x f_value g_values",
     processes.FiniteMarkovChain: "transition initial labels=()",
@@ -75,11 +75,16 @@ def test_positional_and_keyword_construction_agree():
     assert np.isnan(controller.DriftConstants(1.0, 2.0, 3, 0.1, 0.0, 0.0, 1.0).delta)
 
 
+def _arguments(scenario):
+    """The constructor arguments that ``scenario`` keeps, by name."""
+    return {key: getattr(scenario, key) for key in inspect.signature(network.Scenario).parameters}
+
+
 def test_scenario_keeps_its_arguments_and_defaults_routing_to_a_new_list():
     downlink2 = network.load_scenario("downlink2.json")
-    args = vars(downlink2).copy()
-    # The compiled tables are built by the constructor, not passed to it.
-    del args["routing"], args["tables"]
+    # The compiled arrays are built by the constructor, not passed to it.
+    args = _arguments(downlink2)
+    del args["routing"]
     first, second = network.Scenario(**args), network.Scenario(*args.values())
     assert first.routing == [] and second.routing == [] and first.routing is not second.routing
     assert all(getattr(first, key) is value for key, value in args.items())
@@ -157,6 +162,70 @@ def test_validating_records_raise_the_documented_error(make, error, message):
     assert type(info.value) is error
 
 
+def _with(array, index, value):
+    changed = array.copy()
+    changed[index] = value
+    return changed
+
+
+# One change per constructor argument, on downlink2.  Every change but the
+# arrivals and the chain moves one of the derived arrays; the cost change
+# makes the idle actions' cost -0.0.
+REPLACEMENTS = {
+    "arrivals": lambda s: {"arrivals": s.arrivals[::-1]},
+    "omega_chain": lambda s: {"omega_chain": processes.FiniteMarkovChain(
+        np.full((3, 3), 1 / 3), np.array([0.0, 1.0, 0.0]), s.omega_chain.labels)},
+    "y": lambda s: {"y": _with(s.y, (1, 1, 1), 0.5)},
+    "b": lambda s: {"b": _with(s.b, (2, 1, 0), 0.25)},
+    "x": lambda s: {"x": _with(s.x, (1, 1, 0), 2.5)},
+    "c0-coeffs": lambda s: {"c0": np.array([-0.0, -0.3]), "coeffs": np.array([[-1.0], [2.0]])},
+    "routing": lambda s: {"routing": [(0, 1)]},
+}
+DERIVED = ("real", "f", "pad", "g", "net", "y_offered")
+
+
+@pytest.mark.parametrize("key", sorted(REPLACEMENTS))
+def test_replace_rebuilds_every_derived_array(key):
+    base = network.load_scenario("downlink2.json")
+    changes = REPLACEMENTS[key](base)
+    new = base._replace(**changes)
+    fresh = network.Scenario(**{**_arguments(base), **changes})
+    assert all(getattr(new, name) is value for name, value in changes.items())
+    for name in DERIVED:
+        got, want = getattr(new, name), getattr(fresh, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                         want.tobytes()), name
+    moved = {name for name in DERIVED if getattr(new, name).tobytes()
+             != getattr(base, name).tobytes()}
+    assert bool(moved) == (key not in ("arrivals", "omega_chain")), moved
+    if key == "c0-coeffs":
+        assert new.f[0, 0] == 0.0 and math.copysign(1.0, new.f[0, 0]) == -1.0
+
+
+# A bad override and the error of a scenario built from scratch with it.
+BAD_REPLACEMENTS = {
+    "arrivals": lambda s: {"arrivals": s.arrivals[:1]},
+    "omega_chain": lambda s: {"omega_chain": processes.FiniteMarkovChain(
+        np.full((2, 2), 0.5), np.array([1.0, 0.0]))},
+    "y": lambda s: {"y": _with(s.y, (1, 1, 1), -0.5)},
+    "b": lambda s: {"b": _with(s.b, (2, 1, 0), np.nan)},
+    "x": lambda s: {"x": _with(s.x, (1, 1, 0), np.inf)},
+    "c0-coeffs": lambda s: {"c0": np.array([0.0, 0.0]), "coeffs": np.array([[2.0], [np.inf]])},
+    "routing": lambda s: {"routing": [(1, 2)]},
+}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_REPLACEMENTS))
+def test_a_bad_replacement_raises_the_constructor_error(key):
+    base = network.load_scenario("downlink2.json")
+    changes = BAD_REPLACEMENTS[key](base)
+    with pytest.raises(network.ScenarioError) as want:
+        network.Scenario(**{**_arguments(base), **changes})
+    with pytest.raises(network.ScenarioError) as got:
+        base._replace(**changes)
+    assert (got.value.location, str(got.value)) == (want.value.location, str(want.value))
+
+
 def every_record():
     """One instance of each public record type, made by the code that makes it."""
     scenario = network.load_scenario("downlink2.json")
@@ -170,7 +239,7 @@ def every_record():
         scenario, scenario.omega_chain, scenario.arrivals[0], step,
         lp, report,
         capacity.performance_bounds(scenario, 1.0, drift.d_max / 4, drift), drift,
-        scenario.tables, batch, batch.runs[0],
+        batch, batch.runs[0],
         controller.run_dpp_batch(scenario, [1.0] * 3, [0, 1, 2], 5, 1000,
                                  reducer=stability.VerdictReducer).reducer.verdict(),
         simplex.solve_lp([1.0], None, None, [[1.0]], [1.0]),

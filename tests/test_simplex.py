@@ -30,6 +30,32 @@ def test_leaving_row_skips_an_overflowing_ratio_without_a_warning():
         assert simplex._bland_leaving(tableau, 0, [0, 1]) == 1
 
 
+# (c, a_ub, a_eq, right-hand sides, message): the fixed data are bad, or
+# only the second right-hand side is.
+BAD_DATA = {
+    "c-not-finite": ([np.nan, 1.0], [[1.0, 1.0]], None, [([1.0], None)], "LP data must be finite"),
+    "a_ub-not-finite": ([1.0, 1.0], [[1.0, np.inf]], None, [([1.0], None)],
+                        "LP data must be finite"),
+    "a_eq-columns": ([1.0, 1.0], None, [[1.0]], [(None, [1.0])],
+                     "constraint matrix shapes do not match"),
+    "a_ub-not-a-matrix": ([1.0, 1.0], [1.0, 1.0], None, [([1.0], None)],
+                          "constraint matrix shapes do not match"),
+    "b_ub-not-finite": ([1.0, 1.0], [[1.0, 1.0]], None, [([1.0], None), ([np.nan], None)],
+                        "LP data must be finite"),
+    "b_ub-size": ([1.0, 1.0], [[1.0, 1.0]], None, [([1.0], None), ([1.0, 2.0], None)],
+                  "constraint matrix shapes do not match"),
+    "b_eq-given-without-a_eq": ([1.0, 1.0], [[1.0, 1.0]], None, [([1.0], [1.0])],
+                                "constraint matrix shapes do not match"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATA))
+def test_bad_lp_data_raises_value_error(case):
+    c, a_ub, a_eq, rhs, message = BAD_DATA[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)
+
+
 def test_equality_constraints():
     # min x + 2y  s.t.  x + y == 3
     res = solve_lp(

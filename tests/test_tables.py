@@ -1,8 +1,8 @@
-"""Parity of the compiled scenario tables and their readers with the
+"""Parity of the compiled scenario arrays and their readers with the
 per-action references in ``oracles``.
 
-``Scenario.tables`` is built once per scenario; ``validate`` (run by the
-constructor), ``build_lp`` and ``drift_constants`` read it with array ops.
+The scenario's arrays are built once per scenario; ``validate`` (run by the
+constructor), ``build_lp`` and ``drift_constants`` read them with array ops.
 Each must give the bits of its one-``evaluate_action``-per-(omega, action)
 loop, signed zeros included, on random valid scenarios.
 """
@@ -40,18 +40,18 @@ def same_bits(a, b) -> bool:
 
 
 def assert_tables_match_actions(scenario):
-    tab = scenario.tables
     for w, acts in enumerate(scenario.names):
         for i in range(len(acts)):
             y, b, _, f_value, g_values = evaluate_action(scenario, w, i)
-            assert same_bits(tab.y_offered[w, i], y)
-            assert same_bits(tab.f[w, i], f_value)
-            assert same_bits(tab.g[w, i], g_values)
-            assert same_bits(tab.net[w, i], y - b)
-            assert tab.pad[w, i] == 0.0
+            assert same_bits(scenario.y_offered[w, i], y)
+            assert same_bits(scenario.f[w, i], f_value)
+            assert same_bits(scenario.g[w, i], g_values)
+            assert same_bits(scenario.net[w, i], y - b)
+            assert scenario.pad[w, i] == 0.0
         padding = slice(len(acts), None)
-        assert np.all(tab.pad[w, padding] == np.inf)
-        for field in (tab.f, tab.g, tab.net, tab.y_offered):
+        assert scenario.real[w].tolist() == [i < len(acts) for i in range(scenario.f.shape[1])]
+        assert np.all(scenario.pad[w, padding] == np.inf)
+        for field in (scenario.f, scenario.g, scenario.net, scenario.y_offered):
             assert same_bits(field[w, padding], np.zeros_like(field[w, padding]))
 
 
@@ -101,7 +101,7 @@ def signed_zero_scenario(order):
 @pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)], ids=["zero-first", "minus-first"])
 def test_cost_extremes_keep_the_sign_of_the_first_zero(order):
     scenario = signed_zero_scenario(order)
-    assert [math.copysign(1.0, f) for f in scenario.tables.f[0]] == [
+    assert [math.copysign(1.0, f) for f in scenario.f[0]] == [
         math.copysign(1.0, x) for x in order
     ]
     drift = drift_constants(scenario, delta=0.25, report=INTERIOR)
