@@ -26,7 +26,7 @@ import numpy as np
 
 from .network import Scenario
 from .processes import mixing_time
-from .simplex import LpResult, SimplexError, solve_lp_sequence
+from .simplex import LpResult, SimplexError, _add_column, _solve_sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .controller import DriftConstants
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 FEAS_TOL = 1e-9
+_MARGIN_UNBOUNDED = "margin LP unbounded; scenario tables are malformed"
 
 
 class CapacityReport(NamedTuple):
@@ -107,29 +108,41 @@ class PolicyLp(NamedTuple):
         binding rows.
 
         The points share everything but the queue rows' right-hand side, so
-        the cost LP is one warm-started sequence that opens with the cold
-        solve at ``self.lambdas``, and the margin LP (one more variable d,
-        every inequality pushed to <= -d/2) is another over the feasible
-        points.  Feasibility is the cold solve's; a scale's ``f_opt`` and
-        ``d_max`` can differ from it in the last digits.  Arithmetic past
-        the float range raises ``FloatingPointError``.
+        the cost LP is one warm-started sequence that opens with a cold solve
+        at its first feasible point (``self.lambdas`` when feasible).  The
+        margin LP is the cost LP plus one variable d (every inequality pushed
+        to <= -d/2) with objective -d: the cost LP's first optimal basis,
+        with d non-basic at 0, is primal feasible for it, so the margin
+        sequence over the feasible points opens from that tableau with the
+        column of d added, and no phase 1.  Feasibility is the cost LP's; a
+        scale's ``f_opt`` and ``d_max`` can differ from a lone solve's in the
+        last digits.  Arithmetic past the float range raises
+        ``FloatingPointError``.
         """
         with np.errstate(over="raise", invalid="raise"):
             points = [self, *(self.at(s * self.lambdas) for s in scales)]
-            costs = solve_lp_sequence(
+            costs, opening = _solve_sequence(
                 self.c, self.a_ub, self.a_eq, [(p.b_ub, p.b_eq) for p in points]
             )
             feasible = [_cost_feasible(result) for result in costs]
-            c = np.zeros(self.c.size + 1)
-            c[-1] = -1.0  # maximize d
-            margins = iter(
-                solve_lp_sequence(
-                    c,
-                    np.hstack([self.a_ub, np.full((self.a_ub.shape[0], 1), 0.5)]),
-                    np.hstack([self.a_eq, np.zeros((self.a_eq.shape[0], 1))]),
-                    [(p.b_ub, p.b_eq) for p, ok in zip(points, feasible) if ok],
+            margins = iter(())
+            if opening is not None:
+                m_ub, m_eq = self.a_ub.shape[0], self.a_eq.shape[0]
+                c = np.zeros(self.c.size + 1)
+                c[-1] = -1.0  # maximize d
+                column = np.concatenate([np.full(m_ub, 0.5), np.zeros(m_eq)])
+                _, start = _add_column(opening, c, column)
+                if start is None:
+                    raise SimplexError(_MARGIN_UNBOUNDED)
+                margins = iter(
+                    _solve_sequence(
+                        c,
+                        np.hstack([self.a_ub, column[:m_ub, None]]),
+                        np.hstack([self.a_eq, column[m_ub:, None]]),
+                        [(p.b_ub, p.b_eq) for p, ok in zip(points, feasible) if ok],
+                        start,
+                    )[0]
                 )
-            )
             rows = [
                 (True, self.c0 + float(result.objective), _margin_value(next(margins)))
                 if ok
@@ -167,7 +180,7 @@ def _margin_value(result: LpResult) -> float:
     if result.status == "infeasible":
         return 0.0
     if result.status == "unbounded":
-        raise SimplexError("margin LP unbounded; scenario tables are malformed")
+        raise SimplexError(_MARGIN_UNBOUNDED)
     return max(float(result.x[-1]), 0.0)
 
 

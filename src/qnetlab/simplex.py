@@ -1,19 +1,22 @@
-"""Dense two-phase primal simplex with Bland's rule, and a dual-simplex warm
-start for sequences of right-hand sides.
+"""Dense two-phase primal simplex with Dantzig's rule and a Bland fallback, and
+a dual-simplex warm start for sequences of right-hand sides.
 
 Solves     minimize    c . x
            subject to  A_ub x <= b_ub
                        A_eq x == b_eq
                        x >= 0
 
-Desk-scale problems only: the tableau is dense and every pivot is O(m n).
-Bland's rule (always pick the lowest-index eligible entering and leaving
-variable) prevents cycling on degenerate vertices at the cost of many pivots,
-so each pivot is one array update.  ``solve_lp_sequence`` solves one LP per
-right-hand side for fixed ``c``, ``A_ub`` and ``A_eq``: the reduced costs do
-not depend on the right-hand side, so the last optimal tableau stays dual
-feasible and a dual simplex re-optimises it in a few pivots where a cold
-solve takes hundreds.  Feasibility and optimality are decided at an absolute
+Desk-scale problems only: the tableau is dense and every pivot is O(m n), so
+each pivot is one array update.  Every primal pass enters the column of most
+negative reduced cost (Dantzig's rule, lowest index on ties); after
+``DEGENERATE_STREAK`` degenerate pivots in a row it switches, for the rest of
+that pass, to Bland's rule (the lowest-index eligible column), which cannot
+cycle.  The leaving row is always the minimum ratio, ties going to the lowest
+basic index.  ``solve_lp_sequence`` solves one LP per right-hand side for
+fixed ``c``, ``A_ub`` and ``A_eq``: the reduced costs do not depend on the
+right-hand side, so the last optimal tableau stays dual feasible and a dual
+simplex re-optimises it in a few pivots where a cold solve takes about a
+hundred.  Feasibility and optimality are decided at an absolute
 tolerance of 1e-9; phase 1 calls an LP infeasible when its artificials sum
 to more than 1e-7.
 """
@@ -28,6 +31,9 @@ __all__ = ["LpResult", "solve_lp", "solve_lp_sequence", "SimplexError"]
 
 TOL = 1e-9
 PHASE1_TOL = 1e-7  # largest sum of artificials that still counts as feasible
+# Degenerate pivots in a row after which a primal pass prices by Bland's rule.
+# Beale's cycle under Dantzig's rule is 6 pivots long.
+DEGENERATE_STREAK = 50
 
 
 class SimplexError(RuntimeError):
@@ -50,9 +56,17 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[rows] -= factors[rows, None] * pivot_row
 
 
-def _bland_entering(costs: np.ndarray, eligible: np.ndarray) -> int | None:
-    hits = (eligible & (costs < -TOL)).nonzero()[0]
-    return int(hits[0]) if hits.size else None
+def _entering(costs: np.ndarray, eligible: np.ndarray, bland: bool) -> int | None:
+    """The eligible column of most negative reduced cost below -TOL, the
+    lowest index on ties; with ``bland``, the lowest-index such column."""
+    if bland:
+        hits = (eligible & (costs < -TOL)).nonzero()[0]
+        return int(hits[0]) if hits.size else None
+    if not costs.size:
+        return None
+    priced = np.where(eligible, costs, 0.0)
+    col = int(priced.argmin())
+    return col if priced[col] < -TOL else None
 
 
 def _bland_leaving(tableau: np.ndarray, col: int, basis: list[int]) -> int | None:
@@ -75,10 +89,15 @@ def _bland_leaving(tableau: np.ndarray, col: int, basis: list[int]) -> int | Non
 
 
 def _run_simplex(tableau: np.ndarray, basis: list[int], eligible: np.ndarray) -> str:
-    """Iterate pivots until optimal or unbounded; mutates tableau and basis."""
+    """Iterate pivots until optimal or unbounded; mutates tableau and basis.
+
+    A pivot is degenerate when the entering variable's new value is at most
+    TOL, so the objective does not move.
+    """
     max_iters = 50_000 + 100 * tableau.size
+    streak = 0
     for _ in range(max_iters):
-        col = _bland_entering(tableau[-1, :-1], eligible)
+        col = _entering(tableau[-1, :-1], eligible, streak >= DEGENERATE_STREAK)
         if col is None:
             return "optimal"
         row = _bland_leaving(tableau, col, basis)
@@ -86,6 +105,8 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], eligible: np.ndarray) ->
             return "unbounded"
         _pivot(tableau, row, col)
         basis[row] = col
+        if streak < DEGENERATE_STREAK:
+            streak = streak + 1 if tableau[row, -1] <= TOL else 0
     raise SimplexError("pivot limit exceeded; tableau did not converge")
 
 
@@ -135,7 +156,9 @@ def _solution(tableau: np.ndarray, basis: list[int], c: np.ndarray) -> LpResult:
         if basis[i] < c.size:
             x[basis[i]] = tableau[i, -1]
     np.clip(x, 0.0, None, out=x)
-    return LpResult(status="optimal", x=x, objective=float(np.dot(c, x)))
+    # Added in index order: a BLAS dot's order depends on the CPU kernel.
+    objective = float(np.cumsum(c * x)[-1]) if c.size else 0.0
+    return LpResult(status="optimal", x=x, objective=objective)
 
 
 def _two_phase(c, a_ub, b_ub, a_eq, b_eq) -> tuple[str, _Optimum | None]:
@@ -190,31 +213,75 @@ def _two_phase(c, a_ub, b_ub, a_eq, b_eq) -> tuple[str, _Optimum | None]:
     if -tableau[-1, -1] > PHASE1_TOL:
         return "infeasible", None
 
-    # Drive any residual artificial out of the basis (degenerate pivots).
-    for i in range(m):
-        if basis[i] >= n + n_slack:
-            pivot_col = None
-            for j in range(n + n_slack):
-                if abs(tableau[i, j]) > TOL:
-                    pivot_col = j
-                    break
-            if pivot_col is not None:
-                _pivot(tableau, i, pivot_col)
-                basis[i] = pivot_col
-            # else: redundant row; the artificial stays basic at value ~0.
-
     # Phase 2: original objective, artificial columns frozen out.
-    tableau[-1, :] = 0.0
-    tableau[-1, :n] = c
-    for i in range(m):
-        if basis[i] < n and abs(c[basis[i]]) > 0.0:
-            tableau[-1] -= c[basis[i]] * tableau[i]
     eligible = np.zeros(n_total, dtype=bool)
     eligible[: n + n_slack] = True
-    status = _run_simplex(tableau, basis, eligible)
+    return _phase_two(_Optimum(tableau, basis, signs, identity, eligible), c)
+
+
+def _phase_two(start: _Optimum, c: np.ndarray) -> tuple[str, _Optimum | None]:
+    """Price ``c`` on a primal-feasible tableau and pivot it to optimal;
+    mutates ``start``.
+
+    First each artificial still basic (at value ~0) is pivoted out on its
+    row's first eligible column with an entry past TOL, a degenerate pivot;
+    one with no such column stays, on a row that is redundant.
+    """
+    tableau, basis = start.tableau, start.basis
+    for i, j in enumerate(basis):
+        if not start.eligible[j]:
+            cols = (start.eligible & (np.abs(tableau[i, :-1]) > TOL)).nonzero()[0]
+            if cols.size:
+                _pivot(tableau, i, int(cols[0]))
+                basis[i] = int(cols[0])
+    tableau[-1, :] = 0.0
+    tableau[-1, : c.size] = c
+    for i, j in enumerate(basis):
+        if j < c.size and abs(c[j]) > 0.0:
+            tableau[-1] -= c[j] * tableau[i]
+    status = _run_simplex(tableau, basis, start.eligible)
+    # A ratio tie within TOL can leave a basic value just below 0, which the
+    # solution would clip (1.5e-10 on downlink2's queue rows at rates 1.5e-10):
+    # dual-simplex pivots remove it, as on the warm path, unless they find a
+    # row that no pivot can fix (phase 1 has accepted that violation).
+    if status == "optimal" and (tableau[:-1, -1] < 0.0).any():
+        if _run_dual_simplex(tableau, basis, start.eligible) is None:
+            status = _run_simplex(tableau, basis, start.eligible)
     if status == "unbounded":
         return "unbounded", None
-    return "optimal", _Optimum(tableau, basis, signs, identity, eligible)
+    return "optimal", start
+
+
+def _add_column(best: _Optimum, c: np.ndarray, column: np.ndarray) -> tuple[str, _Optimum | None]:
+    """The optimum of ``best``'s LP with one more structural variable, last,
+    whose constraint column is ``column`` and whose objective is ``c`` (all
+    structural variables' costs).
+
+    ``best``'s basis stays primal feasible with the new variable non-basic at
+    0, so its tableau gains the column ``B^-1 a`` (under its row signs) and
+    only phase 2 runs.  A row left redundant by phase 1 need not be redundant
+    with the new column: phase 2 first pivots its artificial out on it.
+    Returns ("optimal", optimum) or ("unbounded", None).
+    """
+    n = c.size - 1
+    m = len(best.basis)
+    inverse = best.tableau[:m, best.identity]
+    signed = best.signs * column
+    # B^-1 a in a fixed order, as in ``_warm_solve``.
+    entries = np.zeros(m + 1)
+    for i in signed.nonzero()[0]:
+        entries[:m] += inverse[:, i] * signed[i]
+    # The slack and artificial columns move one to the right.
+    return _phase_two(
+        _Optimum(
+            np.insert(best.tableau, n, entries, axis=1),
+            [j + (j >= n) for j in best.basis],
+            best.signs,
+            best.identity + (best.identity >= n),
+            np.insert(best.eligible, n, True),
+        ),
+        c,
+    )
 
 
 def solve_lp(
@@ -325,18 +392,27 @@ def solve_lp_sequence(
     Values can differ from the cold solve's in the last digits, and at a
     degenerate optimum ``x`` can be another optimal vertex.
     """
+    return _solve_sequence(c, a_ub, a_eq, rhs)[0]
+
+
+def _solve_sequence(
+    c, a_ub, a_eq, rhs, best: _Optimum | None = None
+) -> tuple[list[LpResult], _Optimum | None]:
+    """``solve_lp_sequence``, warm from the first right-hand side on when
+    ``best`` (an optimum of the same LP) is given; also returns the optimum
+    that opened the warm chain, or None if no point was optimal."""
     c, a_ub, a_eq = _lp_matrices(c, a_ub, a_eq)
+    opening = best
     results: list[LpResult] = []
-    best: _Optimum | None = None
     for b_ub, b_eq in rhs:
         b_ub, b_eq = _rhs_arrays(a_ub, a_eq, b_ub, b_eq)
         status, opt = ("cold", None) if best is None else _warm_solve(best, b_ub, b_eq)
         if status == "cold":
             status, opt = _two_phase(c, a_ub, b_ub, a_eq, b_eq)
             if best is None:  # a fall-back's optimum is not a warm start
-                best = opt
+                best = opening = opt
         elif opt is not None:
             best = opt
         results.append(LpResult(status, None, None) if opt is None
                        else _solution(opt.tableau, opt.basis, c))
-    return results
+    return results, opening

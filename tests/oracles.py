@@ -19,8 +19,9 @@ stacks the sampler's time blocks for that comparison); so the batched kernel
 and the lockstep sampler are both checked against the plain recursion.
 ``single_queue_path`` builds one queue's backlog path by the reflection
 identity, with no slot loop at all: the kernel's lanes on a single queue
-with integer work must equal it bit for bit.  The simplex's
-pivot, entering and leaving rules are kept here as row-by-row loops, the
+with integer work must equal it bit for bit.  The simplex's pivot and
+leaving rule are kept here as row-by-row loops, and a whole primal pass with
+its Dantzig-then-Bland entering rule as scans (``run_simplex_by_scan``): the
 reference its array versions must match bit for bit.  The row-at-a-time
 CSV writer (``csv`` module, ``cli._fmt`` per value) is the byte reference
 for ``cli.write_csv``'s column-wise formatting.  ``markov_bound_violations``
@@ -50,6 +51,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from qnetlab import simplex
 from qnetlab.cli import _fmt
 from qnetlab.controller import DppRunResult
 from qnetlab.network import MODES, Scenario, ScenarioError
@@ -814,13 +816,6 @@ def pivot_by_rows(tableau: np.ndarray, row: int, col: int) -> None:
             tableau[r] -= tableau[r, col] * tableau[row]
 
 
-def bland_entering_by_scan(costs: np.ndarray, eligible: np.ndarray) -> int | None:
-    for j in np.flatnonzero(eligible):
-        if costs[j] < -TOL:
-            return int(j)
-    return None
-
-
 def bland_leaving_by_scan(tableau: np.ndarray, col: int, basis: list[int]) -> int | None:
     m = tableau.shape[0] - 1
     best_row = None
@@ -836,3 +831,34 @@ def bland_leaving_by_scan(tableau: np.ndarray, col: int, basis: list[int]) -> in
                 best_ratio = ratio
                 best_row = i
     return best_row
+
+
+def run_simplex_by_scan(tableau: np.ndarray, basis: list[int], eligible: np.ndarray) -> str:
+    """One primal pass, the reference for ``simplex._run_simplex``.
+
+    The entering column is the first eligible one of least reduced cost below
+    -TOL (Dantzig's rule), until ``simplex.DEGENERATE_STREAK`` pivots in a
+    row leave the entering variable at most TOL; from then on it is the
+    first eligible one below -TOL (Bland's rule).  Pivots go through
+    ``simplex._pivot``, so a test can swap in ``pivot_by_rows`` and record
+    them.
+    """
+    streak = 0
+    for _ in range(50_000 + 100 * tableau.size):
+        bland = streak >= simplex.DEGENERATE_STREAK
+        col, least = None, -TOL
+        for j in np.flatnonzero(eligible):
+            if tableau[-1, j] < least:
+                col, least = int(j), tableau[-1, j]
+                if bland:
+                    break
+        if col is None:
+            return "optimal"
+        row = bland_leaving_by_scan(tableau, col, basis)
+        if row is None:
+            return "unbounded"
+        simplex._pivot(tableau, row, col)
+        basis[row] = col
+        if not bland:
+            streak = streak + 1 if tableau[row, -1] <= TOL else 0
+    raise simplex.SimplexError("pivot limit exceeded; tableau did not converge")

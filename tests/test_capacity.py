@@ -1,9 +1,11 @@
 import functools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from oracles import build_scenario, grid_fopt
 from qnetlab import capacity, simplex
@@ -74,6 +76,16 @@ def test_returned_policy_satisfies_lp_constraints(downlink2):
     lp = build_lp(downlink2)
     x = np.concatenate(report.policy)
     assert np.max(lp.a_ub @ x - lp.b_ub, initial=0.0) <= 1e-9
+
+
+def test_tiny_rates_leave_no_clipped_basic_value(downlink2):
+    # At rates of 1.5e-10, ratio ties within the simplex's 1e-9 tolerance
+    # left two queue rows' basic values at -1.5e-10; clipped, they gave an
+    # idle policy with f_opt = 0.0 that overloads both queues.
+    report = solve_fopt(downlink2, [1.5e-10, 1.5e-10])
+    lp = build_lp(downlink2, [1.5e-10, 1.5e-10])
+    assert report.f_opt == pytest.approx(3e-10, rel=1e-6)
+    assert np.max(lp.a_ub @ np.concatenate(report.policy) - lp.b_ub) <= 1e-15
 
 
 def test_lp_moved_to_new_rates_equals_a_fresh_build(downlink2):
@@ -346,3 +358,50 @@ def test_warm_sweep_takes_a_tenth_of_the_cold_pivots(monkeypatch):
     pivots.clear()
     lp.sweep(scales)
     assert len(pivots) - base <= 0.10 * cold, (len(pivots), base, cold)
+
+
+def _linprog_answer(lp):
+    """``(feasible, f_opt, d_max)`` of ``lp`` by HiGHS, at tight tolerances."""
+    options = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    cost = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                   method="highs", options=options)
+    if cost.status == 2:
+        return False, math.nan, 0.0
+    assert cost.status == 0, cost.message
+    n = lp.c.size
+    margin = linprog(np.eye(n + 1)[n] * -1.0,
+                     A_ub=np.hstack([lp.a_ub, np.full((lp.a_ub.shape[0], 1), 0.5)]),
+                     b_ub=lp.b_ub, A_eq=np.hstack([lp.a_eq, np.zeros((lp.a_eq.shape[0], 1))]),
+                     b_eq=lp.b_eq, method="highs", options=options)
+    assert margin.status == 0, margin.message
+    return True, lp.c0 + cost.fun, max(-margin.fun, 0.0)
+
+
+def test_relay8_sweep_matches_linprog_in_a_few_pivots(monkeypatch):
+    # A routed 192-variable LP, degenerate at its optimum, across its
+    # boundary near 1.67.  The base answer (two passes of phase 2 after
+    # phase 1) took 448 pivots under Bland's rule alone; Dantzig's rule and
+    # the margin LP opening from the cost LP's optimum take about 100.
+    argv = CASES["capacity-relay8"]
+    scales = [float(s) for s in argv[argv.index("--sweep-scale") + 1].split(",")]
+    lp = build_lp(load_scenario(RELAY8))
+    pivots = []
+    pivot = simplex._pivot
+
+    def counting(tableau, row, col):
+        pivots.append(1)
+        pivot(tableau, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    report = lp.solve()
+    assert len(pivots) <= 150, len(pivots)
+    _, rows = lp.sweep(scales)
+    monkeypatch.undo()
+    ours = [(report.feasible, report.f_opt, report.d_max), *rows]
+    refs = [_linprog_answer(lp), *(_linprog_answer(lp.at(s * lp.lambdas)) for s in scales)]
+    assert [r[0] for r in ours] == [r[0] for r in refs] == [True] * 7 + [False] * 4
+    for scale, (_, f_opt, d_max), (_, ref_f, ref_d) in zip([1.0, *scales], ours, refs):
+        if not np.isnan(ref_f):
+            assert abs(f_opt - ref_f) <= 1e-9 and abs(d_max - ref_d) <= 1e-9, scale
+        else:
+            assert np.isnan(f_opt) and d_max == 0.0

@@ -619,7 +619,7 @@ def test_simplex_error_is_reported_not_raised(tmp_path, capsys, monkeypatch):
     def failing_lp(*args, **kwargs):
         raise SimplexError("iteration limit reached")
 
-    monkeypatch.setattr(capacity, "solve_lp_sequence", failing_lp)
+    monkeypatch.setattr(capacity, "_solve_sequence", failing_lp)
     out = tmp_path / "o"
     rc = main(["capacity", "bb1.json", "--out", str(out)])
     assert rc == 2
@@ -631,7 +631,7 @@ def test_capacity_out_that_is_a_file_fails_before_any_solve(tmp_path, capsys, mo
     def no_solve(*args, **kwargs):
         raise AssertionError("an LP was solved before --out was checked")
 
-    monkeypatch.setattr(capacity, "solve_lp_sequence", no_solve)
+    monkeypatch.setattr(capacity, "_solve_sequence", no_solve)
     out = tmp_path / "file"
     out.write_text("kept")
     rc = main(["capacity", RELAY8, "--sweep-scale", "0.5,1,1.5", "--out", str(out)])
@@ -660,8 +660,9 @@ def test_capacity_past_the_float_range_fails_before_any_output(tmp_path, capsys,
 
 @pytest.mark.parametrize("v_list", ["1", "1,10,100"])
 def test_sweep_v_solves_a_fixed_number_of_lps(tmp_path, monkeypatch, v_list):
-    # Two cold LPs (optimum and margin) for the interior check, which the
-    # drift constants reuse; the per-V bounds solve none.
+    # One cold LP (the optimum) for the interior check, which the drift
+    # constants reuse: the margin LP opens from its tableau.  The per-V bounds
+    # solve none.
     calls = []
     real_two_phase = simplex._two_phase
 
@@ -673,7 +674,7 @@ def test_sweep_v_solves_a_fixed_number_of_lps(tmp_path, monkeypatch, v_list):
     rc = main(["sweep-v", "downlink2.json", "--V", v_list, "--horizon", "1000",
                "--out", str(tmp_path / "o")])
     assert rc == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["simulate", "stability"])

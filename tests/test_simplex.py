@@ -86,20 +86,44 @@ def test_negative_rhs_inequalities():
     assert res.x == pytest.approx([2.0])
 
 
+# Beale's instance: Dantzig's rule cycles on its degenerate origin, with the
+# leaving row's ties going to the lowest basic index.
+BEALE_C = np.array([-0.75, 150.0, -0.02, 6.0])
+BEALE_A_UB = np.array(
+    [
+        [0.25, -60.0, -0.04, 9.0],
+        [0.5, -90.0, -0.02, 3.0],
+        [0.0, 0.0, 1.0, 0.0],
+    ]
+)
+BEALE_RHS = [[0, 0, 1], [0, 0, 2], [0, 0, 0], [0, -0.0, 0.5], [1, 0, 1], [0, 0, 1]]
+
+
 def test_degenerate_vertex_does_not_cycle():
-    # Classic cycling-prone instance (Beale); Bland's rule must terminate.
-    c = np.array([-0.75, 150.0, -0.02, 6.0])
-    a_ub = np.array(
-        [
-            [0.25, -60.0, -0.04, 9.0],
-            [0.5, -90.0, -0.02, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]
-    )
-    b_ub = np.array([0.0, 0.0, 1.0])
-    res = solve_lp(c, a_ub, b_ub)
+    # The Bland fallback must end Dantzig's cycle.
+    res = solve_lp(BEALE_C, BEALE_A_UB, np.array([0.0, 0.0, 1.0]))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-0.05)
+
+
+@pytest.mark.parametrize("sequence", [False, True], ids=["solve_lp", "sequence"])
+def test_beale_cycles_without_the_bland_fallback(monkeypatch, sequence):
+    # Without the fallback, the two tests on Beale's instance would cycle
+    # until the pivot limit: each of them tests the fallback.
+    monkeypatch.setattr(simplex, "DEGENERATE_STREAK", np.inf)
+    rhs = [(np.array(b, dtype=float), np.zeros(0)) for b in BEALE_RHS]
+    with pytest.raises(simplex.SimplexError, match="^pivot limit exceeded"):
+        if sequence:
+            simplex.solve_lp_sequence(BEALE_C, BEALE_A_UB, np.zeros((0, 4)), rhs)
+        else:
+            solve_lp(BEALE_C, BEALE_A_UB, rhs[0][0])
+
+
+def test_lp_without_columns_has_no_entering_column():
+    for bland in (False, True):
+        assert simplex._entering(np.zeros(0), np.zeros(0, dtype=bool), bland) is None
+    res = solve_lp(np.zeros(0))
+    assert res.status == "optimal" and res.x.size == 0 and res.objective == 0.0
 
 
 def test_redundant_equality_rows():
@@ -192,14 +216,17 @@ def _solve_recording_pivots(lp):
 
 
 @settings(max_examples=300, deadline=None)
-@given(random_lps())
-def test_array_pivots_match_row_loop_reference(lp):
+# A short streak limit switches passes to Bland's rule early (0: from the
+# first pivot), so the reference checks the fallback's hand-over too.
+@given(random_lps(), st.sampled_from([simplex.DEGENERATE_STREAK, 0, 1, 2]))
+def test_array_pivots_match_row_loop_reference(lp, streak):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplex, "_pivot", oracles.pivot_by_rows)
-        mp.setattr(simplex, "_bland_entering", oracles.bland_entering_by_scan)
-        mp.setattr(simplex, "_bland_leaving", oracles.bland_leaving_by_scan)
-        ref, ref_pivots = _solve_recording_pivots(lp)
-    ours, our_pivots = _solve_recording_pivots(lp)
+        mp.setattr(simplex, "DEGENERATE_STREAK", streak)
+        with pytest.MonkeyPatch.context() as ref_mp:
+            ref_mp.setattr(simplex, "_pivot", oracles.pivot_by_rows)
+            ref_mp.setattr(simplex, "_run_simplex", oracles.run_simplex_by_scan)
+            ref, ref_pivots = _solve_recording_pivots(lp)
+        ours, our_pivots = _solve_recording_pivots(lp)
     assert ours.status == ref.status
     assert our_pivots == ref_pivots
     if ref.status == "optimal":
@@ -258,21 +285,11 @@ def test_sequence_first_point_is_the_cold_solve():
 def test_sequence_on_degenerate_lp_terminates():
     # Beale's cycling instance: every right-hand side below keeps the origin
     # a degenerate vertex, so the dual ratio test meets ties and zero rows;
-    # the dual Bland rule must still terminate on the cold optimum.
-    c = np.array([-0.75, 150.0, -0.02, 6.0])
-    a_ub = np.array(
-        [
-            [0.25, -60.0, -0.04, 9.0],
-            [0.5, -90.0, -0.02, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]
-    )
-    a_eq = np.zeros((0, 4))
+    # the dual Bland rule must still terminate on the cold optimum, and the
+    # primal passes end Dantzig's cycle by the Bland fallback.
+    c, a_ub, a_eq = BEALE_C, BEALE_A_UB, np.zeros((0, 4))
     lp = (c, a_ub, None, a_eq, None)
-    rhs = [
-        (np.array(b, dtype=float), np.zeros(0))
-        for b in ([0, 0, 1], [0, 0, 2], [0, 0, 0], [0, -0.0, 0.5], [1, 0, 1], [0, 0, 1])
-    ]
+    rhs = [(np.array(b, dtype=float), np.zeros(0)) for b in BEALE_RHS]
     results = simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)
     _assert_matches_cold(lp, rhs, results)
     assert results[0].objective == pytest.approx(-0.05)
@@ -398,3 +415,25 @@ def test_sequences_match_cold_solves(case):
     lp, rhs = case
     c, a_ub, _, a_eq, _ = lp
     _assert_matches_cold(lp, rhs, simplex.solve_lp_sequence(c, a_ub, a_eq, rhs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_lps(), st.data())
+def test_added_column_matches_a_cold_solve(lp, data):
+    # An optimum of the LP, plus one column: phase 2 from its tableau must
+    # reach the cold solve's status and objective.
+    c, a_ub, b_ub, a_eq, b_eq = lp
+    status, opt = simplex._two_phase(c, a_ub, b_ub, a_eq, b_eq)
+    if opt is None:
+        return
+    cells = st.integers(-3, 3).map(float)
+    column = np.array(data.draw(st.lists(cells, min_size=b_ub.size + b_eq.size,
+                                         max_size=b_ub.size + b_eq.size)))
+    c_new = np.append(c, data.draw(cells))
+    status, added = simplex._add_column(opt, c_new, column)
+    cold = solve_lp(c_new, np.hstack([a_ub, column[: b_ub.size, None]]), b_ub,
+                    np.hstack([a_eq, column[b_ub.size :, None]]), b_eq)
+    assert status == cold.status
+    if added is not None:
+        ours = simplex._solution(added.tableau, added.basis, c_new)
+        assert ours.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
