@@ -31,13 +31,18 @@ __all__ = [
 ]
 
 _BLOCK_BYTES = 1 << 18  # per-block buffers of run_dpp_batch's slot loop
+_SLOT_VIEW_BYTES = 1 << 10  # per slot of a block: the ~0.9 kB of views in slot_views
 
 
-def _lane_slot_bytes(n_a: int, k: int, n_l: int) -> int:
+def _lane_slot_bytes(n_a: int, k: int, n_l: int, gather: bool) -> int:
     """Bytes per lane and slot of ``run_dpp_batch``'s per-block buffers: the
-    gathered score rows, ``[g | net | f | pad]`` (given a choice), indices,
-    arrivals, and the states ``[Z; Q; 1]`` twice."""
-    return 8 * ((n_l + k + 2) * n_a * (n_a > 1) + 3 + 3 * k + 2 * (n_l + k + 1))
+    gathered score rows ``[g | net | f | pad]`` if ``gather`` (given a
+    choice, on lanes of several replications, or of one whose per-state
+    table would not fit in ``_BLOCK_BYTES``), indices, arrivals, and the
+    states ``[Z; Q; 1]`` twice.  A one-replication run reads its score rows
+    from the per-state table instead; the table counts once against the
+    budget, and the blocks get what it leaves."""
+    return 8 * ((n_l + k + 2) * n_a * (gather and n_a > 1) + 3 + 3 * k + 2 * (n_l + k + 1))
 
 
 class DppRunResult(NamedTuple):
@@ -117,9 +122,15 @@ def run_dpp_batch(
     alone: scores, updates and reductions follow the single-run order.
     Every scenario runs one slot update on the stacked state ``s = [Z; Q]``,
     lanes innermost.  The state carries a constant last row, ``[Z; Q; 1]``,
-    and each block computes ``V f + pad`` once as the last of its gathered
-    score rows, so one reduction adds the rows ``[g | net | V f + pad]``
-    times ``[Z; Q; 1]`` in the fixed order ``t = 0..L+K``; no BLAS kernel
+    and a slot's score rows ``[g | net | V f + pad]`` have one of two
+    sources, picked from the input.  When every lane runs on one
+    replication, each slot finds all lanes in one state, and if the
+    ``(S, L+K+1, A, lanes)`` table of every state's rows fits in
+    ``_BLOCK_BYTES``, it is built once per run and slot ``t`` reads
+    ``table[omega_t]`` in place.  Otherwise each block gathers its lanes'
+    ``[g | net | f | pad]`` columns and computes ``V f + pad`` once as the
+    last row.  Either way one reduction adds the rows times ``[Z; Q; 1]``
+    in the fixed order ``t = 0..L+K``; no BLAS kernel
     rounds them, and as IEEE addition commutes the score is
     ``(V f + pad) + sum_t [g | net][t] * s[t]`` bit for bit.  Both modes
     update by ``s - min([-g | b], s)``, which for ``s >= 0`` is
@@ -131,7 +142,8 @@ def run_dpp_batch(
     slot's decision is one flat index ``omega * A + action`` per lane, held
     as intp so that the update's take reads it as it is; the counts and the
     records read it too.  A value past the float range raises
-    ``FloatingPointError``.
+    ``FloatingPointError``; on the per-state path a ``V f`` past it raises
+    as the table is built, for a state the horizon never visits too.
 
     Results leave by time block; no array spans the horizon.  Each block's
     per-lane totals of the slot-start backlogs, added in queue order (plus
@@ -175,7 +187,14 @@ def run_dpp_batch(
     n_rec = horizon if record_slots is None else min(horizon, record_slots)
     s_rec, c_rec = np.zeros((record, n_rec + 1, m)), np.zeros((n_rec, record), dtype=c_dtype)
 
-    block = max(1, _BLOCK_BYTES // (n * _lane_slot_bytes(n_a, k, n_l)))
+    # One replication puts every lane in one state at each slot: the scores
+    # read a per-state table if it fits the budget, and the blocks get what
+    # it leaves; else each block gathers its lanes' rows.
+    table_bytes = 8 * n_sa * (m + 1) * n
+    per_state = n_a > 1 and reps.size == 1 and table_bytes <= _BLOCK_BYTES
+    gather = n_a > 1 and not per_state
+    block = max(1, (_BLOCK_BYTES - per_state * table_bytes)
+                // (n * _lane_slot_bytes(n_a, k, n_l, gather) + _SLOT_VIEW_BYTES))
     # Slot-start states s = [Z; Q; 1] of one block: s_buf[j] is the state at
     # slot t0 + j.  Scores take all of it with a unit action axis, so the
     # constant last row adds V f + pad; the update reads and writes [Z; Q].
@@ -183,16 +202,15 @@ def run_dpp_batch(
     s_buf[:, m] = 1.0
     s_col, zq_buf, q_buf = s_buf[:, :, None], s_buf[:, :m], s_buf[:, n_l:m]
     z_tot = np.empty((block, n)) if with_virtual else None
-    # One block's gathered score tables (given a choice), flat indices and
+    # One block's gathered score tables (on the gather path), flat indices and
     # arrivals, in buffers that every block reuses.  The indices are intp,
     # the dtype that the update's take reads without a copy.
-    tabs_buf = np.empty((m + 2, n_a, block, n)) if n_a > 1 else None
+    tabs_buf = np.empty((m + 2, n_a, block, n)) if gather else None
     ix_buf, arr_buf = np.empty((block, n), dtype=np.intp), np.empty((block, k, n))
-    score_rows = [None] * block if tabs_buf is None else tabs_buf[: m + 1].transpose(2, 0, 1, 3)
-    # The views that slot j of a block reads, made once: its index row, score
-    # rows and arrivals, and the states [Z; Q; 1], [Z; Q] and Q at its start
-    # and end.
-    slot_views = list(zip(ix_buf, score_rows, arr_buf, zq_buf, s_col, zq_buf[1:], q_buf[1:]))
+    score_rows = tabs_buf[: m + 1].transpose(2, 0, 1, 3) if gather else [None] * block
+    # The views that slot j of a block reads, made once: its index row and
+    # arrivals, and the states [Z; Q; 1], [Z; Q] and Q at its start and end.
+    slot_views = list(zip(ix_buf, arr_buf, zq_buf, s_col, zq_buf[1:], q_buf[1:]))
     # Per-slot scratch, overwritten every slot.
     prod, scores = np.empty((m + 1, n_a, n)), np.empty((n_a, n))
     best, upd = np.empty(n, dtype=np.intp), np.empty((2 * m, n))
@@ -205,6 +223,14 @@ def run_dpp_batch(
     t0 = 0
     # A backlog, score or sum past the float range stops the run.
     with np.errstate(over="raise", invalid="raise"):
+        if per_state:
+            # table[omega] holds state omega's rows [g | net | V f + pad],
+            # (m + 1, A, lanes), contiguous; V f + pad as the gather path adds it.
+            table = np.empty((n_sa // n_a, m + 1, n_a, n))
+            table[:, :m] = score_tab[:m].transpose(2, 0, 1)[..., None]
+            np.multiply(f[..., None], v, out=table[:, m])
+            table[:, m] += scenario.pad[..., None]
+            table_rows = list(table)
         for omega, arrival_ix in sample_paths(scenario.omega_chain, scenario.arrivals, seed,
                                               horizon, reps):
             nb_s = omega.shape[0]
@@ -214,18 +240,21 @@ def run_dpp_batch(
             for j0 in range(0, nb_s, block):
                 nb = min(block, nb_s - j0)
                 # Gather one block of slots' columns at once, into the buffers
-                # that slot_views read.
+                # that the slots read.
                 w = omega[j0 : j0 + nb].take(lane_rep, axis=1)
                 ix = np.multiply(w, n_a, out=ix_buf[:nb], dtype=np.intp)
-                if n_a > 1:
+                if gather:
                     tabs = tabs_buf[:, :, :nb]
                     score_tab.take(w, axis=2, out=tabs, mode="clip")
                     vf = np.multiply(tabs[m], v, out=tabs[m])  # V f + pad, in the f row
                     vf += tabs[m + 1]
+                # One replication: slot j reads its state's table rows in place.
+                rows_j = (map(table_rows.__getitem__, omega[j0 : j0 + nb, 0].tolist())
+                          if per_state else score_rows[:nb])
                 arr_ix = arrival_ix[j0 : j0 + nb].take(lane_rep, axis=1) + queue_base
                 # arrival_table[q, arr_ix[..., q]]
                 arrival_flat.take(arr_ix.transpose(0, 2, 1), out=arr_buf[:nb], mode="clip")
-                for row, score_j, arr_j, s, s_c, s_next, q_next in slot_views[:nb]:
+                for (row, arr_j, s, s_c, s_next, q_next), score_j in zip(slot_views[:nb], rows_j):
                     if n_a > 1:  # else the state's one action is the argmin
                         # sum_t [g | net | V f + pad][t] * [Z; Q; 1][t], added in
                         # the order t = 0..m; IEEE addition commutes, so this is

@@ -281,17 +281,24 @@ def in_order(rows):
 
 
 # (v_weights, n_reps): simulate runs one lane per replication; sweep-v runs
-# every V on the same replications.
-LANE_LAYOUTS = {"simulate": ([2.0], 3), "sweep-v": ([0.0, 1.5, 20.0], 2)}
+# every V on the same replications, by default on one, where the kernel
+# reads each state's score rows from a per-state table.
+LANE_LAYOUTS = {"simulate": ([2.0], 3), "sweep-v": ([0.0, 1.5, 20.0], 2),
+                "sweep-v-r1": ([0.0, 1.5, 20.0], 1)}
 
 
 def assert_ragged_batch_matches_replay(scenario, v_weights, n_reps, mode, seed):
     """``assert_batch_matches_replay`` at horizon 50 with the kernel's table
-    blocks cut to 8 slots: six full blocks, then a short one of 2 slots."""
-    lanes, n_a = len(v_weights) * n_reps, scenario.f.shape[1]
-    slot_bytes = lanes * _lane_slot_bytes(n_a, scenario.n_queues, scenario.n_constraints)
+    blocks cut to 8 slots: six full blocks, then a short one of 2 slots.  A
+    one-replication run with a choice keeps its per-state table of
+    ``[g | net | V f + pad]`` in the budget too, so it takes that path."""
+    lanes, (n_s, n_a) = len(v_weights) * n_reps, scenario.f.shape
+    k, n_l = scenario.n_queues, scenario.n_constraints
+    per_state = n_a > 1 and n_reps == 1
+    table_bytes = 8 * n_s * (n_l + k + 1) * n_a * lanes if per_state else 0
+    slot_bytes = lanes * _lane_slot_bytes(n_a, k, n_l, not per_state) + controller._SLOT_VIEW_BYTES
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(controller, "_BLOCK_BYTES", 8 * slot_bytes)
+        patch.setattr(controller, "_BLOCK_BYTES", table_bytes + 8 * slot_bytes)
         assert_batch_matches_replay(scenario, v_weights, n_reps, mode, seed, horizon=50)
 
 
@@ -303,20 +310,26 @@ def test_ragged_blocks_match_network_step_replay_on_relay8(layout, mode):
     assert_ragged_batch_matches_replay(scenario, *LANE_LAYOUTS[layout], mode, seed=17)
 
 
-@pytest.mark.parametrize("fixture, lanes, horizon", [("bb1.json", 100, 3000),
-                                                      ("downlink2.json", 400, 1000)])
-def test_block_buffers_stay_within_the_block_budget(monkeypatch, fixture, lanes, horizon):
-    # _lane_slot_bytes counts every per-block buffer of the slot loop, so the
-    # traced peak stays a small multiple of _BLOCK_BYTES (the sampler's
-    # blocks and the reducer's counting chunks make most of it), and
-    # quadrupling the budget adds at most three budgets to it.
+@pytest.mark.parametrize("fixture, lanes, n_reps, horizon", [
+    pytest.param("bb1.json", 100, 100, 3000, id="bb1.json-100-3000"),
+    pytest.param("downlink2.json", 400, 400, 1000, id="downlink2.json-400-1000"),
+    pytest.param(RELAY8, 4, 1, 3000, id="relay8.json-4-3000-one-replication"),
+])
+def test_block_buffers_stay_within_the_block_budget(monkeypatch, fixture, lanes, n_reps, horizon):
+    # _lane_slot_bytes counts every per-block buffer of the slot loop on the
+    # path the run takes, _SLOT_VIEW_BYTES its views per slot, and a
+    # one-replication run's per-state table shares the budget with its
+    # blocks, so the traced peak stays a small multiple of _BLOCK_BYTES (the
+    # sampler's blocks and the reducer's counting chunks make most of it),
+    # and quadrupling the budget adds at most three budgets to it.  At 4
+    # lanes the views are over a third of a block's bytes.
     scenario, budget = load_scenario(fixture), controller._BLOCK_BYTES
 
     def traced_peak(block_bytes):
         monkeypatch.setattr(controller, "_BLOCK_BYTES", block_bytes)
         tracemalloc.start()
         try:
-            run_dpp_batch(scenario, [1.0] * lanes, range(lanes), 7, horizon,
+            run_dpp_batch(scenario, [1.0] * lanes, np.arange(lanes) % n_reps, 7, horizon,
                           reducer=VerdictReducer)
             return tracemalloc.get_traced_memory()[1]
         finally:

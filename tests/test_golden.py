@@ -63,6 +63,10 @@ moved in their last digits (downlink2's ``f_opt`` from 0.3 to
 column (``avg_backlog``, ``avg_cost``, ``g_avg_l``) stayed the same, and
 ``capacity-bb1`` and ``sweep-v-bb1`` kept their digests.  The sum in index
 order makes downlink2's ``f_opt`` the same under every BLAS core type.
+The ``simulate-downlink2-r1`` and ``sweep-v-downlink2-r1`` cases run one
+replication, ``sweep-v``'s default, where the kernel reads each state's
+score rows from a per-state table in place of a per-block gather; their
+digests were pinned before that path existed.
 """
 
 from __future__ import annotations
@@ -85,6 +89,8 @@ CASES = {
                               "--reps", "100", "--seed", "7", "--workers", "1"],
     "simulate-downlink2-w2": ["simulate", "downlink2.json", "--horizon", "1000",
                               "--reps", "100", "--seed", "7", "--workers", "2"],
+    "simulate-downlink2-r1": ["simulate", "downlink2.json", "--horizon", "1000",
+                              "--reps", "1", "--seed", "7"],
     "simulate-downlink2-clamped": ["simulate", "downlink2.json", "--horizon", "1500",
                                    "--reps", "3", "--seed", "8", "--V", "3",
                                    "--mode", "clamped", "--trace-limit", "700"],
@@ -97,6 +103,8 @@ CASES = {
     "stability-bb1": ["stability", *BB1, "--horizon", "3000", "--reps", "100", "--seed", "9"],
     "sweep-v-downlink2": ["sweep-v", "downlink2.json", "--V", "1,10,100",
                           "--horizon", "2000", "--reps", "2", "--seed", "5"],
+    "sweep-v-downlink2-r1": ["sweep-v", "downlink2.json", "--V", "1,10,100",
+                             "--horizon", "2000", "--reps", "1", "--seed", "5"],
     "sweep-v-downlink2-w2": ["sweep-v", "downlink2.json", "--V", "0,4",
                              "--horizon", "1500", "--reps", "3", "--seed", "6",
                              "--workers", "2"],
@@ -158,6 +166,11 @@ GOLDEN: dict[str, dict[str, str]] = {
         "report.txt": "d76ea216f3c8d44c739e40ea57b7742e08c089371882d762a0813afaf07246de",
         "trace.csv": "74f5ed6e0b6d7ed8fefb15e70d0d3426d888554c0edc843851bc06ac93cf9772",
     },
+    "simulate-downlink2-r1": {
+        "curves.csv": "c2294f664a46b9064765c689bcb87dae372c1d93163e34b3c26cf0d1603fb496",
+        "report.txt": "ac298dafc49cc373fd04b3cd5e9f5cab22ced263f0f1f799448e9cee3092e16d",
+        "trace.csv": "53892ff1eb360252f209ab3b1dc7b8b2edaee22aea0544f4dc638713a67f179a",
+    },
     "simulate-downlink2-w1": {
         "curves.csv": "0657e27cf0b709ce59bdb666cd62a6ce4bc569ada31814380eb189eb2cccdf01",
         "report.txt": "d27334d93b56d28348dc418ac981fbad64d515424378c2260a266f00504baf5a",
@@ -183,6 +196,10 @@ GOLDEN: dict[str, dict[str, str]] = {
     "sweep-v-downlink2": {
         "sweep.csv": "00ce8dd56f20fb9ac004f5f18e3b9b1489bbf2692927c5acde969bc013f8d48c",
         "sweep_report.txt": "d70e5a442f5dc5e5606c728bbd3e526372cc1f0332bc6ae443da0415526cddf6",
+    },
+    "sweep-v-downlink2-r1": {
+        "sweep.csv": "933d2daf4cb0a318f80bef71cf64dd8f8b21eb1ef8c03fadcc10bd90ce87c005",
+        "sweep_report.txt": "bb7c00db250e1f4ec969c05dd15ca4a78736536fbc6cbca6eb5459a5e9eac592",
     },
     "sweep-v-downlink2-w2": {
         "sweep.csv": "06516d4f455785f3b3d1985244ecca4245a201d7ef8358dccb79b02656b13c2f",

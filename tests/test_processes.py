@@ -160,6 +160,14 @@ def test_mixing_slow_chain_matches_powering_oracle():
     assert t_mix == mixing_time_by_powering(chain.transition, 0.01) > 1
 
 
+def test_mixing_time_counts_a_distance_equal_to_delta_as_mixed():
+    # two_state(0.25, 0.25) is at total-variation distance exactly 0.25 from
+    # uniform after one step (0.75 - 0.5, no rounding), and 0.125 after two.
+    chain = two_state(0.25, 0.25)
+    assert mixing_time(chain, 0.25) == 1
+    assert mixing_time(chain, np.nextafter(0.25, 0)) == 2
+
+
 def test_mixing_rejects_periodic_chain():
     flip = FiniteMarkovChain(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
     with pytest.raises(PeriodicChainError, match="randomiz"):
