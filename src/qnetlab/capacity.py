@@ -26,7 +26,7 @@ import numpy as np
 
 from .network import Scenario
 from .processes import mixing_time
-from .simplex import LpResult, SimplexError, _add_column, _solve_sequence
+from .simplex import LpResult, SimplexError, _add_column, _solve_ray
 
 if TYPE_CHECKING:  # pragma: no cover
     from .controller import DriftConstants
@@ -107,51 +107,61 @@ class PolicyLp(NamedTuple):
         ``s * self.lambdas`` for each scale s, without the policy or the
         binding rows.
 
-        The points share everything but the queue rows' right-hand side, so
-        the cost LP is one warm-started sequence that opens with a cold solve
-        at its first feasible point (``self.lambdas`` when feasible).  The
-        margin LP is the cost LP plus one variable d (every inequality pushed
-        to <= -d/2) with objective -d: the cost LP's first optimal basis,
-        with d non-basic at 0, is primal feasible for it, so the margin
-        sequence over the feasible points opens from that tableau with the
-        column of d added, and no phase 1.  Feasibility is the cost LP's; a
-        scale's ``f_opt`` and ``d_max`` can differ from a lone solve's in the
-        last digits.  Arithmetic past the float range raises
+        The base point is solved cold.  The scales lie on one ray, whose
+        right-hand side is ``b0 + s * delta`` with ``delta = -lambdas`` on the
+        queue rows, so the cost LP walks it once: sorted and deduplicated, the
+        scales are read off one tableau that opens at the base point's
+        optimum (or, when the base point is infeasible, at a cold solve of the
+        smallest scale) and moves by dual-simplex pivots where a basic value
+        crosses zero; past a scale proved infeasible, every larger one is
+        infeasible with no LP.  The margin LP is the cost LP plus one
+        variable d (every inequality pushed to <= -d/2) with objective -d:
+        the cost walk's first optimal basis, with d non-basic at 0, is primal
+        feasible for it, so the margin LP opens from that tableau with the
+        column of d added, and no phase 1; the base point's margin is read
+        there, and the feasible scales are walked the same way.  Feasibility
+        is the cost LP's, each scale's that of a lone solve; a scale's
+        ``f_opt`` and ``d_max`` can differ from a lone solve's in the last
+        digits.  Arithmetic past the float range raises
         ``FloatingPointError``.
         """
         with np.errstate(over="raise", invalid="raise"):
-            points = [self, *(self.at(s * self.lambdas) for s in scales)]
-            costs, opening = _solve_sequence(
-                self.c, self.a_ub, self.a_eq, [(p.b_ub, p.b_eq) for p in points]
-            )
-            feasible = [_cost_feasible(result) for result in costs]
-            margins = iter(())
+            ladder = sorted(set(scales))
+            points = [(s, self.at(s * self.lambdas).b_ub, self.b_eq) for s in ladder]
+            m_ub, m_eq = self.a_ub.shape[0], self.a_eq.shape[0]
+            delta = np.zeros(m_ub + m_eq)
+            delta[self.scenario.n_constraints : m_ub] = -self.lambdas
+            origin = np.concatenate([self.at(0.0 * self.lambdas).b_ub, self.b_eq])
+            cost_lp = (self.c, self.a_ub, self.a_eq, (origin, delta))
+            (cost,), base = _solve_ray(*cost_lp, [(1.0, self.b_ub, self.b_eq)])
+            costs, opening = _solve_ray(*cost_lp, points, base) if points else ([], base)
+            feasible = [_cost_feasible(result) for result in (cost, *costs)]
+            margins: list[LpResult] = []
             if opening is not None:
-                m_ub, m_eq = self.a_ub.shape[0], self.a_eq.shape[0]
                 c = np.zeros(self.c.size + 1)
                 c[-1] = -1.0  # maximize d
                 column = np.concatenate([np.full(m_ub, 0.5), np.zeros(m_eq)])
                 _, start = _add_column(opening, c, column)
                 if start is None:
                     raise SimplexError(_MARGIN_UNBOUNDED)
-                margins = iter(
-                    _solve_sequence(
-                        c,
-                        np.hstack([self.a_ub, column[:m_ub, None]]),
-                        np.hstack([self.a_eq, column[m_ub:, None]]),
-                        [(p.b_ub, p.b_eq) for p, ok in zip(points, feasible) if ok],
-                        start,
-                    )[0]
-                )
+                margin_lp = (c, np.hstack([self.a_ub, column[:m_ub, None]]),
+                             np.hstack([self.a_eq, column[m_ub:, None]]))
+                if feasible[0]:  # the base point is the origin of its own ray
+                    base_b = np.concatenate([self.b_ub, self.b_eq])
+                    margins = _solve_ray(*margin_lp, (base_b, delta),
+                                         [(0.0, self.b_ub, self.b_eq)], start)[0]
+                margins += _solve_ray(*margin_lp, (origin, delta),
+                                      [p for p, ok in zip(points, feasible[1:]) if ok], start)[0]
+            margin_values = iter(margins)
             rows = [
-                (True, self.c0 + float(result.objective), _margin_value(next(margins)))
+                (True, self.c0 + float(result.objective), _margin_value(next(margin_values)))
                 if ok
                 else (False, math.nan, 0.0)
-                for result, ok in zip(costs, feasible)
+                for result, ok in zip((cost, *costs), feasible)
             ]
             policy, binding = None, ()
             if feasible[0]:
-                x = costs[0].x
+                x = cost.x
                 slack = self.b_ub - self.a_ub @ x
                 policy = self.policy_from(x)
                 binding = tuple(
@@ -160,7 +170,8 @@ class PolicyLp(NamedTuple):
                     if s <= FEAS_TOL * (1.0 + abs(rhs))
                 )
         report = CapacityReport(*rows[0], policy, binding, bool(self.scenario.routing))
-        return report, rows[1:]
+        by_scale = dict(zip(ladder, rows[1:]))
+        return report, [by_scale[s] for s in scales]
 
     def solve(self) -> CapacityReport:
         """Minimum-cost state-only policy, with feasibility and margin report."""
@@ -181,7 +192,7 @@ def _margin_value(result: LpResult) -> float:
         return 0.0
     if result.status == "unbounded":
         raise SimplexError(_MARGIN_UNBOUNDED)
-    return max(float(result.x[-1]), 0.0)
+    return float(result.x[-1])
 
 
 def build_lp(scenario: Scenario, lambdas: Sequence[float] | None = None) -> PolicyLp:

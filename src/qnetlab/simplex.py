@@ -1,5 +1,5 @@
 """Dense two-phase primal simplex with Dantzig's rule and a Bland fallback, and
-a dual-simplex warm start for sequences of right-hand sides.
+a parametric dual-simplex walk along a ray of right-hand sides.
 
 Solves     minimize    c . x
            subject to  A_ub x <= b_ub
@@ -12,22 +12,23 @@ negative reduced cost (Dantzig's rule, lowest index on ties); after
 ``DEGENERATE_STREAK`` degenerate pivots in a row it switches, for the rest of
 that pass, to Bland's rule (the lowest-index eligible column), which cannot
 cycle.  The leaving row is always the minimum ratio, ties going to the lowest
-basic index.  ``solve_lp_sequence`` solves one LP per right-hand side for
-fixed ``c``, ``A_ub`` and ``A_eq``: the reduced costs do not depend on the
-right-hand side, so the last optimal tableau stays dual feasible and a dual
-simplex re-optimises it in a few pivots where a cold solve takes about a
-hundred.  Feasibility and optimality are decided at an absolute
-tolerance of 1e-9; phase 1 calls an LP infeasible when its artificials sum
-to more than 1e-7.
+basic index.  ``_solve_ray`` solves the LP at right-hand sides
+``b0 + s * delta`` for scales s in increasing order: the reduced costs do not
+depend on the right-hand side, so one optimal tableau stays dual feasible
+along the whole ray, each basis is optimal on an interval of scales, and the
+walk makes one dual-simplex pivot where a basic value crosses zero
+(parametric right-hand side: Gass and Saaty, 1955).  Feasibility and
+optimality are decided at an absolute tolerance of 1e-9; phase 1 calls an LP
+infeasible when its artificials sum to more than 1e-7.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["LpResult", "solve_lp", "solve_lp_sequence", "SimplexError"]
+__all__ = ["LpResult", "SimplexError"]
 
 TOL = 1e-9
 PHASE1_TOL = 1e-7  # largest sum of artificials that still counts as feasible
@@ -111,7 +112,8 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], eligible: np.ndarray) ->
 
 
 class _Optimum(NamedTuple):
-    """An optimal phase-2 tableau and what a warm start needs to reuse it.
+    """An optimal phase-2 tableau and what a walk or an added column needs
+    to reuse it.
 
     ``identity[i]`` is the column that was the unit vector e_i before any
     pivot (row i's slack, or its artificial), so ``tableau[:m, identity]`` is
@@ -126,30 +128,6 @@ class _Optimum(NamedTuple):
     eligible: np.ndarray  # structural and slack columns
 
 
-def _lp_matrices(c, a_ub, a_eq):
-    """The fixed data of an LP sequence as float arrays, checked once."""
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    a_ub, a_eq = (np.zeros((0, n)) if a is None else np.asarray(a, dtype=float)
-                  for a in (a_ub, a_eq))
-    if not (a_ub.ndim == a_eq.ndim == 2 and a_ub.shape[1] == a_eq.shape[1] == n):
-        raise ValueError("constraint matrix shapes do not match")
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a_ub)) and np.all(np.isfinite(a_eq))):
-        raise ValueError("LP data must be finite")
-    return c, a_ub, a_eq
-
-
-def _rhs_arrays(a_ub, a_eq, b_ub, b_eq):
-    """One right-hand side as float arrays, checked against the checked
-    ``a_ub`` and ``a_eq``."""
-    b_ub, b_eq = (np.zeros(0) if b is None else np.asarray(b, dtype=float) for b in (b_ub, b_eq))
-    if (b_ub.size, b_eq.size) != (a_ub.shape[0], a_eq.shape[0]):
-        raise ValueError("constraint matrix shapes do not match")
-    if not (np.all(np.isfinite(b_ub)) and np.all(np.isfinite(b_eq))):
-        raise ValueError("LP data must be finite")
-    return b_ub, b_eq
-
-
 def _solution(tableau: np.ndarray, basis: list[int], c: np.ndarray) -> LpResult:
     x = np.zeros(c.size)
     for i in range(len(basis)):
@@ -159,6 +137,10 @@ def _solution(tableau: np.ndarray, basis: list[int], c: np.ndarray) -> LpResult:
     # Added in index order: a BLAS dot's order depends on the CPU kernel.
     objective = float(np.cumsum(c * x)[-1]) if c.size else 0.0
     return LpResult(status="optimal", x=x, objective=objective)
+
+
+def _result(status: str, opt: _Optimum | None, c: np.ndarray) -> LpResult:
+    return LpResult(status, None, None) if opt is None else _solution(opt.tableau, opt.basis, c)
 
 
 def _two_phase(c, a_ub, b_ub, a_eq, b_eq) -> tuple[str, _Optimum | None]:
@@ -242,7 +224,7 @@ def _phase_two(start: _Optimum, c: np.ndarray) -> tuple[str, _Optimum | None]:
     status = _run_simplex(tableau, basis, start.eligible)
     # A ratio tie within TOL can leave a basic value just below 0, which the
     # solution would clip (1.5e-10 on downlink2's queue rows at rates 1.5e-10):
-    # dual-simplex pivots remove it, as on the warm path, unless they find a
+    # dual-simplex pivots remove it, as on the walk, unless they find a
     # row that no pivot can fix (phase 1 has accepted that violation).
     if status == "optimal" and (tableau[:-1, -1] < 0.0).any():
         if _run_dual_simplex(tableau, basis, start.eligible) is None:
@@ -264,17 +246,10 @@ def _add_column(best: _Optimum, c: np.ndarray, column: np.ndarray) -> tuple[str,
     Returns ("optimal", optimum) or ("unbounded", None).
     """
     n = c.size - 1
-    m = len(best.basis)
-    inverse = best.tableau[:m, best.identity]
-    signed = best.signs * column
-    # B^-1 a in a fixed order, as in ``_warm_solve``.
-    entries = np.zeros(m + 1)
-    for i in signed.nonzero()[0]:
-        entries[:m] += inverse[:, i] * signed[i]
     # The slack and artificial columns move one to the right.
     return _phase_two(
         _Optimum(
-            np.insert(best.tableau, n, entries, axis=1),
+            np.insert(best.tableau, n, _basis_solve(best, column), axis=1),
             [j + (j >= n) for j in best.basis],
             best.signs,
             best.identity + (best.identity >= n),
@@ -282,18 +257,6 @@ def _add_column(best: _Optimum, c: np.ndarray, column: np.ndarray) -> tuple[str,
         ),
         c,
     )
-
-
-def solve_lp(
-    c: np.ndarray,
-    a_ub: np.ndarray | None = None,
-    b_ub: np.ndarray | None = None,
-    a_eq: np.ndarray | None = None,
-    b_eq: np.ndarray | None = None,
-) -> LpResult:
-    """Two-phase simplex over non-negative variables: the sequence of one
-    right-hand side."""
-    return solve_lp_sequence(c, a_ub, a_eq, [(b_ub, b_eq)])[0]
 
 
 def _run_dual_simplex(
@@ -327,92 +290,101 @@ def _run_dual_simplex(
     raise SimplexError("pivot limit exceeded; dual simplex did not converge")
 
 
-def _warm_solve(
-    best: _Optimum, b_ub: np.ndarray, b_eq: np.ndarray
-) -> tuple[str, _Optimum | None]:
-    """Re-optimise a copy of ``best`` for a new right-hand side.
-
-    Returns ("optimal", optimum), ("infeasible", None), or ("cold", None)
-    where only a cold solve can tell.
-    """
-    tableau = best.tableau.copy()
-    basis = list(best.basis)
-    m = len(basis)
-    inverse = tableau[:m, best.identity]
-    signed = best.signs * np.concatenate([b_ub, b_eq])
-    # B^-1 b' as elementwise products added in a fixed order, so the bits do
-    # not depend on the CPU kernel the way a BLAS matrix-vector product does.
-    values = np.zeros(m)
+def _basis_solve(best: _Optimum, vector: np.ndarray) -> np.ndarray:
+    """``B^-1 v`` under ``best``'s row signs, as a tableau column (0 in the
+    objective row).  The elementwise products are added in a fixed order, so
+    the bits do not depend on the CPU kernel the way a BLAS matrix-vector
+    product does."""
+    m = len(best.basis)
+    inverse = best.tableau[:m, best.identity]
+    signed = best.signs * vector
+    column = np.zeros(m + 1)
     for i in signed.nonzero()[0]:
-        values += inverse[:, i] * signed[i]
-    tableau[:m, -1] = values
-    row = _run_dual_simplex(tableau, basis, best.eligible)
-    if row is not None:
-        # Minus this row of B^-1, divided by its largest entry (at least 1),
-        # is a dual point of every phase-1 LP of this right-hand side, so
-        # their optimum is at least the violation below.  Phase 1 rounds the
-        # same violation differently (downlink2 at scale 1.5 + 1e-6/3: 1e-7
-        # plus 1.1e-16 here, at most 1e-7 there), so only a violation above
-        # twice its threshold is decided here; a smaller one is solved cold.
-        scale = max(1.0, float(np.abs(tableau[row, best.identity]).max()))
-        if -tableau[row, -1] / scale > 2.0 * PHASE1_TOL:
-            return "infeasible", None
-        return "cold", None
-    # Ties within TOL in the ratio test can leave a reduced cost just below
-    # -TOL; primal pivots restore the cold solve's optimality test.
-    if _run_simplex(tableau, basis, best.eligible) == "unbounded":
-        return "cold", None
-    # An artificial can stay basic on a redundant row; away from zero it
-    # means the rows are now inconsistent, which phase 1 decides.
-    if any(
-        not best.eligible[j] and abs(tableau[i, -1]) > TOL for i, j in enumerate(basis)
-    ):
-        return "cold", None
-    return "optimal", _Optimum(tableau, basis, best.signs, best.identity, best.eligible)
+        column[:m] += inverse[:, i] * signed[i]
+    return column
 
 
-def solve_lp_sequence(
+def _solve_ray(
     c: np.ndarray,
-    a_ub: np.ndarray | None,
-    a_eq: np.ndarray | None,
-    rhs: Iterable[tuple[np.ndarray | None, np.ndarray | None]],
-) -> list[LpResult]:
-    """The LP of ``c``, ``a_ub`` and ``a_eq`` for each ``(b_ub, b_eq)`` in turn.
-
-    The fixed data are converted and checked once, each right-hand side as
-    it comes; mis-shaped or non-finite data raise ``ValueError``.
-    Right-hand sides are solved cold (two-phase) until one is optimal; each
-    later one starts from the last optimal tableau: its basic values become
-    ``B^-1 b'`` under the row signs of that tableau's own normalisation, and
-    dual-simplex pivots restore primal feasibility.  Where the warm path's
-    evidence is marginal (an infeasibility certificate worth at most twice
-    the phase-1 threshold, or a basic artificial away from zero), that point
-    is solved cold, so its status is the cold solve's.  Neither such a point
-    nor one found infeasible moves the warm start.
-    Values can differ from the cold solve's in the last digits, and at a
-    degenerate optimum ``x`` can be another optimal vertex.
-    """
-    return _solve_sequence(c, a_ub, a_eq, rhs)[0]
-
-
-def _solve_sequence(
-    c, a_ub, a_eq, rhs, best: _Optimum | None = None
+    a_ub: np.ndarray,
+    a_eq: np.ndarray,
+    ray: tuple[np.ndarray, np.ndarray],
+    points: Sequence[tuple[float, np.ndarray, np.ndarray]],
+    best: _Optimum | None = None,
 ) -> tuple[list[LpResult], _Optimum | None]:
-    """``solve_lp_sequence``, warm from the first right-hand side on when
-    ``best`` (an optimum of the same LP) is given; also returns the optimum
-    that opened the warm chain, or None if no point was optimal."""
-    c, a_ub, a_eq = _lp_matrices(c, a_ub, a_eq)
-    opening = best
+    """The LP of ``c``, ``a_ub`` and ``a_eq`` at each ``(s, b_ub, b_eq)`` of
+    ``points``, whose right-hand side is ``origin + s * direction`` for
+    ``ray = (origin, direction)`` (inequality rows, then equality rows).
+
+    The scales must not decrease, and the right-hand side must only shrink
+    along the ray (``direction`` <= 0 on inequality rows, 0 on equality
+    rows), so that an infeasible scale makes every larger one infeasible.
+    Without ``best`` (an optimum of the same LP) the first point is solved
+    cold; if it is infeasible, so is every point.  From the optimum one
+    tableau walks the points in turn.  It carries ``beta = B^-1 origin`` and
+    ``gamma = B^-1 direction`` as two frozen columns that every pivot
+    updates, so at each scale the basic values are ``beta + s * gamma``, and
+    dual-simplex pivots restore primal feasibility where a row has crossed
+    zero.  A row that no pivot can fix is a certificate: where it proves a
+    violation above twice the phase-1 threshold, that scale and every larger
+    one are infeasible, with no further arithmetic.  A smaller violation, a
+    basic artificial away from zero, or an unbounded primal clean-up leave
+    the point to a cold solve (after an unbounded one, every later point
+    too), so each status is the cold solve's.  Values can differ from the
+    cold solve's in the last digits, and at a degenerate optimum ``x`` can
+    be another optimal vertex.  Returns the results in order, and the
+    optimum that opened the walk (``best``, unchanged), or None if there was
+    none.
+    """
     results: list[LpResult] = []
-    for b_ub, b_eq in rhs:
-        b_ub, b_eq = _rhs_arrays(a_ub, a_eq, b_ub, b_eq)
-        status, opt = ("cold", None) if best is None else _warm_solve(best, b_ub, b_eq)
+    settled = None  # the status of every later point, once the walk has ended
+    if best is None:
+        _, b_ub, b_eq = points[0]
+        status, best = _two_phase(c, a_ub, b_ub, a_eq, b_eq)
+        results.append(_result(status, best, c))
+        points = points[1:]
+        if best is None:  # past an unbounded point only a cold solve can tell
+            settled = "infeasible" if status == "infeasible" else "cold"
+    if settled is None:
+        n_total = best.eligible.size
+        tableau = np.hstack([
+            best.tableau[:, :n_total],
+            np.column_stack([_basis_solve(best, v) for v in ray]),
+            best.tableau[:, n_total:],
+        ])
+        beta, gamma, values = tableau[:-1, n_total], tableau[:-1, n_total + 1], tableau[:-1, -1]
+        basis = list(best.basis)
+        eligible = np.append(best.eligible, [False, False])
+    for s, b_ub, b_eq in points:
+        status = settled or "cold"
+        if settled is None:
+            np.add(beta, s * gamma, out=values)
+            row = _run_dual_simplex(tableau, basis, eligible)
+            if row is not None:
+                # Minus this row of B^-1, divided by its largest entry (at
+                # least 1), is a dual point of every phase-1 LP of this
+                # right-hand side, so their optimum is at least the violation
+                # below.  Phase 1 rounds the same violation differently
+                # (downlink2 at scale 1.5 + 1e-6/3: 1e-7 plus 1.1e-16 here, at
+                # most 1e-7 there), so only a violation above twice its
+                # threshold is decided here; a smaller one is solved cold.
+                largest = max(1.0, float(np.abs(tableau[row, best.identity]).max()))
+                if -values[row] / largest > 2.0 * PHASE1_TOL:
+                    status = settled = "infeasible"
+            # Ties within TOL in the ratio test can leave a reduced cost just
+            # below -TOL; primal pivots restore the cold solve's optimality test.
+            elif _run_simplex(tableau, basis, eligible) == "unbounded":
+                settled = "cold"
+            # An artificial can stay basic on a redundant row; away from zero
+            # it means the rows are now inconsistent, which phase 1 decides.
+            elif not any(
+                not eligible[j] and abs(values[i]) > TOL for i, j in enumerate(basis)
+            ):
+                status = "optimal"
         if status == "cold":
-            status, opt = _two_phase(c, a_ub, b_ub, a_eq, b_eq)
-            if best is None:  # a fall-back's optimum is not a warm start
-                best = opening = opt
-        elif opt is not None:
-            best = opt
-        results.append(LpResult(status, None, None) if opt is None
-                       else _solution(opt.tableau, opt.basis, c))
-    return results, opening
+            results.append(_result(*_two_phase(c, a_ub, b_ub, a_eq, b_eq), c))
+        elif status == "optimal":
+            results.append(_solution(tableau, basis, c))
+        else:
+            results.append(LpResult(status, None, None))
+    return results, best

@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 from oracles import build_scenario, grid_fopt
 from qnetlab import capacity, simplex
 from qnetlab.capacity import build_lp, performance_bounds, solve_fopt
-from qnetlab.cli import override_mu
+from qnetlab.cli import main, override_mu
 from qnetlab.controller import DriftConstants, drift_constants
 from qnetlab.network import load_scenario
 from qnetlab.processes import ArrivalSpec, make_rng
@@ -335,29 +335,147 @@ def test_warm_sweep_matches_cold_solves(name, data):
             assert np.isnan(f_opt) and d_max == 0.0
 
 
-def test_warm_sweep_takes_a_tenth_of_the_cold_pivots(monkeypatch):
-    # A silent fall-back to cold solves would take about as many pivots as
-    # the cold loop itself.
-    argv = CASES["capacity-relay8"]
-    scales = [float(s) for s in argv[argv.index("--sweep-scale") + 1].split(",")]
+def test_sweep_walks_the_ray_once(monkeypatch):
+    # Pivots by phase on relay8's 0.1 ... 6.0 sweep.  The walk opens at the
+    # base point's cold solve (its one phase 1) and the margin LP at that
+    # optimum plus the column of d; after those, every pivot is a dual pivot
+    # where a basic value has crossed zero, or a primal clean-up.  A walk
+    # crosses each breakpoint at most twice (down to the smallest scale from
+    # the base point, then up); the bound allows the cost and margin walks
+    # as many breakpoints as the tableau has rows (26), and they take 63
+    # dual pivots.  Solving each point again from the opening took 1,322
+    # pivots in all, and solving each point cold about 4,100.
     lp = build_lp(load_scenario(RELAY8))
+    scales = [0.1 * i for i in range(1, 61)]
     pivots = []
+    phase = ["walk"]
+
+    def spied(name, original):
+        def run(*args, **kwargs):
+            outer, phase[0] = phase[0], name if phase[0] == "walk" else phase[0]
+            try:
+                return original(*args, **kwargs)
+            finally:
+                phase[0] = outer
+        monkeypatch.setattr(simplex, name, run)
+
+    for name in ("_two_phase", "_add_column", "_run_dual_simplex", "_run_simplex"):
+        spied(name, getattr(simplex, name))
+    monkeypatch.setattr(capacity, "_add_column", simplex._add_column)
     pivot = simplex._pivot
-
-    def counting(tableau, row, col):
-        pivots.append(1)
-        pivot(tableau, row, col)
-
-    monkeypatch.setattr(simplex, "_pivot", counting)
-    for scale in scales:
-        lp.at(scale * lp.lambdas).solve()
-    cold = len(pivots)
-    pivots.clear()
-    lp.solve()
-    base = len(pivots)
-    pivots.clear()
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(phase[0]) or pivot(*args))
     lp.sweep(scales)
-    assert len(pivots) - base <= 0.10 * cold, (len(pivots), base, cold)
+    monkeypatch.undo()
+    cold = pivots.count("_two_phase") + pivots.count("_add_column")
+    dual, clean_up = pivots.count("_run_dual_simplex"), pivots.count("_run_simplex")
+    rows = lp.a_ub.shape[0] + lp.a_eq.shape[0]
+    assert dual + clean_up + cold == len(pivots), pivots
+    assert len(pivots) <= cold + 2 * (2 * rows) + clean_up, (cold, dual, clean_up)
+
+
+def test_infeasible_base_and_smallest_scale_solve_two_lps(tmp_path, monkeypatch):
+    # bb1 at lambda = 0.6 > mu: the base point and the smallest scale are
+    # solved cold, and the second proves every larger scale infeasible.  A
+    # solve per point took six.
+    calls = []
+    cold_solve = simplex._two_phase
+
+    def counting(*args):
+        calls.append(1)
+        return cold_solve(*args)
+
+    monkeypatch.setattr(simplex, "_two_phase", counting)
+    rc = main(["capacity", "bb1.json", "--lambda", "0.6", "--sweep-scale", "1.5,0.9,2,0.9,1.2",
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert len(calls) <= 2
+    rows = (tmp_path / "o" / "capacity_sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",", 2)[2] for row in rows] == ["false,nan,0.0"] * 5
+
+
+@pytest.mark.parametrize("fixture", ["downlink2.json", RELAY8])
+def test_sweep_rows_come_back_in_input_order(tmp_path, capsys, fixture):
+    # The walk sorts and deduplicates the scales; the rows keep the input's
+    # order and repeats, with each lone solve's feasible flag.  The 2.0 row
+    # proves every larger scale infeasible, so 1e308 needs no arithmetic:
+    # relay8's 1e308 row overflowed in the LP when each point was solved on
+    # its own.
+    scales = ["0.5", "1e308", "0", "1e-300", "2", "0.5", "1.2"]
+    rc = main(["capacity", fixture, "--sweep-scale", ",".join(scales),
+               "--out", str(tmp_path / "o")])
+    assert rc == 0 and capsys.readouterr().err == ""
+    rows = [row.split(",") for row in
+            (tmp_path / "o" / "capacity_sweep.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(float(s)) for s in scales]
+    lp = build_lp(load_scenario(fixture))
+    expected = [s != "1e308" and lp.at(float(s) * lp.lambdas).solve().feasible for s in scales]
+    assert [row[-3] == "true" for row in rows] == expected
+    assert rows[1][-3:] == ["false", "nan", "0.0"]
+    assert rows[0] == rows[5]
+
+
+# Every relation along a ray holds within this slack, relative to the
+# largest magnitude it compares (at least 1).
+RAY_SLACK = 1e-12
+
+
+def assert_ray_relations(points):
+    """On ``(scale, (feasible, f_opt, d_max))`` points of one ray: the
+    feasible scales form a prefix of the sorted scales (up to the slack in
+    scale), f_opt is non-decreasing and d_max non-increasing on them, and on
+    the interior ones (d_max > 0) f_opt is convex and d_max concave.
+
+    A feasible point with d_max = 0 lies on the boundary, or past it by no
+    more than phase 1's tolerance (1e-7 of violation) accepts: there d_max is
+    0 by its bound d >= 0, not by the concave extension, which is negative.
+    Such a point at the top of the ray breaks concavity by up to the
+    tolerance (downlink2 reads d_max = 0 at 1.5 + 3.3e-7 times its rates,
+    and d_max at 1.0 lies 4.4e-8 below the chord from 0), so it joins only
+    the first two relations.
+    """
+    points = sorted(points)
+    feasible = [(s, f, d) for s, (ok, f, d) in points if ok]
+    # Lone cold solves decide the flags, and at phase 1's threshold their
+    # rounding is not monotone: relay8 at 1.40625 times its rates is
+    # infeasible at scale 1.1850613269060721 and feasible at 1.185061326906073.
+    first_infeasible = min((s for s, (ok, _, _) in points if not ok), default=math.inf)
+    assert all(s <= first_infeasible * (1.0 + RAY_SLACK) for s, _, _ in feasible), points
+
+    def slack(*values):
+        return RAY_SLACK * max(1.0, *map(abs, values))
+
+    for (_, f0, d0), (_, f1, d1) in zip(feasible, feasible[1:]):
+        assert f1 >= f0 - slack(f0, f1) and d1 <= d0 + slack(d0, d1), (f0, f1, d0, d1)
+    interior = [point for point in feasible if point[2] > 0.0]
+    for (s0, f0, d0), (s1, f1, d1), (s2, f2, d2) in zip(interior, interior[1:], interior[2:]):
+        if s2 == s0:
+            continue
+        t = (s1 - s0) / (s2 - s0)
+        assert f1 <= f0 + t * (f2 - f0) + slack(f0, f1, f2), (s0, s1, s2)
+        assert d1 >= d0 + t * (d2 - d0) - slack(d0, d1, d2), (s0, s1, s2)
+
+
+@pytest.mark.parametrize("fixture, step", [("downlink2.json", 0.05), (RELAY8, 0.1)])
+def test_fixture_rays_keep_their_relations(fixture, step):
+    lp = build_lp(load_scenario(fixture))
+    scales = [step * i for i in range(61)]
+    report, rows = lp.sweep(scales)
+    assert_ray_relations([(1.0, report[:3]), *zip(scales, rows)])
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SCENARIOS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_drawn_rays_keep_their_relations(name, data):
+    lp, boundary = sweep_case(name)
+    b = data.draw(scale_points(boundary).filter(lambda b: b >= 1e-3))
+    base = lp.at(b * lp.lambdas)
+    scales = [s / b for s in data.draw(scale_lists(boundary))]
+    report, rows = base.sweep(scales)
+    by_scale = {}
+    for scale, row in zip(scales, rows):
+        assert by_scale.setdefault(scale, row) == row or np.isnan(row[1])
+    assert_ray_relations([(1.0, report[:3]), *by_scale.items()])
 
 
 def _linprog_answer(lp):

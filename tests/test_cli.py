@@ -619,7 +619,7 @@ def test_simplex_error_is_reported_not_raised(tmp_path, capsys, monkeypatch):
     def failing_lp(*args, **kwargs):
         raise SimplexError("iteration limit reached")
 
-    monkeypatch.setattr(capacity, "_solve_sequence", failing_lp)
+    monkeypatch.setattr(capacity, "_solve_ray", failing_lp)
     out = tmp_path / "o"
     rc = main(["capacity", "bb1.json", "--out", str(out)])
     assert rc == 2
@@ -631,7 +631,7 @@ def test_capacity_out_that_is_a_file_fails_before_any_solve(tmp_path, capsys, mo
     def no_solve(*args, **kwargs):
         raise AssertionError("an LP was solved before --out was checked")
 
-    monkeypatch.setattr(capacity, "_solve_sequence", no_solve)
+    monkeypatch.setattr(capacity, "_solve_ray", no_solve)
     out = tmp_path / "file"
     out.write_text("kept")
     rc = main(["capacity", RELAY8, "--sweep-scale", "0.5,1,1.5", "--out", str(out)])

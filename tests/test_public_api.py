@@ -36,7 +36,7 @@ MODULES = {
         "stationary_distribution",
     ],
     "queues": [],  # kept importable, with no names, for the benchmark's tracer
-    "simplex": ["LpResult", "SimplexError", "solve_lp", "solve_lp_sequence"],
+    "simplex": ["LpResult", "SimplexError"],
     "stability": [
         "OrderedSum", "StabilityVerdict", "VerdictReducer",
         "bb1_closed_form", "cex_mean_not_rate", "cex_rate_not_mean", "cex_strong_not_rate",

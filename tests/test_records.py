@@ -233,6 +233,7 @@ def every_record():
     _, step = oracles.network_step(scenario, state, 0, 0, np.zeros(scenario.n_queues))
     lp = capacity.build_lp(scenario)
     report = lp.solve()
+    lp_data = (np.ones(1), np.zeros((0, 1)), np.zeros(0), np.ones((1, 1)), np.ones(1))
     drift = controller.drift_constants(scenario)
     batch = controller.run_dpp_batch(scenario, [1.0, 2.0], [0, 1], 5, 1000, record=1)
     return [
@@ -242,7 +243,7 @@ def every_record():
         batch, batch.runs[0],
         controller.run_dpp_batch(scenario, [1.0] * 3, [0, 1, 2], 5, 1000,
                                  reducer=stability.VerdictReducer).reducer.verdict(),
-        simplex.solve_lp([1.0], None, None, [[1.0]], [1.0]),
+        simplex._result(*simplex._two_phase(*lp_data), lp_data[0]),
     ]
 
 

@@ -8,12 +8,20 @@ from scipy.optimize import linprog
 
 import oracles
 from qnetlab import simplex
-from qnetlab.simplex import solve_lp
+
+
+def cold_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+    """One LP solved cold by ``simplex._two_phase``, as an ``LpResult``."""
+    c = np.asarray(c, dtype=float)
+    a_ub, a_eq = (np.zeros((0, c.size)) if a is None else np.asarray(a, dtype=float)
+                  for a in (a_ub, a_eq))
+    b_ub, b_eq = (np.zeros(0) if b is None else np.asarray(b, dtype=float) for b in (b_ub, b_eq))
+    return simplex._result(*simplex._two_phase(c, a_ub, b_ub, a_eq, b_eq), c)
 
 
 def test_simple_bounded_minimum():
     # min -x - y  s.t.  x + y <= 4, x <= 2
-    res = solve_lp(
+    res = cold_solve(
         c=np.array([-1.0, -1.0]),
         a_ub=np.array([[1.0, 1.0], [1.0, 0.0]]),
         b_ub=np.array([4.0, 2.0]),
@@ -30,35 +38,9 @@ def test_leaving_row_skips_an_overflowing_ratio_without_a_warning():
         assert simplex._bland_leaving(tableau, 0, [0, 1]) == 1
 
 
-# (c, a_ub, a_eq, right-hand sides, message): the fixed data are bad, or
-# only the second right-hand side is.
-BAD_DATA = {
-    "c-not-finite": ([np.nan, 1.0], [[1.0, 1.0]], None, [([1.0], None)], "LP data must be finite"),
-    "a_ub-not-finite": ([1.0, 1.0], [[1.0, np.inf]], None, [([1.0], None)],
-                        "LP data must be finite"),
-    "a_eq-columns": ([1.0, 1.0], None, [[1.0]], [(None, [1.0])],
-                     "constraint matrix shapes do not match"),
-    "a_ub-not-a-matrix": ([1.0, 1.0], [1.0, 1.0], None, [([1.0], None)],
-                          "constraint matrix shapes do not match"),
-    "b_ub-not-finite": ([1.0, 1.0], [[1.0, 1.0]], None, [([1.0], None), ([np.nan], None)],
-                        "LP data must be finite"),
-    "b_ub-size": ([1.0, 1.0], [[1.0, 1.0]], None, [([1.0], None), ([1.0, 2.0], None)],
-                  "constraint matrix shapes do not match"),
-    "b_eq-given-without-a_eq": ([1.0, 1.0], [[1.0, 1.0]], None, [([1.0], [1.0])],
-                                "constraint matrix shapes do not match"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_DATA))
-def test_bad_lp_data_raises_value_error(case):
-    c, a_ub, a_eq, rhs, message = BAD_DATA[case]
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)
-
-
 def test_equality_constraints():
     # min x + 2y  s.t.  x + y == 3
-    res = solve_lp(
+    res = cold_solve(
         c=np.array([1.0, 2.0]),
         a_eq=np.array([[1.0, 1.0]]),
         b_eq=np.array([3.0]),
@@ -70,18 +52,18 @@ def test_equality_constraints():
 
 def test_infeasible_detected():
     # x <= -1 with x >= 0
-    res = solve_lp(c=np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([-1.0]))
+    res = cold_solve(c=np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([-1.0]))
     assert res.status == "infeasible"
 
 
 def test_unbounded_detected():
-    res = solve_lp(c=np.array([-1.0]))
+    res = cold_solve(c=np.array([-1.0]))
     assert res.status == "unbounded"
 
 
 def test_negative_rhs_inequalities():
     # min x  s.t.  -x <= -2  (i.e. x >= 2)
-    res = solve_lp(c=np.array([1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([-2.0]))
+    res = cold_solve(c=np.array([1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([-2.0]))
     assert res.status == "optimal"
     assert res.x == pytest.approx([2.0])
 
@@ -96,38 +78,39 @@ BEALE_A_UB = np.array(
         [0.0, 0.0, 1.0, 0.0],
     ]
 )
-BEALE_RHS = [[0, 0, 1], [0, 0, 2], [0, 0, 0], [0, -0.0, 0.5], [1, 0, 1], [0, 0, 1]]
+# Along this ray (b_3 = 2 - s) the origin stays a degenerate vertex.
+BEALE_RAY = (np.array([0.0, 0.0, 2.0]), np.array([0.0, -0.0, -1.0]))
+BEALE_SCALES = [0.0, 0.5, 1.0, 1.0, 1.5, 2.0]
 
 
 def test_degenerate_vertex_does_not_cycle():
     # The Bland fallback must end Dantzig's cycle.
-    res = solve_lp(BEALE_C, BEALE_A_UB, np.array([0.0, 0.0, 1.0]))
+    res = cold_solve(BEALE_C, BEALE_A_UB, np.array([0.0, 0.0, 1.0]))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-0.05)
 
 
-@pytest.mark.parametrize("sequence", [False, True], ids=["solve_lp", "sequence"])
-def test_beale_cycles_without_the_bland_fallback(monkeypatch, sequence):
+@pytest.mark.parametrize("ray", [False, True], ids=["cold", "ray"])
+def test_beale_cycles_without_the_bland_fallback(monkeypatch, ray):
     # Without the fallback, the two tests on Beale's instance would cycle
     # until the pivot limit: each of them tests the fallback.
     monkeypatch.setattr(simplex, "DEGENERATE_STREAK", np.inf)
-    rhs = [(np.array(b, dtype=float), np.zeros(0)) for b in BEALE_RHS]
     with pytest.raises(simplex.SimplexError, match="^pivot limit exceeded"):
-        if sequence:
-            simplex.solve_lp_sequence(BEALE_C, BEALE_A_UB, np.zeros((0, 4)), rhs)
+        if ray:
+            walk(BEALE_C, BEALE_A_UB, np.zeros((0, 4)), BEALE_RAY, BEALE_SCALES)
         else:
-            solve_lp(BEALE_C, BEALE_A_UB, rhs[0][0])
+            cold_solve(BEALE_C, BEALE_A_UB, np.array([0.0, 0.0, 1.0]))
 
 
 def test_lp_without_columns_has_no_entering_column():
     for bland in (False, True):
         assert simplex._entering(np.zeros(0), np.zeros(0, dtype=bool), bland) is None
-    res = solve_lp(np.zeros(0))
+    res = cold_solve(np.zeros(0))
     assert res.status == "optimal" and res.x.size == 0 and res.objective == 0.0
 
 
 def test_redundant_equality_rows():
-    res = solve_lp(
+    res = cold_solve(
         c=np.array([1.0, 1.0]),
         a_eq=np.array([[1.0, 1.0], [2.0, 2.0]]),
         b_eq=np.array([1.0, 2.0]),
@@ -138,7 +121,7 @@ def test_redundant_equality_rows():
 
 def test_probability_simplex_structure():
     # The shape used by the capacity oracle: distributions per state.
-    res = solve_lp(
+    res = cold_solve(
         c=np.array([3.0, 1.0, 2.0]),
         a_eq=np.array([[1.0, 1.0, 1.0]]),
         b_eq=np.array([1.0]),
@@ -161,7 +144,7 @@ def test_random_lps_match_scipy(trial):
     x0 = rng.random(n)
     b_eq = a_eq @ x0 if m_eq else None
 
-    ours = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    ours = cold_solve(c, a_ub, b_ub, a_eq, b_eq)
     ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
 
     if ours.status == "optimal":
@@ -212,7 +195,7 @@ def _solve_recording_pivots(lp):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_pivot", recording)
-        return solve_lp(*lp), pivots
+        return cold_solve(*lp), pivots
 
 
 @settings(max_examples=300, deadline=None)
@@ -252,109 +235,72 @@ def test_array_pivot_matches_row_loop_bit_for_bit(m, n, data):
 
 
 # ---------------------------------------------------------------------------
-# warm-started sequences of right-hand sides
+# walks along a ray of right-hand sides
 # ---------------------------------------------------------------------------
 
 
-def _assert_matches_cold(lp, rhs, results):
+def ray_points(a_ub, origin, direction, scales):
+    """``(s, b_ub, b_eq)`` at ``origin + s * direction`` for each scale; a
+    point past the float range is left infinite (no walk solves it)."""
+    m_ub = a_ub.shape[0]
+    with np.errstate(over="ignore"):
+        rhs = [origin + s * direction for s in scales]
+    return [(s, b[:m_ub], b[m_ub:]) for s, b in zip(scales, rhs)]
+
+
+def walk(c, a_ub, a_eq, ray, scales, best=None):
+    c, a_ub, a_eq = (np.asarray(v, dtype=float) for v in (c, a_ub, a_eq))
+    points = ray_points(a_ub, *ray, scales)
+    return simplex._solve_ray(c, a_ub, a_eq, ray, points, best)[0]
+
+
+def _assert_matches_cold(lp, ray, scales, results):
     c, a_ub, _, a_eq, _ = lp
-    assert len(results) == len(rhs)
-    for (b_ub, b_eq), warm in zip(rhs, results):
-        cold = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-        assert warm.status == cold.status
+    assert len(results) == len(scales)
+    for (_, b_ub, b_eq), ours in zip(ray_points(a_ub, *ray, scales), results):
+        cold = cold_solve(c, a_ub, b_ub, a_eq, b_eq)
+        assert ours.status == cold.status
         if cold.status == "optimal":
-            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            assert ours.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
             # Phase 1 accepts violations up to its threshold.
-            assert np.all(a_ub @ warm.x <= b_ub + simplex.PHASE1_TOL)
-            assert a_eq @ warm.x == pytest.approx(b_eq, abs=simplex.PHASE1_TOL)
+            assert np.all(a_ub @ ours.x <= b_ub + simplex.PHASE1_TOL)
+            assert a_eq @ ours.x == pytest.approx(b_eq, abs=simplex.PHASE1_TOL)
         else:
-            assert warm.x is None and warm.objective is None
+            assert ours.x is None and ours.objective is None
 
 
-def test_sequence_first_point_is_the_cold_solve():
+def test_ray_first_point_is_the_cold_solve():
     c = np.array([3.0, 1.0, 2.0])
     a_ub = np.array([[1.0, -1.0, 0.5]])
     a_eq = np.array([[1.0, 1.0, 1.0]])
-    rhs = [(np.array([-0.2]), np.array([1.0])), (np.array([0.3]), np.array([1.0]))]
-    first = simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)[0]
-    cold = solve_lp(c, a_ub, rhs[0][0], a_eq, rhs[0][1])
+    ray = (np.array([-0.2, 1.0]), np.array([-0.5, 0.0]))
+    first = walk(c, a_ub, a_eq, ray, [0.0, 1.0])[0]
+    cold = cold_solve(c, a_ub, [-0.2], a_eq, [1.0])
     assert first.x.tobytes() == cold.x.tobytes()
     assert first.objective == cold.objective
 
 
-def test_sequence_on_degenerate_lp_terminates():
-    # Beale's cycling instance: every right-hand side below keeps the origin
-    # a degenerate vertex, so the dual ratio test meets ties and zero rows;
-    # the dual Bland rule must still terminate on the cold optimum, and the
-    # primal passes end Dantzig's cycle by the Bland fallback.
-    c, a_ub, a_eq = BEALE_C, BEALE_A_UB, np.zeros((0, 4))
-    lp = (c, a_ub, None, a_eq, None)
-    rhs = [(np.array(b, dtype=float), np.zeros(0)) for b in BEALE_RHS]
-    results = simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)
-    _assert_matches_cold(lp, rhs, results)
-    assert results[0].objective == pytest.approx(-0.05)
-    assert results[-1].objective == pytest.approx(-0.05)
-
-
-def test_infeasible_point_restores_the_last_optimal_tableau(monkeypatch):
-    # x1 + x2 + x3 == 1, x <= b: (0.1, 0.3, 0.4) is infeasible between two
-    # feasible points.  Its dual pivot must be undone, so the point after it
-    # takes the pivots it takes right after the first point.
-    c = np.array([2.0, 3.0, 1.0])
-    a_ub = np.eye(3)
-    a_eq = np.ones((1, 3))
-    first, infeasible, last = (
-        (np.array(b), np.array([1.0]))
-        for b in ([0.5, 0.5, 0.5], [0.1, 0.3, 0.4], [0.4, 0.5, 0.2])
-    )
-    pivots = []
-    pivot = simplex._pivot
-
-    def recording(tableau, row, col):
-        pivots.append((row, col))
-        pivot(tableau, row, col)
-
-    monkeypatch.setattr(simplex, "_pivot", recording)
-
-    def pivots_of_last(rhs):
-        # The sequence is deterministic: its prefix's pivots come first.
-        pivots.clear()
-        simplex.solve_lp_sequence(c, a_ub, a_eq, rhs[:-1])
-        n_prefix = len(pivots)
-        pivots.clear()
-        results = simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)
-        return results, pivots[n_prefix:]
-
-    assert pivots_of_last([first, infeasible])[1]  # the infeasible point pivots
-    with_gap, after_gap = pivots_of_last([first, infeasible, last])
-    without, after_first = pivots_of_last([first, last])
-    assert [r.status for r in with_gap] == ["optimal", "infeasible", "optimal"]
-    assert after_gap == after_first
-    assert with_gap[2].x.tobytes() == without[1].x.tobytes()
-    assert with_gap[2].x == pytest.approx([0.4, 0.4, 0.2])
-
-
-def test_sequence_solves_cold_until_one_is_optimal():
-    # -b1 <= x1 + x2 <= b2: empty at b = (-3, 2), so the next point is
-    # solved cold too and starts the warm chain.
-    c = np.array([1.0, 1.0])
-    a_ub = np.array([[-1.0, -1.0], [1.0, 1.0]])
-    a_eq = np.zeros((0, 2))
-    rhs = [(np.array(b, dtype=float), np.zeros(0)) for b in ([-3, 2], [-1, 2], [-2, 2])]
-    results = simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)
-    assert [r.status for r in results] == ["infeasible", "optimal", "optimal"]
-    assert [r.objective for r in results[1:]] == pytest.approx([1.0, 2.0])
+def test_ray_on_degenerate_lp_terminates():
+    # Beale's cycling instance: every point of the ray keeps the origin a
+    # degenerate vertex, so the dual ratio test meets ties and zero rows; the
+    # dual Bland rule must still terminate on the cold optimum, and the primal
+    # passes end Dantzig's cycle by the Bland fallback.
+    lp = (BEALE_C, BEALE_A_UB, None, np.zeros((0, 4)), None)
+    results = walk(BEALE_C, BEALE_A_UB, np.zeros((0, 4)), BEALE_RAY, BEALE_SCALES)
+    _assert_matches_cold(lp, BEALE_RAY, BEALE_SCALES, results)
+    assert results[2].objective == pytest.approx(-0.05)
+    assert results[-1].objective == pytest.approx(0.0)
 
 
 def test_marginal_infeasibility_is_decided_cold(monkeypatch):
-    # x <= b with x == 1: at b = 1 - 5e-8 the violation is under the phase-1
-    # threshold, so the cold solve calls it feasible and so must the sequence;
-    # at b = 1 - 1e-6 both call it infeasible, and only the first is re-solved
-    # (after the opening cold solve at b = 2).
-    c = np.array([1.0])
-    a_ub = np.array([[1.0]])
-    a_eq = np.array([[1.0]])
-    rhs = [(np.array([b]), np.array([1.0])) for b in (2.0, 1.0 - 5e-8, 1.0 - 1e-6, 1.0)]
+    # x <= 5 - 4 s with x == 1: just past s = 1 the violation is under the
+    # phase-1 threshold, so the cold solve calls it feasible and so must the
+    # walk; a little further both call it infeasible, and that certificate
+    # settles every larger scale with no arithmetic (4e308 is past the float
+    # range).  Only the opening and the marginal point are solved cold.
+    c, a_ub, a_eq = np.array([1.0]), np.array([[1.0]]), np.array([[1.0]])
+    ray = (np.array([5.0, 1.0]), np.array([-4.0, 0.0]))
+    scales = [0.0, 1.0 + 5e-8 / 4, 1.0 + 1e-6 / 4, 2.0, 1e308]
     cold_calls = []
     cold_solve = simplex._two_phase
 
@@ -363,15 +309,35 @@ def test_marginal_infeasibility_is_decided_cold(monkeypatch):
         return cold_solve(*args)
 
     monkeypatch.setattr(simplex, "_two_phase", counting)
-    results = simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)
+    with np.errstate(over="raise"):
+        results = walk(c, a_ub, a_eq, ray, scales)
     monkeypatch.undo()
-    assert cold_calls == [2.0, 1.0 - 5e-8]
-    _assert_matches_cold((c, a_ub, None, a_eq, None), rhs, results)
-    assert [r.status for r in results] == ["optimal", "optimal", "infeasible", "optimal"]
+    assert cold_calls == [5.0, 5.0 - 4.0 * scales[1]]
+    _assert_matches_cold((c, a_ub, None, a_eq, None), ray, scales[:-1], results[:-1])
+    assert [r.status for r in results] == ["optimal", "optimal"] + ["infeasible"] * 3
+
+
+def test_ray_infeasible_at_its_first_point_solves_one_lp(monkeypatch):
+    # x1 + x2 >= 3 and x1 + x2 <= 2 - s: empty at s = 0, so at every scale.
+    c = np.array([1.0, 1.0])
+    a_ub, a_eq = np.array([[-1.0, -1.0], [1.0, 1.0]]), np.zeros((0, 2))
+    ray = (np.array([-3.0, 2.0]), np.array([0.0, -1.0]))
+    calls = []
+    cold_solve = simplex._two_phase
+
+    def counting(*args):
+        calls.append(1)
+        return cold_solve(*args)
+
+    monkeypatch.setattr(simplex, "_two_phase", counting)
+    points = ray_points(a_ub, *ray, [0.0, 0.5, 1.0])
+    results, opening = simplex._solve_ray(c, a_ub, a_eq, ray, points)
+    assert [r.status for r in results] == ["infeasible"] * 3
+    assert opening is None and calls == [1]
 
 
 @pytest.mark.parametrize("trial", range(40))
-def test_random_sequences_match_scipy(trial):
+def test_random_rays_match_scipy(trial):
     rng = np.random.default_rng(2000 + trial)
     n = int(rng.integers(2, 7))
     m_ub = int(rng.integers(1, 5))
@@ -379,8 +345,11 @@ def test_random_sequences_match_scipy(trial):
     c = rng.normal(size=n)
     a_ub = rng.normal(size=(m_ub, n))
     a_eq = rng.normal(size=(m_eq, n))
-    rhs = [(rng.normal(size=m_ub) + 0.5, a_eq @ rng.random(n)) for _ in range(6)]
-    for (b_ub, b_eq), ours in zip(rhs, simplex.solve_lp_sequence(c, a_ub, a_eq, rhs)):
+    origin = np.concatenate([rng.normal(size=m_ub) + 0.5, a_eq @ rng.random(n)])
+    direction = np.concatenate([-rng.random(m_ub), np.zeros(m_eq)])
+    scales = np.sort(rng.random(6) * 2.0).tolist()
+    results = walk(c, a_ub, a_eq, (origin, direction), scales)
+    for (_, b_ub, b_eq), ours in zip(ray_points(a_ub, origin, direction, scales), results):
         ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq if m_eq else None,
                       b_eq=b_eq if m_eq else None, method="highs")
         if ours.status == "optimal":
@@ -393,28 +362,34 @@ def test_random_sequences_match_scipy(trial):
 
 
 @st.composite
-def lp_sequences(draw):
+def lp_rays(draw):
     c, a_ub, b_ub, a_eq, b_eq = draw(random_lps())
     scale = draw(st.sampled_from([1.0, 0.1, 0.7]))
-
-    def vector(size):
-        cells = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
-        return scale * np.array(cells, dtype=float)
-
-    # Later equality right-hand sides either repeat the first (consistent
-    # when it was) or are redrawn, which can make a redundant row inconsistent.
-    rhs = [(b_ub, b_eq)]
-    for _ in range(draw(st.integers(1, 5))):
-        rhs.append((vector(b_ub.size), b_eq if draw(st.booleans()) else vector(b_eq.size)))
-    return (c, a_ub, None, a_eq, None), rhs
+    cells = draw(st.lists(st.integers(-3, 0), min_size=b_ub.size, max_size=b_ub.size))
+    # The right-hand side only shrinks along the ray: <= 0 on inequality
+    # rows, 0 on equality rows.
+    ray = (np.concatenate([b_ub, b_eq]),
+           np.concatenate([scale * np.array(cells, dtype=float), np.zeros(b_eq.size)]))
+    scales = sorted(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
+                                  min_size=1, max_size=6)))
+    # The walk opens at a cold solve of its first point, or at an optimum
+    # anywhere on the ray, as a capacity sweep opens at its base point.
+    opening = draw(st.none() | st.sampled_from([0.0, 1.0, 2.5]))
+    return (c, a_ub, None, a_eq, None), ray, scales, opening
 
 
 @settings(max_examples=300, deadline=None)
-@given(lp_sequences())
-def test_sequences_match_cold_solves(case):
-    lp, rhs = case
+@given(lp_rays())
+def test_rays_match_cold_solves(case):
+    lp, ray, scales, opening = case
     c, a_ub, _, a_eq, _ = lp
-    _assert_matches_cold(lp, rhs, simplex.solve_lp_sequence(c, a_ub, a_eq, rhs))
+    best = None
+    if opening is not None:
+        [(_, b_ub, b_eq)] = ray_points(a_ub, *ray, [opening])
+        best = simplex._two_phase(c, a_ub, b_ub, a_eq, b_eq)[1]
+        if best is None:
+            return
+    _assert_matches_cold(lp, ray, scales, walk(c, a_ub, a_eq, ray, scales, best))
 
 
 @settings(max_examples=200, deadline=None)
@@ -431,7 +406,7 @@ def test_added_column_matches_a_cold_solve(lp, data):
                                          max_size=b_ub.size + b_eq.size)))
     c_new = np.append(c, data.draw(cells))
     status, added = simplex._add_column(opt, c_new, column)
-    cold = solve_lp(c_new, np.hstack([a_ub, column[: b_ub.size, None]]), b_ub,
+    cold = cold_solve(c_new, np.hstack([a_ub, column[: b_ub.size, None]]), b_ub,
                     np.hstack([a_eq, column[b_ub.size :, None]]), b_eq)
     assert status == cold.status
     if added is not None:
