@@ -136,13 +136,13 @@ def run_lanes(
     record: int = 0,
     with_virtual: bool = False,
     record_slots: int | None = None,
-    reducer=None,
+    reducer=stability.OrderedSum,
 ) -> controller.DppBatchResult:
     """Run (V, replication) lanes through the batched kernel.
 
     With ``--workers N`` the lanes split into N contiguous blocks, one kernel
-    call per worker process; the per-lane sums, and the ``reducer``
-    consumers' lanes, come back in lane order.
+    call per worker process; the per-lane sums and the ``reducer``
+    consumers' lanes come back in lane order.
     """
     bounds = np.linspace(0, len(v_weights), min(args.workers, len(v_weights)) + 1).astype(int)
     jobs = [
@@ -157,23 +157,9 @@ def run_lanes(
 
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         parts = list(pool.map(controller.run_dpp_batch, *zip(*jobs)))
-    if reducer is not None:
-        return parts[0]._replace(reducer=type(parts[0].reducer).concat(
-            [part.reducer for part in parts]))
-    sums = (np.concatenate([part[i] for part in parts]) for i in range(3))
-    return controller.DppBatchResult(*sums, runs=parts[0].runs)
-
-
-def ensemble_verdict(
-    scenario: Scenario, args: argparse.Namespace, record: bool
-) -> tuple[StabilityVerdict, controller.DppRunResult | None]:
-    """Stability verdict on the total actual backlog of every replication,
-    plus the first ``--trace-limit`` slots of replication 0 when ``record``.
-    The totals stream into a verdict reducer block by block, in one kernel pass."""
-    batch = run_lanes(scenario, [args.V] * args.reps, range(args.reps), args, int(record),
-                      reducer=stability.VerdictReducer,
-                      record_slots=args.trace_limit if record else 0)
-    return batch.reducer.verdict(), (batch.runs[0] if record else None)
+    cost_sum, g_sum = (np.concatenate([part[i] for part in parts]) for i in range(2))
+    reducer = type(parts[0].reducer).concat([part.reducer for part in parts])
+    return controller.DppBatchResult(cost_sum, g_sum, parts[0].runs, reducer)
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +178,19 @@ def trace_header(scenario: Scenario) -> list[str]:
     return cols
 
 
-def trace_columns(run: controller.DppRunResult, limit: int) -> list[np.ndarray]:
-    """The ``trace_header`` columns of the first ``limit`` slots of ``run``."""
+def trace_columns(scenario: Scenario, run: controller.DppRunResult, limit: int) -> list:
+    """The ``trace_header`` columns of the first ``limit`` slots of ``run``,
+    a run of ``scenario``: its tables at each slot's (omega, action)."""
     n = min(run.horizon, limit)
+    taken = run.omega_path[:n], run.action_path[:n]
     return [
         np.arange(n),
         *run.q_path[:n].T,
         *run.z_path[:n].T,
-        run.omega_path[:n],
-        run.action_path[:n],
-        *run.x_path[:n].T,
-        run.f_path[:n],
-        *run.g_path[:n].T,
+        *taken,
+        *scenario.x[taken].T,
+        scenario.f[taken],
+        *scenario.g[taken].T,
     ]
 
 
@@ -234,16 +221,21 @@ def _verdict_run(
     args: argparse.Namespace, record: bool
 ) -> tuple[Scenario, StabilityVerdict, controller.DppRunResult | None, list[tuple[str, object]]]:
     """The shared part of ``simulate`` and ``stability``: load the scenario,
-    run the ensemble, write ``curves.csv``.  Returns the verdict,
-    replication 0 when ``record``, and the report's leading items.  A
-    horizon too short for a verdict, or an ``--out`` that is not a
-    directory, fails before anything runs, and a failed run before anything
-    is written."""
+    run the ensemble, write ``curves.csv``.  Returns the stability verdict
+    on the total actual backlog of every replication, the first
+    ``--trace-limit`` slots of replication 0 when ``record``, and the
+    report's leading items.  The totals stream into a verdict reducer block
+    by block, in one kernel pass.  A horizon too short for a verdict, or an
+    ``--out`` that is not a directory, fails before anything runs, and a
+    failed run before anything is written."""
     out = Path(args.out)
     scenario = _load_with_overrides(args)
     stability._check_verdict_horizon(args.horizon)
     _check_out(out)
-    verdict, run = ensemble_verdict(scenario, args, record)
+    batch = run_lanes(scenario, [args.V] * args.reps, range(args.reps), args, int(record),
+                      reducer=stability.VerdictReducer,
+                      record_slots=args.trace_limit if record else 0)
+    verdict, run = batch.reducer.verdict(), (batch.runs[0] if record else None)
     out.mkdir(parents=True, exist_ok=True)
     # g is the mean of the per-path tail fractions: it is the h_mean column too.
     write_csv(out / "curves.csv", ["M", "g", "h_mean", "h_p05", "h_p95"],
@@ -261,7 +253,8 @@ def _verdict_run(
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario, verdict, trace_run, items = _verdict_run(args, record=True)
     out = Path(args.out)
-    write_csv(out / "trace.csv", trace_header(scenario), trace_columns(trace_run, args.trace_limit))
+    columns = trace_columns(scenario, trace_run, args.trace_limit)
+    write_csv(out / "trace.csv", trace_header(scenario), columns)
     items += [
         ("mode", args.mode),
         ("V", args.V),
@@ -377,7 +370,7 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
     rows = []
     for i, v_param in enumerate(v_list):
         lanes = slice(i * args.reps, (i + 1) * args.reps)
-        avg_backlog = float(np.mean(batch.backlog_sum[lanes] / args.horizon))
+        avg_backlog = float(np.mean(batch.reducer.total[lanes] / args.horizon))
         avg_cost = float(np.mean(batch.cost_sum[lanes] / args.horizon))
         avg_g = np.mean(batch.g_sum[lanes] / args.horizon, axis=0)
         bounds = capacity_mod.performance_bounds(scenario, v_param, epsilon, drift)
@@ -543,7 +536,7 @@ def cmd_bb1(args: argparse.Namespace) -> int:
             args.seed, args.horizon,
         )
         # Integer backlogs: every sum is exact, so the order of the lanes' sums is free.
-        total = batch.backlog_sum.sum()
+        total = batch.reducer.total.sum()
         items.append(("measured_mean_backlog", float(total / (args.reps * args.horizon))))
     if args.out is not None:
         Path(args.out).mkdir(parents=True, exist_ok=True)  # made once the run has succeeded

@@ -47,30 +47,27 @@ def _lane_slot_bytes(n_a: int, k: int, n_l: int, gather: bool) -> int:
 
 class DppRunResult(NamedTuple):
     """One lane's closed-loop run in full: per-slot records.  ``q_path`` and
-    ``z_path`` are views of one ``(horizon + 1, L + K)`` record of ``[Z; Q]``."""
+    ``z_path`` are views of one ``(horizon + 1, L + K)`` record of ``[Z; Q]``;
+    a slot's ``x``, ``f`` and ``g`` are the scenario's tables at its
+    ``(omega, action)``."""
 
     horizon: int
     q_path: np.ndarray       # (horizon + 1, K); slot-start backlogs
     z_path: np.ndarray       # (horizon + 1, L)
     omega_path: np.ndarray   # (horizon,)
     action_path: np.ndarray  # (horizon,)
-    x_path: np.ndarray       # (horizon, M)
-    f_path: np.ndarray       # (horizon,)
-    g_path: np.ndarray       # (horizon, L)
 
 
 class DppBatchResult(NamedTuple):
     """Per-lane outputs of ``run_dpp_batch``; lane ``i`` runs ``v_weights[i]``
-    on replication ``replications[i]``.  The sums are None in a ``reducer``
-    run.  ``backlog_sum`` adds the per-slot totals as numpy's sum over time
-    does; ``cost_sum`` and ``g_sum`` are each (omega, action)'s count of
-    slots times its ``f`` or ``g``, added in (omega, action) order."""
+    on replication ``replications[i]``.  ``cost_sum`` and ``g_sum`` are each
+    (omega, action)'s count of slots times its ``f`` or ``g``, added in
+    (omega, action) order."""
 
-    backlog_sum: np.ndarray | None  # (lanes,): of the slot-start sum of Q (+ sum of Z if asked)
-    cost_sum: np.ndarray | None  # (lanes,): of f
-    g_sum: np.ndarray | None  # (lanes, L): of g
+    cost_sum: np.ndarray  # (lanes,): of f
+    g_sum: np.ndarray  # (lanes, L): of g
     runs: list[DppRunResult]  # records of the first ``record`` lanes
-    reducer: object = None  # the ``reducer`` consumer, fed every block
+    reducer: object  # the ``reducer`` consumer, fed every block of backlog totals
 
 
 def _add_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -112,7 +109,7 @@ def run_dpp_batch(
     record: int = 0,
     with_virtual: bool = False,
     record_slots: int | None = None,
-    reducer: Callable[[int, int], object] | None = None,
+    reducer: Callable[[int, int], object] = OrderedSum,
 ) -> DppBatchResult:
     """Run the closed loop for every lane at once, one step per slot.
 
@@ -147,9 +144,9 @@ def run_dpp_batch(
 
     Results leave by time block; no array spans the horizon.  Each block's
     per-lane totals of the slot-start backlogs, added in queue order (plus
-    the sum of Z with ``with_virtual``), go to
-    ``reducer(n_lanes, horizon).add(t0, totals)`` if given, else to the
-    result's ``backlog_sum``, and each lane counts its slots per (omega,
+    the sum of Z with ``with_virtual``), go to ``reducer(n_lanes,
+    horizon).add(totals)`` (by default an ``OrderedSum``, whose ``total`` is
+    numpy's sum over time), and each lane counts its slots per (omega,
     action) for ``cost_sum`` and ``g_sum``.  The first ``record`` lanes are
     recorded, or their first ``record_slots``.
     """
@@ -165,7 +162,7 @@ def run_dpp_batch(
         raise ValueError(f"record must lie in [0, {n}], the number of lanes; got {record}")
     f, g, n_sa = scenario.f, scenario.g, scenario.f.size  # n_sa = S * A
     n_a, clamped, m = f.shape[1], mode == "clamped", n_l + k
-    f_flat, g_flat, x_flat = (a.reshape(n_sa, *a.shape[2:]) for a in (f, g, scenario.x))
+    f_flat, g_flat = f.reshape(n_sa), g.reshape(n_sa, n_l)
     # One column per (omega, action), lanes innermost after a take: scores read
     # [g | net | f | pad], the update [-g | b | 0 | y].  Clamped mode moves all
     # offered service, so its routed transfers are y_offered's.
@@ -180,8 +177,7 @@ def run_dpp_batch(
     # The flat index omega * A + action as recorded; its dtype holds every index and A.
     c_dtype = np.min_scalar_type(max(n_sa - 1, n_a))
 
-    sink = None if reducer is None else reducer(n, horizon)
-    backlog_sum = OrderedSum(n, horizon) if sink is None else None
+    sink = reducer(n, horizon)
     # Slots per lane and (omega, action), at lane * S * A + omega * A + action.
     counts, lane_base = np.zeros(n * n_sa, dtype=np.int64), np.arange(n) * n_sa
     n_rec = horizon if record_slots is None else min(horizon, record_slots)
@@ -204,10 +200,11 @@ def run_dpp_batch(
     z_tot = np.empty((block, n)) if with_virtual else None
     # One block's gathered score tables (on the gather path), flat indices and
     # arrivals, in buffers that every block reuses.  The indices are intp,
-    # the dtype that the update's take reads without a copy.
-    tabs_buf = np.empty((m + 2, n_a, block, n)) if gather else None
+    # the dtype that the update's take reads without a copy.  The tables are
+    # one flat buffer, so that a short block's (m + 2, A, nb, lanes) is its
+    # contiguous leading slice, which take writes in place.
+    tabs_buf = np.empty((m + 2) * n_a * block * n) if gather else None
     ix_buf, arr_buf = np.empty((block, n), dtype=np.intp), np.empty((block, k, n))
-    score_rows = tabs_buf[: m + 1].transpose(2, 0, 1, 3) if gather else [None] * block
     # The views that slot j of a block reads, made once: its index row and
     # arrivals, and the states [Z; Q; 1], [Z; Q] and Q at its start and end.
     slot_views = list(zip(ix_buf, arr_buf, zq_buf, s_col, zq_buf[1:], q_buf[1:]))
@@ -244,13 +241,14 @@ def run_dpp_batch(
                 w = omega[j0 : j0 + nb].take(lane_rep, axis=1)
                 ix = np.multiply(w, n_a, out=ix_buf[:nb], dtype=np.intp)
                 if gather:
-                    tabs = tabs_buf[:, :, :nb]
+                    tabs = tabs_buf[: tabs_buf.size // block * nb].reshape(m + 2, n_a, nb, n)
                     score_tab.take(w, axis=2, out=tabs, mode="clip")
                     vf = np.multiply(tabs[m], v, out=tabs[m])  # V f + pad, in the f row
                     vf += tabs[m + 1]
-                # One replication: slot j reads its state's table rows in place.
-                rows_j = (map(table_rows.__getitem__, omega[j0 : j0 + nb, 0].tolist())
-                          if per_state else score_rows[:nb])
+                    rows_j = tabs[: m + 1].transpose(2, 0, 1, 3)
+                else:  # one replication: slot j reads its state's table rows in place
+                    rows_j = (map(table_rows.__getitem__, omega[j0 : j0 + nb, 0].tolist())
+                              if per_state else [None] * nb)
                 arr_ix = arrival_ix[j0 : j0 + nb].take(lane_rep, axis=1) + queue_base
                 # arrival_table[q, arr_ix[..., q]]
                 arrival_flat.take(arr_ix.transpose(0, 2, 1), out=arr_buf[:nb], mode="clip")
@@ -271,25 +269,20 @@ def run_dpp_batch(
                 tot_j = _add_rows(q_buf[:nb], out=tot[:, j0 : j0 + nb].T)
                 if with_virtual:
                     tot_j += _add_rows(s_buf[:nb, :n_l], out=z_tot[:nb])
-                if sink is None:
-                    counts += np.bincount((ix + lane_base).ravel(), minlength=counts.size)
+                # Costs in proportion to the block; a bincount would clear and
+                # add the whole table, every block.
+                np.add.at(counts, (ix + lane_base).ravel(), 1)
                 nb_rec = max(0, min(nb, n_rec - t0 - j0))  # recorded slots of this block
                 s_rec[:, t0 + j0 + 1 : t0 + j0 + nb_rec + 1] = (
                     zq_buf[1 : nb_rec + 1, :, :record].transpose(2, 0, 1))
                 c_rec[t0 + j0 : t0 + j0 + nb_rec] = ix[:nb_rec, :record]
                 s_buf[0] = s_buf[nb]
-            # Hand the block to the consumers, each lane's values contiguous.
-            if sink is not None:
-                sink.add(t0, tot)
-            else:
-                backlog_sum.add(tot)
+            sink.add(tot)  # each lane's values contiguous
             t0 += nb_s
-        sums = [None] * 3
-        if sink is None:
-            # Each lane's counts times the tables, added in (omega, action) order.
-            counts = counts.reshape(n, -1).T
-            sums = [backlog_sum.total, np.cumsum(counts * f_flat[:, None], axis=0)[-1],
-                    np.cumsum(counts[..., None] * g_flat[:, None], axis=0)[-1]]
+        # Each lane's counts times the tables, added in (omega, action) order.
+        counts = counts.reshape(n, -1).T
+        cost_sum = np.cumsum(counts * f_flat[:, None], axis=0)[-1]
+        g_sum = np.cumsum(counts[..., None] * g_flat[:, None], axis=0)[-1]
 
     runs = []
     for i in range(record):
@@ -300,11 +293,8 @@ def run_dpp_batch(
             z_path=s_rec[i, :, :n_l],
             omega_path=omega_path,
             action_path=action_path,
-            x_path=x_flat.take(c_rec[:, i], axis=0),
-            f_path=f_flat.take(c_rec[:, i]),
-            g_path=g_flat.take(c_rec[:, i], axis=0),
         ))
-    return DppBatchResult(*sums, runs, sink)
+    return DppBatchResult(cost_sum, g_sum, runs, sink)
 
 
 class DriftConstants(NamedTuple):

@@ -328,13 +328,13 @@ def _solve_ray(
     zero.  A row that no pivot can fix is a certificate: where it proves a
     violation above twice the phase-1 threshold, that scale and every larger
     one are infeasible, with no further arithmetic.  A smaller violation, a
-    basic artificial away from zero, or an unbounded primal clean-up leave
-    the point to a cold solve (after an unbounded one, every later point
-    too), so each status is the cold solve's.  Values can differ from the
-    cold solve's in the last digits, and at a degenerate optimum ``x`` can
-    be another optimal vertex.  Returns the results in order, and the
-    optimum that opened the walk (``best``, unchanged), or None if there was
-    none.
+    basic artificial away from zero, basic values past the float range, or
+    an unbounded primal clean-up leave the point to a cold solve (after an
+    unbounded one, every later point too), so each status is the cold
+    solve's.  Values can differ from the cold solve's in the last digits,
+    and at a degenerate optimum ``x`` can be another optimal vertex.
+    Returns the results in order, and the optimum that opened the walk
+    (``best``, unchanged), or None if there was none.
     """
     results: list[LpResult] = []
     settled = None  # the status of every later point, once the walk has ended
@@ -357,8 +357,12 @@ def _solve_ray(
         eligible = np.append(best.eligible, [False, False])
     for s, b_ub, b_eq in points:
         status = settled or "cold"
-        if settled is None:
-            np.add(beta, s * gamma, out=values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = None if settled else beta + s * gamma
+        # A scale whose basic values leave the float range goes to a cold
+        # solve, and the walk's tableau stays as it was.
+        if shifted is not None and np.isfinite(shifted).all():
+            values[:] = shifted
             row = _run_dual_simplex(tableau, basis, eligible)
             if row is not None:
                 # Minus this row of B^-1, divided by its largest entry (at

@@ -270,6 +270,14 @@ class OrderedSum:
             self.stack.append(value)
             self._descend()
 
+    @classmethod
+    def concat(cls, parts: Sequence[OrderedSum]) -> OrderedSum:
+        """One finished sum of the rows of ``parts``, in order."""
+        merged = cls(0, parts[0].n)
+        merged.seen, merged.carry = merged.n, None
+        merged.total = np.concatenate([part.total for part in parts])
+        return merged
+
 
 class VerdictReducer:
     """The stability verdict of backlogs fed a time block at a time, in one
@@ -286,14 +294,16 @@ class VerdictReducer:
         self.final = np.zeros(n_lanes)
         self.counts = np.zeros((n_lanes, 1), dtype=np.intp)  # grows to the largest key
 
-    def add(self, t0: int, block: np.ndarray) -> None:
-        """Take slots ``t0 .. t0 + nb - 1`` of every lane: ``block[i, j]`` is
-        lane ``i``'s finite non-negative backlog at slot ``t0 + j``."""
+    def add(self, block: np.ndarray) -> None:
+        """Take the next ``nb`` slots of every lane: ``block[i, j]`` is lane
+        ``i``'s finite non-negative backlog at slot ``t0 + j``, where ``t0``
+        counts the slots taken before."""
         n, nb = block.shape
         if not block.min(initial=0.0) >= 0:  # NaN fails too
             raise ValueError("backlogs must be non-negative numbers")
         if block.max(initial=0.0) == math.inf:
             raise ValueError("backlogs must be finite")
+        t0 = self.sums.seen
         self.sums.add(block)
         if t0 <= self.t_half:
             self.half_sums.add(block[:, : self.t_half + 1 - t0])
@@ -312,8 +322,8 @@ class VerdictReducer:
     def concat(cls, parts: Sequence[VerdictReducer]) -> VerdictReducer:
         """One reducer of the lanes of ``parts``, in order."""
         merged = cls(0, parts[0].horizon)
-        for name in ("sums", "half_sums"):
-            getattr(merged, name).total = np.concatenate([getattr(p, name).total for p in parts])
+        merged.sums = OrderedSum.concat([part.sums for part in parts])
+        merged.half_sums = OrderedSum.concat([part.half_sums for part in parts])
         merged.final = np.concatenate([part.final for part in parts])
         width = max(part.counts.shape[1] for part in parts)
         merged.counts = np.concatenate(

@@ -272,10 +272,11 @@ class TotalsCollector:
     ``(n_lanes, horizon)`` array the streaming consumers never hold."""
 
     def __init__(self, n_lanes: int, horizon: int) -> None:
-        self.totals = np.empty((n_lanes, horizon))
+        self.totals, self.seen = np.empty((n_lanes, horizon)), 0
 
-    def add(self, t0: int, block: np.ndarray) -> None:
-        self.totals[:, t0 : t0 + block.shape[1]] = block
+    def add(self, block: np.ndarray) -> None:
+        self.totals[:, self.seen : self.seen + block.shape[1]] = block
+        self.seen += block.shape[1]
 
 
 def strong_not_rate_path(horizon: int) -> np.ndarray:
@@ -749,7 +750,7 @@ def replay_with_network_step(
 ) -> DppRunResult:
     """Closed-loop reference: one ``dpp_select_action`` and one
     ``network_step`` per slot, on the replication's sampled path."""
-    k, n_l, m = scenario.n_queues, scenario.n_constraints, scenario.n_attributes
+    k, n_l = scenario.n_queues, scenario.n_constraints
     omega_path, arrival_index = sample_path_by_chase(
         scenario.omega_chain, scenario.arrivals, seed, horizon, replication
     )
@@ -760,19 +761,11 @@ def replay_with_network_step(
     q_path = np.zeros((horizon + 1, k))
     z_path = np.zeros((horizon + 1, n_l))
     action_path = np.zeros(horizon, dtype=np.int64)
-    x_path = np.zeros((horizon, m))
-    f_path = np.zeros(horizon)
-    g_path = np.zeros((horizon, n_l))
     for t in range(horizon):
         w = int(omega_path[t])
         a_idx = dpp_select_action(scenario, w, state, v_weight)
-        state, record = network_step(
-            scenario, state, w, a_idx, arrivals[:, t], mode=mode
-        )
+        state, _ = network_step(scenario, state, w, a_idx, arrivals[:, t], mode=mode)
         action_path[t] = a_idx
-        x_path[t] = record.x
-        f_path[t] = record.f_value
-        g_path[t] = record.g_values
         q_path[t + 1] = state.queues
         z_path[t + 1] = state.virtuals
     return DppRunResult(
@@ -781,9 +774,6 @@ def replay_with_network_step(
         z_path=z_path,
         omega_path=omega_path,
         action_path=action_path,
-        x_path=x_path,
-        f_path=f_path,
-        g_path=g_path,
     )
 
 
@@ -796,16 +786,18 @@ def write_csv_by_rows(path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def trace_rows(run: DppRunResult, limit: int):
-    """The ``trace.csv`` rows of the first ``limit`` slots, one slot at a time."""
+def trace_rows(scenario: Scenario, run: DppRunResult, limit: int):
+    """The ``trace.csv`` rows of the first ``limit`` slots of ``run``, a run
+    of ``scenario``, one slot at a time."""
     for t in range(min(run.horizon, limit)):
+        w, a = int(run.omega_path[t]), int(run.action_path[t])
         row: list[object] = [t]
         row += [float(v) for v in run.q_path[t]]
         row += [float(v) for v in run.z_path[t]]
-        row += [int(run.omega_path[t]), int(run.action_path[t])]
-        row += [float(v) for v in run.x_path[t]]
-        row += [float(run.f_path[t])]
-        row += [float(v) for v in run.g_path[t]]
+        row += [w, a]
+        row += [float(v) for v in scenario.x[w, a]]
+        row += [float(scenario.f[w, a])]
+        row += [float(v) for v in scenario.g[w, a]]
         yield row
 
 

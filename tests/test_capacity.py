@@ -414,6 +414,28 @@ def test_sweep_rows_come_back_in_input_order(tmp_path, capsys, fixture):
     assert rows[0] == rows[5]
 
 
+@pytest.mark.parametrize("fixture", ["bb1.json", "downlink2.json", RELAY8])
+@pytest.mark.parametrize("scales", ["0.5,1e308", "1e308", "0.5,1e300,1e308"])
+def test_sweep_scale_past_the_float_range_is_solved_cold(tmp_path, capsys, fixture, scales):
+    # No smaller scale is proved infeasible first, so the walk reaches a scale
+    # whose basic values beta + s gamma leave the float range; it used to
+    # exit 2 with "overflow encountered in multiply".  Such a scale is solved
+    # on its own, and the rows of the other scales keep their bytes.
+    def sweep(entries, out):
+        rc = main(["capacity", fixture, "--sweep-scale", ",".join(entries), "--out", str(out)])
+        assert rc == 0 and capsys.readouterr().err == ""
+        return (out / "capacity_sweep.csv").read_text().splitlines()[1:]
+
+    entries = scales.split(",")
+    rows = sweep(entries, tmp_path / "all")
+    huge = [s in ("1e300", "1e308") for s in entries]
+    assert all(row.endswith(",false,nan,0.0") for row, is_huge in zip(rows, huge) if is_huge)
+    rest = [s for s, is_huge in zip(entries, huge) if not is_huge]
+    if rest:
+        assert [row for row, is_huge in zip(rows, huge) if not is_huge] == sweep(
+            rest, tmp_path / "rest")
+
+
 # Every relation along a ray holds within this slack, relative to the
 # largest magnitude it compares (at least 1).
 RAY_SLACK = 1e-12

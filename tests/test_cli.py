@@ -794,20 +794,25 @@ def test_trace_csv_matches_row_writer(tmp_path, monkeypatch, name):
     assert main(args) == 0
     run = controller.run_dpp_batch(scenario, [parsed.V], [0], 21, 1200, parsed.mode,
                                    record=1).runs[0]
-    write_csv_by_rows(tmp_path / "rows.csv", cli.trace_header(scenario), trace_rows(run, 1000))
+    write_csv_by_rows(tmp_path / "rows.csv", cli.trace_header(scenario),
+                      trace_rows(scenario, run, 1000))
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_write_csv_matches_row_writer_on_edge_values(tmp_path, monkeypatch):
-    run = controller.run_dpp_batch(network.load_scenario(fixture_path("downlink2")), [2.0],
-                                   [0], 3, 50, record=1).runs[0]
+    scenario = network.load_scenario(fixture_path("downlink2"))
+    run = controller.run_dpp_batch(scenario, [2.0], [0], 3, 50, record=1).runs[0]
     run.q_path[:8, 0] = [-0.0, 5e-324, 1e16, 3.0, -2.0, 1e-300, 1.7976931348623157e308, 0.1]
-    run.f_path[:4] = [-0.0, 1e16, 7.0, 2.5e-8]
-    run.x_path[:3, 0] = [5e-324, 4.0, -1e16]
+    # The first four slots read four (omega, action) pairs whose f and x are edge values.
+    pairs = tuple(np.argwhere(scenario.real)[:4].T)
+    run.omega_path[:4], run.action_path[:4] = pairs
+    scenario.f, scenario.x = scenario.f.copy(), scenario.x.copy()
+    scenario.f[pairs] = [-0.0, 1e16, 7.0, 2.5e-8]
+    scenario.x[pairs + (0,)] = [5e-324, 4.0, -1e16, 0.5]
     monkeypatch.setattr(cli, "CSV_BLOCK_CELLS", 3 * 9)  # 9 trace columns: blocks of 3 rows
-    header = cli.trace_header(network.load_scenario(fixture_path("downlink2")))
-    cli.write_csv(tmp_path / "cols.csv", header, cli.trace_columns(run, 20))
-    write_csv_by_rows(tmp_path / "rows.csv", header, trace_rows(run, 20))
+    header = cli.trace_header(scenario)
+    cli.write_csv(tmp_path / "cols.csv", header, cli.trace_columns(scenario, run, 20))
+    write_csv_by_rows(tmp_path / "rows.csv", header, trace_rows(scenario, run, 20))
     assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
     # Python values, as the sweep and capacity rows hold them.
     rows = [[0.5, True, None, 2, np.float64(-0.0), np.uint8(7)],

@@ -164,8 +164,8 @@ def test_run_matches_network_step_replay(downlink2):
     slow = replay_with_network_step(downlink2, 5.0, seed=11, horizon=3000)
     assert np.array_equal(fast.q_path, slow.q_path)
     assert np.array_equal(fast.z_path, slow.z_path)
+    assert np.array_equal(fast.omega_path, slow.omega_path)
     assert np.array_equal(fast.action_path, slow.action_path)
-    assert np.array_equal(fast.f_path, slow.f_path)
 
 
 def test_run_is_deterministic_per_seed(downlink2):
@@ -255,13 +255,12 @@ def assert_batch_matches_replay(scenario, v_weights, n_reps, mode, seed, horizon
     for i, (v, rep) in enumerate(zip(lanes_v, lanes_rep)):
         ref = replay_with_network_step(scenario, v, seed, horizon, rep, mode)
         run = batch.runs[i]
-        for name in ("q_path", "z_path", "omega_path", "action_path", "x_path",
-                     "f_path", "g_path"):
+        for name in ("q_path", "z_path", "omega_path", "action_path"):
             assert np.array_equal(getattr(run, name), getattr(ref, name)), name
         # Per-slot totals add the queues in index order, then the virtual queues.
         total = in_order(ref.q_path[:horizon]) + in_order(ref.z_path[:horizon])
         assert np.array_equal(totals[i], total)
-        assert batch.backlog_sum[i] == total.sum()
+        assert batch.reducer.total[i] == total.sum()
         # Costs and g: each (omega, action)'s slot count times the tables,
         # added in (omega, action) order; close to the means over time.
         f = scenario.f
@@ -270,7 +269,8 @@ def assert_batch_matches_replay(scenario, v_weights, n_reps, mode, seed, horizon
         g = in_order((counts[:, None] * scenario.g.reshape(f.size, -1)).T)
         assert batch.cost_sum[i].tobytes() == cost.tobytes()
         assert batch.g_sum[i].tobytes() == g.tobytes()
-        for got, path in ((batch.cost_sum[i], ref.f_path), (batch.g_sum[i], ref.g_path)):
+        taken = ref.omega_path, ref.action_path
+        for got, path in ((batch.cost_sum[i], f[taken]), (batch.g_sum[i], scenario.g[taken])):
             scale = np.abs(path).mean(axis=0)
             assert np.all(np.abs(got / horizon - path.mean(axis=0)) <= 1e-12 * scale)
 
@@ -342,6 +342,29 @@ def test_block_buffers_stay_within_the_block_budget(monkeypatch, fixture, lanes,
     base, grown = traced_peak(budget), traced_peak(4 * budget)
     assert base <= 20 * budget
     assert grown - base <= 3 * budget
+
+
+def test_short_gathered_block_is_written_in_place(monkeypatch):
+    # Blocks of 100 slots on the gather path: a horizon of 160 ends in a
+    # short block of 60.  Its gathered score rows are the contiguous leading
+    # slice of the block buffer, so numpy's take writes them in place; a
+    # strided slice made take copy them through a temporary of 276 kB
+    # (12 rows x 12 actions x 60 slots x 4 lanes).
+    scenario, lanes = load_scenario(RELAY8), 4
+    n_a, k, n_l = scenario.f.shape[1], scenario.n_queues, scenario.n_constraints
+    slot_bytes = lanes * _lane_slot_bytes(n_a, k, n_l, True) + controller._SLOT_VIEW_BYTES
+    monkeypatch.setattr(controller, "_BLOCK_BYTES", 100 * slot_bytes)
+
+    def traced_peak(horizon):
+        tracemalloc.start()
+        try:
+            run_dpp_batch(scenario, [1.0] * lanes, range(lanes), 7, horizon)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_dpp_batch(scenario, [1.0] * lanes, range(lanes), 7, 200)  # untraced warm-up
+    assert traced_peak(160) <= traced_peak(200) + 32_768
 
 
 def single_action_scenario(k, n_l):
@@ -536,7 +559,7 @@ def test_constraints_hold_even_at_zero_weight(downlink2):
 
 def test_backlog_grows_at_most_linearly_in_v(downlink2):
     batch = run_dpp_batch(downlink2, [10.0, 100.0], [0, 0], 29, 60_000, with_virtual=True)
-    backlogs = batch.backlog_sum / 60_000
+    backlogs = batch.reducer.total / 60_000
     assert backlogs[1] / backlogs[0] <= 15.0  # O(V): ratio ~10, generous cap
 
 

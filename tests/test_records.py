@@ -27,8 +27,8 @@ SIGNATURES = {
     capacity.PolicyLp:
         "scenario lambdas c c0 a_ub b_ub row_names a_eq b_eq",
     controller.DppRunResult:
-        "horizon q_path z_path omega_path action_path x_path f_path g_path",
-    controller.DppBatchResult: "backlog_sum cost_sum g_sum runs reducer=None",
+        "horizon q_path z_path omega_path action_path",
+    controller.DppBatchResult: "cost_sum g_sum runs reducer",
     controller.DriftConstants: "B D T d_max f_opt f_min f_max delta=nan",
     network.Scenario: "name omega_chain names y b x c0 coeffs arrivals routing=None",
     oracles.StepRecord: "omega_index action_index arrivals y_offered b_offered y_actual "
@@ -107,7 +107,7 @@ INVALID = [
      "queues and virtuals must be 1-d vectors"),
     (lambda: oracles.estimate_verdict(np.zeros(5)), ValueError,
      "backlog must be a (n_reps, horizon) matrix"),
-    (lambda: stability.VerdictReducer(1, 1000).add(0, np.full((1, 5), np.nan)), ValueError,
+    (lambda: stability.VerdictReducer(1, 1000).add(np.full((1, 5), np.nan)), ValueError,
      "backlogs must be non-negative numbers"),
     (lambda: _chain([[1.0, 0.0]]), ValueError, "transition must be a square matrix"),
     (lambda: _chain([[1.0]], (1.0, 0.0)), ValueError,

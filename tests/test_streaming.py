@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 
 from oracles import TotalsCollector, estimate_verdict
 from peak_rss import needs_wait4, peak_rss_mb
-from qnetlab import controller, stability
-from qnetlab.cli import ensemble_verdict, override_lambdas, override_mu
+from qnetlab import cli, controller, stability
+from qnetlab.cli import override_lambdas, override_mu
 from qnetlab.network import fixture_path, load_scenario
 from qnetlab.processes import ArrivalSpec
 from qnetlab.stability import OrderedSum, VerdictReducer
@@ -49,7 +49,7 @@ def same_verdict(ours, theirs) -> bool:
 def feed_in_blocks(consumer, backlog, cuts):
     """``consumer`` fed ``backlog`` in time blocks that end at ``cuts``."""
     for t0, t1 in zip([0, *cuts], [*cuts, backlog.shape[1]]):
-        consumer.add(t0, backlog[:, t0:t1])
+        consumer.add(backlog[:, t0:t1])
     return consumer
 
 
@@ -207,9 +207,9 @@ def test_reducer_equals_whole_array_verdict_with_thresholds():
 
 def test_reducer_rejects_negative_backlogs_and_short_horizons():
     with pytest.raises(ValueError, match="non-negative"):
-        VerdictReducer(2, 1000).add(0, np.full((2, 10), -1.0))
+        VerdictReducer(2, 1000).add(np.full((2, 10), -1.0))
     with pytest.raises(ValueError, match="finite"):
-        VerdictReducer(2, 1000).add(0, np.full((2, 10), np.inf))
+        VerdictReducer(2, 1000).add(np.full((2, 10), np.inf))
     with pytest.raises(ValueError, match="horizon"):
         VerdictReducer(2, 999)
 
@@ -219,7 +219,7 @@ def test_reducer_refuses_an_infinite_mean_backlog():
     # the CLI reports the OverflowError as an error line.
     reducer = VerdictReducer(4, 1000)
     with np.errstate(over="ignore"):
-        reducer.add(0, np.full((4, 1000), 1e306))
+        reducer.add(np.full((4, 1000), 1e306))
         with pytest.raises(OverflowError, match="infinity"):
             reducer.verdict()
 
@@ -264,7 +264,7 @@ def test_verdict_run_equals_whole_array_run(monkeypatch, case):
         assert kept.horizon == 450
         for name in ("q_path", "z_path"):
             assert np.array_equal(getattr(kept, name), getattr(full, name)[:451])
-        for name in ("omega_path", "action_path", "x_path", "f_path", "g_path"):
+        for name in ("omega_path", "action_path"):
             want = getattr(full, name)[:450]
             assert getattr(kept, name).dtype == want.dtype
             assert np.array_equal(getattr(kept, name), want)
@@ -278,7 +278,7 @@ ONE_PASS_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(ONE_PASS_CASES))
-def test_verdict_run_takes_one_kernel_pass(monkeypatch, case):
+def test_verdict_run_takes_one_kernel_pass(tmp_path, monkeypatch, case):
     # Backlogs that are not whole numbers, or that grow without bound, are
     # counted on the same pass.  Chunks of 20 cells put two slots of the 7
     # lanes in each chunk, with chunk edges that cross the sampler's blocks.
@@ -296,9 +296,10 @@ def test_verdict_run_takes_one_kernel_pass(monkeypatch, case):
         return real_run(*args, **kwargs)
 
     monkeypatch.setattr(controller, "run_dpp_batch", counted)
-    args = argparse.Namespace(V=2.0, reps=7, seed=17, horizon=1301, mode=mode, workers=1,
-                              trace_limit=10)
-    verdict, _ = ensemble_verdict(scenario, args, record=False)
+    monkeypatch.setattr(cli, "_load_with_overrides", lambda args: scenario)
+    args = argparse.Namespace(cmd="stability", V=2.0, reps=7, seed=17, horizon=1301, mode=mode,
+                              workers=1, trace_limit=10, out=str(tmp_path))
+    _, verdict, _, _ = cli._verdict_run(args, record=False)
     assert len(calls) == 1
     assert same_verdict(verdict, estimate_verdict(whole.reducer.totals))
 
