@@ -513,11 +513,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def cmd_bb1(args: argparse.Namespace) -> int:
-    try:
-        q_bar, w_bar = bb1_closed_form(args.lam, args.mu)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    q_bar, w_bar = bb1_closed_form(args.lam, args.mu)
     if args.simulate:
         controller._check_horizon(args.horizon)  # before anything is written
     if args.out is not None:

@@ -20,7 +20,7 @@ import numpy as np
 from . import capacity
 from .network import MODES, Scenario
 from .processes import mixing_time, sample_paths
-from .stability import OrderedSum
+from .stability import OrderedSum, _in_order_sum
 
 __all__ = [
     "DriftConstants",
@@ -68,15 +68,6 @@ class DppBatchResult(NamedTuple):
     g_sum: np.ndarray  # (lanes, L): of g
     runs: list[DppRunResult]  # records of the first ``record`` lanes
     reducer: object  # the ``reducer`` consumer, fed every block of backlog totals
-
-
-def _add_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = rows[:, 0] + rows[:, 1] + ...``, added in row order (numpy's
-    reduction over the rows adds pairwise when there is one lane)."""
-    out[...] = rows[:, 0] if rows.shape[1] else 0.0
-    for i in range(1, rows.shape[1]):
-        out += rows[:, i]
-    return out
 
 
 def _route_runs(routing: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
@@ -197,7 +188,6 @@ def run_dpp_batch(
     s_buf = np.zeros((block + 1, m + 1, n))
     s_buf[:, m] = 1.0
     s_col, zq_buf, q_buf = s_buf[:, :, None], s_buf[:, :m], s_buf[:, n_l:m]
-    z_tot = np.empty((block, n)) if with_virtual else None
     # One block's gathered score tables (on the gather path), flat indices and
     # arrivals, in buffers that every block reuses.  The indices are intp,
     # the dtype that the update's take reads without a copy.  The tables are
@@ -266,9 +256,9 @@ def run_dpp_batch(
                     np.add(kept, add, out=s_next)
                     np.add(q_next, arr_j, out=q_next)
                 # Each lane's total, in queue order, through the transposed view.
-                tot_j = _add_rows(q_buf[:nb], out=tot[:, j0 : j0 + nb].T)
+                tot_j = _in_order_sum(q_buf[:nb], 1, out=tot[:, j0 : j0 + nb].T)
                 if with_virtual:
-                    tot_j += _add_rows(s_buf[:nb, :n_l], out=z_tot[:nb])
+                    tot_j += _in_order_sum(s_buf[:nb, :n_l], 1)
                 # Costs in proportion to the block; a bincount would clear and
                 # add the whole table, every block.
                 np.add.at(counts, (ix + lane_base).ravel(), 1)
@@ -281,8 +271,8 @@ def run_dpp_batch(
             t0 += nb_s
         # Each lane's counts times the tables, added in (omega, action) order.
         counts = counts.reshape(n, -1).T
-        cost_sum = np.cumsum(counts * f_flat[:, None], axis=0)[-1]
-        g_sum = np.cumsum(counts[..., None] * g_flat[:, None], axis=0)[-1]
+        cost_sum = _in_order_sum(counts * f_flat[:, None], 0)
+        g_sum = _in_order_sum(counts[..., None] * g_flat[:, None], 0)
 
     runs = []
     for i in range(record):

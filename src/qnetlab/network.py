@@ -30,6 +30,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .processes import ArrivalSpec, FiniteMarkovChain, stationary_distribution
+from .stability import _in_order_sum
 
 __all__ = [
     "Scenario",
@@ -64,21 +65,18 @@ def compile_tables(
     """Derive ``(f, pad, g, net, y_offered)`` from the scenario's arrays.
 
     ``f`` ``(S, A)`` and ``g`` ``(S, A, L)`` are rows 0 and 1.. of ``c0 +
-    (coeffs[:, 0] x_0 + ...)``, the products added in attribute order by a
-    ``cumsum``: no BLAS kernel rounds them, and unlike ``np.add.reduce`` it
-    neither starts from +0.0 nor turns pairwise when the other axes hold one
-    element.  ``pad`` ``(S, A)`` is 0 on the real actions and +inf on the
-    padding, where every other array is zero.  Queue ``dst`` is offered its
-    table ``y`` plus the offered service of every queue routed into it,
-    added in routing-list order: ``y_offered`` ``(S, A, K)``, and ``net =
-    y_offered - b``.  Overflows become inf or NaN without a warning; the
-    constructor's ``validate`` rejects them.
+    (coeffs[:, 0] x_0 + ...)``, the products added in attribute order
+    (``stability._in_order_sum``).  ``pad`` ``(S, A)`` is 0 on the real
+    actions and +inf on the padding, where every other array is zero.
+    Queue ``dst`` is offered its table ``y`` plus the offered service of
+    every queue routed into it, added in routing-list order: ``y_offered``
+    ``(S, A, K)``, and ``net = y_offered - b``.  Overflows become inf or
+    NaN without a warning; the constructor's ``validate`` rejects them.
     """
     y, b, x, real = scenario.y, scenario.b, scenario.x, scenario.real
     with np.errstate(over="ignore", invalid="ignore"):
         terms = x[:, :, None, :] * scenario.coeffs  # (S, A, 1 + L, M)
-        sums = np.cumsum(terms, axis=3)[..., -1] if terms.shape[3] else 0.0
-        fg = np.where(real[..., None], scenario.c0 + sums, 0.0)
+        fg = np.where(real[..., None], scenario.c0 + _in_order_sum(terms, 3), 0.0)
         y_offered = y.copy()
         for src, dst in scenario.routing:
             y_offered[:, :, dst] += b[:, :, src]

@@ -28,6 +28,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .stability import _in_order_sum
+
 __all__ = ["LpResult", "SimplexError"]
 
 TOL = 1e-9
@@ -134,8 +136,7 @@ def _solution(tableau: np.ndarray, basis: list[int], c: np.ndarray) -> LpResult:
         if basis[i] < c.size:
             x[basis[i]] = tableau[i, -1]
     np.clip(x, 0.0, None, out=x)
-    # Added in index order: a BLAS dot's order depends on the CPU kernel.
-    objective = float(np.cumsum(c * x)[-1]) if c.size else 0.0
+    objective = float(_in_order_sum(c * x, 0))  # not a BLAS dot: its order is the CPU's
     return LpResult(status="optimal", x=x, objective=objective)
 
 

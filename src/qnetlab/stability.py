@@ -175,9 +175,6 @@ def _verdict(
     t_final = horizon - 1
     t_half = max(t_final // 2, 1)
 
-    def ordered_sum(sums: np.ndarray) -> float:
-        return float(np.cumsum(sums)[-1])
-
     # A sum over replications past the float range raises
     # ``FloatingPointError``, as the kernel's sums do.
     with np.errstate(over="raise", invalid="raise"):
@@ -188,15 +185,15 @@ def _verdict(
 
         # The time average of the ensemble-mean backlog: the running mean over
         # the whole horizon.
-        mean_backlog = ordered_sum(row_sums) / (n_reps * horizon)
-        running_half = ordered_sum(half_sums) / (n_reps * (t_half + 1))
+        mean_backlog = float(_in_order_sum(row_sums, 0)) / (n_reps * horizon)
+        running_half = float(_in_order_sum(half_sums, 0)) / (n_reps * (t_half + 1))
         plateau = abs(mean_backlog - running_half) <= PLATEAU_REL * max(running_half, 1e-12)
 
         # Pass 2: per-path tail occupancy h(M) = fraction of slots with Q > M,
         # and its mean over replications, added in replication order.
         m_grid = _m_grid(mean_backlog)
         h_per_path = (horizon - at_most(m_grid)) / horizon
-        g_curve = np.cumsum(h_per_path, axis=0)[-1] / n_reps
+        g_curve = _in_order_sum(h_per_path, 0) / n_reps
         h_p05 = _percentile(h_per_path, 5)
         h_p95 = _percentile(h_per_path, 95)
 
@@ -214,6 +211,23 @@ def _verdict(
         strongly_stable=bool(plateau),
         running_mean_half=float(running_half),
     )
+
+
+def _in_order_sum(values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``values`` added along ``axis`` left to right from ``v_0``, into ``out``
+    if given; +0.0 for an empty axis.  Every sum whose bits must not depend on
+    the CPU goes here, not to ``np.sum`` (pairwise on an innermost axis, from
+    +0.0) or BLAS (its kernel's order).  At 8 or more sums per row added (the
+    kernel's queues) each row is one in-place add, else one ``cumsum`` scans.
+    Not routed here: setup-side BLAS and LAPACK, ``np.mean`` over replications,
+    ``simplex._basis_solve`` and the kernel's score ``np.add.reduce``, in order."""
+    rows = values.transpose(axis, *range(axis), *range(axis + 1, values.ndim))
+    out = np.empty(rows.shape[1:]) if out is None else out
+    rows = np.cumsum(rows, axis=0)[-1:] if out.size < 8 * len(rows) else rows
+    out[...] = rows[0] if len(rows) else 0.0
+    for row in rows[1:]:
+        out += row
+    return out
 
 
 class OrderedSum:

@@ -9,7 +9,10 @@ fixtures and on the fuzzed scenarios of ``test_controller``:
 * an appended copy of each state's action 0 that costs 1 more: its score is
   never below action 0's, and ties go to the lower index, so it is never
   chosen; the paths and ``cost_sum`` keep their bits, and the LP's optimum
-  ``f_opt`` and margin ``d_max`` do too.
+  ``f_opt`` and margin ``d_max`` do too;
+* a constraint's constant lowered by delta > 0 (loosened): the feasible
+  policies only grow, so the LP never turns infeasible, ``f_opt`` never
+  rises and ``d_max`` never falls.
 
 The kernel's side holds bit for bit on every scenario, and the LP's on the
 fixtures.  On the fuzzed scenarios the LP's side holds to within its
@@ -172,3 +175,39 @@ def test_cost_scaling_on_fuzzed_scenarios(scenario, j, v_weights, n_reps, mode, 
 @settings(max_examples=40, deadline=None)
 def test_costlier_copy_on_fuzzed_scenarios(scenario, v_weights, n_reps, mode, seed):
     assert_close(assert_costlier_copy_unused(scenario, v_weights, n_reps, seed, 40, mode), 10 * TOL)
+
+
+def loosened(scenario, row, delta):
+    """``scenario`` with constraint ``row``'s constant lowered by ``delta``."""
+    c0 = scenario.c0.copy()
+    c0[1 + row] -= delta
+    return scenario._replace(c0=c0)
+
+
+def assert_loosening_keeps_the_lp(scenario, deltas, tol):
+    """Each constraint loosened by each of ``deltas``: ``feasible`` never
+    turns false, ``f_opt`` never rises and ``d_max`` never falls, within
+    ``tol`` times the larger of 1 and the values compared."""
+    ours = lp_report(scenario)
+    if ours is None:
+        return
+    for row in range(scenario.n_constraints):
+        for delta in deltas:
+            theirs = solve_fopt(loosened(scenario, row, delta))
+            slack = tol * max(1.0, abs(ours.d_max), abs(theirs.d_max))
+            assert theirs.d_max >= ours.d_max - slack, (row, delta, ours, theirs)
+            if ours.feasible:
+                assert theirs.feasible, (row, delta, ours, theirs)
+                slack = tol * max(1.0, abs(ours.f_opt), abs(theirs.f_opt))
+                assert theirs.f_opt <= ours.f_opt + slack, (row, delta, ours, theirs)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_loosening_a_constraint_on_the_fixtures(fixture):
+    assert_loosening_keeps_the_lp(load_scenario(fixture), [2.0**-20, 0.1, 1.0, 8.0], 1e-12)
+
+
+@given(scenario=fuzzed_scenarios(), delta=st.floats(2.0**-20, 8.0))
+@settings(max_examples=40, deadline=None)
+def test_loosening_a_constraint_on_fuzzed_scenarios(scenario, delta):
+    assert_loosening_keeps_the_lp(scenario, [delta], 10 * TOL)

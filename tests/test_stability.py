@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -400,3 +403,50 @@ def test_percentile_places_signed_zeros_like_numpy():
     # partition's kth list; with only the two interpolated ranks it is 0.0.
     a = np.array([[-0.0], [0.0], [-0.0], [-0.0], [-1.0]])
     assert same_bits(stability._percentile(a, 95), np.percentile(a, 95, axis=0))
+
+
+def left_to_right(a, axis):
+    """``a``'s slices along ``axis`` added by ``functools.reduce``, one
+    ``+`` after another; +0.0 for an empty axis."""
+    rows = np.moveaxis(a, axis, 0)
+    return functools.reduce(operator.add, rows) if len(rows) else np.zeros(rows.shape[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.lists(st.integers(0, 5), min_size=1, max_size=3), data=st.data())
+def test_in_order_sum_adds_left_to_right_along_every_axis(shape, data):
+    # Signed zeros, subnormals, the float extremes and arbitrary floats, so
+    # that sums cancel, round and overflow to inf.
+    a = sample_matrix(data, tuple(shape))
+    for axis in range(a.ndim):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = left_to_right(a, axis)
+            got = stability._in_order_sum(a, axis)
+            # The kernel's form: into a strided view of a larger buffer.
+            out = np.full(want.shape[::-1] + (2,), np.nan)[..., 0].T
+            into = stability._in_order_sum(a, axis, out=out)
+        assert same_bits(got, want)
+        assert into is out and same_bits(out, want)
+
+
+def test_in_order_sum_is_not_numpys_pairwise_sum():
+    # np.sum adds these 16 values in eight interleaved partial sums: each of
+    # seven pairs of 2^-53 survives as 2^-52, while left to right every
+    # 2^-53 rounds away against 1.0.
+    a = np.array([1.0] + [2.0**-53] * 15)
+    assert stability._in_order_sum(a, 0) == 1.0
+    assert np.sum(a) != 1.0
+    # 200 such sums at once, 8 or more per value added: one numpy add per value.
+    rows = np.tile(a, (200, 1))
+    assert np.all(stability._in_order_sum(rows, 1) == 1.0)
+    assert np.all(np.sum(rows, axis=1) != 1.0)
+    # Cancellation, a lone -0.0 (a reduction starts from +0.0 and returns
+    # 0.0) and an empty axis.
+    assert stability._in_order_sum(np.array([1.0, 1e100, -1e100]), 0) == 0.0
+    assert same_bits(stability._in_order_sum(np.array([-0.0]), 0), np.float64(-0.0))
+    assert same_bits(stability._in_order_sum(np.empty((3, 0, 2)), 1), np.zeros((3, 2)))
+
+
+def test_in_order_sum_raises_on_overflow():
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        stability._in_order_sum(np.array([[1e308], [1e308]]), 0)
