@@ -48,9 +48,14 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+def _lines(items: Iterable[tuple[str, object]]) -> list[str]:
+    """One ``key=value`` line per report item: a report's lines, and the
+    stdout lines of the commands that echo theirs."""
+    return [f"{key}={_fmt(value)}" for key, value in items]
+
+
 def write_report(path: Path, items: Iterable[tuple[str, object]]) -> None:
-    lines = [f"{key}={_fmt(value)}\n" for key, value in items]
-    path.write_text("".join(lines))
+    path.write_text("".join(line + "\n" for line in _lines(items)))
 
 
 def _fmt_column(values: Sequence[object]) -> list[str]:
@@ -75,10 +80,6 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[obje
         for lo in range(0, n_rows, block):
             cells = [_fmt_column(col[lo : lo + block]) for col in columns]
             fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
-
-
-def _echo(*parts: object) -> None:
-    print(" ".join(str(p) for p in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +202,9 @@ def trace_columns(scenario: Scenario, run: controller.DppRunResult, limit: int) 
 
 def _load_with_overrides(args: argparse.Namespace) -> Scenario:
     scenario = load_scenario(args.scenario)
-    if getattr(args, "mu", None) is not None:
+    if args.mu is not None:
         scenario = override_mu(scenario, args.mu)
-    if getattr(args, "lam", None) is not None:
+    if args.lam is not None:
         lams = parse_lambda_flag(args.lam, scenario.n_queues)
         scenario = override_lambdas(scenario, lams)
     return scenario
@@ -217,67 +218,64 @@ def _check_out(out: Path) -> None:
         raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
 
 
-def _verdict_run(
-    args: argparse.Namespace, record: bool
-) -> tuple[Scenario, StabilityVerdict, controller.DppRunResult | None, list[tuple[str, object]]]:
-    """The shared part of ``simulate`` and ``stability``: load the scenario,
-    run the ensemble, write ``curves.csv``.  Returns the stability verdict
-    on the total actual backlog of every replication, the first
-    ``--trace-limit`` slots of replication 0 when ``record``, and the
-    report's leading items.  The totals stream into a verdict reducer block
-    by block, in one kernel pass.  A horizon too short for a verdict, or an
-    ``--out`` that is not a directory, fails before anything runs, and a
-    failed run before anything is written."""
-    out = Path(args.out)
-    scenario = _load_with_overrides(args)
-    stability._check_verdict_horizon(args.horizon)
-    _check_out(out)
-    batch = run_lanes(scenario, [args.V] * args.reps, range(args.reps), args, int(record),
-                      reducer=stability.VerdictReducer,
-                      record_slots=args.trace_limit if record else 0)
-    verdict, run = batch.reducer.verdict(), (batch.runs[0] if record else None)
-    out.mkdir(parents=True, exist_ok=True)
-    # g is the mean of the per-path tail fractions: it is the h_mean column too.
-    write_csv(out / "curves.csv", ["M", "g", "h_mean", "h_p05", "h_p95"],
-              [verdict.m_grid, verdict.g_curve, verdict.g_curve, verdict.h_p05, verdict.h_p95])
-    head: list[tuple[str, object]] = [
+def _run_items(args: argparse.Namespace, scenario: Scenario) -> list[tuple[str, object]]:
+    """The leading report items of an ensemble run of ``scenario``."""
+    return [
         ("command", args.cmd),
         ("scenario", scenario.name),
         ("seed", args.seed & _MASK64),  # the seed the draws use
         ("horizon", args.horizon),
         ("reps", args.reps),
     ]
-    return scenario, verdict, run, head
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario, verdict, trace_run, items = _verdict_run(args, record=True)
-    out = Path(args.out)
+def _verdict_run(
+    args: argparse.Namespace, record: bool
+) -> tuple[Scenario, StabilityVerdict, controller.DppRunResult | None, dict[str, object]]:
+    """The shared part of ``simulate`` and ``stability``: load the scenario
+    and run the ensemble.  Returns the stability verdict on the total actual
+    backlog of every replication, the first ``--trace-limit`` slots of
+    replication 0 when ``record``, and the ``curves.csv`` file.  The totals
+    stream into a verdict reducer block by block, in one kernel pass.  A
+    horizon too short for a verdict fails before anything runs."""
+    scenario = _load_with_overrides(args)
+    stability._check_verdict_horizon(args.horizon)
+    batch = run_lanes(scenario, [args.V] * args.reps, range(args.reps), args, int(record),
+                      reducer=stability.VerdictReducer,
+                      record_slots=args.trace_limit if record else 0)
+    verdict, run = batch.reducer.verdict(), (batch.runs[0] if record else None)
+    # g is the mean of the per-path tail fractions: it is the h_mean column too.
+    curves = (["M", "g", "h_mean", "h_p05", "h_p95"],
+              [verdict.m_grid, verdict.g_curve, verdict.g_curve, verdict.h_p05, verdict.h_p95])
+    return scenario, verdict, run, {"curves.csv": curves}
+
+
+def cmd_simulate(args: argparse.Namespace) -> tuple[int, dict[str, object], list[str]]:
+    scenario, verdict, trace_run, files = _verdict_run(args, record=True)
     columns = trace_columns(scenario, trace_run, args.trace_limit)
-    write_csv(out / "trace.csv", trace_header(scenario), columns)
-    items += [
+    files["trace.csv"] = (trace_header(scenario), columns)
+    files["report.txt"] = _run_items(args, scenario) + [
         ("mode", args.mode),
         ("V", args.V),
         ("controller", "dpp"),
         ("mean_backlog", verdict.strong_metric),
+        *verdict_report_items(verdict),
     ]
-    items += verdict_report_items(verdict)
-    write_report(out / "report.txt", items)
-
     stable_count = sum(map(bool, (verdict.rate_stable, verdict.mean_rate_stable,
                                   verdict.steady_state_stable, verdict.strongly_stable)))
-    _echo(f"verdict: stable x{stable_count}")
-    _echo(f"mean backlog: {verdict.strong_metric:.6g}")
-    _echo(f"wrote {out / 'report.txt'}, {out / 'trace.csv'}, {out / 'curves.csv'}")
-    return 0
+    out = Path(args.out)
+    return 0, files, [
+        f"verdict: stable x{stable_count}",
+        f"mean backlog: {verdict.strong_metric:.6g}",
+        f"wrote {out / 'report.txt'}, {out / 'trace.csv'}, {out / 'curves.csv'}",
+    ]
 
 
-def cmd_stability(args: argparse.Namespace) -> int:
-    _, verdict, _, items = _verdict_run(args, record=False)
-    write_report(Path(args.out) / "report.txt", items + verdict_report_items(verdict))
-    for key, value in verdict_report_items(verdict):
-        _echo(f"{key}={_fmt(value)}")
-    return 0
+def cmd_stability(args: argparse.Namespace) -> tuple[int, dict[str, object], list[str]]:
+    scenario, verdict, _, files = _verdict_run(args, record=False)
+    items = verdict_report_items(verdict)
+    files["report.txt"] = _run_items(args, scenario) + items
+    return 0, files, _lines(items)
 
 
 def parse_entries(raw: str, flag: str) -> list[float]:
@@ -294,20 +292,16 @@ def parse_entries(raw: str, flag: str) -> list[float]:
     return values
 
 
-def cmd_capacity(args: argparse.Namespace) -> int:
-    # Checked before anything is solved or written.
+def cmd_capacity(args: argparse.Namespace) -> tuple[int, dict[str, object], list[str]]:
     scales = [] if args.sweep_scale is None else parse_entries(args.sweep_scale, "--sweep-scale")
     scenario = load_scenario(args.scenario)
-    if getattr(args, "mu", None) is not None:
+    if args.mu is not None:
         scenario = override_mu(scenario, args.mu)
     lams = (
         parse_lambda_flag(args.lam, scenario.n_queues) if args.lam is not None else None
     )
-    out = Path(args.out)
-    _check_out(out)
     lp = capacity_mod.build_lp(scenario, lams)
     report, sweep_rows = lp.sweep(scales)
-    out.mkdir(parents=True, exist_ok=True)  # made once the solves have succeeded
     items: list[tuple[str, object]] = [
         ("command", "capacity"),
         ("scenario", scenario.name),
@@ -323,10 +317,8 @@ def cmd_capacity(args: argparse.Namespace) -> int:
             label = scenario.omega_chain.labels[w]
             for name, prob in zip(scenario.names[w], dist):
                 items.append((f"policy[{label}][{name}]", float(prob)))
-    write_report(out / "capacity.txt", items)
-    for key, value in items:
-        _echo(f"{key}={_fmt(value)}")
-
+    files: dict[str, object] = {"capacity.txt": items}
+    lines = _lines(items)
     if scales:
         rows = [
             [scale, *[float(v) for v in scale * lp.lambdas], feasible, f_opt, d_max]
@@ -337,16 +329,14 @@ def cmd_capacity(args: argparse.Namespace) -> int:
             "f_opt",
             "d_max",
         ]
-        write_csv(out / "capacity_sweep.csv", header, list(zip(*rows)))
-        _echo(f"wrote {out / 'capacity_sweep.csv'}")
-    return 0
+        files["capacity_sweep.csv"] = (header, list(zip(*rows)))
+        lines.append(f"wrote {Path(args.out) / 'capacity_sweep.csv'}")
+    return 0, files, lines
 
 
-def cmd_sweep_v(args: argparse.Namespace) -> int:
-    v_list = parse_entries(args.V_list, "--V")  # checked before anything is written
+def cmd_sweep_v(args: argparse.Namespace) -> tuple[int, dict[str, object], list[str]]:
+    v_list = parse_entries(args.V_list, "--V")
     controller._check_horizon(args.horizon)
-    out = Path(args.out)
-    _check_out(out)
     scenario = _load_with_overrides(args)
     cap = capacity_mod.solve_fopt(scenario)
     if not cap.feasible or cap.d_max <= 0.0:
@@ -355,7 +345,7 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
             f"(in_capacity={str(cap.feasible).lower()}, d_max={cap.d_max})",
             file=sys.stderr,
         )
-        return 1
+        return 1, {}, []
     drift = controller.drift_constants(scenario, report=cap)
     epsilon = drift.d_max / 4.0
 
@@ -366,7 +356,6 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
         args,
         with_virtual=True,
     )
-    out.mkdir(parents=True, exist_ok=True)  # made once the run has succeeded
     rows = []
     for i, v_param in enumerate(v_list):
         lanes = slice(i * args.reps, (i + 1) * args.reps)
@@ -384,15 +373,9 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
         + [f"g_avg_{l + 1}" for l in range(scenario.n_constraints)]
         + ["backlog_bound", "cost_bound"]
     )
-    write_csv(out / "sweep.csv", header, list(zip(*rows)))
-    write_report(
-        out / "sweep_report.txt",
-        [
-            ("command", "sweep-v"),
-            ("scenario", scenario.name),
-            ("seed", args.seed & _MASK64),  # the seed the draws use
-            ("horizon", args.horizon),
-            ("reps", args.reps),
+    files = {
+        "sweep.csv": (header, list(zip(*rows))),
+        "sweep_report.txt": _run_items(args, scenario) + [
             ("f_opt", cap.f_opt),
             ("d_max", cap.d_max),
             ("B", drift.B),
@@ -400,9 +383,8 @@ def cmd_sweep_v(args: argparse.Namespace) -> int:
             ("T", drift.T),
             ("epsilon", epsilon),
         ],
-    )
-    _echo(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
-    return 0
+    }
+    return 0, files, [f"wrote {Path(args.out) / 'sweep.csv'} ({len(rows)} rows)"]
 
 
 def _cex_report(
@@ -468,7 +450,9 @@ def _cex_report(
         # The geometric checkpoints are the spike times.
         profile = [[t, float(t), s / (t + 1)] for t, s in zip(spikes, running_sums)]
     else:
-        raise ValueError(f"unknown counterexample {name!r}")
+        raise ValueError(
+            f"unknown counterexample {name!r}; choose from {', '.join(COUNTEREXAMPLES)}"
+        )
     checks.append(("signature_ok", ok))
     return checks, profile, ok
 
@@ -493,31 +477,19 @@ def _mean_profile_rows(column_sums: np.ndarray, n_reps: int, horizon: int) -> li
             for t in stability.geometric_checkpoints(horizon)]
 
 
-def cmd_counterexample(args: argparse.Namespace) -> int:
-    if args.name not in COUNTEREXAMPLES:
-        print(
-            f"error: unknown counterexample {args.name!r}; "
-            f"choose from {', '.join(COUNTEREXAMPLES)}",
-            file=sys.stderr,
-        )
-        return 2
-    out = Path(args.out)
-    _check_out(out)
+def cmd_counterexample(args: argparse.Namespace) -> tuple[int, dict[str, object], list[str]]:
     checks, profile, ok = _cex_report(args.name, args.seed)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report(out / "report.txt", checks)
-    write_csv(out / "profile.csv", ["t", "mean_backlog", "running_mean"], list(zip(*profile)))
-    for key, value in checks:
-        _echo(f"{key}={_fmt(value)}")
-    return 0 if ok else 1
+    files = {
+        "report.txt": checks,
+        "profile.csv": (["t", "mean_backlog", "running_mean"], list(zip(*profile))),
+    }
+    return 0 if ok else 1, files, _lines(checks)
 
 
-def cmd_bb1(args: argparse.Namespace) -> int:
+def cmd_bb1(args: argparse.Namespace) -> tuple[int, dict[str, object], list[str]]:
     q_bar, w_bar = bb1_closed_form(args.lam, args.mu)
     if args.simulate:
-        controller._check_horizon(args.horizon)  # before anything is written
-    if args.out is not None:
-        _check_out(Path(args.out))
+        controller._check_horizon(args.horizon)  # before the run
     items: list[tuple[str, object]] = [
         ("command", "bb1"),
         ("lambda", args.lam),
@@ -534,12 +506,7 @@ def cmd_bb1(args: argparse.Namespace) -> int:
         # Integer backlogs: every sum is exact, so the order of the lanes' sums is free.
         total = batch.reducer.total.sum()
         items.append(("measured_mean_backlog", float(total / (args.reps * args.horizon))))
-    if args.out is not None:
-        Path(args.out).mkdir(parents=True, exist_ok=True)  # made once the run has succeeded
-        write_report(Path(args.out) / "bb1.txt", items)
-    for key, value in items:
-        _echo(f"{key}={_fmt(value)}")
-    return 0
+    return 0, ({} if args.out is None else {"bb1.txt": items}), _lines(items)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +530,12 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _add_scenario(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("scenario")
+    parser.add_argument("--lambda", dest="lam", default=None)
+    parser.add_argument("--mu", type=float, default=None)
+
+
 def _add_common(parser: argparse.ArgumentParser, *, reps_default: int) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--horizon", type=_positive_int, default=100_000)
@@ -580,34 +553,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_sim = sub.add_parser("simulate", help="simulate a scenario and classify stability")
-    p_sim.add_argument("scenario")
-    p_sim.add_argument("--lambda", dest="lam", default=None)
-    p_sim.add_argument("--mu", type=float, default=None)
+    _add_scenario(p_sim)
     p_sim.add_argument("--V", type=_weight, default=10.0)
     p_sim.add_argument("--trace-limit", type=_positive_int, default=10_000)
     _add_common(p_sim, reps_default=100)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_stab = sub.add_parser("stability", help="stability verdict and tail curves only")
-    p_stab.add_argument("scenario")
-    p_stab.add_argument("--lambda", dest="lam", default=None)
-    p_stab.add_argument("--mu", type=float, default=None)
+    _add_scenario(p_stab)
     p_stab.add_argument("--V", type=_weight, default=10.0)
     _add_common(p_stab, reps_default=100)
     p_stab.set_defaults(func=cmd_stability)
 
     p_cap = sub.add_parser("capacity", help="capacity-region LP report")
-    p_cap.add_argument("scenario")
-    p_cap.add_argument("--lambda", dest="lam", default=None)
-    p_cap.add_argument("--mu", type=float, default=None)
+    _add_scenario(p_cap)
     p_cap.add_argument("--sweep-scale", default=None)
     p_cap.add_argument("--out", default="out")
     p_cap.set_defaults(func=cmd_capacity)
 
     p_sweep = sub.add_parser("sweep-v", help="sweep the performance weight V")
-    p_sweep.add_argument("scenario")
-    p_sweep.add_argument("--lambda", dest="lam", default=None)
-    p_sweep.add_argument("--mu", type=float, default=None)
+    _add_scenario(p_sweep)
     p_sweep.add_argument("--V", dest="V_list", default="1,10,100")
     _add_common(p_sweep, reps_default=1)
     p_sweep.set_defaults(func=cmd_sweep_v)
@@ -632,10 +597,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command's lifecycle, the same for every command: check
+    ``--out``, run the command, make ``--out`` when the command returns
+    files, write them in order (a ``.csv`` name through ``write_csv``, any
+    other through ``write_report``), then print its stdout lines.  So a
+    bad ``--out`` is reported before any input is read, and a run that
+    fails, in the command or in a write, prints nothing to stdout: one
+    stderr line and exit status 2."""
+    args = build_parser().parse_args(argv)
+    out = None if args.out is None else Path(args.out)
     try:
-        return args.func(args)
+        if out is not None:
+            _check_out(out)
+        status, files, lines = args.func(args)
+        if files:
+            out.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            if name.endswith(".csv"):
+                write_csv(out / name, *content)
+            else:
+                write_report(out / name, content)
+        for line in lines:
+            print(line)
+        return status
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

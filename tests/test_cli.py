@@ -177,16 +177,27 @@ def test_scenario_path_that_is_a_directory_is_an_error(tmp_path, capsys, command
     assert_clean_error(rc, capsys)
 
 
+# One bad input per command: a bad --out is still the error reported.
+BAD_INPUT_COMMANDS = [
+    ["simulate", "downlink2.json", "--lambda", "nan", "--horizon", "1000", "--reps", "2"],
+    ["stability", "downlink2.json", "--horizon", "999", "--reps", "2"],
+    ["capacity", "downlink2.json", "--sweep-scale", "-1"],
+    ["sweep-v", "downlink2.json", "--V", "nan", "--horizon", "500"],
+    ["counterexample", "nope"],
+    ["bb1", "--lambda", "0.6", "--mu", "0.5"],
+]
 OUT_COMMANDS = [
     *([command, "downlink2.json", *rest] for command, rest in SCENARIO_COMMANDS.items()),
     ["counterexample", "strong-not-rate"],
     ["bb1", "--lambda", "0.3", "--mu", "0.5"],
     ["bb1", "--lambda", "0.3", "--mu", "0.5", "--simulate", "--horizon", "100", "--reps", "2"],
+    *BAD_INPUT_COMMANDS,
 ]
 
 
 def _out_id(argv):
-    return "-".join([argv[0], *(a[2:] for a in argv if a == "--simulate")])
+    bad = ["bad-input"] if argv in BAD_INPUT_COMMANDS else []
+    return "-".join([argv[0], *(a[2:] for a in argv if a == "--simulate"), *bad])
 
 
 @pytest.mark.parametrize("argv", OUT_COMMANDS, ids=_out_id)
@@ -214,6 +225,27 @@ def test_every_command_names_an_out_that_is_not_a_directory(tmp_path, capsys, ar
     assert (rc, captured.out) == (2, "")
     assert captured.err == f"error: --out {out}: {taken} is not a directory\n"
     assert taken.read_text() == ""
+
+
+# Each command with the writer of the last file it writes.
+LAST_WRITES = [
+    *((argv, "write_report") for argv in OUT_COMMANDS if argv not in BAD_INPUT_COMMANDS),
+    (["capacity", "downlink2.json", "--sweep-scale", "0.5,1"], "write_csv"),
+    (["counterexample", "strong-not-rate"], "write_csv"),
+]
+
+
+@pytest.mark.parametrize("argv, writer", LAST_WRITES,
+                         ids=[f"{_out_id(argv)}-{writer}" for argv, writer in LAST_WRITES])
+def test_a_failed_write_prints_nothing_to_stdout(tmp_path, capsys, monkeypatch, argv, writer):
+    # Every file is written before the first stdout line.  capacity used to
+    # echo capacity.txt's items before it wrote capacity_sweep.csv.
+    def full_disk(path, *args):
+        raise OSError(f"{path.name}: no space left on device")
+
+    monkeypatch.setattr(cli, writer, full_disk)
+    rc = main([*argv, "--out", str(tmp_path / "o")])
+    assert assert_clean_error(rc, capsys) == ""
 
 
 def test_labels_of_an_unreachable_state_fail_at_load(tmp_path, capsys):

@@ -12,7 +12,13 @@ fixtures and on the fuzzed scenarios of ``test_controller``:
   ``f_opt`` and margin ``d_max`` do too;
 * a constraint's constant lowered by delta > 0 (loosened): the feasible
   policies only grow, so the LP never turns infeasible, ``f_opt`` never
-  rises and ``d_max`` never falls.
+  rises and ``d_max`` never falls;
+* the queues relabelled, each fed deterministic integer arrivals: every
+  backlog is a whole number, so the Q paths permute bit for bit, and the
+  action and Z paths, ``cost_sum``, ``g_sum`` and the totals keep their
+  bits; the LP's answers agree within 1e-12 relative;
+* the omega chain made tau-lazy, ``(1 - 1/tau) I + P / tau``: the same
+  stationary law, so the LP's answers agree within 1e-12 relative.
 
 The kernel's side holds bit for bit on every scenario, and the LP's on the
 fixtures.  On the fuzzed scenarios the LP's side holds to within its
@@ -34,7 +40,7 @@ from hypothesis import strategies as st
 from qnetlab.capacity import solve_fopt
 from qnetlab.controller import run_dpp_batch
 from qnetlab.network import load_scenario
-from qnetlab.processes import ReducibleChainError
+from qnetlab.processes import ArrivalSpec, FiniteMarkovChain, ReducibleChainError
 from qnetlab.simplex import TOL
 from test_controller import fuzzed_scenarios
 
@@ -211,3 +217,65 @@ def test_loosening_a_constraint_on_the_fixtures(fixture):
 @settings(max_examples=40, deadline=None)
 def test_loosening_a_constraint_on_fuzzed_scenarios(scenario, delta):
     assert_loosening_keeps_the_lp(scenario, [delta], 10 * TOL)
+
+
+def with_whole_arrivals(scenario):
+    """``scenario`` with queue k fed one unit every ``n`` slots, at phase k:
+    ``n`` is the nearest whole number to 1 / its rate, at least 2."""
+    arrivals = []
+    for k, spec in enumerate(scenario.arrivals):
+        n = max(2, round(1.0 / spec.rate))
+        values = tuple(float(j == k % n) for j in range(n))
+        arrivals.append(ArrivalSpec("deterministic", rate=float(np.mean(values)), values=values))
+    return scenario._replace(arrivals=arrivals)
+
+
+def relabelled(scenario, perm):
+    """``scenario`` with new queue i the old queue ``perm[i]``."""
+    new = np.argsort(perm)  # the new index of each old queue
+    return scenario._replace(
+        y=scenario.y[:, :, perm], b=scenario.b[:, :, perm],
+        arrivals=[scenario.arrivals[k] for k in perm],
+        routing=[(int(new[src]), int(new[dst])) for src, dst in scenario.routing])
+
+
+def assert_lp_close(ours, theirs, tol):
+    """Same ``feasible``; ``f_opt`` and ``d_max`` within ``tol`` times the
+    larger of 1 and the values compared."""
+    assert theirs.feasible == ours.feasible, (ours, theirs)
+    for want, got in ((ours.f_opt, theirs.f_opt), (ours.d_max, theirs.d_max)):
+        assert abs(got - want) <= tol * max(1.0, abs(want), abs(got)), (ours, theirs)
+
+
+@pytest.mark.parametrize("mode", ["respect", "clamped"])
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_relabelling_the_queues_permutes_the_q_paths(fixture, mode):
+    scenario = with_whole_arrivals(load_scenario(fixture))
+    batch = runs(scenario, [1.0, 10.0], 1, 7, 3000, mode)
+    ours = solve_fopt(scenario)
+    rng = np.random.default_rng(16)
+    for perm in (rng.permutation(scenario.n_queues) for _ in range(3)):
+        twin = runs(relabelled(scenario, perm), [1.0, 10.0], 1, 7, 3000, mode)
+        assert same_bits(twin.reducer.total, batch.reducer.total)
+        assert same_bits(twin.cost_sum, batch.cost_sum)
+        assert same_bits(twin.g_sum, batch.g_sum)
+        for run, other in zip(batch.runs, twin.runs, strict=True):
+            assert same_bits(other.q_path, run.q_path[:, perm])
+            for name in ("omega_path", "action_path", "z_path"):
+                assert same_bits(getattr(other, name), getattr(run, name)), name
+        assert_lp_close(ours, solve_fopt(relabelled(scenario, perm)), 1e-12)
+
+
+def lazy(scenario, tau):
+    """``scenario`` with transition ``(1 - 1/tau) I + P / tau``."""
+    chain = scenario.omega_chain
+    p = chain.transition
+    step = (1.0 - 1.0 / tau) * np.eye(len(p)) + p / tau
+    return scenario._replace(omega_chain=FiniteMarkovChain(step, chain.initial, chain.labels))
+
+
+@pytest.mark.parametrize("tau", [2, 10, 100])
+@pytest.mark.parametrize("fixture", ["bb1.json", *FIXTURES])
+def test_a_lazy_chain_keeps_the_lp(fixture, tau):
+    scenario = load_scenario(fixture)
+    assert_lp_close(solve_fopt(scenario), solve_fopt(lazy(scenario, tau)), 1e-12)
